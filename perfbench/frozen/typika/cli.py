@@ -1,0 +1,306 @@
+"""Command line surface.
+
+Four subcommands: `check` (KB consistency), `rank` (exceptionality levels
+and antecedent ranks), `query` (entailment under one of three semantics),
+and `compare` (all semantics side by side over a query file, flagging rows
+where rank-based entailment is not contained in enriched entailment).
+
+Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict,
+2 any error (I/O, syntax, inconsistent KB under model semantics, rank bound
+overflow). `--json` switches to a single structured document on stdout;
+`timingMs` is measured per invocation except for `compare`, where it is
+pinned to 0 so repeated runs are byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from typing import Optional
+
+from .kb import KnowledgeBase, serialize_axiom
+from .models import (
+    EnrichedModel,
+    InconsistentKBError,
+    Model,
+    Query,
+    RankBoundExceededError,
+    enriched_entails,
+    find_abox_mapping,
+    single_pref_entails,
+    single_pref_model,
+)
+from .parser import KBSyntaxError, parse_axiom, parse_kb
+from .ranking import compute_rank_sequence, in_rational_closure, is_kb_consistent
+from .syntax import concept_key, concept_to_text
+
+ENV_RANK_BOUND = "TYPIKA_RANK_BOUND"
+
+
+def _load_kb(path: str) -> KnowledgeBase:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_kb(fh.read())
+
+
+def _resolve_bound(flag_value: Optional[int]) -> Optional[int]:
+    if flag_value is not None:
+        return flag_value
+    env = os.environ.get(ENV_RANK_BOUND)
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{ENV_RANK_BOUND} must be an integer, got {env!r}")
+
+
+def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
+    if args.json:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+
+
+def _serialize_model(model: Model) -> dict:
+    dom = model.domain
+    ids = [f"t{i}" for i in range(dom.size)]
+    aspect_ranks = {}
+    if isinstance(model, EnrichedModel):
+        aspect_ranks = {
+            concept_to_text(a): {ids[i]: r for i, r in enumerate(ranks)}
+            for a, ranks in model.ranks.per_aspect
+        }
+    return {
+        "domain": [
+            {"id": ids[i], "concepts": sorted(concept_to_text(c) for c in t)}
+            for i, t in enumerate(dom.types)
+        ],
+        "roleEdges": {
+            role: [[ids[i], ids[j]] for i, j in sorted(edges)]
+            for role, edges in dom.role_edges.items()
+        },
+        "aspectRanks": aspect_ranks,
+        "globalRanks": {ids[i]: r for i, r in enumerate(model.global_ranks)},
+    }
+
+
+def _model_lines(model: Model) -> list[str]:
+    dom = model.domain
+    lines = ["witness model:"]
+    for i, t in enumerate(dom.types):
+        concepts = ", ".join(sorted(concept_to_text(c) for c in t))
+        lines.append(f"  t{i} [global {model.global_ranks[i]}]: {concepts}")
+    if isinstance(model, EnrichedModel):
+        for a, ranks in model.ranks.per_aspect:
+            cells = " ".join(f"t{i}={r}" for i, r in enumerate(ranks))
+            lines.append(f"  aspect {concept_to_text(a)}: {cells}")
+    for role in sorted(dom.role_edges):
+        pairs = ", ".join(f"t{i}->t{j}" for i, j in sorted(dom.role_edges[role]))
+        lines.append(f"  role {role}: {pairs}")
+    return lines
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    kb = _load_kb(args.kb)
+    start = time.perf_counter()
+    consistent = is_kb_consistent(kb)
+    if consistent and kb.abox:
+        m = single_pref_model(kb)
+        consistent = find_abox_mapping(m.domain, kb, m.global_ranks) is not None
+    ms = (time.perf_counter() - start) * 1000.0
+    doc = {"command": "check", "kb": args.kb, "consistent": consistent,
+           "timingMs": round(ms, 3)}
+    _emit(args, doc, ["consistent" if consistent else "inconsistent"])
+    return 0 if consistent else 1
+
+
+def cmd_rank(args: argparse.Namespace) -> int:
+    kb = _load_kb(args.kb)
+    start = time.perf_counter()
+    rt = compute_rank_sequence(kb)
+    antecedents = []
+    seen = set()
+    for ax in kb.defeasible:
+        key = concept_key(ax.lhs)
+        if key not in seen:
+            seen.add(key)
+            antecedents.append(ax.lhs)
+    values = {concept_to_text(c): rt.rank(c) for c in antecedents}
+    ms = (time.perf_counter() - start) * 1000.0
+    doc = {
+        "command": "rank",
+        "kb": args.kb,
+        "ranks": {
+            "levels": [[serialize_axiom(ax) for ax in lv] for lv in rt.levels],
+            "values": {text: (r.value if not r.is_infinite else "inf")
+                       for text, r in values.items()},
+        },
+        "timingMs": round(ms, 3),
+    }
+    lines = []
+    for i, lv in enumerate(rt.levels):
+        lines.append(f"level E{i}:")
+        if lv:
+            lines.extend(f"  {serialize_axiom(ax)}" for ax in lv)
+        else:
+            lines.append("  (empty)")
+    ordered = sorted(values.items(), key=lambda kv: (kv[1].is_infinite, kv[1]._key(), kv[0]))
+    lines.extend(f"rank {r}: {text}" for text, r in ordered)
+    _emit(args, doc, lines)
+    return 0
+
+
+def _query_verdict(kb: KnowledgeBase, query: Query, semantics: str,
+                   bound: Optional[int]) -> tuple[bool, Optional[Model]]:
+    if semantics == "rc":
+        return in_rational_closure(kb, query), None
+    if semantics == "single-pref":
+        v = single_pref_entails(kb, query, bound)
+    else:
+        v = enriched_entails(kb, query, bound)
+    return v.entailed, (v.model if v.entailed else v.countermodel)
+
+
+def cmd_query(args: argparse.Namespace) -> int:
+    kb = _load_kb(args.kb)
+    query = parse_axiom(args.query)
+    bound = _resolve_bound(args.rank_bound)
+    start = time.perf_counter()
+    entailed, model = _query_verdict(kb, query, args.semantics, bound)
+    ms = (time.perf_counter() - start) * 1000.0
+    doc = {
+        "command": "query",
+        "kb": args.kb,
+        "query": serialize_axiom(query),
+        "semantics": args.semantics,
+        "entailed": entailed,
+        "timingMs": round(ms, 3),
+    }
+    lines = ["entailed" if entailed else "not entailed"]
+    if args.emit_model and model is not None:
+        doc["witness"] = _serialize_model(model)
+        lines.extend(_model_lines(model))
+    _emit(args, doc, lines)
+    return 0 if entailed else 1
+
+
+def _compare_row(kb: KnowledgeBase, raw: str, bound: Optional[int]) -> dict:
+    try:
+        query = parse_axiom(raw)
+    except KBSyntaxError as exc:
+        return {"query": raw, "error": str(exc)}
+    row: dict = {"query": serialize_axiom(query)}
+    try:
+        row["rc"] = in_rational_closure(kb, query)
+        row["singlePref"] = single_pref_entails(kb, query, bound).entailed
+        row["enriched"] = enriched_entails(kb, query, bound).entailed
+    except (RankBoundExceededError, InconsistentKBError) as exc:
+        return {"query": row["query"], "error": str(exc)}
+    row["violation"] = bool(row["rc"] and not row["enriched"])
+    return row
+
+
+def _flag(value: bool) -> str:
+    return "yes" if value else "no"
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    kb = _load_kb(args.kb)
+    bound = _resolve_bound(args.rank_bound)
+    with open(args.queries, "r", encoding="utf-8") as fh:
+        raws = [line.strip() for line in fh]
+    raws = [r for r in raws if r and not r.startswith("#")]
+    rows = [_compare_row(kb, raw, bound) for raw in raws]
+    doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}
+    lines = []
+    for row in rows:
+        if "error" in row:
+            lines.append(f"[error] {row['query']}: {row['error']}")
+        else:
+            mark = "[FAILURE]" if row["violation"] else "[ok]"
+            lines.append(
+                f"{mark} {row['query']} | rc={_flag(row['rc'])}"
+                f" single-pref={_flag(row['singlePref'])}"
+                f" enriched={_flag(row['enriched'])}"
+            )
+    violations = sum(1 for r in rows if r.get("violation"))
+    errors = sum(1 for r in rows if "error" in r)
+    lines.append(
+        f"queries={len(rows)}"
+        f" rc={sum(1 for r in rows if r.get('rc'))}"
+        f" single-pref={sum(1 for r in rows if r.get('singlePref'))}"
+        f" enriched={sum(1 for r in rows if r.get('enriched'))}"
+        f" violations={violations} errors={errors}"
+    )
+    _emit(args, doc, lines)
+    return 1 if violations else 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="typika",
+        description="Defeasible description-logic reasoner with typicality.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        help="emit one structured JSON document")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", parents=[common], help="report KB consistency")
+    p.add_argument("kb", help="knowledge base file")
+    p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser("rank", parents=[common],
+                       help="print exceptionality levels and antecedent ranks")
+    p.add_argument("kb", help="knowledge base file")
+    p.set_defaults(func=cmd_rank)
+
+    p = sub.add_parser("query", parents=[common],
+                       help="answer one inclusion query")
+    p.add_argument("--semantics", required=True,
+                   choices=["rc", "single-pref", "enriched"])
+    p.add_argument("--rank-bound", type=int, default=None,
+                   help="cap on rank values (default: defeasible axioms + 1)")
+    p.add_argument("--emit-model", action="store_true",
+                   help="include the witness or counterexample model")
+    p.add_argument("kb", help="knowledge base file")
+    p.add_argument("query", help="inclusion, e.g. 'T(Bird) => Fly'")
+    p.set_defaults(func=cmd_query)
+
+    p = sub.add_parser("compare", parents=[common],
+                       help="run all semantics over a query file")
+    p.add_argument("--rank-bound", type=int, default=None)
+    p.add_argument("kb", help="knowledge base file")
+    p.add_argument("queries", help="file with one query per line")
+    p.set_defaults(func=cmd_compare)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except KBSyntaxError as exc:
+        print(f"syntax error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
+        return 2
+    except RankBoundExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InconsistentKBError as exc:
+        print(f"error: {exc} (model-based semantics need a consistent KB)",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,162 @@
+"""Knowledge bases: strict and defeasible inclusions plus assertional facts.
+
+A defeasible inclusion states that the typical instances of its left-hand
+side fall under its right-hand side. The left-hand side is an ordinary
+concept; the typicality marker is part of the axiom, never nested inside a
+concept.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterable, Union
+
+from .syntax import Concept, concept_key, concept_to_text, subconcepts
+
+
+@dataclass(frozen=True, repr=False)
+class Strict:
+    lhs: Concept
+    rhs: Concept
+
+    def __repr__(self) -> str:
+        return serialize_axiom(self)
+
+
+@dataclass(frozen=True, repr=False)
+class Defeasible:
+    """Typical instances of lhs are rhs."""
+
+    lhs: Concept
+    rhs: Concept
+
+    def __repr__(self) -> str:
+        return serialize_axiom(self)
+
+
+Axiom = Union[Strict, Defeasible]
+
+
+@dataclass(frozen=True)
+class ConceptAssertion:
+    concept: Concept
+    individual: str
+    typical: bool = False
+
+
+@dataclass(frozen=True)
+class RoleAssertion:
+    role: str
+    subject: str
+    target: str
+
+
+Assertion = Union[ConceptAssertion, RoleAssertion]
+
+
+@dataclass(frozen=True)
+class KnowledgeBase:
+    """Ordered, duplicate-free axiom and assertion lists.
+
+    Order is the order of first occurrence in the source text; it is kept
+    because reports and materializations iterate it deterministically.
+    """
+
+    strict: tuple[Strict, ...] = ()
+    defeasible: tuple[Defeasible, ...] = ()
+    abox: tuple[Assertion, ...] = ()
+
+    @property
+    def axioms(self) -> tuple[Axiom, ...]:
+        return self.strict + self.defeasible
+
+    @staticmethod
+    def build(axioms: Iterable[Axiom] = (), abox: Iterable[Assertion] = ()) -> "KnowledgeBase":
+        strict: list[Strict] = []
+        defeasible: list[Defeasible] = []
+        assertions: list[Assertion] = []
+        for ax in axioms:
+            bucket = strict if isinstance(ax, Strict) else defeasible
+            if ax not in bucket:
+                bucket.append(ax)
+        for a in abox:
+            if a not in assertions:
+                assertions.append(a)
+        return KnowledgeBase(tuple(strict), tuple(defeasible), tuple(assertions))
+
+
+@dataclass(frozen=True)
+class AspectSet:
+    """The concepts a knowledge base talks about, one preference relation each."""
+
+    aspects: frozenset[Concept] = field(default_factory=frozenset)
+
+    def ordered(self) -> tuple[Concept, ...]:
+        return tuple(sorted(self.aspects, key=concept_key))
+
+    def __contains__(self, c: Concept) -> bool:
+        return c in self.aspects
+
+    def __len__(self) -> int:
+        return len(self.aspects)
+
+
+def aspect_set(kb: KnowledgeBase) -> AspectSet:
+    """Every concept expression occurring syntactically in the KB's axioms.
+
+    Occurrences are collected from both sides of every axiom (for defeasible
+    axioms, the concept under the typicality marker) including proper
+    subexpressions, and deduplicated structurally. No derived negations are
+    added: `not Fly` on a right-hand side contributes both `not Fly` and
+    `Fly`, but `Bird` on a left-hand side does not contribute `not Bird`.
+    """
+    found: set[Concept] = set()
+    for ax in kb.axioms:
+        for side in (ax.lhs, ax.rhs):
+            found.update(subconcepts(side))
+    return AspectSet(frozenset(found))
+
+
+def subconcept_closure(kb: KnowledgeBase, extra: Iterable[Concept] = ()) -> frozenset[Concept]:
+    """Subconcepts of all axioms, assertions, and `extra`, closed under single negation.
+
+    For every member c the set also contains its single-negation complement
+    (a double negation is stripped rather than stacked), so members pair up.
+    The result is monotone in `extra` and closed under taking subconcepts.
+    """
+    from .syntax import complement
+
+    base: set[Concept] = set()
+    for ax in kb.axioms:
+        base.update(subconcepts(ax.lhs))
+        base.update(subconcepts(ax.rhs))
+    for a in kb.abox:
+        if isinstance(a, ConceptAssertion):
+            base.update(subconcepts(a.concept))
+    for c in extra:
+        base.update(subconcepts(c))
+    closed = set(base)
+    for c in base:
+        closed.add(complement(c))
+    return frozenset(closed)
+
+
+def serialize_axiom(ax: Axiom) -> str:
+    if isinstance(ax, Defeasible):
+        return f"T({concept_to_text(ax.lhs)}) => {concept_to_text(ax.rhs)}"
+    return f"{concept_to_text(ax.lhs)} => {concept_to_text(ax.rhs)}"
+
+
+def serialize_assertion(a: Assertion) -> str:
+    if isinstance(a, RoleAssertion):
+        return f"{a.role}({a.subject}, {a.target})"
+    if a.typical:
+        return f"T({concept_to_text(a.concept)})({a.individual})"
+    return f"{concept_to_text(a.concept)}({a.individual})"
+
+
+def serialize_kb(kb: KnowledgeBase) -> str:
+    """Renders a KB in the surface syntax; parsing the result gives back the KB."""
+    lines = [serialize_axiom(ax) for ax in kb.axioms]
+    lines.extend(serialize_assertion(a) for a in kb.abox)
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,0 +1,681 @@
+"""Preferential model semantics over a canonical type domain.
+
+The domain is built once per knowledge base and query: its elements are the
+maximal KB-satisfiable subsets of the subconcept closure, and role edges
+connect types whose universal constraints are honoured. Rank functions over
+this fixed domain stand in for preference relations (lower rank = more
+typical). Two regimes are implemented:
+
+- single preference: one global rank function, minimised pointwise; its
+  least fixpoint is the unique minimal model and mirrors the rank-based
+  entailment of `ranking`.
+- enriched: one rank function per aspect plus a coupled global one. Aspect
+  ranks are minimised first (the pointwise least admissible profile marks
+  exactly the axiom violators), then globals are minimised subject to the
+  coupling constraints; the resulting frontier is the set of minimal models.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Union
+
+from .kb import (
+    AspectSet,
+    ConceptAssertion,
+    Defeasible,
+    KnowledgeBase,
+    RoleAssertion,
+    Strict,
+    aspect_set,
+    subconcept_closure,
+)
+from .ranking import satisfiable_wrt_kb
+from .syntax import (
+    And,
+    Atom,
+    Bottom,
+    Concept,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    Top,
+    complement,
+    concept_key,
+    role_names,
+)
+
+
+class InconsistentKBError(Exception):
+    """The knowledge base admits no satisfiable type at all."""
+
+
+class RankBoundExceededError(Exception):
+    """No rank assignment within the bound satisfies all constraints."""
+
+    def __init__(self, bound: int):
+        super().__init__(f"no admissible rank assignment within bound {bound}")
+        self.bound = bound
+
+
+def default_rank_bound(kb: KnowledgeBase) -> int:
+    return len(kb.defeasible) + 1
+
+
+Query = Union[Strict, Defeasible]
+
+
+class CanonicalDomain:
+    """A fixed interpretation: one element per maximal KB-satisfiable type.
+
+    `types[i]` is the literal set of element i over the closure; concept
+    extensions are computed structurally and memoised. Instances compare by
+    identity; models built over the same instance share it.
+    """
+
+    def __init__(self, kb: KnowledgeBase, closure: tuple[Concept, ...],
+                 types: tuple[frozenset[Concept], ...],
+                 role_edges: dict[str, frozenset[tuple[int, int]]]):
+        self.kb = kb
+        self.closure = closure
+        self.types = types
+        self.role_edges = role_edges
+        self._eval_memo: dict[str, frozenset[int]] = {}
+        self._all = frozenset(range(len(types)))
+
+    @property
+    def size(self) -> int:
+        return len(self.types)
+
+    def eval(self, c: Concept) -> frozenset[int]:
+        key = concept_key(c)
+        hit = self._eval_memo.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(c, Top):
+            out = self._all
+        elif isinstance(c, Bottom):
+            out = frozenset()
+        elif isinstance(c, Atom):
+            out = frozenset(i for i, t in enumerate(self.types) if c in t)
+        elif isinstance(c, Not):
+            out = self._all - self.eval(c.sub)
+        elif isinstance(c, And):
+            out = self.eval(c.left) & self.eval(c.right)
+        elif isinstance(c, Or):
+            out = self.eval(c.left) | self.eval(c.right)
+        elif isinstance(c, Exists):
+            sub = self.eval(c.sub)
+            edges = self.role_edges.get(c.role, frozenset())
+            out = frozenset(x for x, y in edges if y in sub)
+        elif isinstance(c, Forall):
+            sub = self.eval(c.sub)
+            edges = self.role_edges.get(c.role, frozenset())
+            out = frozenset(i for i in self._all
+                            if all(y in sub for x, y in edges if x == i))
+        else:
+            raise TypeError(f"not a concept: {c!r}")
+        self._eval_memo[key] = out
+        return out
+
+
+def _role_edge_ok(x: frozenset[Concept], y: frozenset[Concept], role: str,
+                  positives: Sequence[Concept]) -> bool:
+    for c in x:
+        if isinstance(c, Forall) and c.role == role and c.sub not in y:
+            return False
+    # a successor must not witness an existential the source lacks
+    for p in positives:
+        if isinstance(p, Exists) and p.role == role and p not in x and p.sub in y:
+            return False
+    return True
+
+
+def build_canonical_domain(kb: KnowledgeBase, query: Optional[Query] = None) -> CanonicalDomain:
+    """Enumerates all maximal KB-satisfiable types over the closure.
+
+    The closure covers the KB and, when given, the query's two sides, so
+    query concepts evaluate by membership. Raises InconsistentKBError when
+    nothing is satisfiable.
+    """
+    extra: tuple[Concept, ...] = ()
+    if query is not None:
+        extra = (query.lhs, query.rhs)
+    closure = tuple(sorted(subconcept_closure(kb, extra), key=concept_key))
+    positives = [c for c in closure if not isinstance(c, Not)]
+    types: list[frozenset[Concept]] = []
+    chosen: list[Concept] = []
+
+    def extend(i: int) -> None:
+        if i == len(positives):
+            types.append(frozenset(chosen))
+            return
+        for literal in (positives[i], complement(positives[i])):
+            chosen.append(literal)
+            if satisfiable_wrt_kb(kb, chosen):
+                extend(i + 1)
+            chosen.pop()
+
+    extend(0)
+    if not types:
+        raise InconsistentKBError("the knowledge base admits no satisfiable type")
+    roles = sorted({r for c in closure for r in role_names(c)})
+    edges = {
+        role: frozenset(
+            (i, j)
+            for i, x in enumerate(types)
+            for j, y in enumerate(types)
+            if _role_edge_ok(x, y, role, positives)
+        )
+        for role in roles
+    }
+    domain = CanonicalDomain(kb, closure, tuple(types), edges)
+    _validate_witnesses(domain, positives)
+    return domain
+
+
+def _validate_witnesses(domain: CanonicalDomain, positives: Sequence[Concept]) -> None:
+    """Every existential constraint of a type must have an edge witness."""
+    for i, t in enumerate(domain.types):
+        for p in positives:
+            if isinstance(p, Exists):
+                targets = {y for x, y in domain.role_edges[p.role] if x == i}
+                sub = domain.eval(p.sub)
+                if p in t and not targets & sub:
+                    raise AssertionError(f"unwitnessed {p!r} in type {i}")
+            elif isinstance(p, Forall) and p not in t:
+                targets = {y for x, y in domain.role_edges[p.role] if x == i}
+                sub = domain.eval(p.sub)
+                if not targets - sub:
+                    raise AssertionError(f"unwitnessed {complement(p)!r} in type {i}")
+
+
+@dataclass(frozen=True)
+class RankAssignment:
+    """Aspect ranks (one function per aspect) plus the global rank function."""
+
+    per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...]
+    global_ranks: tuple[int, ...]
+
+    def aspect_rank(self, aspect: Concept) -> tuple[int, ...]:
+        for a, ranks in self.per_aspect:
+            if a == aspect:
+                return ranks
+        raise KeyError(f"no rank function for aspect {aspect!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class EnrichedModel:
+    domain: CanonicalDomain
+    ranks: RankAssignment
+
+    @property
+    def aspects(self) -> AspectSet:
+        return AspectSet(a for a, _ in self.ranks.per_aspect)
+
+    @property
+    def global_ranks(self) -> tuple[int, ...]:
+        return self.ranks.global_ranks
+
+
+@dataclass(frozen=True, eq=False)
+class SinglePrefModel:
+    domain: CanonicalDomain
+    global_ranks: tuple[int, ...]
+
+
+Model = Union[EnrichedModel, SinglePrefModel]
+
+
+def min_global(model: Model, concept: Concept) -> frozenset[int]:
+    """The globally most typical instances of a concept in the model."""
+    ext = model.domain.eval(concept)
+    if not ext:
+        return frozenset()
+    lo = min(model.global_ranks[i] for i in ext)
+    return frozenset(i for i in ext if model.global_ranks[i] == lo)
+
+
+def _min_by(ranks: Sequence[int], ext: frozenset[int]) -> frozenset[int]:
+    if not ext:
+        return frozenset()
+    lo = min(ranks[i] for i in ext)
+    return frozenset(i for i in ext if ranks[i] == lo)
+
+
+def _violations(domain: CanonicalDomain, kb: KnowledgeBase) -> list[tuple[Defeasible, frozenset[int]]]:
+    return [(ax, domain.eval(ax.lhs) - domain.eval(ax.rhs)) for ax in kb.defeasible]
+
+
+def check_coupling(m: EnrichedModel, kb: KnowledgeBase,
+                   require_converse: bool = False) -> bool:
+    """Whether the global ranks honour both aspect-driven forcing rules.
+
+    Rule (a) forces x below y when some aspect prefers x and none prefers y.
+    Rule (b) forces x below y when y violates an axiom and every axiom
+    violated by x is outdone by one violated by y whose antecedent has a
+    strictly higher concept rank (min global rank over its extension).
+    With `require_converse`, a strict global pair must also be justified by
+    one of the two rules.
+    """
+    dom = m.domain
+    g = m.ranks.global_ranks
+    n = dom.size
+    aspect_ranks = [ranks for _, ranks in m.ranks.per_aspect]
+    viol = _violations(dom, kb)
+    ante_rank: dict[str, int] = {}
+    for ax, _ in viol:
+        key = concept_key(ax.lhs)
+        if key not in ante_rank:
+            ext = dom.eval(ax.lhs)
+            ante_rank[key] = min(g[i] for i in ext) if ext else -1
+
+    def cond_a(x: int, y: int) -> bool:
+        some = any(r[x] < r[y] for r in aspect_ranks)
+        none_back = all(r[y] >= r[x] for r in aspect_ranks)
+        return some and none_back
+
+    def cond_b(x: int, y: int) -> bool:
+        if not any(y in bad for _, bad in viol):
+            return False
+        for ax_j, bad_j in viol:
+            if x in bad_j:
+                kj = ante_rank[concept_key(ax_j.lhs)]
+                if not any(y in bad_k and kj < ante_rank[concept_key(ax_k.lhs)]
+                           for ax_k, bad_k in viol):
+                    return False
+        return True
+
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            forced = cond_a(x, y) or cond_b(x, y)
+            if forced and not g[x] < g[y]:
+                return False
+            if require_converse and g[x] < g[y] and not forced:
+                return False
+    return True
+
+
+def satisfies_kb(m: Model, kb: KnowledgeBase, check_abox: bool = True) -> bool:
+    """Model-of-KB check: strict axioms extensionally, defeasible axioms on
+    the global minimum and (for enriched models) the right-hand-side aspect
+    minimum, plus ABox mappability when requested."""
+    dom = m.domain
+    for ax in kb.strict:
+        if not dom.eval(ax.lhs) <= dom.eval(ax.rhs):
+            return False
+    for ax in kb.defeasible:
+        lhs_ext = dom.eval(ax.lhs)
+        rhs_ext = dom.eval(ax.rhs)
+        if not min_global(m, ax.lhs) <= rhs_ext:
+            return False
+        if isinstance(m, EnrichedModel):
+            if not _min_by(m.ranks.aspect_rank(ax.rhs), lhs_ext) <= rhs_ext:
+                return False
+    if check_abox and kb.abox:
+        if find_abox_mapping(dom, kb, m.global_ranks) is None:
+            return False
+    return True
+
+
+def aspect_preferred(m1: EnrichedModel, m2: EnrichedModel) -> bool:
+    """Pointwise aspect-rank dominance with at least one strict drop."""
+    if m1.domain is not m2.domain:
+        raise ValueError("models compare only over the same domain")
+    r1 = dict(m1.ranks.per_aspect)
+    r2 = dict(m2.ranks.per_aspect)
+    if set(map(concept_key, r1)) != set(map(concept_key, r2)):
+        raise ValueError("models compare only over the same aspects")
+    strict = False
+    for a, v1 in r1.items():
+        v2 = r2[a]
+        for x, y in zip(v1, v2):
+            if x > y:
+                return False
+            if x < y:
+                strict = True
+    return strict
+
+
+def globally_preferred(m1: EnrichedModel, m2: EnrichedModel,
+                       aspect_minimal_pool: Iterable[EnrichedModel]) -> bool:
+    """Global-rank dominance, gated on m1 belonging to the aspect-minimal pool."""
+    if m1.domain is not m2.domain:
+        raise ValueError("models compare only over the same domain")
+    if not any(m1.ranks == p.ranks for p in aspect_minimal_pool):
+        return False
+    g1, g2 = m1.global_ranks, m2.global_ranks
+    return all(a <= b for a, b in zip(g1, g2)) and g1 != g2
+
+
+def canonical_aspect_profile(domain: CanonicalDomain, kb: KnowledgeBase,
+                             ) -> tuple[tuple[Concept, tuple[int, ...]], ...]:
+    """The pointwise least admissible aspect ranks: 1 on violators, else 0.
+
+    An element must sit above some other instance of the antecedent in the
+    aspect order whenever it violates an axiom with that aspect as its
+    right-hand side, so every admissible profile dominates this one.
+    """
+    aspects = aspect_set(kb).ordered()
+    n = domain.size
+    out = []
+    for a in aspects:
+        bad: set[int] = set()
+        for ax in kb.defeasible:
+            if ax.rhs == a:
+                bad |= domain.eval(ax.lhs) - domain.eval(a)
+        out.append((a, tuple(1 if i in bad else 0 for i in range(n))))
+    return tuple(out)
+
+
+def _least_fixpoint(n: int, bound: int, seeds: Sequence[int],
+                    strict_pairs: Iterable[tuple[int, int]],
+                    raise_groups: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+                    nonstrict_pairs: Iterable[tuple[int, int]] = (),
+                    ) -> Optional[tuple[int, ...]]:
+    """Least g >= seeds closed under all constraints, or None past the bound.
+
+    Constraints: g[y] > g[x] for strict pairs, g[y] >= g[x] for nonstrict
+    pairs, and g[v] > min(g over members) for each (members, violators)
+    group. All rules are monotone, so iteration reaches the least fixpoint.
+    """
+    g = list(seeds)
+    if max(g, default=0) > bound:
+        return None
+    strict_pairs = tuple(strict_pairs)
+    nonstrict_pairs = tuple(nonstrict_pairs)
+    raise_groups = tuple(raise_groups)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in strict_pairs:
+            if g[y] <= g[x]:
+                g[y] = g[x] + 1
+                changed = True
+        for x, y in nonstrict_pairs:
+            if g[y] < g[x]:
+                g[y] = g[x]
+                changed = True
+        for members, violators in raise_groups:
+            floor = min(g[i] for i in members) + 1
+            for v in violators:
+                if g[v] < floor:
+                    g[v] = floor
+                    changed = True
+        if changed and max(g) > bound:
+            return None
+    return tuple(g)
+
+
+class _EnrichedSearch:
+    """Shared constraint material for the enriched global-rank search."""
+
+    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
+        self.domain = domain
+        self.kb = kb
+        self.bound = bound
+        self.n = domain.size
+        self.profile = canonical_aspect_profile(domain, kb)
+        vio_sets = [frozenset(a for a, ranks in self.profile if ranks[i])
+                    for i in range(self.n)]
+        self.a_pairs = tuple(
+            (x, y)
+            for x in range(self.n) for y in range(self.n)
+            if vio_sets[x] < vio_sets[y]
+        )
+        self.viol = _violations(domain, kb)
+        seen: dict[str, int] = {}
+        self.antecedents: list[frozenset[int]] = []
+        self.axiom_ante: list[Optional[int]] = []
+        for ax, _ in self.viol:
+            ext = domain.eval(ax.lhs)
+            if not ext:
+                self.axiom_ante.append(None)
+                continue
+            key = concept_key(ax.lhs)
+            if key not in seen:
+                seen[key] = len(self.antecedents)
+                self.antecedents.append(ext)
+            self.axiom_ante.append(seen[key])
+        self.raise_groups = tuple(
+            (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
+            for ax, bad in self.viol
+            if domain.eval(ax.lhs)
+        )
+
+    def seeds_for(self, kappa: Sequence[int]) -> list[int]:
+        seeds = [0] * self.n
+        for j, ext in enumerate(self.antecedents):
+            for i in ext:
+                if seeds[i] < kappa[j]:
+                    seeds[i] = kappa[j]
+        return seeds
+
+    def b_pairs_for(self, kappa: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        m_of = [-1] * self.n
+        for (ax, bad), j in zip(self.viol, self.axiom_ante):
+            if j is None:
+                continue
+            for i in bad:
+                if m_of[i] < kappa[j]:
+                    m_of[i] = kappa[j]
+        return tuple((x, y) for x in range(self.n) for y in range(self.n)
+                     if m_of[x] < m_of[y])
+
+    def consistent(self, kappa: Sequence[int], g: Sequence[int]) -> bool:
+        return all(min(g[i] for i in ext) == kappa[j]
+                   for j, ext in enumerate(self.antecedents))
+
+    def solve(self, kappa: Sequence[int],
+              pin_pairs: Iterable[tuple[int, int]] = ()) -> Optional[tuple[int, ...]]:
+        g = _least_fixpoint(
+            self.n, self.bound, self.seeds_for(kappa),
+            self.a_pairs + self.b_pairs_for(kappa),
+            self.raise_groups, pin_pairs,
+        )
+        if g is None or not self.consistent(kappa, g):
+            return None
+        return g
+
+    def sweep(self) -> Iterable[tuple[int, ...]]:
+        return itertools.product(range(self.bound + 1), repeat=len(self.antecedents))
+
+
+def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
+                             rank_bound: Optional[int] = None,
+                             domain: Optional[CanonicalDomain] = None,
+                             ) -> list[EnrichedModel]:
+    """All minimal canonical enriched models (aspect profile fixed at the
+    pointwise least admissible one, globals minimised over valid couplings).
+
+    Valid global assignments are least fixpoints per guessed antecedent rank
+    vector; guesses whose fixpoint overflows, disagrees with the guess, or
+    leaves a rank gap yield no model, and the pointwise-minimal survivors
+    are exactly the minimal models.
+    """
+    if domain is None:
+        domain = build_canonical_domain(kb, query)
+    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
+    search = _EnrichedSearch(domain, kb, bound)
+    candidates: dict[tuple[int, ...], None] = {}
+    for kappa in search.sweep():
+        g = search.solve(kappa)
+        if g is None:
+            continue
+        if set(g) != set(range(max(g) + 1)):
+            continue
+        candidates.setdefault(g)
+    frontier = [
+        g for g in candidates
+        if not any(o != g and all(a <= b for a, b in zip(o, g)) for o in candidates)
+    ]
+    if not frontier:
+        raise RankBoundExceededError(bound)
+    models = [EnrichedModel(domain, RankAssignment(search.profile, g)) for g in frontier]
+    for m in models:
+        if not satisfies_kb(m, kb, check_abox=False) or not check_coupling(m, kb):
+            raise AssertionError("internal error: frontier model failed validation")
+    return models
+
+
+def single_pref_model(kb: KnowledgeBase, query: Optional[Query] = None,
+                      rank_bound: Optional[int] = None,
+                      domain: Optional[CanonicalDomain] = None) -> SinglePrefModel:
+    """The unique minimal single-preference model: the least global ranks
+    under which every defeasible axiom holds on its global minimum."""
+    if domain is None:
+        domain = build_canonical_domain(kb, query)
+    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
+    raise_groups = tuple(
+        (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
+        for ax, bad in _violations(domain, kb)
+        if domain.eval(ax.lhs)
+    )
+    g = _least_fixpoint(domain.size, bound, [0] * domain.size, (), raise_groups)
+    if g is None:
+        raise RankBoundExceededError(bound)
+    return SinglePrefModel(domain, g)
+
+
+def _holds_in(model: Model, query: Query) -> tuple[bool, Optional[int]]:
+    dom = model.domain
+    if isinstance(query, Strict):
+        off = dom.eval(query.lhs) - dom.eval(query.rhs)
+        return (not off, min(off) if off else None)
+    off = min_global(model, query.lhs) - dom.eval(query.rhs)
+    return (not off, min(off) if off else None)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Per-query result under one semantics, with optional model evidence."""
+
+    semantics: str
+    entailed: bool
+    model: Optional[Model] = None
+    countermodel: Optional[Model] = None
+    counterelement: Optional[int] = None
+    timing_ms: float = 0.0
+
+
+def enriched_entails(kb: KnowledgeBase, query: Query,
+                     rank_bound: Optional[int] = None,
+                     domain: Optional[CanonicalDomain] = None) -> Verdict:
+    """Entailment over all minimal canonical enriched models."""
+    models = minimal_canonical_models(kb, query, rank_bound, domain)
+    for m in models:
+        ok, bad = _holds_in(m, query)
+        if not ok:
+            return Verdict("enriched", False, model=models[0],
+                           countermodel=m, counterelement=bad)
+    return Verdict("enriched", True, model=models[0])
+
+
+def single_pref_entails(kb: KnowledgeBase, query: Query,
+                        rank_bound: Optional[int] = None,
+                        domain: Optional[CanonicalDomain] = None) -> Verdict:
+    """Entailment over the minimal canonical single-preference model."""
+    m = single_pref_model(kb, query, rank_bound, domain)
+    ok, bad = _holds_in(m, query)
+    if not ok:
+        return Verdict("single-pref", False, model=m, countermodel=m,
+                       counterelement=bad)
+    return Verdict("single-pref", True, model=m)
+
+
+def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
+                                 rank_bound: Optional[int] = None,
+                                 domain: Optional[CanonicalDomain] = None) -> bool:
+    """Whether the query holds in every (not only minimal) single-preference
+    model over the canonical domain with ranks within the bound."""
+    if domain is None:
+        domain = build_canonical_domain(kb, query)
+    if isinstance(query, Strict):
+        return domain.eval(query.lhs) <= domain.eval(query.rhs)
+    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
+    lhs_ext = domain.eval(query.lhs)
+    rhs_ext = domain.eval(query.rhs)
+    raise_groups = tuple(
+        (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
+        for ax, bad in _violations(domain, kb)
+        if domain.eval(ax.lhs)
+    )
+    for x0 in sorted(lhs_ext - rhs_ext):
+        pins = tuple((x0, y) for y in lhs_ext if y != x0)
+        g = _least_fixpoint(domain.size, bound, [0] * domain.size, (),
+                            raise_groups, pins)
+        if g is not None:
+            return False
+    return True
+
+
+def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
+                                   rank_bound: Optional[int] = None,
+                                   domain: Optional[CanonicalDomain] = None) -> bool:
+    """Whether the query holds in every enriched model over the canonical
+    domain carrying the least admissible aspect profile, ranks within bound."""
+    if domain is None:
+        domain = build_canonical_domain(kb, query)
+    if isinstance(query, Strict):
+        return domain.eval(query.lhs) <= domain.eval(query.rhs)
+    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
+    lhs_ext = domain.eval(query.lhs)
+    rhs_ext = domain.eval(query.rhs)
+    search = _EnrichedSearch(domain, kb, bound)
+    for x0 in sorted(lhs_ext - rhs_ext):
+        pins = tuple((x0, y) for y in lhs_ext if y != x0)
+        for kappa in search.sweep():
+            if search.solve(kappa, pins) is not None:
+                return False
+    return True
+
+
+def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
+                      global_ranks: Sequence[int]) -> Optional[dict[str, int]]:
+    """Maps each named individual to a domain type satisfying its assertions.
+
+    Typical concept assertions pin the individual to the globally most
+    typical instances; role assertions require a canonical edge when the
+    role is constrained by the closure, and are free otherwise.
+    """
+    individuals: list[str] = []
+    for a in kb.abox:
+        names = [a.individual] if isinstance(a, ConceptAssertion) else [a.subject, a.target]
+        for name in names:
+            if name not in individuals:
+                individuals.append(name)
+    candidates: dict[str, set[int]] = {name: set(range(domain.size)) for name in individuals}
+    for a in kb.abox:
+        if isinstance(a, ConceptAssertion):
+            ext = domain.eval(a.concept)
+            if a.typical:
+                ext = _min_by(tuple(global_ranks), ext)
+            candidates[a.individual] &= ext
+    role_pairs = [a for a in kb.abox if isinstance(a, RoleAssertion)]
+
+    def assign(i: int, chosen: dict[str, int]) -> Optional[dict[str, int]]:
+        if i == len(individuals):
+            return dict(chosen)
+        name = individuals[i]
+        for t in sorted(candidates[name]):
+            chosen[name] = t
+            ok = True
+            for a in role_pairs:
+                if a.role not in domain.role_edges:
+                    continue
+                if a.subject in chosen and a.target in chosen:
+                    if (chosen[a.subject], chosen[a.target]) not in domain.role_edges[a.role]:
+                        ok = False
+                        break
+            if ok:
+                out = assign(i + 1, chosen)
+                if out is not None:
+                    return out
+            del chosen[name]
+        return None
+
+    return assign(0, {})

@@ -1,0 +1,168 @@
+"""Rank-based entailment over defeasible knowledge bases.
+
+A knowledge base is split into strict inclusions and defeasible ones. The
+defeasible part is stratified by repeated exceptionality checks: a concept
+is exceptional at a level when the level's material counterpart classically
+forces it empty. Ranks of concepts fall out of the stratification and both
+defeasible and strict queries reduce to rank comparisons.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, Optional, Union
+
+from .kb import Defeasible, KnowledgeBase, Strict
+from .syntax import BOT, TOP, And, Concept, Not, Or, concept_key, conjoin
+from .tableau import StrictTBox, entails_strict
+
+
+@dataclass(frozen=True, order=False)
+class Rank:
+    """A rank value: a natural number or the infinite rank.
+
+    `value` is None for the infinite rank. Ordering puts every finite rank
+    below the infinite one.
+    """
+
+    value: Optional[int]
+
+    INFINITE: ClassVar["Rank"]
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.value is None
+
+    def _key(self) -> tuple[int, int]:
+        return (1, 0) if self.value is None else (0, self.value)
+
+    def __lt__(self, other: "Rank") -> bool:
+        return self._key() < other._key()
+
+    def __le__(self, other: "Rank") -> bool:
+        return self._key() <= other._key()
+
+    def __gt__(self, other: "Rank") -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other: "Rank") -> bool:
+        return self._key() >= other._key()
+
+    def __str__(self) -> str:
+        return "inf" if self.value is None else str(self.value)
+
+
+Rank.INFINITE = Rank(None)
+
+
+def materialization(axioms: Iterable[Defeasible]) -> Concept:
+    """The conjunction of material counterparts, in knowledge base order."""
+    return conjoin(Or(Not(ax.lhs), ax.rhs) for ax in axioms)
+
+
+def level_tbox(strict_core: StrictTBox, level: Iterable[Defeasible]) -> StrictTBox:
+    """Strict core plus a level's material counterpart asserted globally."""
+    level = tuple(level)
+    if not level:
+        return strict_core
+    return strict_core.extended(TOP, materialization(level))
+
+
+def is_exceptional(concept: Concept, level: Iterable[Defeasible],
+                   strict_core: StrictTBox) -> bool:
+    """Whether the level's material counterpart forces the concept empty."""
+    return entails_strict(level_tbox(strict_core, level), concept, BOT)
+
+
+class RankedTBox:
+    """The stratification of a knowledge base by exceptionality.
+
+    `levels[i]` holds the defeasible axioms still exceptional after i
+    rounds; the sequence is computed to a fixpoint, so the last level
+    repeats under one more round. `strict_core` is the classical part.
+    """
+
+    def __init__(self, kb: KnowledgeBase):
+        self.kb = kb
+        self.strict_core = StrictTBox.from_axioms(kb.strict)
+        self.levels: list[tuple[Defeasible, ...]] = []
+        level = tuple(kb.defeasible)
+        self.levels.append(level)
+        while True:
+            nxt = tuple(ax for ax in level
+                        if is_exceptional(ax.lhs, level, self.strict_core))
+            if nxt == level:
+                break
+            self.levels.append(nxt)
+            level = nxt
+        self._level_tboxes = [level_tbox(self.strict_core, lv) for lv in self.levels]
+        self._rank_memo: dict[str, Rank] = {}
+
+    @property
+    def height(self) -> int:
+        """Number of finite rank values the stratification distinguishes."""
+        return len(self.levels)
+
+    @property
+    def fixpoint_index(self) -> int:
+        return len(self.levels) - 1
+
+    def rank(self, concept: Concept) -> Rank:
+        """Least level at which the concept is not exceptional, if any."""
+        key = concept_key(concept)
+        hit = self._rank_memo.get(key)
+        if hit is not None:
+            return hit
+        out = Rank.INFINITE
+        for i, tbox in enumerate(self._level_tboxes):
+            if not entails_strict(tbox, concept, BOT):
+                out = Rank(i)
+                break
+        self._rank_memo[key] = out
+        return out
+
+
+_ranked_cache: dict[KnowledgeBase, RankedTBox] = {}
+
+
+def ranked_tbox(kb: KnowledgeBase) -> RankedTBox:
+    hit = _ranked_cache.get(kb)
+    if hit is None:
+        hit = RankedTBox(kb)
+        _ranked_cache[kb] = hit
+    return hit
+
+
+def compute_rank_sequence(kb: KnowledgeBase) -> RankedTBox:
+    return ranked_tbox(kb)
+
+
+def concept_rank(kb: KnowledgeBase, concept: Concept) -> Rank:
+    return ranked_tbox(kb).rank(concept)
+
+
+def satisfiable_wrt_kb(kb: KnowledgeBase,
+                       concepts: Union[Concept, Iterable[Concept]]) -> bool:
+    """Whether a concept set has finite rank, i.e. is realisable under the KB."""
+    if isinstance(concepts, Concept):
+        conjunction = concepts
+    else:
+        conjunction = conjoin(sorted(concepts, key=concept_key))
+    return not concept_rank(kb, conjunction).is_infinite
+
+
+def is_kb_consistent(kb: KnowledgeBase) -> bool:
+    return satisfiable_wrt_kb(kb, TOP)
+
+
+def in_rational_closure(kb: KnowledgeBase, query) -> bool:
+    """Rank-based entailment of a strict or defeasible inclusion."""
+    rt = ranked_tbox(kb)
+    if isinstance(query, Strict):
+        return rt.rank(And(query.lhs, Not(query.rhs))).is_infinite
+    if isinstance(query, Defeasible):
+        r_lhs = rt.rank(query.lhs)
+        if r_lhs.is_infinite:
+            return True
+        return r_lhs < rt.rank(And(query.lhs, Not(query.rhs)))
+    raise TypeError(f"not an inclusion query: {query!r}")
