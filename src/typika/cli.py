@@ -21,13 +21,15 @@ import sys
 import time
 from typing import Optional
 
-from .kb import KnowledgeBase, serialize_axiom
+from .kb import KnowledgeBase, serialize_axiom, subconcept_closure
 from .models import (
+    CanonicalDomain,
     EnrichedModel,
     InconsistentKBError,
     Model,
     Query,
     RankBoundExceededError,
+    build_canonical_domain,
     enriched_entails,
     find_abox_mapping,
     single_pref_entails,
@@ -35,7 +37,7 @@ from .models import (
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
 from .ranking import compute_rank_sequence, in_rational_closure, is_kb_consistent
-from .syntax import concept_key, concept_to_text
+from .syntax import Concept, concept_key, concept_to_text
 
 ENV_RANK_BOUND = "TYPIKA_RANK_BOUND"
 
@@ -188,7 +190,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0 if entailed else 1
 
 
-def _compare_row(kb: KnowledgeBase, raw: str, bound: Optional[int]) -> dict:
+def _compare_row(kb: KnowledgeBase, raw: str, bound: Optional[int],
+                 domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
+    """One row of `compare`. Queries whose concepts give the same closure
+    share the domain in `domains`, and with it the memoised minimal models."""
     try:
         query = parse_axiom(raw)
     except KBSyntaxError as exc:
@@ -196,8 +201,12 @@ def _compare_row(kb: KnowledgeBase, raw: str, bound: Optional[int]) -> dict:
     row: dict = {"query": serialize_axiom(query)}
     try:
         row["rc"] = in_rational_closure(kb, query)
-        row["singlePref"] = single_pref_entails(kb, query, bound).entailed
-        row["enriched"] = enriched_entails(kb, query, bound).entailed
+        closure = subconcept_closure(kb, (query.lhs, query.rhs))
+        domain = domains.get(closure)
+        if domain is None:
+            domain = domains[closure] = build_canonical_domain(kb, query)
+        row["singlePref"] = single_pref_entails(kb, query, bound, domain=domain).entailed
+        row["enriched"] = enriched_entails(kb, query, bound, domain=domain).entailed
     except (RankBoundExceededError, InconsistentKBError) as exc:
         return {"query": row["query"], "error": str(exc)}
     row["violation"] = bool(row["rc"] and not row["enriched"])
@@ -214,7 +223,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with open(args.queries, "r", encoding="utf-8") as fh:
         raws = [line.strip() for line in fh]
     raws = [r for r in raws if r and not r.startswith("#")]
-    rows = [_compare_row(kb, raw, bound) for raw in raws]
+    domains: dict[frozenset[Concept], CanonicalDomain] = {}
+    rows = [_compare_row(kb, raw, bound, domains) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}
     lines = []
     for row in rows:

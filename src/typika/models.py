@@ -1,10 +1,15 @@
 """Preferential model semantics over a canonical type domain.
 
-The domain is built once per knowledge base and query: its elements are the
-maximal KB-satisfiable subsets of the subconcept closure, and role edges
-connect types whose universal constraints are honoured. Rank functions over
-this fixed domain stand in for preference relations (lower rank = more
-typical). Two regimes are implemented:
+A domain is built from a knowledge base and a subconcept closure (the KB's
+own, widened by a query's two sides when they fall outside it), so every
+query whose concepts lie in the same closure can share one: `compare` builds
+one per distinct closure. Its elements are the maximal KB-satisfiable
+subsets of the closure, and role edges connect types whose universal
+constraints are honoured. Rank functions over this fixed domain stand in for
+preference relations (lower rank = more typical). The domain memoises
+concept extensions and, per KB and rank bound, its minimal single-pref model
+and its frontier of minimal enriched models, so the queries sharing a domain
+search for models once. Two regimes are implemented:
 
 - single preference: one global rank function, minimised pointwise; its
   least fixpoint is the unique minimal model and mirrors the rank-based
@@ -71,8 +76,10 @@ class CanonicalDomain:
     """A fixed interpretation: one element per maximal KB-satisfiable type.
 
     `types[i]` is the literal set of element i over the closure; concept
-    extensions are computed structurally and memoised. Instances compare by
-    identity; models built over the same instance share it.
+    extensions are computed structurally and memoised. The minimal models
+    over the domain are memoised per (KB, rank bound); a failed search is
+    memoised as None and raises again. Instances compare by identity;
+    models built over the same instance share it.
     """
 
     def __init__(self, kb: KnowledgeBase, closure: tuple[Concept, ...],
@@ -83,6 +90,9 @@ class CanonicalDomain:
         self.types = types
         self.role_edges = role_edges
         self._eval_memo: dict[str, frozenset[int]] = {}
+        self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[SinglePrefModel]] = {}
+        self._frontier_memo: dict[tuple[KnowledgeBase, int],
+                                  Optional[tuple[EnrichedModel, ...]]] = {}
         self._all = frozenset(range(len(types)))
 
     @property
@@ -500,6 +510,17 @@ def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
     if domain is None:
         domain = build_canonical_domain(kb, query)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
+    memo = domain._frontier_memo
+    if (kb, bound) not in memo:
+        memo[kb, bound] = _search_frontier(domain, kb, bound)
+    frontier = memo[kb, bound]
+    if frontier is None:
+        raise RankBoundExceededError(bound)
+    return list(frontier)
+
+
+def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase,
+                     bound: int) -> Optional[tuple[EnrichedModel, ...]]:
     search = _EnrichedSearch(domain, kb, bound)
     candidates: dict[tuple[int, ...], None] = {}
     for kappa in search.sweep():
@@ -514,8 +535,9 @@ def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
         if not any(o != g and all(a <= b for a, b in zip(o, g)) for o in candidates)
     ]
     if not frontier:
-        raise RankBoundExceededError(bound)
-    models = [EnrichedModel(domain, RankAssignment(search.profile, g)) for g in frontier]
+        return None
+    models = tuple(EnrichedModel(domain, RankAssignment(search.profile, g))
+                   for g in frontier)
     for m in models:
         if not satisfies_kb(m, kb, check_abox=False) or not check_coupling(m, kb):
             raise AssertionError("internal error: frontier model failed validation")
@@ -530,15 +552,19 @@ def single_pref_model(kb: KnowledgeBase, query: Optional[Query] = None,
     if domain is None:
         domain = build_canonical_domain(kb, query)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    raise_groups = tuple(
-        (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
-        for ax, bad in _violations(domain, kb)
-        if domain.eval(ax.lhs)
-    )
-    g = _least_fixpoint(domain.size, bound, [0] * domain.size, (), raise_groups)
-    if g is None:
+    memo = domain._single_pref_memo
+    if (kb, bound) not in memo:
+        raise_groups = tuple(
+            (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
+            for ax, bad in _violations(domain, kb)
+            if domain.eval(ax.lhs)
+        )
+        g = _least_fixpoint(domain.size, bound, [0] * domain.size, (), raise_groups)
+        memo[kb, bound] = None if g is None else SinglePrefModel(domain, g)
+    model = memo[kb, bound]
+    if model is None:
         raise RankBoundExceededError(bound)
-    return SinglePrefModel(domain, g)
+    return model
 
 
 def _holds_in(model: Model, query: Query) -> tuple[bool, Optional[int]]:
@@ -559,7 +585,6 @@ class Verdict:
     model: Optional[Model] = None
     countermodel: Optional[Model] = None
     counterelement: Optional[int] = None
-    timing_ms: float = 0.0
 
 
 def enriched_entails(kb: KnowledgeBase, query: Query,

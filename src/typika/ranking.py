@@ -98,15 +98,6 @@ class RankedTBox:
         self._level_tboxes = [level_tbox(self.strict_core, lv) for lv in self.levels]
         self._rank_memo: dict[str, Rank] = {}
 
-    @property
-    def height(self) -> int:
-        """Number of finite rank values the stratification distinguishes."""
-        return len(self.levels)
-
-    @property
-    def fixpoint_index(self) -> int:
-        return len(self.levels) - 1
-
     def rank(self, concept: Concept) -> Rank:
         """Least level at which the concept is not exceptional, if any."""
         key = concept_key(concept)

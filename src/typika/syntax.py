@@ -6,63 +6,131 @@ hashing) is the only notion of concept identity anywhere in the package;
 nothing is normalised implicitly. The typicality operator is not a concept
 constructor: it may only wrap the left-hand side of an axiom, so it lives
 in the axiom types, not here.
+
+Each node caches its hash and its `concept_key` text in slots, each the
+first time it is asked for, so both cost O(1) afterwards. The caches belong
+to the node and die with it; there is no table of nodes, and whether a
+cache is filled never changes what a node compares equal to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+_set = object.__setattr__
 
 
 class Concept:
     """Base class for concept expressions."""
 
+    __slots__ = ("_key", "_hash")
+
+    def __init__(self) -> None:
+        _set(self, "_key", None)
+        _set(self, "_hash", None)
+
+    def _parts(self) -> tuple:
+        return ()
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return hash(self) == hash(other) and self._parts() == other._parts()
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._parts())
+            _set(self, "_hash", h)
+        return h
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"concepts are immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"concepts are immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._parts())
+
     def __repr__(self) -> str:
         return concept_to_text(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(Concept):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_key", None)
+        _set(self, "_hash", None)
+
+    def _parts(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True, repr=False)
 class Top(Concept):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Bottom(Concept):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Not(Concept):
-    sub: Concept
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Concept) -> None:
+        _set(self, "sub", sub)
+        _set(self, "_key", None)
+        _set(self, "_hash", None)
+
+    def _parts(self) -> tuple:
+        return (self.sub,)
 
 
-@dataclass(frozen=True, repr=False)
-class And(Concept):
-    left: Concept
-    right: Concept
+class _Binary(Concept):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_key", None)
+        _set(self, "_hash", None)
+
+    def _parts(self) -> tuple:
+        return (self.left, self.right)
 
 
-@dataclass(frozen=True, repr=False)
-class Or(Concept):
-    left: Concept
-    right: Concept
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Exists(Concept):
-    role: str
-    sub: Concept
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Forall(Concept):
-    role: str
-    sub: Concept
+class _Restriction(Concept):
+    __slots__ = ("role", "sub")
+
+    def __init__(self, role: str, sub: Concept) -> None:
+        _set(self, "role", role)
+        _set(self, "sub", sub)
+        _set(self, "_key", None)
+        _set(self, "_hash", None)
+
+    def _parts(self) -> tuple:
+        return (self.role, self.sub)
+
+
+class Exists(_Restriction):
+    __slots__ = ()
+
+
+class Forall(_Restriction):
+    __slots__ = ()
 
 
 TOP = Top()
@@ -143,8 +211,8 @@ def conjoin(concepts: Iterable[Concept]) -> Concept:
     return out
 
 
-def concept_to_text(c: Concept) -> str:
-    """Renders a concept in the surface syntax accepted by the parser."""
+def _render(c: Concept, text: Callable[[Concept], str]) -> str:
+    """Surface syntax of one node, with `text` rendering its children."""
     if isinstance(c, Atom):
         return c.name
     if isinstance(c, Top):
@@ -152,18 +220,33 @@ def concept_to_text(c: Concept) -> str:
     if isinstance(c, Bottom):
         return "bot"
     if isinstance(c, Not):
-        return f"not {concept_to_text(c.sub)}"
+        return f"not {text(c.sub)}"
     if isinstance(c, And):
-        return f"({concept_to_text(c.left)} and {concept_to_text(c.right)})"
+        return f"({text(c.left)} and {text(c.right)})"
     if isinstance(c, Or):
-        return f"({concept_to_text(c.left)} or {concept_to_text(c.right)})"
+        return f"({text(c.left)} or {text(c.right)})"
     if isinstance(c, Exists):
-        return f"exists {c.role}. {concept_to_text(c.sub)}"
+        return f"exists {c.role}. {text(c.sub)}"
     if isinstance(c, Forall):
-        return f"forall {c.role}. {concept_to_text(c.sub)}"
+        return f"forall {c.role}. {text(c.sub)}"
     raise TypeError(f"not a concept: {c!r}")
 
 
+def concept_to_text(c: Concept) -> str:
+    """Renders a concept in the surface syntax accepted by the parser."""
+    return _render(c, concept_to_text)
+
+
 def concept_key(c: Concept) -> str:
-    """Deterministic sort key for concepts."""
-    return concept_to_text(c)
+    """Deterministic sort key for concepts: their rendered text, computed
+    once per node and cached on it."""
+    key = c._key
+    return key if key is not None else _cached_text(c)
+
+
+def _cached_text(c: Concept) -> str:
+    key = c._key
+    if key is None:
+        key = _render(c, _cached_text)
+        _set(c, "_key", key)
+    return key

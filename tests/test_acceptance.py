@@ -7,6 +7,7 @@ corpora); run with `-s` to see the per-criterion lines as they pass.
 import functools
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from typika.parser import parse_axiom, parse_concept
 from typika.ranking import compute_rank_sequence, in_rational_closure
 from typika.tableau import is_satisfiable
 
-from conftest import GOLDEN, KBS
+from conftest import GOLDEN, KBS, REPO
 from corpus import corpus_kbs, defeasible_queries, strict_queries
 from oracles import brute_force_satisfiable, random_concept, witness_checks_out
 from test_tableau import UNSAT_CASES, tbox
@@ -50,8 +51,10 @@ def criterion(n, label):
 
 
 def cli(*args):
+    # pyproject's `pythonpath` reaches pytest, not the processes it starts
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run([sys.executable, "-m", "typika", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def holds(model, query):

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+import typika.cli
 from typika.cli import main
+from typika.models import build_canonical_domain
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
 
@@ -280,6 +282,46 @@ def test_compare_byte_identical(capsys):
     assert third == fourth
 
 
+@pytest.mark.parametrize("name", ["set1", "set3"])
+def test_compare_json_golden_bytes(capsys, monkeypatch, name):
+    # run from the checkout root so the document's `kb` path is the golden's
+    monkeypatch.chdir(REPO)
+    code, out, err = run(
+        capsys, ["compare", "--json", f"kbs/{name}.kb", f"kbs/{name}_queries.txt"])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{name}_compare.json").read_text(encoding="utf-8")
+
+
+def _count_domain_builds(monkeypatch):
+    builds = []
+
+    def counting(kb, query=None):
+        builds.append(query)
+        return build_canonical_domain(kb, query)
+
+    monkeypatch.setattr(typika.cli, "build_canonical_domain", counting)
+    return builds
+
+
+def test_compare_shares_one_domain_per_closure(capsys, monkeypatch):
+    builds = _count_domain_builds(monkeypatch)
+    code, doc, _ = run_json(capsys, ["compare", "--json", SET3, SET3_QUERIES])
+    assert code == 0 and len(doc["rows"]) == 3
+    assert len(builds) == 1
+
+
+def test_compare_fresh_atom_query_builds_its_own_domain(capsys, monkeypatch, tmp_path):
+    qf = tmp_path / "queries.txt"
+    qf.write_text((KBS / "set3_queries.txt").read_text()
+                  + "T((Penguin and Blond)) => not Fly\n")
+    builds = _count_domain_builds(monkeypatch)
+    code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
+    assert code == 0
+    assert len(builds) == 2
+    assert doc["rows"][-1] == {"query": "T((Penguin and Blond)) => not Fly", "rc": True,
+                               "singlePref": True, "enriched": True, "violation": False}
+
+
 def test_compare_bad_line_is_isolated(capsys, tmp_path):
     qf = tmp_path / "queries.txt"
     qf.write_text("T(Bird) => Fly\nBird and Fly\n# comment\n\nT(Penguin) => not Fly\n")
@@ -298,9 +340,11 @@ def test_compare_bad_line_is_isolated(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # pyproject's `pythonpath` reaches pytest, not the processes it starts
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "typika", "check", SET3],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "consistent\n"
 
 

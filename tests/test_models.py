@@ -227,6 +227,68 @@ def test_rank_bound_overflow(kb_set3):
     assert minimal_canonical_models(kb_set3, rank_bound=4)
 
 
+# ------------------------------------------------------ shared domains
+
+
+def test_frontier_is_memoised_per_domain(kb_set3):
+    dom = build_canonical_domain(kb_set3)
+    first = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
+    again = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
+    assert [m.global_ranks for m in again] == [m.global_ranks for m in first]
+    assert all(a is b for a, b in zip(again, first))
+    m = single_pref_model(kb_set3, domain=dom, rank_bound=4)
+    assert single_pref_model(kb_set3, domain=dom, rank_bound=4) is m
+
+
+def test_memo_serves_no_other_bound(kb_set3):
+    dom = build_canonical_domain(kb_set3)
+    # a tight bound fails; a wider one must not be served that failure
+    with pytest.raises(RankBoundExceededError):
+        minimal_canonical_models(kb_set3, domain=dom, rank_bound=1)
+    with pytest.raises(RankBoundExceededError):
+        single_pref_model(kb_set3, domain=dom, rank_bound=1)
+    wide = minimal_canonical_models(kb_set3, domain=dom, rank_bound=7)
+    fresh = minimal_canonical_models(
+        kb_set3, domain=build_canonical_domain(kb_set3), rank_bound=7)
+    assert [m.ranks for m in wide] == [m.ranks for m in fresh]
+    assert single_pref_model(kb_set3, domain=dom, rank_bound=7).global_ranks == \
+        single_pref_model(kb_set3, rank_bound=7).global_ranks
+
+
+def test_memo_serves_no_other_kb(kb_set3):
+    dom = build_canonical_domain(kb_set3)
+    full = single_pref_model(kb_set3, domain=dom).global_ranks
+    full_frontier = [m.ranks for m in minimal_canonical_models(kb_set3, domain=dom)]
+    # the same closure without the penguin exception
+    fewer = KnowledgeBase.build(kb_set3.strict + kb_set3.defeasible[:2])
+    got = single_pref_model(fewer, domain=dom, rank_bound=4).global_ranks
+    other = build_canonical_domain(kb_set3)
+    assert got == single_pref_model(fewer, domain=other, rank_bound=4).global_ranks
+    assert got != full
+    got_frontier = [m.ranks for m in minimal_canonical_models(fewer, domain=dom, rank_bound=4)]
+    assert got_frontier == [m.ranks for m in
+                            minimal_canonical_models(fewer, domain=other, rank_bound=4)]
+    assert got_frontier != full_frontier
+
+
+def test_failed_search_raises_on_every_call(kb_set3):
+    dom = build_canonical_domain(kb_set3)
+    for _ in range(2):
+        with pytest.raises(RankBoundExceededError):
+            minimal_canonical_models(kb_set3, domain=dom, rank_bound=0)
+        with pytest.raises(RankBoundExceededError):
+            single_pref_model(kb_set3, domain=dom, rank_bound=0)
+    assert minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
+
+
+def test_returned_frontier_is_the_callers_own(kb_set3):
+    dom = build_canonical_domain(kb_set3)
+    first = minimal_canonical_models(kb_set3, domain=dom)
+    expect = [m.ranks for m in first]
+    first.clear()
+    assert [m.ranks for m in minimal_canonical_models(kb_set3, domain=dom)] == expect
+
+
 # ------------------------------------------------- coupling and orders
 
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from typika.syntax import (
     And,
     Atom,
@@ -20,8 +22,11 @@ from typika.syntax import (
     subconcepts,
     to_nnf,
 )
-from typika.parser import parse_concept
+from typika.kb import subconcept_closure
+from typika.parser import parse_axiom, parse_concept, parse_kb
 
+from conftest import KBS
+from corpus import corpus_kbs
 from oracles import random_concept, random_interp
 
 A, B = Atom("A"), Atom("B")
@@ -112,3 +117,91 @@ def test_concept_key_total_order():
 def test_singletons():
     assert Top() == TOP
     assert Bottom() == BOT
+
+
+# ------------------------------------------------------ node identity
+
+
+def identity_pool():
+    """Every corpus closure member and every concept of the `kbs/` files."""
+    found = set()
+    for kb in corpus_kbs():
+        found |= subconcept_closure(kb)
+    for path in sorted(KBS.glob("*.kb")):
+        found |= subconcept_closure(parse_kb(path.read_text(encoding="utf-8")))
+    for path in sorted(KBS.glob("*_queries.txt")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.strip() and not line.startswith("#"):
+                q = parse_axiom(line)
+                found |= subconcept_closure(parse_kb(""), (q.lhs, q.rhs))
+    return sorted(found, key=concept_to_text)
+
+
+def rebuild(c):
+    """A structurally equal copy sharing no node with `c`."""
+    if isinstance(c, Atom):
+        return Atom(c.name)
+    if isinstance(c, (Top, Bottom)):
+        return type(c)()
+    if isinstance(c, Not):
+        return Not(rebuild(c.sub))
+    if isinstance(c, (And, Or)):
+        return type(c)(rebuild(c.left), rebuild(c.right))
+    return type(c)(c.role, rebuild(c.sub))
+
+
+def same_tree(x, y):
+    """Structural equality that reads no cache and calls no `__eq__`."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Atom):
+        return x.name == y.name
+    if isinstance(x, (Top, Bottom)):
+        return True
+    if isinstance(x, Not):
+        return same_tree(x.sub, y.sub)
+    if isinstance(x, (And, Or)):
+        return same_tree(x.left, y.left) and same_tree(x.right, y.right)
+    return x.role == y.role and same_tree(x.sub, y.sub)
+
+
+def test_concept_key_is_the_rendered_text():
+    pool = identity_pool()
+    assert len(pool) > 30
+    for c in pool:
+        fresh = rebuild(c)
+        assert concept_key(fresh) == concept_to_text(fresh) == concept_to_text(c)
+        assert concept_key(fresh) == concept_key(c)
+
+
+def test_equal_nodes_share_key_hash_and_equality():
+    for c in identity_pool():
+        x, y = rebuild(c), rebuild(c)
+        assert x is not y
+        assert x == y and y == x and not x != y
+        assert hash(x) == hash(y) == hash(c)
+        assert concept_key(x) == concept_key(y)
+        assert len({x, y, c}) == 1
+
+
+def test_caching_never_changes_equality():
+    pool = identity_pool()
+    for c in pool:
+        for d in pool:
+            x, y = rebuild(c), rebuild(d)
+            expect = same_tree(x, y)
+            assert (x == y) is expect
+            concept_key(x)
+            hash(y)
+            assert (x == y) is expect and (y == x) is expect
+            # a node with filled caches against one without
+            assert (rebuild(c) == y) is expect and (x == rebuild(d)) is expect
+
+
+def test_nodes_are_immutable():
+    c = And(A, Not(B))
+    key, h = concept_key(c), hash(c)
+    for field in ("left", "_key", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(c, field, B)
+    assert (concept_key(c), hash(c), c.left) == (key, h, A)
