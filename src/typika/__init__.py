@@ -40,10 +40,10 @@ from .models import (
 from .parser import KBSyntaxError, parse_axiom, parse_concept, parse_kb
 from .ranking import (
     Rank,
-    compute_rank_sequence,
     concept_rank,
     in_rational_closure,
     is_kb_consistent,
+    ranked_tbox,
     satisfiable_wrt_kb,
 )
 from .syntax import (

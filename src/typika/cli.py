@@ -36,7 +36,7 @@ from .models import (
     single_pref_model,
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
-from .ranking import compute_rank_sequence, in_rational_closure, is_kb_consistent
+from .ranking import in_rational_closure, is_kb_consistent, ranked_tbox
 from .syntax import Concept, concept_key, concept_to_text
 
 ENV_RANK_BOUND = "TYPIKA_RANK_BOUND"
@@ -123,7 +123,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
-    rt = compute_rank_sequence(kb)
+    rt = ranked_tbox(kb)
     antecedents = []
     seen = set()
     for ax in kb.defeasible:

@@ -17,7 +17,16 @@ search for models once. Two regimes are implemented:
 - enriched: one rank function per aspect plus a coupled global one. Aspect
   ranks are minimised first (the pointwise least admissible profile marks
   exactly the axiom violators), then globals are minimised subject to the
-  coupling constraints; the resulting frontier is the set of minimal models.
+  coupling constraints. The search guesses the concept rank of every
+  antecedent (all vectors up to the bound); a guess fixes static seeds
+  (antecedent members at least their guess, violators one above it) and
+  orders the elements by two coupling rules that read only an element's
+  class (its aspect-violation set and the highest guess among the axioms
+  it violates). The least global ranks are then the longest path from the
+  seeds over the class graph; a cycle, an overflow, a disagreement with the
+  guess or a rank gap discards the guess. The pointwise-minimal survivors
+  are the minimal models; when none survives, the error counts the
+  guesses by cause.
 """
 
 from __future__ import annotations
@@ -58,11 +67,21 @@ class InconsistentKBError(Exception):
 
 
 class RankBoundExceededError(Exception):
-    """No rank assignment within the bound satisfies all constraints."""
+    """No rank assignment within the bound satisfies all constraints.
 
-    def __init__(self, bound: int):
-        super().__init__(f"no admissible rank assignment within bound {bound}")
+    A failed enriched search also gives `causes`: its antecedent-rank
+    guesses counted by how each failed (keys in `FAILURE_CAUSES` order), so
+    the counts sum to the guesses tried.
+    """
+
+    def __init__(self, bound: int, causes: Optional[dict[str, int]] = None):
+        message = f"no admissible rank assignment within bound {bound}"
+        if causes is not None:
+            counts = ", ".join(f"{n} {cause}" for cause, n in causes.items())
+            message += f" ({sum(causes.values())} antecedent-rank guesses: {counts})"
+        super().__init__(message)
         self.bound = bound
+        self.causes = causes
 
 
 def default_rank_bound(kb: KnowledgeBase) -> int:
@@ -78,7 +97,8 @@ class CanonicalDomain:
     `types[i]` is the literal set of element i over the closure; concept
     extensions are computed structurally and memoised. The minimal models
     over the domain are memoised per (KB, rank bound); a failed search is
-    memoised as None and raises again. Instances compare by identity;
+    memoised too (an enriched one with its guesses counted by cause) and
+    raises the same error again. Instances compare by identity;
     models built over the same instance share it.
     """
 
@@ -92,7 +112,7 @@ class CanonicalDomain:
         self._eval_memo: dict[str, frozenset[int]] = {}
         self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[SinglePrefModel]] = {}
         self._frontier_memo: dict[tuple[KnowledgeBase, int],
-                                  Optional[tuple[EnrichedModel, ...]]] = {}
+                                  Union[tuple[EnrichedModel, ...], dict[str, int]]] = {}
         self._all = frozenset(range(len(types)))
 
     @property
@@ -382,30 +402,35 @@ def canonical_aspect_profile(domain: CanonicalDomain, kb: KnowledgeBase,
     return tuple(out)
 
 
-def _least_fixpoint(n: int, bound: int, seeds: Sequence[int],
-                    strict_pairs: Iterable[tuple[int, int]],
+def _raise_groups(domain: CanonicalDomain, kb: KnowledgeBase,
+                  ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per axiom with instances: (antecedent members, violators). Every
+    violator must rank above the least-ranked member."""
+    return tuple(
+        (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
+        for ax, bad in _violations(domain, kb)
+        if domain.eval(ax.lhs)
+    )
+
+
+def _least_fixpoint(n: int, bound: int,
                     raise_groups: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
                     nonstrict_pairs: Iterable[tuple[int, int]] = (),
                     ) -> Optional[tuple[int, ...]]:
-    """Least g >= seeds closed under all constraints, or None past the bound.
+    """Least g >= 0 closed under all constraints, or None past the bound.
 
-    Constraints: g[y] > g[x] for strict pairs, g[y] >= g[x] for nonstrict
-    pairs, and g[v] > min(g over members) for each (members, violators)
-    group. All rules are monotone, so iteration reaches the least fixpoint.
+    Constraints: g[v] > min(g over members) for each (members, violators)
+    group, and g[y] >= g[x] for nonstrict pairs. All rules are monotone, so
+    iteration reaches the least fixpoint.
     """
-    g = list(seeds)
-    if max(g, default=0) > bound:
+    if bound < 0:
         return None
-    strict_pairs = tuple(strict_pairs)
+    g = [0] * n
     nonstrict_pairs = tuple(nonstrict_pairs)
     raise_groups = tuple(raise_groups)
     changed = True
     while changed:
         changed = False
-        for x, y in strict_pairs:
-            if g[y] <= g[x]:
-                g[y] = g[x] + 1
-                changed = True
         for x, y in nonstrict_pairs:
             if g[y] < g[x]:
                 g[y] = g[x]
@@ -421,75 +446,166 @@ def _least_fixpoint(n: int, bound: int, seeds: Sequence[int],
     return tuple(g)
 
 
+# How a guess of antecedent ranks can fail to give a model.
+CYCLIC = "with cyclic order constraints"
+OVER_BOUND = "over the bound"
+KAPPA_MISMATCH = "disagreeing with their guess"
+RANK_GAP = "leaving a rank gap"
+FAILURE_CAUSES = (CYCLIC, OVER_BOUND, KAPPA_MISMATCH, RANK_GAP)
+
+# A pin (x0, members) asks for g[y] >= g[x0] for every member y.
+Pin = tuple[int, frozenset[int]]
+
+
 class _EnrichedSearch:
-    """Shared constraint material for the enriched global-rank search."""
+    """The enriched global-rank search over one domain, KB and bound.
+
+    A guess κ gives each distinct antecedent j (with instances) its concept
+    rank: the least global rank among its instances. Under a guess, the
+    least global ranks g start from static seeds
+
+        s[i] = max(κ_j over antecedents j containing i,
+                   κ_j + 1 over axioms with antecedent j that i violates),
+
+    the second term being the raise rule "a violator ranks above the least
+    instance of the antecedent" with that least rank read as κ_j. They
+    then obey the two coupling rules as strict orders:
+
+    - (a) g[x] < g[y] when vio(x) ⊂ vio(y), the aspects each element
+      violates in the fixed aspect profile;
+    - (b) g[x] < g[y] when m(x) < m(y), where m(i) is the largest κ_j over
+      the axioms i violates (-1 if none).
+
+    Both rules read only an element's key (violation set, m), so the
+    elements sharing a key form one class and the orders form a graph over
+    the classes. A cycle admits no ranks; otherwise g is the longest path
+    from the seeds, taken in Kahn order, in O(n + C²) for C classes. The
+    guess is kept only when the least rank over each antecedent is κ_j;
+    then the seeds honour the raise rule exactly, so the result is the
+    least fixpoint of the pairwise constraints, not an approximation.
+
+    A pin (x0, members), used by `entails_in_all_enriched_models`, puts x0
+    in a class of its own, splits the other classes by membership, and adds
+    weight-0 edges from x0's class to the member classes. Every cycle still
+    holds a strict edge, so a cycle still means no ranks.
+    """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
-        self.domain = domain
-        self.kb = kb
         self.bound = bound
         self.n = domain.size
         self.profile = canonical_aspect_profile(domain, kb)
-        vio_sets = [frozenset(a for a, ranks in self.profile if ranks[i])
-                    for i in range(self.n)]
-        self.a_pairs = tuple(
-            (x, y)
-            for x in range(self.n) for y in range(self.n)
-            if vio_sets[x] < vio_sets[y]
-        )
-        self.viol = _violations(domain, kb)
-        seen: dict[str, int] = {}
+        seen: dict[Concept, int] = {}
         self.antecedents: list[frozenset[int]] = []
-        self.axiom_ante: list[Optional[int]] = []
-        for ax, _ in self.viol:
+        violated: list[set[int]] = [set() for _ in range(self.n)]
+        for ax, bad in _violations(domain, kb):
             ext = domain.eval(ax.lhs)
             if not ext:
-                self.axiom_ante.append(None)
                 continue
-            key = concept_key(ax.lhs)
-            if key not in seen:
-                seen[key] = len(self.antecedents)
+            if ax.lhs not in seen:
+                seen[ax.lhs] = len(self.antecedents)
                 self.antecedents.append(ext)
-            self.axiom_ante.append(seen[key])
-        self.raise_groups = tuple(
-            (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
-            for ax, bad in self.viol
-            if domain.eval(ax.lhs)
-        )
-
-    def seeds_for(self, kappa: Sequence[int]) -> list[int]:
-        seeds = [0] * self.n
-        for j, ext in enumerate(self.antecedents):
-            for i in ext:
-                if seeds[i] < kappa[j]:
-                    seeds[i] = kappa[j]
-        return seeds
-
-    def b_pairs_for(self, kappa: Sequence[int]) -> tuple[tuple[int, int], ...]:
-        m_of = [-1] * self.n
-        for (ax, bad), j in zip(self.viol, self.axiom_ante):
-            if j is None:
-                continue
             for i in bad:
-                if m_of[i] < kappa[j]:
-                    m_of[i] = kappa[j]
-        return tuple((x, y) for x in range(self.n) for y in range(self.n)
-                     if m_of[x] < m_of[y])
+                violated[i].add(seen[ax.lhs])
+        vio = [frozenset(a for a, ranks in self.profile if ranks[i])
+               for i in range(self.n)]
+        distinct = list(dict.fromkeys(vio))
+        vid = {v: k for k, v in enumerate(distinct)}
+        # rule (a) over violation-set ids: the sets strictly above each one
+        self._above = [frozenset(k for k, big in enumerate(distinct) if small < big)
+                       for small in distinct]
+        # an element's seed and key depend on the antecedents containing it
+        # and those of the axioms it violates; each distinct tuple is
+        # evaluated once per guess
+        inside = [tuple(j for j, ext in enumerate(self.antecedents) if i in ext)
+                  for i in range(self.n)]
+        outdone = [tuple(sorted(violated[i])) for i in range(self.n)]
+        self._inside = list(dict.fromkeys(inside))
+        self._outdone = list(dict.fromkeys(outdone))
+        inside_id = {t: k for k, t in enumerate(self._inside)}
+        outdone_id = {t: k for k, t in enumerate(self._outdone)}
+        self._signature = [(vid[vio[i]], inside_id[inside[i]], outdone_id[outdone[i]])
+                           for i in range(self.n)]
+        self._layouts: dict[Optional[Pin], tuple] = {}
 
-    def consistent(self, kappa: Sequence[int], g: Sequence[int]) -> bool:
-        return all(min(g[i] for i in ext) == kappa[j]
-                   for j, ext in enumerate(self.antecedents))
+    def _layout(self, pin: Optional[Pin]) -> tuple:
+        """Elements grouped by signature and pin role (0 free, 1 pinned
+        member, 2 the pinned x0), and per antecedent the groups inside it."""
+        hit = self._layouts.get(pin)
+        if hit is None:
+            groups: dict[tuple[int, int, int, int], list[int]] = {}
+            for i, sig in enumerate(self._signature):
+                role = 0
+                if pin is not None:
+                    role = 2 if i == pin[0] else 1 if i in pin[1] else 0
+                groups.setdefault(sig + (role,), []).append(i)
+            keys = tuple(groups)
+            inside = tuple(tuple(k for k, key in enumerate(keys)
+                                 if j in self._inside[key[1]])
+                           for j in range(len(self.antecedents)))
+            hit = self._layouts[pin] = (keys, tuple(groups.values()), inside)
+        return hit
 
     def solve(self, kappa: Sequence[int],
-              pin_pairs: Iterable[tuple[int, int]] = ()) -> Optional[tuple[int, ...]]:
-        g = _least_fixpoint(
-            self.n, self.bound, self.seeds_for(kappa),
-            self.a_pairs + self.b_pairs_for(kappa),
-            self.raise_groups, pin_pairs,
-        )
-        if g is None or not self.consistent(kappa, g):
-            return None
-        return g
+              pin: Optional[Pin] = None) -> Union[tuple[int, ...], str]:
+        """The least global ranks under the guess, or the cause (one of
+        `FAILURE_CAUSES`) why there are none."""
+        keys, members, inside = self._layout(pin)
+        floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
+        m_of = [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
+        seeds: list[int] = []
+        class_of: list[int] = []
+        classes: dict[tuple[int, int, int], int] = {}
+        top: list[int] = []
+        for vid, ante, outdone, role in keys:
+            m = m_of[outdone]
+            s = floor[ante]
+            if s <= m:
+                s = m + 1
+            seeds.append(s)
+            c = classes.setdefault((vid, m, role), len(top))
+            if c == len(top):
+                top.append(s)
+            elif top[c] < s:
+                top[c] = s
+            class_of.append(c)
+        ckeys = tuple(classes)
+        size = len(ckeys)
+        succ: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        indeg = [0] * size
+        for a, (va, ma, ra) in enumerate(ckeys):
+            above = self._above[va]
+            edges = succ[a]
+            for b, (vb, mb, rb) in enumerate(ckeys):
+                if ma < mb or vb in above:
+                    edges.append((b, 1))
+                elif ra == 2 and rb == 1:
+                    edges.append((b, 0))
+                else:
+                    continue
+                indeg[b] += 1
+        into = [0] * size  # the least rank the edges into a class force
+        order = [c for c in range(size) if not indeg[c]]
+        for a in order:  # Kahn's algorithm, taking the longest path
+            reach = max(top[a], into[a])
+            for b, w in succ[a]:
+                if into[b] < reach + w:
+                    into[b] = reach + w
+                indeg[b] -= 1
+                if not indeg[b]:
+                    order.append(b)
+        if len(order) < size:
+            return CYCLIC
+        values = [max(s, into[c]) for s, c in zip(seeds, class_of)]
+        if max(values) > self.bound:
+            return OVER_BOUND
+        for j, groups in enumerate(inside):
+            if min([values[k] for k in groups]) != kappa[j]:
+                return KAPPA_MISMATCH
+        g = [0] * self.n
+        for value, elements in zip(values, members):
+            for i in elements:
+                g[i] = value
+        return tuple(g)
 
     def sweep(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(range(self.bound + 1), repeat=len(self.antecedents))
@@ -502,10 +618,11 @@ def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
     """All minimal canonical enriched models (aspect profile fixed at the
     pointwise least admissible one, globals minimised over valid couplings).
 
-    Valid global assignments are least fixpoints per guessed antecedent rank
-    vector; guesses whose fixpoint overflows, disagrees with the guess, or
-    leaves a rank gap yield no model, and the pointwise-minimal survivors
-    are exactly the minimal models.
+    Valid global assignments are the least solutions per guessed antecedent
+    rank vector; guesses whose constraints are cyclic, whose ranks overflow
+    the bound, disagree with the guess or leave a rank gap yield no model,
+    and the pointwise-minimal survivors are exactly the minimal models. When
+    no guess survives, the error counts the guesses by cause.
     """
     if domain is None:
         domain = build_canonical_domain(kb, query)
@@ -514,28 +631,32 @@ def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
     if (kb, bound) not in memo:
         memo[kb, bound] = _search_frontier(domain, kb, bound)
     frontier = memo[kb, bound]
-    if frontier is None:
-        raise RankBoundExceededError(bound)
+    if isinstance(frontier, dict):
+        raise RankBoundExceededError(bound, dict(frontier))
     return list(frontier)
 
 
-def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase,
-                     bound: int) -> Optional[tuple[EnrichedModel, ...]]:
+def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
+                     ) -> Union[tuple[EnrichedModel, ...], dict[str, int]]:
+    """The frontier of minimal models, or the guesses counted by cause of
+    failure when there is none."""
     search = _EnrichedSearch(domain, kb, bound)
     candidates: dict[tuple[int, ...], None] = {}
+    causes = dict.fromkeys(FAILURE_CAUSES, 0)
     for kappa in search.sweep():
         g = search.solve(kappa)
-        if g is None:
-            continue
-        if set(g) != set(range(max(g) + 1)):
-            continue
-        candidates.setdefault(g)
+        if isinstance(g, str):
+            causes[g] += 1
+        elif set(g) != set(range(max(g) + 1)):
+            causes[RANK_GAP] += 1
+        else:
+            candidates.setdefault(g)
+    if not candidates:
+        return causes
     frontier = [
         g for g in candidates
         if not any(o != g and all(a <= b for a, b in zip(o, g)) for o in candidates)
     ]
-    if not frontier:
-        return None
     models = tuple(EnrichedModel(domain, RankAssignment(search.profile, g))
                    for g in frontier)
     for m in models:
@@ -554,12 +675,7 @@ def single_pref_model(kb: KnowledgeBase, query: Optional[Query] = None,
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     memo = domain._single_pref_memo
     if (kb, bound) not in memo:
-        raise_groups = tuple(
-            (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
-            for ax, bad in _violations(domain, kb)
-            if domain.eval(ax.lhs)
-        )
-        g = _least_fixpoint(domain.size, bound, [0] * domain.size, (), raise_groups)
+        g = _least_fixpoint(domain.size, bound, _raise_groups(domain, kb))
         memo[kb, bound] = None if g is None else SinglePrefModel(domain, g)
     model = memo[kb, bound]
     if model is None:
@@ -624,15 +740,10 @@ def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     lhs_ext = domain.eval(query.lhs)
     rhs_ext = domain.eval(query.rhs)
-    raise_groups = tuple(
-        (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
-        for ax, bad in _violations(domain, kb)
-        if domain.eval(ax.lhs)
-    )
+    raise_groups = _raise_groups(domain, kb)
     for x0 in sorted(lhs_ext - rhs_ext):
         pins = tuple((x0, y) for y in lhs_ext if y != x0)
-        g = _least_fixpoint(domain.size, bound, [0] * domain.size, (),
-                            raise_groups, pins)
+        g = _least_fixpoint(domain.size, bound, raise_groups, pins)
         if g is not None:
             return False
     return True
@@ -652,10 +763,9 @@ def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
     rhs_ext = domain.eval(query.rhs)
     search = _EnrichedSearch(domain, kb, bound)
     for x0 in sorted(lhs_ext - rhs_ext):
-        pins = tuple((x0, y) for y in lhs_ext if y != x0)
-        for kappa in search.sweep():
-            if search.solve(kappa, pins) is not None:
-                return False
+        pin = (x0, lhs_ext - {x0})
+        if any(isinstance(search.solve(kappa, pin), tuple) for kappa in search.sweep()):
+            return False
     return True
 
 

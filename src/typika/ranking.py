@@ -10,6 +10,7 @@ defeasible and strict queries reduce to rank comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, Iterable, Optional, Union
 
 from .kb import Defeasible, KnowledgeBase, Strict
@@ -113,19 +114,10 @@ class RankedTBox:
         return out
 
 
-_ranked_cache: dict[KnowledgeBase, RankedTBox] = {}
-
-
+@lru_cache(maxsize=32)
 def ranked_tbox(kb: KnowledgeBase) -> RankedTBox:
-    hit = _ranked_cache.get(kb)
-    if hit is None:
-        hit = RankedTBox(kb)
-        _ranked_cache[kb] = hit
-    return hit
-
-
-def compute_rank_sequence(kb: KnowledgeBase) -> RankedTBox:
-    return ranked_tbox(kb)
+    """The stratification of a KB, kept for the 32 most recent KBs."""
+    return RankedTBox(kb)
 
 
 def concept_rank(kb: KnowledgeBase, concept: Concept) -> Rank:

@@ -66,7 +66,7 @@ class SatResult:
         return self.satisfiable
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _internalized(tbox: StrictTBox) -> Optional[Concept]:
     if not tbox.axioms:
         return None

@@ -1,0 +1,56 @@
+"""Knowledge bases beyond the corpus: exception chains, Nixon diamonds and
+small role-bearing KBs, as KB text.
+
+`chain(n)` has n levels: C_i => C_{i-1}, T(C_i) => P for even i and
+not P for odd i, and T(C_i) => Q_i. `diamond(n)` has n Nixon diamonds:
+T(Q_i) => P_i and T(R_i) => not P_i. `ROLE_KBS` holds ten `exists`/`forall`
+KBs with at most three defaults, several cyclic and so needing blocking.
+"""
+
+from __future__ import annotations
+
+from typika.kb import KnowledgeBase
+from typika.parser import parse_kb
+
+
+def chain_text(n: int) -> str:
+    lines = [f"C{i} => C{i - 1}" for i in range(1, n)]
+    for i in range(n):
+        lines.append(f"T(C{i}) => {'P' if i % 2 == 0 else 'not P'}")
+        lines.append(f"T(C{i}) => Q{i}")
+    return "".join(line + "\n" for line in lines)
+
+
+def diamond_text(n: int) -> str:
+    lines = []
+    for i in range(1, n + 1):
+        lines += [f"T(Q{i}) => P{i}", f"T(R{i}) => not P{i}"]
+    return "".join(line + "\n" for line in lines)
+
+
+def chain(n: int) -> KnowledgeBase:
+    return parse_kb(chain_text(n))
+
+
+def diamond(n: int) -> KnowledgeBase:
+    return parse_kb(diamond_text(n))
+
+
+ROLE_KBS = {
+    "self-loop": "B => exists r. B\nT(B) => C\nT((B and D)) => not C\n",
+    "loop-forall": "A => exists r. A\nT(A) => forall r. B\nT(B) => exists s. C\n",
+    "loop-exception": "A => exists h. A\nT(A) => forall h. B\nT((A and C)) => not B\n",
+    "exists-forall": "T(A) => exists r. B\nT((A and C)) => forall r. not B\n",
+    "forall-exists": "A => forall r. B\nT(A) => exists r. top\nT(B) => C\n",
+    "two-roles": ("A => exists r. (B and C)\nB => forall s. not C\n"
+                  "T(A) => D\nT((A and E)) => not D\n"),
+    "disjunction": "(A or B) => exists r. A\nT(A) => not B\nT(B) => C\n",
+    "mutual-loop": "A => exists r. B\nB => exists r. A\nT(A) => C\nT(B) => not C\n",
+    "forall-disjunction": ("A => forall r. (B or C)\nT(A) => exists r. not B\n"
+                           "T(B) => D\n"),
+    "successor-exception": "A => exists r. B\nB => forall r. A\nT(A) => C\nT(B) => not C\n",
+}
+
+
+def role_kbs() -> dict[str, KnowledgeBase]:
+    return {name: parse_kb(text) for name, text in ROLE_KBS.items()}

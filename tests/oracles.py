@@ -186,3 +186,85 @@ def random_interp(rng, atoms: Sequence[str], roles: Sequence[str], size: int) ->
     amap = {a: rng.randrange(1 << size) for a in atoms}
     rmap = {r: tuple(rng.randrange(1 << size) for _ in range(size)) for r in roles}
     return Interp(size, amap, rmap)
+
+
+class PairwiseEnrichedSolve:
+    """The per-guess solve of the enriched search in its first, pairwise
+    form, kept as a reference for `models._EnrichedSearch.solve`.
+
+    Rule (a) and rule (b) are listed as strict pairs of elements (rule (b)
+    rebuilt for every guess), the raise rule as dynamic groups ("a violator
+    ranks above the least instance of the antecedent"), and pins as
+    nonstrict pairs; a least fixpoint is iterated over all of them until
+    nothing changes. Antecedents are numbered as the search numbers them.
+    """
+
+    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
+        self.n = domain.size
+        self.bound = bound
+        profile = canonical_aspect_profile(domain, kb)
+        vio_sets = [frozenset(a for a, ranks in profile if ranks[i])
+                    for i in range(self.n)]
+        self.a_pairs = tuple((x, y) for x in range(self.n) for y in range(self.n)
+                             if vio_sets[x] < vio_sets[y])
+        self.viol = [(ax, domain.eval(ax.lhs) - domain.eval(ax.rhs))
+                     for ax in kb.defeasible]
+        seen: dict = {}
+        self.antecedents: list[frozenset[int]] = []
+        self.axiom_ante: list = []
+        for ax, _ in self.viol:
+            ext = domain.eval(ax.lhs)
+            if not ext:
+                self.axiom_ante.append(None)
+                continue
+            if ax.lhs not in seen:
+                seen[ax.lhs] = len(self.antecedents)
+                self.antecedents.append(ext)
+            self.axiom_ante.append(seen[ax.lhs])
+        self.raise_groups = tuple(
+            (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
+            for ax, bad in self.viol if domain.eval(ax.lhs))
+
+    def b_pairs_for(self, kappa: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        m_of = [-1] * self.n
+        for (_, bad), j in zip(self.viol, self.axiom_ante):
+            if j is not None:
+                for i in bad:
+                    m_of[i] = max(m_of[i], kappa[j])
+        return tuple((x, y) for x in range(self.n) for y in range(self.n)
+                     if m_of[x] < m_of[y])
+
+    def solve(self, kappa: Sequence[int],
+              pin_pairs: Iterable[tuple[int, int]] = ()):
+        """The least global ranks under the guess, or None."""
+        g = [0] * self.n
+        for j, ext in enumerate(self.antecedents):
+            for i in ext:
+                g[i] = max(g[i], kappa[j])
+        if max(g, default=0) > self.bound:
+            return None
+        strict = self.a_pairs + self.b_pairs_for(kappa)
+        nonstrict = tuple(pin_pairs)
+        changed = True
+        while changed:
+            changed = False
+            for x, y in strict:
+                if g[y] <= g[x]:
+                    g[y] = g[x] + 1
+                    changed = True
+            for x, y in nonstrict:
+                if g[y] < g[x]:
+                    g[y] = g[x]
+                    changed = True
+            for members, violators in self.raise_groups:
+                floor = min(g[i] for i in members) + 1
+                for v in violators:
+                    if g[v] < floor:
+                        g[v] = floor
+                        changed = True
+            if changed and max(g) > self.bound:
+                return None
+        if any(min(g[i] for i in ext) != kappa[j]
+               for j, ext in enumerate(self.antecedents)):
+            return None
+        return tuple(g)

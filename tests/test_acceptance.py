@@ -22,7 +22,7 @@ from typika.models import (
     single_pref_entails,
 )
 from typika.parser import parse_axiom, parse_concept
-from typika.ranking import compute_rank_sequence, in_rational_closure
+from typika.ranking import in_rational_closure, ranked_tbox
 from typika.tableau import is_satisfiable
 
 from conftest import GOLDEN, KBS, REPO
@@ -94,7 +94,7 @@ def test_criterion_2_irrelevance(kb_set1):
     out = cli("rank", SET1)
     assert out.returncode == 0
     assert out.stdout == (GOLDEN / "set1_rank.txt").read_text()
-    rt = compute_rank_sequence(kb_set1)
+    rt = ranked_tbox(kb_set1)
     for text, want in (("Student", 0),
                        ("(Worker and Student)", 1),
                        ("((Worker and Apprentice) and Student)", 2)):

@@ -10,6 +10,7 @@ from typika.cli import main
 from typika.models import build_canonical_domain
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
+from families import chain_text
 
 SET3 = str(KBS / "set3.kb")
 SET1 = str(KBS / "set1.kb")
@@ -196,6 +197,23 @@ def test_rank_bound_zero_overflows(capsys):
         ["query", "--semantics", "single-pref", "--rank-bound", "0",
          SET3, "T(Bird) => Fly"])
     assert code == 2 and "rank" in err
+
+
+def test_chain3_error_names_the_failed_guesses(capsys, tmp_path):
+    kb = tmp_path / "chain3.kb"
+    kb.write_text(chain_text(3))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("T(C0) => P\nT(C2) => Q2\n")
+    message = ("no admissible rank assignment within bound 7 (512 antecedent-rank"
+               " guesses: 224 with cyclic order constraints, 276 over the bound,"
+               " 12 disagreeing with their guess, 0 leaving a rank gap)")
+    code, doc, _ = run_json(capsys, ["compare", "--json", str(kb), str(queries)])
+    # compare's exit code counts violations, not error rows
+    assert code == 0
+    assert doc["rows"] == [{"query": "T(C0) => P", "error": message},
+                           {"query": "T(C2) => Q2", "error": message}]
+    code, out, err = run(capsys, ["query", "--semantics", "enriched", str(kb), "T(C0) => P"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_inconsistent_kb_by_semantics(capsys, tmp_path):

@@ -5,6 +5,10 @@ import pytest
 
 from typika.kb import Defeasible, KnowledgeBase, Strict, aspect_set, subconcept_closure
 from typika.models import (
+    CYCLIC,
+    KAPPA_MISMATCH,
+    OVER_BOUND,
+    RANK_GAP,
     EnrichedModel,
     InconsistentKBError,
     RankAssignment,
@@ -24,17 +28,21 @@ from typika.models import (
     satisfies_kb,
     single_pref_entails,
     single_pref_model,
+    _EnrichedSearch,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import in_rational_closure
 from typika.syntax import And, Atom, Exists, Not, concept_key
 
+from families import chain, diamond, role_kbs
 from oracles import (
+    PairwiseEnrichedSolve,
     enumerate_enriched_globals,
     enumerate_single_models,
     holds_in_ranks,
     pointwise_minima,
 )
+from test_acceptance import corpus_with_domains
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -287,6 +295,68 @@ def test_returned_frontier_is_the_callers_own(kb_set3):
     expect = [m.ranks for m in first]
     first.clear()
     assert [m.ranks for m in minimal_canonical_models(kb_set3, domain=dom)] == expect
+
+
+# ------------------------------------------- the per-guess enriched solve
+
+
+def _solve_cases():
+    """The corpus KBs, chain(1..3), diamond(1..2) and the ten role KBs."""
+    yield from corpus_with_domains()
+    families = [chain(n) for n in (1, 2, 3)] + [diamond(n) for n in (1, 2)]
+    for kb in families + list(role_kbs().values()):
+        yield kb, build_canonical_domain(kb)
+
+
+def test_class_solve_matches_pairwise_reference():
+    # every guess of the sweep, unpinned and under one seeded pin, gets
+    # exactly the pairwise fixpoint's ranks, or no ranks where it gets None
+    rng = random.Random(4)
+    causes = set()
+    checked = 0
+    for kb, dom in _solve_cases():
+        for bound in (default_rank_bound(kb), 2):
+            search = _EnrichedSearch(dom, kb, bound)
+            ref = PairwiseEnrichedSolve(dom, kb, bound)
+            assert search.antecedents == ref.antecedents
+            pinned = (rng.choice(search.antecedents) if search.antecedents
+                      else frozenset(range(dom.size)))
+            x0 = rng.choice(sorted(pinned))
+            pin = (x0, pinned - {x0})
+            pairs = tuple((x0, y) for y in sorted(pin[1]))
+            for kappa in search.sweep():
+                for got, want in ((search.solve(kappa), ref.solve(kappa)),
+                                  (search.solve(kappa, pin), ref.solve(kappa, pairs))):
+                    if isinstance(got, str):
+                        causes.add(got)
+                        got = None
+                    assert got == want, (kb, bound, kappa, pin)
+                checked += 1
+    assert checked > 13000
+    assert causes == {CYCLIC, OVER_BOUND, KAPPA_MISMATCH}
+
+
+CHAIN3_CAUSES = {CYCLIC: 224, OVER_BOUND: 276, KAPPA_MISMATCH: 12, RANK_GAP: 0}
+
+
+def test_failed_search_counts_guesses_by_cause():
+    kb = chain(3)
+    bound = default_rank_bound(kb)
+    assert sum(CHAIN3_CAUSES.values()) == (bound + 1) ** 3
+    dom = build_canonical_domain(kb)
+    messages = []
+    for domain in (dom, dom, build_canonical_domain(kb)):
+        with pytest.raises(RankBoundExceededError) as exc:
+            minimal_canonical_models(kb, domain=domain)
+        assert exc.value.bound == bound
+        assert exc.value.causes == CHAIN3_CAUSES
+        messages.append(str(exc.value))
+    # the memoised failure and a fresh search say the same
+    assert messages == [messages[0]] * 3
+    assert messages[0] == (
+        "no admissible rank assignment within bound 7 (512 antecedent-rank"
+        " guesses: 224 with cyclic order constraints, 276 over the bound,"
+        " 12 disagreeing with their guess, 0 leaving a rank gap)")
 
 
 # ------------------------------------------------- coupling and orders

@@ -6,14 +6,15 @@ from typika.kb import Defeasible, KnowledgeBase, Strict
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import (
     Rank,
-    compute_rank_sequence,
     concept_rank,
     in_rational_closure,
     is_kb_consistent,
     materialization,
+    ranked_tbox,
     satisfiable_wrt_kb,
 )
 from typika.syntax import And, Atom, Not, Or, TOP
+from typika.tableau import _internalized
 
 from oracles import random_concept
 
@@ -37,7 +38,7 @@ def test_materialization_shape(kb_set3):
 
 def test_set3_levels_and_ranks(kb_set3):
     # levels shrink: all three axioms, then the penguin default, then nothing
-    rt = compute_rank_sequence(kb_set3)
+    rt = ranked_tbox(kb_set3)
     assert [len(lv) for lv in rt.levels] == [3, 1, 0]
     assert rt.levels[1] == (Defeasible(Atom("Penguin"), Not(Atom("Fly"))),)
     assert rt.rank(Atom("Bird")) == Rank(0)
@@ -48,7 +49,7 @@ def test_set3_levels_and_ranks(kb_set3):
 
 
 def test_set1_levels_and_ranks(kb_set1):
-    rt = compute_rank_sequence(kb_set1)
+    rt = ranked_tbox(kb_set1)
     assert [len(lv) for lv in rt.levels] == [3, 2, 1, 0]
     assert rt.rank(parse_concept("Student")) == Rank(0)
     assert rt.rank(parse_concept("(Worker and Student)")) == Rank(1)
@@ -57,7 +58,7 @@ def test_set1_levels_and_ranks(kb_set1):
 
 def test_no_defeasible_kb():
     kb = KnowledgeBase.build([Strict(A, B)])
-    rt = compute_rank_sequence(kb)
+    rt = ranked_tbox(kb)
     assert rt.levels == [()]
     assert rt.rank(A) == Rank(0)
     assert rt.rank(And(A, Not(B))) == Rank.INFINITE
@@ -71,7 +72,7 @@ def test_inconsistent_kb():
 
 def test_totally_exceptional_antecedent():
     kb = KnowledgeBase.build([Defeasible(A, C), Defeasible(A, Not(C))])
-    rt = compute_rank_sequence(kb)
+    rt = ranked_tbox(kb)
     # the level sequence stops at its nonempty fixpoint
     assert rt.levels == [tuple(kb.defeasible)]
     assert rt.rank(A).is_infinite
@@ -129,3 +130,13 @@ def test_rc_irrelevance(kb_set1):
 def test_rc_rejects_non_axiom():
     with pytest.raises(TypeError):
         in_rational_closure(KnowledgeBase.build([]), Atom("A"))
+
+
+def test_caches_stay_bounded_over_fresh_kbs():
+    for i in range(100):
+        kb = parse_kb(f"B{i} => A{i}\nT(A{i}) => C{i}\nT(B{i}) => not C{i}\n")
+        assert in_rational_closure(kb, parse_axiom(f"T(B{i}) => not C{i}"))
+        assert not in_rational_closure(kb, parse_axiom(f"T(B{i}) => C{i}"))
+        assert ranked_tbox(kb) is ranked_tbox(kb)
+    assert ranked_tbox.cache_info().currsize <= 32
+    assert _internalized.cache_info().currsize <= 32
