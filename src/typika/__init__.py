@@ -7,7 +7,6 @@ Submodules: `syntax` (concept terms), `kb` (axioms and knowledge bases),
 """
 
 from .kb import (
-    AspectSet,
     ConceptAssertion,
     Defeasible,
     KnowledgeBase,
@@ -30,8 +29,6 @@ from .models import (
     check_coupling,
     default_rank_bound,
     enriched_entails,
-    entails_in_all_enriched_models,
-    entails_in_all_single_models,
     minimal_canonical_models,
     satisfies_kb,
     single_pref_entails,

@@ -5,11 +5,12 @@ and antecedent ranks), `query` (entailment under one of three semantics),
 and `compare` (all semantics side by side over a query file, flagging rows
 where rank-based entailment is not contained in enriched entailment).
 
-Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict,
-2 any error (I/O, syntax, inconsistent KB under model semantics, rank bound
-overflow). `--json` switches to a single structured document on stdout;
-`timingMs` is measured per invocation except for `compare`, where it is
-pinned to 0 so repeated runs are byte-identical.
+Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict
+or flagged row, 2 any error (I/O, syntax, inconsistent KB under model
+semantics, rank bound overflow; in `compare`, any error row). `--json`
+switches to a single structured document on stdout; `timingMs` is measured
+per invocation except for `compare`, where it is pinned to 0 so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .models import (
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
 from .ranking import in_rational_closure, is_kb_consistent, ranked_tbox
-from .syntax import Concept, concept_key, concept_to_text
+from .syntax import Concept, concept_to_text
 
 ENV_RANK_BOUND = "TYPIKA_RANK_BOUND"
 
@@ -124,13 +125,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
     rt = ranked_tbox(kb)
-    antecedents = []
-    seen = set()
-    for ax in kb.defeasible:
-        key = concept_key(ax.lhs)
-        if key not in seen:
-            seen.add(key)
-            antecedents.append(ax.lhs)
+    antecedents = dict.fromkeys(ax.lhs for ax in kb.defeasible)
     values = {concept_to_text(c): rt.rank(c) for c in antecedents}
     ms = (time.perf_counter() - start) * 1000.0
     doc = {
@@ -150,8 +145,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
             lines.extend(f"  {serialize_axiom(ax)}" for ax in lv)
         else:
             lines.append("  (empty)")
-    ordered = sorted(values.items(), key=lambda kv: (kv[1].is_infinite, kv[1]._key(), kv[0]))
-    lines.extend(f"rank {r}: {text}" for text, r in ordered)
+    ordered = sorted((r, text) for text, r in values.items())
+    lines.extend(f"rank {r}: {text}" for r, text in ordered)
     _emit(args, doc, lines)
     return 0
 
@@ -247,6 +242,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f" violations={violations} errors={errors}"
     )
     _emit(args, doc, lines)
+    if errors:
+        return 2
     return 1 if violations else 0
 
 

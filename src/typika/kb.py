@@ -8,7 +8,7 @@ concept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .syntax import Concept, concept_key, concept_to_text, subconcepts
@@ -85,24 +85,9 @@ class KnowledgeBase:
         return KnowledgeBase(tuple(strict), tuple(defeasible), tuple(assertions))
 
 
-@dataclass(frozen=True)
-class AspectSet:
-    """The concepts a knowledge base talks about, one preference relation each."""
-
-    aspects: frozenset[Concept] = field(default_factory=frozenset)
-
-    def ordered(self) -> tuple[Concept, ...]:
-        return tuple(sorted(self.aspects, key=concept_key))
-
-    def __contains__(self, c: Concept) -> bool:
-        return c in self.aspects
-
-    def __len__(self) -> int:
-        return len(self.aspects)
-
-
-def aspect_set(kb: KnowledgeBase) -> AspectSet:
-    """Every concept expression occurring syntactically in the KB's axioms.
+def aspect_set(kb: KnowledgeBase) -> tuple[Concept, ...]:
+    """Every concept expression occurring syntactically in the KB's axioms,
+    sorted by `concept_key`.
 
     Occurrences are collected from both sides of every axiom (for defeasible
     axioms, the concept under the typicality marker) including proper
@@ -114,7 +99,7 @@ def aspect_set(kb: KnowledgeBase) -> AspectSet:
     for ax in kb.axioms:
         for side in (ax.lhs, ax.rhs):
             found.update(subconcepts(side))
-    return AspectSet(frozenset(found))
+    return tuple(sorted(found, key=concept_key))
 
 
 def subconcept_closure(kb: KnowledgeBase, extra: Iterable[Concept] = ()) -> frozenset[Concept]:

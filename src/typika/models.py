@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .kb import (
-    AspectSet,
     ConceptAssertion,
     Defeasible,
     KnowledgeBase,
@@ -242,10 +241,6 @@ class EnrichedModel:
     ranks: RankAssignment
 
     @property
-    def aspects(self) -> AspectSet:
-        return AspectSet(a for a, _ in self.ranks.per_aspect)
-
-    @property
     def global_ranks(self) -> tuple[int, ...]:
         return self.ranks.global_ranks
 
@@ -259,15 +254,6 @@ class SinglePrefModel:
 Model = Union[EnrichedModel, SinglePrefModel]
 
 
-def min_global(model: Model, concept: Concept) -> frozenset[int]:
-    """The globally most typical instances of a concept in the model."""
-    ext = model.domain.eval(concept)
-    if not ext:
-        return frozenset()
-    lo = min(model.global_ranks[i] for i in ext)
-    return frozenset(i for i in ext if model.global_ranks[i] == lo)
-
-
 def _min_by(ranks: Sequence[int], ext: frozenset[int]) -> frozenset[int]:
     if not ext:
         return frozenset()
@@ -275,20 +261,22 @@ def _min_by(ranks: Sequence[int], ext: frozenset[int]) -> frozenset[int]:
     return frozenset(i for i in ext if ranks[i] == lo)
 
 
+def min_global(model: Model, concept: Concept) -> frozenset[int]:
+    """The globally most typical instances of a concept in the model."""
+    return _min_by(model.global_ranks, model.domain.eval(concept))
+
+
 def _violations(domain: CanonicalDomain, kb: KnowledgeBase) -> list[tuple[Defeasible, frozenset[int]]]:
     return [(ax, domain.eval(ax.lhs) - domain.eval(ax.rhs)) for ax in kb.defeasible]
 
 
-def check_coupling(m: EnrichedModel, kb: KnowledgeBase,
-                   require_converse: bool = False) -> bool:
+def check_coupling(m: EnrichedModel, kb: KnowledgeBase) -> bool:
     """Whether the global ranks honour both aspect-driven forcing rules.
 
     Rule (a) forces x below y when some aspect prefers x and none prefers y.
     Rule (b) forces x below y when y violates an axiom and every axiom
     violated by x is outdone by one violated by y whose antecedent has a
     strictly higher concept rank (min global rank over its extension).
-    With `require_converse`, a strict global pair must also be justified by
-    one of the two rules.
     """
     dom = m.domain
     g = m.ranks.global_ranks
@@ -322,18 +310,15 @@ def check_coupling(m: EnrichedModel, kb: KnowledgeBase,
         for y in range(n):
             if x == y:
                 continue
-            forced = cond_a(x, y) or cond_b(x, y)
-            if forced and not g[x] < g[y]:
-                return False
-            if require_converse and g[x] < g[y] and not forced:
+            if (cond_a(x, y) or cond_b(x, y)) and not g[x] < g[y]:
                 return False
     return True
 
 
-def satisfies_kb(m: Model, kb: KnowledgeBase, check_abox: bool = True) -> bool:
-    """Model-of-KB check: strict axioms extensionally, defeasible axioms on
-    the global minimum and (for enriched models) the right-hand-side aspect
-    minimum, plus ABox mappability when requested."""
+def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
+    """Model-of-KB check of the TBox: strict axioms extensionally, defeasible
+    axioms on the global minimum and (for enriched models) the
+    right-hand-side aspect minimum."""
     dom = m.domain
     for ax in kb.strict:
         if not dom.eval(ax.lhs) <= dom.eval(ax.rhs):
@@ -346,40 +331,7 @@ def satisfies_kb(m: Model, kb: KnowledgeBase, check_abox: bool = True) -> bool:
         if isinstance(m, EnrichedModel):
             if not _min_by(m.ranks.aspect_rank(ax.rhs), lhs_ext) <= rhs_ext:
                 return False
-    if check_abox and kb.abox:
-        if find_abox_mapping(dom, kb, m.global_ranks) is None:
-            return False
     return True
-
-
-def aspect_preferred(m1: EnrichedModel, m2: EnrichedModel) -> bool:
-    """Pointwise aspect-rank dominance with at least one strict drop."""
-    if m1.domain is not m2.domain:
-        raise ValueError("models compare only over the same domain")
-    r1 = dict(m1.ranks.per_aspect)
-    r2 = dict(m2.ranks.per_aspect)
-    if set(map(concept_key, r1)) != set(map(concept_key, r2)):
-        raise ValueError("models compare only over the same aspects")
-    strict = False
-    for a, v1 in r1.items():
-        v2 = r2[a]
-        for x, y in zip(v1, v2):
-            if x > y:
-                return False
-            if x < y:
-                strict = True
-    return strict
-
-
-def globally_preferred(m1: EnrichedModel, m2: EnrichedModel,
-                       aspect_minimal_pool: Iterable[EnrichedModel]) -> bool:
-    """Global-rank dominance, gated on m1 belonging to the aspect-minimal pool."""
-    if m1.domain is not m2.domain:
-        raise ValueError("models compare only over the same domain")
-    if not any(m1.ranks == p.ranks for p in aspect_minimal_pool):
-        return False
-    g1, g2 = m1.global_ranks, m2.global_ranks
-    return all(a <= b for a, b in zip(g1, g2)) and g1 != g2
 
 
 def canonical_aspect_profile(domain: CanonicalDomain, kb: KnowledgeBase,
@@ -390,10 +342,9 @@ def canonical_aspect_profile(domain: CanonicalDomain, kb: KnowledgeBase,
     aspect order whenever it violates an axiom with that aspect as its
     right-hand side, so every admissible profile dominates this one.
     """
-    aspects = aspect_set(kb).ordered()
     n = domain.size
     out = []
-    for a in aspects:
+    for a in aspect_set(kb):
         bad: set[int] = set()
         for ax in kb.defeasible:
             if ax.rhs == a:
@@ -415,26 +366,18 @@ def _raise_groups(domain: CanonicalDomain, kb: KnowledgeBase,
 
 def _least_fixpoint(n: int, bound: int,
                     raise_groups: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-                    nonstrict_pairs: Iterable[tuple[int, int]] = (),
                     ) -> Optional[tuple[int, ...]]:
-    """Least g >= 0 closed under all constraints, or None past the bound.
-
-    Constraints: g[v] > min(g over members) for each (members, violators)
-    group, and g[y] >= g[x] for nonstrict pairs. All rules are monotone, so
+    """Least g >= 0 with g[v] > min(g over members) for each (members,
+    violators) group, or None past the bound. The rule is monotone, so
     iteration reaches the least fixpoint.
     """
     if bound < 0:
         return None
     g = [0] * n
-    nonstrict_pairs = tuple(nonstrict_pairs)
     raise_groups = tuple(raise_groups)
     changed = True
     while changed:
         changed = False
-        for x, y in nonstrict_pairs:
-            if g[y] < g[x]:
-                g[y] = g[x]
-                changed = True
         for members, violators in raise_groups:
             floor = min(g[i] for i in members) + 1
             for v in violators:
@@ -452,9 +395,6 @@ OVER_BOUND = "over the bound"
 KAPPA_MISMATCH = "disagreeing with their guess"
 RANK_GAP = "leaving a rank gap"
 FAILURE_CAUSES = (CYCLIC, OVER_BOUND, KAPPA_MISMATCH, RANK_GAP)
-
-# A pin (x0, members) asks for g[y] >= g[x0] for every member y.
-Pin = tuple[int, frozenset[int]]
 
 
 class _EnrichedSearch:
@@ -483,11 +423,6 @@ class _EnrichedSearch:
     guess is kept only when the least rank over each antecedent is κ_j;
     then the seeds honour the raise rule exactly, so the result is the
     least fixpoint of the pairwise constraints, not an approximation.
-
-    A pin (x0, members), used by `entails_in_all_enriched_models`, puts x0
-    in a class of its own, splits the other classes by membership, and adds
-    weight-0 edges from x0's class to the member classes. Every cycle still
-    holds a strict edge, so a cycle still means no ranks.
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
@@ -523,46 +458,33 @@ class _EnrichedSearch:
         self._outdone = list(dict.fromkeys(outdone))
         inside_id = {t: k for k, t in enumerate(self._inside)}
         outdone_id = {t: k for k, t in enumerate(self._outdone)}
-        self._signature = [(vid[vio[i]], inside_id[inside[i]], outdone_id[outdone[i]])
-                           for i in range(self.n)]
-        self._layouts: dict[Optional[Pin], tuple] = {}
+        # elements grouped by signature, and per antecedent the groups inside it
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for i in range(self.n):
+            sig = (vid[vio[i]], inside_id[inside[i]], outdone_id[outdone[i]])
+            groups.setdefault(sig, []).append(i)
+        self._keys = tuple(groups)
+        self._members = tuple(groups.values())
+        self._groups_inside = tuple(
+            tuple(k for k, key in enumerate(self._keys) if j in self._inside[key[1]])
+            for j in range(len(self.antecedents)))
 
-    def _layout(self, pin: Optional[Pin]) -> tuple:
-        """Elements grouped by signature and pin role (0 free, 1 pinned
-        member, 2 the pinned x0), and per antecedent the groups inside it."""
-        hit = self._layouts.get(pin)
-        if hit is None:
-            groups: dict[tuple[int, int, int, int], list[int]] = {}
-            for i, sig in enumerate(self._signature):
-                role = 0
-                if pin is not None:
-                    role = 2 if i == pin[0] else 1 if i in pin[1] else 0
-                groups.setdefault(sig + (role,), []).append(i)
-            keys = tuple(groups)
-            inside = tuple(tuple(k for k, key in enumerate(keys)
-                                 if j in self._inside[key[1]])
-                           for j in range(len(self.antecedents)))
-            hit = self._layouts[pin] = (keys, tuple(groups.values()), inside)
-        return hit
-
-    def solve(self, kappa: Sequence[int],
-              pin: Optional[Pin] = None) -> Union[tuple[int, ...], str]:
+    def solve(self, kappa: Sequence[int]) -> Union[tuple[int, ...], str]:
         """The least global ranks under the guess, or the cause (one of
         `FAILURE_CAUSES`) why there are none."""
-        keys, members, inside = self._layout(pin)
         floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
         m_of = [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
         seeds: list[int] = []
         class_of: list[int] = []
-        classes: dict[tuple[int, int, int], int] = {}
+        classes: dict[tuple[int, int], int] = {}
         top: list[int] = []
-        for vid, ante, outdone, role in keys:
+        for vid, ante, outdone in self._keys:
             m = m_of[outdone]
             s = floor[ante]
             if s <= m:
                 s = m + 1
             seeds.append(s)
-            c = classes.setdefault((vid, m, role), len(top))
+            c = classes.setdefault((vid, m), len(top))
             if c == len(top):
                 top.append(s)
             elif top[c] < s:
@@ -570,26 +492,22 @@ class _EnrichedSearch:
             class_of.append(c)
         ckeys = tuple(classes)
         size = len(ckeys)
-        succ: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        succ: list[list[int]] = [[] for _ in range(size)]
         indeg = [0] * size
-        for a, (va, ma, ra) in enumerate(ckeys):
+        for a, (va, ma) in enumerate(ckeys):
             above = self._above[va]
             edges = succ[a]
-            for b, (vb, mb, rb) in enumerate(ckeys):
+            for b, (vb, mb) in enumerate(ckeys):
                 if ma < mb or vb in above:
-                    edges.append((b, 1))
-                elif ra == 2 and rb == 1:
-                    edges.append((b, 0))
-                else:
-                    continue
-                indeg[b] += 1
+                    edges.append(b)
+                    indeg[b] += 1
         into = [0] * size  # the least rank the edges into a class force
         order = [c for c in range(size) if not indeg[c]]
         for a in order:  # Kahn's algorithm, taking the longest path
-            reach = max(top[a], into[a])
-            for b, w in succ[a]:
-                if into[b] < reach + w:
-                    into[b] = reach + w
+            reach = max(top[a], into[a]) + 1
+            for b in succ[a]:
+                if into[b] < reach:
+                    into[b] = reach
                 indeg[b] -= 1
                 if not indeg[b]:
                     order.append(b)
@@ -598,11 +516,11 @@ class _EnrichedSearch:
         values = [max(s, into[c]) for s, c in zip(seeds, class_of)]
         if max(values) > self.bound:
             return OVER_BOUND
-        for j, groups in enumerate(inside):
+        for j, groups in enumerate(self._groups_inside):
             if min([values[k] for k in groups]) != kappa[j]:
                 return KAPPA_MISMATCH
         g = [0] * self.n
-        for value, elements in zip(values, members):
+        for value, elements in zip(values, self._members):
             for i in elements:
                 g[i] = value
         return tuple(g)
@@ -660,7 +578,7 @@ def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
     models = tuple(EnrichedModel(domain, RankAssignment(search.profile, g))
                    for g in frontier)
     for m in models:
-        if not satisfies_kb(m, kb, check_abox=False) or not check_coupling(m, kb):
+        if not satisfies_kb(m, kb) or not check_coupling(m, kb):
             raise AssertionError("internal error: frontier model failed validation")
     return models
 
@@ -728,52 +646,11 @@ def single_pref_entails(kb: KnowledgeBase, query: Query,
     return Verdict("single-pref", True, model=m)
 
 
-def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
-                                 rank_bound: Optional[int] = None,
-                                 domain: Optional[CanonicalDomain] = None) -> bool:
-    """Whether the query holds in every (not only minimal) single-preference
-    model over the canonical domain with ranks within the bound."""
-    if domain is None:
-        domain = build_canonical_domain(kb, query)
-    if isinstance(query, Strict):
-        return domain.eval(query.lhs) <= domain.eval(query.rhs)
-    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    lhs_ext = domain.eval(query.lhs)
-    rhs_ext = domain.eval(query.rhs)
-    raise_groups = _raise_groups(domain, kb)
-    for x0 in sorted(lhs_ext - rhs_ext):
-        pins = tuple((x0, y) for y in lhs_ext if y != x0)
-        g = _least_fixpoint(domain.size, bound, raise_groups, pins)
-        if g is not None:
-            return False
-    return True
-
-
-def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
-                                   rank_bound: Optional[int] = None,
-                                   domain: Optional[CanonicalDomain] = None) -> bool:
-    """Whether the query holds in every enriched model over the canonical
-    domain carrying the least admissible aspect profile, ranks within bound."""
-    if domain is None:
-        domain = build_canonical_domain(kb, query)
-    if isinstance(query, Strict):
-        return domain.eval(query.lhs) <= domain.eval(query.rhs)
-    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    lhs_ext = domain.eval(query.lhs)
-    rhs_ext = domain.eval(query.rhs)
-    search = _EnrichedSearch(domain, kb, bound)
-    for x0 in sorted(lhs_ext - rhs_ext):
-        pin = (x0, lhs_ext - {x0})
-        if any(isinstance(search.solve(kappa, pin), tuple) for kappa in search.sweep()):
-            return False
-    return True
-
-
 def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
                       global_ranks: Sequence[int]) -> Optional[dict[str, int]]:
     """Maps each named individual to a domain type satisfying its assertions.
 
-    Typical concept assertions pin the individual to the globally most
+    Typical concept assertions confine the individual to the globally most
     typical instances; role assertions require a canonical edge when the
     role is constrained by the closure, and are free otherwise.
     """

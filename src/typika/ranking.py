@@ -10,7 +10,7 @@ defeasible and strict queries reduce to rank comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import ClassVar, Iterable, Optional, Union
 
 from .kb import Defeasible, KnowledgeBase, Strict
@@ -18,7 +18,8 @@ from .syntax import BOT, TOP, And, Concept, Not, Or, concept_key, conjoin
 from .tableau import StrictTBox, entails_strict
 
 
-@dataclass(frozen=True, order=False)
+@total_ordering
+@dataclass(frozen=True)
 class Rank:
     """A rank value: a natural number or the infinite rank.
 
@@ -34,20 +35,10 @@ class Rank:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def _key(self) -> tuple[int, int]:
-        return (1, 0) if self.value is None else (0, self.value)
-
     def __lt__(self, other: "Rank") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Rank") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Rank") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Rank") -> bool:
-        return self._key() >= other._key()
+        if self.value is None:
+            return False
+        return other.value is None or self.value < other.value
 
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)

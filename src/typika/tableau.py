@@ -3,8 +3,9 @@
 The decision procedure is a labelled-tree tableau. The TBox is internalised:
 the conjunction of `not lhs or rhs` over all axioms is added to every node
 label, and subset blocking against ancestors guarantees termination.
-Disjunctions branch left-first, and rules are chosen in a fixed scan order,
-so runs are deterministic.
+Disjunctions branch left-first, and the branching and successor rules are
+chosen in a fixed scan order, so runs are deterministic; the non-branching
+rules are monotone and reach the same fixpoint in any order.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class _Tableau:
             for n in range(len(self.labels)):
                 if self.has_clash(n):
                     return False
-                for c in sorted(self.labels[n], key=concept_key):
+                for c in tuple(self.labels[n]):
                     if isinstance(c, And):
                         missing = {c.left, c.right} - self.labels[n]
                         if missing:
@@ -234,7 +235,3 @@ def entails_strict(tbox: StrictTBox, lhs: Concept, rhs: Concept) -> bool:
     """Classical entailment of an inclusion: lhs and not rhs is unsatisfiable."""
     return not is_satisfiable(And(lhs, Not(rhs)), tbox)
 
-
-def is_consistent_set(concepts: Iterable[Concept], tbox: StrictTBox = StrictTBox()) -> bool:
-    """Joint classical satisfiability of a concept set with respect to a TBox."""
-    return bool(is_satisfiable(conjoin(sorted(concepts, key=concept_key)), tbox))

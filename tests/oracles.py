@@ -1,25 +1,31 @@
-"""Independent brute-force oracles used to cross-check the reasoner.
+"""Independent oracles used to cross-check the reasoner.
 
-Nothing here calls the tableau or the fixpoint search. Interpretations are
-enumerated explicitly: concept extensions as bitmasks over tiny domains,
-rank functions as tuples over a canonical domain's types. Slow on purpose,
-trusted because it is simple.
+Apart from building canonical domains, nothing here calls the tableau or
+the reasoner's model search. Interpretations are enumerated explicitly:
+concept extensions as bitmasks over tiny domains, rank functions as tuples
+over a canonical domain's types. Entailment over all models, which the
+reasoner never answers, is decided here by pinned least fixpoints. Slow on
+purpose, trusted because it is simple.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from typika.kb import KnowledgeBase, Strict
 from typika.models import (
     CanonicalDomain,
     EnrichedModel,
+    Query,
     RankAssignment,
     SinglePrefModel,
+    _raise_groups,
+    build_canonical_domain,
     canonical_aspect_profile,
     check_coupling,
+    default_rank_bound,
     min_global,
     satisfies_kb,
 )
@@ -124,7 +130,7 @@ def enumerate_single_models(domain: CanonicalDomain, kb: KnowledgeBase,
     """All global rank tuples within the bound that satisfy the KB."""
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
-        if satisfies_kb(SinglePrefModel(domain, g), kb, check_abox=False):
+        if satisfies_kb(SinglePrefModel(domain, g), kb):
             out.append(g)
     return out
 
@@ -137,7 +143,7 @@ def enumerate_enriched_globals(domain: CanonicalDomain, kb: KnowledgeBase,
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
         m = EnrichedModel(domain, RankAssignment(profile, g))
-        if satisfies_kb(m, kb, check_abox=False) and check_coupling(m, kb):
+        if satisfies_kb(m, kb) and check_coupling(m, kb):
             out.append(g)
     return out
 
@@ -268,3 +274,73 @@ class PairwiseEnrichedSolve:
                for j, ext in enumerate(self.antecedents)):
             return None
         return tuple(g)
+
+
+def pinned_least_fixpoint(n: int, bound: int,
+                          raise_groups: Iterable[tuple[Sequence[int], Sequence[int]]],
+                          pin_pairs: Iterable[tuple[int, int]]) -> Optional[tuple[int, ...]]:
+    """Least g >= 0 with g[v] > min(g over members) for each (members,
+    violators) group and g[y] >= g[x] for each pin pair, or None past the
+    bound."""
+    if bound < 0:
+        return None
+    g = [0] * n
+    raise_groups = tuple(raise_groups)
+    pin_pairs = tuple(pin_pairs)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in pin_pairs:
+            if g[y] < g[x]:
+                g[y] = g[x]
+                changed = True
+        for members, violators in raise_groups:
+            floor = min(g[i] for i in members) + 1
+            for v in violators:
+                if g[v] < floor:
+                    g[v] = floor
+                    changed = True
+        if changed and max(g) > bound:
+            return None
+    return tuple(g)
+
+
+def _counterexample_pins(domain: CanonicalDomain, query: Query,
+                         ) -> list[tuple[tuple[int, int], ...]]:
+    """Per instance x0 of the query's lhs outside its rhs, the pins
+    (x0, y) that put x0 among the least-ranked instances of the lhs."""
+    lhs_ext = domain.eval(query.lhs)
+    return [tuple((x0, y) for y in sorted(lhs_ext) if y != x0)
+            for x0 in sorted(lhs_ext - domain.eval(query.rhs))]
+
+
+def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
+                                 rank_bound: Optional[int] = None,
+                                 domain: Optional[CanonicalDomain] = None) -> bool:
+    """Whether the query holds in every (not only minimal) single-preference
+    model over the canonical domain with ranks within the bound."""
+    if domain is None:
+        domain = build_canonical_domain(kb, query)
+    if isinstance(query, Strict):
+        return domain.eval(query.lhs) <= domain.eval(query.rhs)
+    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
+    groups = _raise_groups(domain, kb)
+    return all(pinned_least_fixpoint(domain.size, bound, groups, pairs) is None
+               for pairs in _counterexample_pins(domain, query))
+
+
+def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
+                                   rank_bound: Optional[int] = None,
+                                   domain: Optional[CanonicalDomain] = None) -> bool:
+    """Whether the query holds in every enriched model over the canonical
+    domain carrying the least admissible aspect profile, ranks within the
+    bound."""
+    if domain is None:
+        domain = build_canonical_domain(kb, query)
+    if isinstance(query, Strict):
+        return domain.eval(query.lhs) <= domain.eval(query.rhs)
+    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
+    ref = PairwiseEnrichedSolve(domain, kb, bound)
+    guesses = list(itertools.product(range(bound + 1), repeat=len(ref.antecedents)))
+    return not any(ref.solve(kappa, pairs) is not None
+                   for pairs in _counterexample_pins(domain, query) for kappa in guesses)

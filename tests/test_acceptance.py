@@ -15,8 +15,6 @@ import sys
 from typika.kb import Strict
 from typika.models import (
     build_canonical_domain,
-    entails_in_all_enriched_models,
-    entails_in_all_single_models,
     min_global,
     minimal_canonical_models,
     single_pref_entails,
@@ -27,7 +25,13 @@ from typika.tableau import is_satisfiable
 
 from conftest import GOLDEN, KBS, REPO
 from corpus import corpus_kbs, defeasible_queries, strict_queries
-from oracles import brute_force_satisfiable, random_concept, witness_checks_out
+from oracles import (
+    brute_force_satisfiable,
+    entails_in_all_enriched_models,
+    entails_in_all_single_models,
+    random_concept,
+    witness_checks_out,
+)
 from test_tableau import UNSAT_CASES, tbox
 
 SET3 = str(KBS / "set3.kb")

@@ -208,8 +208,8 @@ def test_chain3_error_names_the_failed_guesses(capsys, tmp_path):
                " guesses: 224 with cyclic order constraints, 276 over the bound,"
                " 12 disagreeing with their guess, 0 leaving a rank gap)")
     code, doc, _ = run_json(capsys, ["compare", "--json", str(kb), str(queries)])
-    # compare's exit code counts violations, not error rows
-    assert code == 0
+    # an error row makes compare exit 2
+    assert code == 2
     assert doc["rows"] == [{"query": "T(C0) => P", "error": message},
                            {"query": "T(C2) => Q2", "error": message}]
     code, out, err = run(capsys, ["query", "--semantics", "enriched", str(kb), "T(C0) => P"])
@@ -344,12 +344,13 @@ def test_compare_bad_line_is_isolated(capsys, tmp_path):
     qf = tmp_path / "queries.txt"
     qf.write_text("T(Bird) => Fly\nBird and Fly\n# comment\n\nT(Penguin) => not Fly\n")
     code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
-    assert code == 0
+    assert code == 2
     assert len(doc["rows"]) == 3
     assert doc["rows"][0]["rc"] is True
     assert set(doc["rows"][1]) == {"query", "error"}
     assert doc["rows"][2]["rc"] is True
     code, out, _ = run(capsys, ["compare", SET3, str(qf)])
+    assert code == 2
     assert "[error] Bird and Fly:" in out
     assert out.splitlines()[-1].endswith("violations=0 errors=1")
 

@@ -3,7 +3,7 @@ import random
 from typika.kb import Strict
 from typika.parser import parse_concept
 from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, BOT
-from typika.tableau import StrictTBox, entails_strict, is_consistent_set, is_satisfiable
+from typika.tableau import StrictTBox, entails_strict, is_satisfiable
 
 from oracles import brute_force_satisfiable, random_concept, witness_checks_out
 
@@ -110,10 +110,3 @@ def test_entailment_transitive_chain():
     assert entails_strict(tb, A, C)
     assert entails_strict(tb, Exists("r", A), Exists("r", C))
     assert entails_strict(tb, Forall("r", A), Forall("r", C))
-
-
-def test_consistent_set():
-    assert is_consistent_set([A, Not(B)], tbox())
-    assert not is_consistent_set([A, Not(A)], tbox())
-    assert not is_consistent_set([A], tbox((A, BOT)))
-    assert is_consistent_set([], tbox())
