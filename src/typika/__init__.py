@@ -4,62 +4,41 @@ Submodules: `syntax` (concept terms), `kb` (axioms and knowledge bases),
 `parser` (surface syntax), `tableau` (classical satisfiability),
 `ranking` (exceptionality levels and rank-based entailment), `models`
 (canonical-domain preferential semantics), `cli` (command line).
+The public names are those of `__all__`; the submodules are not among them.
 """
 
-from .kb import (
-    ConceptAssertion,
-    Defeasible,
-    KnowledgeBase,
-    RoleAssertion,
-    Strict,
-    aspect_set,
-    serialize_axiom,
-    serialize_kb,
-    subconcept_closure,
-)
-from .models import (
-    CanonicalDomain,
-    EnrichedModel,
-    InconsistentKBError,
-    RankAssignment,
-    RankBoundExceededError,
-    SinglePrefModel,
-    Verdict,
-    build_canonical_domain,
-    check_coupling,
-    default_rank_bound,
-    enriched_entails,
-    minimal_canonical_models,
-    satisfies_kb,
-    single_pref_entails,
-    single_pref_model,
-)
+from .kb import (ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict,
+                 aspect_set, serialize_axiom, serialize_kb, subconcept_closure)
+from .models import (CanonicalDomain, EnrichedModel, InconsistentKBError, RankAssignment,
+                     RankBoundExceededError, SinglePrefModel, Verdict,
+                     build_canonical_domain, check_coupling, default_rank_bound,
+                     enriched_entails, minimal_canonical_models, satisfies_kb,
+                     single_pref_entails, single_pref_model)
 from .parser import KBSyntaxError, parse_axiom, parse_concept, parse_kb
-from .ranking import (
-    Rank,
-    concept_rank,
-    in_rational_closure,
-    is_kb_consistent,
-    ranked_tbox,
-    satisfiable_wrt_kb,
-)
-from .syntax import (
-    And,
-    Atom,
-    Bottom,
-    Concept,
-    Exists,
-    Forall,
-    Not,
-    Or,
-    Top,
-    BOT,
-    TOP,
-    complement,
-    concept_key,
-    concept_to_text,
-    to_nnf,
-)
+from .ranking import (Rank, RankedTBox, in_rational_closure, is_kb_consistent,
+                      satisfiable_wrt_kb)
+from .syntax import (BOT, TOP, And, Atom, Bottom, Concept, Exists, Forall, Not, Or, Top,
+                     complement, concept_key, concept_to_text, to_nnf)
 from .tableau import SatResult, StrictTBox, Witness, entails_strict, is_satisfiable
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # kb
+    "ConceptAssertion", "Defeasible", "KnowledgeBase", "RoleAssertion", "Strict",
+    "aspect_set", "serialize_axiom", "serialize_kb", "subconcept_closure",
+    # models
+    "CanonicalDomain", "EnrichedModel", "InconsistentKBError", "RankAssignment",
+    "RankBoundExceededError", "SinglePrefModel", "Verdict",
+    "build_canonical_domain", "check_coupling", "default_rank_bound",
+    "enriched_entails", "minimal_canonical_models", "satisfies_kb",
+    "single_pref_entails", "single_pref_model",
+    # parser
+    "KBSyntaxError", "parse_axiom", "parse_concept", "parse_kb",
+    # ranking
+    "Rank", "RankedTBox", "in_rational_closure", "is_kb_consistent",
+    "satisfiable_wrt_kb",
+    # syntax
+    "BOT", "TOP", "And", "Atom", "Bottom", "Concept", "Exists", "Forall", "Not", "Or",
+    "Top", "complement", "concept_key", "concept_to_text", "to_nnf",
+    # tableau
+    "SatResult", "StrictTBox", "Witness", "entails_strict", "is_satisfiable",
+]

@@ -37,7 +37,7 @@ from .models import (
     single_pref_model,
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
-from .ranking import in_rational_closure, is_kb_consistent, ranked_tbox
+from .ranking import RankedTBox, in_rational_closure, is_kb_consistent
 from .syntax import Concept, concept_to_text
 
 ENV_RANK_BOUND = "TYPIKA_RANK_BOUND"
@@ -110,9 +110,10 @@ def _model_lines(model: Model) -> list[str]:
 def cmd_check(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
-    consistent = is_kb_consistent(kb)
+    ranked = RankedTBox(kb)
+    consistent = is_kb_consistent(ranked)
     if consistent and kb.abox:
-        m = single_pref_model(kb)
+        m = single_pref_model(kb, domain=build_canonical_domain(ranked))
         consistent = find_abox_mapping(m.domain, kb, m.global_ranks) is not None
     ms = (time.perf_counter() - start) * 1000.0
     doc = {"command": "check", "kb": args.kb, "consistent": consistent,
@@ -124,7 +125,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
-    rt = ranked_tbox(kb)
+    rt = RankedTBox(kb)
     antecedents = dict.fromkeys(ax.lhs for ax in kb.defeasible)
     values = {concept_to_text(c): rt.rank(c) for c in antecedents}
     ms = (time.perf_counter() - start) * 1000.0
@@ -151,14 +152,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _query_verdict(kb: KnowledgeBase, query: Query, semantics: str,
+def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
                    bound: Optional[int]) -> tuple[bool, Optional[Model]]:
     if semantics == "rc":
-        return in_rational_closure(kb, query), None
-    if semantics == "single-pref":
-        v = single_pref_entails(kb, query, bound)
-    else:
-        v = enriched_entails(kb, query, bound)
+        return in_rational_closure(ranked, query), None
+    entails = single_pref_entails if semantics == "single-pref" else enriched_entails
+    v = entails(ranked.kb, query, bound, domain=build_canonical_domain(ranked, query))
     return v.entailed, (v.model if v.entailed else v.countermodel)
 
 
@@ -167,7 +166,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     query = parse_axiom(args.query)
     bound = _resolve_bound(args.rank_bound)
     start = time.perf_counter()
-    entailed, model = _query_verdict(kb, query, args.semantics, bound)
+    entailed, model = _query_verdict(RankedTBox(kb), query, args.semantics, bound)
     ms = (time.perf_counter() - start) * 1000.0
     doc = {
         "command": "query",
@@ -185,21 +184,23 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0 if entailed else 1
 
 
-def _compare_row(kb: KnowledgeBase, raw: str, bound: Optional[int],
+def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
                  domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
-    """One row of `compare`. Queries whose concepts give the same closure
-    share the domain in `domains`, and with it the memoised minimal models."""
+    """One row of `compare`. Every row shares the KB's stratification, and
+    queries whose concepts give the same closure share the domain in
+    `domains`, and with it the memoised minimal models."""
     try:
         query = parse_axiom(raw)
     except KBSyntaxError as exc:
         return {"query": raw, "error": str(exc)}
     row: dict = {"query": serialize_axiom(query)}
+    kb = ranked.kb
     try:
-        row["rc"] = in_rational_closure(kb, query)
+        row["rc"] = in_rational_closure(ranked, query)
         closure = subconcept_closure(kb, (query.lhs, query.rhs))
         domain = domains.get(closure)
         if domain is None:
-            domain = domains[closure] = build_canonical_domain(kb, query)
+            domain = domains[closure] = build_canonical_domain(ranked, query)
         row["singlePref"] = single_pref_entails(kb, query, bound, domain=domain).entailed
         row["enriched"] = enriched_entails(kb, query, bound, domain=domain).entailed
     except (RankBoundExceededError, InconsistentKBError) as exc:
@@ -218,8 +219,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with open(args.queries, "r", encoding="utf-8") as fh:
         raws = [line.strip() for line in fh]
     raws = [r for r in raws if r and not r.startswith("#")]
+    ranked = RankedTBox(kb)
     domains: dict[frozenset[Concept], CanonicalDomain] = {}
-    rows = [_compare_row(kb, raw, bound, domains) for raw in raws]
+    rows = [_compare_row(ranked, raw, bound, domains) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}
     lines = []
     for row in rows:

@@ -1,9 +1,10 @@
 """Preferential model semantics over a canonical type domain.
 
-A domain is built from a knowledge base and a subconcept closure (the KB's
-own, widened by a query's two sides when they fall outside it), so every
-query whose concepts lie in the same closure can share one: `compare` builds
-one per distinct closure. Its elements are the maximal KB-satisfiable
+A domain is built from a knowledge base's stratification (the caller's
+`ranking.RankedTBox`) and a subconcept closure (the KB's own, widened by a
+query's two sides when they fall outside it), so every query whose concepts
+lie in the same closure can share one: `compare` builds one per distinct
+closure. Its elements are the maximal KB-satisfiable
 subsets of the closure, and role edges connect types whose universal
 constraints are honoured. Rank functions over this fixed domain stand in for
 preference relations (lower rank = more typical). The domain memoises
@@ -44,7 +45,7 @@ from .kb import (
     aspect_set,
     subconcept_closure,
 )
-from .ranking import satisfiable_wrt_kb
+from .ranking import RankedTBox, satisfiable_wrt_kb
 from .syntax import (
     And,
     Atom,
@@ -162,13 +163,14 @@ def _role_edge_ok(x: frozenset[Concept], y: frozenset[Concept], role: str,
     return True
 
 
-def build_canonical_domain(kb: KnowledgeBase, query: Optional[Query] = None) -> CanonicalDomain:
+def build_canonical_domain(ranked: RankedTBox, query: Optional[Query] = None) -> CanonicalDomain:
     """Enumerates all maximal KB-satisfiable types over the closure.
 
-    The closure covers the KB and, when given, the query's two sides, so
-    query concepts evaluate by membership. Raises InconsistentKBError when
-    nothing is satisfiable.
+    The closure covers the KB of the stratification and, when given, the
+    query's two sides, so query concepts evaluate by membership. Raises
+    InconsistentKBError when nothing is satisfiable.
     """
+    kb = ranked.kb
     extra: tuple[Concept, ...] = ()
     if query is not None:
         extra = (query.lhs, query.rhs)
@@ -183,7 +185,7 @@ def build_canonical_domain(kb: KnowledgeBase, query: Optional[Query] = None) -> 
             return
         for literal in (positives[i], complement(positives[i])):
             chosen.append(literal)
-            if satisfiable_wrt_kb(kb, chosen):
+            if satisfiable_wrt_kb(ranked, chosen):
                 extend(i + 1)
             chosen.pop()
 
@@ -540,10 +542,11 @@ def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
     rank vector; guesses whose constraints are cyclic, whose ranks overflow
     the bound, disagree with the guess or leave a rank gap yield no model,
     and the pointwise-minimal survivors are exactly the minimal models. When
-    no guess survives, the error counts the guesses by cause.
+    no guess survives, the error counts the guesses by cause. Without a
+    domain, one is built from a fresh stratification of the KB.
     """
     if domain is None:
-        domain = build_canonical_domain(kb, query)
+        domain = build_canonical_domain(RankedTBox(kb), query)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     memo = domain._frontier_memo
     if (kb, bound) not in memo:
@@ -587,9 +590,10 @@ def single_pref_model(kb: KnowledgeBase, query: Optional[Query] = None,
                       rank_bound: Optional[int] = None,
                       domain: Optional[CanonicalDomain] = None) -> SinglePrefModel:
     """The unique minimal single-preference model: the least global ranks
-    under which every defeasible axiom holds on its global minimum."""
+    under which every defeasible axiom holds on its global minimum. Without
+    a domain, one is built from a fresh stratification of the KB."""
     if domain is None:
-        domain = build_canonical_domain(kb, query)
+        domain = build_canonical_domain(RankedTBox(kb), query)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     memo = domain._single_pref_memo
     if (kb, bound) not in memo:
@@ -614,7 +618,6 @@ def _holds_in(model: Model, query: Query) -> tuple[bool, Optional[int]]:
 class Verdict:
     """Per-query result under one semantics, with optional model evidence."""
 
-    semantics: str
     entailed: bool
     model: Optional[Model] = None
     countermodel: Optional[Model] = None
@@ -629,9 +632,9 @@ def enriched_entails(kb: KnowledgeBase, query: Query,
     for m in models:
         ok, bad = _holds_in(m, query)
         if not ok:
-            return Verdict("enriched", False, model=models[0],
-                           countermodel=m, counterelement=bad)
-    return Verdict("enriched", True, model=models[0])
+            return Verdict(False, model=models[0], countermodel=m,
+                           counterelement=bad)
+    return Verdict(True, model=models[0])
 
 
 def single_pref_entails(kb: KnowledgeBase, query: Query,
@@ -641,9 +644,8 @@ def single_pref_entails(kb: KnowledgeBase, query: Query,
     m = single_pref_model(kb, query, rank_bound, domain)
     ok, bad = _holds_in(m, query)
     if not ok:
-        return Verdict("single-pref", False, model=m, countermodel=m,
-                       counterelement=bad)
-    return Verdict("single-pref", True, model=m)
+        return Verdict(False, model=m, countermodel=m, counterelement=bad)
+    return Verdict(True, model=m)
 
 
 def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,

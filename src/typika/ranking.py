@@ -5,12 +5,18 @@ defeasible part is stratified by repeated exceptionality checks: a concept
 is exceptional at a level when the level's material counterpart classically
 forces it empty. Ranks of concepts fall out of the stratification and both
 defeasible and strict queries reduce to rank comparisons.
+
+The caller owns the stratification: it builds one `RankedTBox` per KB and
+passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
+and `models.build_canonical_domain`. The `RankedTBox` keeps its level TBoxes
+(each with its internalised concept) and its rank memo, so all of it lives
+as long as the caller keeps the `RankedTBox`; this module keeps no state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from typing import ClassVar, Iterable, Optional, Union
 
 from .kb import Defeasible, KnowledgeBase, Strict
@@ -60,34 +66,32 @@ def level_tbox(strict_core: StrictTBox, level: Iterable[Defeasible]) -> StrictTB
     return strict_core.extended(TOP, materialization(level))
 
 
-def is_exceptional(concept: Concept, level: Iterable[Defeasible],
-                   strict_core: StrictTBox) -> bool:
-    """Whether the level's material counterpart forces the concept empty."""
-    return entails_strict(level_tbox(strict_core, level), concept, BOT)
-
-
 class RankedTBox:
     """The stratification of a knowledge base by exceptionality.
 
     `levels[i]` holds the defeasible axioms still exceptional after i
     rounds; the sequence is computed to a fixpoint, so the last level
-    repeats under one more round. `strict_core` is the classical part.
+    repeats under one more round. `strict_core` is the classical part, and
+    each level's TBox is built once and kept for `rank`, whose answers are
+    memoised per concept.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.strict_core = StrictTBox.from_axioms(kb.strict)
-        self.levels: list[tuple[Defeasible, ...]] = []
         level = tuple(kb.defeasible)
-        self.levels.append(level)
+        tbox = level_tbox(self.strict_core, level)
+        self.levels: list[tuple[Defeasible, ...]] = [level]
+        self._level_tboxes = [tbox]
         while True:
-            nxt = tuple(ax for ax in level
-                        if is_exceptional(ax.lhs, level, self.strict_core))
+            # an axiom stays when the level forces its antecedent empty
+            nxt = tuple(ax for ax in level if entails_strict(tbox, ax.lhs, BOT))
             if nxt == level:
                 break
-            self.levels.append(nxt)
             level = nxt
-        self._level_tboxes = [level_tbox(self.strict_core, lv) for lv in self.levels]
+            tbox = level_tbox(self.strict_core, level)
+            self.levels.append(level)
+            self._level_tboxes.append(tbox)
         self._rank_memo: dict[str, Rank] = {}
 
     def rank(self, concept: Concept) -> Rank:
@@ -105,38 +109,27 @@ class RankedTBox:
         return out
 
 
-@lru_cache(maxsize=32)
-def ranked_tbox(kb: KnowledgeBase) -> RankedTBox:
-    """The stratification of a KB, kept for the 32 most recent KBs."""
-    return RankedTBox(kb)
-
-
-def concept_rank(kb: KnowledgeBase, concept: Concept) -> Rank:
-    return ranked_tbox(kb).rank(concept)
-
-
-def satisfiable_wrt_kb(kb: KnowledgeBase,
+def satisfiable_wrt_kb(ranked: RankedTBox,
                        concepts: Union[Concept, Iterable[Concept]]) -> bool:
     """Whether a concept set has finite rank, i.e. is realisable under the KB."""
     if isinstance(concepts, Concept):
         conjunction = concepts
     else:
         conjunction = conjoin(sorted(concepts, key=concept_key))
-    return not concept_rank(kb, conjunction).is_infinite
+    return not ranked.rank(conjunction).is_infinite
 
 
-def is_kb_consistent(kb: KnowledgeBase) -> bool:
-    return satisfiable_wrt_kb(kb, TOP)
+def is_kb_consistent(ranked: RankedTBox) -> bool:
+    return satisfiable_wrt_kb(ranked, TOP)
 
 
-def in_rational_closure(kb: KnowledgeBase, query) -> bool:
+def in_rational_closure(ranked: RankedTBox, query) -> bool:
     """Rank-based entailment of a strict or defeasible inclusion."""
-    rt = ranked_tbox(kb)
     if isinstance(query, Strict):
-        return rt.rank(And(query.lhs, Not(query.rhs))).is_infinite
+        return ranked.rank(And(query.lhs, Not(query.rhs))).is_infinite
     if isinstance(query, Defeasible):
-        r_lhs = rt.rank(query.lhs)
+        r_lhs = ranked.rank(query.lhs)
         if r_lhs.is_infinite:
             return True
-        return r_lhs < rt.rank(And(query.lhs, Not(query.rhs)))
+        return r_lhs < ranked.rank(And(query.lhs, Not(query.rhs)))
     raise TypeError(f"not an inclusion query: {query!r}")

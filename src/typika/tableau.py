@@ -6,12 +6,16 @@ label, and subset blocking against ancestors guarantees termination.
 Disjunctions branch left-first, and the branching and successor rules are
 chosen in a fixed scan order, so runs are deterministic; the non-branching
 rules are monotone and reach the same fixpoint in any order.
+
+Each `StrictTBox` computes its internalised concept once, on first use, and
+keeps it, so the cache lives exactly as long as the TBox does: the level
+TBoxes of a `ranking.RankedTBox` share its lifetime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .kb import Strict
@@ -43,6 +47,13 @@ class StrictTBox:
     def extended(self, lhs: Concept, rhs: Concept) -> "StrictTBox":
         return StrictTBox(self.axioms + ((lhs, rhs),))
 
+    @cached_property
+    def internalized(self) -> Optional[Concept]:
+        """The NNF of the conjunction of `not lhs or rhs` over the axioms."""
+        if not self.axioms:
+            return None
+        return to_nnf(conjoin(Or(Not(lhs), rhs) for lhs, rhs in self.axioms))
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -65,13 +76,6 @@ class SatResult:
 
     def __bool__(self) -> bool:
         return self.satisfiable
-
-
-@lru_cache(maxsize=32)
-def _internalized(tbox: StrictTBox) -> Optional[Concept]:
-    if not tbox.axioms:
-        return None
-    return to_nnf(conjoin(Or(Not(lhs), rhs) for lhs, rhs in tbox.axioms))
 
 
 class _Tableau:
@@ -222,7 +226,7 @@ def is_satisfiable(concept: Concept, tbox: StrictTBox = StrictTBox(),
     When satisfiable and `want_witness` is set, the result carries a finite
     model that satisfies the concept at its root and every TBox axiom.
     """
-    tab = _Tableau(_internalized(tbox))
+    tab = _Tableau(tbox.internalized)
     root = tab.new_node([to_nnf(concept)], None)
     if not tab.run():
         return SatResult(False)

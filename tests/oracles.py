@@ -29,6 +29,7 @@ from typika.models import (
     min_global,
     satisfies_kb,
 )
+from typika.ranking import RankedTBox
 from typika.syntax import (
     And,
     Atom,
@@ -320,7 +321,7 @@ def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
     """Whether the query holds in every (not only minimal) single-preference
     model over the canonical domain with ranks within the bound."""
     if domain is None:
-        domain = build_canonical_domain(kb, query)
+        domain = build_canonical_domain(RankedTBox(kb), query)
     if isinstance(query, Strict):
         return domain.eval(query.lhs) <= domain.eval(query.rhs)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
@@ -336,7 +337,7 @@ def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
     domain carrying the least admissible aspect profile, ranks within the
     bound."""
     if domain is None:
-        domain = build_canonical_domain(kb, query)
+        domain = build_canonical_domain(RankedTBox(kb), query)
     if isinstance(query, Strict):
         return domain.eval(query.lhs) <= domain.eval(query.rhs)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound

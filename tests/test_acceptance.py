@@ -20,7 +20,7 @@ from typika.models import (
     single_pref_entails,
 )
 from typika.parser import parse_axiom, parse_concept
-from typika.ranking import in_rational_closure, ranked_tbox
+from typika.ranking import RankedTBox, in_rational_closure
 from typika.tableau import is_satisfiable
 
 from conftest import GOLDEN, KBS, REPO
@@ -72,15 +72,21 @@ def all_queries(kb):
     return itertools.chain(defeasible_queries(kb), strict_queries(kb))
 
 
+def with_domain(kb):
+    """A KB with its stratification and its canonical domain."""
+    ranked = RankedTBox(kb)
+    return kb, ranked, build_canonical_domain(ranked)
+
+
 @functools.lru_cache(maxsize=None)
 def corpus_with_domains():
-    return tuple((kb, build_canonical_domain(kb)) for kb in corpus_kbs())
+    return tuple(with_domain(kb) for kb in corpus_kbs())
 
 
 @functools.lru_cache(maxsize=None)
 def corpus_minimal_models():
-    return tuple((kb, dom, tuple(minimal_canonical_models(kb, domain=dom)))
-                 for kb, dom in corpus_with_domains())
+    return tuple((kb, ranked, tuple(minimal_canonical_models(kb, domain=dom)))
+                 for kb, ranked, dom in corpus_with_domains())
 
 
 @criterion(1, "penguin exemplar exit codes")
@@ -98,21 +104,21 @@ def test_criterion_2_irrelevance(kb_set1):
     out = cli("rank", SET1)
     assert out.returncode == 0
     assert out.stdout == (GOLDEN / "set1_rank.txt").read_text()
-    rt = ranked_tbox(kb_set1)
+    rt = RankedTBox(kb_set1)
     for text, want in (("Student", 0),
                        ("(Worker and Student)", 1),
                        ("((Worker and Apprentice) and Student)", 2)):
         assert rt.rank(parse_concept(text)).value == want, text
     assert in_rational_closure(
-        kb_set1, parse_axiom("T((Student and Blond)) => not EarnMoney"))
+        rt, parse_axiom("T((Student and Blond)) => not EarnMoney"))
 
 
 @criterion(3, "rank entailment matches the least single-preference model")
 def test_criterion_3_rank_vs_single_pref():
     checked = 0
-    for kb, dom in corpus_with_domains():
+    for kb, ranked, dom in corpus_with_domains():
         for q in all_queries(kb):
-            want = in_rational_closure(kb, q)
+            want = in_rational_closure(ranked, q)
             got = single_pref_entails(kb, q, domain=dom).entailed
             assert got == want, (kb, q)
             checked += 1
@@ -123,28 +129,28 @@ def test_criterion_3_rank_vs_single_pref():
 def test_criterion_4_rank_within_enriched(kb_set3, kb_set1):
     pool = list(corpus_minimal_models())
     for kb in (kb_set3, kb_set1):
-        dom = build_canonical_domain(kb)
-        pool.append((kb, dom, tuple(minimal_canonical_models(kb, domain=dom))))
-    for kb, dom, models in pool:
+        _, ranked, dom = with_domain(kb)
+        pool.append((kb, ranked, tuple(minimal_canonical_models(kb, domain=dom))))
+    for kb, ranked, models in pool:
         for q in all_queries(kb):
-            if in_rational_closure(kb, q):
+            if in_rational_closure(ranked, q):
                 assert all(holds(m, q) for m in models), (kb, q)
     # and the containment is strict: an enriched-only inference exists
     hnf = parse_axiom("T(Penguin) => HasNiceFeather")
-    _, _, set3_models = pool[-2]
-    assert not in_rational_closure(kb_set3, hnf)
+    _, set3_ranked, set3_models = pool[-2]
+    assert not in_rational_closure(set3_ranked, hnf)
     assert all(holds(m, hnf) for m in set3_models)
 
 
 @criterion(5, "all-models entailment: equal without typicality, nested with it")
 def test_criterion_5_all_models_containment():
-    for kb, dom in corpus_with_domains():
+    for kb, _, dom in corpus_with_domains():
         for q in strict_queries(kb):
             assert entails_in_all_single_models(kb, q, domain=dom) \
                 == entails_in_all_enriched_models(kb, q, domain=dom), (kb, q)
     rng = random.Random(55)
     positives = negatives = 0
-    for kb, dom in corpus_with_domains():
+    for kb, _, dom in corpus_with_domains():
         if len(kb.defeasible) > 2:
             continue
         queries = rng.sample(defeasible_queries(kb), 2) + [kb.defeasible[0]]

@@ -1,13 +1,16 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import typika.cli
 from typika.cli import main
-from typika.models import build_canonical_domain
+from typika.models import CanonicalDomain, build_canonical_domain
+from typika.ranking import RankedTBox
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
 from families import chain_text
@@ -313,9 +316,9 @@ def test_compare_json_golden_bytes(capsys, monkeypatch, name):
 def _count_domain_builds(monkeypatch):
     builds = []
 
-    def counting(kb, query=None):
+    def counting(ranked, query=None):
         builds.append(query)
-        return build_canonical_domain(kb, query)
+        return build_canonical_domain(ranked, query)
 
     monkeypatch.setattr(typika.cli, "build_canonical_domain", counting)
     return builds
@@ -392,3 +395,51 @@ def test_console_script(tmp_path):
          "T(Penguin) => HasNiceFeather"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "entailed\n"
+
+
+# ------------------------------------------------------- per-KB state
+
+
+def _record_instances(monkeypatch, cls):
+    """Weak references to every instance of `cls` made from here on."""
+    made = []
+    init = cls.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    return made
+
+
+def test_compare_leaves_no_per_kb_state_alive(capsys, monkeypatch, tmp_path):
+    kb = tmp_path / "chain3.kb"
+    kb.write_text(chain_text(3))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("T(C0) => P\n")
+    stratified = _record_instances(monkeypatch, RankedTBox)
+    domains = _record_instances(monkeypatch, CanonicalDomain)
+    # one call with rows, one with an error row
+    assert run(capsys, ["compare", "--json", SET3, SET3_QUERIES])[0] == 0
+    assert run(capsys, ["compare", "--json", str(kb), str(queries)])[0] == 2
+    assert len(stratified) == len(domains) == 2
+    gc.collect()
+    assert [ref() for ref in stratified + domains] == [None] * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "ABOX"],
+    ["rank", SET1],
+    ["query", "--semantics", "rc", SET3, "T(Penguin) => not Fly"],
+    ["query", "--semantics", "single-pref", SET3, "T(Penguin) => not Fly"],
+    ["query", "--semantics", "enriched", SET3, "T(Penguin) => HasNiceFeather"],
+    ["compare", "--json", SET1, SET1_QUERIES],
+], ids=["check", "rank", "query-rc", "query-single-pref", "query-enriched", "compare"])
+def test_each_command_stratifies_its_kb_once(capsys, monkeypatch, tmp_path, argv):
+    abox = tmp_path / "abox.kb"
+    abox.write_text(SET3_TEXT + "T(Penguin)(pingu)\nBird(tweety)\n")
+    argv = [str(abox) if arg == "ABOX" else arg for arg in argv]
+    stratified = _record_instances(monkeypatch, RankedTBox)
+    assert run(capsys, argv)[0] == 0
+    assert len(stratified) == 1

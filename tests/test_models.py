@@ -27,7 +27,7 @@ from typika.models import (
     _EnrichedSearch,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
-from typika.ranking import in_rational_closure
+from typika.ranking import RankedTBox, in_rational_closure
 from typika.syntax import And, Atom, Exists, Not, concept_key
 
 from families import chain, diamond, role_kbs
@@ -45,6 +45,10 @@ from test_acceptance import corpus_with_domains
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
 
+def domain_of(kb, query=None):
+    return build_canonical_domain(RankedTBox(kb), query)
+
+
 def atom_signature(domain, i):
     return frozenset(c.name for c in domain.types[i] if isinstance(c, Atom))
 
@@ -57,7 +61,7 @@ def ranks_by_signature(domain, g):
 
 
 def test_set3_domain_has_twelve_types(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     assert dom.size == 12
     # strict Penguin => Bird rules out the four penguin-non-bird combinations
     signatures = {atom_signature(dom, i) for i in range(dom.size)}
@@ -67,7 +71,7 @@ def test_set3_domain_has_twelve_types(kb_set3):
 
 def test_eval_matches_membership(kb_set3, kb_set1):
     for kb in (kb_set3, kb_set1):
-        dom = build_canonical_domain(kb)
+        dom = domain_of(kb)
         for c in sorted(subconcept_closure(kb), key=concept_key):
             ext = dom.eval(c)
             for i, t in enumerate(dom.types):
@@ -76,7 +80,7 @@ def test_eval_matches_membership(kb_set3, kb_set1):
 
 def test_eval_matches_membership_with_roles():
     kb = parse_kb("exists r. C => D\nA => forall r. C\n")
-    dom = build_canonical_domain(kb)
+    dom = domain_of(kb)
     assert dom.role_edges.keys() == {"r"}
     for c in sorted(subconcept_closure(kb), key=concept_key):
         ext = dom.eval(c)
@@ -87,12 +91,12 @@ def test_eval_matches_membership_with_roles():
 def test_inconsistent_kb_has_no_domain():
     kb = parse_kb("A => bot\ntop => A\n")
     with pytest.raises(InconsistentKBError):
-        build_canonical_domain(kb)
+        domain_of(kb)
 
 
 def test_query_concepts_join_the_closure(kb_set3):
     q = parse_axiom("T((Penguin and HasNiceFeather)) => Fly")
-    dom = build_canonical_domain(kb_set3, q)
+    dom = domain_of(kb_set3, q)
     assert parse_concept("(Penguin and HasNiceFeather)") in dom.closure
 
 
@@ -105,7 +109,7 @@ def test_default_rank_bound(kb_set3, kb_set1):
 
 
 def test_set3_aspect_profile(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     profile = dict(canonical_aspect_profile(dom, kb_set3))
     assert set(profile) == set(aspect_set(kb_set3))
     fly = profile[Atom("Fly")]
@@ -236,7 +240,7 @@ def test_rank_bound_overflow(kb_set3):
 
 
 def test_frontier_is_memoised_per_domain(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     first = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
     again = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
     assert [m.global_ranks for m in again] == [m.global_ranks for m in first]
@@ -246,7 +250,7 @@ def test_frontier_is_memoised_per_domain(kb_set3):
 
 
 def test_memo_serves_no_other_bound(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     # a tight bound fails; a wider one must not be served that failure
     with pytest.raises(RankBoundExceededError):
         minimal_canonical_models(kb_set3, domain=dom, rank_bound=1)
@@ -254,20 +258,20 @@ def test_memo_serves_no_other_bound(kb_set3):
         single_pref_model(kb_set3, domain=dom, rank_bound=1)
     wide = minimal_canonical_models(kb_set3, domain=dom, rank_bound=7)
     fresh = minimal_canonical_models(
-        kb_set3, domain=build_canonical_domain(kb_set3), rank_bound=7)
+        kb_set3, domain=domain_of(kb_set3), rank_bound=7)
     assert [m.ranks for m in wide] == [m.ranks for m in fresh]
     assert single_pref_model(kb_set3, domain=dom, rank_bound=7).global_ranks == \
         single_pref_model(kb_set3, rank_bound=7).global_ranks
 
 
 def test_memo_serves_no_other_kb(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     full = single_pref_model(kb_set3, domain=dom).global_ranks
     full_frontier = [m.ranks for m in minimal_canonical_models(kb_set3, domain=dom)]
     # the same closure without the penguin exception
     fewer = KnowledgeBase.build(kb_set3.strict + kb_set3.defeasible[:2])
     got = single_pref_model(fewer, domain=dom, rank_bound=4).global_ranks
-    other = build_canonical_domain(kb_set3)
+    other = domain_of(kb_set3)
     assert got == single_pref_model(fewer, domain=other, rank_bound=4).global_ranks
     assert got != full
     got_frontier = [m.ranks for m in minimal_canonical_models(fewer, domain=dom, rank_bound=4)]
@@ -277,7 +281,7 @@ def test_memo_serves_no_other_kb(kb_set3):
 
 
 def test_failed_search_raises_on_every_call(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     for _ in range(2):
         with pytest.raises(RankBoundExceededError):
             minimal_canonical_models(kb_set3, domain=dom, rank_bound=0)
@@ -287,7 +291,7 @@ def test_failed_search_raises_on_every_call(kb_set3):
 
 
 def test_returned_frontier_is_the_callers_own(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     first = minimal_canonical_models(kb_set3, domain=dom)
     expect = [m.ranks for m in first]
     first.clear()
@@ -299,10 +303,11 @@ def test_returned_frontier_is_the_callers_own(kb_set3):
 
 def _solve_cases():
     """The corpus KBs, chain(1..3), diamond(1..2) and the ten role KBs."""
-    yield from corpus_with_domains()
+    for kb, _, dom in corpus_with_domains():
+        yield kb, dom
     families = [chain(n) for n in (1, 2, 3)] + [diamond(n) for n in (1, 2)]
     for kb in families + list(role_kbs().values()):
-        yield kb, build_canonical_domain(kb)
+        yield kb, domain_of(kb)
 
 
 def test_class_solve_matches_pairwise_reference():
@@ -333,9 +338,9 @@ def test_failed_search_counts_guesses_by_cause():
     kb = chain(3)
     bound = default_rank_bound(kb)
     assert sum(CHAIN3_CAUSES.values()) == (bound + 1) ** 3
-    dom = build_canonical_domain(kb)
+    dom = domain_of(kb)
     messages = []
-    for domain in (dom, dom, build_canonical_domain(kb)):
+    for domain in (dom, dom, domain_of(kb)):
         with pytest.raises(RankBoundExceededError) as exc:
             minimal_canonical_models(kb, domain=domain)
         assert exc.value.bound == bound
@@ -353,7 +358,7 @@ def test_failed_search_counts_guesses_by_cause():
 
 
 def test_coupling_flags_misordered_models(kb_set3):
-    dom = build_canonical_domain(kb_set3)
+    dom = domain_of(kb_set3)
     profile = canonical_aspect_profile(dom, kb_set3)
     good = minimal_canonical_models(kb_set3, domain=dom)[0]
     # raising a most-typical non-violator above a violator breaks rule (a)
@@ -368,7 +373,7 @@ def test_coupling_flags_misordered_models(kb_set3):
 def test_coupling_converse_flag():
     # without defeasible axioms nothing is forced, so any ranks couple
     kb = KnowledgeBase.build([Strict(A, B)])
-    dom = build_canonical_domain(kb)
+    dom = domain_of(kb)
     profile = canonical_aspect_profile(dom, kb)
     flat = EnrichedModel(dom, RankAssignment(profile, (0,) * dom.size))
     bumpy = EnrichedModel(dom, RankAssignment(profile, (1,) + (0,) * (dom.size - 1)))
@@ -389,7 +394,7 @@ MICRO_KBS = [
 
 def test_single_pref_model_is_least_of_all_models():
     for kb in MICRO_KBS:
-        dom = build_canonical_domain(kb)
+        dom = domain_of(kb)
         bound = 2
         valid = enumerate_single_models(dom, kb, bound)
         least = single_pref_model(kb, rank_bound=bound, domain=dom)
@@ -400,7 +405,7 @@ def test_single_pref_model_is_least_of_all_models():
 
 def test_frontier_matches_enumerated_minima():
     for kb in MICRO_KBS:
-        dom = build_canonical_domain(kb)
+        dom = domain_of(kb)
         bound = 2
         valid = enumerate_enriched_globals(dom, kb, bound)
         expected = sorted(pointwise_minima(valid))
@@ -412,7 +417,7 @@ def test_frontier_matches_enumerated_minima():
 def test_all_model_entailment_matches_enumeration():
     rng = random.Random(41)
     for kb in MICRO_KBS:
-        dom = build_canonical_domain(kb)
+        dom = domain_of(kb)
         bound = 2
         singles = enumerate_single_models(dom, kb, bound)
         enriched = enumerate_enriched_globals(dom, kb, bound)
@@ -430,11 +435,12 @@ def test_all_model_entailment_matches_enumeration():
 
 def test_minimal_entailment_agrees_with_rc_on_micro_kbs():
     for kb in MICRO_KBS:
-        dom = build_canonical_domain(kb)
+        ranked = RankedTBox(kb)
+        dom = build_canonical_domain(ranked)
         members = sorted(subconcept_closure(kb), key=concept_key)
         for x, y in itertools.product(members, members):
             q = Defeasible(x, y)
-            assert in_rational_closure(kb, q) \
+            assert in_rational_closure(ranked, q) \
                 == single_pref_entails(kb, q, domain=dom).entailed, q
 
 
