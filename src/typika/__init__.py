@@ -9,14 +9,13 @@ The public names are those of `__all__`; the submodules are not among them.
 
 from .kb import (ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict,
                  aspect_set, serialize_axiom, serialize_kb, subconcept_closure)
-from .models import (CanonicalDomain, EnrichedModel, InconsistentKBError, RankAssignment,
-                     RankBoundExceededError, SinglePrefModel, Verdict,
+from .models import (CanonicalDomain, InconsistentKBError, Model, RankBoundExceededError,
+                     Verdict,
                      build_canonical_domain, check_coupling, default_rank_bound,
                      enriched_entails, minimal_canonical_models, satisfies_kb,
                      single_pref_entails, single_pref_model)
 from .parser import KBSyntaxError, parse_axiom, parse_concept, parse_kb
-from .ranking import (Rank, RankedTBox, in_rational_closure, is_kb_consistent,
-                      satisfiable_wrt_kb)
+from .ranking import RankedTBox, in_rational_closure, is_kb_consistent, satisfiable_wrt_kb
 from .syntax import (BOT, TOP, And, Atom, Bottom, Concept, Exists, Forall, Not, Or, Top,
                      complement, concept_key, concept_to_text, to_nnf)
 from .tableau import SatResult, StrictTBox, Witness, entails_strict, is_satisfiable
@@ -26,16 +25,14 @@ __all__ = [
     "ConceptAssertion", "Defeasible", "KnowledgeBase", "RoleAssertion", "Strict",
     "aspect_set", "serialize_axiom", "serialize_kb", "subconcept_closure",
     # models
-    "CanonicalDomain", "EnrichedModel", "InconsistentKBError", "RankAssignment",
-    "RankBoundExceededError", "SinglePrefModel", "Verdict",
+    "CanonicalDomain", "InconsistentKBError", "Model", "RankBoundExceededError", "Verdict",
     "build_canonical_domain", "check_coupling", "default_rank_bound",
     "enriched_entails", "minimal_canonical_models", "satisfies_kb",
     "single_pref_entails", "single_pref_model",
     # parser
     "KBSyntaxError", "parse_axiom", "parse_concept", "parse_kb",
     # ranking
-    "Rank", "RankedTBox", "in_rational_closure", "is_kb_consistent",
-    "satisfiable_wrt_kb",
+    "RankedTBox", "in_rational_closure", "is_kb_consistent", "satisfiable_wrt_kb",
     # syntax
     "BOT", "TOP", "And", "Atom", "Bottom", "Concept", "Exists", "Forall", "Not", "Or",
     "Top", "complement", "concept_key", "concept_to_text", "to_nnf",

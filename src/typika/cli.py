@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,6 @@ from typing import Optional
 from .kb import KnowledgeBase, serialize_axiom, subconcept_closure
 from .models import (
     CanonicalDomain,
-    EnrichedModel,
     InconsistentKBError,
     Model,
     Query,
@@ -71,12 +71,6 @@ def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
 def _serialize_model(model: Model) -> dict:
     dom = model.domain
     ids = [f"t{i}" for i in range(dom.size)]
-    aspect_ranks = {}
-    if isinstance(model, EnrichedModel):
-        aspect_ranks = {
-            concept_to_text(a): {ids[i]: r for i, r in enumerate(ranks)}
-            for a, ranks in model.ranks.per_aspect
-        }
     return {
         "domain": [
             {"id": ids[i], "concepts": sorted(concept_to_text(c) for c in t)}
@@ -86,7 +80,10 @@ def _serialize_model(model: Model) -> dict:
             role: [[ids[i], ids[j]] for i, j in sorted(edges)]
             for role, edges in dom.role_edges.items()
         },
-        "aspectRanks": aspect_ranks,
+        "aspectRanks": {
+            concept_to_text(a): {ids[i]: r for i, r in enumerate(ranks)}
+            for a, ranks in model.per_aspect
+        },
         "globalRanks": {ids[i]: r for i, r in enumerate(model.global_ranks)},
     }
 
@@ -97,10 +94,9 @@ def _model_lines(model: Model) -> list[str]:
     for i, t in enumerate(dom.types):
         concepts = ", ".join(sorted(concept_to_text(c) for c in t))
         lines.append(f"  t{i} [global {model.global_ranks[i]}]: {concepts}")
-    if isinstance(model, EnrichedModel):
-        for a, ranks in model.ranks.per_aspect:
-            cells = " ".join(f"t{i}={r}" for i, r in enumerate(ranks))
-            lines.append(f"  aspect {concept_to_text(a)}: {cells}")
+    for a, ranks in model.per_aspect:
+        cells = " ".join(f"t{i}={r}" for i, r in enumerate(ranks))
+        lines.append(f"  aspect {concept_to_text(a)}: {cells}")
     for role in sorted(dom.role_edges):
         pairs = ", ".join(f"t{i}->t{j}" for i, j in sorted(dom.role_edges[role]))
         lines.append(f"  role {role}: {pairs}")
@@ -113,7 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ranked = RankedTBox(kb)
     consistent = is_kb_consistent(ranked)
     if consistent and kb.abox:
-        m = single_pref_model(kb, domain=build_canonical_domain(ranked))
+        m = single_pref_model(kb, build_canonical_domain(ranked))
         consistent = find_abox_mapping(m.domain, kb, m.global_ranks) is not None
     ms = (time.perf_counter() - start) * 1000.0
     doc = {"command": "check", "kb": args.kb, "consistent": consistent,
@@ -134,7 +130,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "kb": args.kb,
         "ranks": {
             "levels": [[serialize_axiom(ax) for ax in lv] for lv in rt.levels],
-            "values": {text: (r.value if not r.is_infinite else "inf")
+            "values": {text: ("inf" if r == math.inf else r)
                        for text, r in values.items()},
         },
         "timingMs": round(ms, 3),
@@ -157,8 +153,8 @@ def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
     if semantics == "rc":
         return in_rational_closure(ranked, query), None
     entails = single_pref_entails if semantics == "single-pref" else enriched_entails
-    v = entails(ranked.kb, query, bound, domain=build_canonical_domain(ranked, query))
-    return v.entailed, (v.model if v.entailed else v.countermodel)
+    v = entails(ranked.kb, query, build_canonical_domain(ranked, query), bound)
+    return v.entailed, v.model
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -201,8 +197,8 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
         domain = domains.get(closure)
         if domain is None:
             domain = domains[closure] = build_canonical_domain(ranked, query)
-        row["singlePref"] = single_pref_entails(kb, query, bound, domain=domain).entailed
-        row["enriched"] = enriched_entails(kb, query, bound, domain=domain).entailed
+        row["singlePref"] = single_pref_entails(kb, query, domain, bound).entailed
+        row["enriched"] = enriched_entails(kb, query, domain, bound).entailed
     except (RankBoundExceededError, InconsistentKBError) as exc:
         return {"query": row["query"], "error": str(exc)}
     row["violation"] = bool(row["rc"] and not row["enriched"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .syntax import Concept, concept_key, concept_to_text, subconcepts
+from .syntax import Concept, complement, concept_key, concept_to_text, subconcepts
 
 
 @dataclass(frozen=True, repr=False)
@@ -109,8 +109,6 @@ def subconcept_closure(kb: KnowledgeBase, extra: Iterable[Concept] = ()) -> froz
     (a double negation is stripped rather than stacked), so members pair up.
     The result is monotone in `extra` and closed under taking subconcepts.
     """
-    from .syntax import complement
-
     base: set[Concept] = set()
     for ax in kb.axioms:
         base.update(subconcepts(ax.lhs))

@@ -1,16 +1,18 @@
 """Preferential model semantics over a canonical type domain.
 
-A domain is built from a knowledge base's stratification (the caller's
+The caller builds a domain from a knowledge base's stratification (its
 `ranking.RankedTBox`) and a subconcept closure (the KB's own, widened by a
-query's two sides when they fall outside it), so every query whose concepts
-lie in the same closure can share one: `compare` builds one per distinct
-closure. Its elements are the maximal KB-satisfiable
-subsets of the closure, and role edges connect types whose universal
-constraints are honoured. Rank functions over this fixed domain stand in for
-preference relations (lower rank = more typical). The domain memoises
-concept extensions and, per KB and rank bound, its minimal single-pref model
-and its frontier of minimal enriched models, so the queries sharing a domain
-search for models once. Two regimes are implemented:
+query's two sides when they fall outside it), and passes it to every model
+function here; none of them builds one. Every query whose concepts lie in
+the same closure can share a domain: `compare` builds one per distinct
+closure. Its elements are the maximal KB-satisfiable subsets of the closure,
+and role edges connect types whose universal constraints are honoured. Rank
+functions over this fixed domain stand in for preference relations (lower
+rank = more typical); a `Model` is the domain with its global ranks, plus one
+rank function per aspect for an enriched model. The domain memoises concept
+extensions and, per KB and rank bound, the ranks of its minimal single-pref
+model and of its frontier of minimal enriched models, so the queries sharing
+a domain search for models once. Two regimes are implemented:
 
 - single preference: one global rank function, minimised pointwise; its
   least fixpoint is the unique minimal model and mirrors the rank-based
@@ -98,8 +100,9 @@ class CanonicalDomain:
     extensions are computed structurally and memoised. The minimal models
     over the domain are memoised per (KB, rank bound); a failed search is
     memoised too (an enriched one with its guesses counted by cause) and
-    raises the same error again. Instances compare by identity;
-    models built over the same instance share it.
+    raises the same error again. The memos hold rank tuples, never models,
+    so nothing in them points back at the domain. Instances compare by
+    identity; models built over the same instance share it.
     """
 
     def __init__(self, kb: KnowledgeBase, closure: tuple[Concept, ...],
@@ -109,10 +112,9 @@ class CanonicalDomain:
         self.closure = closure
         self.types = types
         self.role_edges = role_edges
-        self._eval_memo: dict[str, frozenset[int]] = {}
-        self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[SinglePrefModel]] = {}
-        self._frontier_memo: dict[tuple[KnowledgeBase, int],
-                                  Union[tuple[EnrichedModel, ...], dict[str, int]]] = {}
+        self._eval_memo: dict[Concept, frozenset[int]] = {}
+        self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[tuple[int, ...]]] = {}
+        self._frontier_memo: dict[tuple[KnowledgeBase, int], Union[_Frontier, dict[str, int]]] = {}
         self._all = frozenset(range(len(types)))
 
     @property
@@ -120,8 +122,7 @@ class CanonicalDomain:
         return len(self.types)
 
     def eval(self, c: Concept) -> frozenset[int]:
-        key = concept_key(c)
-        hit = self._eval_memo.get(key)
+        hit = self._eval_memo.get(c)
         if hit is not None:
             return hit
         if isinstance(c, Top):
@@ -147,7 +148,7 @@ class CanonicalDomain:
                             if all(y in sub for x, y in edges if x == i))
         else:
             raise TypeError(f"not a concept: {c!r}")
-        self._eval_memo[key] = out
+        self._eval_memo[c] = out
         return out
 
 
@@ -177,19 +178,7 @@ def build_canonical_domain(ranked: RankedTBox, query: Optional[Query] = None) ->
     closure = tuple(sorted(subconcept_closure(kb, extra), key=concept_key))
     positives = [c for c in closure if not isinstance(c, Not)]
     types: list[frozenset[Concept]] = []
-    chosen: list[Concept] = []
-
-    def extend(i: int) -> None:
-        if i == len(positives):
-            types.append(frozenset(chosen))
-            return
-        for literal in (positives[i], complement(positives[i])):
-            chosen.append(literal)
-            if satisfiable_wrt_kb(ranked, chosen):
-                extend(i + 1)
-            chosen.pop()
-
-    extend(0)
+    _extend_types(ranked, positives, [], types)
     if not types:
         raise InconsistentKBError("the knowledge base admits no satisfiable type")
     roles = sorted({r for c in closure for r in role_names(c)})
@@ -205,6 +194,21 @@ def build_canonical_domain(ranked: RankedTBox, query: Optional[Query] = None) ->
     domain = CanonicalDomain(kb, closure, tuple(types), edges)
     _validate_witnesses(domain, positives)
     return domain
+
+
+def _extend_types(ranked: RankedTBox, positives: Sequence[Concept],
+                  chosen: list[Concept], types: list[frozenset[Concept]]) -> None:
+    """Appends to `types` every satisfiable completion of the literals
+    `chosen` for the first positives, one literal per remaining positive."""
+    i = len(chosen)
+    if i == len(positives):
+        types.append(frozenset(chosen))
+        return
+    for literal in (positives[i], complement(positives[i])):
+        chosen.append(literal)
+        if satisfiable_wrt_kb(ranked, chosen):
+            _extend_types(ranked, positives, chosen, types)
+        chosen.pop()
 
 
 def _validate_witnesses(domain: CanonicalDomain, positives: Sequence[Concept]) -> None:
@@ -223,37 +227,19 @@ def _validate_witnesses(domain: CanonicalDomain, positives: Sequence[Concept]) -
                     raise AssertionError(f"unwitnessed {complement(p)!r} in type {i}")
 
 
-@dataclass(frozen=True)
-class RankAssignment:
-    """Aspect ranks (one function per aspect) plus the global rank function."""
-
-    per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...]
-    global_ranks: tuple[int, ...]
-
-    def aspect_rank(self, aspect: Concept) -> tuple[int, ...]:
-        for a, ranks in self.per_aspect:
-            if a == aspect:
-                return ranks
-        raise KeyError(f"no rank function for aspect {aspect!r}")
-
-
 @dataclass(frozen=True, eq=False)
-class EnrichedModel:
-    domain: CanonicalDomain
-    ranks: RankAssignment
+class Model:
+    """Ranks over a domain: the global rank of each element and, for an
+    enriched model, one rank function per aspect (`per_aspect` is empty for
+    a single-preference model)."""
 
-    @property
-    def global_ranks(self) -> tuple[int, ...]:
-        return self.ranks.global_ranks
-
-
-@dataclass(frozen=True, eq=False)
-class SinglePrefModel:
     domain: CanonicalDomain
     global_ranks: tuple[int, ...]
+    per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
 
 
-Model = Union[EnrichedModel, SinglePrefModel]
+# a frontier's aspect profile and the global ranks of its models
+_Frontier = tuple[tuple[tuple[Concept, tuple[int, ...]], ...], tuple[tuple[int, ...], ...]]
 
 
 def _min_by(ranks: Sequence[int], ext: frozenset[int]) -> frozenset[int]:
@@ -272,7 +258,7 @@ def _violations(domain: CanonicalDomain, kb: KnowledgeBase) -> list[tuple[Defeas
     return [(ax, domain.eval(ax.lhs) - domain.eval(ax.rhs)) for ax in kb.defeasible]
 
 
-def check_coupling(m: EnrichedModel, kb: KnowledgeBase) -> bool:
+def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     """Whether the global ranks honour both aspect-driven forcing rules.
 
     Rule (a) forces x below y when some aspect prefers x and none prefers y.
@@ -281,16 +267,15 @@ def check_coupling(m: EnrichedModel, kb: KnowledgeBase) -> bool:
     strictly higher concept rank (min global rank over its extension).
     """
     dom = m.domain
-    g = m.ranks.global_ranks
+    g = m.global_ranks
     n = dom.size
-    aspect_ranks = [ranks for _, ranks in m.ranks.per_aspect]
+    aspect_ranks = [ranks for _, ranks in m.per_aspect]
     viol = _violations(dom, kb)
-    ante_rank: dict[str, int] = {}
+    ante_rank: dict[Concept, int] = {}
     for ax, _ in viol:
-        key = concept_key(ax.lhs)
-        if key not in ante_rank:
+        if ax.lhs not in ante_rank:
             ext = dom.eval(ax.lhs)
-            ante_rank[key] = min(g[i] for i in ext) if ext else -1
+            ante_rank[ax.lhs] = min(g[i] for i in ext) if ext else -1
 
     def cond_a(x: int, y: int) -> bool:
         some = any(r[x] < r[y] for r in aspect_ranks)
@@ -302,8 +287,8 @@ def check_coupling(m: EnrichedModel, kb: KnowledgeBase) -> bool:
             return False
         for ax_j, bad_j in viol:
             if x in bad_j:
-                kj = ante_rank[concept_key(ax_j.lhs)]
-                if not any(y in bad_k and kj < ante_rank[concept_key(ax_k.lhs)]
+                kj = ante_rank[ax_j.lhs]
+                if not any(y in bad_k and kj < ante_rank[ax_k.lhs]
                            for ax_k, bad_k in viol):
                     return False
         return True
@@ -322,6 +307,7 @@ def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
     axioms on the global minimum and (for enriched models) the
     right-hand-side aspect minimum."""
     dom = m.domain
+    aspect_ranks = dict(m.per_aspect)
     for ax in kb.strict:
         if not dom.eval(ax.lhs) <= dom.eval(ax.rhs):
             return False
@@ -330,9 +316,8 @@ def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
         rhs_ext = dom.eval(ax.rhs)
         if not min_global(m, ax.lhs) <= rhs_ext:
             return False
-        if isinstance(m, EnrichedModel):
-            if not _min_by(m.ranks.aspect_rank(ax.rhs), lhs_ext) <= rhs_ext:
-                return False
+        if aspect_ranks and not _min_by(aspect_ranks[ax.rhs], lhs_ext) <= rhs_ext:
+            return False
     return True
 
 
@@ -531,10 +516,8 @@ class _EnrichedSearch:
         return itertools.product(range(self.bound + 1), repeat=len(self.antecedents))
 
 
-def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
-                             rank_bound: Optional[int] = None,
-                             domain: Optional[CanonicalDomain] = None,
-                             ) -> list[EnrichedModel]:
+def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
+                             rank_bound: Optional[int] = None) -> list[Model]:
     """All minimal canonical enriched models (aspect profile fixed at the
     pointwise least admissible one, globals minimised over valid couplings).
 
@@ -542,11 +525,8 @@ def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
     rank vector; guesses whose constraints are cyclic, whose ranks overflow
     the bound, disagree with the guess or leave a rank gap yield no model,
     and the pointwise-minimal survivors are exactly the minimal models. When
-    no guess survives, the error counts the guesses by cause. Without a
-    domain, one is built from a fresh stratification of the KB.
+    no guess survives, the error counts the guesses by cause.
     """
-    if domain is None:
-        domain = build_canonical_domain(RankedTBox(kb), query)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     memo = domain._frontier_memo
     if (kb, bound) not in memo:
@@ -554,11 +534,12 @@ def minimal_canonical_models(kb: KnowledgeBase, query: Optional[Query] = None,
     frontier = memo[kb, bound]
     if isinstance(frontier, dict):
         raise RankBoundExceededError(bound, dict(frontier))
-    return list(frontier)
+    profile, globals_ = frontier
+    return [Model(domain, g, profile) for g in globals_]
 
 
 def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
-                     ) -> Union[tuple[EnrichedModel, ...], dict[str, int]]:
+                     ) -> Union[_Frontier, dict[str, int]]:
     """The frontier of minimal models, or the guesses counted by cause of
     failure when there is none."""
     search = _EnrichedSearch(domain, kb, bound)
@@ -574,35 +555,29 @@ def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
             candidates.setdefault(g)
     if not candidates:
         return causes
-    frontier = [
+    frontier = tuple(
         g for g in candidates
         if not any(o != g and all(a <= b for a, b in zip(o, g)) for o in candidates)
-    ]
-    models = tuple(EnrichedModel(domain, RankAssignment(search.profile, g))
-                   for g in frontier)
-    for m in models:
+    )
+    for g in frontier:
+        m = Model(domain, g, search.profile)
         if not satisfies_kb(m, kb) or not check_coupling(m, kb):
             raise AssertionError("internal error: frontier model failed validation")
-    return models
+    return search.profile, frontier
 
 
-def single_pref_model(kb: KnowledgeBase, query: Optional[Query] = None,
-                      rank_bound: Optional[int] = None,
-                      domain: Optional[CanonicalDomain] = None) -> SinglePrefModel:
+def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
+                      rank_bound: Optional[int] = None) -> Model:
     """The unique minimal single-preference model: the least global ranks
-    under which every defeasible axiom holds on its global minimum. Without
-    a domain, one is built from a fresh stratification of the KB."""
-    if domain is None:
-        domain = build_canonical_domain(RankedTBox(kb), query)
+    under which every defeasible axiom holds on its global minimum."""
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     memo = domain._single_pref_memo
     if (kb, bound) not in memo:
-        g = _least_fixpoint(domain.size, bound, _raise_groups(domain, kb))
-        memo[kb, bound] = None if g is None else SinglePrefModel(domain, g)
-    model = memo[kb, bound]
-    if model is None:
+        memo[kb, bound] = _least_fixpoint(domain.size, bound, _raise_groups(domain, kb))
+    g = memo[kb, bound]
+    if g is None:
         raise RankBoundExceededError(bound)
-    return model
+    return Model(domain, g)
 
 
 def _holds_in(model: Model, query: Query) -> tuple[bool, Optional[int]]:
@@ -616,36 +591,32 @@ def _holds_in(model: Model, query: Query) -> tuple[bool, Optional[int]]:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Per-query result under one semantics, with optional model evidence."""
+    """Per-query result under one semantics. `model` is a witness when the
+    query is entailed and a countermodel, with `counterelement` the element
+    it fails on, when not."""
 
     entailed: bool
-    model: Optional[Model] = None
-    countermodel: Optional[Model] = None
+    model: Model
     counterelement: Optional[int] = None
 
 
-def enriched_entails(kb: KnowledgeBase, query: Query,
-                     rank_bound: Optional[int] = None,
-                     domain: Optional[CanonicalDomain] = None) -> Verdict:
+def enriched_entails(kb: KnowledgeBase, query: Query, domain: CanonicalDomain,
+                     rank_bound: Optional[int] = None) -> Verdict:
     """Entailment over all minimal canonical enriched models."""
-    models = minimal_canonical_models(kb, query, rank_bound, domain)
+    models = minimal_canonical_models(kb, domain, rank_bound)
     for m in models:
         ok, bad = _holds_in(m, query)
         if not ok:
-            return Verdict(False, model=models[0], countermodel=m,
-                           counterelement=bad)
-    return Verdict(True, model=models[0])
+            return Verdict(False, m, bad)
+    return Verdict(True, models[0])
 
 
-def single_pref_entails(kb: KnowledgeBase, query: Query,
-                        rank_bound: Optional[int] = None,
-                        domain: Optional[CanonicalDomain] = None) -> Verdict:
+def single_pref_entails(kb: KnowledgeBase, query: Query, domain: CanonicalDomain,
+                        rank_bound: Optional[int] = None) -> Verdict:
     """Entailment over the minimal canonical single-preference model."""
-    m = single_pref_model(kb, query, rank_bound, domain)
+    m = single_pref_model(kb, domain, rank_bound)
     ok, bad = _holds_in(m, query)
-    if not ok:
-        return Verdict(False, model=m, countermodel=m, counterelement=bad)
-    return Verdict(True, model=m)
+    return Verdict(ok, m, bad)
 
 
 def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
@@ -669,27 +640,25 @@ def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
             if a.typical:
                 ext = _min_by(tuple(global_ranks), ext)
             candidates[a.individual] &= ext
-    role_pairs = [a for a in kb.abox if isinstance(a, RoleAssertion)]
+    role_pairs = [a for a in kb.abox
+                  if isinstance(a, RoleAssertion) and a.role in domain.role_edges]
+    return _assign(domain, individuals, candidates, role_pairs, {})
 
-    def assign(i: int, chosen: dict[str, int]) -> Optional[dict[str, int]]:
-        if i == len(individuals):
-            return dict(chosen)
-        name = individuals[i]
-        for t in sorted(candidates[name]):
-            chosen[name] = t
-            ok = True
-            for a in role_pairs:
-                if a.role not in domain.role_edges:
-                    continue
-                if a.subject in chosen and a.target in chosen:
-                    if (chosen[a.subject], chosen[a.target]) not in domain.role_edges[a.role]:
-                        ok = False
-                        break
-            if ok:
-                out = assign(i + 1, chosen)
-                if out is not None:
-                    return out
-            del chosen[name]
-        return None
 
-    return assign(0, {})
+def _assign(domain: CanonicalDomain, individuals: Sequence[str],
+            candidates: dict[str, set[int]], role_pairs: Sequence[RoleAssertion],
+            chosen: dict[str, int]) -> Optional[dict[str, int]]:
+    """Extends `chosen`, which maps the first individuals, to all of them so
+    that every role pair between chosen individuals is a canonical edge."""
+    if len(chosen) == len(individuals):
+        return dict(chosen)
+    name = individuals[len(chosen)]
+    for t in sorted(candidates[name]):
+        chosen[name] = t
+        if all((chosen[a.subject], chosen[a.target]) in domain.role_edges[a.role]
+               for a in role_pairs if a.subject in chosen and a.target in chosen):
+            out = _assign(domain, individuals, candidates, role_pairs, chosen)
+            if out is not None:
+                return out
+        del chosen[name]
+    return None

@@ -3,54 +3,27 @@
 A knowledge base is split into strict inclusions and defeasible ones. The
 defeasible part is stratified by repeated exceptionality checks: a concept
 is exceptional at a level when the level's material counterpart classically
-forces it empty. Ranks of concepts fall out of the stratification and both
+forces it empty. Ranks of concepts fall out of the stratification as plain
+ints (`math.inf` for a concept exceptional at every level), and both
 defeasible and strict queries reduce to rank comparisons.
 
 The caller owns the stratification: it builds one `RankedTBox` per KB and
 passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
-and `models.build_canonical_domain`. The `RankedTBox` keeps its level TBoxes
-(each with its internalised concept) and its rank memo, so all of it lives
-as long as the caller keeps the `RankedTBox`; this module keeps no state.
+and `models.build_canonical_domain`; the model searches of `models` take the
+domain the caller built from it and never stratify on their own. The
+`RankedTBox` keeps its level TBoxes (each with its internalised concept) and
+its rank memo, so all of it lives as long as the caller keeps the
+`RankedTBox`; this module keeps no state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-from typing import ClassVar, Iterable, Optional, Union
+import math
+from typing import Iterable, Union
 
 from .kb import Defeasible, KnowledgeBase, Strict
 from .syntax import BOT, TOP, And, Concept, Not, Or, concept_key, conjoin
 from .tableau import StrictTBox, entails_strict
-
-
-@total_ordering
-@dataclass(frozen=True)
-class Rank:
-    """A rank value: a natural number or the infinite rank.
-
-    `value` is None for the infinite rank. Ordering puts every finite rank
-    below the infinite one.
-    """
-
-    value: Optional[int]
-
-    INFINITE: ClassVar["Rank"]
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __lt__(self, other: "Rank") -> bool:
-        if self.value is None:
-            return False
-        return other.value is None or self.value < other.value
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
-
-
-Rank.INFINITE = Rank(None)
 
 
 def materialization(axioms: Iterable[Defeasible]) -> Concept:
@@ -73,7 +46,7 @@ class RankedTBox:
     rounds; the sequence is computed to a fixpoint, so the last level
     repeats under one more round. `strict_core` is the classical part, and
     each level's TBox is built once and kept for `rank`, whose answers are
-    memoised per concept.
+    memoised per concept node.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -92,20 +65,20 @@ class RankedTBox:
             tbox = level_tbox(self.strict_core, level)
             self.levels.append(level)
             self._level_tboxes.append(tbox)
-        self._rank_memo: dict[str, Rank] = {}
+        self._rank_memo: dict[Concept, float] = {}
 
-    def rank(self, concept: Concept) -> Rank:
-        """Least level at which the concept is not exceptional, if any."""
-        key = concept_key(concept)
-        hit = self._rank_memo.get(key)
+    def rank(self, concept: Concept) -> float:
+        """Least level at which the concept is not exceptional: an int, or
+        `math.inf` when there is none."""
+        hit = self._rank_memo.get(concept)
         if hit is not None:
             return hit
-        out = Rank.INFINITE
+        out = math.inf
         for i, tbox in enumerate(self._level_tboxes):
             if not entails_strict(tbox, concept, BOT):
-                out = Rank(i)
+                out = i
                 break
-        self._rank_memo[key] = out
+        self._rank_memo[concept] = out
         return out
 
 
@@ -116,7 +89,7 @@ def satisfiable_wrt_kb(ranked: RankedTBox,
         conjunction = concepts
     else:
         conjunction = conjoin(sorted(concepts, key=concept_key))
-    return not ranked.rank(conjunction).is_infinite
+    return ranked.rank(conjunction) < math.inf
 
 
 def is_kb_consistent(ranked: RankedTBox) -> bool:
@@ -126,10 +99,10 @@ def is_kb_consistent(ranked: RankedTBox) -> bool:
 def in_rational_closure(ranked: RankedTBox, query) -> bool:
     """Rank-based entailment of a strict or defeasible inclusion."""
     if isinstance(query, Strict):
-        return ranked.rank(And(query.lhs, Not(query.rhs))).is_infinite
+        return ranked.rank(And(query.lhs, Not(query.rhs))) == math.inf
     if isinstance(query, Defeasible):
         r_lhs = ranked.rank(query.lhs)
-        if r_lhs.is_infinite:
+        if r_lhs == math.inf:
             return True
         return r_lhs < ranked.rank(And(query.lhs, Not(query.rhs)))
     raise TypeError(f"not an inclusion query: {query!r}")

@@ -8,9 +8,11 @@ constructor: it may only wrap the left-hand side of an axiom, so it lives
 in the axiom types, not here.
 
 Each node caches its hash and its `concept_key` text in slots, each the
-first time it is asked for, so both cost O(1) afterwards. The caches belong
-to the node and die with it; there is no table of nodes, and whether a
-cache is filled never changes what a node compares equal to.
+first time it is asked for, so both cost O(1) afterwards. The node itself
+is the key of every memo in the package (concept extensions, ranks); the
+`concept_key` text serves only as a deterministic sort order. The caches
+belong to the node and die with it; there is no table of nodes, and
+whether a cache is filled never changes what a node compares equal to.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Independent oracles used to cross-check the reasoner.
 
-Apart from building canonical domains, nothing here calls the tableau or
-the reasoner's model search. Interpretations are enumerated explicitly:
+Nothing here calls the tableau or the reasoner's model search; canonical
+domains come from the caller. Interpretations are enumerated explicitly:
 concept extensions as bitmasks over tiny domains, rank functions as tuples
 over a canonical domain's types. Entailment over all models, which the
 reasoner never answers, is decided here by pinned least fixpoints. Slow on
@@ -17,19 +17,15 @@ from typing import Iterable, Optional, Sequence
 from typika.kb import KnowledgeBase, Strict
 from typika.models import (
     CanonicalDomain,
-    EnrichedModel,
+    Model,
     Query,
-    RankAssignment,
-    SinglePrefModel,
     _raise_groups,
-    build_canonical_domain,
     canonical_aspect_profile,
     check_coupling,
     default_rank_bound,
     min_global,
     satisfies_kb,
 )
-from typika.ranking import RankedTBox
 from typika.syntax import (
     And,
     Atom,
@@ -131,7 +127,7 @@ def enumerate_single_models(domain: CanonicalDomain, kb: KnowledgeBase,
     """All global rank tuples within the bound that satisfy the KB."""
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
-        if satisfies_kb(SinglePrefModel(domain, g), kb):
+        if satisfies_kb(Model(domain, g), kb):
             out.append(g)
     return out
 
@@ -143,7 +139,7 @@ def enumerate_enriched_globals(domain: CanonicalDomain, kb: KnowledgeBase,
     profile = canonical_aspect_profile(domain, kb)
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
-        m = EnrichedModel(domain, RankAssignment(profile, g))
+        m = Model(domain, g, profile)
         if satisfies_kb(m, kb) and check_coupling(m, kb):
             out.append(g)
     return out
@@ -157,7 +153,7 @@ def pointwise_minima(candidates: Sequence[tuple[int, ...]]) -> list[tuple[int, .
 
 
 def holds_in_ranks(domain: CanonicalDomain, g: Sequence[int], query) -> bool:
-    m = SinglePrefModel(domain, tuple(g))
+    m = Model(domain, tuple(g))
     if isinstance(query, Strict):
         return domain.eval(query.lhs) <= domain.eval(query.rhs)
     return min_global(m, query.lhs) <= domain.eval(query.rhs)
@@ -316,12 +312,10 @@ def _counterexample_pins(domain: CanonicalDomain, query: Query,
 
 
 def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
-                                 rank_bound: Optional[int] = None,
-                                 domain: Optional[CanonicalDomain] = None) -> bool:
+                                 domain: CanonicalDomain,
+                                 rank_bound: Optional[int] = None) -> bool:
     """Whether the query holds in every (not only minimal) single-preference
     model over the canonical domain with ranks within the bound."""
-    if domain is None:
-        domain = build_canonical_domain(RankedTBox(kb), query)
     if isinstance(query, Strict):
         return domain.eval(query.lhs) <= domain.eval(query.rhs)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
@@ -331,13 +325,11 @@ def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
 
 
 def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
-                                   rank_bound: Optional[int] = None,
-                                   domain: Optional[CanonicalDomain] = None) -> bool:
+                                   domain: CanonicalDomain,
+                                   rank_bound: Optional[int] = None) -> bool:
     """Whether the query holds in every enriched model over the canonical
     domain carrying the least admissible aspect profile, ranks within the
     bound."""
-    if domain is None:
-        domain = build_canonical_domain(RankedTBox(kb), query)
     if isinstance(query, Strict):
         return domain.eval(query.lhs) <= domain.eval(query.rhs)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound

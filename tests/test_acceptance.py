@@ -108,7 +108,7 @@ def test_criterion_2_irrelevance(kb_set1):
     for text, want in (("Student", 0),
                        ("(Worker and Student)", 1),
                        ("((Worker and Apprentice) and Student)", 2)):
-        assert rt.rank(parse_concept(text)).value == want, text
+        assert rt.rank(parse_concept(text)) == want, text
     assert in_rational_closure(
         rt, parse_axiom("T((Student and Blond)) => not EarnMoney"))
 

@@ -428,6 +428,28 @@ def test_compare_leaves_no_per_kb_state_alive(capsys, monkeypatch, tmp_path):
     assert [ref() for ref in stratified + domains] == [None] * 4
 
 
+def test_per_kb_state_needs_no_cycle_collection(capsys, monkeypatch, tmp_path):
+    # reference counting alone frees every stratification and domain
+    abox = tmp_path / "abox.kb"
+    abox.write_text(SET3_TEXT + "T(Penguin)(pingu)\nBird(tweety)\nknows(tweety, pingu)\n")
+    stratified = _record_instances(monkeypatch, RankedTBox)
+    domains = _record_instances(monkeypatch, CanonicalDomain)
+    gc.disable()
+    try:
+        codes = [run(capsys, argv)[0] for argv in (
+            ["check", str(abox)],
+            ["query", "--semantics", "single-pref", SET3, "T(Penguin) => not Fly"],
+            ["query", "--semantics", "enriched", SET3, "T(Penguin) => HasNiceFeather"],
+            ["compare", "--json", SET3, SET3_QUERIES],
+        )]
+        alive = [ref() is not None for ref in stratified + domains]
+    finally:
+        gc.enable()
+    assert codes == [0, 0, 0, 0]
+    assert len(stratified) == len(domains) == 4
+    assert alive == [False] * 8
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "ABOX"],
     ["rank", SET1],

@@ -3,15 +3,15 @@ import random
 
 import pytest
 
+import typika.models
 from typika.kb import Defeasible, KnowledgeBase, Strict, aspect_set, subconcept_closure
 from typika.models import (
     CYCLIC,
     KAPPA_MISMATCH,
     OVER_BOUND,
     RANK_GAP,
-    EnrichedModel,
     InconsistentKBError,
-    RankAssignment,
+    Model,
     RankBoundExceededError,
     build_canonical_domain,
     canonical_aspect_profile,
@@ -55,6 +55,11 @@ def atom_signature(domain, i):
 
 def ranks_by_signature(domain, g):
     return {atom_signature(domain, i): r for i, r in enumerate(g)}
+
+
+def frontier_ranks(kb, domain, rank_bound=None):
+    return [(m.global_ranks, m.per_aspect)
+            for m in minimal_canonical_models(kb, domain, rank_bound)]
 
 
 # ---------------------------------------------------------------- domain
@@ -159,7 +164,7 @@ SET3_EXPECTED_SINGLE = {
 
 
 def test_set3_enriched_frontier_frozen(kb_set3):
-    models = minimal_canonical_models(kb_set3)
+    models = minimal_canonical_models(kb_set3, domain_of(kb_set3))
     assert len(models) == 1
     m = models[0]
     assert ranks_by_signature(m.domain, m.global_ranks) == SET3_EXPECTED_GLOBAL
@@ -168,15 +173,16 @@ def test_set3_enriched_frontier_frozen(kb_set3):
 
 
 def test_set3_single_pref_frozen(kb_set3):
-    m = single_pref_model(kb_set3)
+    m = single_pref_model(kb_set3, domain_of(kb_set3))
     assert ranks_by_signature(m.domain, m.global_ranks) == SET3_EXPECTED_SINGLE
     assert satisfies_kb(m, kb_set3)
 
 
 def test_set3_minimal_penguins(kb_set3):
     peng = Atom("Penguin")
-    enriched = minimal_canonical_models(kb_set3)[0]
-    single = single_pref_model(kb_set3)
+    dom = domain_of(kb_set3)
+    enriched = minimal_canonical_models(kb_set3, dom)[0]
+    single = single_pref_model(kb_set3, dom)
     assert {atom_signature(enriched.domain, i) for i in min_global(enriched, peng)} \
         == {frozenset({"Bird", "HasNiceFeather", "Penguin"})}
     assert {atom_signature(single.domain, i) for i in min_global(single, peng)} \
@@ -185,7 +191,7 @@ def test_set3_minimal_penguins(kb_set3):
 
 
 def test_set1_enriched_strata(kb_set1):
-    models = minimal_canonical_models(kb_set1)
+    models = minimal_canonical_models(kb_set1, domain_of(kb_set1))
     assert len(models) == 1
     m = models[0]
     for i in range(m.domain.size):
@@ -206,47 +212,74 @@ def test_set1_enriched_strata(kb_set1):
 def test_entailment_verdicts(kb_set3):
     hnf = parse_axiom("T(Penguin) => HasNiceFeather")
     nofly = parse_axiom("T(Penguin) => not Fly")
-    assert not single_pref_entails(kb_set3, hnf).entailed
-    assert enriched_entails(kb_set3, hnf).entailed
-    assert single_pref_entails(kb_set3, nofly).entailed
-    assert enriched_entails(kb_set3, nofly).entailed
-    v = single_pref_entails(kb_set3, hnf)
-    assert v.countermodel is not None and v.counterelement is not None
-    assert v.counterelement in v.countermodel.domain.eval(Atom("Penguin"))
+    dom = domain_of(kb_set3)
+    assert not single_pref_entails(kb_set3, hnf, dom).entailed
+    assert enriched_entails(kb_set3, hnf, dom).entailed
+    assert single_pref_entails(kb_set3, nofly, dom).entailed
+    assert enriched_entails(kb_set3, nofly, dom).entailed
+    # a negative verdict's model is the countermodel
+    v = single_pref_entails(kb_set3, hnf, dom)
+    assert v.counterelement in v.model.domain.eval(Atom("Penguin"))
+    assert v.counterelement not in v.model.domain.eval(Atom("HasNiceFeather"))
+    assert v.counterelement in min_global(v.model, Atom("Penguin"))
 
 
 def test_strict_queries_are_extensional(kb_set3):
     q = parse_axiom("Penguin => Bird")
-    assert single_pref_entails(kb_set3, q).entailed
-    assert enriched_entails(kb_set3, q).entailed
-    assert entails_in_all_single_models(kb_set3, q)
-    assert entails_in_all_enriched_models(kb_set3, q)
+    dom = domain_of(kb_set3)
+    assert single_pref_entails(kb_set3, q, dom).entailed
+    assert enriched_entails(kb_set3, q, dom).entailed
+    assert entails_in_all_single_models(kb_set3, q, dom)
+    assert entails_in_all_enriched_models(kb_set3, q, dom)
     q2 = parse_axiom("Bird => Penguin")
-    assert not single_pref_entails(kb_set3, q2).entailed
-    assert not enriched_entails(kb_set3, q2).entailed
+    assert not single_pref_entails(kb_set3, q2, dom).entailed
+    assert not enriched_entails(kb_set3, q2, dom).entailed
 
 
 def test_rank_bound_overflow(kb_set3):
+    dom = domain_of(kb_set3)
     with pytest.raises(RankBoundExceededError):
-        minimal_canonical_models(kb_set3, rank_bound=1)
+        minimal_canonical_models(kb_set3, dom, rank_bound=1)
     with pytest.raises(RankBoundExceededError):
-        single_pref_model(kb_set3, rank_bound=1)
+        single_pref_model(kb_set3, dom, rank_bound=1)
     # the default bound is exactly tight for this KB: the flying penguin
     # type needs rank 4
-    assert minimal_canonical_models(kb_set3, rank_bound=4)
+    assert minimal_canonical_models(kb_set3, dom, rank_bound=4)
 
 
 # ------------------------------------------------------ shared domains
 
 
-def test_frontier_is_memoised_per_domain(kb_set3):
+def _count_calls(monkeypatch, name):
+    """Records each call of the `typika.models` function `name`."""
+    calls = []
+    original = getattr(typika.models, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(typika.models, name, counting)
+    return calls
+
+
+def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
+    searches = _count_calls(monkeypatch, "_search_frontier")
+    fixpoints = _count_calls(monkeypatch, "_least_fixpoint")
     dom = domain_of(kb_set3)
     first = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
     again = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
     assert [m.global_ranks for m in again] == [m.global_ranks for m in first]
-    assert all(a is b for a, b in zip(again, first))
+    assert [m.per_aspect for m in again] == [m.per_aspect for m in first]
+    assert len(searches) == 1
     m = single_pref_model(kb_set3, domain=dom, rank_bound=4)
-    assert single_pref_model(kb_set3, domain=dom, rank_bound=4) is m
+    assert single_pref_model(kb_set3, domain=dom, rank_bound=4).global_ranks \
+        == m.global_ranks
+    assert len(fixpoints) == 1
+    # another bound is another search
+    minimal_canonical_models(kb_set3, domain=dom, rank_bound=5)
+    single_pref_model(kb_set3, domain=dom, rank_bound=5)
+    assert len(searches) == len(fixpoints) == 2
 
 
 def test_memo_serves_no_other_bound(kb_set3):
@@ -259,24 +292,24 @@ def test_memo_serves_no_other_bound(kb_set3):
     wide = minimal_canonical_models(kb_set3, domain=dom, rank_bound=7)
     fresh = minimal_canonical_models(
         kb_set3, domain=domain_of(kb_set3), rank_bound=7)
-    assert [m.ranks for m in wide] == [m.ranks for m in fresh]
+    assert [(m.global_ranks, m.per_aspect) for m in wide] \
+        == [(m.global_ranks, m.per_aspect) for m in fresh]
     assert single_pref_model(kb_set3, domain=dom, rank_bound=7).global_ranks == \
-        single_pref_model(kb_set3, rank_bound=7).global_ranks
+        single_pref_model(kb_set3, domain=domain_of(kb_set3), rank_bound=7).global_ranks
 
 
 def test_memo_serves_no_other_kb(kb_set3):
     dom = domain_of(kb_set3)
     full = single_pref_model(kb_set3, domain=dom).global_ranks
-    full_frontier = [m.ranks for m in minimal_canonical_models(kb_set3, domain=dom)]
+    full_frontier = frontier_ranks(kb_set3, dom)
     # the same closure without the penguin exception
     fewer = KnowledgeBase.build(kb_set3.strict + kb_set3.defeasible[:2])
     got = single_pref_model(fewer, domain=dom, rank_bound=4).global_ranks
     other = domain_of(kb_set3)
     assert got == single_pref_model(fewer, domain=other, rank_bound=4).global_ranks
     assert got != full
-    got_frontier = [m.ranks for m in minimal_canonical_models(fewer, domain=dom, rank_bound=4)]
-    assert got_frontier == [m.ranks for m in
-                            minimal_canonical_models(fewer, domain=other, rank_bound=4)]
+    got_frontier = frontier_ranks(fewer, dom, rank_bound=4)
+    assert got_frontier == frontier_ranks(fewer, other, rank_bound=4)
     assert got_frontier != full_frontier
 
 
@@ -293,9 +326,9 @@ def test_failed_search_raises_on_every_call(kb_set3):
 def test_returned_frontier_is_the_callers_own(kb_set3):
     dom = domain_of(kb_set3)
     first = minimal_canonical_models(kb_set3, domain=dom)
-    expect = [m.ranks for m in first]
+    expect = [(m.global_ranks, m.per_aspect) for m in first]
     first.clear()
-    assert [m.ranks for m in minimal_canonical_models(kb_set3, domain=dom)] == expect
+    assert frontier_ranks(kb_set3, dom) == expect
 
 
 # ------------------------------------------- the per-guess enriched solve
@@ -366,7 +399,7 @@ def test_coupling_flags_misordered_models(kb_set3):
     full_bird = next(i for i in range(dom.size)
                      if atom_signature(dom, i) == frozenset({"Bird", "Fly", "HasNiceFeather"}))
     bad_ranks[full_bird] = 4
-    bad = EnrichedModel(dom, RankAssignment(profile, tuple(bad_ranks)))
+    bad = Model(dom, tuple(bad_ranks), profile)
     assert not check_coupling(bad, kb_set3)
 
 
@@ -375,8 +408,8 @@ def test_coupling_converse_flag():
     kb = KnowledgeBase.build([Strict(A, B)])
     dom = domain_of(kb)
     profile = canonical_aspect_profile(dom, kb)
-    flat = EnrichedModel(dom, RankAssignment(profile, (0,) * dom.size))
-    bumpy = EnrichedModel(dom, RankAssignment(profile, (1,) + (0,) * (dom.size - 1)))
+    flat = Model(dom, (0,) * dom.size, profile)
+    bumpy = Model(dom, (1,) + (0,) * (dom.size - 1), profile)
     assert check_coupling(flat, kb)
     assert check_coupling(bumpy, kb)
 
@@ -427,9 +460,9 @@ def test_all_model_entailment_matches_enumeration():
         for q in queries:
             want_single = all(holds_in_ranks(dom, g, q) for g in singles)
             want_enr = all(holds_in_ranks(dom, g, q) for g in enriched)
-            assert entails_in_all_single_models(kb, q, rank_bound=bound, domain=dom) \
+            assert entails_in_all_single_models(kb, q, dom, rank_bound=bound) \
                 == want_single, q
-            assert entails_in_all_enriched_models(kb, q, rank_bound=bound, domain=dom) \
+            assert entails_in_all_enriched_models(kb, q, dom, rank_bound=bound) \
                 == want_enr, q
 
 
@@ -448,7 +481,7 @@ def test_minimal_entailment_agrees_with_rc_on_micro_kbs():
 
 
 def test_abox_mapping(kb_set3):
-    m = single_pref_model(kb_set3)
+    m = single_pref_model(kb_set3, domain_of(kb_set3))
     kb = parse_kb(
         "Penguin => Bird\n"
         "T(Bird) => HasNiceFeather\n"
@@ -465,7 +498,7 @@ def test_abox_mapping(kb_set3):
 
 
 def test_abox_mapping_conflict(kb_set3):
-    m = single_pref_model(kb_set3)
+    m = single_pref_model(kb_set3, domain_of(kb_set3))
     kb = parse_kb(
         "Penguin => Bird\n"
         "T(Bird) => HasNiceFeather\n"
@@ -479,5 +512,5 @@ def test_abox_mapping_conflict(kb_set3):
 
 
 def test_abox_empty_maps_trivially(kb_set3):
-    m = single_pref_model(kb_set3)
+    m = single_pref_model(kb_set3, domain_of(kb_set3))
     assert find_abox_mapping(m.domain, kb_set3, m.global_ranks) == {}

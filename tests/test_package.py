@@ -1,10 +1,12 @@
 """The package surface: what `typika` exports and what it keeps."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 
 import typika
+from typika import models
 
 
 def submodules():
@@ -28,3 +30,23 @@ def test_no_submodule_keeps_a_functools_cache():
     for mod in mods:
         for name, value in vars(mod).items():
             assert not hasattr(value, "cache_info"), f"{mod.__name__}.{name}"
+
+
+def test_model_functions_take_the_callers_domain():
+    # no entry point builds a domain of its own
+    for fn in (models.single_pref_model, models.minimal_canonical_models,
+               models.single_pref_entails, models.enriched_entails):
+        domain = inspect.signature(fn).parameters["domain"]
+        assert domain.default is inspect.Parameter.empty, fn.__name__
+
+
+def test_minimal_models_keep_the_traced_parameter_names():
+    # the benchmark's tracer binds these by name
+    params = inspect.signature(models.minimal_canonical_models).parameters
+    assert {"kb", "rank_bound", "domain"} <= set(params)
+
+
+def test_one_model_type_is_exported():
+    assert "Model" in typika.__all__
+    gone = {"Rank", "RankAssignment", "EnrichedModel", "SinglePrefModel"}
+    assert not gone & set(typika.__all__)

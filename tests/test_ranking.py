@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,6 @@ import typika.ranking
 from typika.kb import Defeasible, KnowledgeBase, Strict
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import (
-    Rank,
     RankedTBox,
     in_rational_closure,
     is_kb_consistent,
@@ -19,13 +19,6 @@ from typika.syntax import And, Atom, Not, Or, TOP
 from oracles import random_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
-
-
-def test_rank_ordering():
-    assert Rank(0) < Rank(1) < Rank.INFINITE
-    assert Rank(2) <= Rank(2) and Rank.INFINITE <= Rank.INFINITE
-    assert Rank.INFINITE.is_infinite and not Rank(5).is_infinite
-    assert str(Rank(3)) == "3" and str(Rank.INFINITE) == "inf"
 
 
 def test_materialization_shape(kb_set3):
@@ -41,11 +34,13 @@ def test_set3_levels_and_ranks(kb_set3):
     rt = RankedTBox(kb_set3)
     assert [len(lv) for lv in rt.levels] == [3, 1, 0]
     assert rt.levels[1] == (Defeasible(Atom("Penguin"), Not(Atom("Fly"))),)
-    assert rt.rank(Atom("Bird")) == Rank(0)
-    assert rt.rank(Atom("Penguin")) == Rank(1)
-    assert rt.rank(parse_concept("(Penguin and Fly)")) == Rank(2)
-    assert rt.rank(parse_concept("(Penguin and not Fly)")) == Rank(1)
-    assert rt.rank(parse_concept("(Penguin and not Bird)")) == Rank.INFINITE
+    assert rt.rank(Atom("Bird")) == 0
+    assert rt.rank(Atom("Penguin")) == 1
+    assert rt.rank(parse_concept("(Penguin and Fly)")) == 2
+    assert rt.rank(parse_concept("(Penguin and not Fly)")) == 1
+    assert rt.rank(parse_concept("(Penguin and not Bird)")) == math.inf
+    # finite ranks are plain ints
+    assert type(rt.rank(Atom("Penguin"))) is int
 
 
 def test_each_level_tbox_is_built_once(kb_set3, monkeypatch):
@@ -68,23 +63,23 @@ def test_each_level_tbox_is_built_once(kb_set3, monkeypatch):
 def test_set1_levels_and_ranks(kb_set1):
     rt = RankedTBox(kb_set1)
     assert [len(lv) for lv in rt.levels] == [3, 2, 1, 0]
-    assert rt.rank(parse_concept("Student")) == Rank(0)
-    assert rt.rank(parse_concept("(Worker and Student)")) == Rank(1)
-    assert rt.rank(parse_concept("((Worker and Apprentice) and Student)")) == Rank(2)
+    assert rt.rank(parse_concept("Student")) == 0
+    assert rt.rank(parse_concept("(Worker and Student)")) == 1
+    assert rt.rank(parse_concept("((Worker and Apprentice) and Student)")) == 2
 
 
 def test_no_defeasible_kb():
     kb = KnowledgeBase.build([Strict(A, B)])
     rt = RankedTBox(kb)
     assert rt.levels == [()]
-    assert rt.rank(A) == Rank(0)
-    assert rt.rank(And(A, Not(B))) == Rank.INFINITE
+    assert rt.rank(A) == 0
+    assert rt.rank(And(A, Not(B))) == math.inf
 
 
 def test_inconsistent_kb():
     rt = RankedTBox(parse_kb("A => bot\ntop => A\n"))
     assert not is_kb_consistent(rt)
-    assert rt.rank(TOP).is_infinite
+    assert rt.rank(TOP) == math.inf
 
 
 def test_totally_exceptional_antecedent():
@@ -92,7 +87,7 @@ def test_totally_exceptional_antecedent():
     rt = RankedTBox(kb)
     # the level sequence stops at its nonempty fixpoint
     assert rt.levels == [tuple(kb.defeasible)]
-    assert rt.rank(A).is_infinite
+    assert rt.rank(A) == math.inf
     assert is_kb_consistent(rt)
 
 
