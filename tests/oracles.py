@@ -1,7 +1,9 @@
 """Independent oracles used to cross-check the reasoner.
 
-Nothing here calls the tableau or the reasoner's model search; canonical
-domains come from the caller. Interpretations are enumerated explicitly:
+Nothing here calls the reasoner's model search, and canonical domains come
+from the caller. Only `tableau_domain` calls the tableau, once per node of
+the literal tree; it is the reference for the type elimination of
+`models.build_canonical_domain`. Interpretations are enumerated explicitly:
 concept extensions as bitmasks over tiny domains, rank functions as tuples
 over a canonical domain's types. Entailment over all models, which the
 reasoner never answers, is decided here by pinned least fixpoints. Slow on
@@ -26,6 +28,7 @@ from typika.models import (
     min_global,
     satisfies_kb,
 )
+from typika.ranking import RankedTBox, satisfiable_wrt_kb
 from typika.syntax import (
     And,
     Atom,
@@ -37,6 +40,7 @@ from typika.syntax import (
     Or,
     Top,
     atom_names,
+    complement,
     role_names,
 )
 from typika.tableau import Witness
@@ -120,6 +124,52 @@ def witness_checks_out(w: Witness, concept: Concept,
                        tbox_pairs: Iterable[tuple[Concept, Concept]] = ()) -> bool:
     interp = witness_interp(w)
     return bool(interp.eval(concept) >> w.root & 1) and interp.satisfies_tbox(tbox_pairs)
+
+
+def tableau_domain(ranked: RankedTBox, closure: Sequence[Concept],
+                   ) -> tuple[tuple[frozenset[Concept], ...], dict]:
+    """The types and role edges of the canonical domain over `closure`.
+
+    Types are the leaves of the literal tree: one literal per positive
+    (non-negated) member in closure order, positive first, and a branch is
+    kept while `satisfiable_wrt_kb` accepts its literals. An edge joins two
+    types when the target holds every filler of the source's universals on
+    the role and no filler of an existential the source lacks.
+    """
+    positives = [c for c in closure if not isinstance(c, Not)]
+    types: list[frozenset[Concept]] = []
+    _extend_types(ranked, positives, [], types)
+    roles = sorted({r for c in closure for r in role_names(c)})
+    edges = {
+        role: frozenset((i, j) for i, x in enumerate(types) for j, y in enumerate(types)
+                        if _role_edge_ok(x, y, role, positives))
+        for role in roles
+    }
+    return tuple(types), edges
+
+
+def _extend_types(ranked: RankedTBox, positives: Sequence[Concept],
+                  chosen: list[Concept], types: list[frozenset[Concept]]) -> None:
+    i = len(chosen)
+    if i == len(positives):
+        types.append(frozenset(chosen))
+        return
+    for literal in (positives[i], complement(positives[i])):
+        chosen.append(literal)
+        if satisfiable_wrt_kb(ranked, chosen):
+            _extend_types(ranked, positives, chosen, types)
+        chosen.pop()
+
+
+def _role_edge_ok(x: frozenset[Concept], y: frozenset[Concept], role: str,
+                  positives: Sequence[Concept]) -> bool:
+    for c in x:
+        if isinstance(c, Forall) and c.role == role and c.sub not in y:
+            return False
+    for p in positives:
+        if isinstance(p, Exists) and p.role == role and p not in x and p.sub in y:
+            return False
+    return True
 
 
 def enumerate_single_models(domain: CanonicalDomain, kb: KnowledgeBase,

@@ -30,6 +30,7 @@ from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure
 from typika.syntax import And, Atom, Exists, Not, concept_key
 
+from corpus import corpus_kbs
 from families import chain, diamond, role_kbs
 from oracles import (
     PairwiseEnrichedSolve,
@@ -39,6 +40,7 @@ from oracles import (
     enumerate_single_models,
     holds_in_ranks,
     pointwise_minima,
+    tableau_domain,
 )
 from test_acceptance import corpus_with_domains
 
@@ -84,13 +86,47 @@ def test_eval_matches_membership(kb_set3, kb_set1):
 
 
 def test_eval_matches_membership_with_roles():
-    kb = parse_kb("exists r. C => D\nA => forall r. C\n")
-    dom = domain_of(kb)
-    assert dom.role_edges.keys() == {"r"}
-    for c in sorted(subconcept_closure(kb), key=concept_key):
-        ext = dom.eval(c)
-        for i, t in enumerate(dom.types):
-            assert (i in ext) == (c in t), (c, i)
+    # the second KB puts a double negation under a restriction
+    for text in ("exists r. C => D\nA => forall r. C\n",
+                 "A => exists r. top\nT(A) => forall r. not not B\n"):
+        kb = parse_kb(text)
+        dom = domain_of(kb)
+        assert dom.role_edges.keys() == {"r"}
+        for c in sorted(subconcept_closure(kb), key=concept_key):
+            if isinstance(c, Not) and isinstance(c.sub, Not):
+                continue  # no type lists a double negation
+            ext = dom.eval(c)
+            for i, t in enumerate(dom.types):
+                assert (i in ext) == (c in t), (c, i)
+
+
+def test_type_elimination_matches_tableau_domain():
+    """Type elimination gives the literal tree's types, in its order, and
+    the same role edges, on the corpus, chains, diamonds, the role KBs and
+    three closures widened by a query.
+
+    A successor must honour the source's `not exists r. F` members as well
+    as its `forall r. E` ones. Checking only the universals still passes
+    the corpus, but `exists-forall`, `forall-exists` and
+    `forall-disjunction` then keep 24, 24 and 48 types where the tableau
+    gives 16, 20 and 40.
+    """
+    roles = role_kbs()
+    cases = [(kb, None) for kb in corpus_kbs()]
+    cases += [(chain(n), None) for n in range(1, 6)]
+    cases += [(diamond(n), None) for n in (1, 2)]
+    cases += [(kb, None) for kb in roles.values()]
+    cases += [
+        (chain(3), parse_axiom("T((C1 and Blond)) => not P")),
+        (roles["successor-exception"], parse_axiom("T(A) => not forall r. A")),
+        (roles["self-loop"], parse_axiom("T((B and exists r. D)) => forall r. C")),
+    ]
+    for kb, query in cases:
+        ranked = RankedTBox(kb)
+        dom = build_canonical_domain(ranked, query)
+        types, edges = tableau_domain(ranked, dom.closure)
+        assert dom.types == types, (kb, query)
+        assert dom.role_edges == edges, (kb, query)
 
 
 def test_inconsistent_kb_has_no_domain():
