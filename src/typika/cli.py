@@ -153,7 +153,8 @@ def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
     if semantics == "rc":
         return in_rational_closure(ranked, query), None
     entails = single_pref_entails if semantics == "single-pref" else enriched_entails
-    v = entails(ranked.kb, query, build_canonical_domain(ranked, query), bound)
+    closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
+    v = entails(ranked.kb, query, build_canonical_domain(ranked, closure), bound)
     return v.entailed, v.model
 
 
@@ -184,7 +185,9 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
                  domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
     """One row of `compare`. Every row shares the KB's stratification, and
     queries whose concepts give the same closure share the domain in
-    `domains`, and with it the memoised minimal models."""
+    `domains`, and with it the memoised minimal models. The row computes
+    its closure once: it keys `domains` and picks the stratification's type
+    table the domain is built from."""
     try:
         query = parse_axiom(raw)
     except KBSyntaxError as exc:
@@ -196,7 +199,7 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
         closure = subconcept_closure(kb, (query.lhs, query.rhs))
         domain = domains.get(closure)
         if domain is None:
-            domain = domains[closure] = build_canonical_domain(ranked, query)
+            domain = domains[closure] = build_canonical_domain(ranked, closure)
         row["singlePref"] = single_pref_entails(kb, query, domain, bound).entailed
         row["enriched"] = enriched_entails(kb, query, domain, bound).entailed
     except (RankBoundExceededError, InconsistentKBError) as exc:
@@ -285,8 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parses, so one parser serves every call
+PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except KBSyntaxError as exc:

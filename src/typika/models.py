@@ -6,15 +6,16 @@ query's two sides when they fall outside it), and passes it to every model
 function here; none of them builds one. Every query whose concepts lie in
 the same closure can share a domain: `compare` builds one per distinct
 closure. Its elements are the maximal KB-satisfiable subsets of the closure
-(types), found by type elimination: the candidate types that satisfy the
-strict axioms and the last level's material counterparts, less those whose
-existential demands no surviving type meets. A role edge joins two types
-when the target honours the source's universal and negated existential
-members, the same successor test the elimination uses. The only tableau
-call a build makes is the KB consistency check. Rank functions over this
-fixed domain stand in for preference relations (lower rank = more typical);
-a `Model` is the domain with its global ranks, plus one rank function per
-aspect for an enriched model. The domain memoises concept extensions and,
+(types): the types that survive type elimination under the strict axioms
+and the last level's material counterparts. The stratification already ran
+that elimination for its ranks, so a build reads the survivors off the
+`RankedTBox`'s type table for the closure and runs none of its own. A role
+edge joins two types when the target honours the source's universal and
+negated existential members, the same successor test the elimination
+uses. A build makes no tableau call. Rank functions over this fixed domain
+stand in for preference relations (lower rank = more typical); a `Model`
+is the domain with its global ranks, plus one rank function per aspect for
+an enriched model. The domain memoises concept extensions and,
 per KB and rank bound, the ranks of its minimal single-pref model and of its
 frontier of minimal enriched models, so the queries sharing a domain search
 for models once. Two regimes are implemented:
@@ -51,7 +52,6 @@ from .kb import (
     RoleAssertion,
     Strict,
     aspect_set,
-    subconcept_closure,
 )
 from .ranking import RankedTBox, is_kb_consistent
 from .syntax import (
@@ -164,189 +164,45 @@ class CanonicalDomain:
         return out
 
 
-def build_canonical_domain(ranked: RankedTBox, query: Optional[Query] = None) -> CanonicalDomain:
-    """Enumerates all maximal KB-satisfiable types over the closure.
+def build_canonical_domain(ranked: RankedTBox,
+                           closure: Optional[frozenset[Concept]] = None) -> CanonicalDomain:
+    """Enumerates all maximal KB-satisfiable types over a closure.
 
-    The closure covers the KB of the stratification and, when given, the
-    query's two sides, so query concepts evaluate by membership. A type is
-    KB-satisfiable when it has finite rank, that is when it is satisfiable
-    under the TBox of the last level (the levels only shrink). Type
-    elimination (`_TypeElimination`) decides this for every type at once,
-    with no tableau call per type, and gives the role edges by the same
-    successor test. The one tableau call left is the consistency check:
-    raises InconsistentKBError when the KB is inconsistent, and
-    AssertionError when the engine leaves no type for a consistent KB.
+    The closure is the KB's own (`ranked.closure`) unless the caller widens
+    it, as `subconcept_closure(kb, (query.lhs, query.rhs))` does for a
+    query, so query concepts evaluate by membership. A type is
+    KB-satisfiable when it has finite rank, that is when it survives the
+    last level's type elimination (the levels only shrink). The types come
+    from the stratification's `TypeTable` for the closure, with no second
+    elimination, and the role edges from the engine's successor test. The
+    domain build makes no tableau call: raises InconsistentKBError when the
+    KB is inconsistent, and AssertionError when the table holds no type for
+    a consistent KB.
     """
     if not is_kb_consistent(ranked):
         raise InconsistentKBError("the knowledge base admits no satisfiable type")
-    kb = ranked.kb
-    extra: tuple[Concept, ...] = ()
-    if query is not None:
-        extra = (query.lhs, query.rhs)
-    closure = tuple(sorted(subconcept_closure(kb, extra), key=concept_key))
-    positives = [c for c in closure if not isinstance(c, Not)]
-    engine = _TypeElimination(positives)
-    codes = engine.eliminate(engine.candidates(kb.strict + ranked.levels[-1]))
-    if not codes:
+    if closure is None:
+        closure = ranked.closure
+    table = ranked.table(closure)
+    if not table.codes:
         raise AssertionError("type elimination left no type for a consistent KB")
-    domain = CanonicalDomain(kb, closure, tuple(engine.literals(c) for c in codes),
-                             engine.successors(codes))
+    engine = table.engine
+    members = tuple(sorted(closure, key=concept_key))
+    positives = [c for c in members if not isinstance(c, Not)]
+    # the truth of each positive, read off its bit or, for a boolean member
+    # the table's closure lacks, off its structure
+    bits = [engine.bit.get(p) for p in positives]
+    rows = sorted(([bool(code & b) if b is not None else engine.holds(p, code)
+                    for p, b in zip(positives, bits)], code)
+                  for code in table.codes)
+    # descending truth rows are the literal tree's order over this closure
+    rows.reverse()
+    types = tuple(frozenset(p if t else complement(p) for p, t in zip(positives, row))
+                  for row, _ in rows)
+    domain = CanonicalDomain(ranked.kb, members, types,
+                             engine.successors([code for _, code in rows]))
     _validate_witnesses(domain, positives)
     return domain
-
-
-class _TypeElimination:
-    """Type elimination (Pratt 1979) over the positive (non-negated)
-    closure members. The closure is closed under subconcepts and single
-    negation and holds both sides of every inclusion, so a type survives
-    exactly when some model of the inclusions realises it.
-
-    A type is coded as an int with one bit per positive, set when the
-    positive holds; the first positive in `concept_key` order gets the
-    highest bit, so descending codes are the order of the literal tree
-    (positive literal first, members in `concept_key` order). Every closure
-    member's truth in a type is one bit read with a polarity: a negation
-    flips the polarity of what it negates.
-    """
-
-    def __init__(self, positives: Sequence[Concept]):
-        self.positives = positives
-        width = len(positives)
-        self.bits = [1 << (width - 1 - k) for k in range(width)]
-        self._bit = dict(zip(positives, self.bits))
-        self.roles = sorted({p.role for p in positives if isinstance(p, (Exists, Forall))})
-        # per role: the bit of each restriction and the masks of its filler
-        self.exists: dict[str, list[tuple[int, int, int]]] = {r: [] for r in self.roles}
-        self.foralls: dict[str, list[tuple[int, int, int]]] = {r: [] for r in self.roles}
-        for p in positives:
-            if isinstance(p, (Exists, Forall)):
-                table = self.exists if isinstance(p, Exists) else self.foralls
-                table[p.role].append((self._bit[p], *self._masks(p.sub)))
-
-    def _masks(self, c: Concept) -> tuple[int, int]:
-        """The bits set and the bits clear in every type c holds in; swapped,
-        the same for `not c`."""
-        holds = True
-        while isinstance(c, Not):
-            c, holds = c.sub, not holds
-        bit = self._bit[c]
-        return (bit, 0) if holds else (0, bit)
-
-    def _holds(self, c: Concept, code: int) -> bool:
-        """Structural truth of c once its atoms and restrictions are coded."""
-        if isinstance(c, (Atom, Exists, Forall)):
-            return bool(code & self._bit[c])
-        if isinstance(c, Not):
-            return not self._holds(c.sub, code)
-        if isinstance(c, And):
-            return self._holds(c.left, code) and self._holds(c.right, code)
-        if isinstance(c, Or):
-            return self._holds(c.left, code) or self._holds(c.right, code)
-        return isinstance(c, Top)
-
-    def _free_bits(self, c: Concept) -> int:
-        """The bits of the atoms and restrictions c's truth depends on."""
-        if isinstance(c, (Atom, Exists, Forall)):
-            return self._bit[c]
-        if isinstance(c, Not):
-            return self._free_bits(c.sub)
-        if isinstance(c, (And, Or)):
-            return self._free_bits(c.left) | self._free_bits(c.right)
-        return 0
-
-    def candidates(self, axioms: Sequence[Union[Strict, Defeasible]]) -> list[int]:
-        """Every code that agrees with structural evaluation on its boolean
-        members and satisfies each axiom as a classical inclusion, in
-        literal-tree order."""
-        free = [b for p, b in zip(self.positives, self.bits)
-                if isinstance(p, (Atom, Exists, Forall))]
-        # an inclusion is checked as soon as every bit it reads is assigned
-        checks: list[list[Union[Strict, Defeasible]]] = [[] for _ in range(len(free) + 1)]
-        for ax in axioms:
-            read = self._free_bits(ax.lhs) | self._free_bits(ax.rhs)
-            last = max((n for n, b in enumerate(free, 1) if read & b), default=0)
-            checks[last].append(ax)
-        codes = [0]
-        for n in range(len(free) + 1):
-            if n:
-                codes = [c | b for c in codes for b in (free[n - 1], 0)]
-            if checks[n]:
-                codes = [c for c in codes
-                         if all(not self._holds(ax.lhs, c) or self._holds(ax.rhs, c)
-                                for ax in checks[n])]
-        derived = [(p, b) for p, b in zip(self.positives, self.bits)
-                   if not isinstance(p, (Atom, Exists, Forall))]
-        codes = [c | sum(b for p, b in derived if self._holds(p, c)) for c in codes]
-        codes.sort(reverse=True)
-        return codes
-
-    def successor_masks(self, code: int, role: str) -> tuple[int, int]:
-        """The bits a role successor of the type must have set and clear: it
-        holds E for each `forall role. E` and not F for each `not exists
-        role. F` of the type."""
-        need = forbid = 0
-        for b, on, off in self.foralls[role]:
-            if code & b:
-                need, forbid = need | on, forbid | off
-        for b, on, off in self.exists[role]:
-            if not code & b:
-                need, forbid = need | off, forbid | on
-        return need, forbid
-
-    def _demands(self, code: int) -> list[tuple[int, int]]:
-        """Per `exists r. C` and `not forall r. D` of the type, the masks of
-        the successor it needs: an r-successor that holds C, or not D."""
-        out = []
-        for role in self.roles:
-            need, forbid = self.successor_masks(code, role)
-            for b, on, off in self.exists[role]:
-                if code & b:
-                    out.append((need | on, forbid | off))
-            for b, on, off in self.foralls[role]:
-                if not code & b:
-                    out.append((need | off, forbid | on))
-        return out
-
-    def eliminate(self, codes: list[int]) -> list[int]:
-        """Drops every code with a demand no surviving code meets, until
-        none is dropped; the survivors keep their order."""
-        demands = {c: self._demands(c) for c in codes}
-        while True:
-            met: dict[tuple[int, int], bool] = {}
-            kept = []
-            for c in codes:
-                for need, forbid in demands[c]:
-                    ok = met.get((need, forbid))
-                    if ok is None:
-                        ok = met[need, forbid] = any(
-                            s & need == need and not s & forbid for s in codes)
-                    if not ok:
-                        break
-                else:
-                    kept.append(c)
-            if len(kept) == len(codes):
-                return codes
-            codes = kept
-
-    def successors(self, codes: Sequence[int]) -> dict[str, tuple[frozenset[int], ...]]:
-        """Per role and type, the types that pass the successor test."""
-        out = {}
-        for role in self.roles:
-            shared: dict[tuple[int, int], frozenset[int]] = {}
-            row = []
-            for c in codes:
-                need, forbid = masks = self.successor_masks(c, role)
-                targets = shared.get(masks)
-                if targets is None:
-                    targets = shared[masks] = frozenset(
-                        j for j, s in enumerate(codes) if s & need == need and not s & forbid)
-                row.append(targets)
-            out[role] = tuple(row)
-        return out
-
-    def literals(self, code: int) -> frozenset[Concept]:
-        return frozenset(p if code & b else complement(p)
-                         for p, b in zip(self.positives, self.bits))
 
 
 def _validate_witnesses(domain: CanonicalDomain, positives: Sequence[Concept]) -> None:

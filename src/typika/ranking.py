@@ -3,26 +3,49 @@
 A knowledge base is split into strict inclusions and defeasible ones. The
 defeasible part is stratified by repeated exceptionality checks: a concept
 is exceptional at a level when the level's material counterpart classically
-forces it empty. Ranks of concepts fall out of the stratification as plain
-ints (`math.inf` for a concept exceptional at every level), and both
-defeasible and strict queries reduce to rank comparisons.
+forces it empty. Both the stratification and the ranks come from type
+elimination (Pratt 1979) over a subconcept closure: level i keeps the types
+that some model of the strict axioms and the material counterparts of
+`levels[i]` realises, an antecedent is exceptional at level i when it holds
+in none of them, and the rank of a concept is the least level at which a
+type holding it survives (Giordano et al., "Semantic characterization of
+rational closure", AIJ 2015). Ranks are plain ints (`math.inf` for a concept
+exceptional at every level), and both defeasible and strict queries reduce
+to rank comparisons. The tableau makes one call per KB, a cross-check of the
+KB's consistency against the engine.
 
 The caller owns the stratification: it builds one `RankedTBox` per KB and
 passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
 and `models.build_canonical_domain`; the model searches of `models` take the
 domain the caller built from it and never stratify on their own. The
-`RankedTBox` keeps its level TBoxes (each with its internalised concept) and
-its rank memo, so all of it lives as long as the caller keeps the
-`RankedTBox`; this module keeps no state.
+`RankedTBox` keeps one `TypeTable` per closure it was asked about (which
+`models.build_canonical_domain` takes its types from) and its rank memo, so
+all of it lives as long as the caller keeps the `RankedTBox`; this module
+keeps no state.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from .kb import Defeasible, KnowledgeBase, Strict
-from .syntax import BOT, TOP, And, Concept, Not, Or, concept_key, conjoin
+from .kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
+from .syntax import (
+    BOT,
+    TOP,
+    And,
+    Atom,
+    Bottom,
+    Concept,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    Top,
+    concept_key,
+    conjoin,
+    subconcepts,
+)
 from .tableau import StrictTBox, entails_strict
 
 
@@ -39,47 +62,267 @@ def level_tbox(strict_core: StrictTBox, level: Iterable[Defeasible]) -> StrictTB
     return strict_core.extended(TOP, materialization(level))
 
 
+class _TypeElimination:
+    """Type elimination (Pratt 1979) over the positive (non-negated) members
+    of a closure. The closure is closed under subconcepts and single
+    negation and holds both sides of every inclusion, so a type survives
+    exactly when some model of the inclusions realises it.
+
+    A type is coded as an int with one bit per positive, set when the
+    positive holds; the first positive in `concept_key` order gets the
+    highest bit, so descending codes are the order of the literal tree
+    (positive literal first, members in `concept_key` order). Every closure
+    member's truth in a type is one bit read with a polarity: a negation
+    flips the polarity of what it negates.
+    """
+
+    def __init__(self, closure: Iterable[Concept]):
+        self.positives = [c for c in sorted(closure, key=concept_key)
+                          if not isinstance(c, Not)]
+        width = len(self.positives)
+        self.bits = [1 << (width - 1 - k) for k in range(width)]
+        self.bit = dict(zip(self.positives, self.bits))
+        self.roles = sorted({p.role for p in self.positives if isinstance(p, (Exists, Forall))})
+        # per role: the bit of each restriction and the masks of its filler
+        self.exists: dict[str, list[tuple[int, int, int]]] = {r: [] for r in self.roles}
+        self.foralls: dict[str, list[tuple[int, int, int]]] = {r: [] for r in self.roles}
+        for p in self.positives:
+            if isinstance(p, (Exists, Forall)):
+                table = self.exists if isinstance(p, Exists) else self.foralls
+                table[p.role].append((self.bit[p], *self._masks(p.sub)))
+
+    def _masks(self, c: Concept) -> tuple[int, int]:
+        """The bits set and the bits clear in every type c holds in; swapped,
+        the same for `not c`."""
+        holds = True
+        while isinstance(c, Not):
+            c, holds = c.sub, not holds
+        bit = self.bit[c]
+        return (bit, 0) if holds else (0, bit)
+
+    def holds(self, c: Concept, code: int) -> bool:
+        """Structural truth of c once its atoms and restrictions are coded."""
+        if isinstance(c, (Atom, Exists, Forall)):
+            return bool(code & self.bit[c])
+        if isinstance(c, Not):
+            return not self.holds(c.sub, code)
+        if isinstance(c, And):
+            return self.holds(c.left, code) and self.holds(c.right, code)
+        if isinstance(c, Or):
+            return self.holds(c.left, code) or self.holds(c.right, code)
+        return isinstance(c, Top)
+
+    def _free_bits(self, c: Concept) -> int:
+        """The bits of the atoms and restrictions c's truth depends on."""
+        if isinstance(c, (Atom, Exists, Forall)):
+            return self.bit[c]
+        if isinstance(c, Not):
+            return self._free_bits(c.sub)
+        if isinstance(c, (And, Or)):
+            return self._free_bits(c.left) | self._free_bits(c.right)
+        return 0
+
+    def candidates(self, axioms: Sequence[Union[Strict, Defeasible]]) -> list[int]:
+        """Every code that agrees with structural evaluation on its boolean
+        members and satisfies each axiom as a classical inclusion, in
+        literal-tree order."""
+        free = [b for p, b in zip(self.positives, self.bits)
+                if isinstance(p, (Atom, Exists, Forall))]
+        # an inclusion is checked as soon as every bit it reads is assigned
+        checks: list[list[Union[Strict, Defeasible]]] = [[] for _ in range(len(free) + 1)]
+        for ax in axioms:
+            read = self._free_bits(ax.lhs) | self._free_bits(ax.rhs)
+            last = max((n for n, b in enumerate(free, 1) if read & b), default=0)
+            checks[last].append(ax)
+        codes = [0]
+        for n in range(len(free) + 1):
+            if n:
+                codes = [c | b for c in codes for b in (free[n - 1], 0)]
+            if checks[n]:
+                codes = [c for c in codes
+                         if all(not self.holds(ax.lhs, c) or self.holds(ax.rhs, c)
+                                for ax in checks[n])]
+        derived = [(p, b) for p, b in zip(self.positives, self.bits)
+                   if not isinstance(p, (Atom, Exists, Forall))]
+        codes = [c | sum(b for p, b in derived if self.holds(p, c)) for c in codes]
+        codes.sort(reverse=True)
+        return codes
+
+    def successor_masks(self, code: int, role: str) -> tuple[int, int]:
+        """The bits a role successor of the type must have set and clear: it
+        holds E for each `forall role. E` and not F for each `not exists
+        role. F` of the type."""
+        need = forbid = 0
+        for b, on, off in self.foralls[role]:
+            if code & b:
+                need, forbid = need | on, forbid | off
+        for b, on, off in self.exists[role]:
+            if not code & b:
+                need, forbid = need | off, forbid | on
+        return need, forbid
+
+    def _demands(self, code: int) -> list[tuple[int, int]]:
+        """Per `exists r. C` and `not forall r. D` of the type, the masks of
+        the successor it needs: an r-successor that holds C, or not D."""
+        out = []
+        for role in self.roles:
+            need, forbid = self.successor_masks(code, role)
+            for b, on, off in self.exists[role]:
+                if code & b:
+                    out.append((need | on, forbid | off))
+            for b, on, off in self.foralls[role]:
+                if not code & b:
+                    out.append((need | off, forbid | on))
+        return out
+
+    def eliminate(self, codes: list[int]) -> list[int]:
+        """Drops every code with a demand no surviving code meets, until
+        none is dropped; the survivors keep their order."""
+        demands = {c: self._demands(c) for c in codes}
+        while True:
+            met: dict[tuple[int, int], bool] = {}
+            kept = []
+            for c in codes:
+                for need, forbid in demands[c]:
+                    ok = met.get((need, forbid))
+                    if ok is None:
+                        ok = met[need, forbid] = any(
+                            s & need == need and not s & forbid for s in codes)
+                    if not ok:
+                        break
+                else:
+                    kept.append(c)
+            if len(kept) == len(codes):
+                return codes
+            codes = kept
+
+    def successors(self, codes: Sequence[int]) -> dict[str, tuple[frozenset[int], ...]]:
+        """Per role and type, the types that pass the successor test."""
+        out = {}
+        for role in self.roles:
+            shared: dict[tuple[int, int], frozenset[int]] = {}
+            row = []
+            for c in codes:
+                need, forbid = masks = self.successor_masks(c, role)
+                targets = shared.get(masks)
+                if targets is None:
+                    targets = shared[masks] = frozenset(
+                        j for j, s in enumerate(codes) if s & need == need and not s & forbid)
+                row.append(targets)
+            out[role] = tuple(row)
+        return out
+
+
+class TypeTable:
+    """The types over one closure, each with the first level it survives.
+
+    `codes` are the types that survive the last level, in descending code
+    order (the literal tree's order), and `engine` reads them. The levels
+    only shrink, so the survivors only grow from one level to the next, and
+    a concept's rank is the least level at which a type holding it survives.
+    A concept's extension is evaluated structurally as a bitmask over
+    `codes`; its atoms and restrictions must be members of the closure.
+    """
+
+    def __init__(self, engine: _TypeElimination, survivors: Sequence[list[int]]):
+        self.engine = engine
+        self.codes = survivors[-1]
+        index = {c: j for j, c in enumerate(self.codes)}
+        # per level, its survivors as a bitmask over `codes`
+        self._alive = [sum(1 << index[c] for c in alive) for alive in survivors]
+        self._full = (1 << len(self.codes)) - 1
+        self._leaf_ext: dict[Concept, int] = {}
+
+    def rank(self, concept: Concept) -> float:
+        ext = self._ext(concept)
+        for i, alive in enumerate(self._alive):
+            if ext & alive:
+                return i
+        return math.inf
+
+    def _ext(self, c: Concept) -> int:
+        if isinstance(c, (Atom, Exists, Forall)):
+            ext = self._leaf_ext.get(c)
+            if ext is None:
+                bit = self.engine.bit[c]
+                ext = self._leaf_ext[c] = sum(
+                    1 << j for j, code in enumerate(self.codes) if code & bit)
+            return ext
+        if isinstance(c, Not):
+            return self._full ^ self._ext(c.sub)
+        if isinstance(c, And):
+            return self._ext(c.left) & self._ext(c.right)
+        if isinstance(c, Or):
+            return self._ext(c.left) | self._ext(c.right)
+        if isinstance(c, Top):
+            return self._full
+        if isinstance(c, Bottom):
+            return 0
+        raise TypeError(f"not a concept: {c!r}")
+
+
 class RankedTBox:
     """The stratification of a knowledge base by exceptionality.
 
     `levels[i]` holds the defeasible axioms still exceptional after i
     rounds; the sequence is computed to a fixpoint, so the last level
-    repeats under one more round. `strict_core` is the classical part, and
-    each level's TBox is built once and kept for `rank`, whose answers are
-    memoised per concept node.
+    repeats under one more round. Each round runs type elimination once over
+    the KB's own closure (`closure`): an axiom stays when no type surviving
+    the level holds its antecedent. The survivors make the KB's
+    `TypeTable`. A concept with an atom or restriction outside the closure
+    is ranked on a table over the closure widened by those, with the same
+    levels; `table` builds each once and keeps it. Ranks are memoised per
+    concept node. The constructor makes exactly one tableau call: the
+    consistency of the last level's TBox, which must agree with whether any
+    type survives it.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
-        self.strict_core = StrictTBox.from_axioms(kb.strict)
+        self.closure = subconcept_closure(kb)
+        engine = _TypeElimination(self.closure)
         level = tuple(kb.defeasible)
-        tbox = level_tbox(self.strict_core, level)
         self.levels: list[tuple[Defeasible, ...]] = [level]
-        self._level_tboxes = [tbox]
+        survivors = []
         while True:
+            alive = engine.eliminate(engine.candidates(kb.strict + level))
+            survivors.append(alive)
             # an axiom stays when the level forces its antecedent empty
-            nxt = tuple(ax for ax in level if entails_strict(tbox, ax.lhs, BOT))
+            nxt = tuple(ax for ax in level
+                        if not any(engine.holds(ax.lhs, c) for c in alive))
             if nxt == level:
                 break
             level = nxt
-            tbox = level_tbox(self.strict_core, level)
             self.levels.append(level)
-            self._level_tboxes.append(tbox)
+        self._tables = {frozenset(): TypeTable(engine, survivors)}
         self._rank_memo: dict[Concept, float] = {}
+        tbox = level_tbox(StrictTBox.from_axioms(kb.strict), level)
+        if entails_strict(tbox, TOP, BOT) == bool(alive):
+            raise AssertionError("type elimination and the tableau disagree on "
+                                 "the consistency of the knowledge base")
+
+    def table(self, concepts: Iterable[Concept]) -> TypeTable:
+        """The table over the KB's closure widened by the atoms and
+        restrictions of `concepts` it lacks (the KB's own table when there
+        are none), memoised per widening."""
+        fresh = frozenset(s for c in concepts if c not in self.closure
+                          for s in subconcepts(c)
+                          if isinstance(s, (Atom, Exists, Forall)) and s not in self.closure)
+        table = self._tables.get(fresh)
+        if table is None:
+            engine = _TypeElimination(subconcept_closure(self.kb, fresh))
+            table = self._tables[fresh] = TypeTable(engine, [
+                engine.eliminate(engine.candidates(self.kb.strict + level))
+                for level in self.levels])
+        return table
 
     def rank(self, concept: Concept) -> float:
         """Least level at which the concept is not exceptional: an int, or
         `math.inf` when there is none."""
         hit = self._rank_memo.get(concept)
-        if hit is not None:
-            return hit
-        out = math.inf
-        for i, tbox in enumerate(self._level_tboxes):
-            if not entails_strict(tbox, concept, BOT):
-                out = i
-                break
-        self._rank_memo[concept] = out
-        return out
+        if hit is None:
+            hit = self._rank_memo[concept] = self.table((concept,)).rank(concept)
+        return hit
 
 
 def satisfiable_wrt_kb(ranked: RankedTBox,

@@ -8,8 +8,10 @@ chosen in a fixed scan order, so runs are deterministic; the non-branching
 rules are monotone and reach the same fixpoint in any order.
 
 Each `StrictTBox` computes its internalised concept once, on first use, and
-keeps it, so the cache lives exactly as long as the TBox does: the level
-TBoxes of a `ranking.RankedTBox` share its lifetime.
+keeps it, so the cache lives exactly as long as the TBox does. The reasoner
+calls the tableau once per knowledge base: `ranking.RankedTBox` checks the
+consistency of its last level's TBox against type elimination, which gives
+the stratification, the ranks and the canonical domain.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Independent oracles used to cross-check the reasoner.
 
 Nothing here calls the reasoner's model search, and canonical domains come
-from the caller. Only `tableau_domain` calls the tableau, once per node of
-the literal tree; it is the reference for the type elimination of
+from the caller. Two oracles call the tableau: `TableauRanks` stratifies a
+KB and ranks concepts with one call per level, the reference for the type
+elimination of `ranking.RankedTBox`, and `tableau_domain` makes one call
+per node of the literal tree, the reference for
 `models.build_canonical_domain`. Interpretations are enumerated explicitly:
 concept extensions as bitmasks over tiny domains, rank functions as tuples
 over a canonical domain's types. Entailment over all models, which the
@@ -13,10 +15,11 @@ purpose, trusted because it is simple.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from typika.kb import KnowledgeBase, Strict
+from typika.kb import Defeasible, KnowledgeBase, Strict
 from typika.models import (
     CanonicalDomain,
     Model,
@@ -28,8 +31,9 @@ from typika.models import (
     min_global,
     satisfies_kb,
 )
-from typika.ranking import RankedTBox, satisfiable_wrt_kb
+from typika.ranking import level_tbox
 from typika.syntax import (
+    BOT,
     And,
     Atom,
     Bottom,
@@ -41,9 +45,11 @@ from typika.syntax import (
     Top,
     atom_names,
     complement,
+    concept_key,
+    conjoin,
     role_names,
 )
-from typika.tableau import Witness
+from typika.tableau import StrictTBox, Witness, entails_strict
 
 
 @dataclass(frozen=True)
@@ -126,19 +132,50 @@ def witness_checks_out(w: Witness, concept: Concept,
     return bool(interp.eval(concept) >> w.root & 1) and interp.satisfies_tbox(tbox_pairs)
 
 
-def tableau_domain(ranked: RankedTBox, closure: Sequence[Concept],
+class TableauRanks:
+    """The stratification of a KB and concept ranks by the tableau.
+
+    `levels[i]` holds the defeasible axioms still exceptional after i
+    rounds, to a fixpoint; an axiom stays when the strict axioms plus the
+    level's material counterparts, asserted globally (`tboxes[i]`), force
+    its antecedent empty. A concept's rank is the least level whose TBox
+    does not force it empty, one `entails_strict` call per level tried.
+    """
+
+    def __init__(self, kb: KnowledgeBase):
+        core = StrictTBox.from_axioms(kb.strict)
+        level = tuple(kb.defeasible)
+        self.levels: list[tuple[Defeasible, ...]] = [level]
+        self.tboxes = [level_tbox(core, level)]
+        while True:
+            nxt = tuple(ax for ax in level if entails_strict(self.tboxes[-1], ax.lhs, BOT))
+            if nxt == level:
+                break
+            level = nxt
+            self.levels.append(level)
+            self.tboxes.append(level_tbox(core, level))
+
+    def rank(self, concept: Concept) -> float:
+        for i, tbox in enumerate(self.tboxes):
+            if not entails_strict(tbox, concept, BOT):
+                return i
+        return math.inf
+
+
+def tableau_domain(kb: KnowledgeBase, closure: Sequence[Concept],
                    ) -> tuple[tuple[frozenset[Concept], ...], dict]:
     """The types and role edges of the canonical domain over `closure`.
 
     Types are the leaves of the literal tree: one literal per positive
     (non-negated) member in closure order, positive first, and a branch is
-    kept while `satisfiable_wrt_kb` accepts its literals. An edge joins two
+    kept while its literals are satisfiable under the last level's TBox of
+    `TableauRanks`, that is while they have finite rank. An edge joins two
     types when the target holds every filler of the source's universals on
     the role and no filler of an existential the source lacks.
     """
     positives = [c for c in closure if not isinstance(c, Not)]
     types: list[frozenset[Concept]] = []
-    _extend_types(ranked, positives, [], types)
+    _extend_types(TableauRanks(kb).tboxes[-1], positives, [], types)
     roles = sorted({r for c in closure for r in role_names(c)})
     edges = {
         role: frozenset((i, j) for i, x in enumerate(types) for j, y in enumerate(types)
@@ -148,7 +185,7 @@ def tableau_domain(ranked: RankedTBox, closure: Sequence[Concept],
     return tuple(types), edges
 
 
-def _extend_types(ranked: RankedTBox, positives: Sequence[Concept],
+def _extend_types(last: StrictTBox, positives: Sequence[Concept],
                   chosen: list[Concept], types: list[frozenset[Concept]]) -> None:
     i = len(chosen)
     if i == len(positives):
@@ -156,8 +193,8 @@ def _extend_types(ranked: RankedTBox, positives: Sequence[Concept],
         return
     for literal in (positives[i], complement(positives[i])):
         chosen.append(literal)
-        if satisfiable_wrt_kb(ranked, chosen):
-            _extend_types(ranked, positives, chosen, types)
+        if not entails_strict(last, conjoin(sorted(chosen, key=concept_key)), BOT):
+            _extend_types(last, positives, chosen, types)
         chosen.pop()
 
 

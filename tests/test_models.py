@@ -48,7 +48,8 @@ A, B, C = Atom("A"), Atom("B"), Atom("C")
 
 
 def domain_of(kb, query=None):
-    return build_canonical_domain(RankedTBox(kb), query)
+    extra = () if query is None else (query.lhs, query.rhs)
+    return build_canonical_domain(RankedTBox(kb), subconcept_closure(kb, extra))
 
 
 def atom_signature(domain, i):
@@ -122,9 +123,8 @@ def test_type_elimination_matches_tableau_domain():
         (roles["self-loop"], parse_axiom("T((B and exists r. D)) => forall r. C")),
     ]
     for kb, query in cases:
-        ranked = RankedTBox(kb)
-        dom = build_canonical_domain(ranked, query)
-        types, edges = tableau_domain(ranked, dom.closure)
+        dom = domain_of(kb, query)
+        types, edges = tableau_domain(kb, dom.closure)
         assert dom.types == types, (kb, query)
         assert dom.role_edges == edges, (kb, query)
 

@@ -3,20 +3,23 @@ import random
 
 import pytest
 
-import typika.ranking
-from typika.kb import Defeasible, KnowledgeBase, Strict
+import typika.tableau
+from typika.cli import main
+from typika.kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import (
     RankedTBox,
     in_rational_closure,
     is_kb_consistent,
-    level_tbox,
     materialization,
     satisfiable_wrt_kb,
 )
-from typika.syntax import And, Atom, Not, Or, TOP
+from typika.syntax import And, Atom, Not, Or, TOP, concept_key
 
-from oracles import random_concept
+from conftest import KBS
+from corpus import corpus_kbs
+from families import chain, diamond, role_kbs
+from oracles import TableauRanks, random_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -43,21 +46,60 @@ def test_set3_levels_and_ranks(kb_set3):
     assert type(rt.rank(Atom("Penguin"))) is int
 
 
-def test_each_level_tbox_is_built_once(kb_set3, monkeypatch):
-    built = []
+def test_one_tableau_call_per_kb(kb_set3, monkeypatch, capsys):
+    """Stratifying a KB makes exactly one tableau call, the consistency
+    cross-check; ranks, fresh-atom ones included, and rational-closure
+    verdicts make none, and neither does `compare`'s domain build."""
+    calls = []
+    original = typika.tableau.is_satisfiable
 
-    def counting(strict_core, level):
-        built.append(level_tbox(strict_core, level))
-        return built[-1]
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(typika.ranking, "level_tbox", counting)
+    monkeypatch.setattr(typika.tableau, "is_satisfiable", counting)
     rt = RankedTBox(kb_set3)
-    for text in ("Bird", "Penguin", "(Penguin and Fly)", "(Penguin and not Bird)"):
+    assert len(calls) == 1
+    for text in ("Bird", "Penguin", "(Penguin and Fly)", "(Penguin and not Bird)",
+                 "(Penguin and Blond)"):
         rt.rank(parse_concept(text))
-    assert len(built) == len(rt.levels) == 3
-    # ranks are read off the same TBoxes, each internalised once
-    assert all(a is b for a, b in zip(built, rt._level_tboxes))
-    assert all("internalized" in vars(tbox) for tbox in built)
+    for text in ("T(Bird) => Fly", "T(Penguin) => HasNiceFeather",
+                 "T((Penguin and Blond)) => not Fly", "Penguin => Bird"):
+        in_rational_closure(rt, parse_axiom(text))
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["compare", "--json", str(KBS / "set3.kb"),
+                 str(KBS / "set3_queries.txt")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_ranks_match_tableau_reference():
+    """Type elimination gives the levels and ranks of the tableau-driven
+    reference (`oracles.TableauRanks`) on the corpus, `chain(1..5)`,
+    `diamond(1..3)` and the role KBs: 27,320 ranks of every closure member,
+    every `C and not D` over closure pairs, and every member conjoined with
+    a fresh atom.
+
+    Mutation checks in a copy of the code: ranking every type at the last
+    level's survivors (every finite rank 0) fails on the first corpus KB,
+    and skipping `eliminate` fails on the role KB `exists-forall`, which
+    then loses its middle level.
+    """
+    kbs = corpus_kbs() + [chain(n) for n in range(1, 6)]
+    kbs += [diamond(n) for n in (1, 2, 3)] + list(role_kbs().values())
+    blond = Atom("Blond")
+    count = 0
+    for kb in kbs:
+        members = sorted(subconcept_closure(kb), key=concept_key)
+        concepts = members + [And(c, Not(d)) for c in members for d in members]
+        concepts += [And(c, blond) for c in members]
+        reference, rt = TableauRanks(kb), RankedTBox(kb)
+        assert rt.levels == reference.levels, kb
+        for c in concepts:
+            assert rt.rank(c) == reference.rank(c), (kb, c)
+        count += len(concepts)
+    assert count == 27320
 
 
 def test_set1_levels_and_ranks(kb_set1):
