@@ -31,11 +31,22 @@ for models once. Two regimes are implemented:
   (antecedent members at least their guess, violators one above it) and
   orders the elements by two coupling rules that read only an element's
   class (its aspect-violation set and the highest guess among the axioms
-  it violates). The least global ranks are then the longest path from the
-  seeds over the class graph; a cycle, an overflow, a disagreement with the
-  guess or a rank gap discards the guess. The pointwise-minimal survivors
-  are the minimal models; when none survives, the error counts the
-  guesses by cause.
+  it violates). A cycle between the rules is one pair of classes they
+  order both ways, and otherwise the least global ranks are the longest
+  path from the seeds, taken class by class in rule order; a cycle, an
+  overflow, a disagreement with the guess or a rank gap discards the
+  guess. The pointwise-minimal survivors are the minimal models; when none
+  survives, the error counts the guesses by cause.
+
+The search reads an element only through the KB-closure members it holds,
+so its result is a function of the set of KB types (the element's type
+projected onto the KB's own closure) the domain covers. Each domain
+carries its elements' projected codes, and the search runs once per KB
+type set and bound: the `RankedTBox` keeps its result as ranks per
+projected code, every domain built from it lifts that to its own elements
+and checks the lifted models against the KB and the coupling rules. So a
+row widened by a boolean combination of KB members, or by a fresh atom that
+splits every type in two, reuses the KB's own search.
 """
 
 from __future__ import annotations
@@ -103,22 +114,30 @@ class CanonicalDomain:
 
     `types[i]` is the literal set of element i over the closure, and
     `successors[role][i]` the elements its role edges reach; `role_edges`
-    lists the same edges as (i, j) pairs. Concept extensions are computed
-    structurally and memoised. The minimal models over the domain are
-    memoised per (KB, rank bound); a failed search is memoised too (an
-    enriched one with its guesses counted by cause) and raises the same
-    error again. The memos hold rank tuples, never models, so nothing in
-    them points back at the domain. Instances compare by identity; models
-    built over the same instance share it.
+    lists the same edges as (i, j) pairs. `codes[i]` is element i's type
+    projected onto the KB's own closure, coded as the KB's type table codes
+    it. Concept extensions are computed structurally and memoised. The
+    minimal models over the domain are memoised per (KB, rank bound); a
+    failed search is memoised too (an enriched one with its guesses counted
+    by cause) and raises the same error again. `searches` is the memo of
+    enriched searches per KB type set that every domain built from one
+    `RankedTBox` shares. The memos hold rank tuples, never models, so
+    nothing in them points back at a domain. Instances compare by identity;
+    models built over the same instance share it.
     """
 
     def __init__(self, kb: KnowledgeBase, closure: tuple[Concept, ...],
                  types: tuple[frozenset[Concept], ...],
-                 successors: dict[str, tuple[frozenset[int], ...]]):
+                 successors: dict[str, tuple[frozenset[int], ...]],
+                 codes: tuple[int, ...],
+                 searches: dict[tuple[int, frozenset[int]],
+                                Union[_TypeSetFrontier, dict[str, int]]]):
         self.kb = kb
         self.closure = closure
         self.types = types
         self.successors = successors
+        self.codes = codes
+        self.searches = searches
         self._eval_memo: dict[Concept, frozenset[int]] = {}
         self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[tuple[int, ...]]] = {}
         self._frontier_memo: dict[tuple[KnowledgeBase, int], Union[_Frontier, dict[str, int]]] = {}
@@ -174,10 +193,11 @@ def build_canonical_domain(ranked: RankedTBox,
     KB-satisfiable when it has finite rank, that is when it survives the
     last level's type elimination (the levels only shrink). The types come
     from the stratification's `TypeTable` for the closure, with no second
-    elimination, and the role edges from the engine's successor test. The
-    domain build makes no tableau call: raises InconsistentKBError when the
-    KB is inconsistent, and AssertionError when the table holds no type for
-    a consistent KB.
+    elimination, and the role edges from the engine's successor test. Each
+    element's projected code reads the KB's members off the table's bits,
+    and the domain shares `ranked.searches`. The domain build makes no
+    tableau call: raises InconsistentKBError when the KB is inconsistent,
+    and AssertionError when the table holds no type for a consistent KB.
     """
     if not is_kb_consistent(ranked):
         raise InconsistentKBError("the knowledge base admits no satisfiable type")
@@ -199,8 +219,15 @@ def build_canonical_domain(ranked: RankedTBox,
     rows.reverse()
     types = tuple(frozenset(p if t else complement(p) for p, t in zip(positives, row))
                   for row, _ in rows)
-    domain = CanonicalDomain(ranked.kb, members, types,
-                             engine.successors([code for _, code in rows]))
+    ordered = [code for _, code in rows]
+    codes = ordered
+    own = ranked.table(())
+    if table is not own:
+        # a widened table codes the KB's members at bits of its own
+        moves = [(engine.bit[p], b) for p, b in own.engine.bit.items()]
+        codes = [sum(b for bit, b in moves if code & bit) for code in ordered]
+    domain = CanonicalDomain(ranked.kb, members, types, engine.successors(ordered),
+                             tuple(codes), ranked.searches)
     _validate_witnesses(domain, positives)
     return domain
 
@@ -255,39 +282,35 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     Rule (b) forces x below y when y violates an axiom and every axiom
     violated by x is outdone by one violated by y whose antecedent has a
     strictly higher concept rank (min global rank over its extension).
+    Both rules are tested literally on every pair not already in order.
     """
     dom = m.domain
     g = m.global_ranks
     n = dom.size
-    aspect_ranks = [ranks for _, ranks in m.per_aspect]
     viol = _violations(dom, kb)
     ante_rank: dict[Concept, int] = {}
     for ax, _ in viol:
         if ax.lhs not in ante_rank:
             ext = dom.eval(ax.lhs)
             ante_rank[ax.lhs] = min(g[i] for i in ext) if ext else -1
+    # per element: its rank in each aspect, and the concept rank of the
+    # antecedent of each axiom it violates
+    aspect_ranks = [tuple(ranks[i] for _, ranks in m.per_aspect) for i in range(n)]
+    outdone = [tuple(ante_rank[ax.lhs] for ax, bad in viol if i in bad) for i in range(n)]
 
     def cond_a(x: int, y: int) -> bool:
-        some = any(r[x] < r[y] for r in aspect_ranks)
-        none_back = all(r[y] >= r[x] for r in aspect_ranks)
+        rx, ry = aspect_ranks[x], aspect_ranks[y]
+        some = any(a < b for a, b in zip(rx, ry))
+        none_back = all(b >= a for a, b in zip(rx, ry))
         return some and none_back
 
     def cond_b(x: int, y: int) -> bool:
-        if not any(y in bad for _, bad in viol):
-            return False
-        for ax_j, bad_j in viol:
-            if x in bad_j:
-                kj = ante_rank[ax_j.lhs]
-                if not any(y in bad_k and kj < ante_rank[ax_k.lhs]
-                           for ax_k, bad_k in viol):
-                    return False
-        return True
+        ky = outdone[y]
+        return bool(ky) and all(any(kj < kk for kk in ky) for kj in outdone[x])
 
     for x in range(n):
         for y in range(n):
-            if x == y:
-                continue
-            if (cond_a(x, y) or cond_b(x, y)) and not g[x] < g[y]:
+            if x != y and not g[x] < g[y] and (cond_a(x, y) or cond_b(x, y)):
                 return False
     return True
 
@@ -394,12 +417,18 @@ class _EnrichedSearch:
       the axioms i violates (-1 if none).
 
     Both rules read only an element's key (violation set, m), so the
-    elements sharing a key form one class and the orders form a graph over
-    the classes. A cycle admits no ranks; otherwise g is the longest path
-    from the seeds, taken in Kahn order, in O(n + C²) for C classes. The
-    guess is kept only when the least rank over each antecedent is κ_j;
-    then the seeds honour the raise rule exactly, so the result is the
-    least fixpoint of the pairwise constraints, not an approximation.
+    elements sharing a key form one class and the orders run between
+    classes. Rule (b) orders classes by m, so a cycle needs a class (v, m)
+    below (w, m') by rule (a), v ⊂ w, with m > m'; that is a two-class
+    cycle, and it admits no ranks. Otherwise every class a class (w, m')
+    is forced above has m < m', or m = m' and a violation set inside w.
+    So g is the longest path from the seeds, taken level by level in m and
+    within a level by ascending set size, with no graph built: per guess
+    O(n) for the seeds plus, over the classes present, one test per pair
+    of nested violation sets. The guess is kept only when the least rank
+    over each antecedent is κ_j; then the seeds honour the raise rule
+    exactly, so the result is the least fixpoint of the pairwise
+    constraints, not an approximation.
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
@@ -420,11 +449,15 @@ class _EnrichedSearch:
                 violated[i].add(seen[ax.lhs])
         vio = [frozenset(a for a, ranks in self.profile if ranks[i])
                for i in range(self.n)]
-        distinct = list(dict.fromkeys(vio))
+        # violation-set ids ascend with set size, so a subset has the lower id
+        distinct = sorted(dict.fromkeys(vio), key=len)
         vid = {v: k for k, v in enumerate(distinct)}
-        # rule (a) over violation-set ids: the sets strictly above each one
+        # rule (a) over violation-set ids: the sets strictly above and
+        # strictly below each one
         self._above = [frozenset(k for k, big in enumerate(distinct) if small < big)
                        for small in distinct]
+        self._below = [tuple(k for k, small in enumerate(distinct) if small < big)
+                       for big in distinct]
         # an element's seed and key depend on the antecedents containing it
         # and those of the axioms it violates; each distinct tuple is
         # evaluated once per guess
@@ -451,46 +484,55 @@ class _EnrichedSearch:
         `FAILURE_CAUSES`) why there are none."""
         floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
         m_of = [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
+        # class (v, m) is the int m * width + v, so classes sort by m, then
+        # by violation-set size
+        width = len(self._above)
         seeds: list[int] = []
         class_of: list[int] = []
-        classes: dict[tuple[int, int], int] = {}
-        top: list[int] = []
+        top: dict[int, int] = {}  # per class, its highest seed
         for vid, ante, outdone in self._keys:
             m = m_of[outdone]
             s = floor[ante]
             if s <= m:
                 s = m + 1
             seeds.append(s)
-            c = classes.setdefault((vid, m), len(top))
-            if c == len(top):
-                top.append(s)
-            elif top[c] < s:
-                top[c] = s
+            c = m * width + vid
             class_of.append(c)
-        ckeys = tuple(classes)
-        size = len(ckeys)
-        succ: list[list[int]] = [[] for _ in range(size)]
-        indeg = [0] * size
-        for a, (va, ma) in enumerate(ckeys):
-            above = self._above[va]
-            edges = succ[a]
-            for b, (vb, mb) in enumerate(ckeys):
-                if ma < mb or vb in above:
-                    edges.append(b)
-                    indeg[b] += 1
-        into = [0] * size  # the least rank the edges into a class force
-        order = [c for c in range(size) if not indeg[c]]
-        for a in order:  # Kahn's algorithm, taking the longest path
-            reach = max(top[a], into[a]) + 1
-            for b in succ[a]:
-                if into[b] < reach:
-                    into[b] = reach
-                indeg[b] -= 1
-                if not indeg[b]:
-                    order.append(b)
-        if len(order) < size:
-            return CYCLIC
-        values = [max(s, into[c]) for s, c in zip(seeds, class_of)]
+            if top.get(c, -1) < s:
+                top[c] = s
+        classes = sorted(top)
+        lo: dict[int, int] = {}  # per violation-set id, its least m
+        hi: dict[int, int] = {}  # and its greatest
+        for c in classes:
+            m, vid = divmod(c, width)
+            lo.setdefault(vid, m)
+            hi[vid] = m
+        for vid, m in hi.items():
+            for big in self._above[vid]:
+                if lo.get(big, m) < m:
+                    return CYCLIC
+        into: dict[int, int] = {}  # per class, the least rank the orders force
+        best = -1  # the highest class value over the lower levels of m
+        level = None
+        level_best = -1
+        done: dict[int, int] = {}  # the values of this level's classes
+        for c in classes:
+            m, vid = divmod(c, width)
+            if m != level:
+                level, best, done = m, max(best, level_best), {}
+            reach = best + 1
+            for small in self._below[vid]:
+                value = done.get(small)
+                if value is not None and value >= reach:
+                    reach = value + 1
+            into[c] = reach
+            value = top[c]
+            if value < reach:
+                value = reach
+            done[vid] = value
+            if level_best < value:
+                level_best = value
+        values = [s if s > into[c] else into[c] for s, c in zip(seeds, class_of)]
         if max(values) > self.bound:
             return OVER_BOUND
         for j, groups in enumerate(self._groups_inside):
@@ -515,12 +557,15 @@ def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
     rank vector; guesses whose constraints are cyclic, whose ranks overflow
     the bound, disagree with the guess or leave a rank gap yield no model,
     and the pointwise-minimal survivors are exactly the minimal models. When
-    no guess survives, the error counts the guesses by cause.
+    no guess survives, the error counts the guesses by cause. The search
+    runs once per KB type set and bound among the domains built from one
+    `RankedTBox` (for the domain's own KB), and each domain checks the
+    models lifted to its elements.
     """
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     memo = domain._frontier_memo
     if (kb, bound) not in memo:
-        memo[kb, bound] = _search_frontier(domain, kb, bound)
+        memo[kb, bound] = _domain_frontier(domain, kb, bound)
     frontier = memo[kb, bound]
     if isinstance(frontier, dict):
         raise RankBoundExceededError(bound, dict(frontier))
@@ -528,10 +573,56 @@ def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
     return [Model(domain, g, profile) for g in globals_]
 
 
+# a frontier over a KB type set: its projected codes, and aligned with them
+# the aspect profile and the global ranks of each model
+_TypeSetFrontier = tuple[tuple[int, ...], tuple[tuple[Concept, tuple[int, ...]], ...],
+                         tuple[tuple[int, ...], ...]]
+
+
+def _domain_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
+                     ) -> Union[_Frontier, dict[str, int]]:
+    """The domain's frontier of minimal models, read off the search over its
+    KB type set, or the guesses counted by cause of failure."""
+    # projected codes read the closure of the domain's own KB, which need
+    # not hold another KB's concepts: such a search serves this domain alone
+    searches = domain.searches if kb is domain.kb else {}
+    key = (bound, frozenset(domain.codes))
+    found = searches.get(key)
+    if found is None:
+        found = searches[key] = _by_code(domain.codes, _search_frontier(domain, kb, bound))
+    if isinstance(found, dict):
+        return found
+    codes, profile, globals_ = found
+    at = {code: k for k, code in enumerate(codes)}
+    pick = [at[code] for code in domain.codes]
+    profile = tuple((a, tuple(ranks[k] for k in pick)) for a, ranks in profile)
+    frontier = tuple(tuple(g[k] for k in pick) for g in globals_)
+    for g in frontier:
+        m = Model(domain, g, profile)
+        if not satisfies_kb(m, kb) or not check_coupling(m, kb):
+            raise AssertionError("internal error: frontier model failed validation")
+    return profile, frontier
+
+
+def _by_code(codes: Sequence[int], found: Union[_Frontier, dict[str, int]],
+             ) -> Union[_TypeSetFrontier, dict[str, int]]:
+    """A domain's frontier as ranks per projected code (its elements with
+    one code rank alike, the search reading no more of them)."""
+    if isinstance(found, dict):
+        return found
+    first: dict[int, int] = {}
+    for i, code in enumerate(codes):
+        first.setdefault(code, i)
+    profile, globals_ = found
+    return (tuple(first),
+            tuple((a, tuple(ranks[i] for i in first.values())) for a, ranks in profile),
+            tuple(tuple(g[i] for i in first.values()) for g in globals_))
+
+
 def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
                      ) -> Union[_Frontier, dict[str, int]]:
-    """The frontier of minimal models, or the guesses counted by cause of
-    failure when there is none."""
+    """The frontier of minimal models over the domain's elements, or the
+    guesses counted by cause of failure when there is none."""
     search = _EnrichedSearch(domain, kb, bound)
     candidates: dict[tuple[int, ...], None] = {}
     causes = dict.fromkeys(FAILURE_CAUSES, 0)
@@ -549,10 +640,6 @@ def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
         g for g in candidates
         if not any(o != g and all(a <= b for a, b in zip(o, g)) for o in candidates)
     )
-    for g in frontier:
-        m = Model(domain, g, search.profile)
-        if not satisfies_kb(m, kb) or not check_coupling(m, kb):
-            raise AssertionError("internal error: frontier model failed validation")
     return search.profile, frontier
 
 

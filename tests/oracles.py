@@ -1,15 +1,19 @@
 """Independent oracles used to cross-check the reasoner.
 
-Nothing here calls the reasoner's model search, and canonical domains come
-from the caller. Two oracles call the tableau: `TableauRanks` stratifies a
+Nothing here calls the reasoner's model search (`ClassGraphSolve` takes
+over its precomputation, not its solve), and canonical domains come from
+the caller. Two oracles call the tableau: `TableauRanks` stratifies a
 KB and ranks concepts with one call per level, the reference for the type
 elimination of `ranking.RankedTBox`, and `tableau_domain` makes one call
 per node of the literal tree, the reference for
 `models.build_canonical_domain`. Interpretations are enumerated explicitly:
 concept extensions as bitmasks over tiny domains, rank functions as tuples
 over a canonical domain's types. Entailment over all models, which the
-reasoner never answers, is decided here by pinned least fixpoints. Slow on
-purpose, trusted because it is simple.
+reasoner never answers, is decided here by pinned least fixpoints. Two
+references check the per-guess solve of the enriched search:
+`PairwiseEnrichedSolve`, a fixpoint over element pairs, and
+`ClassGraphSolve`, the class graph with Kahn's algorithm. Slow on purpose,
+trusted because it is simple.
 """
 
 from __future__ import annotations
@@ -21,9 +25,13 @@ from typing import Iterable, Optional, Sequence
 
 from typika.kb import Defeasible, KnowledgeBase, Strict
 from typika.models import (
+    CYCLIC,
+    KAPPA_MISMATCH,
+    OVER_BOUND,
     CanonicalDomain,
     Model,
     Query,
+    _EnrichedSearch,
     _raise_groups,
     canonical_aspect_profile,
     check_coupling,
@@ -357,6 +365,69 @@ class PairwiseEnrichedSolve:
         if any(min(g[i] for i in ext) != kappa[j]
                for j, ext in enumerate(self.antecedents)):
             return None
+        return tuple(g)
+
+
+class ClassGraphSolve(_EnrichedSearch):
+    """The per-guess solve of the enriched search in its class-graph form,
+    kept as a reference for `models._EnrichedSearch.solve`: the same
+    precomputation, but per guess the two coupling rules become an explicit
+    edge list over the classes (violation-set id, m), O(C²) for C classes,
+    and Kahn's algorithm finds a cycle or takes the longest path from the
+    seeds. It returns the same ranks or the same cause."""
+
+    def solve(self, kappa: Sequence[int]):
+        floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
+        m_of = [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
+        seeds: list[int] = []
+        class_of: list[int] = []
+        classes: dict[tuple[int, int], int] = {}
+        top: list[int] = []
+        for vid, ante, outdone in self._keys:
+            m = m_of[outdone]
+            s = floor[ante]
+            if s <= m:
+                s = m + 1
+            seeds.append(s)
+            c = classes.setdefault((vid, m), len(top))
+            if c == len(top):
+                top.append(s)
+            elif top[c] < s:
+                top[c] = s
+            class_of.append(c)
+        ckeys = tuple(classes)
+        size = len(ckeys)
+        succ: list[list[int]] = [[] for _ in range(size)]
+        indeg = [0] * size
+        for a, (va, ma) in enumerate(ckeys):
+            above = self._above[va]
+            edges = succ[a]
+            for b, (vb, mb) in enumerate(ckeys):
+                if ma < mb or vb in above:
+                    edges.append(b)
+                    indeg[b] += 1
+        into = [0] * size  # the least rank the edges into a class force
+        order = [c for c in range(size) if not indeg[c]]
+        for a in order:  # Kahn's algorithm, taking the longest path
+            reach = max(top[a], into[a]) + 1
+            for b in succ[a]:
+                if into[b] < reach:
+                    into[b] = reach
+                indeg[b] -= 1
+                if not indeg[b]:
+                    order.append(b)
+        if len(order) < size:
+            return CYCLIC
+        values = [max(s, into[c]) for s, c in zip(seeds, class_of)]
+        if max(values) > self.bound:
+            return OVER_BOUND
+        for j, groups in enumerate(self._groups_inside):
+            if min([values[k] for k in groups]) != kappa[j]:
+                return KAPPA_MISMATCH
+        g = [0] * self.n
+        for value, elements in zip(values, self._members):
+            for i in elements:
+                g[i] = value
         return tuple(g)
 
 

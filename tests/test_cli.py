@@ -430,8 +430,11 @@ def test_compare_leaves_no_per_kb_state_alive(capsys, monkeypatch, tmp_path):
 
 def test_per_kb_state_needs_no_cycle_collection(capsys, monkeypatch, tmp_path):
     # reference counting alone frees every stratification and domain
+    # (a fresh-atom row gives a second domain that shares the KB's search)
     abox = tmp_path / "abox.kb"
     abox.write_text(SET3_TEXT + "T(Penguin)(pingu)\nBird(tweety)\nknows(tweety, pingu)\n")
+    widened = tmp_path / "widened.txt"
+    widened.write_text("T(Penguin) => not Fly\nT((Penguin and Blond)) => not Fly\n")
     stratified = _record_instances(monkeypatch, RankedTBox)
     domains = _record_instances(monkeypatch, CanonicalDomain)
     gc.disable()
@@ -441,13 +444,15 @@ def test_per_kb_state_needs_no_cycle_collection(capsys, monkeypatch, tmp_path):
             ["query", "--semantics", "single-pref", SET3, "T(Penguin) => not Fly"],
             ["query", "--semantics", "enriched", SET3, "T(Penguin) => HasNiceFeather"],
             ["compare", "--json", SET3, SET3_QUERIES],
+            ["compare", "--json", SET3, str(widened)],
         )]
         alive = [ref() is not None for ref in stratified + domains]
     finally:
         gc.enable()
-    assert codes == [0, 0, 0, 0]
-    assert len(stratified) == len(domains) == 4
-    assert alive == [False] * 8
+    assert codes == [0, 0, 0, 0, 0]
+    assert len(stratified) == 5
+    assert len(domains) == 6
+    assert alive == [False] * 11
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
 import typika.models
+from typika.cli import main
 from typika.kb import Defeasible, KnowledgeBase, Strict, aspect_set, subconcept_closure
 from typika.models import (
     CYCLIC,
@@ -25,14 +27,16 @@ from typika.models import (
     single_pref_entails,
     single_pref_model,
     _EnrichedSearch,
+    _search_frontier,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure
 from typika.syntax import And, Atom, Exists, Not, concept_key
 
 from corpus import corpus_kbs
-from families import chain, diamond, role_kbs
+from families import chain, chain_text, diamond, diamond_text, role_kbs
 from oracles import (
+    ClassGraphSolve,
     PairwiseEnrichedSolve,
     entails_in_all_enriched_models,
     entails_in_all_single_models,
@@ -286,16 +290,17 @@ def test_rank_bound_overflow(kb_set3):
 # ------------------------------------------------------ shared domains
 
 
-def _count_calls(monkeypatch, name):
-    """Records each call of the `typika.models` function `name`."""
+def _count_calls(monkeypatch, name, owner=typika.models):
+    """Records each call of the function `name` of `owner` (the
+    `typika.models` module, or a class for a method)."""
     calls = []
-    original = getattr(typika.models, name)
+    original = getattr(owner, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(typika.models, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -400,7 +405,29 @@ def test_class_solve_matches_pairwise_reference():
     assert causes == {CYCLIC, OVER_BOUND, KAPPA_MISMATCH}
 
 
+def test_solve_matches_class_graph_reference():
+    # every guess gets the class graph's ranks, or its cause of failure
+    families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2)]
+    cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
+    cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
+    causes = set()
+    checked = 0
+    for kb, dom in cases:
+        for bound in (default_rank_bound(kb), 2):
+            search = _EnrichedSearch(dom, kb, bound)
+            ref = ClassGraphSolve(dom, kb, bound)
+            for kappa in search.sweep():
+                got = search.solve(kappa)
+                assert got == ref.solve(kappa), (kb, bound, kappa)
+                if isinstance(got, str):
+                    causes.add(got)
+                checked += 1
+    assert checked > 20000
+    assert causes == {CYCLIC, OVER_BOUND, KAPPA_MISMATCH}
+
+
 CHAIN3_CAUSES = {CYCLIC: 224, OVER_BOUND: 276, KAPPA_MISMATCH: 12, RANK_GAP: 0}
+CHAIN4_CAUSES = {CYCLIC: 6975, OVER_BOUND: 2964, KAPPA_MISMATCH: 61, RANK_GAP: 0}
 
 
 def test_failed_search_counts_guesses_by_cause():
@@ -423,6 +450,65 @@ def test_failed_search_counts_guesses_by_cause():
         " 12 disagreeing with their guess, 0 leaving a rank gap)")
 
 
+def test_chain4_counts_guesses_by_cause():
+    kb = chain(4)
+    with pytest.raises(RankBoundExceededError) as exc:
+        minimal_canonical_models(kb, domain=domain_of(kb))
+    assert sum(CHAIN4_CAUSES.values()) == 10 ** 4
+    assert exc.value.causes == CHAIN4_CAUSES
+
+
+# ------------------------------------------ one search per KB type set
+
+
+def test_compare_searches_once_per_kb_type_set(monkeypatch, tmp_path, capsys):
+    """A row widened by a boolean combination of KB members or by a fresh
+    atom covers the KB's own types, so it reuses the KB's search, and each
+    domain's lifted frontier is the one its own search finds."""
+    solves = _count_calls(monkeypatch, "solve", _EnrichedSearch)
+    domains = []
+    init = typika.models.CanonicalDomain.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        domains.append(self)
+
+    monkeypatch.setattr(typika.models.CanonicalDomain, "__init__", recording)
+    cases = [
+        (chain_text(2), ["T(C1) => not P", "T((C1 and Q0)) => Q1",
+                         "T((C1 and Blond)) => not P"], 2),
+        (diamond_text(2), ["T(Q1) => P1", "T((Q1 and R1)) => P1",
+                           "T((Q1 and Blond)) => P1"], 4),
+    ]
+    for text, rows, k in cases:
+        kb_file = tmp_path / "kb.txt"
+        kb_file.write_text(text)
+        queries = tmp_path / "queries.txt"
+        queries.write_text("".join(row + "\n" for row in rows))
+        solves.clear()
+        del domains[:]
+        assert main(["compare", str(kb_file), str(queries)]) == 0
+        capsys.readouterr()
+        kb = domains[0].kb
+        bound = default_rank_bound(kb)
+        assert len(solves) == (bound + 1) ** k
+        assert len(domains) == 3
+        for dom in domains:
+            profile, frontier = _search_frontier(dom, kb, bound)
+            assert frontier_ranks(kb, dom) == [(g, profile) for g in frontier]
+
+
+def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):
+    kb_file = tmp_path / "chain3.kb"
+    kb_file.write_text(chain_text(3))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("T(C2) => P\nT((C2 and Blond)) => P\n")
+    assert main(["compare", "--json", str(kb_file), str(queries)]) == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[0]["error"] == rows[1]["error"]
+    assert rows[0]["error"].startswith("no admissible rank assignment within bound 7")
+
+
 # ------------------------------------------------- coupling and orders
 
 
@@ -436,6 +522,28 @@ def test_coupling_flags_misordered_models(kb_set3):
                      if atom_signature(dom, i) == frozenset({"Bird", "Fly", "HasNiceFeather"}))
     bad_ranks[full_bird] = 4
     bad = Model(dom, tuple(bad_ranks), profile)
+    assert not check_coupling(bad, kb_set3)
+
+
+def test_coupling_flags_rule_b_alone(kb_set3):
+    dom = domain_of(kb_set3)
+    good = minimal_canonical_models(kb_set3, domain=dom)[0]
+    # the flying penguin violates only T(Penguin) => not Fly, whose
+    # antecedent has concept rank 1; the flightless, featherless penguin
+    # violates two bird defaults (concept rank 0) and ranks 2, so rule (b)
+    # forces the flying penguin above 2. Their violated aspects are not
+    # nested, so lowering it to 2 leaves every rule (a) pair in order.
+    sig = frozenset({"Bird", "Fly", "HasNiceFeather", "Penguin"})
+    flying = next(i for i in range(dom.size) if atom_signature(dom, i) == sig)
+    assert good.global_ranks[flying] == 3
+    ranks = list(good.global_ranks)
+    ranks[flying] = 2
+    bad = Model(dom, tuple(ranks), good.per_aspect)
+    aspects = [[r[i] for _, r in bad.per_aspect] for i in range(dom.size)]
+    for x, y in itertools.permutations(range(dom.size), 2):
+        if aspects[x] != aspects[y] and all(a <= b for a, b in zip(aspects[x], aspects[y])):
+            assert ranks[x] < ranks[y], (x, y)
+    assert satisfies_kb(bad, kb_set3)
     assert not check_coupling(bad, kb_set3)
 
 
