@@ -17,8 +17,8 @@ stand in for preference relations (lower rank = more typical); a `Model`
 is the domain with its global ranks, plus one rank function per aspect for
 an enriched model. The domain memoises concept extensions and,
 per KB and rank bound, the ranks of its minimal single-pref model and of its
-frontier of minimal enriched models, so the queries sharing a domain search
-for models once. Two regimes are implemented:
+minimal enriched model, so the queries sharing a domain search for models
+once. Two regimes are implemented:
 
 - single preference: one global rank function, minimised pointwise; its
   least fixpoint is the unique minimal model and mirrors the rank-based
@@ -26,32 +26,24 @@ for models once. Two regimes are implemented:
 - enriched: one rank function per aspect plus a coupled global one. Aspect
   ranks are minimised first (the pointwise least admissible profile marks
   exactly the axiom violators), then globals are minimised subject to the
-  coupling constraints. The search guesses the concept rank of every
-  antecedent (all vectors up to the bound); a guess fixes static seeds
-  (antecedent members at least their guess, violators one above it) and
-  orders the elements by two coupling rules that read only an element's
-  class (its aspect-violation set and the highest guess among the axioms
-  it violates). A cycle between the rules is one pair of classes they
-  order both ways, and otherwise the least global ranks are the longest
-  path from the seeds, taken class by class in rule order; a cycle, an
-  overflow, a disagreement with the guess or a rank gap discards the
-  guess. The pointwise-minimal survivors are the minimal models; when none
-  survives, the error counts the guesses by cause.
-
-The search reads an element only through the KB-closure members it holds,
-so its result is a function of the set of KB types (the element's type
-projected onto the KB's own closure) the domain covers. Each domain
-carries its elements' projected codes, and the search runs once per KB
-type set and bound: the `RankedTBox` keeps its result as ranks per
-projected code, every domain built from it lifts that to its own elements
-and checks the lifted models against the KB and the coupling rules. So a
-row widened by a boolean combination of KB members, or by a fresh atom that
-splits every type in two, reuses the KB's own search.
+  coupling constraints. Under a vector κ of antecedent concept ranks,
+  static seeds (antecedent members at least κ_j, violators one above it)
+  and two coupling rules that read only an element's class (its
+  aspect-violation set and the highest κ_j among the axioms it violates)
+  give the least global ranks as a longest path over the classes, or a
+  pair of classes the rules order both ways. The search starts from κ = 0
+  and sets each κ_j to the least global rank over antecedent j until κ
+  stops changing; κ only rises, so the loop ends, at the latest once a κ_j
+  passes the rank bound. The result must then fit the bound, leave no rank
+  gap, and pass `satisfies_kb` and `check_coupling`. That this fixpoint is
+  the unique minimal model, the frontier a sweep over every guess of κ
+  would find, is checked against such a sweep in the tests, not proven:
+  rule (b) regroups the classes when κ changes, so the solve is not
+  obviously monotone in κ.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -77,6 +69,7 @@ from .syntax import (
     Top,
     complement,
     concept_key,
+    concept_to_text,
 )
 
 
@@ -85,21 +78,17 @@ class InconsistentKBError(Exception):
 
 
 class RankBoundExceededError(Exception):
-    """No rank assignment within the bound satisfies all constraints.
+    """No admissible rank assignment satisfies all constraints.
 
-    A failed enriched search also gives `causes`: its antecedent-rank
-    guesses counted by how each failed (keys in `FAILURE_CAUSES` order), so
-    the counts sum to the guesses tried.
+    Without a `reason` the least ranks exceed the bound. A failed enriched
+    search gives its own: the rank its least ranks reach past the bound,
+    the two classes the coupling rules order both ways (which no bound
+    admits), or the rank its least ranks leave empty.
     """
 
-    def __init__(self, bound: int, causes: Optional[dict[str, int]] = None):
-        message = f"no admissible rank assignment within bound {bound}"
-        if causes is not None:
-            counts = ", ".join(f"{n} {cause}" for cause, n in causes.items())
-            message += f" ({sum(causes.values())} antecedent-rank guesses: {counts})"
-        super().__init__(message)
+    def __init__(self, bound: int, reason: Optional[str] = None):
+        super().__init__(reason or f"no admissible rank assignment within bound {bound}")
         self.bound = bound
-        self.causes = causes
 
 
 def default_rank_bound(kb: KnowledgeBase) -> int:
@@ -114,33 +103,25 @@ class CanonicalDomain:
 
     `types[i]` is the literal set of element i over the closure, and
     `successors[role][i]` the elements its role edges reach; `role_edges`
-    lists the same edges as (i, j) pairs. `codes[i]` is element i's type
-    projected onto the KB's own closure, coded as the KB's type table codes
-    it. Concept extensions are computed structurally and memoised. The
-    minimal models over the domain are memoised per (KB, rank bound); a
-    failed search is memoised too (an enriched one with its guesses counted
-    by cause) and raises the same error again. `searches` is the memo of
-    enriched searches per KB type set that every domain built from one
-    `RankedTBox` shares. The memos hold rank tuples, never models, so
-    nothing in them points back at a domain. Instances compare by identity;
-    models built over the same instance share it.
+    lists the same edges as (i, j) pairs. Concept extensions are computed
+    structurally and memoised. The minimal models over the domain are
+    memoised per (KB, rank bound); a failed search is memoised too (an
+    enriched one with the reason it failed) and raises the same error
+    again. The memos hold rank tuples, never models, so nothing in them
+    points back at a domain. Instances compare by identity; models built
+    over the same instance share it.
     """
 
     def __init__(self, kb: KnowledgeBase, closure: tuple[Concept, ...],
                  types: tuple[frozenset[Concept], ...],
-                 successors: dict[str, tuple[frozenset[int], ...]],
-                 codes: tuple[int, ...],
-                 searches: dict[tuple[int, frozenset[int]],
-                                Union[_TypeSetFrontier, dict[str, int]]]):
+                 successors: dict[str, tuple[frozenset[int], ...]]):
         self.kb = kb
         self.closure = closure
         self.types = types
         self.successors = successors
-        self.codes = codes
-        self.searches = searches
         self._eval_memo: dict[Concept, frozenset[int]] = {}
         self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[tuple[int, ...]]] = {}
-        self._frontier_memo: dict[tuple[KnowledgeBase, int], Union[_Frontier, dict[str, int]]] = {}
+        self._frontier_memo: dict[tuple[KnowledgeBase, int], Union[_Frontier, str]] = {}
         self._all = frozenset(range(len(types)))
 
     @property
@@ -193,10 +174,8 @@ def build_canonical_domain(ranked: RankedTBox,
     KB-satisfiable when it has finite rank, that is when it survives the
     last level's type elimination (the levels only shrink). The types come
     from the stratification's `TypeTable` for the closure, with no second
-    elimination, and the role edges from the engine's successor test. Each
-    element's projected code reads the KB's members off the table's bits,
-    and the domain shares `ranked.searches`. The domain build makes no
-    tableau call: raises InconsistentKBError when the KB is inconsistent,
+    elimination, and the role edges from the engine's successor test. The
+    domain build makes no tableau call: raises InconsistentKBError when the KB is inconsistent,
     and AssertionError when the table holds no type for a consistent KB.
     """
     if not is_kb_consistent(ranked):
@@ -219,15 +198,8 @@ def build_canonical_domain(ranked: RankedTBox,
     rows.reverse()
     types = tuple(frozenset(p if t else complement(p) for p, t in zip(positives, row))
                   for row, _ in rows)
-    ordered = [code for _, code in rows]
-    codes = ordered
-    own = ranked.table(())
-    if table is not own:
-        # a widened table codes the KB's members at bits of its own
-        moves = [(engine.bit[p], b) for p, b in own.engine.bit.items()]
-        codes = [sum(b for bit, b in moves if code & bit) for code in ordered]
-    domain = CanonicalDomain(ranked.kb, members, types, engine.successors(ordered),
-                             tuple(codes), ranked.searches)
+    domain = CanonicalDomain(ranked.kb, members, types,
+                             engine.successors([code for _, code in rows]))
     _validate_witnesses(domain, positives)
     return domain
 
@@ -255,8 +227,8 @@ class Model:
     per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
 
 
-# a frontier's aspect profile and the global ranks of its models
-_Frontier = tuple[tuple[tuple[Concept, tuple[int, ...]], ...], tuple[tuple[int, ...], ...]]
+# the minimal enriched model's aspect profile and global ranks
+_Frontier = tuple[tuple[tuple[Concept, tuple[int, ...]], ...], tuple[int, ...]]
 
 
 def _min_by(ranks: Sequence[int], ext: frozenset[int]) -> frozenset[int]:
@@ -282,35 +254,36 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     Rule (b) forces x below y when y violates an axiom and every axiom
     violated by x is outdone by one violated by y whose antecedent has a
     strictly higher concept rank (min global rank over its extension).
-    Both rules are tested literally on every pair not already in order.
+    Both rules read an element only through its signature: its global
+    rank, its aspect-rank vector and the concept ranks of the antecedents
+    of the axioms it violates. Two elements with one signature break
+    neither rule against each other, so both rules are tested literally on
+    every pair of distinct signatures not already in order.
     """
     dom = m.domain
     g = m.global_ranks
-    n = dom.size
     viol = _violations(dom, kb)
     ante_rank: dict[Concept, int] = {}
     for ax, _ in viol:
         if ax.lhs not in ante_rank:
             ext = dom.eval(ax.lhs)
             ante_rank[ax.lhs] = min(g[i] for i in ext) if ext else -1
-    # per element: its rank in each aspect, and the concept rank of the
-    # antecedent of each axiom it violates
-    aspect_ranks = [tuple(ranks[i] for _, ranks in m.per_aspect) for i in range(n)]
-    outdone = [tuple(ante_rank[ax.lhs] for ax, bad in viol if i in bad) for i in range(n)]
+    signatures = list({
+        (g[i], tuple(ranks[i] for _, ranks in m.per_aspect),
+         tuple(ante_rank[ax.lhs] for ax, bad in viol if i in bad))
+        for i in range(dom.size)})
 
-    def cond_a(x: int, y: int) -> bool:
-        rx, ry = aspect_ranks[x], aspect_ranks[y]
+    def cond_a(rx: tuple[int, ...], ry: tuple[int, ...]) -> bool:
         some = any(a < b for a, b in zip(rx, ry))
         none_back = all(b >= a for a, b in zip(rx, ry))
         return some and none_back
 
-    def cond_b(x: int, y: int) -> bool:
-        ky = outdone[y]
-        return bool(ky) and all(any(kj < kk for kk in ky) for kj in outdone[x])
+    def cond_b(kx: tuple[int, ...], ky: tuple[int, ...]) -> bool:
+        return bool(ky) and all(any(kj < kk for kk in ky) for kj in kx)
 
-    for x in range(n):
-        for y in range(n):
-            if x != y and not g[x] < g[y] and (cond_a(x, y) or cond_b(x, y)):
+    for gx, rx, kx in signatures:
+        for gy, ry, ky in signatures:
+            if not gx < gy and (cond_a(rx, ry) or cond_b(kx, ky)):
                 return False
     return True
 
@@ -389,20 +362,13 @@ def _least_fixpoint(n: int, bound: int,
     return tuple(g)
 
 
-# How a guess of antecedent ranks can fail to give a model.
-CYCLIC = "with cyclic order constraints"
-OVER_BOUND = "over the bound"
-KAPPA_MISMATCH = "disagreeing with their guess"
-RANK_GAP = "leaving a rank gap"
-FAILURE_CAUSES = (CYCLIC, OVER_BOUND, KAPPA_MISMATCH, RANK_GAP)
-
-
 class _EnrichedSearch:
-    """The enriched global-rank search over one domain, KB and bound.
+    """The enriched global-rank solve over one domain and KB, per vector κ
+    of antecedent concept ranks.
 
-    A guess κ gives each distinct antecedent j (with instances) its concept
-    rank: the least global rank among its instances. Under a guess, the
-    least global ranks g start from static seeds
+    κ gives each distinct antecedent j (with instances) a concept rank: the
+    least global rank among its instances. Under κ, the least global ranks
+    g start from static seeds
 
         s[i] = max(κ_j over antecedents j containing i,
                    κ_j + 1 over axioms with antecedent j that i violates),
@@ -423,16 +389,15 @@ class _EnrichedSearch:
     cycle, and it admits no ranks. Otherwise every class a class (w, m')
     is forced above has m < m', or m = m' and a violation set inside w.
     So g is the longest path from the seeds, taken level by level in m and
-    within a level by ascending set size, with no graph built: per guess
-    O(n) for the seeds plus, over the classes present, one test per pair
-    of nested violation sets. The guess is kept only when the least rank
-    over each antecedent is κ_j; then the seeds honour the raise rule
-    exactly, so the result is the least fixpoint of the pairwise
-    constraints, not an approximation.
+    within a level by ascending set size, with no graph built: per κ O(n)
+    for the seeds plus, over the classes present, one test per pair of
+    nested violation sets. Where the least rank over each antecedent j is
+    κ_j, the seeds honour the raise rule exactly, so g is the least
+    fixpoint of the pairwise constraints, not an approximation;
+    `_search_frontier` iterates κ to such a point.
     """
 
-    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
-        self.bound = bound
+    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
         self.n = domain.size
         self.profile = canonical_aspect_profile(domain, kb)
         seen: dict[Concept, int] = {}
@@ -452,6 +417,7 @@ class _EnrichedSearch:
         # violation-set ids ascend with set size, so a subset has the lower id
         distinct = sorted(dict.fromkeys(vio), key=len)
         vid = {v: k for k, v in enumerate(distinct)}
+        self._sets = distinct
         # rule (a) over violation-set ids: the sets strictly above and
         # strictly below each one
         self._above = [frozenset(k for k, big in enumerate(distinct) if small < big)
@@ -460,7 +426,7 @@ class _EnrichedSearch:
                        for big in distinct]
         # an element's seed and key depend on the antecedents containing it
         # and those of the axioms it violates; each distinct tuple is
-        # evaluated once per guess
+        # evaluated once per κ
         inside = [tuple(j for j, ext in enumerate(self.antecedents) if i in ext)
                   for i in range(self.n)]
         outdone = [tuple(sorted(violated[i])) for i in range(self.n)]
@@ -479,9 +445,10 @@ class _EnrichedSearch:
             tuple(k for k, key in enumerate(self._keys) if j in self._inside[key[1]])
             for j in range(len(self.antecedents)))
 
-    def solve(self, kappa: Sequence[int]) -> Union[tuple[int, ...], str]:
-        """The least global ranks under the guess, or the cause (one of
-        `FAILURE_CAUSES`) why there are none."""
+    def solve(self, kappa: Sequence[int]) -> Union[list[int], str]:
+        """The least global rank of each element group under κ, with no
+        bound, or why there is none: the two classes the rules order both
+        ways."""
         floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
         m_of = [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
         # class (v, m) is the int m * width + v, so classes sort by m, then
@@ -510,7 +477,14 @@ class _EnrichedSearch:
         for vid, m in hi.items():
             for big in self._above[vid]:
                 if lo.get(big, m) < m:
-                    return CYCLIC
+                    small, large = (
+                        "{" + ", ".join(map(concept_to_text, sorted(self._sets[k], key=concept_key)))
+                        + "}" for k in (vid, big))
+                    return (f"no admissible rank assignment: rule (a) puts class"
+                            f" {small} (m = {m}) below class {large} (m = {lo[big]})"
+                            " and rule (b) puts it above (a class is an element's"
+                            " violated aspects, m the highest concept rank of the"
+                            " antecedents it violates)")
         into: dict[int, int] = {}  # per class, the least rank the orders force
         best = -1  # the highest class value over the lower levels of m
         level = None
@@ -532,115 +506,78 @@ class _EnrichedSearch:
             done[vid] = value
             if level_best < value:
                 level_best = value
-        values = [s if s > into[c] else into[c] for s, c in zip(seeds, class_of)]
-        if max(values) > self.bound:
-            return OVER_BOUND
-        for j, groups in enumerate(self._groups_inside):
-            if min([values[k] for k in groups]) != kappa[j]:
-                return KAPPA_MISMATCH
+        return [s if s > into[c] else into[c] for s, c in zip(seeds, class_of)]
+
+    def concept_ranks(self, values: Sequence[int]) -> list[int]:
+        """Per antecedent, the least of its groups' values."""
+        return [min([values[k] for k in groups]) for groups in self._groups_inside]
+
+    def ranks(self, values: Sequence[int]) -> tuple[int, ...]:
+        """The global rank of each element, from its group's value."""
         g = [0] * self.n
         for value, elements in zip(values, self._members):
             for i in elements:
                 g[i] = value
         return tuple(g)
 
-    def sweep(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(range(self.bound + 1), repeat=len(self.antecedents))
-
 
 def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
                              rank_bound: Optional[int] = None) -> list[Model]:
-    """All minimal canonical enriched models (aspect profile fixed at the
-    pointwise least admissible one, globals minimised over valid couplings).
-
-    Valid global assignments are the least solutions per guessed antecedent
-    rank vector; guesses whose constraints are cyclic, whose ranks overflow
-    the bound, disagree with the guess or leave a rank gap yield no model,
-    and the pointwise-minimal survivors are exactly the minimal models. When
-    no guess survives, the error counts the guesses by cause. The search
-    runs once per KB type set and bound among the domains built from one
-    `RankedTBox` (for the domain's own KB), and each domain checks the
-    models lifted to its elements.
+    """The minimal canonical enriched model, as a one-element list: the
+    aspect profile fixed at the pointwise least admissible one, the global
+    ranks minimised over valid couplings by the κ fixpoint of
+    `_search_frontier`. Memoised per domain, KB and bound. Raises
+    RankBoundExceededError, with the reason, when there is none: its least
+    ranks pass the bound, the coupling rules order two classes both ways,
+    or the least ranks leave a rank gap.
     """
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     memo = domain._frontier_memo
     if (kb, bound) not in memo:
-        memo[kb, bound] = _domain_frontier(domain, kb, bound)
-    frontier = memo[kb, bound]
-    if isinstance(frontier, dict):
-        raise RankBoundExceededError(bound, dict(frontier))
-    profile, globals_ = frontier
-    return [Model(domain, g, profile) for g in globals_]
-
-
-# a frontier over a KB type set: its projected codes, and aligned with them
-# the aspect profile and the global ranks of each model
-_TypeSetFrontier = tuple[tuple[int, ...], tuple[tuple[Concept, tuple[int, ...]], ...],
-                         tuple[tuple[int, ...], ...]]
-
-
-def _domain_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
-                     ) -> Union[_Frontier, dict[str, int]]:
-    """The domain's frontier of minimal models, read off the search over its
-    KB type set, or the guesses counted by cause of failure."""
-    # projected codes read the closure of the domain's own KB, which need
-    # not hold another KB's concepts: such a search serves this domain alone
-    searches = domain.searches if kb is domain.kb else {}
-    key = (bound, frozenset(domain.codes))
-    found = searches.get(key)
-    if found is None:
-        found = searches[key] = _by_code(domain.codes, _search_frontier(domain, kb, bound))
-    if isinstance(found, dict):
-        return found
-    codes, profile, globals_ = found
-    at = {code: k for k, code in enumerate(codes)}
-    pick = [at[code] for code in domain.codes]
-    profile = tuple((a, tuple(ranks[k] for k in pick)) for a, ranks in profile)
-    frontier = tuple(tuple(g[k] for k in pick) for g in globals_)
-    for g in frontier:
-        m = Model(domain, g, profile)
-        if not satisfies_kb(m, kb) or not check_coupling(m, kb):
-            raise AssertionError("internal error: frontier model failed validation")
-    return profile, frontier
-
-
-def _by_code(codes: Sequence[int], found: Union[_Frontier, dict[str, int]],
-             ) -> Union[_TypeSetFrontier, dict[str, int]]:
-    """A domain's frontier as ranks per projected code (its elements with
-    one code rank alike, the search reading no more of them)."""
-    if isinstance(found, dict):
-        return found
-    first: dict[int, int] = {}
-    for i, code in enumerate(codes):
-        first.setdefault(code, i)
-    profile, globals_ = found
-    return (tuple(first),
-            tuple((a, tuple(ranks[i] for i in first.values())) for a, ranks in profile),
-            tuple(tuple(g[i] for i in first.values()) for g in globals_))
+        memo[kb, bound] = _search_frontier(domain, kb, bound)
+    found = memo[kb, bound]
+    if isinstance(found, str):
+        raise RankBoundExceededError(bound, found)
+    profile, g = found
+    return [Model(domain, g, profile)]
 
 
 def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
-                     ) -> Union[_Frontier, dict[str, int]]:
-    """The frontier of minimal models over the domain's elements, or the
-    guesses counted by cause of failure when there is none."""
-    search = _EnrichedSearch(domain, kb, bound)
-    candidates: dict[tuple[int, ...], None] = {}
-    causes = dict.fromkeys(FAILURE_CAUSES, 0)
-    for kappa in search.sweep():
-        g = search.solve(kappa)
-        if isinstance(g, str):
-            causes[g] += 1
-        elif set(g) != set(range(max(g) + 1)):
-            causes[RANK_GAP] += 1
-        else:
-            candidates.setdefault(g)
-    if not candidates:
-        return causes
-    frontier = tuple(
-        g for g in candidates
-        if not any(o != g and all(a <= b for a, b in zip(o, g)) for o in candidates)
-    )
-    return search.profile, frontier
+                     ) -> Union[_Frontier, str]:
+    """The minimal enriched model's aspect profile and global ranks, or the
+    reason there is none.
+
+    Starting from κ = 0, solve under κ, then set each κ_j to the least
+    global rank over antecedent j, until κ stops changing. Every seed
+    inside antecedent j is at least κ_j, so κ never falls and, changing
+    each round, never repeats; once some κ_j passes the bound the ranks do
+    too, which ends the loop.
+    """
+    search = _EnrichedSearch(domain, kb)
+    kappa = [0] * len(search.antecedents)
+    while True:
+        values = search.solve(kappa)
+        if isinstance(values, str):
+            return values
+        top = max(values)
+        nxt = search.concept_ranks(values)
+        if nxt == kappa:
+            break
+        if any(new < old for new, old in zip(nxt, kappa)):
+            raise AssertionError("internal error: a concept rank fell in the κ fixpoint")
+        if max(nxt) > bound:
+            break  # top >= max(nxt), so the bound check below fails
+        kappa = nxt
+    if top > bound:
+        return f"no admissible rank assignment within bound {bound}: the least ranks reach {top}"
+    g = search.ranks(values)
+    gap = min(set(range(top + 1)).difference(g), default=None)
+    if gap is not None:
+        return f"no admissible rank assignment: the least ranks leave rank {gap} empty"
+    model = Model(domain, g, search.profile)
+    if not satisfies_kb(model, kb) or not check_coupling(model, kb):
+        raise AssertionError("internal error: the minimal enriched model failed validation")
+    return search.profile, g
 
 
 def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,

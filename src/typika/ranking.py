@@ -19,9 +19,9 @@ passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
 and `models.build_canonical_domain`; the model searches of `models` take the
 domain the caller built from it and never stratify on their own. The
 `RankedTBox` keeps one `TypeTable` per closure it was asked about (which
-`models.build_canonical_domain` takes its types from), its rank memo and
-the enriched searches of `models` per KB type set, so all of it lives as
-long as the caller keeps the `RankedTBox`; this module keeps no state.
+`models.build_canonical_domain` takes its types from) and its rank memo,
+so both live as long as the caller keeps the `RankedTBox`; this module
+keeps no state.
 """
 
 from __future__ import annotations
@@ -272,11 +272,9 @@ class RankedTBox:
     `TypeTable`. A concept with an atom or restriction outside the closure
     is ranked on a table over the closure widened by those, with the same
     levels; `table` builds each once and keeps it. Ranks are memoised per
-    concept node. `searches` is where `models` memoises its enriched
-    searches per KB type set, for every domain built from this
-    stratification; this module never reads it. The constructor makes
-    exactly one tableau call: the consistency of the last level's TBox,
-    which must agree with whether any type survives it.
+    concept node. The constructor makes exactly one tableau call: the
+    consistency of the last level's TBox, which must agree with whether any
+    type survives it.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -298,7 +296,6 @@ class RankedTBox:
             self.levels.append(level)
         self._tables = {frozenset(): TypeTable(engine, survivors)}
         self._rank_memo: dict[Concept, float] = {}
-        self.searches: dict = {}
         tbox = level_tbox(StrictTBox.from_axioms(kb.strict), level)
         if entails_strict(tbox, TOP, BOT) == bool(alive):
             raise AssertionError("type elimination and the tableau disagree on "

@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check the reasoner.
 
-Nothing here calls the reasoner's model search (`ClassGraphSolve` takes
-over its precomputation, not its solve), and canonical domains come from
-the caller. Two oracles call the tableau: `TableauRanks` stratifies a
+Nothing here calls the reasoner's κ fixpoint (`ClassGraphSolve` takes over
+the enriched search's precomputation, not its solve, and `SweepFrontier`
+calls the per-guess solve, which the other two references check), and
+canonical domains come from the caller. Two oracles call the tableau: `TableauRanks` stratifies a
 KB and ranks concepts with one call per level, the reference for the type
 elimination of `ranking.RankedTBox`, and `tableau_domain` makes one call
 per node of the literal tree, the reference for
@@ -12,7 +13,10 @@ over a canonical domain's types. Entailment over all models, which the
 reasoner never answers, is decided here by pinned least fixpoints. Two
 references check the per-guess solve of the enriched search:
 `PairwiseEnrichedSolve`, a fixpoint over element pairs, and
-`ClassGraphSolve`, the class graph with Kahn's algorithm. Slow on purpose,
+`ClassGraphSolve`, the class graph with Kahn's algorithm. `SweepFrontier`
+tries every guess of antecedent ranks, the reference for the κ fixpoint,
+and `coupling_holds_pairwise` tests the coupling rules on every pair of
+elements, the reference for `models.check_coupling`. Slow on purpose,
 trusted because it is simple.
 """
 
@@ -25,16 +29,12 @@ from typing import Iterable, Optional, Sequence
 
 from typika.kb import Defeasible, KnowledgeBase, Strict
 from typika.models import (
-    CYCLIC,
-    KAPPA_MISMATCH,
-    OVER_BOUND,
     CanonicalDomain,
     Model,
     Query,
     _EnrichedSearch,
     _raise_groups,
     canonical_aspect_profile,
-    check_coupling,
     default_rank_bound,
     min_global,
     satisfies_kb,
@@ -235,9 +235,39 @@ def enumerate_enriched_globals(domain: CanonicalDomain, kb: KnowledgeBase,
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
         m = Model(domain, g, profile)
-        if satisfies_kb(m, kb) and check_coupling(m, kb):
+        if satisfies_kb(m, kb) and coupling_holds_pairwise(m, kb):
             out.append(g)
     return out
+
+
+def coupling_holds_pairwise(m: Model, kb: KnowledgeBase) -> bool:
+    """`models.check_coupling` in its per-element form: rule (a) and rule
+    (b) tested literally on every ordered pair of elements not already in
+    order."""
+    dom = m.domain
+    g = m.global_ranks
+    n = dom.size
+    viol = [(ax, dom.eval(ax.lhs) - dom.eval(ax.rhs)) for ax in kb.defeasible]
+    ante_rank: dict[Concept, int] = {}
+    for ax, _ in viol:
+        if ax.lhs not in ante_rank:
+            ext = dom.eval(ax.lhs)
+            ante_rank[ax.lhs] = min(g[i] for i in ext) if ext else -1
+    aspect_ranks = [tuple(ranks[i] for _, ranks in m.per_aspect) for i in range(n)]
+    outdone = [tuple(ante_rank[ax.lhs] for ax, bad in viol if i in bad) for i in range(n)]
+
+    def cond_a(x: int, y: int) -> bool:
+        rx, ry = aspect_ranks[x], aspect_ranks[y]
+        some = any(a < b for a, b in zip(rx, ry))
+        none_back = all(b >= a for a, b in zip(rx, ry))
+        return some and none_back
+
+    def cond_b(x: int, y: int) -> bool:
+        ky = outdone[y]
+        return bool(ky) and all(any(kj < kk for kk in ky) for kj in outdone[x])
+
+    return not any(x != y and not g[x] < g[y] and (cond_a(x, y) or cond_b(x, y))
+                   for x in range(n) for y in range(n))
 
 
 def pointwise_minima(candidates: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -374,7 +404,8 @@ class ClassGraphSolve(_EnrichedSearch):
     precomputation, but per guess the two coupling rules become an explicit
     edge list over the classes (violation-set id, m), O(C²) for C classes,
     and Kahn's algorithm finds a cycle or takes the longest path from the
-    seeds. It returns the same ranks or the same cause."""
+    seeds. It returns the same value per element group, or `CYCLIC` where
+    the solve names a cycle."""
 
     def solve(self, kappa: Sequence[int]):
         floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
@@ -418,17 +449,62 @@ class ClassGraphSolve(_EnrichedSearch):
                     order.append(b)
         if len(order) < size:
             return CYCLIC
-        values = [max(s, into[c]) for s, c in zip(seeds, class_of)]
+        return [max(s, into[c]) for s, c in zip(seeds, class_of)]
+
+
+# How a guess of antecedent ranks can fail to give a model.
+CYCLIC = "with cyclic order constraints"
+OVER_BOUND = "over the bound"
+KAPPA_MISMATCH = "disagreeing with their guess"
+RANK_GAP = "leaving a rank gap"
+FAILURE_CAUSES = (CYCLIC, OVER_BOUND, KAPPA_MISMATCH, RANK_GAP)
+
+
+class SweepFrontier:
+    """The enriched search in its sweep form, kept as the reference for the
+    κ fixpoint of `models._search_frontier`.
+
+    Every guess κ in [0, bound]^k of the k antecedents' concept ranks is
+    solved by `_EnrichedSearch.solve`. A guess gives a candidate when the
+    solve finds no cycle, the ranks fit the bound, the least rank over
+    each antecedent j is κ_j and no rank is left empty; the pointwise
+    minimal candidates are the frontier of minimal models. Each failed
+    guess is counted by its first failing check, in `FAILURE_CAUSES` order.
+    """
+
+    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
+        self.search = _EnrichedSearch(domain, kb)
+        self.bound = bound
+
+    def guesses(self) -> Iterable[tuple[int, ...]]:
+        return itertools.product(range(self.bound + 1),
+                                 repeat=len(self.search.antecedents))
+
+    def check(self, kappa: Sequence[int]):
+        """The element ranks under the guess, or why it gives none:
+        `CYCLIC`, `OVER_BOUND` or `KAPPA_MISMATCH`."""
+        values = self.search.solve(kappa)
+        if isinstance(values, str):
+            return CYCLIC
         if max(values) > self.bound:
             return OVER_BOUND
-        for j, groups in enumerate(self._groups_inside):
-            if min([values[k] for k in groups]) != kappa[j]:
-                return KAPPA_MISMATCH
-        g = [0] * self.n
-        for value, elements in zip(values, self._members):
-            for i in elements:
-                g[i] = value
-        return tuple(g)
+        if self.search.concept_ranks(values) != list(kappa):
+            return KAPPA_MISMATCH
+        return self.search.ranks(values)
+
+    def frontier(self) -> tuple[list[tuple[int, ...]], dict[str, int]]:
+        """The frontier's global ranks, and the failed guesses by cause."""
+        candidates: dict[tuple[int, ...], None] = {}
+        causes = dict.fromkeys(FAILURE_CAUSES, 0)
+        for kappa in self.guesses():
+            g = self.check(kappa)
+            if isinstance(g, str):
+                causes[g] += 1
+            elif set(g) != set(range(max(g) + 1)):
+                causes[RANK_GAP] += 1
+            else:
+                candidates.setdefault(g)
+        return pointwise_minima(list(candidates)), causes
 
 
 def pinned_least_fixpoint(n: int, bound: int,

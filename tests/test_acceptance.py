@@ -25,6 +25,7 @@ from typika.tableau import is_satisfiable
 
 from conftest import GOLDEN, KBS, REPO
 from corpus import corpus_kbs, defeasible_queries, strict_queries
+from families import chain, diamond
 from oracles import (
     brute_force_satisfiable,
     entails_in_all_enriched_models,
@@ -128,7 +129,8 @@ def test_criterion_3_rank_vs_single_pref():
 @criterion(4, "rank entailment is contained in enriched entailment")
 def test_criterion_4_rank_within_enriched(kb_set3, kb_set1):
     pool = list(corpus_minimal_models())
-    for kb in (kb_set3, kb_set1):
+    for kb in [chain(n) for n in (1, 2)] + [diamond(n) for n in (1, 2, 3, 4)] \
+            + [kb_set3, kb_set1]:
         _, ranked, dom = with_domain(kb)
         pool.append((kb, ranked, tuple(minimal_canonical_models(kb, domain=dom))))
     for kb, ranked, models in pool:

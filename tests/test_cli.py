@@ -207,9 +207,11 @@ def test_chain3_error_names_the_failed_guesses(capsys, tmp_path):
     kb.write_text(chain_text(3))
     queries = tmp_path / "queries.txt"
     queries.write_text("T(C0) => P\nT(C2) => Q2\n")
-    message = ("no admissible rank assignment within bound 7 (512 antecedent-rank"
-               " guesses: 224 with cyclic order constraints, 276 over the bound,"
-               " 12 disagreeing with their guess, 0 leaving a rank gap)")
+    # the two classes the coupling rules order both ways, with no bound blamed
+    message = ("no admissible rank assignment: rule (a) puts class {P} (m = 1)"
+               " below class {P, Q0} (m = 0) and rule (b) puts it above (a class"
+               " is an element's violated aspects, m the highest concept rank of"
+               " the antecedents it violates)")
     code, doc, _ = run_json(capsys, ["compare", "--json", str(kb), str(queries)])
     # an error row makes compare exit 2
     assert code == 2
@@ -430,7 +432,7 @@ def test_compare_leaves_no_per_kb_state_alive(capsys, monkeypatch, tmp_path):
 
 def test_per_kb_state_needs_no_cycle_collection(capsys, monkeypatch, tmp_path):
     # reference counting alone frees every stratification and domain
-    # (a fresh-atom row gives a second domain that shares the KB's search)
+    # (a fresh-atom row gives a second domain)
     abox = tmp_path / "abox.kb"
     abox.write_text(SET3_TEXT + "T(Penguin)(pingu)\nBird(tweety)\nknows(tweety, pingu)\n")
     widened = tmp_path / "widened.txt"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -8,10 +9,6 @@ import typika.models
 from typika.cli import main
 from typika.kb import Defeasible, KnowledgeBase, Strict, aspect_set, subconcept_closure
 from typika.models import (
-    CYCLIC,
-    KAPPA_MISMATCH,
-    OVER_BOUND,
-    RANK_GAP,
     InconsistentKBError,
     Model,
     RankBoundExceededError,
@@ -27,23 +24,29 @@ from typika.models import (
     single_pref_entails,
     single_pref_model,
     _EnrichedSearch,
-    _search_frontier,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure
 from typika.syntax import And, Atom, Exists, Not, concept_key
 
 from corpus import corpus_kbs
-from families import chain, chain_text, diamond, diamond_text, role_kbs
+from families import chain, chain_text, diamond, role_kbs
 from oracles import (
+    CYCLIC,
+    KAPPA_MISMATCH,
+    OVER_BOUND,
+    RANK_GAP,
     ClassGraphSolve,
     PairwiseEnrichedSolve,
+    SweepFrontier,
+    coupling_holds_pairwise,
     entails_in_all_enriched_models,
     entails_in_all_single_models,
     enumerate_enriched_globals,
     enumerate_single_models,
     holds_in_ranks,
     pointwise_minima,
+    random_concept,
     tableau_domain,
 )
 from test_acceptance import corpus_with_domains
@@ -278,8 +281,11 @@ def test_strict_queries_are_extensional(kb_set3):
 
 def test_rank_bound_overflow(kb_set3):
     dom = domain_of(kb_set3)
-    with pytest.raises(RankBoundExceededError):
+    # the error says which rank the least ranks reach
+    with pytest.raises(RankBoundExceededError) as exc:
         minimal_canonical_models(kb_set3, dom, rank_bound=1)
+    assert str(exc.value) == \
+        "no admissible rank assignment within bound 1: the least ranks reach 4"
     with pytest.raises(RankBoundExceededError):
         single_pref_model(kb_set3, dom, rank_bound=1)
     # the default bound is exactly tight for this KB: the flying penguin
@@ -290,17 +296,16 @@ def test_rank_bound_overflow(kb_set3):
 # ------------------------------------------------------ shared domains
 
 
-def _count_calls(monkeypatch, name, owner=typika.models):
-    """Records each call of the function `name` of `owner` (the
-    `typika.models` module, or a class for a method)."""
+def _count_calls(monkeypatch, name):
+    """Records each call of the function `name` of `typika.models`."""
     calls = []
-    original = getattr(owner, name)
+    original = getattr(typika.models, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(typika.models, name, counting)
     return calls
 
 
@@ -391,11 +396,11 @@ def test_class_solve_matches_pairwise_reference():
     checked = 0
     for kb, dom in _solve_cases():
         for bound in (default_rank_bound(kb), 2):
-            search = _EnrichedSearch(dom, kb, bound)
+            sweep = SweepFrontier(dom, kb, bound)
             ref = PairwiseEnrichedSolve(dom, kb, bound)
-            assert search.antecedents == ref.antecedents
-            for kappa in search.sweep():
-                got = search.solve(kappa)
+            assert sweep.search.antecedents == ref.antecedents
+            for kappa in sweep.guesses():
+                got = sweep.check(kappa)
                 if isinstance(got, str):
                     causes.add(got)
                     got = None
@@ -406,96 +411,139 @@ def test_class_solve_matches_pairwise_reference():
 
 
 def test_solve_matches_class_graph_reference():
-    # every guess gets the class graph's ranks, or its cause of failure
+    # every guess gets the class graph's group values, or a cycle where it
+    # finds one
     families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2)]
     cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
     cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
-    causes = set()
+    cyclic = set()
     checked = 0
     for kb, dom in cases:
+        search = _EnrichedSearch(dom, kb)
+        ref = ClassGraphSolve(dom, kb)
         for bound in (default_rank_bound(kb), 2):
-            search = _EnrichedSearch(dom, kb, bound)
-            ref = ClassGraphSolve(dom, kb, bound)
-            for kappa in search.sweep():
+            for kappa in SweepFrontier(dom, kb, bound).guesses():
                 got = search.solve(kappa)
-                assert got == ref.solve(kappa), (kb, bound, kappa)
-                if isinstance(got, str):
-                    causes.add(got)
+                cyclic.add(isinstance(got, str))
+                assert (CYCLIC if isinstance(got, str) else got) == ref.solve(kappa), \
+                    (kb, bound, kappa)
                 checked += 1
     assert checked > 20000
-    assert causes == {CYCLIC, OVER_BOUND, KAPPA_MISMATCH}
+    assert cyclic == {True, False}
 
 
 CHAIN3_CAUSES = {CYCLIC: 224, OVER_BOUND: 276, KAPPA_MISMATCH: 12, RANK_GAP: 0}
 CHAIN4_CAUSES = {CYCLIC: 6975, OVER_BOUND: 2964, KAPPA_MISMATCH: 61, RANK_GAP: 0}
+CHAIN_CYCLE = (
+    "no admissible rank assignment: rule (a) puts class {P} (m = 1) below"
+    " class {P, Q0} (m = 0) and rule (b) puts it above (a class is an"
+    " element's violated aspects, m the highest concept rank of the"
+    " antecedents it violates)")
 
 
 def test_failed_search_counts_guesses_by_cause():
+    # the sweep counts its guesses by how each fails; the search names the
+    # cycle it meets, not the bound
     kb = chain(3)
     bound = default_rank_bound(kb)
     assert sum(CHAIN3_CAUSES.values()) == (bound + 1) ** 3
     dom = domain_of(kb)
+    assert SweepFrontier(dom, kb, bound).frontier() == ([], CHAIN3_CAUSES)
     messages = []
     for domain in (dom, dom, domain_of(kb)):
         with pytest.raises(RankBoundExceededError) as exc:
             minimal_canonical_models(kb, domain=domain)
         assert exc.value.bound == bound
-        assert exc.value.causes == CHAIN3_CAUSES
         messages.append(str(exc.value))
     # the memoised failure and a fresh search say the same
-    assert messages == [messages[0]] * 3
-    assert messages[0] == (
-        "no admissible rank assignment within bound 7 (512 antecedent-rank"
-        " guesses: 224 with cyclic order constraints, 276 over the bound,"
-        " 12 disagreeing with their guess, 0 leaving a rank gap)")
+    assert messages == [CHAIN_CYCLE] * 3
 
 
 def test_chain4_counts_guesses_by_cause():
     kb = chain(4)
-    with pytest.raises(RankBoundExceededError) as exc:
-        minimal_canonical_models(kb, domain=domain_of(kb))
+    dom = domain_of(kb)
+    bound = default_rank_bound(kb)
+    assert SweepFrontier(dom, kb, bound).frontier() == ([], CHAIN4_CAUSES)
     assert sum(CHAIN4_CAUSES.values()) == 10 ** 4
-    assert exc.value.causes == CHAIN4_CAUSES
+    with pytest.raises(RankBoundExceededError, match="rule \\(a\\) puts class"):
+        minimal_canonical_models(kb, domain=dom)
 
 
-# ------------------------------------------ one search per KB type set
+# ------------------------------------------------ the κ fixpoint
 
 
-def test_compare_searches_once_per_kb_type_set(monkeypatch, tmp_path, capsys):
-    """A row widened by a boolean combination of KB members or by a fresh
-    atom covers the KB's own types, so it reuses the KB's search, and each
-    domain's lifted frontier is the one its own search finds."""
-    solves = _count_calls(monkeypatch, "solve", _EnrichedSearch)
-    domains = []
-    init = typika.models.CanonicalDomain.__init__
+@functools.lru_cache(maxsize=None)
+def random_kbs_with_domains():
+    """Seeded consistent KBs of one to four defaults over four atoms, with
+    concepts from `random_concept`: 250 role-free, 250 with one role."""
+    out = []
+    for seed, roles in ((7, ()), (8, ("r",))):
+        rng = random.Random(seed)
+        kept = 0
+        while kept < 250:
+            kb = KnowledgeBase.build(
+                Defeasible(random_concept(rng, "ABCD", roles, depth=2, role_depth=1),
+                           random_concept(rng, "ABCD", roles, depth=2, role_depth=1))
+                for _ in range(rng.randint(1, 4)))
+            try:
+                out.append((kb, domain_of(kb)))
+            except InconsistentKBError:
+                continue
+            kept += 1
+    return tuple(out)
 
-    def recording(self, *args):
-        init(self, *args)
-        domains.append(self)
 
-    monkeypatch.setattr(typika.models.CanonicalDomain, "__init__", recording)
-    cases = [
-        (chain_text(2), ["T(C1) => not P", "T((C1 and Q0)) => Q1",
-                         "T((C1 and Blond)) => not P"], 2),
-        (diamond_text(2), ["T(Q1) => P1", "T((Q1 and R1)) => P1",
-                           "T((Q1 and Blond)) => P1"], 4),
-    ]
-    for text, rows, k in cases:
-        kb_file = tmp_path / "kb.txt"
-        kb_file.write_text(text)
-        queries = tmp_path / "queries.txt"
-        queries.write_text("".join(row + "\n" for row in rows))
-        solves.clear()
-        del domains[:]
-        assert main(["compare", str(kb_file), str(queries)]) == 0
-        capsys.readouterr()
-        kb = domains[0].kb
+def _fixpoint_cases():
+    """The corpus, chain(1..4), diamond(1..2), the role KBs and the random
+    KBs, with their domains."""
+    families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2)]
+    cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
+    cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
+    return cases + list(random_kbs_with_domains())
+
+
+def test_fixpoint_matches_sweep_frontier():
+    # at the default bound and at 2, the fixpoint's model is the sweep's
+    # whole frontier, and it fails where the sweep finds no model
+    found = failed = 0
+    for kb, dom in _fixpoint_cases():
+        for bound in (default_rank_bound(kb), 2):
+            frontier, _ = SweepFrontier(dom, kb, bound).frontier()
+            try:
+                got = [m.global_ranks for m in minimal_canonical_models(kb, dom, bound)]
+                found += 1
+            except RankBoundExceededError:
+                got = []
+                failed += 1
+            assert got == frontier, (kb, bound)
+    assert found > 1000 and failed > 20
+
+
+def test_coupling_matches_pairwise_reference():
+    # on every minimal model, and on seeded perturbations of its global
+    # ranks, the check over signatures agrees with the per-element one
+    # (which is quadratic in the domain, so the random KBs with more than
+    # 128 elements are left out)
+    rng = random.Random(17)
+    verdicts = set()
+    for kb, dom in _fixpoint_cases():
+        if dom.size > 128:
+            continue
         bound = default_rank_bound(kb)
-        assert len(solves) == (bound + 1) ** k
-        assert len(domains) == 3
-        for dom in domains:
-            profile, frontier = _search_frontier(dom, kb, bound)
-            assert frontier_ranks(kb, dom) == [(g, profile) for g in frontier]
+        try:
+            m = minimal_canonical_models(kb, dom, bound)[0]
+        except RankBoundExceededError:
+            continue
+        assert check_coupling(m, kb) and coupling_holds_pairwise(m, kb), kb
+        for _ in range(2):
+            g = list(m.global_ranks)
+            for i in rng.sample(range(dom.size), min(2, dom.size)):
+                g[i] = rng.randint(0, bound + 1)
+            bumped = Model(dom, tuple(g), m.per_aspect)
+            verdict = check_coupling(bumped, kb)
+            assert verdict == coupling_holds_pairwise(bumped, kb), (kb, g)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):
@@ -506,7 +554,7 @@ def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):
     assert main(["compare", "--json", str(kb_file), str(queries)]) == 2
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows[0]["error"] == rows[1]["error"]
-    assert rows[0]["error"].startswith("no admissible rank assignment within bound 7")
+    assert rows[0]["error"].startswith("no admissible rank assignment: rule (a) puts class")
 
 
 # ------------------------------------------------- coupling and orders
