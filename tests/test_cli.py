@@ -13,7 +13,7 @@ from typika.models import CanonicalDomain, build_canonical_domain
 from typika.ranking import RankedTBox
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
-from families import chain_text
+from families import ROLE_KBS, chain_text
 
 SET3 = str(KBS / "set3.kb")
 SET1 = str(KBS / "set1.kb")
@@ -170,6 +170,36 @@ def test_query_role_kb(capsys, tmp_path):
     assert code == 0
     assert doc["witness"]["roleEdges"].keys() == {"r"}
     assert doc["witness"]["roleEdges"]["r"], "at least one r edge"
+
+
+# (golden name, KB file name, KB text, semantics, query, exit code); the
+# chain(2) query widens the closure by a conjunction, so its element order
+# is the truth-row order over the widened closure, not the type table's
+EMIT_MODEL_CASES = [
+    ("set3_enriched", "set3.kb", SET3_TEXT, "enriched", "T(Penguin) => HasNiceFeather", 0),
+    ("set3_single_pref", "set3.kb", SET3_TEXT, "single-pref",
+     "T(Penguin) => HasNiceFeather", 1),
+    ("exists_forall", "exists-forall.kb", ROLE_KBS["exists-forall"], "enriched",
+     "T(A) => exists r. B", 0),
+    ("chain2_conjunction", "chain2.kb", chain_text(2), "enriched",
+     "T((C1 and Q1)) => P", 1),
+]
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", EMIT_MODEL_CASES, ids=[c[0] for c in EMIT_MODEL_CASES])
+def test_emit_model_golden_bytes(capsys, monkeypatch, tmp_path, case, json_flag):
+    name, kb_name, text, semantics, query, exit_code = case
+    (tmp_path / kb_name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["query", "--semantics", semantics, "--emit-model", kb_name, query]
+    code, out, err = run(capsys, argv[:1] + ["--json"] * json_flag + argv[1:])
+    assert (code, err) == (exit_code, "")
+    # the one field that varies between runs
+    out = "".join(line for line in out.splitlines(keepends=True)
+                  if not line.startswith('  "timingMs": '))
+    golden = GOLDEN / "emit_model" / f"{name}.{'json' if json_flag else 'txt'}"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 # ------------------------------------------------------ error handling
