@@ -8,15 +8,19 @@ the same closure can share a domain: `compare` builds one per distinct
 closure. Its elements are the maximal KB-satisfiable subsets of the closure
 (types): the types that survive type elimination under the strict axioms
 and the last level's material counterparts. The stratification already ran
-that elimination for its ranks, so a build reads the survivors off the
-`RankedTBox`'s type table for the closure and runs none of its own. A role
-edge joins two types when the target honours the source's universal and
-negated existential members, the same successor test the elimination
-uses. A build makes no tableau call. Rank functions over this fixed domain
-stand in for preference relations (lower rank = more typical); a `Model`
-is the domain with its global ranks, plus one rank function per aspect for
-an enriched model. The domain memoises concept extensions and,
-per KB and rank bound, the ranks of its minimal single-pref model and of its
+that elimination for its ranks, so a domain is a view of the
+`RankedTBox`'s type table for the closure: its type codes, reordered, and
+runs no elimination of its own. Every set of elements is an int bitmask,
+bit i for element i: concept extensions (`ranking.Extensions`, atoms and
+restrictions read off the type bits), role successors, violators and the
+least-ranked instances of a concept. A role edge joins two types when the
+target honours the source's universal and negated existential members,
+the same successor test the elimination uses. A build makes no tableau
+call. Rank functions over this fixed domain stand in for preference
+relations (lower rank = more typical); a `Model` is the domain with its
+global ranks, plus one rank function per aspect for an enriched model. The
+domain memoises the extensions of atoms and restrictions and, per KB and
+rank bound, the ranks of its minimal single-pref model and of its
 minimal enriched model, so the queries sharing a domain search for models
 once. Two regimes are implemented:
 
@@ -56,21 +60,8 @@ from .kb import (
     Strict,
     aspect_set,
 )
-from .ranking import RankedTBox, is_kb_consistent
-from .syntax import (
-    And,
-    Atom,
-    Bottom,
-    Concept,
-    Exists,
-    Forall,
-    Not,
-    Or,
-    Top,
-    complement,
-    concept_key,
-    concept_to_text,
-)
+from .ranking import Extensions, RankedTBox, TypeTable, bitmask, elements, is_kb_consistent
+from .syntax import TOP, Concept, Exists, Forall, Not, complement, concept_key, concept_to_text
 
 
 class InconsistentKBError(Exception):
@@ -99,69 +90,49 @@ Query = Union[Strict, Defeasible]
 
 
 class CanonicalDomain:
-    """A fixed interpretation: one element per maximal KB-satisfiable type.
+    """A fixed interpretation: one element per maximal KB-satisfiable type,
+    as a view of the stratification's `TypeTable` for its closure.
 
-    `types[i]` is the literal set of element i over the closure, and
-    `successors[role][i]` the elements its role edges reach; `role_edges`
-    lists the same edges as (i, j) pairs. Concept extensions are computed
-    structurally and memoised. The minimal models over the domain are
-    memoised per (KB, rank bound); a failed search is memoised too (an
-    enriched one with the reason it failed) and raises the same error
-    again. The memos hold rank tuples, never models, so nothing in them
-    points back at a domain. Instances compare by identity; models built
-    over the same instance share it.
+    Element i is the table's type code `codes[i]`; the elements are in the
+    literal tree's order over the domain's own closure. `eval` gives a
+    concept's extension as an int bitmask over the elements (bit i set when
+    element i is an instance), reading atoms and restrictions off the type
+    bits. `successors[role][i]` is the bitmask of the elements element i's
+    role edges reach. The literal set of each element (`types`) and the
+    edges as (i, j) pairs (`role_edges`) are built only when read, for
+    printing a model. The minimal models over the domain are memoised per
+    (KB, rank bound); a failed search is memoised too (an enriched one with
+    the reason it failed) and raises the same error again. The memos hold
+    rank tuples, never models, so nothing in them points back at a domain.
+    Instances compare by identity; models built over the same instance
+    share it.
     """
 
     def __init__(self, kb: KnowledgeBase, closure: tuple[Concept, ...],
-                 types: tuple[frozenset[Concept], ...],
-                 successors: dict[str, tuple[frozenset[int], ...]]):
+                 table: TypeTable, codes: list[int]):
         self.kb = kb
         self.closure = closure
-        self.types = types
-        self.successors = successors
-        self._eval_memo: dict[Concept, frozenset[int]] = {}
+        self.codes = codes
+        self.eval = Extensions(table.engine.bit, codes)
+        self.successors = table.engine.successors(self.eval)
         self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[tuple[int, ...]]] = {}
         self._frontier_memo: dict[tuple[KnowledgeBase, int], Union[_Frontier, str]] = {}
-        self._all = frozenset(range(len(types)))
 
     @property
     def size(self) -> int:
-        return len(self.types)
+        return len(self.codes)
+
+    @cached_property
+    def types(self) -> tuple[frozenset[Concept], ...]:
+        positives = [c for c in self.closure if not isinstance(c, Not)]
+        holds = [set(elements(self.eval(p))) for p in positives]
+        return tuple(frozenset(p if i in ext else complement(p) for p, ext in zip(positives, holds))
+                     for i in range(self.size))
 
     @cached_property
     def role_edges(self) -> dict[str, frozenset[tuple[int, int]]]:
-        return {role: frozenset((i, j) for i, targets in enumerate(succ) for j in targets)
+        return {role: frozenset((i, j) for i, targets in enumerate(succ) for j in elements(targets))
                 for role, succ in self.successors.items()}
-
-    def eval(self, c: Concept) -> frozenset[int]:
-        hit = self._eval_memo.get(c)
-        if hit is not None:
-            return hit
-        if isinstance(c, Top):
-            out = self._all
-        elif isinstance(c, Bottom):
-            out = frozenset()
-        elif isinstance(c, Atom):
-            out = frozenset(i for i, t in enumerate(self.types) if c in t)
-        elif isinstance(c, Not):
-            out = self._all - self.eval(c.sub)
-        elif isinstance(c, And):
-            out = self.eval(c.left) & self.eval(c.right)
-        elif isinstance(c, Or):
-            out = self.eval(c.left) | self.eval(c.right)
-        elif isinstance(c, Exists):
-            sub = self.eval(c.sub)
-            succ = self.successors.get(c.role, ())
-            out = frozenset(i for i, targets in enumerate(succ) if not targets.isdisjoint(sub))
-        elif isinstance(c, Forall):
-            sub = self.eval(c.sub)
-            succ = self.successors.get(c.role)
-            out = self._all if succ is None else frozenset(
-                i for i, targets in enumerate(succ) if targets <= sub)
-        else:
-            raise TypeError(f"not a concept: {c!r}")
-        self._eval_memo[c] = out
-        return out
 
 
 def build_canonical_domain(ranked: RankedTBox,
@@ -170,13 +141,16 @@ def build_canonical_domain(ranked: RankedTBox,
 
     The closure is the KB's own (`ranked.closure`) unless the caller widens
     it, as `subconcept_closure(kb, (query.lhs, query.rhs))` does for a
-    query, so query concepts evaluate by membership. A type is
-    KB-satisfiable when it has finite rank, that is when it survives the
-    last level's type elimination (the levels only shrink). The types come
-    from the stratification's `TypeTable` for the closure, with no second
-    elimination, and the role edges from the engine's successor test. The
-    domain build makes no tableau call: raises InconsistentKBError when the KB is inconsistent,
-    and AssertionError when the table holds no type for a consistent KB.
+    query. A type is KB-satisfiable when it has finite rank, that is when it
+    survives the last level's type elimination (the levels only shrink).
+    The types are the codes of the stratification's `TypeTable` for the
+    closure, with no second elimination, reordered by their truth rows over
+    this closure: a boolean member the table's closure lacks moves a type in
+    the literal tree's order. The role edges come from the engine's
+    successor test. The domain build makes no tableau call: raises
+    InconsistentKBError when the KB is inconsistent, and AssertionError
+    when the table holds no type for a consistent KB or a restriction's
+    bits disagree with the role edges.
     """
     if not is_kb_consistent(ranked):
         raise InconsistentKBError("the knowledge base admits no satisfiable type")
@@ -185,35 +159,31 @@ def build_canonical_domain(ranked: RankedTBox,
     table = ranked.table(closure)
     if not table.codes:
         raise AssertionError("type elimination left no type for a consistent KB")
-    engine = table.engine
     members = tuple(sorted(closure, key=concept_key))
-    positives = [c for c in members if not isinstance(c, Not)]
-    # the truth of each positive, read off its bit or, for a boolean member
-    # the table's closure lacks, off its structure
-    bits = [engine.bit.get(p) for p in positives]
-    rows = sorted(([bool(code & b) if b is not None else engine.holds(p, code)
-                    for p, b in zip(positives, bits)], code)
-                  for code in table.codes)
-    # descending truth rows are the literal tree's order over this closure
-    rows.reverse()
-    types = tuple(frozenset(p if t else complement(p) for p, t in zip(positives, row))
-                  for row, _ in rows)
-    domain = CanonicalDomain(ranked.kb, members, types,
-                             engine.successors([code for _, code in rows]))
-    _validate_witnesses(domain, positives)
+    n = len(table.codes)
+    # each type's truth row over the positives, a string of 0s and 1s;
+    # descending rows are the literal tree's order over this closure
+    columns = [format(table.ext(p), f"0{n}b")[::-1] for p in members if not isinstance(p, Not)]
+    rows = ["".join(row) for row in zip(*columns)] or [""] * n
+    domain = CanonicalDomain(ranked.kb, members, table,
+                             [code for _, code in sorted(zip(rows, table.codes), reverse=True)])
+    _validate_witnesses(domain)
     return domain
 
 
-def _validate_witnesses(domain: CanonicalDomain, positives: Sequence[Concept]) -> None:
-    """Every existential constraint of a type must have an edge witness."""
-    for i, t in enumerate(domain.types):
-        for p in positives:
-            if isinstance(p, Exists):
-                if p in t and domain.successors[p.role][i].isdisjoint(domain.eval(p.sub)):
-                    raise AssertionError(f"unwitnessed {p!r} in type {i}")
-            elif isinstance(p, Forall) and p not in t:
-                if domain.successors[p.role][i] <= domain.eval(p.sub):
-                    raise AssertionError(f"unwitnessed {complement(p)!r} in type {i}")
+def _validate_witnesses(domain: CanonicalDomain) -> None:
+    """Every restriction of the closure holds, read off the type bits, on
+    exactly the elements its role edges give: `exists r. C` where some
+    r-successor is in C, `forall r. C` where every r-successor is."""
+    for p in domain.closure:
+        if isinstance(p, (Exists, Forall)):
+            sub = domain.eval(p.sub)
+            wrong = domain.eval(p) ^ bitmask(
+                targets & sub if isinstance(p, Exists) else not targets & ~sub
+                for targets in domain.successors[p.role])
+            if wrong:
+                raise AssertionError(f"{p!r} disagrees with the role edges on "
+                                     f"element {elements(wrong)[0]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,20 +201,23 @@ class Model:
 _Frontier = tuple[tuple[tuple[Concept, tuple[int, ...]], ...], tuple[int, ...]]
 
 
-def _min_by(ranks: Sequence[int], ext: frozenset[int]) -> frozenset[int]:
+def _min_by(ranks: Sequence[int], ext: int) -> int:
+    """The members of the bitmask `ext` with the least rank, as a bitmask."""
     if not ext:
-        return frozenset()
-    lo = min(ranks[i] for i in ext)
-    return frozenset(i for i in ext if ranks[i] == lo)
+        return 0
+    lo = min(ranks[i] for i in elements(ext))
+    return ext & bitmask(r == lo for r in ranks)
 
 
-def min_global(model: Model, concept: Concept) -> frozenset[int]:
-    """The globally most typical instances of a concept in the model."""
+def min_global(model: Model, concept: Concept) -> int:
+    """The globally most typical instances of a concept in the model, as a
+    bitmask over the domain."""
     return _min_by(model.global_ranks, model.domain.eval(concept))
 
 
-def _violations(domain: CanonicalDomain, kb: KnowledgeBase) -> list[tuple[Defeasible, frozenset[int]]]:
-    return [(ax, domain.eval(ax.lhs) - domain.eval(ax.rhs)) for ax in kb.defeasible]
+def _violations(domain: CanonicalDomain, kb: KnowledgeBase) -> list[tuple[Defeasible, int]]:
+    """Per defeasible axiom, the bitmask of the elements violating it."""
+    return [(ax, domain.eval(ax.lhs) & ~domain.eval(ax.rhs)) for ax in kb.defeasible]
 
 
 def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
@@ -262,12 +235,12 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     """
     dom = m.domain
     g = m.global_ranks
-    viol = _violations(dom, kb)
+    viol = [(ax, set(elements(bad))) for ax, bad in _violations(dom, kb)]
     ante_rank: dict[Concept, int] = {}
     for ax, _ in viol:
         if ax.lhs not in ante_rank:
             ext = dom.eval(ax.lhs)
-            ante_rank[ax.lhs] = min(g[i] for i in ext) if ext else -1
+            ante_rank[ax.lhs] = min(g[i] for i in elements(ext)) if ext else -1
     signatures = list({
         (g[i], tuple(ranks[i] for _, ranks in m.per_aspect),
          tuple(ante_rank[ax.lhs] for ax, bad in viol if i in bad))
@@ -295,14 +268,14 @@ def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
     dom = m.domain
     aspect_ranks = dict(m.per_aspect)
     for ax in kb.strict:
-        if not dom.eval(ax.lhs) <= dom.eval(ax.rhs):
+        if dom.eval(ax.lhs) & ~dom.eval(ax.rhs):
             return False
     for ax in kb.defeasible:
         lhs_ext = dom.eval(ax.lhs)
-        rhs_ext = dom.eval(ax.rhs)
-        if not min_global(m, ax.lhs) <= rhs_ext:
+        outside = ~dom.eval(ax.rhs)
+        if min_global(m, ax.lhs) & outside:
             return False
-        if aspect_ranks and not _min_by(aspect_ranks[ax.rhs], lhs_ext) <= rhs_ext:
+        if aspect_ranks and _min_by(aspect_ranks[ax.rhs], lhs_ext) & outside:
             return False
     return True
 
@@ -315,14 +288,14 @@ def canonical_aspect_profile(domain: CanonicalDomain, kb: KnowledgeBase,
     aspect order whenever it violates an axiom with that aspect as its
     right-hand side, so every admissible profile dominates this one.
     """
-    n = domain.size
     out = []
     for a in aspect_set(kb):
-        bad: set[int] = set()
+        bad = 0
         for ax in kb.defeasible:
             if ax.rhs == a:
-                bad |= domain.eval(ax.lhs) - domain.eval(a)
-        out.append((a, tuple(1 if i in bad else 0 for i in range(n))))
+                bad |= domain.eval(ax.lhs) & ~domain.eval(a)
+        bad_at = set(elements(bad))
+        out.append((a, tuple(1 if i in bad_at else 0 for i in range(domain.size))))
     return tuple(out)
 
 
@@ -331,7 +304,7 @@ def _raise_groups(domain: CanonicalDomain, kb: KnowledgeBase,
     """Per axiom with instances: (antecedent members, violators). Every
     violator must rank above the least-ranked member."""
     return tuple(
-        (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
+        (tuple(elements(domain.eval(ax.lhs))), tuple(elements(bad)))
         for ax, bad in _violations(domain, kb)
         if domain.eval(ax.lhs)
     )
@@ -401,7 +374,7 @@ class _EnrichedSearch:
         self.n = domain.size
         self.profile = canonical_aspect_profile(domain, kb)
         seen: dict[Concept, int] = {}
-        self.antecedents: list[frozenset[int]] = []
+        self.antecedents: list[int] = []  # bitmasks over the elements
         violated: list[set[int]] = [set() for _ in range(self.n)]
         for ax, bad in _violations(domain, kb):
             ext = domain.eval(ax.lhs)
@@ -410,7 +383,7 @@ class _EnrichedSearch:
             if ax.lhs not in seen:
                 seen[ax.lhs] = len(self.antecedents)
                 self.antecedents.append(ext)
-            for i in bad:
+            for i in elements(bad):
                 violated[i].add(seen[ax.lhs])
         vio = [frozenset(a for a, ranks in self.profile if ranks[i])
                for i in range(self.n)]
@@ -427,8 +400,10 @@ class _EnrichedSearch:
         # an element's seed and key depend on the antecedents containing it
         # and those of the axioms it violates; each distinct tuple is
         # evaluated once per κ
-        inside = [tuple(j for j, ext in enumerate(self.antecedents) if i in ext)
-                  for i in range(self.n)]
+        inside: list[tuple[int, ...]] = [() for _ in range(self.n)]
+        for j, ext in enumerate(self.antecedents):
+            for i in elements(ext):
+                inside[i] += (j,)
         outdone = [tuple(sorted(violated[i])) for i in range(self.n)]
         self._inside = list(dict.fromkeys(inside))
         self._outdone = list(dict.fromkeys(outdone))
@@ -595,12 +570,12 @@ def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
 
 
 def _holds_in(model: Model, query: Query) -> tuple[bool, Optional[int]]:
+    """Whether the query holds in the model, and if not the first element
+    it fails on."""
     dom = model.domain
-    if isinstance(query, Strict):
-        off = dom.eval(query.lhs) - dom.eval(query.rhs)
-        return (not off, min(off) if off else None)
-    off = min_global(model, query.lhs) - dom.eval(query.rhs)
-    return (not off, min(off) if off else None)
+    lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
+    off = lhs & ~dom.eval(query.rhs)
+    return (not off, (off & -off).bit_length() - 1 if off else None)
 
 
 @dataclass(frozen=True)
@@ -647,12 +622,13 @@ def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
         for name in names:
             if name not in individuals:
                 individuals.append(name)
-    candidates: dict[str, set[int]] = {name: set(range(domain.size)) for name in individuals}
+    # per individual, the bitmask of the elements it may map to
+    candidates = dict.fromkeys(individuals, domain.eval(TOP))
     for a in kb.abox:
         if isinstance(a, ConceptAssertion):
             ext = domain.eval(a.concept)
             if a.typical:
-                ext = _min_by(tuple(global_ranks), ext)
+                ext = _min_by(global_ranks, ext)
             candidates[a.individual] &= ext
     role_pairs = [a for a in kb.abox
                   if isinstance(a, RoleAssertion) and a.role in domain.successors]
@@ -660,16 +636,16 @@ def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
 
 
 def _assign(domain: CanonicalDomain, individuals: Sequence[str],
-            candidates: dict[str, set[int]], role_pairs: Sequence[RoleAssertion],
+            candidates: dict[str, int], role_pairs: Sequence[RoleAssertion],
             chosen: dict[str, int]) -> Optional[dict[str, int]]:
     """Extends `chosen`, which maps the first individuals, to all of them so
     that every role pair between chosen individuals is a canonical edge."""
     if len(chosen) == len(individuals):
         return dict(chosen)
     name = individuals[len(chosen)]
-    for t in sorted(candidates[name]):
+    for t in elements(candidates[name]):
         chosen[name] = t
-        if all(chosen[a.target] in domain.successors[a.role][chosen[a.subject]]
+        if all(domain.successors[a.role][chosen[a.subject]] >> chosen[a.target] & 1
                for a in role_pairs if a.subject in chosen and a.target in chosen):
             out = _assign(domain, individuals, candidates, role_pairs, chosen)
             if out is not None:

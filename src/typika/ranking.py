@@ -14,6 +14,13 @@ exceptional at every level), and both defeasible and strict queries reduce
 to rank comparisons. The tableau makes one call per KB, a cross-check of the
 KB's consistency against the engine.
 
+Concepts are evaluated structurally in one place, `Extensions`: a
+concept's extension is an int bitmask over an ordered list of type codes,
+its atoms and restrictions read off the codes' bits and its connectives
+taken as mask arithmetic. Type elimination checks its axioms with it, the
+stratification its antecedents, a `TypeTable` its ranks, and
+`models.CanonicalDomain` every extension over its elements.
+
 The caller owns the stratification: it builds one `RankedTBox` per KB and
 passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
 and `models.build_canonical_domain`; the model searches of `models` take the
@@ -62,6 +69,66 @@ def level_tbox(strict_core: StrictTBox, level: Iterable[Defeasible]) -> StrictTB
     return strict_core.extended(TOP, materialization(level))
 
 
+def bitmask(flags: Iterable[object]) -> int:
+    """The int whose bit j is set when the j-th flag is truthy."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+
+
+def elements(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, ascending."""
+    return [j for j, f in enumerate(reversed(bin(mask))) if f == "1"]
+
+
+class Extensions:
+    """Concept extensions as int bitmasks over an ordered list of type codes:
+    bit j of a concept's mask is set when the concept holds in `codes[j]`.
+
+    An atom or restriction holds where its bit (`bit`) is set in the code,
+    and its mask is memoised per bit; `not`, `and` and `or` are mask
+    arithmetic. Every atom and restriction of an evaluated concept needs a
+    bit.
+    """
+
+    def __init__(self, bit: dict[Concept, int], codes: Sequence[int]):
+        self.bit = bit
+        self.codes = codes
+        self.full = (1 << len(codes)) - 1
+        self._on: dict[int, int] = {}
+
+    def on(self, bit: int) -> int:
+        """The codes with the bit set."""
+        mask = self._on.get(bit)
+        if mask is None:
+            mask = self._on[bit] = bitmask(code & bit for code in self.codes)
+        return mask
+
+    def matching(self, need: int, forbid: int) -> int:
+        """The codes with every bit of `need` set and every bit of `forbid`
+        clear."""
+        mask = self.full
+        for b in self.bit.values():
+            if b & need:
+                mask &= self.on(b)
+            if b & forbid:
+                mask &= ~self.on(b)
+        return mask
+
+    def __call__(self, c: Concept) -> int:
+        if isinstance(c, (Atom, Exists, Forall)):
+            return self.on(self.bit[c])
+        if isinstance(c, Not):
+            return self.full ^ self(c.sub)
+        if isinstance(c, And):
+            return self(c.left) & self(c.right)
+        if isinstance(c, Or):
+            return self(c.left) | self(c.right)
+        if isinstance(c, Top):
+            return self.full
+        if isinstance(c, Bottom):
+            return 0
+        raise TypeError(f"not a concept: {c!r}")
+
+
 class _TypeElimination:
     """Type elimination (Pratt 1979) over the positive (non-negated) members
     of a closure. The closure is closed under subconcepts and single
@@ -71,9 +138,9 @@ class _TypeElimination:
     A type is coded as an int with one bit per positive, set when the
     positive holds; the first positive in `concept_key` order gets the
     highest bit, so descending codes are the order of the literal tree
-    (positive literal first, members in `concept_key` order). Every closure
-    member's truth in a type is one bit read with a polarity: a negation
-    flips the polarity of what it negates.
+    (positive literal first, members in `concept_key` order). Atoms and
+    restrictions are free bits; a boolean positive's bit is derived from
+    them by `Extensions`.
     """
 
     def __init__(self, closure: Iterable[Concept]):
@@ -99,18 +166,6 @@ class _TypeElimination:
             c, holds = c.sub, not holds
         bit = self.bit[c]
         return (bit, 0) if holds else (0, bit)
-
-    def holds(self, c: Concept, code: int) -> bool:
-        """Structural truth of c once its atoms and restrictions are coded."""
-        if isinstance(c, (Atom, Exists, Forall)):
-            return bool(code & self.bit[c])
-        if isinstance(c, Not):
-            return not self.holds(c.sub, code)
-        if isinstance(c, And):
-            return self.holds(c.left, code) and self.holds(c.right, code)
-        if isinstance(c, Or):
-            return self.holds(c.left, code) or self.holds(c.right, code)
-        return isinstance(c, Top)
 
     def _free_bits(self, c: Concept) -> int:
         """The bits of the atoms and restrictions c's truth depends on."""
@@ -139,12 +194,16 @@ class _TypeElimination:
             if n:
                 codes = [c | b for c in codes for b in (free[n - 1], 0)]
             if checks[n]:
-                codes = [c for c in codes
-                         if all(not self.holds(ax.lhs, c) or self.holds(ax.rhs, c)
-                                for ax in checks[n])]
-        derived = [(p, b) for p, b in zip(self.positives, self.bits)
-                   if not isinstance(p, (Atom, Exists, Forall))]
-        codes = [c | sum(b for p, b in derived if self.holds(p, c)) for c in codes]
+                ext = Extensions(self.bit, codes)
+                bad = 0
+                for ax in checks[n]:
+                    bad |= ext(ax.lhs) & ~ext(ax.rhs)
+                codes = [codes[j] for j in elements(ext.full ^ bad)]
+        ext = Extensions(self.bit, codes)
+        for p, b in zip(self.positives, self.bits):
+            if not isinstance(p, (Atom, Exists, Forall)):
+                for j in elements(ext(p)):
+                    codes[j] |= b
         codes.sort(reverse=True)
         return codes
 
@@ -180,36 +239,21 @@ class _TypeElimination:
         none is dropped; the survivors keep their order."""
         demands = {c: self._demands(c) for c in codes}
         while True:
-            met: dict[tuple[int, int], bool] = {}
-            kept = []
-            for c in codes:
-                for need, forbid in demands[c]:
-                    ok = met.get((need, forbid))
-                    if ok is None:
-                        ok = met[need, forbid] = any(
-                            s & need == need and not s & forbid for s in codes)
-                    if not ok:
-                        break
-                else:
-                    kept.append(c)
+            ext = Extensions(self.bit, codes)
+            met = {d: ext.matching(*d) for d in {d for c in codes for d in demands[c]}}
+            kept = [c for c in codes if all(met[d] for d in demands[c])]
             if len(kept) == len(codes):
                 return codes
             codes = kept
 
-    def successors(self, codes: Sequence[int]) -> dict[str, tuple[frozenset[int], ...]]:
-        """Per role and type, the types that pass the successor test."""
+    def successors(self, ext: Extensions) -> dict[str, tuple[int, ...]]:
+        """Per role and type of `ext.codes`, as a bitmask over them, the
+        types that pass the successor test."""
         out = {}
         for role in self.roles:
-            shared: dict[tuple[int, int], frozenset[int]] = {}
-            row = []
-            for c in codes:
-                need, forbid = masks = self.successor_masks(c, role)
-                targets = shared.get(masks)
-                if targets is None:
-                    targets = shared[masks] = frozenset(
-                        j for j, s in enumerate(codes) if s & need == need and not s & forbid)
-                row.append(targets)
-            out[role] = tuple(row)
+            masks = [self.successor_masks(c, role) for c in ext.codes]
+            targets = {m: ext.matching(*m) for m in set(masks)}
+            out[role] = tuple(targets[m] for m in masks)
         return out
 
 
@@ -217,48 +261,26 @@ class TypeTable:
     """The types over one closure, each with the first level it survives.
 
     `codes` are the types that survive the last level, in descending code
-    order (the literal tree's order), and `engine` reads them. The levels
-    only shrink, so the survivors only grow from one level to the next, and
-    a concept's rank is the least level at which a type holding it survives.
-    A concept's extension is evaluated structurally as a bitmask over
-    `codes`; its atoms and restrictions must be members of the closure.
+    order (the literal tree's order), `engine` reads them and `ext` gives
+    concept extensions over them. The levels only shrink, so the survivors
+    only grow from one level to the next, and a concept's rank is the least
+    level at which a type holding it survives. A concept's atoms and
+    restrictions must be members of the closure.
     """
 
     def __init__(self, engine: _TypeElimination, survivors: Sequence[list[int]]):
         self.engine = engine
         self.codes = survivors[-1]
-        index = {c: j for j, c in enumerate(self.codes)}
+        self.ext = Extensions(engine.bit, self.codes)
         # per level, its survivors as a bitmask over `codes`
-        self._alive = [sum(1 << index[c] for c in alive) for alive in survivors]
-        self._full = (1 << len(self.codes)) - 1
-        self._leaf_ext: dict[Concept, int] = {}
+        self._alive = [bitmask(c in alive for c in self.codes) for alive in map(set, survivors)]
 
     def rank(self, concept: Concept) -> float:
-        ext = self._ext(concept)
+        ext = self.ext(concept)
         for i, alive in enumerate(self._alive):
             if ext & alive:
                 return i
         return math.inf
-
-    def _ext(self, c: Concept) -> int:
-        if isinstance(c, (Atom, Exists, Forall)):
-            ext = self._leaf_ext.get(c)
-            if ext is None:
-                bit = self.engine.bit[c]
-                ext = self._leaf_ext[c] = sum(
-                    1 << j for j, code in enumerate(self.codes) if code & bit)
-            return ext
-        if isinstance(c, Not):
-            return self._full ^ self._ext(c.sub)
-        if isinstance(c, And):
-            return self._ext(c.left) & self._ext(c.right)
-        if isinstance(c, Or):
-            return self._ext(c.left) | self._ext(c.right)
-        if isinstance(c, Top):
-            return self._full
-        if isinstance(c, Bottom):
-            return 0
-        raise TypeError(f"not a concept: {c!r}")
 
 
 class RankedTBox:
@@ -288,8 +310,8 @@ class RankedTBox:
             alive = engine.eliminate(engine.candidates(kb.strict + level))
             survivors.append(alive)
             # an axiom stays when the level forces its antecedent empty
-            nxt = tuple(ax for ax in level
-                        if not any(engine.holds(ax.lhs, c) for c in alive))
+            ext = Extensions(engine.bit, alive)
+            nxt = tuple(ax for ax in level if not ext(ax.lhs))
             if nxt == level:
                 break
             level = nxt
@@ -325,14 +347,9 @@ class RankedTBox:
         return hit
 
 
-def satisfiable_wrt_kb(ranked: RankedTBox,
-                       concepts: Union[Concept, Iterable[Concept]]) -> bool:
-    """Whether a concept set has finite rank, i.e. is realisable under the KB."""
-    if isinstance(concepts, Concept):
-        conjunction = concepts
-    else:
-        conjunction = conjoin(sorted(concepts, key=concept_key))
-    return ranked.rank(conjunction) < math.inf
+def satisfiable_wrt_kb(ranked: RankedTBox, concept: Concept) -> bool:
+    """Whether a concept has finite rank, i.e. is realisable under the KB."""
+    return ranked.rank(concept) < math.inf
 
 
 def is_kb_consistent(ranked: RankedTBox) -> bool:

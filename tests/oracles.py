@@ -36,7 +36,6 @@ from typika.models import (
     _raise_groups,
     canonical_aspect_profile,
     default_rank_bound,
-    min_global,
     satisfies_kb,
 )
 from typika.ranking import level_tbox
@@ -58,6 +57,16 @@ from typika.syntax import (
     role_names,
 )
 from typika.tableau import StrictTBox, Witness, entails_strict
+
+
+def element_set(mask: int) -> frozenset[int]:
+    """The elements of a bitmask over a canonical domain, as a set."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def extension(domain: CanonicalDomain, c: Concept) -> frozenset[int]:
+    """The instances of a concept in a canonical domain, as a set."""
+    return element_set(domain.eval(c))
 
 
 @dataclass(frozen=True)
@@ -247,11 +256,11 @@ def coupling_holds_pairwise(m: Model, kb: KnowledgeBase) -> bool:
     dom = m.domain
     g = m.global_ranks
     n = dom.size
-    viol = [(ax, dom.eval(ax.lhs) - dom.eval(ax.rhs)) for ax in kb.defeasible]
+    viol = [(ax, extension(dom, ax.lhs) - extension(dom, ax.rhs)) for ax in kb.defeasible]
     ante_rank: dict[Concept, int] = {}
     for ax, _ in viol:
         if ax.lhs not in ante_rank:
-            ext = dom.eval(ax.lhs)
+            ext = extension(dom, ax.lhs)
             ante_rank[ax.lhs] = min(g[i] for i in ext) if ext else -1
     aspect_ranks = [tuple(ranks[i] for _, ranks in m.per_aspect) for i in range(n)]
     outdone = [tuple(ante_rank[ax.lhs] for ax, bad in viol if i in bad) for i in range(n)]
@@ -278,10 +287,11 @@ def pointwise_minima(candidates: Sequence[tuple[int, ...]]) -> list[tuple[int, .
 
 
 def holds_in_ranks(domain: CanonicalDomain, g: Sequence[int], query) -> bool:
-    m = Model(domain, tuple(g))
-    if isinstance(query, Strict):
-        return domain.eval(query.lhs) <= domain.eval(query.rhs)
-    return min_global(m, query.lhs) <= domain.eval(query.rhs)
+    lhs = extension(domain, query.lhs)
+    if isinstance(query, Defeasible) and lhs:
+        lo = min(g[i] for i in lhs)
+        lhs = frozenset(i for i in lhs if g[i] == lo)
+    return lhs <= extension(domain, query.rhs)
 
 
 def random_concept(rng, atoms: Sequence[str], roles: Sequence[str] = (),
@@ -335,13 +345,13 @@ class PairwiseEnrichedSolve:
                     for i in range(self.n)]
         self.a_pairs = tuple((x, y) for x in range(self.n) for y in range(self.n)
                              if vio_sets[x] < vio_sets[y])
-        self.viol = [(ax, domain.eval(ax.lhs) - domain.eval(ax.rhs))
+        self.viol = [(ax, extension(domain, ax.lhs) - extension(domain, ax.rhs))
                      for ax in kb.defeasible]
         seen: dict = {}
         self.antecedents: list[frozenset[int]] = []
         self.axiom_ante: list = []
         for ax, _ in self.viol:
-            ext = domain.eval(ax.lhs)
+            ext = extension(domain, ax.lhs)
             if not ext:
                 self.axiom_ante.append(None)
                 continue
@@ -350,8 +360,8 @@ class PairwiseEnrichedSolve:
                 self.antecedents.append(ext)
             self.axiom_ante.append(seen[ax.lhs])
         self.raise_groups = tuple(
-            (tuple(sorted(domain.eval(ax.lhs))), tuple(sorted(bad)))
-            for ax, bad in self.viol if domain.eval(ax.lhs))
+            (tuple(sorted(extension(domain, ax.lhs))), tuple(sorted(bad)))
+            for ax, bad in self.viol if extension(domain, ax.lhs))
 
     def b_pairs_for(self, kappa: Sequence[int]) -> tuple[tuple[int, int], ...]:
         m_of = [-1] * self.n
@@ -540,9 +550,9 @@ def _counterexample_pins(domain: CanonicalDomain, query: Query,
                          ) -> list[tuple[tuple[int, int], ...]]:
     """Per instance x0 of the query's lhs outside its rhs, the pins
     (x0, y) that put x0 among the least-ranked instances of the lhs."""
-    lhs_ext = domain.eval(query.lhs)
+    lhs_ext = extension(domain, query.lhs)
     return [tuple((x0, y) for y in sorted(lhs_ext) if y != x0)
-            for x0 in sorted(lhs_ext - domain.eval(query.rhs))]
+            for x0 in sorted(lhs_ext - extension(domain, query.rhs))]
 
 
 def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
@@ -551,7 +561,7 @@ def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
     """Whether the query holds in every (not only minimal) single-preference
     model over the canonical domain with ranks within the bound."""
     if isinstance(query, Strict):
-        return domain.eval(query.lhs) <= domain.eval(query.rhs)
+        return extension(domain, query.lhs) <= extension(domain, query.rhs)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     groups = _raise_groups(domain, kb)
     return all(pinned_least_fixpoint(domain.size, bound, groups, pairs) is None
@@ -565,7 +575,7 @@ def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
     domain carrying the least admissible aspect profile, ranks within the
     bound."""
     if isinstance(query, Strict):
-        return domain.eval(query.lhs) <= domain.eval(query.rhs)
+        return extension(domain, query.lhs) <= extension(domain, query.rhs)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     ref = PairwiseEnrichedSolve(domain, kb, bound)
     guesses = list(itertools.product(range(bound + 1), repeat=len(ref.antecedents)))

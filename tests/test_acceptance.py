@@ -64,9 +64,8 @@ def cli(*args):
 
 def holds(model, query):
     dom = model.domain
-    if isinstance(query, Strict):
-        return dom.eval(query.lhs) <= dom.eval(query.rhs)
-    return min_global(model, query.lhs) <= dom.eval(query.rhs)
+    lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
+    return not lhs & ~dom.eval(query.rhs)
 
 
 def all_queries(kb):

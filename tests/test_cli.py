@@ -64,6 +64,10 @@ def test_check_abox(capsys, tmp_path):
     clash.write_text(SET3_TEXT + "T(Penguin)(pingu)\nFly(pingu)\n")
     code, out, _ = run(capsys, ["check", str(clash)])
     assert (code, out) == (1, "inconsistent\n")
+    # a role assertion alone gives an empty closure and a one-element domain
+    roles_only = tmp_path / "roles_only.kb"
+    roles_only.write_text("r(a, b)\n")
+    assert run(capsys, ["check", str(roles_only)])[:2] == (0, "consistent\n")
 
 
 # -------------------------------------------------------------- rank
@@ -373,6 +377,27 @@ def test_compare_fresh_atom_query_builds_its_own_domain(capsys, monkeypatch, tmp
     assert len(builds) == 2
     assert doc["rows"][-1] == {"query": "T((Penguin and Blond)) => not Fly", "rc": True,
                                "singlePref": True, "enriched": True, "violation": False}
+
+
+def test_compare_builds_no_literal_types(capsys, monkeypatch, tmp_path):
+    # a domain's literal sets are for printing a model; compare never reads them
+    kb = tmp_path / "role.kb"
+    kb.write_text(ROLE_KBS["exists-forall"])
+    qf = tmp_path / "queries.txt"
+    qf.write_text("T(A) => exists r. B\nT((A and C)) => forall r. not B\nT(A) => Fresh\n")
+    domains = []
+
+    def keeping(ranked, closure=None):
+        domains.append(build_canonical_domain(ranked, closure))
+        return domains[-1]
+
+    monkeypatch.setattr(typika.cli, "build_canonical_domain", keeping)
+    for argv in (["compare", "--json", SET3, SET3_QUERIES],
+                 ["compare", "--json", str(kb), str(qf)]):
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+    assert len(domains) == 3
+    assert not any("types" in vars(d) or "role_edges" in vars(d) for d in domains)
 
 
 def test_compare_bad_line_is_isolated(capsys, tmp_path):

@@ -24,10 +24,11 @@ from typika.models import (
     single_pref_entails,
     single_pref_model,
     _EnrichedSearch,
+    _validate_witnesses,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure
-from typika.syntax import And, Atom, Exists, Not, concept_key
+from typika.syntax import And, Atom, Exists, Forall, Not, concept_key
 
 from corpus import corpus_kbs
 from families import chain, chain_text, diamond, role_kbs
@@ -40,6 +41,7 @@ from oracles import (
     PairwiseEnrichedSolve,
     SweepFrontier,
     coupling_holds_pairwise,
+    element_set,
     entails_in_all_enriched_models,
     entails_in_all_single_models,
     enumerate_enriched_globals,
@@ -88,7 +90,7 @@ def test_eval_matches_membership(kb_set3, kb_set1):
     for kb in (kb_set3, kb_set1):
         dom = domain_of(kb)
         for c in sorted(subconcept_closure(kb), key=concept_key):
-            ext = dom.eval(c)
+            ext = element_set(dom.eval(c))
             for i, t in enumerate(dom.types):
                 assert (i in ext) == (c in t), (c, i)
 
@@ -103,7 +105,7 @@ def test_eval_matches_membership_with_roles():
         for c in sorted(subconcept_closure(kb), key=concept_key):
             if isinstance(c, Not) and isinstance(c.sub, Not):
                 continue  # no type lists a double negation
-            ext = dom.eval(c)
+            ext = element_set(dom.eval(c))
             for i, t in enumerate(dom.types):
                 assert (i in ext) == (c in t), (c, i)
 
@@ -119,21 +121,62 @@ def test_type_elimination_matches_tableau_domain():
     `forall-disjunction` then keep 24, 24 and 48 types where the tableau
     gives 16, 20 and 40.
     """
-    roles = role_kbs()
     cases = [(kb, None) for kb in corpus_kbs()]
     cases += [(chain(n), None) for n in range(1, 6)]
     cases += [(diamond(n), None) for n in (1, 2)]
-    cases += [(kb, None) for kb in roles.values()]
-    cases += [
-        (chain(3), parse_axiom("T((C1 and Blond)) => not P")),
-        (roles["successor-exception"], parse_axiom("T(A) => not forall r. A")),
-        (roles["self-loop"], parse_axiom("T((B and exists r. D)) => forall r. C")),
-    ]
+    cases += [(kb, None) for kb in role_kbs().values()] + widened_closures()
     for kb, query in cases:
         dom = domain_of(kb, query)
         types, edges = tableau_domain(kb, dom.closure)
         assert dom.types == types, (kb, query)
         assert dom.role_edges == edges, (kb, query)
+
+
+def widened_closures():
+    """Three KBs with a query that widens their closure."""
+    roles = role_kbs()
+    return [
+        (chain(3), parse_axiom("T((C1 and Blond)) => not P")),
+        (roles["successor-exception"], parse_axiom("T(A) => not forall r. A")),
+        (roles["self-loop"], parse_axiom("T((B and exists r. D)) => forall r. C")),
+    ]
+
+
+def test_restrictions_read_off_bits_match_the_edges():
+    # `eval` reads every restriction off the type bits; on every element it
+    # must agree with the restriction's semantics over the role edges
+    cases = [(kb, None) for kb in role_kbs().values()] + widened_closures()
+    checked = 0
+    for kb, query in cases:
+        dom = domain_of(kb, query)
+        _validate_witnesses(dom)
+        for c in dom.closure:
+            if not isinstance(c, (Exists, Forall)):
+                continue
+            checked += 1
+            sub = element_set(dom.eval(c.sub))
+            reached = [{j for i2, j in dom.role_edges[c.role] if i2 == i}
+                       for i in range(dom.size)]
+            if isinstance(c, Exists):
+                by_edges = {i for i in range(dom.size) if reached[i] & sub}
+            else:
+                by_edges = {i for i in range(dom.size) if reached[i] <= sub}
+            assert element_set(dom.eval(c)) == by_edges, (kb, query, c)
+    assert checked > 20
+
+
+def test_a_dropped_edge_fails_validation():
+    # the A element's only r-successor in B is the one B element
+    kb = parse_kb("A => exists r. B\nB => forall r. bot\n")
+    dom = domain_of(kb)
+    _validate_witnesses(dom)
+    succ = list(dom.successors["r"])
+    [i] = element_set(dom.eval(A))
+    [j] = element_set(succ[i] & dom.eval(B))
+    succ[i] &= ~(1 << j)
+    dom.successors["r"] = tuple(succ)
+    with pytest.raises(AssertionError, match="disagrees with the role edges"):
+        _validate_witnesses(dom)
 
 
 def test_inconsistent_kb_has_no_domain():
@@ -226,9 +269,9 @@ def test_set3_minimal_penguins(kb_set3):
     dom = domain_of(kb_set3)
     enriched = minimal_canonical_models(kb_set3, dom)[0]
     single = single_pref_model(kb_set3, dom)
-    assert {atom_signature(enriched.domain, i) for i in min_global(enriched, peng)} \
+    assert {atom_signature(enriched.domain, i) for i in element_set(min_global(enriched, peng))} \
         == {frozenset({"Bird", "HasNiceFeather", "Penguin"})}
-    assert {atom_signature(single.domain, i) for i in min_global(single, peng)} \
+    assert {atom_signature(single.domain, i) for i in element_set(min_global(single, peng))} \
         == {frozenset({"Bird", "HasNiceFeather", "Penguin"}),
             frozenset({"Bird", "Penguin"})}
 
@@ -262,9 +305,9 @@ def test_entailment_verdicts(kb_set3):
     assert enriched_entails(kb_set3, nofly, dom).entailed
     # a negative verdict's model is the countermodel
     v = single_pref_entails(kb_set3, hnf, dom)
-    assert v.counterelement in v.model.domain.eval(Atom("Penguin"))
-    assert v.counterelement not in v.model.domain.eval(Atom("HasNiceFeather"))
-    assert v.counterelement in min_global(v.model, Atom("Penguin"))
+    assert v.counterelement in element_set(v.model.domain.eval(Atom("Penguin")))
+    assert v.counterelement not in element_set(v.model.domain.eval(Atom("HasNiceFeather")))
+    assert v.counterelement in element_set(min_global(v.model, Atom("Penguin")))
 
 
 def test_strict_queries_are_extensional(kb_set3):
@@ -398,7 +441,7 @@ def test_class_solve_matches_pairwise_reference():
         for bound in (default_rank_bound(kb), 2):
             sweep = SweepFrontier(dom, kb, bound)
             ref = PairwiseEnrichedSolve(dom, kb, bound)
-            assert sweep.search.antecedents == ref.antecedents
+            assert list(map(element_set, sweep.search.antecedents)) == ref.antecedents
             for kappa in sweep.guesses():
                 got = sweep.check(kappa)
                 if isinstance(got, str):
@@ -685,8 +728,8 @@ def test_abox_mapping(kb_set3):
     )
     mapping = find_abox_mapping(m.domain, kb, m.global_ranks)
     assert mapping is not None
-    assert mapping["tweety"] in m.domain.eval(Atom("Bird"))
-    assert mapping["pingu"] in min_global(m, Atom("Penguin"))
+    assert mapping["tweety"] in element_set(m.domain.eval(Atom("Bird")))
+    assert mapping["pingu"] in element_set(min_global(m, Atom("Penguin")))
 
 
 def test_abox_mapping_conflict(kb_set3):

@@ -147,7 +147,7 @@ def test_satisfiable_wrt_kb(kb_set3):
     rt = RankedTBox(kb_set3)
     assert satisfiable_wrt_kb(rt, parse_concept("(Penguin and Fly)"))
     assert not satisfiable_wrt_kb(rt, parse_concept("(Penguin and not Bird)"))
-    assert satisfiable_wrt_kb(rt, [Atom("Penguin"), Not(Atom("Fly"))])
+    assert satisfiable_wrt_kb(rt, And(Atom("Penguin"), Not(Atom("Fly"))))
 
 
 def test_rc_specificity(kb_set3):
