@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[common],
                        help="run all semantics over a query file")
-    p.add_argument("--rank-bound", type=int, default=None)
+    p.add_argument("--rank-bound", type=int, default=None,
+                   help="cap on rank values (default: defeasible axioms + 1)")
     p.add_argument("kb", help="knowledge base file")
     p.add_argument("queries", help="file with one query per line")
     p.set_defaults(func=cmd_compare)

@@ -3,63 +3,52 @@
 The caller builds a domain from a knowledge base's stratification (its
 `ranking.RankedTBox`) and a subconcept closure (the KB's own, widened by a
 query's two sides when they fall outside it), and passes it to every model
-function here; none of them builds one. Every query whose concepts lie in
-the same closure can share a domain: `compare` builds one per distinct
-closure. Its elements are the maximal KB-satisfiable subsets of the closure
-(types): the types that survive type elimination under the strict axioms
-and the last level's material counterparts. The stratification already ran
-that elimination for its ranks, so a domain is a view of the
-`RankedTBox`'s type table for the closure: its type codes, reordered, and
-runs no elimination of its own. Every set of elements is an int bitmask,
-bit i for element i: concept extensions (`ranking.Extensions`, atoms and
-restrictions read off the type bits), role successors, violators and the
-least-ranked instances of a concept. A role edge joins two types when the
-target honours the source's universal and negated existential members,
-the same successor test the elimination uses. A build makes no tableau
-call. Rank functions over this fixed domain stand in for preference
-relations (lower rank = more typical); a `Model` is the domain with its
-global ranks, plus one rank function per aspect for an enriched model. The
-domain memoises the extensions of atoms and restrictions and, per KB and
-rank bound, the ranks of its minimal single-pref model and of its
-minimal enriched model, so the queries sharing a domain search for models
-once. Two regimes are implemented:
+function here; none of them builds one. Queries whose concepts lie in one
+closure can share a domain: `compare` builds one per distinct closure. Its
+elements are the types (maximal KB-satisfiable subsets of the closure) that
+survive the stratification's type elimination, so a domain is a view of the
+`RankedTBox`'s type table for the closure and makes no tableau call. Every
+set of elements is an int bitmask, bit i for element i: concept extensions
+(`ranking.Extensions`, read off the type bits), role successors (the
+elimination's successor test), violators and least-ranked instances. Rank
+functions over the domain stand in for preference relations (lower rank =
+more typical); a `Model` is the domain with its global ranks, plus one rank
+function per aspect for an enriched model.
+
+Both semantics read a KB's defaults through one constraint table per
+domain and KB (`_Constraints`): per default its antecedent and its
+violators, the least aspect profile, and the element classes, elements with
+the same antecedents and violated defaults. The model checks read it too,
+and it memoises the minimal models per rank bound, so the queries sharing
+a domain search for models once. Two regimes are implemented:
 
 - single preference: one global rank function, minimised pointwise; its
-  least fixpoint is the unique minimal model and mirrors the rank-based
-  entailment of `ranking`.
+  least fixpoint, taken over the element classes, is the unique minimal
+  model and mirrors the rank-based entailment of `ranking`.
 - enriched: one rank function per aspect plus a coupled global one. Aspect
-  ranks are minimised first (the pointwise least admissible profile marks
-  exactly the axiom violators), then globals are minimised subject to the
-  coupling constraints. Under a vector κ of antecedent concept ranks,
-  static seeds (antecedent members at least κ_j, violators one above it)
-  and two coupling rules that read only an element's class (its
-  aspect-violation set and the highest κ_j among the axioms it violates)
-  give the least global ranks as a longest path over the classes, or a
-  pair of classes the rules order both ways. The search starts from κ = 0
-  and sets each κ_j to the least global rank over antecedent j until κ
-  stops changing; κ only rises, so the loop ends, at the latest once a κ_j
-  passes the rank bound. The result must then fit the bound, leave no rank
-  gap, and pass `satisfies_kb` and `check_coupling`. That this fixpoint is
-  the unique minimal model, the frontier a sweep over every guess of κ
-  would find, is checked against such a sweep in the tests, not proven:
-  rule (b) regroups the classes when κ changes, so the solve is not
-  obviously monotone in κ.
+  ranks are minimised first (the least admissible profile marks exactly
+  the axiom violators), then globals subject to the coupling constraints.
+  Under a vector κ of antecedent concept ranks, static seeds and two
+  coupling rules that read only an element's coupling class (its violated
+  aspects and the highest κ_j among the axioms it violates) give the least
+  global ranks as a longest path over those classes, or a pair of them the
+  rules order both ways. The search starts from κ = 0 and sets each κ_j to
+  the least global rank over antecedent j until κ stops changing; κ only
+  rises, so the loop ends, at the latest once a κ_j passes the rank bound.
+  The result must then fit the bound, leave no rank gap, and pass
+  `satisfies_kb` and `check_coupling`. That this is the unique minimal
+  model, the frontier a sweep over every guess of κ would find, is checked
+  against such a sweep in the tests, not proven: rule (b) regroups the
+  classes when κ changes, so the solve is not obviously monotone in κ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .kb import (
-    ConceptAssertion,
-    Defeasible,
-    KnowledgeBase,
-    RoleAssertion,
-    Strict,
-    aspect_set,
-)
+from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
 from .ranking import Extensions, RankedTBox, TypeTable, bitmask, elements, is_kb_consistent
 from .syntax import TOP, Concept, Exists, Forall, Not, complement, concept_key, concept_to_text
 
@@ -100,23 +89,18 @@ class CanonicalDomain:
     bits. `successors[role][i]` is the bitmask of the elements element i's
     role edges reach. The literal set of each element (`types`) and the
     edges as (i, j) pairs (`role_edges`) are built only when read, for
-    printing a model. The minimal models over the domain are memoised per
-    (KB, rank bound); a failed search is memoised too (an enriched one with
-    the reason it failed) and raises the same error again. The memos hold
-    rank tuples, never models, so nothing in them points back at a domain.
+    printing a model. `_memo` holds one `_Constraints` table per KB, which
+    memoises the minimal models per rank bound, failed searches included.
     Instances compare by identity; models built over the same instance
     share it.
     """
 
-    def __init__(self, kb: KnowledgeBase, closure: tuple[Concept, ...],
-                 table: TypeTable, codes: list[int]):
-        self.kb = kb
+    def __init__(self, closure: tuple[Concept, ...], table: TypeTable, codes: list[int]):
         self.closure = closure
         self.codes = codes
         self.eval = Extensions(table.engine.bit, codes)
         self.successors = table.engine.successors(self.eval)
-        self._single_pref_memo: dict[tuple[KnowledgeBase, int], Optional[tuple[int, ...]]] = {}
-        self._frontier_memo: dict[tuple[KnowledgeBase, int], Union[_Frontier, str]] = {}
+        self._memo: dict[KnowledgeBase, _Constraints] = {}
 
     @property
     def size(self) -> int:
@@ -165,7 +149,7 @@ def build_canonical_domain(ranked: RankedTBox,
     # descending rows are the literal tree's order over this closure
     columns = [format(table.ext(p), f"0{n}b")[::-1] for p in members if not isinstance(p, Not)]
     rows = ["".join(row) for row in zip(*columns)] or [""] * n
-    domain = CanonicalDomain(ranked.kb, members, table,
+    domain = CanonicalDomain(members, table,
                              [code for _, code in sorted(zip(rows, table.codes), reverse=True)])
     _validate_witnesses(domain)
     return domain
@@ -215,9 +199,54 @@ def min_global(model: Model, concept: Concept) -> int:
     return _min_by(model.global_ranks, model.domain.eval(concept))
 
 
-def _violations(domain: CanonicalDomain, kb: KnowledgeBase) -> list[tuple[Defeasible, int]]:
-    """Per defeasible axiom, the bitmask of the elements violating it."""
-    return [(ax, domain.eval(ax.lhs) & ~domain.eval(ax.rhs)) for ax in kb.defeasible]
+class _Constraints:
+    """A KB's defaults read over a domain once, for both semantics and the
+    model checks.
+
+    Per default `T(C) => D`, in KB order, `antecedents` holds the instances
+    of C and `violators` those outside D, as bitmasks over the elements;
+    `profile` is the least admissible aspect profile. Element i is in the
+    element class `class_of[i]`. The elements of a class have the same
+    antecedents (`inside`) and violated defaults (`violated`), bitmasks over
+    the defaults, so every constraint treats them alike. `single_pref` and
+    `enriched` memoise the minimal models per rank bound. Nothing here
+    refers to the domain, so its memo forms no reference cycle.
+    """
+
+    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
+        n = domain.size
+        zero_one = bytes.maketrans(b"01", b"\0\1")
+
+        def column(mask: int) -> str:
+            return format(mask, f"0{n}b")[::-1]  # character i is bit i
+
+        self.antecedents = tuple(domain.eval(ax.lhs) for ax in kb.defeasible)
+        self.violators = tuple(ext & ~domain.eval(ax.rhs)
+                               for ax, ext in zip(kb.defeasible, self.antecedents))
+        bad: dict[Concept, int] = {}
+        for ax, mask in zip(kb.defeasible, self.violators):
+            bad[ax.rhs] = bad.get(ax.rhs, 0) | mask
+        self.profile = tuple((a, tuple(column(bad.get(a, 0)).encode().translate(zero_one)))
+                             for a in aspect_set(kb))
+        # each element's row: its bits of the violators, then of the
+        # antecedents, the last default first, so each half read in binary
+        # is a bitmask over the defaults
+        columns = [column(mask) for mask in self.violators[::-1] + self.antecedents[::-1]]
+        ids: dict[str, int] = {}
+        rows = ["".join(row) for row in zip(*columns)] or [""] * n
+        self.class_of = tuple([ids.setdefault(row, len(ids)) for row in rows])
+        d = len(kb.defeasible)
+        self.violated = tuple(int(row[:d] or "0", 2) for row in ids)
+        self.inside = tuple(int(row[d:] or "0", 2) for row in ids)
+        self.single_pref: dict[int, Optional[tuple[int, ...]]] = {}
+        self.enriched: dict[int, Union[_Frontier, str]] = {}
+
+
+def _constraints(domain: CanonicalDomain, kb: KnowledgeBase) -> _Constraints:
+    """The domain's constraint table for the KB, built on first use."""
+    if kb not in domain._memo:
+        domain._memo[kb] = _Constraints(domain, kb)
+    return domain._memo[kb]
 
 
 def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
@@ -233,23 +262,16 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     neither rule against each other, so both rules are tested literally on
     every pair of distinct signatures not already in order.
     """
-    dom = m.domain
     g = m.global_ranks
-    viol = [(ax, set(elements(bad))) for ax, bad in _violations(dom, kb)]
-    ante_rank: dict[Concept, int] = {}
-    for ax, _ in viol:
-        if ax.lhs not in ante_rank:
-            ext = dom.eval(ax.lhs)
-            ante_rank[ax.lhs] = min(g[i] for i in elements(ext)) if ext else -1
-    signatures = list({
-        (g[i], tuple(ranks[i] for _, ranks in m.per_aspect),
-         tuple(ante_rank[ax.lhs] for ax, bad in viol if i in bad))
-        for i in range(dom.size)})
+    table = _constraints(m.domain, kb)
+    ante_rank = [min([g[i] for i in elements(ext)]) if ext else -1 for ext in table.antecedents]
+    outdone = {bits: tuple(ante_rank[d] for d in elements(bits)) for bits in set(table.violated)}
+    aspect_rows = list(zip(*(ranks for _, ranks in m.per_aspect))) or [()] * len(g)
+    signatures = list({(gi, rx, outdone[table.violated[c]])
+                       for gi, rx, c in zip(g, aspect_rows, table.class_of)})
 
     def cond_a(rx: tuple[int, ...], ry: tuple[int, ...]) -> bool:
-        some = any(a < b for a, b in zip(rx, ry))
-        none_back = all(b >= a for a, b in zip(rx, ry))
-        return some and none_back
+        return any(a < b for a, b in zip(rx, ry)) and all(a <= b for a, b in zip(rx, ry))
 
     def cond_b(kx: tuple[int, ...], ky: tuple[int, ...]) -> bool:
         return bool(ky) and all(any(kj < kk for kk in ky) for kj in kx)
@@ -270,12 +292,11 @@ def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
     for ax in kb.strict:
         if dom.eval(ax.lhs) & ~dom.eval(ax.rhs):
             return False
-    for ax in kb.defeasible:
-        lhs_ext = dom.eval(ax.lhs)
-        outside = ~dom.eval(ax.rhs)
-        if min_global(m, ax.lhs) & outside:
+    table = _constraints(dom, kb)
+    for ax, ext, bad in zip(kb.defeasible, table.antecedents, table.violators):
+        if _min_by(m.global_ranks, ext) & bad:
             return False
-        if aspect_ranks and _min_by(aspect_ranks[ax.rhs], lhs_ext) & outside:
+        if aspect_ranks and _min_by(aspect_ranks[ax.rhs], ext) & bad:
             return False
     return True
 
@@ -288,39 +309,19 @@ def canonical_aspect_profile(domain: CanonicalDomain, kb: KnowledgeBase,
     aspect order whenever it violates an axiom with that aspect as its
     right-hand side, so every admissible profile dominates this one.
     """
-    out = []
-    for a in aspect_set(kb):
-        bad = 0
-        for ax in kb.defeasible:
-            if ax.rhs == a:
-                bad |= domain.eval(ax.lhs) & ~domain.eval(a)
-        bad_at = set(elements(bad))
-        out.append((a, tuple(1 if i in bad_at else 0 for i in range(domain.size))))
-    return tuple(out)
-
-
-def _raise_groups(domain: CanonicalDomain, kb: KnowledgeBase,
-                  ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per axiom with instances: (antecedent members, violators). Every
-    violator must rank above the least-ranked member."""
-    return tuple(
-        (tuple(elements(domain.eval(ax.lhs))), tuple(elements(bad)))
-        for ax, bad in _violations(domain, kb)
-        if domain.eval(ax.lhs)
-    )
+    return _constraints(domain, kb).profile
 
 
 def _least_fixpoint(n: int, bound: int,
-                    raise_groups: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+                    raise_groups: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
                     ) -> Optional[tuple[int, ...]]:
-    """Least g >= 0 with g[v] > min(g over members) for each (members,
-    violators) group, or None past the bound. The rule is monotone, so
-    iteration reaches the least fixpoint.
+    """Least g >= 0 over n items with g[v] > min(g over members) for each
+    (members, violators) group, or None past the bound. The rule is
+    monotone, so iteration reaches the least fixpoint.
     """
     if bound < 0:
         return None
     g = [0] * n
-    raise_groups = tuple(raise_groups)
     changed = True
     while changed:
         changed = False
@@ -358,37 +359,36 @@ class _EnrichedSearch:
     Both rules read only an element's key (violation set, m), so the
     elements sharing a key form one class and the orders run between
     classes. Rule (b) orders classes by m, so a cycle needs a class (v, m)
-    below (w, m') by rule (a), v ⊂ w, with m > m'; that is a two-class
-    cycle, and it admits no ranks. Otherwise every class a class (w, m')
-    is forced above has m < m', or m = m' and a violation set inside w.
-    So g is the longest path from the seeds, taken level by level in m and
-    within a level by ascending set size, with no graph built: per κ O(n)
-    for the seeds plus, over the classes present, one test per pair of
-    nested violation sets. Where the least rank over each antecedent j is
-    κ_j, the seeds honour the raise rule exactly, so g is the least
-    fixpoint of the pairwise constraints, not an approximation;
-    `_search_frontier` iterates κ to such a point.
+    below (w, m') by rule (a), v ⊂ w, with m > m': a two-class cycle,
+    which admits no ranks. Otherwise every class a class (w, m') is forced
+    above has m < m', or m = m' and a violation set inside w. So g is the
+    longest path from the seeds, taken level by level in m and within a
+    level by ascending set size, with no graph built. The solve ranks
+    groups: the table's element classes merged by what seeds and keys
+    read. Where the least rank over each antecedent j is κ_j, the seeds
+    honour the raise rule exactly, so g is the least fixpoint of the
+    pairwise constraints; `_search_frontier` iterates κ to such a point.
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
-        self.n = domain.size
-        self.profile = canonical_aspect_profile(domain, kb)
+        table = _constraints(domain, kb)
+        self.profile = table.profile
         seen: dict[Concept, int] = {}
         self.antecedents: list[int] = []  # bitmasks over the elements
-        violated: list[set[int]] = [set() for _ in range(self.n)]
-        for ax, bad in _violations(domain, kb):
-            ext = domain.eval(ax.lhs)
-            if not ext:
-                continue
-            if ax.lhs not in seen:
+        number = []  # per default, its antecedent's index (-1 if it has no instance)
+        for ax, ext in zip(kb.defeasible, table.antecedents):
+            if ext and ax.lhs not in seen:
                 seen[ax.lhs] = len(self.antecedents)
                 self.antecedents.append(ext)
-            for i in elements(bad):
-                violated[i].add(seen[ax.lhs])
-        vio = [frozenset(a for a, ranks in self.profile if ranks[i])
-               for i in range(self.n)]
+            number.append(seen.get(ax.lhs, -1))
+        # per set of defaults (a table class's `inside` or `violated` bits),
+        # their antecedents and their aspects
+        among = {bits: tuple(sorted({number[d] for d in elements(bits)}))
+                 for bits in {*table.inside, *table.violated}}
+        aspects = {bits: frozenset(kb.defeasible[d].rhs for d in elements(bits))
+                   for bits in set(table.violated)}
         # violation-set ids ascend with set size, so a subset has the lower id
-        distinct = sorted(dict.fromkeys(vio), key=len)
+        distinct = sorted(dict.fromkeys(aspects[bits] for bits in table.violated), key=len)
         vid = {v: k for k, v in enumerate(distinct)}
         self._sets = distinct
         # rule (a) over violation-set ids: the sets strictly above and
@@ -397,25 +397,22 @@ class _EnrichedSearch:
                        for small in distinct]
         self._below = [tuple(k for k, small in enumerate(distinct) if small < big)
                        for big in distinct]
-        # an element's seed and key depend on the antecedents containing it
-        # and those of the axioms it violates; each distinct tuple is
-        # evaluated once per κ
-        inside: list[tuple[int, ...]] = [() for _ in range(self.n)]
-        for j, ext in enumerate(self.antecedents):
-            for i in elements(ext):
-                inside[i] += (j,)
-        outdone = [tuple(sorted(violated[i])) for i in range(self.n)]
-        self._inside = list(dict.fromkeys(inside))
-        self._outdone = list(dict.fromkeys(outdone))
+        # a class's seed and key depend on the antecedents containing it and
+        # those of the axioms it violates; each distinct tuple is evaluated
+        # once per κ
+        self._inside = list(dict.fromkeys(among[bits] for bits in table.inside))
+        self._outdone = list(dict.fromkeys(among[bits] for bits in table.violated))
         inside_id = {t: k for k, t in enumerate(self._inside)}
         outdone_id = {t: k for k, t in enumerate(self._outdone)}
-        # elements grouped by signature, and per antecedent the groups inside it
-        groups: dict[tuple[int, int, int], list[int]] = {}
-        for i in range(self.n):
-            sig = (vid[vio[i]], inside_id[inside[i]], outdone_id[outdone[i]])
-            groups.setdefault(sig, []).append(i)
+        # the table's classes merged by signature into groups, and per
+        # antecedent the groups inside it
+        groups: dict[tuple[int, int, int], int] = {}
+        self._group_of = [
+            groups.setdefault((vid[aspects[v]], inside_id[among[i]], outdone_id[among[v]]),
+                              len(groups))
+            for i, v in zip(table.inside, table.violated)]
+        self._class_of = table.class_of
         self._keys = tuple(groups)
-        self._members = tuple(groups.values())
         self._groups_inside = tuple(
             tuple(k for k, key in enumerate(self._keys) if j in self._inside[key[1]])
             for j in range(len(self.antecedents)))
@@ -489,28 +486,26 @@ class _EnrichedSearch:
 
     def ranks(self, values: Sequence[int]) -> tuple[int, ...]:
         """The global rank of each element, from its group's value."""
-        g = [0] * self.n
-        for value, elements in zip(values, self._members):
-            for i in elements:
-                g[i] = value
-        return tuple(g)
+        by_class = [values[k] for k in self._group_of]
+        return tuple([by_class[c] for c in self._class_of])
 
 
 def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
                              rank_bound: Optional[int] = None) -> list[Model]:
-    """The minimal canonical enriched model, as a one-element list: the
-    aspect profile fixed at the pointwise least admissible one, the global
-    ranks minimised over valid couplings by the κ fixpoint of
-    `_search_frontier`. Memoised per domain, KB and bound. Raises
+    """The minimal canonical enriched model: the aspect profile fixed at
+    the least admissible one, the global ranks minimised over valid
+    couplings by the κ fixpoint of `_search_frontier`. Memoised per domain,
+    KB and bound. A list of one model, as callers take its `len()`
+    (`perfbench/tracing.py` counts models with it). Raises
     RankBoundExceededError, with the reason, when there is none: its least
     ranks pass the bound, the coupling rules order two classes both ways,
     or the least ranks leave a rank gap.
     """
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    memo = domain._frontier_memo
-    if (kb, bound) not in memo:
-        memo[kb, bound] = _search_frontier(domain, kb, bound)
-    found = memo[kb, bound]
+    memo = _constraints(domain, kb).enriched
+    if bound not in memo:
+        memo[bound] = _search_frontier(domain, kb, bound)
+    found = memo[bound]
     if isinstance(found, str):
         raise RankBoundExceededError(bound, found)
     profile, g = found
@@ -558,24 +553,22 @@ def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
 def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
                       rank_bound: Optional[int] = None) -> Model:
     """The unique minimal single-preference model: the least global ranks
-    under which every defeasible axiom holds on its global minimum."""
+    under which every defeasible axiom holds on its global minimum. The
+    raise rule reads an element only through its class, so the fixpoint
+    runs over the classes of the constraint table."""
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    memo = domain._single_pref_memo
-    if (kb, bound) not in memo:
-        memo[kb, bound] = _least_fixpoint(domain.size, bound, _raise_groups(domain, kb))
-    g = memo[kb, bound]
+    table = _constraints(domain, kb)
+    if bound not in table.single_pref:
+        groups = [tuple(tuple(k for k, bits in enumerate(side) if bits >> d & 1)
+                        for side in (table.inside, table.violated))
+                  for d, ext in enumerate(table.antecedents) if ext]
+        values = _least_fixpoint(len(table.inside), bound, groups)
+        table.single_pref[bound] = (None if values is None
+                                    else tuple([values[c] for c in table.class_of]))
+    g = table.single_pref[bound]
     if g is None:
         raise RankBoundExceededError(bound)
     return Model(domain, g)
-
-
-def _holds_in(model: Model, query: Query) -> tuple[bool, Optional[int]]:
-    """Whether the query holds in the model, and if not the first element
-    it fails on."""
-    dom = model.domain
-    lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
-    off = lhs & ~dom.eval(query.rhs)
-    return (not off, (off & -off).bit_length() - 1 if off else None)
 
 
 @dataclass(frozen=True)
@@ -589,23 +582,25 @@ class Verdict:
     counterelement: Optional[int] = None
 
 
+def _holds_in(model: Model, query: Query) -> Verdict:
+    """Whether the query holds in the model, and if not the first element
+    it fails on."""
+    dom = model.domain
+    lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
+    off = lhs & ~dom.eval(query.rhs)
+    return Verdict(not off, model, (off & -off).bit_length() - 1 if off else None)
+
+
 def enriched_entails(kb: KnowledgeBase, query: Query, domain: CanonicalDomain,
                      rank_bound: Optional[int] = None) -> Verdict:
-    """Entailment over all minimal canonical enriched models."""
-    models = minimal_canonical_models(kb, domain, rank_bound)
-    for m in models:
-        ok, bad = _holds_in(m, query)
-        if not ok:
-            return Verdict(False, m, bad)
-    return Verdict(True, models[0])
+    """Entailment over the minimal canonical enriched model."""
+    return _holds_in(minimal_canonical_models(kb, domain, rank_bound)[0], query)
 
 
 def single_pref_entails(kb: KnowledgeBase, query: Query, domain: CanonicalDomain,
                         rank_bound: Optional[int] = None) -> Verdict:
     """Entailment over the minimal canonical single-preference model."""
-    m = single_pref_model(kb, domain, rank_bound)
-    ok, bad = _holds_in(m, query)
-    return Verdict(ok, m, bad)
+    return _holds_in(single_pref_model(kb, domain, rank_bound), query)
 
 
 def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,

@@ -33,7 +33,6 @@ from typika.models import (
     Model,
     Query,
     _EnrichedSearch,
-    _raise_groups,
     canonical_aspect_profile,
     default_rank_bound,
     satisfies_kb,
@@ -359,9 +358,7 @@ class PairwiseEnrichedSolve:
                 seen[ax.lhs] = len(self.antecedents)
                 self.antecedents.append(ext)
             self.axiom_ante.append(seen[ax.lhs])
-        self.raise_groups = tuple(
-            (tuple(sorted(extension(domain, ax.lhs))), tuple(sorted(bad)))
-            for ax, bad in self.viol if extension(domain, ax.lhs))
+        self.raise_groups = raise_groups(domain, kb)
 
     def b_pairs_for(self, kappa: Sequence[int]) -> tuple[tuple[int, int], ...]:
         m_of = [-1] * self.n
@@ -517,6 +514,20 @@ class SweepFrontier:
         return pointwise_minima(list(candidates)), causes
 
 
+def raise_groups(domain: CanonicalDomain, kb: KnowledgeBase,
+                 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per defeasible axiom with instances, its (antecedent members,
+    violators), read off `extension`: every violator must rank above the
+    least-ranked member."""
+    out = []
+    for ax in kb.defeasible:
+        members = extension(domain, ax.lhs)
+        if members:
+            out.append((tuple(sorted(members)),
+                        tuple(sorted(members - extension(domain, ax.rhs)))))
+    return tuple(out)
+
+
 def pinned_least_fixpoint(n: int, bound: int,
                           raise_groups: Iterable[tuple[Sequence[int], Sequence[int]]],
                           pin_pairs: Iterable[tuple[int, int]]) -> Optional[tuple[int, ...]]:
@@ -563,7 +574,7 @@ def entails_in_all_single_models(kb: KnowledgeBase, query: Query,
     if isinstance(query, Strict):
         return extension(domain, query.lhs) <= extension(domain, query.rhs)
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    groups = _raise_groups(domain, kb)
+    groups = raise_groups(domain, kb)
     return all(pinned_least_fixpoint(domain.size, bound, groups, pairs) is None
                for pairs in _counterexample_pins(domain, query))
 

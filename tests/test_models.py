@@ -47,7 +47,9 @@ from oracles import (
     enumerate_enriched_globals,
     enumerate_single_models,
     holds_in_ranks,
+    pinned_least_fixpoint,
     pointwise_minima,
+    raise_groups,
     random_concept,
     tableau_domain,
 )
@@ -264,6 +266,27 @@ def test_set3_single_pref_frozen(kb_set3):
     assert satisfies_kb(m, kb_set3)
 
 
+def test_single_pref_matches_element_fixpoint():
+    # the fixpoint over element classes gives each element the rank the
+    # per-element fixpoint of the oracle gives it, or overflows where it does
+    families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2, 3)]
+    cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
+    cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
+    found = failed = 0
+    for kb, dom in cases + list(random_kbs_with_domains()):
+        groups = raise_groups(dom, kb)
+        for bound in (default_rank_bound(kb), 1, 2):
+            want = pinned_least_fixpoint(dom.size, bound, groups, ())
+            try:
+                got = single_pref_model(kb, dom, bound).global_ranks
+                found += 1
+            except RankBoundExceededError:
+                got = None
+                failed += 1
+            assert got == want, (kb, bound)
+    assert found > 1000 and failed > 20
+
+
 def test_set3_minimal_penguins(kb_set3):
     peng = Atom("Penguin")
     dom = domain_of(kb_set3)
@@ -355,6 +378,8 @@ def _count_calls(monkeypatch, name):
 def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     searches = _count_calls(monkeypatch, "_search_frontier")
     fixpoints = _count_calls(monkeypatch, "_least_fixpoint")
+    tables = _count_calls(monkeypatch, "_Constraints")
+    aspect_sets = _count_calls(monkeypatch, "aspect_set")
     dom = domain_of(kb_set3)
     first = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
     again = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
@@ -369,6 +394,12 @@ def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     minimal_canonical_models(kb_set3, domain=dom, rank_bound=5)
     single_pref_model(kb_set3, domain=dom, rank_bound=5)
     assert len(searches) == len(fixpoints) == 2
+    # one constraint table serves both semantics at both bounds, and it
+    # sorts the KB's aspects once
+    assert len(tables) == len(aspect_sets) == 1
+    # another domain reads the KB's defaults again
+    single_pref_model(kb_set3, domain=domain_of(kb_set3), rank_bound=4)
+    assert len(tables) == len(aspect_sets) == 2
 
 
 def test_memo_serves_no_other_bound(kb_set3):

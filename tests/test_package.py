@@ -1,12 +1,16 @@
 """The package surface: what `typika` exports and what it keeps."""
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import typika
-from typika import models
+from typika import cli, models
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def submodules():
@@ -50,3 +54,40 @@ def test_one_model_type_is_exported():
     assert "Model" in typika.__all__
     gone = {"Rank", "RankAssignment", "EnrichedModel", "SinglePrefModel"}
     assert not gone & set(typika.__all__)
+
+
+def bindings():
+    """Every name bound in the package's modules and in their classes."""
+    out = {}
+    for mod in [typika] + submodules():
+        for name, value in vars(mod).items():
+            out[mod.__name__, name] = value
+            if isinstance(value, type) and value.__module__.startswith("typika."):
+                out.update(((mod.__name__, name, attr), member)
+                           for attr, member in vars(value).items())
+    return out
+
+
+def test_benchmark_tracer_finds_every_traced_name(tmp_path, capsys):
+    # the benchmark's tracer wraps package functions by name: a rename, or
+    # a call path that skips one, must fail here and not only in a traced
+    # benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    queries = tmp_path / "queries.txt"
+    queries.write_text((ROOT / "kbs" / "set3_queries.txt").read_text(encoding="utf-8")
+                       + "T((Penguin and Blond)) => not Fly\n")
+    before = bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert bindings() != before
+        cli.main(["compare", "--json", str(ROOT / "kbs" / "set3.kb"), str(queries)])
+    finally:
+        tracer.uninstall()
+    assert '"error"' not in capsys.readouterr().out
+    assert tracer.never_called() == []
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
