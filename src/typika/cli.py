@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import Optional
@@ -40,24 +39,9 @@ from .parser import KBSyntaxError, parse_axiom, parse_kb
 from .ranking import RankedTBox, in_rational_closure, is_kb_consistent
 from .syntax import Concept, concept_to_text
 
-ENV_RANK_BOUND = "TYPIKA_RANK_BOUND"
-
-
 def _load_kb(path: str) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_kb(fh.read())
-
-
-def _resolve_bound(flag_value: Optional[int]) -> Optional[int]:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_RANK_BOUND)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{ENV_RANK_BOUND} must be an integer, got {env!r}")
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
@@ -161,9 +145,8 @@ def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
 def cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     query = parse_axiom(args.query)
-    bound = _resolve_bound(args.rank_bound)
     start = time.perf_counter()
-    entailed, model = _query_verdict(RankedTBox(kb), query, args.semantics, bound)
+    entailed, model = _query_verdict(RankedTBox(kb), query, args.semantics, args.rank_bound)
     ms = (time.perf_counter() - start) * 1000.0
     doc = {
         "command": "query",
@@ -214,13 +197,12 @@ def _flag(value: bool) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
-    bound = _resolve_bound(args.rank_bound)
     with open(args.queries, "r", encoding="utf-8") as fh:
         raws = [line.strip() for line in fh]
     raws = [r for r in raws if r and not r.startswith("#")]
     ranked = RankedTBox(kb)
     domains: dict[frozenset[Concept], CanonicalDomain] = {}
-    rows = [_compare_row(ranked, raw, bound, domains) for raw in raws]
+    rows = [_compare_row(ranked, raw, args.rank_bound, domains) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}
     lines = []
     for row in rows:
@@ -303,14 +285,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    except RankBoundExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InconsistentKBError as exc:
         print(f"error: {exc} (model-based semantics need a consistent KB)",
               file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (RankBoundExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,37 +16,52 @@ more typical); a `Model` is the domain with its global ranks, plus one rank
 function per aspect for an enriched model.
 
 Both semantics read a KB's defaults through one constraint table per
-domain and KB (`_Constraints`): per default its antecedent and its
-violators, the least aspect profile, and the element classes, elements with
-the same antecedents and violated defaults. The model checks read it too,
-and it memoises the minimal models per rank bound, so the queries sharing
-a domain search for models once. Two regimes are implemented:
+domain and KB (`_Constraints`): per default its antecedent and violators,
+the least aspect profile, and the element classes, elements in the same
+antecedents and violating the same defaults. The rules below read an
+element only through its violated aspects, the antecedents it lies in and
+those of the defaults it violates, which fix its class, so the loop ranks
+classes. The model checks read the table too, and it memoises the minimal
+models per rank bound, so the queries sharing a domain search once.
 
-- single preference: one global rank function, minimised pointwise; its
-  least fixpoint, taken over the element classes, is the unique minimal
-  model and mirrors the rank-based entailment of `ranking`.
+Both minimal models are the κ fixpoint of `_kappa_fixpoint`. A vector κ
+gives each antecedent j a concept rank, and under κ an element i gets the
+static seed
+
+    s[i] = max(κ_j over antecedents j containing i,
+               κ_j + 1 over defaults with antecedent j that i violates),
+
+the raise rule "a violator ranks above the least instance of the
+antecedent" with that least rank read as κ_j. From κ = 0 the loop takes
+the least ranks under κ and sets each κ_j to the least rank over
+antecedent j, until κ stops changing or passes the rank bound; κ only
+rises, so the loop ends.
+
+- single preference: one global rank function, minimised pointwise; the
+  ranks under κ are the seeds. Any model g* with concept ranks κ* has
+  g* >= seeds(κ*). Seeds and concept ranks are monotone, so every κ the
+  loop reaches from 0 stays <= κ*, and at the fixpoint the seeds obey the
+  raise rule: the fixpoint is the least model, the unique minimal one, and
+  the loop passes the bound exactly when that model does or there is
+  none. It mirrors the rank-based entailment of `ranking`.
 - enriched: one rank function per aspect plus a coupled global one. Aspect
   ranks are minimised first (the least admissible profile marks exactly
-  the axiom violators), then globals subject to the coupling constraints.
-  Under a vector κ of antecedent concept ranks, static seeds and two
-  coupling rules that read only an element's coupling class (its violated
-  aspects and the highest κ_j among the axioms it violates) give the least
-  global ranks as a longest path over those classes, or a pair of them the
-  rules order both ways. The search starts from κ = 0 and sets each κ_j to
-  the least global rank over antecedent j until κ stops changing; κ only
-  rises, so the loop ends, at the latest once a κ_j passes the rank bound.
-  The result must then fit the bound, leave no rank gap, and pass
-  `satisfies_kb` and `check_coupling`. That this is the unique minimal
-  model, the frontier a sweep over every guess of κ would find, is checked
-  against such a sweep in the tests, not proven: rule (b) regroups the
-  classes when κ changes, so the solve is not obviously monotone in κ.
+  the axiom violators), then globals subject to the coupling constraints:
+  the ranks under κ are the longest path from the seeds over the two
+  coupling orders, or a pair of classes the rules order both ways
+  (`_Constraints.solve`). The result must then fit the bound, leave no
+  rank gap, and pass `satisfies_kb` and `check_coupling`. That this is the
+  unique minimal model, the frontier a sweep over every guess of κ would
+  find, is checked against such a sweep in the tests, not proven: rule (b)
+  regroups the classes when κ changes, so the solve is not obviously
+  monotone in κ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
 from .ranking import Extensions, RankedTBox, TypeTable, bitmask, elements, is_kb_consistent
@@ -200,15 +215,24 @@ def min_global(model: Model, concept: Concept) -> int:
 
 
 class _Constraints:
-    """A KB's defaults read over a domain once, for both semantics and the
-    model checks.
+    """A KB's defaults read over a domain once, for both semantics at every
+    rank bound and for the model checks.
 
-    Per default `T(C) => D`, in KB order, `antecedents` holds the instances
-    of C and `violators` those outside D, as bitmasks over the elements;
+    Per default `T(C) => D`, in KB order, `violators` holds the instances
+    of C outside D, a bitmask over the elements, and `ante_of` the index of
+    C in `antecedents`, the bitmasks of the distinct antecedents with
+    instances (-1 when C has none); κ has one entry per antecedent.
     `profile` is the least admissible aspect profile. Element i is in the
-    element class `class_of[i]`. The elements of a class have the same
-    antecedents (`inside`) and violated defaults (`violated`), bitmasks over
-    the defaults, so every constraint treats them alike. `single_pref` and
+    element class `class_of[i]`. A class's search key `_keys[k]` is (vid,
+    ante, outdone): the id of its violated-aspect set V in `_sets`, and of
+    its sets of defaults lain in and violated, whose antecedents
+    `_inside[ante]` and `_outdone[outdone]` list. V and those antecedents
+    fix the class's default bits: it lies inside default d when d's
+    antecedent is among its antecedents, and violates d when, besides,
+    rhs_d is in V. So the search, which reads nothing else, ranks classes
+    and has none to merge. `seeds` is the single-preference step of the κ
+    loop; `solve`, the enriched one, adds the coupling orders and builds
+    the subset tables of rule (a) on first use. `single_pref` and
     `enriched` memoise the minimal models per rank bound. Nothing here
     refers to the domain, so its memo forms no reference cycle.
     """
@@ -220,26 +244,159 @@ class _Constraints:
         def column(mask: int) -> str:
             return format(mask, f"0{n}b")[::-1]  # character i is bit i
 
-        self.antecedents = tuple(domain.eval(ax.lhs) for ax in kb.defeasible)
-        self.violators = tuple(ext & ~domain.eval(ax.rhs)
-                               for ax, ext in zip(kb.defeasible, self.antecedents))
+        lhs = [domain.eval(ax.lhs) for ax in kb.defeasible]
+        self.violators = tuple(ext & ~domain.eval(ax.rhs) for ax, ext in zip(kb.defeasible, lhs))
         bad: dict[Concept, int] = {}
         for ax, mask in zip(kb.defeasible, self.violators):
             bad[ax.rhs] = bad.get(ax.rhs, 0) | mask
         self.profile = tuple((a, tuple(column(bad.get(a, 0)).encode().translate(zero_one)))
                              for a in aspect_set(kb))
+        seen: dict[Concept, int] = {}
+        self.antecedents: list[int] = []
+        for ax, ext in zip(kb.defeasible, lhs):
+            if ext and ax.lhs not in seen:
+                seen[ax.lhs] = len(self.antecedents)
+                self.antecedents.append(ext)
+        self.ante_of = tuple(seen.get(ax.lhs, -1) for ax in kb.defeasible)
         # each element's row: its bits of the violators, then of the
         # antecedents, the last default first, so each half read in binary
         # is a bitmask over the defaults
-        columns = [column(mask) for mask in self.violators[::-1] + self.antecedents[::-1]]
+        columns = [column(mask) for mask in self.violators[::-1] + tuple(lhs[::-1])]
         ids: dict[str, int] = {}
         rows = ["".join(row) for row in zip(*columns)] or [""] * n
         self.class_of = tuple([ids.setdefault(row, len(ids)) for row in rows])
+        # per class, the defaults it violates and those it lies in: the two
+        # halves of its row, each distinct half read once
         d = len(kb.defeasible)
-        self.violated = tuple(int(row[:d] or "0", 2) for row in ids)
-        self.inside = tuple(int(row[d:] or "0", 2) for row in ids)
+        violated = [row[:d] for row in ids]
+        inside = [row[d:] for row in ids]
+        outdone_id = {half: k for k, half in enumerate(dict.fromkeys(violated))}
+        inside_id = {half: k for k, half in enumerate(dict.fromkeys(inside))}
+
+        def defaults(half: str) -> list[int]:
+            return elements(int(half or "0", 2))
+
+        def among(half: str) -> tuple[int, ...]:
+            return tuple(sorted({self.ante_of[e] for e in defaults(half)}))
+
+        # each tuple of antecedents is evaluated once per κ
+        self._outdone = [among(half) for half in outdone_id]
+        self._inside = [among(half) for half in inside_id]
+        aspects = [frozenset(kb.defeasible[e].rhs for e in defaults(half)) for half in outdone_id]
+        # violation-set ids ascend with set size, so a subset has the lower id
+        self._sets = sorted(dict.fromkeys(aspects), key=len)
+        vid = {v: k for k, v in enumerate(self._sets)}
+        vid_of = [vid[v] for v in aspects]
+        self._keys = tuple([(vid_of[o], inside_id[i], o)
+                            for i, o in zip(inside, map(outdone_id.__getitem__, violated))])
+        # per antecedent, the classes inside it
+        self._classes_in: list[list[int]] = [[] for _ in self.antecedents]
+        for k, (_, ante, _) in enumerate(self._keys):
+            for j in self._inside[ante]:
+                self._classes_in[j].append(k)
         self.single_pref: dict[int, Optional[tuple[int, ...]]] = {}
         self.enriched: dict[int, Union[_Frontier, str]] = {}
+
+    @cached_property
+    def _above(self) -> list[frozenset[int]]:
+        """Rule (a) over violation-set ids: the sets strictly above each one."""
+        return [frozenset(k for k, big in enumerate(self._sets) if small < big)
+                for small in self._sets]
+
+    @cached_property
+    def _below(self) -> list[tuple[int, ...]]:
+        """The sets strictly below each one."""
+        return [tuple(k for k, small in enumerate(self._sets) if small < big)
+                for big in self._sets]
+
+    def _outdone_by(self, kappa: Sequence[int]) -> list[int]:
+        """Per `_outdone` tuple, its highest κ_j (-1 if empty)."""
+        return [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
+
+    def seeds(self, kappa: Sequence[int]) -> list[int]:
+        """The static seed of each class under κ."""
+        floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
+        m_of = self._outdone_by(kappa)
+        return [max(floor[ante], m_of[outdone] + 1) for _, ante, outdone in self._keys]
+
+    def solve(self, kappa: Sequence[int]) -> Union[list[int], str]:
+        """The least global rank of each class under κ, with no bound, or
+        why there is none: the two classes the rules order both ways.
+
+        The seeds then obey the two coupling rules as strict orders:
+
+        - (a) g[x] < g[y] when vio(x) ⊂ vio(y), the aspects each element
+          violates in the fixed aspect profile;
+        - (b) g[x] < g[y] when m(x) < m(y), where m(i) is the largest κ_j
+          over the defaults i violates (-1 if none).
+
+        Both rules read a class only through its coupling class (V, m).
+        Rule (b) orders coupling classes by m, so a cycle needs a coupling
+        class (v, m) below (w, m') by rule (a), v ⊂ w, with m > m': a
+        two-class cycle, which admits no ranks. Otherwise every coupling
+        class that (w, m') is forced above has m < m', or m = m' and a
+        violation set inside w. So g is the longest path from the seeds,
+        taken level by level in m and within a level by ascending set size,
+        with no graph built.
+        """
+        seeds = self.seeds(kappa)
+        m_of = self._outdone_by(kappa)
+        # coupling class (v, m) is the int m * width + v, so they sort by
+        # m, then by violation-set size
+        width = len(self._sets)
+        coupling = [m_of[outdone] * width + vid for vid, _, outdone in self._keys]
+        top: dict[int, int] = {}  # per coupling class, its highest seed
+        for s, c in zip(seeds, coupling):
+            if top.get(c, -1) < s:
+                top[c] = s
+        classes = sorted(top)
+        lo: dict[int, int] = {}  # per violation-set id, its least m
+        hi: dict[int, int] = {}  # and its greatest
+        for c in classes:
+            m, vid = divmod(c, width)
+            lo.setdefault(vid, m)
+            hi[vid] = m
+        for vid, m in hi.items():
+            for big in self._above[vid]:
+                if lo.get(big, m) < m:
+                    small, large = (
+                        "{" + ", ".join(map(concept_to_text, sorted(self._sets[k], key=concept_key)))
+                        + "}" for k in (vid, big))
+                    return (f"no admissible rank assignment: rule (a) puts class"
+                            f" {small} (m = {m}) below class {large} (m = {lo[big]})"
+                            " and rule (b) puts it above (a class is an element's"
+                            " violated aspects, m the highest concept rank of the"
+                            " antecedents it violates)")
+        into: dict[int, int] = {}  # per coupling class, the least rank the orders force
+        best = -1  # the highest class value over the lower levels of m
+        level = None
+        level_best = -1
+        done: dict[int, int] = {}  # the values of this level's classes
+        for c in classes:
+            m, vid = divmod(c, width)
+            if m != level:
+                level, best, done = m, max(best, level_best), {}
+            reach = best + 1
+            for small in self._below[vid]:
+                value = done.get(small)
+                if value is not None and value >= reach:
+                    reach = value + 1
+            into[c] = reach
+            value = top[c]
+            if value < reach:
+                value = reach
+            done[vid] = value
+            if level_best < value:
+                level_best = value
+        return [s if s > into[c] else into[c] for s, c in zip(seeds, coupling)]
+
+    def concept_ranks(self, values: Sequence[int]) -> list[int]:
+        """Per antecedent, the least of its classes' values."""
+        return [min([values[k] for k in classes]) for classes in self._classes_in]
+
+    def ranks(self, values: Sequence[int]) -> tuple[int, ...]:
+        """The rank of each element, from its class's value."""
+        return tuple([values[c] for c in self.class_of])
 
 
 def _constraints(domain: CanonicalDomain, kb: KnowledgeBase) -> _Constraints:
@@ -247,6 +404,32 @@ def _constraints(domain: CanonicalDomain, kb: KnowledgeBase) -> _Constraints:
     if kb not in domain._memo:
         domain._memo[kb] = _Constraints(domain, kb)
     return domain._memo[kb]
+
+
+def _kappa_fixpoint(table: _Constraints, step: Callable[[Sequence[int]], Union[list[int], str]],
+                    bound: int) -> Union[list[int], str]:
+    """The class values `step` gives at the κ fixpoint, or past the bound,
+    or the reason `step` gives none.
+
+    Starting from κ = 0, take the values under κ, then set each κ_j to the
+    least value over antecedent j, until κ stops changing. Every value
+    inside antecedent j is at least κ_j, so κ never falls and, changing
+    each round, never repeats; once some κ_j passes the bound the values
+    do too, which ends the loop.
+    """
+    kappa = [0] * len(table.antecedents)
+    while True:
+        values = step(kappa)
+        if isinstance(values, str):
+            return values
+        nxt = table.concept_ranks(values)
+        if nxt == kappa:
+            return values
+        if any(new < old for new, old in zip(nxt, kappa)):
+            raise AssertionError("internal error: a concept rank fell in the κ fixpoint")
+        if max(nxt) > bound:
+            return values  # max(values) >= max(nxt), past the bound too
+        kappa = nxt
 
 
 def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
@@ -264,10 +447,10 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     """
     g = m.global_ranks
     table = _constraints(m.domain, kb)
-    ante_rank = [min([g[i] for i in elements(ext)]) if ext else -1 for ext in table.antecedents]
-    outdone = {bits: tuple(ante_rank[d] for d in elements(bits)) for bits in set(table.violated)}
+    ante_rank = [min([g[i] for i in elements(ext)]) for ext in table.antecedents]
+    outdone = [tuple([ante_rank[j] for j in t]) for t in table._outdone]
     aspect_rows = list(zip(*(ranks for _, ranks in m.per_aspect))) or [()] * len(g)
-    signatures = list({(gi, rx, outdone[table.violated[c]])
+    signatures = list({(gi, rx, outdone[table._keys[c][2]])
                        for gi, rx, c in zip(g, aspect_rows, table.class_of)})
 
     def cond_a(rx: tuple[int, ...], ry: tuple[int, ...]) -> bool:
@@ -293,201 +476,15 @@ def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
         if dom.eval(ax.lhs) & ~dom.eval(ax.rhs):
             return False
     table = _constraints(dom, kb)
-    for ax, ext, bad in zip(kb.defeasible, table.antecedents, table.violators):
+    for ax, j, bad in zip(kb.defeasible, table.ante_of, table.violators):
+        if not bad:
+            continue  # a default nothing violates holds on every minimum
+        ext = table.antecedents[j]
         if _min_by(m.global_ranks, ext) & bad:
             return False
         if aspect_ranks and _min_by(aspect_ranks[ax.rhs], ext) & bad:
             return False
     return True
-
-
-def canonical_aspect_profile(domain: CanonicalDomain, kb: KnowledgeBase,
-                             ) -> tuple[tuple[Concept, tuple[int, ...]], ...]:
-    """The pointwise least admissible aspect ranks: 1 on violators, else 0.
-
-    An element must sit above some other instance of the antecedent in the
-    aspect order whenever it violates an axiom with that aspect as its
-    right-hand side, so every admissible profile dominates this one.
-    """
-    return _constraints(domain, kb).profile
-
-
-def _least_fixpoint(n: int, bound: int,
-                    raise_groups: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-                    ) -> Optional[tuple[int, ...]]:
-    """Least g >= 0 over n items with g[v] > min(g over members) for each
-    (members, violators) group, or None past the bound. The rule is
-    monotone, so iteration reaches the least fixpoint.
-    """
-    if bound < 0:
-        return None
-    g = [0] * n
-    changed = True
-    while changed:
-        changed = False
-        for members, violators in raise_groups:
-            floor = min(g[i] for i in members) + 1
-            for v in violators:
-                if g[v] < floor:
-                    g[v] = floor
-                    changed = True
-        if changed and max(g) > bound:
-            return None
-    return tuple(g)
-
-
-class _EnrichedSearch:
-    """The enriched global-rank solve over one domain and KB, per vector κ
-    of antecedent concept ranks.
-
-    κ gives each distinct antecedent j (with instances) a concept rank: the
-    least global rank among its instances. Under κ, the least global ranks
-    g start from static seeds
-
-        s[i] = max(κ_j over antecedents j containing i,
-                   κ_j + 1 over axioms with antecedent j that i violates),
-
-    the second term being the raise rule "a violator ranks above the least
-    instance of the antecedent" with that least rank read as κ_j. They
-    then obey the two coupling rules as strict orders:
-
-    - (a) g[x] < g[y] when vio(x) ⊂ vio(y), the aspects each element
-      violates in the fixed aspect profile;
-    - (b) g[x] < g[y] when m(x) < m(y), where m(i) is the largest κ_j over
-      the axioms i violates (-1 if none).
-
-    Both rules read only an element's key (violation set, m), so the
-    elements sharing a key form one class and the orders run between
-    classes. Rule (b) orders classes by m, so a cycle needs a class (v, m)
-    below (w, m') by rule (a), v ⊂ w, with m > m': a two-class cycle,
-    which admits no ranks. Otherwise every class a class (w, m') is forced
-    above has m < m', or m = m' and a violation set inside w. So g is the
-    longest path from the seeds, taken level by level in m and within a
-    level by ascending set size, with no graph built. The solve ranks
-    groups: the table's element classes merged by what seeds and keys
-    read. Where the least rank over each antecedent j is κ_j, the seeds
-    honour the raise rule exactly, so g is the least fixpoint of the
-    pairwise constraints; `_search_frontier` iterates κ to such a point.
-    """
-
-    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
-        table = _constraints(domain, kb)
-        self.profile = table.profile
-        seen: dict[Concept, int] = {}
-        self.antecedents: list[int] = []  # bitmasks over the elements
-        number = []  # per default, its antecedent's index (-1 if it has no instance)
-        for ax, ext in zip(kb.defeasible, table.antecedents):
-            if ext and ax.lhs not in seen:
-                seen[ax.lhs] = len(self.antecedents)
-                self.antecedents.append(ext)
-            number.append(seen.get(ax.lhs, -1))
-        # per set of defaults (a table class's `inside` or `violated` bits),
-        # their antecedents and their aspects
-        among = {bits: tuple(sorted({number[d] for d in elements(bits)}))
-                 for bits in {*table.inside, *table.violated}}
-        aspects = {bits: frozenset(kb.defeasible[d].rhs for d in elements(bits))
-                   for bits in set(table.violated)}
-        # violation-set ids ascend with set size, so a subset has the lower id
-        distinct = sorted(dict.fromkeys(aspects[bits] for bits in table.violated), key=len)
-        vid = {v: k for k, v in enumerate(distinct)}
-        self._sets = distinct
-        # rule (a) over violation-set ids: the sets strictly above and
-        # strictly below each one
-        self._above = [frozenset(k for k, big in enumerate(distinct) if small < big)
-                       for small in distinct]
-        self._below = [tuple(k for k, small in enumerate(distinct) if small < big)
-                       for big in distinct]
-        # a class's seed and key depend on the antecedents containing it and
-        # those of the axioms it violates; each distinct tuple is evaluated
-        # once per κ
-        self._inside = list(dict.fromkeys(among[bits] for bits in table.inside))
-        self._outdone = list(dict.fromkeys(among[bits] for bits in table.violated))
-        inside_id = {t: k for k, t in enumerate(self._inside)}
-        outdone_id = {t: k for k, t in enumerate(self._outdone)}
-        # the table's classes merged by signature into groups, and per
-        # antecedent the groups inside it
-        groups: dict[tuple[int, int, int], int] = {}
-        self._group_of = [
-            groups.setdefault((vid[aspects[v]], inside_id[among[i]], outdone_id[among[v]]),
-                              len(groups))
-            for i, v in zip(table.inside, table.violated)]
-        self._class_of = table.class_of
-        self._keys = tuple(groups)
-        self._groups_inside = tuple(
-            tuple(k for k, key in enumerate(self._keys) if j in self._inside[key[1]])
-            for j in range(len(self.antecedents)))
-
-    def solve(self, kappa: Sequence[int]) -> Union[list[int], str]:
-        """The least global rank of each element group under κ, with no
-        bound, or why there is none: the two classes the rules order both
-        ways."""
-        floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
-        m_of = [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
-        # class (v, m) is the int m * width + v, so classes sort by m, then
-        # by violation-set size
-        width = len(self._above)
-        seeds: list[int] = []
-        class_of: list[int] = []
-        top: dict[int, int] = {}  # per class, its highest seed
-        for vid, ante, outdone in self._keys:
-            m = m_of[outdone]
-            s = floor[ante]
-            if s <= m:
-                s = m + 1
-            seeds.append(s)
-            c = m * width + vid
-            class_of.append(c)
-            if top.get(c, -1) < s:
-                top[c] = s
-        classes = sorted(top)
-        lo: dict[int, int] = {}  # per violation-set id, its least m
-        hi: dict[int, int] = {}  # and its greatest
-        for c in classes:
-            m, vid = divmod(c, width)
-            lo.setdefault(vid, m)
-            hi[vid] = m
-        for vid, m in hi.items():
-            for big in self._above[vid]:
-                if lo.get(big, m) < m:
-                    small, large = (
-                        "{" + ", ".join(map(concept_to_text, sorted(self._sets[k], key=concept_key)))
-                        + "}" for k in (vid, big))
-                    return (f"no admissible rank assignment: rule (a) puts class"
-                            f" {small} (m = {m}) below class {large} (m = {lo[big]})"
-                            " and rule (b) puts it above (a class is an element's"
-                            " violated aspects, m the highest concept rank of the"
-                            " antecedents it violates)")
-        into: dict[int, int] = {}  # per class, the least rank the orders force
-        best = -1  # the highest class value over the lower levels of m
-        level = None
-        level_best = -1
-        done: dict[int, int] = {}  # the values of this level's classes
-        for c in classes:
-            m, vid = divmod(c, width)
-            if m != level:
-                level, best, done = m, max(best, level_best), {}
-            reach = best + 1
-            for small in self._below[vid]:
-                value = done.get(small)
-                if value is not None and value >= reach:
-                    reach = value + 1
-            into[c] = reach
-            value = top[c]
-            if value < reach:
-                value = reach
-            done[vid] = value
-            if level_best < value:
-                level_best = value
-        return [s if s > into[c] else into[c] for s, c in zip(seeds, class_of)]
-
-    def concept_ranks(self, values: Sequence[int]) -> list[int]:
-        """Per antecedent, the least of its groups' values."""
-        return [min([values[k] for k in groups]) for groups in self._groups_inside]
-
-    def ranks(self, values: Sequence[int]) -> tuple[int, ...]:
-        """The global rank of each element, from its group's value."""
-        by_class = [values[k] for k in self._group_of]
-        return tuple([by_class[c] for c in self._class_of])
 
 
 def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
@@ -515,56 +512,34 @@ def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
 def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
                      ) -> Union[_Frontier, str]:
     """The minimal enriched model's aspect profile and global ranks, or the
-    reason there is none.
-
-    Starting from κ = 0, solve under κ, then set each κ_j to the least
-    global rank over antecedent j, until κ stops changing. Every seed
-    inside antecedent j is at least κ_j, so κ never falls and, changing
-    each round, never repeats; once some κ_j passes the bound the ranks do
-    too, which ends the loop.
-    """
-    search = _EnrichedSearch(domain, kb)
-    kappa = [0] * len(search.antecedents)
-    while True:
-        values = search.solve(kappa)
-        if isinstance(values, str):
-            return values
-        top = max(values)
-        nxt = search.concept_ranks(values)
-        if nxt == kappa:
-            break
-        if any(new < old for new, old in zip(nxt, kappa)):
-            raise AssertionError("internal error: a concept rank fell in the κ fixpoint")
-        if max(nxt) > bound:
-            break  # top >= max(nxt), so the bound check below fails
-        kappa = nxt
+    reason there is none: the κ fixpoint of `_Constraints.solve`."""
+    table = _constraints(domain, kb)
+    values = _kappa_fixpoint(table, table.solve, bound)
+    if isinstance(values, str):
+        return values
+    top = max(values)
     if top > bound:
         return f"no admissible rank assignment within bound {bound}: the least ranks reach {top}"
-    g = search.ranks(values)
-    gap = min(set(range(top + 1)).difference(g), default=None)
+    gap = min(set(range(top + 1)).difference(values), default=None)
     if gap is not None:
         return f"no admissible rank assignment: the least ranks leave rank {gap} empty"
-    model = Model(domain, g, search.profile)
+    g = table.ranks(values)
+    model = Model(domain, g, table.profile)
     if not satisfies_kb(model, kb) or not check_coupling(model, kb):
         raise AssertionError("internal error: the minimal enriched model failed validation")
-    return search.profile, g
+    return table.profile, g
 
 
 def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
                       rank_bound: Optional[int] = None) -> Model:
     """The unique minimal single-preference model: the least global ranks
-    under which every defeasible axiom holds on its global minimum. The
-    raise rule reads an element only through its class, so the fixpoint
-    runs over the classes of the constraint table."""
+    under which every defeasible axiom holds on its global minimum, the κ
+    fixpoint of `_Constraints.seeds`."""
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     table = _constraints(domain, kb)
     if bound not in table.single_pref:
-        groups = [tuple(tuple(k for k, bits in enumerate(side) if bits >> d & 1)
-                        for side in (table.inside, table.violated))
-                  for d, ext in enumerate(table.antecedents) if ext]
-        values = _least_fixpoint(len(table.inside), bound, groups)
-        table.single_pref[bound] = (None if values is None
-                                    else tuple([values[c] for c in table.class_of]))
+        values = _kappa_fixpoint(table, table.seeds, bound)
+        table.single_pref[bound] = None if max(values) > bound else table.ranks(values)
     g = table.single_pref[bound]
     if g is None:
         raise RankBoundExceededError(bound)

@@ -1,23 +1,24 @@
 """Independent oracles used to cross-check the reasoner.
 
-Nothing here calls the reasoner's κ fixpoint (`ClassGraphSolve` takes over
-the enriched search's precomputation, not its solve, and `SweepFrontier`
-calls the per-guess solve, which the other two references check), and
-canonical domains come from the caller. Two oracles call the tableau: `TableauRanks` stratifies a
-KB and ranks concepts with one call per level, the reference for the type
-elimination of `ranking.RankedTBox`, and `tableau_domain` makes one call
-per node of the literal tree, the reference for
-`models.build_canonical_domain`. Interpretations are enumerated explicitly:
-concept extensions as bitmasks over tiny domains, rank functions as tuples
-over a canonical domain's types. Entailment over all models, which the
-reasoner never answers, is decided here by pinned least fixpoints. Two
-references check the per-guess solve of the enriched search:
-`PairwiseEnrichedSolve`, a fixpoint over element pairs, and
-`ClassGraphSolve`, the class graph with Kahn's algorithm. `SweepFrontier`
-tries every guess of antecedent ranks, the reference for the κ fixpoint,
-and `coupling_holds_pairwise` tests the coupling rules on every pair of
-elements, the reference for `models.check_coupling`. Slow on purpose,
-trusted because it is simple.
+Nothing here calls the reasoner's κ fixpoint, and canonical domains come
+from the caller. Of the reasoner's private names only its constraint table
+`models._Constraints` is imported: `ClassGraphSolve` takes over its
+precomputation, not its solve, and `SweepFrontier` calls its per-guess
+solve, which the other two references check. Two oracles call the
+tableau: `TableauRanks` stratifies a KB and ranks concepts with one call
+per level, the reference for the type elimination of
+`ranking.RankedTBox`, and `tableau_domain` makes one call per node of the
+literal tree, the reference for `models.build_canonical_domain`.
+Interpretations are enumerated explicitly: concept extensions as bitmasks
+over tiny domains, rank functions as tuples over a canonical domain's
+types. Entailment over all models, which the reasoner never answers, is
+decided here by pinned least fixpoints. Two references check the
+per-guess solve of the enriched search: `PairwiseEnrichedSolve`, a
+fixpoint over element pairs, and `ClassGraphSolve`, the class graph with
+Kahn's algorithm. `SweepFrontier` tries every guess of antecedent ranks,
+the reference for the κ fixpoint, and `coupling_holds_pairwise` tests the
+coupling rules on every pair of elements, the reference for
+`models.check_coupling`. Slow on purpose, trusted because it is simple.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typika.models import (
     CanonicalDomain,
     Model,
     Query,
-    _EnrichedSearch,
-    canonical_aspect_profile,
+    _Constraints,
     default_rank_bound,
     satisfies_kb,
 )
@@ -239,7 +239,7 @@ def enumerate_enriched_globals(domain: CanonicalDomain, kb: KnowledgeBase,
                                bound: int) -> list[tuple[int, ...]]:
     """All global rank tuples that extend the least aspect profile to an
     enriched model: KB satisfaction plus the two coupling rules."""
-    profile = canonical_aspect_profile(domain, kb)
+    profile = _Constraints(domain, kb).profile
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
         m = Model(domain, g, profile)
@@ -327,7 +327,7 @@ def random_interp(rng, atoms: Sequence[str], roles: Sequence[str], size: int) ->
 
 class PairwiseEnrichedSolve:
     """The per-guess solve of the enriched search in its first, pairwise
-    form, kept as a reference for `models._EnrichedSearch.solve`.
+    form, kept as a reference for `models._Constraints.solve`.
 
     Rule (a) and rule (b) are listed as strict pairs of elements (rule (b)
     rebuilt for every guess), the raise rule as dynamic groups ("a violator
@@ -339,7 +339,7 @@ class PairwiseEnrichedSolve:
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
         self.n = domain.size
         self.bound = bound
-        profile = canonical_aspect_profile(domain, kb)
+        profile = _Constraints(domain, kb).profile
         vio_sets = [frozenset(a for a, ranks in profile if ranks[i])
                     for i in range(self.n)]
         self.a_pairs = tuple((x, y) for x in range(self.n) for y in range(self.n)
@@ -405,13 +405,13 @@ class PairwiseEnrichedSolve:
         return tuple(g)
 
 
-class ClassGraphSolve(_EnrichedSearch):
+class ClassGraphSolve(_Constraints):
     """The per-guess solve of the enriched search in its class-graph form,
-    kept as a reference for `models._EnrichedSearch.solve`: the same
+    kept as a reference for `models._Constraints.solve`: the same
     precomputation, but per guess the two coupling rules become an explicit
     edge list over the classes (violation-set id, m), O(C²) for C classes,
     and Kahn's algorithm finds a cycle or takes the longest path from the
-    seeds. It returns the same value per element group, or `CYCLIC` where
+    seeds. It returns the same value per element class, or `CYCLIC` where
     the solve names a cycle."""
 
     def solve(self, kappa: Sequence[int]):
@@ -472,7 +472,7 @@ class SweepFrontier:
     κ fixpoint of `models._search_frontier`.
 
     Every guess κ in [0, bound]^k of the k antecedents' concept ranks is
-    solved by `_EnrichedSearch.solve`. A guess gives a candidate when the
+    solved by `_Constraints.solve`. A guess gives a candidate when the
     solve finds no cycle, the ranks fit the bound, the least rank over
     each antecedent j is κ_j and no rank is left empty; the pointwise
     minimal candidates are the frontier of minimal models. Each failed
@@ -480,7 +480,7 @@ class SweepFrontier:
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
-        self.search = _EnrichedSearch(domain, kb)
+        self.search = _Constraints(domain, kb)
         self.bound = bound
 
     def guesses(self) -> Iterable[tuple[int, ...]]:

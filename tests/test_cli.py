@@ -9,11 +9,14 @@ import pytest
 
 import typika.cli
 from typika.cli import main
+from typika.kb import Defeasible, KnowledgeBase, Strict, serialize_axiom
 from typika.models import CanonicalDomain, build_canonical_domain
+from typika.parser import parse_kb
 from typika.ranking import RankedTBox
+from typika.syntax import And, Atom, complement
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
-from families import ROLE_KBS, chain_text
+from families import ROLE_KBS, chain_text, diamond_text
 
 SET3 = str(KBS / "set3.kb")
 SET1 = str(KBS / "set1.kb")
@@ -266,26 +269,6 @@ def test_inconsistent_kb_by_semantics(capsys, tmp_path):
         assert code == 2 and "consistent" in err
 
 
-def test_env_rank_bound(capsys, monkeypatch):
-    monkeypatch.setenv("TYPIKA_RANK_BOUND", "0")
-    code, _, err = run(
-        capsys, ["query", "--semantics", "single-pref", SET3, "T(Bird) => Fly"])
-    assert code == 2 and "rank" in err
-    # an explicit flag beats the environment
-    code, out, _ = run(
-        capsys,
-        ["query", "--semantics", "single-pref", "--rank-bound", "4",
-         SET3, "T(Bird) => Fly"])
-    assert (code, out) == (0, "entailed\n")
-
-
-def test_env_rank_bound_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TYPIKA_RANK_BOUND", "lots")
-    code, _, err = run(
-        capsys, ["query", "--semantics", "single-pref", SET3, "T(Bird) => Fly"])
-    assert code == 2 and "TYPIKA_RANK_BOUND" in err
-
-
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", SET3])
@@ -347,6 +330,45 @@ def test_compare_json_golden_bytes(capsys, monkeypatch, name):
         capsys, ["compare", "--json", f"kbs/{name}.kb", f"kbs/{name}_queries.txt"])
     assert code == 0 and err == ""
     assert out == (GOLDEN / f"{name}_compare.json").read_text(encoding="utf-8")
+
+
+FAMILY_KBS = {**{f"chain{n}": chain_text(n) for n in (1, 2, 3)},
+              **{f"diamond{n}": diamond_text(n) for n in (1, 2)},
+              **ROLE_KBS}
+
+
+def family_queries(kb: KnowledgeBase) -> list[str]:
+    """Every default's antecedent against every right-hand side (closure
+    rows), then a fresh atom conjoined and alone, a strict row, and the
+    conjunction of two antecedents and of an antecedent with a negation."""
+    antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
+    rhss = list(dict.fromkeys(ax.rhs for ax in kb.defeasible))
+    fresh = Atom("Blond")
+    rows = [Defeasible(a, r) for a in antes for r in rhss]
+    rows += [Defeasible(And(antes[0], fresh), rhss[-1]), Defeasible(fresh, rhss[-1]),
+             Strict(antes[0], rhss[-1]), Defeasible(And(antes[0], antes[-1]), rhss[0]),
+             Defeasible(And(antes[-1], complement(rhss[0])), rhss[-1])]
+    return [serialize_axiom(q) for q in rows]
+
+
+@pytest.mark.parametrize("bound", [None, 1], ids=["default", "bound1"])
+@pytest.mark.parametrize("name", list(FAMILY_KBS))
+def test_family_compare_golden_bytes(capsys, monkeypatch, tmp_path, name, bound):
+    # closure, fresh-atom, strict and conjunction rows over the exception
+    # chains, the Nixon diamonds and the role KBs, errors included
+    text = FAMILY_KBS[name]
+    (tmp_path / "kb.kb").write_text(text, encoding="utf-8")
+    (tmp_path / "queries.txt").write_text(
+        "".join(q + "\n" for q in family_queries(parse_kb(text))), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    flags = [] if bound is None else ["--rank-bound", str(bound)]
+    code, out, err = run(capsys, ["compare", "--json", *flags, "kb.kb", "queries.txt"])
+    rows = json.loads(out)["rows"]
+    assert err == ""
+    assert code == (2 if any("error" in r for r in rows)
+                    else 1 if any(r["violation"] for r in rows) else 0)
+    golden = GOLDEN / "families" / f"{name}_{'default' if bound is None else bound}.json"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def _count_domain_builds(monkeypatch):

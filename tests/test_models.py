@@ -13,7 +13,6 @@ from typika.models import (
     Model,
     RankBoundExceededError,
     build_canonical_domain,
-    canonical_aspect_profile,
     check_coupling,
     default_rank_bound,
     enriched_entails,
@@ -23,7 +22,7 @@ from typika.models import (
     satisfies_kb,
     single_pref_entails,
     single_pref_model,
-    _EnrichedSearch,
+    _Constraints,
     _validate_witnesses,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
@@ -203,7 +202,7 @@ def test_default_rank_bound(kb_set3, kb_set1):
 
 def test_set3_aspect_profile(kb_set3):
     dom = domain_of(kb_set3)
-    profile = dict(canonical_aspect_profile(dom, kb_set3))
+    profile = dict(_Constraints(dom, kb_set3).profile)
     assert set(profile) == set(aspect_set(kb_set3))
     fly = profile[Atom("Fly")]
     not_fly = profile[Not(Atom("Fly"))]
@@ -275,7 +274,7 @@ def test_single_pref_matches_element_fixpoint():
     found = failed = 0
     for kb, dom in cases + list(random_kbs_with_domains()):
         groups = raise_groups(dom, kb)
-        for bound in (default_rank_bound(kb), 1, 2):
+        for bound in (default_rank_bound(kb), 0, 1, 2):
             want = pinned_least_fixpoint(dom.size, bound, groups, ())
             try:
                 got = single_pref_model(kb, dom, bound).global_ranks
@@ -377,7 +376,7 @@ def _count_calls(monkeypatch, name):
 
 def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     searches = _count_calls(monkeypatch, "_search_frontier")
-    fixpoints = _count_calls(monkeypatch, "_least_fixpoint")
+    fixpoints = _count_calls(monkeypatch, "_kappa_fixpoint")
     tables = _count_calls(monkeypatch, "_Constraints")
     aspect_sets = _count_calls(monkeypatch, "aspect_set")
     dom = domain_of(kb_set3)
@@ -385,21 +384,27 @@ def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     again = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
     assert [m.global_ranks for m in again] == [m.global_ranks for m in first]
     assert [m.per_aspect for m in again] == [m.per_aspect for m in first]
-    assert len(searches) == 1
+    assert len(searches) == len(fixpoints) == 1
     m = single_pref_model(kb_set3, domain=dom, rank_bound=4)
     assert single_pref_model(kb_set3, domain=dom, rank_bound=4).global_ranks \
         == m.global_ranks
-    assert len(fixpoints) == 1
+    # the κ loop runs once per semantics and bound
+    assert len(fixpoints) == 2
     # another bound is another search
     minimal_canonical_models(kb_set3, domain=dom, rank_bound=5)
     single_pref_model(kb_set3, domain=dom, rank_bound=5)
-    assert len(searches) == len(fixpoints) == 2
-    # one constraint table serves both semantics at both bounds, and it
-    # sorts the KB's aspects once
+    assert len(searches) == 2 and len(fixpoints) == 4
+    # one constraint table, with its search, serves both semantics at both
+    # bounds, and it sorts the KB's aspects once
     assert len(tables) == len(aspect_sets) == 1
-    # another domain reads the KB's defaults again
-    single_pref_model(kb_set3, domain=domain_of(kb_set3), rank_bound=4)
+    assert {table for table, _, _ in fixpoints} == {dom._memo[kb_set3]}
+    # another domain reads the KB's defaults again; single preference
+    # alone builds no subset tables of rule (a)
+    other = domain_of(kb_set3)
+    single_pref_model(kb_set3, domain=other, rank_bound=4)
     assert len(tables) == len(aspect_sets) == 2
+    assert "_above" in vars(dom._memo[kb_set3])
+    assert "_above" not in vars(other._memo[kb_set3])
 
 
 def test_memo_serves_no_other_bound(kb_set3):
@@ -493,7 +498,7 @@ def test_solve_matches_class_graph_reference():
     cyclic = set()
     checked = 0
     for kb, dom in cases:
-        search = _EnrichedSearch(dom, kb)
+        search = _Constraints(dom, kb)
         ref = ClassGraphSolve(dom, kb)
         for bound in (default_rank_bound(kb), 2):
             for kappa in SweepFrontier(dom, kb, bound).guesses():
@@ -581,7 +586,7 @@ def test_fixpoint_matches_sweep_frontier():
     # whole frontier, and it fails where the sweep finds no model
     found = failed = 0
     for kb, dom in _fixpoint_cases():
-        for bound in (default_rank_bound(kb), 2):
+        for bound in (default_rank_bound(kb), 0, 2):
             frontier, _ = SweepFrontier(dom, kb, bound).frontier()
             try:
                 got = [m.global_ranks for m in minimal_canonical_models(kb, dom, bound)]
@@ -636,7 +641,7 @@ def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):
 
 def test_coupling_flags_misordered_models(kb_set3):
     dom = domain_of(kb_set3)
-    profile = canonical_aspect_profile(dom, kb_set3)
+    profile = _Constraints(dom, kb_set3).profile
     good = minimal_canonical_models(kb_set3, domain=dom)[0]
     # raising a most-typical non-violator above a violator breaks rule (a)
     bad_ranks = list(good.global_ranks)
@@ -673,7 +678,7 @@ def test_coupling_converse_flag():
     # without defeasible axioms nothing is forced, so any ranks couple
     kb = KnowledgeBase.build([Strict(A, B)])
     dom = domain_of(kb)
-    profile = canonical_aspect_profile(dom, kb)
+    profile = _Constraints(dom, kb).profile
     flat = Model(dom, (0,) * dom.size, profile)
     bumpy = Model(dom, (1,) + (0,) * (dom.size - 1), profile)
     assert check_coupling(flat, kb)
