@@ -37,11 +37,11 @@ from .models import (
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
 from .ranking import RankedTBox, in_rational_closure, is_kb_consistent
-from .syntax import Concept, concept_to_text
+from .syntax import Concept, complement, concept_to_text, subconcepts
 
-def _load_kb(path: str) -> KnowledgeBase:
+def _load_kb(path: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_kb(fh.read())
+        return parse_kb(fh.read(), nodes)
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
@@ -143,8 +143,9 @@ def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.kb)
-    query = parse_axiom(args.query)
+    nodes: dict[Concept, Concept] = {}  # one node table for the KB and the query
+    kb = _load_kb(args.kb, nodes)
+    query = parse_axiom(args.query, nodes)
     start = time.perf_counter()
     entailed, model = _query_verdict(RankedTBox(kb), query, args.semantics, args.rank_bound)
     ms = (time.perf_counter() - start) * 1000.0
@@ -165,24 +166,30 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
+                 nodes: dict[Concept, Concept],
                  domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
-    """One row of `compare`. Every row shares the KB's stratification, and
-    queries whose concepts give the same closure share the domain in
-    `domains`, and with it the memoised minimal models. The row computes
-    its closure once: it keys `domains` and picks the stratification's type
-    table the domain is built from."""
+    """One row of `compare`. Every row shares the KB's stratification and
+    its node table `nodes`, and queries whose concepts give the same
+    closure share the domain in `domains`, and with it the memoised minimal
+    models. `domains` is keyed on the query's subconcepts outside the KB's
+    closure, with their complements: the KB's closure is closed under
+    subconcepts and complement, so that key fixes the widened closure,
+    which is built only for a new key."""
     try:
-        query = parse_axiom(raw)
+        query = parse_axiom(raw, nodes)
     except KBSyntaxError as exc:
         return {"query": raw, "error": str(exc)}
     row: dict = {"query": serialize_axiom(query)}
     kb = ranked.kb
     try:
         row["rc"] = in_rational_closure(ranked, query)
-        closure = subconcept_closure(kb, (query.lhs, query.rhs))
-        domain = domains.get(closure)
+        fresh = {s for side in (query.lhs, query.rhs) for s in subconcepts(side)
+                 if s not in ranked.closure}
+        key = frozenset(fresh.union(map(complement, fresh)))
+        domain = domains.get(key)
         if domain is None:
-            domain = domains[closure] = build_canonical_domain(ranked, closure)
+            closure = subconcept_closure(kb, (query.lhs, query.rhs))
+            domain = domains[key] = build_canonical_domain(ranked, closure)
         row["singlePref"] = single_pref_entails(kb, query, domain, bound).entailed
         row["enriched"] = enriched_entails(kb, query, domain, bound).entailed
     except (RankBoundExceededError, InconsistentKBError) as exc:
@@ -196,13 +203,14 @@ def _flag(value: bool) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.kb)
+    nodes: dict[Concept, Concept] = {}  # one node table for the KB and every query
+    kb = _load_kb(args.kb, nodes)
     with open(args.queries, "r", encoding="utf-8") as fh:
         raws = [line.strip() for line in fh]
     raws = [r for r in raws if r and not r.startswith("#")]
     ranked = RankedTBox(kb)
     domains: dict[frozenset[Concept], CanonicalDomain] = {}
-    rows = [_compare_row(ranked, raw, args.rank_bound, domains) for raw in raws]
+    rows = [_compare_row(ranked, raw, args.rank_bound, nodes, domains) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}
     lines = []
     for row in rows:

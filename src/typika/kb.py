@@ -9,6 +9,7 @@ concept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .syntax import Concept, complement, concept_key, concept_to_text, subconcepts
@@ -60,11 +61,33 @@ class KnowledgeBase:
 
     Order is the order of first occurrence in the source text; it is kept
     because reports and materializations iterate it deterministically.
+    The KB keys memos, so, like a concept node, it computes its hash once
+    and keeps it; it also keeps its sorted aspect set (`aspect_set`).
+    Neither cache changes what it compares equal to, and a copy or pickle
+    carries only the three lists.
     """
 
     strict: tuple[Strict, ...] = ()
     defeasible: tuple[Defeasible, ...] = ()
     abox: tuple[Assertion, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.strict, self.defeasible, self.abox))
+
+    @cached_property
+    def _aspects(self) -> tuple[Concept, ...]:
+        found: set[Concept] = set()
+        for ax in self.axioms:
+            for side in (ax.lhs, ax.rhs):
+                found.update(subconcepts(side))
+        return tuple(sorted(found, key=concept_key))
+
+    def __reduce__(self):
+        return (KnowledgeBase, (self.strict, self.defeasible, self.abox))
 
     @property
     def axioms(self) -> tuple[Axiom, ...]:
@@ -94,12 +117,9 @@ def aspect_set(kb: KnowledgeBase) -> tuple[Concept, ...]:
     subexpressions, and deduplicated structurally. No derived negations are
     added: `not Fly` on a right-hand side contributes both `not Fly` and
     `Fly`, but `Bird` on a left-hand side does not contribute `not Bird`.
+    Sorted once per KB, which keeps the result.
     """
-    found: set[Concept] = set()
-    for ax in kb.axioms:
-        for side in (ax.lhs, ax.rhs):
-            found.update(subconcepts(side))
-    return tuple(sorted(found, key=concept_key))
+    return kb._aspects
 
 
 def subconcept_closure(kb: KnowledgeBase, extra: Iterable[Concept] = ()) -> frozenset[Concept]:

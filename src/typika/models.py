@@ -185,33 +185,46 @@ def _validate_witnesses(domain: CanonicalDomain) -> None:
                                      f"element {elements(wrong)[0]}")
 
 
+def _rank_masks(ranks: Sequence[int]) -> tuple[int, ...]:
+    """Per rank from 0 to the highest, the elements with that rank as a
+    bitmask."""
+    return tuple(bitmask(r == k for r in ranks) for k in range(max(ranks, default=-1) + 1))
+
+
+def _least(rank_masks: Sequence[int], ext: int) -> int:
+    """The members of the bitmask `ext` with the least rank, as a bitmask:
+    those in the first rank's mask that meets it."""
+    for mask in rank_masks:
+        if mask & ext:
+            return mask & ext
+    return 0
+
+
 @dataclass(frozen=True, eq=False)
 class Model:
     """Ranks over a domain: the global rank of each element and, for an
     enriched model, one rank function per aspect (`per_aspect` is empty for
-    a single-preference model)."""
+    a single-preference model). `rank_masks` holds the elements of each
+    global rank (`_rank_masks`); it is read off the ranks unless given."""
 
     domain: CanonicalDomain
     global_ranks: tuple[int, ...]
     per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
+    rank_masks: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.rank_masks is None:
+            object.__setattr__(self, "rank_masks", _rank_masks(self.global_ranks))
 
 
-# the minimal enriched model's aspect profile and global ranks
-_Frontier = tuple[tuple[tuple[Concept, tuple[int, ...]], ...], tuple[int, ...]]
-
-
-def _min_by(ranks: Sequence[int], ext: int) -> int:
-    """The members of the bitmask `ext` with the least rank, as a bitmask."""
-    if not ext:
-        return 0
-    lo = min(ranks[i] for i in elements(ext))
-    return ext & bitmask(r == lo for r in ranks)
+# the minimal enriched model's aspect profile, global ranks and their masks
+_Frontier = tuple[tuple[tuple[Concept, tuple[int, ...]], ...], tuple[int, ...], tuple[int, ...]]
 
 
 def min_global(model: Model, concept: Concept) -> int:
     """The globally most typical instances of a concept in the model, as a
     bitmask over the domain."""
-    return _min_by(model.global_ranks, model.domain.eval(concept))
+    return _least(model.rank_masks, model.domain.eval(concept))
 
 
 class _Constraints:
@@ -233,8 +246,9 @@ class _Constraints:
     and has none to merge. `seeds` is the single-preference step of the κ
     loop; `solve`, the enriched one, adds the coupling orders and builds
     the subset tables of rule (a) on first use. `single_pref` and
-    `enriched` memoise the minimal models per rank bound. Nothing here
-    refers to the domain, so its memo forms no reference cycle.
+    `enriched` memoise the minimal models per rank bound, each with its
+    global ranks' per-rank masks. Nothing here refers to the domain, so its
+    memo forms no reference cycle.
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
@@ -294,7 +308,7 @@ class _Constraints:
         for k, (_, ante, _) in enumerate(self._keys):
             for j in self._inside[ante]:
                 self._classes_in[j].append(k)
-        self.single_pref: dict[int, Optional[tuple[int, ...]]] = {}
+        self.single_pref: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         self.enriched: dict[int, Union[_Frontier, str]] = {}
 
     @cached_property
@@ -401,9 +415,10 @@ class _Constraints:
 
 def _constraints(domain: CanonicalDomain, kb: KnowledgeBase) -> _Constraints:
     """The domain's constraint table for the KB, built on first use."""
-    if kb not in domain._memo:
-        domain._memo[kb] = _Constraints(domain, kb)
-    return domain._memo[kb]
+    table = domain._memo.get(kb)
+    if table is None:
+        table = domain._memo[kb] = _Constraints(domain, kb)
+    return table
 
 
 def _kappa_fixpoint(table: _Constraints, step: Callable[[Sequence[int]], Union[list[int], str]],
@@ -480,9 +495,9 @@ def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
         if not bad:
             continue  # a default nothing violates holds on every minimum
         ext = table.antecedents[j]
-        if _min_by(m.global_ranks, ext) & bad:
+        if _least(m.rank_masks, ext) & bad:
             return False
-        if aspect_ranks and _min_by(aspect_ranks[ax.rhs], ext) & bad:
+        if aspect_ranks and _least(_rank_masks(aspect_ranks[ax.rhs]), ext) & bad:
             return False
     return True
 
@@ -505,8 +520,8 @@ def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
     found = memo[bound]
     if isinstance(found, str):
         raise RankBoundExceededError(bound, found)
-    profile, g = found
-    return [Model(domain, g, profile)]
+    profile, g, masks = found
+    return [Model(domain, g, profile, masks)]
 
 
 def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
@@ -527,7 +542,7 @@ def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
     model = Model(domain, g, table.profile)
     if not satisfies_kb(model, kb) or not check_coupling(model, kb):
         raise AssertionError("internal error: the minimal enriched model failed validation")
-    return table.profile, g
+    return table.profile, g, model.rank_masks
 
 
 def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
@@ -539,11 +554,16 @@ def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
     table = _constraints(domain, kb)
     if bound not in table.single_pref:
         values = _kappa_fixpoint(table, table.seeds, bound)
-        table.single_pref[bound] = None if max(values) > bound else table.ranks(values)
-    g = table.single_pref[bound]
-    if g is None:
+        if max(values) > bound:
+            table.single_pref[bound] = None
+        else:
+            g = table.ranks(values)
+            table.single_pref[bound] = g, _rank_masks(g)
+    found = table.single_pref[bound]
+    if found is None:
         raise RankBoundExceededError(bound)
-    return Model(domain, g)
+    g, masks = found
+    return Model(domain, g, rank_masks=masks)
 
 
 @dataclass(frozen=True)
@@ -594,11 +614,12 @@ def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
                 individuals.append(name)
     # per individual, the bitmask of the elements it may map to
     candidates = dict.fromkeys(individuals, domain.eval(TOP))
+    masks = _rank_masks(global_ranks)
     for a in kb.abox:
         if isinstance(a, ConceptAssertion):
             ext = domain.eval(a.concept)
             if a.typical:
-                ext = _min_by(global_ranks, ext)
+                ext = _least(masks, ext)
             candidates[a.individual] &= ext
     role_pairs = [a for a in kb.abox
                   if isinstance(a, RoleAssertion) and a.role in domain.successors]

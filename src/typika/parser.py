@@ -12,12 +12,18 @@ One statement per line; `#` starts a comment; blank lines are ignored.
 Binary connectives are always parenthesised, so there is no precedence.
 The typicality marker T may wrap a whole axiom left-hand side or a concept
 assertion head and nothing else; in particular it cannot be nested.
+
+A parse interns its concept nodes in a table (`nodes`, a dict from each
+node to itself): its own, or the caller's when given. Texts parsed with
+one table share every equal subconcept as one object, so the memos keyed
+on concept nodes hit on identity before comparing structure. The table
+belongs to the caller and dies with it; no module keeps one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Optional
 
 from .kb import (
     Assertion,
@@ -33,6 +39,7 @@ from .syntax import BOT, TOP, Atom, Concept, Exists, Forall, And, Not, Or
 RESERVED = {"top", "bot", "not", "and", "or", "exists", "forall", "T"}
 
 _TOKEN_RE = re.compile(r"=>|[(),.]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class KBSyntaxError(Exception):
@@ -42,11 +49,13 @@ class KBSyntaxError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
 class _Token:
-    text: str
-    line: int
-    col: int
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str, line_no: int) -> list[_Token]:
@@ -61,11 +70,15 @@ def _tokenize(text: str, line_no: int) -> list[_Token]:
 
 
 class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
+    """Parses one line's tokens, interning every concept node in `nodes`."""
+
+    def __init__(self, tokens: list[_Token], line_no: int, line_len: int,
+                 nodes: dict[Concept, Concept]):
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
         self.line_len = line_len
+        self.nodes = nodes
 
     def peek(self, ahead: int = 0) -> _Token | None:
         i = self.pos + ahead
@@ -90,7 +103,7 @@ class _LineParser:
         tok = self.peek()
         if tok is None:
             raise self.fail(f"expected {what}, found end of line")
-        if tok.text in RESERVED or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
+        if tok.text in RESERVED or not _IDENT_RE.fullmatch(tok.text):
             raise self.fail(f"expected {what}, found {tok.text!r}")
         self.pos += 1
         return tok.text
@@ -100,12 +113,16 @@ class _LineParser:
         return tok is not None and tok.text == "T" and nxt is not None and nxt.text == "("
 
     def concept(self) -> Concept:
+        c = self._concept()
+        return self.nodes.setdefault(c, c)
+
+    def _concept(self) -> Concept:
         tok = self.peek()
         if tok is None:
             raise self.fail("expected a concept, found end of line")
-        if self.at_typicality():
-            raise self.fail("the typicality marker cannot occur inside a concept")
         text = tok.text
+        if text == "T" and self.at_typicality():
+            raise self.fail("the typicality marker cannot occur inside a concept")
         if text == "top":
             self.pos += 1
             return TOP
@@ -194,18 +211,20 @@ class _LineParser:
             raise self.fail(f"unexpected {self.peek().text!r} after a complete statement")
 
 
-def _line_parsers(text: str):
+def _line_parsers(text: str, nodes: Optional[dict[Concept, Concept]]):
+    nodes = {} if nodes is None else nodes
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, line_no)
         if tokens:
-            yield _LineParser(tokens, line_no, len(raw))
+            yield _LineParser(tokens, line_no, len(raw), nodes)
 
 
-def parse_kb(text: str) -> KnowledgeBase:
-    """Parses KB source text. Raises KBSyntaxError with line and column on errors."""
+def parse_kb(text: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
+    """Parses KB source text, interning its concepts in `nodes` when
+    given. Raises KBSyntaxError with line and column on errors."""
     axioms: list[Axiom] = []
     abox: list[Assertion] = []
-    for lp in _line_parsers(text):
+    for lp in _line_parsers(text, nodes):
         stmt = lp.statement()
         if isinstance(stmt, (Strict, Defeasible)):
             axioms.append(stmt)
@@ -214,9 +233,10 @@ def parse_kb(text: str) -> KnowledgeBase:
     return KnowledgeBase.build(axioms, abox)
 
 
-def parse_axiom(text: str) -> Axiom:
-    """Parses a single axiom line (the query format)."""
-    parsers = list(_line_parsers(text))
+def parse_axiom(text: str, nodes: Optional[dict[Concept, Concept]] = None) -> Axiom:
+    """Parses a single axiom line (the query format), interning its
+    concepts in `nodes` when given."""
+    parsers = list(_line_parsers(text, nodes))
     if not parsers:
         raise KBSyntaxError("expected an axiom", 1, 1)
     if len(parsers) > 1:
@@ -229,7 +249,7 @@ def parse_axiom(text: str) -> Axiom:
 
 def parse_concept(text: str) -> Concept:
     """Parses a single concept; used by tests and interactive callers."""
-    parsers = list(_line_parsers(text))
+    parsers = list(_line_parsers(text, None))
     if len(parsers) != 1:
         raise KBSyntaxError("expected a single concept", 1, 1)
     c = parsers[0].concept()

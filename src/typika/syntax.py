@@ -11,8 +11,11 @@ Each node caches its hash and its `concept_key` text in slots, each the
 first time it is asked for, so both cost O(1) afterwards. The node itself
 is the key of every memo in the package (concept extensions, ranks); the
 `concept_key` text serves only as a deterministic sort order. The caches
-belong to the node and die with it; there is no table of nodes, and
-whether a cache is filled never changes what a node compares equal to.
+belong to the node and die with it. A parse interns its nodes into a
+table the caller owns, which dies with the call (`parser`), so equal
+concepts parsed with one table are one object and those memos hit on
+identity; no module keeps a table. Whether a cache is filled or a node
+interned never changes what a node compares equal to.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ fixpoint over element pairs, and `ClassGraphSolve`, the class graph with
 Kahn's algorithm. `SweepFrontier` tries every guess of antecedent ranks,
 the reference for the κ fixpoint, and `coupling_holds_pairwise` tests the
 coupling rules on every pair of elements, the reference for
-`models.check_coupling`. Slow on purpose, trusted because it is simple.
+`models.check_coupling`. `min_by` scans every rank for an extension's
+least-ranked members, the reference for the per-rank masks of
+`models.Model`. Slow on purpose, trusted because it is simple.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typika.models import (
     default_rank_bound,
     satisfies_kb,
 )
-from typika.ranking import level_tbox
+from typika.ranking import bitmask, elements, level_tbox
 from typika.syntax import (
     BOT,
     And,
@@ -283,6 +285,15 @@ def pointwise_minima(candidates: Sequence[tuple[int, ...]]) -> list[tuple[int, .
         g for g in candidates
         if not any(o != g and all(a <= b for a, b in zip(o, g)) for o in candidates)
     ]
+
+
+def min_by(ranks: Sequence[int], ext: int) -> int:
+    """The members of the bitmask `ext` with the least rank, as a bitmask:
+    the least rank over the members, then every element with that rank."""
+    if not ext:
+        return 0
+    lo = min(ranks[i] for i in elements(ext))
+    return ext & bitmask(r == lo for r in ranks)
 
 
 def holds_in_ranks(domain: CanonicalDomain, g: Sequence[int], query) -> bool:

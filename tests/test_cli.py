@@ -401,6 +401,23 @@ def test_compare_fresh_atom_query_builds_its_own_domain(capsys, monkeypatch, tmp
                                "singlePref": True, "enriched": True, "violation": False}
 
 
+def test_compare_keys_domains_by_the_widened_closure(capsys, monkeypatch, tmp_path):
+    # `Blond` and `not Blond` lie outside set3's closure and widen it by the
+    # same pair of members, so both rows share one domain
+    queries = ["T(Blond) => Fly", "T(not Blond) => Fly", "T(Penguin) => not Fly"]
+    qf = tmp_path / "queries.txt"
+    qf.write_text("".join(q + "\n" for q in queries))
+    builds = _count_domain_builds(monkeypatch)
+    code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
+    assert code == 0
+    assert len(builds) == 2
+    assert Atom("Blond") in builds[0] and Atom("Blond") not in builds[1]
+    # each row as its own call, with a domain of its own, gives the same row
+    for q, row in zip(queries, doc["rows"]):
+        qf.write_text(q + "\n")
+        assert run_json(capsys, ["compare", "--json", SET3, str(qf)])[1]["rows"] == [row]
+
+
 def test_compare_builds_no_literal_types(capsys, monkeypatch, tmp_path):
     # a domain's literal sets are for printing a model; compare never reads them
     kb = tmp_path / "role.kb"

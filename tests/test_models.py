@@ -23,11 +23,13 @@ from typika.models import (
     single_pref_entails,
     single_pref_model,
     _Constraints,
+    _least,
+    _rank_masks,
     _validate_witnesses,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure
-from typika.syntax import And, Atom, Exists, Forall, Not, concept_key
+from typika.syntax import BOT, TOP, And, Atom, Exists, Forall, Not, concept_key
 
 from corpus import corpus_kbs
 from families import chain, chain_text, diamond, role_kbs
@@ -46,6 +48,7 @@ from oracles import (
     enumerate_enriched_globals,
     enumerate_single_models,
     holds_in_ranks,
+    min_by,
     pinned_least_fixpoint,
     pointwise_minima,
     raise_groups,
@@ -284,6 +287,34 @@ def test_single_pref_matches_element_fixpoint():
                 failed += 1
             assert got == want, (kb, bound)
     assert found > 1000 and failed > 20
+
+
+def test_least_instances_match_the_scan():
+    # the first rank mask that meets an extension holds the members the
+    # oracle's scan over every rank gives: globally under both semantics,
+    # from the masks memoised with each model, and per aspect
+    families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2, 3)]
+    cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
+    cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
+    models = 0
+    for kb, dom in cases + list(random_kbs_with_domains()):
+        concepts = (TOP, BOT, *dom.closure)
+        exts = [dom.eval(c) for c in concepts]
+        for search in (single_pref_model, minimal_canonical_models):
+            try:
+                m = search(kb, dom)
+            except RankBoundExceededError:
+                continue
+            m = m[0] if isinstance(m, list) else m
+            models += 1
+            assert m.rank_masks == Model(dom, m.global_ranks).rank_masks
+            assert [min_global(m, c) for c in concepts] \
+                == [min_by(m.global_ranks, ext) for ext in exts]
+            for _, ranks in m.per_aspect:
+                masks = _rank_masks(ranks)
+                assert [_least(masks, ext) for ext in exts] \
+                    == [min_by(ranks, ext) for ext in exts]
+    assert models > 1500
 
 
 def test_set3_minimal_penguins(kb_set3):

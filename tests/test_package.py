@@ -27,13 +27,30 @@ def test_all_names_resolve_and_none_is_a_module():
     assert "RankedTBox" in typika.__all__
 
 
-def test_no_submodule_keeps_a_functools_cache():
-    # derived per-KB state belongs to per-KB objects, never to a module
+def container_sizes():
+    """The length of every dict, list and set bound in the package's modules
+    or in their classes."""
+    return {key: len(value) for key, value in bindings().items()
+            if isinstance(value, (dict, list, set)) and not key[-1].startswith("__")}
+
+
+def test_no_submodule_keeps_a_functools_cache(tmp_path, capsys):
+    # derived per-KB state belongs to per-KB objects, never to a module:
+    # no module keeps a functools cache, and a compare run grows no dict,
+    # list or set of a module or class (a node table of the parser's, say)
     mods = submodules()
     assert {m.__name__ for m in mods} >= {"typika.ranking", "typika.tableau"}
     for mod in mods:
         for name, value in vars(mod).items():
             assert not hasattr(value, "cache_info"), f"{mod.__name__}.{name}"
+    queries = tmp_path / "queries.txt"
+    queries.write_text((ROOT / "kbs" / "set3_queries.txt").read_text(encoding="utf-8")
+                       + "T((Penguin and Blond)) => not Fly\nT(not Blond) => Fly\n")
+    before = container_sizes()
+    assert ("typika.parser", "RESERVED") in before
+    assert cli.main(["compare", "--json", str(ROOT / "kbs" / "set3.kb"), str(queries)]) == 0
+    assert '"error"' not in capsys.readouterr().out
+    assert container_sizes() == before
 
 
 def test_model_functions_take_the_callers_domain():

@@ -6,10 +6,11 @@ from typika.kb import (
     KnowledgeBase,
     RoleAssertion,
     Strict,
+    serialize_axiom,
     serialize_kb,
 )
 from typika.parser import KBSyntaxError, parse_axiom, parse_concept, parse_kb
-from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP
+from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, subconcepts
 
 
 def test_parse_set3(kb_set3):
@@ -116,3 +117,48 @@ def test_axioms_and_assertions_mix(kb_set3):
     kb = parse_kb(text)
     assert kb.strict == kb_set3.strict
     assert kb.abox == (ConceptAssertion(Atom("Bird"), "tweety"),)
+
+
+# ------------------------------------------------------------- node tables
+
+INTERNED_KB = """
+T((Bird and not Fly)) => exists likes. (Bird and not Fly)
+(Bird and not Fly) => Penguin
+T(Penguin) => not Fly
+(Penguin and not Fly)(pingu)
+"""
+
+
+def test_equal_subconcepts_of_a_kb_are_one_object():
+    kb = parse_kb(INTERNED_KB)
+    (d1, d2), (s1,) = kb.defeasible, kb.strict
+    assert d1.lhs is d1.rhs.sub is s1.lhs
+    assert s1.rhs is d2.lhs is kb.abox[0].concept.left
+    assert d2.rhs is d1.lhs.right
+    flies = {id(c) for ax in kb.axioms for side in (ax.lhs, ax.rhs)
+             for c in subconcepts(side) if c == Atom("Fly")}
+    assert len(flies) == 1
+
+
+def test_a_query_parsed_with_the_kbs_table_shares_its_nodes():
+    nodes = {}
+    kb = parse_kb(INTERNED_KB, nodes)
+    query = parse_axiom("T((Bird and not Fly)) => (Penguin and exists likes. Fly)", nodes)
+    assert query.lhs is kb.defeasible[0].lhs
+    assert query.rhs.left is kb.strict[0].rhs
+    assert query.rhs.right.sub is kb.defeasible[1].rhs.sub
+    # a table holds each distinct node once, mapped to itself
+    assert all(key is value for key, value in nodes.items())
+    assert query.rhs in nodes
+
+
+def test_parsing_without_a_table_gives_equal_nodes():
+    nodes = {}
+    kb = parse_kb(INTERNED_KB, nodes)
+    text = "T((Bird and not Fly)) => (Penguin and exists likes. Fly)"
+    shared, alone = parse_axiom(text, nodes), parse_axiom(text)
+    assert parse_kb(INTERNED_KB) == kb
+    assert alone == shared and hash(alone) == hash(shared)
+    assert alone.lhs is not shared.lhs and alone.lhs == kb.defeasible[0].lhs
+    assert hash(alone.lhs) == hash(kb.defeasible[0].lhs)
+    assert serialize_axiom(alone) == serialize_axiom(shared) == text
