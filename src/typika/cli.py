@@ -7,7 +7,8 @@ where rank-based entailment is not contained in enriched entailment).
 
 Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict
 or flagged row, 2 any error (I/O, syntax, inconsistent KB under model
-semantics, rank bound overflow; in `compare`, any error row). `--json`
+semantics, rank bound overflow; in `compare`, any error row; an internal
+error, reported as `internal error: ...` on stderr). `--json`
 switches to a single structured document on stdout; `timingMs` is measured
 per invocation except for `compare`, where it is pinned to 0 so repeated
 runs are byte-identical.
@@ -299,6 +300,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (RankBoundExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of the program, not a verdict: never exit 0 or 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

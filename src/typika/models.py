@@ -22,7 +22,11 @@ antecedents and violating the same defaults. The rules below read an
 element only through its violated aspects, the antecedents it lies in and
 those of the defaults it violates, which fix its class, so the loop ranks
 classes. The model checks read the table too, and it memoises the minimal
-models per rank bound, so the queries sharing a domain search once.
+models per rank bound, so the queries sharing a domain search once. A
+`Model` carries its elements per global rank and per aspect rank as
+bitmasks (`_rank_masks`, one pass over the ranks in C); the models the
+table builds share the least profile's aspect masks, built once per table,
+so no check rebuilds them.
 
 Both minimal models are the κ fixpoint of `_kappa_fixpoint`. A vector κ
 gives each antecedent j a concept rank, and under κ an element i gets the
@@ -59,8 +63,10 @@ rises, so the loop ends.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
@@ -176,10 +182,13 @@ def _validate_witnesses(domain: CanonicalDomain) -> None:
     r-successor is in C, `forall r. C` where every r-successor is."""
     for p in domain.closure:
         if isinstance(p, (Exists, Forall)):
+            succ = domain.successors[p.role]
             sub = domain.eval(p.sub)
-            wrong = domain.eval(p) ^ bitmask(
-                targets & sub if isinstance(p, Exists) else not targets & ~sub
-                for targets in domain.successors[p.role])
+            if isinstance(p, Exists):
+                holds = bitmask(map(sub.__and__, succ))
+            else:
+                holds = domain.eval.full ^ bitmask(map((~sub).__and__, succ))
+            wrong = domain.eval(p) ^ holds
             if wrong:
                 raise AssertionError(f"{p!r} disagrees with the role edges on "
                                      f"element {elements(wrong)[0]}")
@@ -187,8 +196,18 @@ def _validate_witnesses(domain: CanonicalDomain) -> None:
 
 def _rank_masks(ranks: Sequence[int]) -> tuple[int, ...]:
     """Per rank from 0 to the highest, the elements with that rank as a
-    bitmask."""
-    return tuple(bitmask(r == k for r in ranks) for k in range(max(ranks, default=-1) + 1))
+    bitmask. One pass writes the ranks as one character each; each rank's
+    mask is then that text translated to binary digits, read in C."""
+    top = max(ranks, default=-1)
+    text = (bytes(ranks).decode("latin-1") if top < 256
+            else "".join(map(chr, ranks)))[::-1]  # the last character is element 0's
+    digits = dict.fromkeys(range(top + 1), "0")
+    masks = []
+    for k in range(top + 1):
+        digits[k] = "1"
+        masks.append(int(text.translate(digits), 2))
+        digits[k] = "0"
+    return tuple(masks)
 
 
 def _least(rank_masks: Sequence[int], ext: int) -> int:
@@ -205,20 +224,27 @@ class Model:
     """Ranks over a domain: the global rank of each element and, for an
     enriched model, one rank function per aspect (`per_aspect` is empty for
     a single-preference model). `rank_masks` holds the elements of each
-    global rank (`_rank_masks`); it is read off the ranks unless given."""
+    global rank and `aspect_masks`, per aspect of `per_aspect` in order,
+    those of each aspect rank (`_rank_masks`); each is read off the ranks
+    unless given, as the constraint table gives them for the models it
+    builds."""
 
     domain: CanonicalDomain
     global_ranks: tuple[int, ...]
     per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
     rank_masks: Optional[tuple[int, ...]] = None
+    aspect_masks: Optional[tuple[tuple[Concept, tuple[int, ...]], ...]] = None
 
     def __post_init__(self) -> None:
         if self.rank_masks is None:
             object.__setattr__(self, "rank_masks", _rank_masks(self.global_ranks))
+        if self.aspect_masks is None:
+            object.__setattr__(self, "aspect_masks", tuple(
+                (a, _rank_masks(ranks)) for a, ranks in self.per_aspect))
 
 
-# the minimal enriched model's aspect profile, global ranks and their masks
-_Frontier = tuple[tuple[tuple[Concept, tuple[int, ...]], ...], tuple[int, ...], tuple[int, ...]]
+# a minimal model's global ranks and their masks
+_Ranks = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def min_global(model: Model, concept: Concept) -> int:
@@ -235,7 +261,8 @@ class _Constraints:
     of C outside D, a bitmask over the elements, and `ante_of` the index of
     C in `antecedents`, the bitmasks of the distinct antecedents with
     instances (-1 when C has none); κ has one entry per antecedent.
-    `profile` is the least admissible aspect profile. Element i is in the
+    `profile` is the least admissible aspect profile and `profile_masks`
+    its per-aspect rank masks. Element i is in the
     element class `class_of[i]`. A class's search key `_keys[k]` is (vid,
     ante, outdone): the id of its violated-aspect set V in `_sets`, and of
     its sets of defaults lain in and violated, whose antecedents
@@ -263,8 +290,10 @@ class _Constraints:
         bad: dict[Concept, int] = {}
         for ax, mask in zip(kb.defeasible, self.violators):
             bad[ax.rhs] = bad.get(ax.rhs, 0) | mask
+        aspects = aspect_set(kb)
         self.profile = tuple((a, tuple(column(bad.get(a, 0)).encode().translate(zero_one)))
-                             for a in aspect_set(kb))
+                             for a in aspects)
+        self.profile_masks = tuple((a, _rank_masks(ranks)) for a, ranks in self.profile)
         seen: dict[Concept, int] = {}
         self.antecedents: list[int] = []
         for ax, ext in zip(kb.defeasible, lhs):
@@ -276,9 +305,10 @@ class _Constraints:
         # antecedents, the last default first, so each half read in binary
         # is a bitmask over the defaults
         columns = [column(mask) for mask in self.violators[::-1] + tuple(lhs[::-1])]
-        ids: dict[str, int] = {}
-        rows = ["".join(row) for row in zip(*columns)] or [""] * n
-        self.class_of = tuple([ids.setdefault(row, len(ids)) for row in rows])
+        rows = list(map("".join, zip(*columns))) or [""] * n
+        # class ids in order of first occurrence
+        ids = {row: k for k, row in enumerate(dict.fromkeys(rows))}
+        self.class_of = tuple(map(ids.__getitem__, rows))
         # per class, the defaults it violates and those it lies in: the two
         # halves of its row, each distinct half read once
         d = len(kb.defeasible)
@@ -308,8 +338,8 @@ class _Constraints:
         for k, (_, ante, _) in enumerate(self._keys):
             for j in self._inside[ante]:
                 self._classes_in[j].append(k)
-        self.single_pref: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        self.enriched: dict[int, Union[_Frontier, str]] = {}
+        self.single_pref: dict[int, Optional[_Ranks]] = {}
+        self.enriched: dict[int, Union[_Ranks, str]] = {}
 
     @cached_property
     def _above(self) -> list[frozenset[int]]:
@@ -441,7 +471,7 @@ def _kappa_fixpoint(table: _Constraints, step: Callable[[Sequence[int]], Union[l
         if nxt == kappa:
             return values
         if any(new < old for new, old in zip(nxt, kappa)):
-            raise AssertionError("internal error: a concept rank fell in the κ fixpoint")
+            raise AssertionError("a concept rank fell in the κ fixpoint")
         if max(nxt) > bound:
             return values  # max(values) >= max(nxt), past the bound too
         kappa = nxt
@@ -453,30 +483,40 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     Rule (a) forces x below y when some aspect prefers x and none prefers y.
     Rule (b) forces x below y when y violates an axiom and every axiom
     violated by x is outdone by one violated by y whose antecedent has a
-    strictly higher concept rank (min global rank over its extension).
+    strictly higher concept rank (the least global rank over its
+    extension). An axiom of x is outdone exactly when its concept rank is
+    below the highest over y's axioms, so rule (b) reads an element only
+    through m, the highest concept rank of the antecedents it violates (-1
+    if none): it forces x below y exactly when m(x) < m(y).
+
     Both rules read an element only through its signature: its global
-    rank, its aspect-rank vector and the concept ranks of the antecedents
-    of the axioms it violates. Two elements with one signature break
-    neither rule against each other, so both rules are tested literally on
-    every pair of distinct signatures not already in order.
+    rank, its aspect-rank vector and m. So they hold when, for every two
+    distinct vectors v <= w, each global rank with v lies below each with w,
+    and for every m, each global rank with a lower m lies below each with
+    m: tested on the least and greatest global rank per vector and per m.
     """
     g = m.global_ranks
     table = _constraints(m.domain, kb)
-    ante_rank = [min([g[i] for i in elements(ext)]) for ext in table.antecedents]
-    outdone = [tuple([ante_rank[j] for j in t]) for t in table._outdone]
-    aspect_rows = list(zip(*(ranks for _, ranks in m.per_aspect))) or [()] * len(g)
-    signatures = list({(gi, rx, outdone[table._keys[c][2]])
-                       for gi, rx, c in zip(g, aspect_rows, table.class_of)})
-
-    def cond_a(rx: tuple[int, ...], ry: tuple[int, ...]) -> bool:
-        return any(a < b for a, b in zip(rx, ry)) and all(a <= b for a, b in zip(rx, ry))
-
-    def cond_b(kx: tuple[int, ...], ky: tuple[int, ...]) -> bool:
-        return bool(ky) and all(any(kj < kk for kk in ky) for kj in kx)
-
-    for gx, rx, kx in signatures:
-        for gy, ry, ky in signatures:
-            if not gx < gy and (cond_a(rx, ry) or cond_b(kx, ky)):
+    # an antecedent's concept rank: the first global rank meeting it
+    ante_rank = [next(k for k, mask in enumerate(m.rank_masks) if mask & ext)
+                 for ext in table.antecedents]
+    m_of = [max([ante_rank[j] for j in t], default=-1) for t in table._outdone]
+    class_m = [m_of[outdone] for _, _, outdone in table._keys]
+    aspect_rows = zip(*(ranks for _, ranks in m.per_aspect)) if m.per_aspect else repeat(())
+    by_vector: dict[tuple[int, ...], list[int]] = {}
+    by_m: dict[int, list[int]] = {}
+    for gi, rx, mx in set(zip(g, aspect_rows, map(class_m.__getitem__, table.class_of))):
+        by_vector.setdefault(rx, []).append(gi)
+        by_m.setdefault(mx, []).append(gi)
+    below = -1  # the greatest global rank over the lower m
+    for mx in sorted(by_m):
+        if min(by_m[mx]) <= below:
+            return False
+        below = max(below, *by_m[mx])
+    vectors = [(rx, min(ranks), max(ranks)) for rx, ranks in by_vector.items()]
+    for rx, _, hi in vectors:
+        for ry, lo, _ in vectors:
+            if hi >= lo and rx != ry and all(map(operator.le, rx, ry)):
                 return False
     return True
 
@@ -484,20 +524,20 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
 def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
     """Model-of-KB check of the TBox: strict axioms extensionally, defeasible
     axioms on the global minimum and (for enriched models) the
-    right-hand-side aspect minimum."""
+    right-hand-side aspect minimum, each read off the model's rank masks."""
     dom = m.domain
-    aspect_ranks = dict(m.per_aspect)
     for ax in kb.strict:
         if dom.eval(ax.lhs) & ~dom.eval(ax.rhs):
             return False
     table = _constraints(dom, kb)
+    aspect_masks = dict(m.aspect_masks)
     for ax, j, bad in zip(kb.defeasible, table.ante_of, table.violators):
         if not bad:
             continue  # a default nothing violates holds on every minimum
         ext = table.antecedents[j]
         if _least(m.rank_masks, ext) & bad:
             return False
-        if aspect_ranks and _least(_rank_masks(aspect_ranks[ax.rhs]), ext) & bad:
+        if aspect_masks and _least(aspect_masks[ax.rhs], ext) & bad:
             return False
     return True
 
@@ -514,20 +554,21 @@ def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
     or the least ranks leave a rank gap.
     """
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    memo = _constraints(domain, kb).enriched
-    if bound not in memo:
-        memo[bound] = _search_frontier(domain, kb, bound)
-    found = memo[bound]
+    table = _constraints(domain, kb)
+    if bound not in table.enriched:
+        table.enriched[bound] = _search_frontier(domain, kb, bound)
+    found = table.enriched[bound]
     if isinstance(found, str):
         raise RankBoundExceededError(bound, found)
-    profile, g, masks = found
-    return [Model(domain, g, profile, masks)]
+    g, masks = found
+    return [Model(domain, g, table.profile, masks, table.profile_masks)]
 
 
 def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
-                     ) -> Union[_Frontier, str]:
-    """The minimal enriched model's aspect profile and global ranks, or the
-    reason there is none: the κ fixpoint of `_Constraints.solve`."""
+                     ) -> Union[_Ranks, str]:
+    """The minimal enriched model's global ranks and their masks (its
+    aspect profile is the table's), or the reason there is none: the κ
+    fixpoint of `_Constraints.solve`."""
     table = _constraints(domain, kb)
     values = _kappa_fixpoint(table, table.solve, bound)
     if isinstance(values, str):
@@ -539,10 +580,10 @@ def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
     if gap is not None:
         return f"no admissible rank assignment: the least ranks leave rank {gap} empty"
     g = table.ranks(values)
-    model = Model(domain, g, table.profile)
+    model = Model(domain, g, table.profile, aspect_masks=table.profile_masks)
     if not satisfies_kb(model, kb) or not check_coupling(model, kb):
-        raise AssertionError("internal error: the minimal enriched model failed validation")
-    return table.profile, g, model.rank_masks
+        raise AssertionError("the minimal enriched model failed validation")
+    return g, model.rank_masks
 
 
 def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,

@@ -9,15 +9,20 @@ that some model of the strict axioms and the material counterparts of
 `levels[i]` realises, an antecedent is exceptional at level i when it holds
 in none of them, and the rank of a concept is the least level at which a
 type holding it survives (Giordano et al., "Semantic characterization of
-rational closure", AIJ 2015). Ranks are plain ints (`math.inf` for a concept
-exceptional at every level), and both defeasible and strict queries reduce
-to rank comparisons. The tableau makes one call per KB, a cross-check of the
+rational closure", AIJ 2015). The stratification enumerates each level's
+candidate types, pruned by its material counterparts as they are built;
+a table over a widened closure, whose levels are known, enumerates the
+last level's candidates once and filters them for each earlier level.
+Ranks are plain ints (`math.inf` for a concept exceptional at every
+level), and both defeasible and strict queries reduce to rank
+comparisons. The tableau makes one call per KB, a cross-check of the
 KB's consistency against the engine.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
-its atoms and restrictions read off the codes' bits and its connectives
-taken as mask arithmetic. Type elimination checks its axioms with it, the
+its atoms and restrictions read off the codes' bits as columns by one
+kernel in C (`_column`, which `bitmask` shares) and its connectives taken
+as mask arithmetic. Type elimination checks its axioms with it, the
 stratification its antecedents, a `TypeTable` its ranks, and
 `models.CanonicalDomain` every extension over its elements.
 
@@ -34,7 +39,9 @@ keeps no state.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+import operator
+from itertools import compress, count, repeat
+from typing import Iterable, Optional, Sequence, Union
 
 from .kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
 from .syntax import (
@@ -69,24 +76,55 @@ def level_tbox(strict_core: StrictTBox, level: Iterable[Defeasible]) -> StrictTB
     return strict_core.extended(TOP, materialization(level))
 
 
+# per bit k of a byte, each byte value's digit: "1" when bit k is set
+_DIGITS = tuple(bytes(48 + (v >> k & 1) for v in range(256)) for k in range(8))
+# the digits back to the bytes 0 and 1
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _column(data: bytes, k: int) -> int:
+    """The column kernel: the int whose bit i is bit k of `data[i]`, read
+    in C, with no Python step per byte."""
+    return int(data.translate(_DIGITS[k])[::-1] or b"0", 2)
+
+
 def bitmask(flags: Iterable[object]) -> int:
     """The int whose bit j is set when the j-th flag is truthy."""
-    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+    return _column(bytes(map(bool, flags)), 0)
+
+
+def _flags(mask: int) -> bytes:
+    """Byte j is 1 when bit j of the mask is set, else 0, up to its
+    highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_FROM_DIGITS)
 
 
 def elements(mask: int) -> list[int]:
     """The positions of the set bits of a mask, ascending."""
-    return [j for j, f in enumerate(reversed(bin(mask))) if f == "1"]
+    return list(compress(count(), _flags(mask)))
+
+
+def select(items: Sequence[int], mask: int) -> list[int]:
+    """The items at the set bits of the mask, in order."""
+    return list(compress(items, _flags(mask)))
+
+
+def _pack(codes: Sequence[int], width: int) -> tuple[bytes, int]:
+    """The codes of `width` bits as little-endian bytes, the same number
+    per code (the stride, returned too)."""
+    stride = (width + 7) // 8
+    return b"".join(map(int.to_bytes, codes, repeat(stride), repeat("little"))), stride
 
 
 class Extensions:
     """Concept extensions as int bitmasks over an ordered list of type codes:
     bit j of a concept's mask is set when the concept holds in `codes[j]`.
 
-    An atom or restriction holds where its bit (`bit`) is set in the code,
-    and its mask is memoised per bit; `not`, `and` and `or` are mask
-    arithmetic. Every atom and restriction of an evaluated concept needs a
-    bit.
+    An atom or restriction holds where its bit (`bit`) is set in the code.
+    Its mask is a column of the codes, read by the column kernel off the
+    codes packed as bytes once (on the first column asked for) and
+    memoised per bit; `not`, `and` and `or` are mask arithmetic. Every atom
+    and restriction of an evaluated concept needs a bit.
     """
 
     def __init__(self, bit: dict[Concept, int], codes: Sequence[int]):
@@ -94,23 +132,31 @@ class Extensions:
         self.codes = codes
         self.full = (1 << len(codes)) - 1
         self._on: dict[int, int] = {}
+        self._packed: Optional[tuple[bytes, int]] = None
 
     def on(self, bit: int) -> int:
         """The codes with the bit set."""
         mask = self._on.get(bit)
         if mask is None:
-            mask = self._on[bit] = bitmask(code & bit for code in self.codes)
+            if self._packed is None:
+                self._packed = _pack(self.codes, max(self.bit.values()).bit_length())
+            data, stride = self._packed
+            j = bit.bit_length() - 1
+            mask = self._on[bit] = _column(data[j // 8::stride], j % 8)
         return mask
 
     def matching(self, need: int, forbid: int) -> int:
         """The codes with every bit of `need` set and every bit of `forbid`
         clear."""
         mask = self.full
-        for b in self.bit.values():
-            if b & need:
-                mask &= self.on(b)
-            if b & forbid:
-                mask &= ~self.on(b)
+        while need:
+            b = need & -need
+            mask &= self.on(b)
+            need ^= b
+        while forbid:
+            b = forbid & -forbid
+            mask &= ~self.on(b)
+            forbid ^= b
         return mask
 
     def __call__(self, c: Concept) -> int:
@@ -153,10 +199,14 @@ class _TypeElimination:
         # per role: the bit of each restriction and the masks of its filler
         self.exists: dict[str, list[tuple[int, int, int]]] = {r: [] for r in self.roles}
         self.foralls: dict[str, list[tuple[int, int, int]]] = {r: [] for r in self.roles}
+        # per role, the bits of its restrictions, all a type's successor
+        # test and demands read
+        self.role_bits = dict.fromkeys(self.roles, 0)
         for p in self.positives:
             if isinstance(p, (Exists, Forall)):
                 table = self.exists if isinstance(p, Exists) else self.foralls
                 table[p.role].append((self.bit[p], *self._masks(p.sub)))
+                self.role_bits[p.role] |= self.bit[p]
 
     def _masks(self, c: Concept) -> tuple[int, int]:
         """The bits set and the bits clear in every type c holds in; swapped,
@@ -192,13 +242,13 @@ class _TypeElimination:
         codes = [0]
         for n in range(len(free) + 1):
             if n:
-                codes = [c | b for c in codes for b in (free[n - 1], 0)]
+                # each code with the next free bit set, then clear
+                doubled = codes * 2
+                doubled[::2] = map(free[n - 1].__or__, codes)
+                doubled[1::2] = codes
+                codes = doubled
             if checks[n]:
-                ext = Extensions(self.bit, codes)
-                bad = 0
-                for ax in checks[n]:
-                    bad |= ext(ax.lhs) & ~ext(ax.rhs)
-                codes = [codes[j] for j in elements(ext.full ^ bad)]
+                codes = select(codes, self.holding(Extensions(self.bit, codes), checks[n]))
         ext = Extensions(self.bit, codes)
         for p, b in zip(self.positives, self.bits):
             if not isinstance(p, (Atom, Exists, Forall)):
@@ -206,6 +256,18 @@ class _TypeElimination:
                     codes[j] |= b
         codes.sort(reverse=True)
         return codes
+
+    @staticmethod
+    def holding(ext: Extensions, axioms: Iterable[Union[Strict, Defeasible]]) -> int:
+        """The codes of `ext` that satisfy each axiom as a classical
+        inclusion. Over `candidates(strict + base)` these are, in the same
+        order, `candidates(strict + axioms)` whenever `axioms` holds every
+        axiom of `base`: each level holds the last, so the last level's
+        candidates, filtered, give every level's."""
+        bad = 0
+        for ax in axioms:
+            bad |= ext(ax.lhs) & ~ext(ax.rhs)
+        return ext.full ^ bad
 
     def successor_masks(self, code: int, role: str) -> tuple[int, int]:
         """The bits a role successor of the type must have set and clear: it
@@ -234,38 +296,51 @@ class _TypeElimination:
                     out.append((need | off, forbid | on))
         return out
 
-    def eliminate(self, codes: list[int]) -> list[int]:
-        """Drops every code with a demand no surviving code meets, until
-        none is dropped; the survivors keep their order."""
-        demands = {c: self._demands(c) for c in codes}
+    def eliminate(self, ext: Extensions, alive: int) -> int:
+        """Drops from `alive`, a bitmask over `ext.codes`, every code with a
+        demand no code left in it meets, until none is dropped. A code's
+        demands read only its restriction bits, so they are taken once per
+        distinct restriction bits; without restrictions there are none."""
+        if not self.roles:
+            return alive
+        positions = elements(alive)
+        keys = list(map(sum(self.role_bits.values()).__and__,
+                        map(ext.codes.__getitem__, positions)))
+        demands = {k: self._demands(k) for k in set(keys)}
         while True:
-            ext = Extensions(self.bit, codes)
-            met = {d: ext.matching(*d) for d in {d for c in codes for d in demands[c]}}
-            kept = [c for c in codes if all(met[d] for d in demands[c])]
-            if len(kept) == len(codes):
-                return codes
-            codes = kept
+            met = {d: ext.matching(*d) & alive for d in {d for ds in demands.values() for d in ds}}
+            ok = {k: all([met[d] for d in ds]) for k, ds in demands.items()}
+            kept = list(map(ok.__getitem__, keys))
+            if all(kept):
+                return alive
+            for j in compress(positions, map(operator.not_, kept)):
+                alive ^= 1 << j
+            positions = list(compress(positions, kept))
+            keys = list(compress(keys, kept))
+            demands = {k: demands[k] for k in set(keys)}
 
     def successors(self, ext: Extensions) -> dict[str, tuple[int, ...]]:
         """Per role and type of `ext.codes`, as a bitmask over them, the
-        types that pass the successor test."""
+        types that pass the successor test, taken once per distinct bits of
+        the role's restrictions."""
         out = {}
-        for role in self.roles:
-            masks = [self.successor_masks(c, role) for c in ext.codes]
-            targets = {m: ext.matching(*m) for m in set(masks)}
-            out[role] = tuple(targets[m] for m in masks)
+        for role, bits in self.role_bits.items():
+            keys = list(map(bits.__and__, ext.codes))
+            targets = {k: ext.matching(*self.successor_masks(k, role)) for k in set(keys)}
+            out[role] = tuple(map(targets.__getitem__, keys))
         return out
 
 
 class TypeTable:
     """The types over one closure, each with the first level it survives.
 
-    `codes` are the types that survive the last level, in descending code
-    order (the literal tree's order), `engine` reads them and `ext` gives
-    concept extensions over them. The levels only shrink, so the survivors
-    only grow from one level to the next, and a concept's rank is the least
-    level at which a type holding it survives. A concept's atoms and
-    restrictions must be members of the closure.
+    `survivors` holds each level's surviving codes. `codes` are the types
+    that survive the last level, in descending code order (the literal
+    tree's order), `engine` reads them and `ext` gives concept extensions
+    over them. The levels only shrink, so the survivors only grow from one
+    level to the next, and a concept's rank is the least level at which a
+    type holding it survives. A concept's atoms and restrictions must be
+    members of the closure.
     """
 
     def __init__(self, engine: _TypeElimination, survivors: Sequence[list[int]]):
@@ -273,7 +348,7 @@ class TypeTable:
         self.codes = survivors[-1]
         self.ext = Extensions(engine.bit, self.codes)
         # per level, its survivors as a bitmask over `codes`
-        self._alive = [bitmask(c in alive for c in self.codes) for alive in map(set, survivors)]
+        self._alive = [bitmask(map(set(alive).__contains__, self.codes)) for alive in survivors]
 
     def rank(self, concept: Concept) -> float:
         ext = self.ext(concept)
@@ -289,14 +364,17 @@ class RankedTBox:
     `levels[i]` holds the defeasible axioms still exceptional after i
     rounds; the sequence is computed to a fixpoint, so the last level
     repeats under one more round. Each round runs type elimination once over
-    the KB's own closure (`closure`): an axiom stays when no type surviving
-    the level holds its antecedent. The survivors make the KB's
-    `TypeTable`. A concept with an atom or restriction outside the closure
-    is ranked on a table over the closure widened by those, with the same
-    levels; `table` builds each once and keeps it. Ranks are memoised per
-    concept node. The constructor makes exactly one tableau call: the
-    consistency of the last level's TBox, which must agree with whether any
-    type survives it.
+    the candidates of the KB's own closure (`closure`) for the strict axioms
+    and the level's material counterpart, pruned while they are enumerated:
+    an axiom stays when no type surviving the level holds its antecedent.
+    The survivors make the KB's `TypeTable`. A concept with an atom or
+    restriction outside the closure is ranked on a table over the closure
+    widened by those, with the same levels: the last level's candidates are
+    enumerated once and filtered for each earlier level (`holding`), which
+    every level's axioms contain. `table` builds each once and keeps it. Ranks are
+    memoised per concept node. The constructor makes exactly one tableau
+    call: the consistency of the last level's TBox, which must agree with
+    whether any type survives it.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -307,11 +385,11 @@ class RankedTBox:
         self.levels: list[tuple[Defeasible, ...]] = [level]
         survivors = []
         while True:
-            alive = engine.eliminate(engine.candidates(kb.strict + level))
-            survivors.append(alive)
+            ext = Extensions(engine.bit, engine.candidates(kb.strict + level))
+            alive = engine.eliminate(ext, ext.full)
+            survivors.append(select(ext.codes, alive))
             # an axiom stays when the level forces its antecedent empty
-            ext = Extensions(engine.bit, alive)
-            nxt = tuple(ax for ax in level if not ext(ax.lhs))
+            nxt = tuple(ax for ax in level if not ext(ax.lhs) & alive)
             if nxt == level:
                 break
             level = nxt
@@ -333,8 +411,9 @@ class RankedTBox:
         table = self._tables.get(fresh)
         if table is None:
             engine = _TypeElimination(subconcept_closure(self.kb, fresh))
+            last = Extensions(engine.bit, engine.candidates(self.kb.strict + self.levels[-1]))
             table = self._tables[fresh] = TypeTable(engine, [
-                engine.eliminate(engine.candidates(self.kb.strict + level))
+                select(last.codes, engine.eliminate(last, engine.holding(last, level)))
                 for level in self.levels])
         return table
 

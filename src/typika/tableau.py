@@ -5,7 +5,9 @@ the conjunction of `not lhs or rhs` over all axioms is added to every node
 label, and subset blocking against ancestors guarantees termination.
 Disjunctions branch left-first, and the branching and successor rules are
 chosen in a fixed scan order, so runs are deterministic; the non-branching
-rules are monotone and reach the same fixpoint in any order.
+rules are monotone and reach the same fixpoint in any order. The search is
+a loop with an explicit stack of the untried right disjuncts, so neither
+branching nor successors are bounded by Python's recursion limit.
 
 Each `StrictTBox` computes its internalised concept once, on first use, and
 keeps it, so the cache lives exactly as long as the TBox does. The reasoner
@@ -168,24 +170,32 @@ class _Tableau:
         return None
 
     def run(self) -> bool:
-        if not self.saturate():
-            return False
-        branch = self.pending_or()
-        if branch is not None:
-            n, c = branch
-            snap = self.snapshot()
-            for disjunct in (c.left, c.right):
-                self.labels[n].add(disjunct)
-                if self.run():
+        """Saturates, then takes the first pending `or` left-first or the
+        first pending `exists`, until a clash-free branch has nothing left
+        to do. On a clash the search goes back to the latest `or` whose
+        right disjunct is untried, from the snapshot taken before its
+        left one; an explicit stack holds those, so deep searches need no
+        recursion."""
+        untried: list[tuple[tuple, int, Concept]] = []
+        while True:
+            if self.saturate():
+                branch = self.pending_or()
+                if branch is not None:
+                    n, c = branch
+                    untried.append((self.snapshot(), n, c.right))
+                    self.labels[n].add(c.left)
+                    continue
+                ex = self.pending_exists()
+                if ex is None:
                     return True
-                self.restore(snap)
-            return False
-        ex = self.pending_exists()
-        if ex is not None:
-            n, c = ex
-            self.new_node([c.sub], n, c.role)
-            return self.run()
-        return True
+                n, c = ex
+                self.new_node([c.sub], n, c.role)
+                continue
+            if not untried:
+                return False
+            snap, n, disjunct = untried.pop()
+            self.restore(snap)
+            self.labels[n].add(disjunct)
 
     def extract_witness(self, root: int) -> Witness:
         redirect = {}

@@ -5,12 +5,39 @@ small role-bearing KBs, as KB text.
 not P for odd i, and T(C_i) => Q_i. `diamond(n)` has n Nixon diamonds:
 T(Q_i) => P_i and T(R_i) => not P_i. `ROLE_KBS` holds ten `exists`/`forall`
 KBs with at most three defaults, several cyclic and so needing blocking.
+
+Run as a script, it prints the wide-domain record: one Markdown table row
+per family KB, with the domain's types, the milliseconds each layer takes
+in turn (stratify, domain, constraint table, single-pref, enriched) and the
+process's peak RSS (`ru_maxrss`). Each size runs in a fresh process of its
+own, so each row's RSS is its own:
+
+    PYTHONPATH=src python tests/families.py diamond 4 5
+
+prints the rows of `diamond(4)` and `diamond(5)` under the header
+
+    | KB | types | stratify | domain | constraint table | single-pref | enriched | peak RSS |
+
+An enriched search that finds no model is timed too, and marked.
 """
 
 from __future__ import annotations
 
+import resource
+import subprocess
+import sys
+from time import perf_counter
+
 from typika.kb import KnowledgeBase
+from typika.models import (
+    RankBoundExceededError,
+    _constraints,
+    build_canonical_domain,
+    minimal_canonical_models,
+    single_pref_model,
+)
 from typika.parser import parse_kb
+from typika.ranking import RankedTBox
 
 
 def chain_text(n: int) -> str:
@@ -54,3 +81,44 @@ ROLE_KBS = {
 
 def role_kbs() -> dict[str, KnowledgeBase]:
     return {name: parse_kb(text) for name, text in ROLE_KBS.items()}
+
+
+def record_row(family: str, n: int) -> str:
+    """The wide-domain record's row for `chain(n)` or `diamond(n)`, each
+    layer timed in turn in this process."""
+    kb = {"chain": chain, "diamond": diamond}[family](n)
+    cells = []
+
+    def timed(step):
+        start = perf_counter()
+        out, note = None, " (no model)"
+        try:
+            out, note = step(), ""
+        except RankBoundExceededError:
+            pass
+        cells.append(f"{(perf_counter() - start) * 1e3:.2f} ms{note}")
+        return out
+
+    ranked = timed(lambda: RankedTBox(kb))
+    domain = timed(lambda: build_canonical_domain(ranked))
+    timed(lambda: _constraints(domain, kb))
+    timed(lambda: single_pref_model(kb, domain))
+    timed(lambda: minimal_canonical_models(kb, domain))
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return f"| `{family}({n})` | {domain.size:,} | {' | '.join(cells)} | {rss_mb:.0f} MB |"
+
+
+def main(argv: list[str]) -> int:
+    family, sizes = argv[0], argv[1:]
+    if len(sizes) == 1:
+        print(record_row(family, int(sizes[0])))
+        return 0
+    for n in sizes:
+        done = subprocess.run([sys.executable, __file__, family, n])
+        if done.returncode:
+            return done.returncode
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,13 +2,17 @@
 
 Nothing here calls the reasoner's κ fixpoint, and canonical domains come
 from the caller. Of the reasoner's private names only its constraint table
-`models._Constraints` is imported: `ClassGraphSolve` takes over its
-precomputation, not its solve, and `SweepFrontier` calls its per-guess
-solve, which the other two references check. Two oracles call the
-tableau: `TableauRanks` stratifies a KB and ranks concepts with one call
-per level, the reference for the type elimination of
-`ranking.RankedTBox`, and `tableau_domain` makes one call per node of the
-literal tree, the reference for `models.build_canonical_domain`.
+`models._Constraints` and its type engine `ranking._TypeElimination` are
+imported: `ClassGraphSolve` takes over the table's precomputation, not its
+solve, and `SweepFrontier` calls its per-guess solve, which the other two
+references check; `levels_by_level_enumeration` and
+`survivors_by_level_enumeration` run the engine's enumeration once per
+level, `candidates(strict + level)`, the reference for the widened tables
+of `ranking.RankedTBox`, which filter one enumeration by level. Two
+oracles call the tableau: `TableauRanks` stratifies a KB and ranks
+concepts with one call per level, the reference for the type elimination
+of `ranking.RankedTBox`, and `tableau_domain` makes one call per node of
+the literal tree, the reference for `models.build_canonical_domain`.
 Interpretations are enumerated explicitly: concept extensions as bitmasks
 over tiny domains, rank functions as tuples over a canonical domain's
 types. Entailment over all models, which the reasoner never answers, is
@@ -20,7 +24,9 @@ the reference for the κ fixpoint, and `coupling_holds_pairwise` tests the
 coupling rules on every pair of elements, the reference for
 `models.check_coupling`. `min_by` scans every rank for an extension's
 least-ranked members, the reference for the per-rank masks of
-`models.Model`. Slow on purpose, trusted because it is simple.
+`models.Model`, and `satisfies_kb_by_ranks` checks a model against the KB
+with it, from the model's own ranks, the reference for
+`models.satisfies_kb`. Slow on purpose, trusted because it is simple.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from typika.kb import Defeasible, KnowledgeBase, Strict
+from typika.kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
 from typika.models import (
     CanonicalDomain,
     Model,
@@ -39,7 +45,7 @@ from typika.models import (
     default_rank_bound,
     satisfies_kb,
 )
-from typika.ranking import bitmask, elements, level_tbox
+from typika.ranking import Extensions, _TypeElimination, bitmask, elements, level_tbox
 from typika.syntax import (
     BOT,
     And,
@@ -180,6 +186,45 @@ class TableauRanks:
         return math.inf
 
 
+def _eliminate_list(engine: _TypeElimination, codes: list[int]) -> list[int]:
+    """Type elimination over a list of codes: drops every code with a
+    demand no surviving code meets, until none is dropped."""
+    demands = {c: engine._demands(c) for c in codes}
+    while True:
+        ext = Extensions(engine.bit, codes)
+        met = {d: ext.matching(*d) for d in {d for c in codes for d in demands[c]}}
+        kept = [c for c in codes if all(met[d] for d in demands[c])]
+        if len(kept) == len(codes):
+            return codes
+        codes = kept
+
+
+def survivors_by_level_enumeration(kb: KnowledgeBase, closure: Iterable[Concept],
+                                   levels: Sequence[Sequence[Defeasible]]) -> list[list[int]]:
+    """Each level's surviving codes over the closure, one enumeration per
+    level: `candidates(strict + level)`, then elimination."""
+    engine = _TypeElimination(closure)
+    return [_eliminate_list(engine, engine.candidates(kb.strict + tuple(level)))
+            for level in levels]
+
+
+def levels_by_level_enumeration(kb: KnowledgeBase) -> list[tuple[Defeasible, ...]]:
+    """The stratification of a KB with one enumeration per level over its
+    closure: an axiom stays when no code surviving the level holds its
+    antecedent."""
+    engine = _TypeElimination(subconcept_closure(kb))
+    level = tuple(kb.defeasible)
+    levels = [level]
+    while True:
+        alive = _eliminate_list(engine, engine.candidates(kb.strict + level))
+        ext = Extensions(engine.bit, alive)
+        nxt = tuple(ax for ax in level if not ext(ax.lhs))
+        if nxt == level:
+            return levels
+        level = nxt
+        levels.append(level)
+
+
 def tableau_domain(kb: KnowledgeBase, closure: Sequence[Concept],
                    ) -> tuple[tuple[frozenset[Concept], ...], dict]:
     """The types and role edges of the canonical domain over `closure`.
@@ -294,6 +339,24 @@ def min_by(ranks: Sequence[int], ext: int) -> int:
         return 0
     lo = min(ranks[i] for i in elements(ext))
     return ext & bitmask(r == lo for r in ranks)
+
+
+def satisfies_kb_by_ranks(m: Model, kb: KnowledgeBase) -> bool:
+    """`models.satisfies_kb` per call from the model's own ranks: the
+    strict axioms on the extensions, and each default on the least-ranked
+    instances of its antecedent, scanned by `min_by` under the global
+    ranks and, for an enriched model, under its right-hand side's aspect
+    ranks."""
+    dom = m.domain
+    if any(dom.eval(ax.lhs) & ~dom.eval(ax.rhs) for ax in kb.strict):
+        return False
+    aspects = dict(m.per_aspect)
+    for ax in kb.defeasible:
+        lhs, outside = dom.eval(ax.lhs), ~dom.eval(ax.rhs)
+        rankings = [m.global_ranks] + ([aspects[ax.rhs]] if aspects else [])
+        if any(min_by(ranks, lhs) & outside for ranks in rankings):
+            return False
+    return True
 
 
 def holds_in_ranks(domain: CanonicalDomain, g: Sequence[int], query) -> bool:

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 import typika.cli
+import typika.models
 from typika.cli import main
 from typika.kb import Defeasible, KnowledgeBase, Strict, serialize_axiom
 from typika.models import CanonicalDomain, build_canonical_domain
@@ -48,6 +49,18 @@ def test_check_inconsistent(capsys, tmp_path):
     bad.write_text("A => bot\ntop => A\n")
     code, out, _ = run(capsys, ["check", str(bad)])
     assert (code, out) == (1, "inconsistent\n")
+
+
+def test_deep_tableau_search_needs_no_recursion(capsys, tmp_path):
+    # the tableau's consistency cross-check on this KB branches and adds
+    # successors deeper than Python's recursion limit
+    kb = tmp_path / "deep.kb"
+    kb.write_text("T((not D or forall r. A)) => (D and bot)\n"
+                  "T(forall r. (D or A)) => not (C or bot)\n"
+                  "T((forall r. B or forall r. C)) => bot\n"
+                  "T(forall r. (bot and C)) => top\n")
+    code, out, err = run(capsys, ["check", str(kb)])
+    assert (code, out, err) == (0, "consistent\n", "")
 
 
 def test_check_json_keys(capsys):
@@ -267,6 +280,19 @@ def test_inconsistent_kb_by_semantics(capsys, tmp_path):
     for sem in ("single-pref", "enriched"):
         code, _, err = run(capsys, ["query", "--semantics", sem, str(kb), "T(A) => B"])
         assert code == 2 and "consistent" in err
+
+
+def test_internal_error_exits_2(capsys, monkeypatch, tmp_path):
+    # a minimal model that fails validation is a fault of the program, not
+    # a verdict: exit 2 with the error on stderr, never 1 ("not entailed")
+    monkeypatch.setattr(typika.models, "check_coupling", lambda m, kb: False)
+    message = "internal error: AssertionError: the minimal enriched model failed validation\n"
+    code, out, err = run(capsys, ["query", "--semantics", "enriched", SET3, "T(Bird) => Fly"])
+    assert (code, out, err) == (2, "", message)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("T(Penguin) => not Fly\n")
+    code, out, err = run(capsys, ["compare", SET3, str(queries)])
+    assert (code, out, err) == (2, "", message)
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -53,6 +53,7 @@ from oracles import (
     pointwise_minima,
     raise_groups,
     random_concept,
+    satisfies_kb_by_ranks,
     tableau_domain,
 )
 from test_acceptance import corpus_with_domains
@@ -292,7 +293,8 @@ def test_single_pref_matches_element_fixpoint():
 def test_least_instances_match_the_scan():
     # the first rank mask that meets an extension holds the members the
     # oracle's scan over every rank gives: globally under both semantics,
-    # from the masks memoised with each model, and per aspect
+    # from the masks memoised with each model, and per aspect; the global
+    # and aspect masks a model carries are those its own ranks give
     families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2, 3)]
     cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
     cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
@@ -307,7 +309,8 @@ def test_least_instances_match_the_scan():
                 continue
             m = m[0] if isinstance(m, list) else m
             models += 1
-            assert m.rank_masks == Model(dom, m.global_ranks).rank_masks
+            rebuilt = Model(dom, m.global_ranks, m.per_aspect)
+            assert (m.rank_masks, m.aspect_masks) == (rebuilt.rank_masks, rebuilt.aspect_masks)
             assert [min_global(m, c) for c in concepts] \
                 == [min_by(m.global_ranks, ext) for ext in exts]
             for _, ranks in m.per_aspect:
@@ -315,6 +318,16 @@ def test_least_instances_match_the_scan():
                 assert [_least(masks, ext) for ext in exts] \
                     == [min_by(ranks, ext) for ext in exts]
     assert models > 1500
+
+
+def test_rank_masks_match_a_scan():
+    # one mask per rank from 0 to the highest, ranks past 127 included
+    rng = random.Random(23)
+    for top in (0, 1, 5, 127, 128, 300):
+        ranks = [rng.randint(0, top) for _ in range(rng.randint(0, 200))]
+        assert _rank_masks(ranks) == tuple(
+            sum(1 << i for i, r in enumerate(ranks) if r == k)
+            for k in range(max(ranks, default=-1) + 1))
 
 
 def test_set3_minimal_penguins(kb_set3):
@@ -629,13 +642,37 @@ def test_fixpoint_matches_sweep_frontier():
     assert found > 1000 and failed > 20
 
 
+def _perturbed(m, rng, bound):
+    """Seeded perturbations of a model, twice: its global ranks changed on
+    two elements and, for an enriched model, one aspect's ranks changed on
+    two elements with the global ranks kept."""
+    dom = m.domain
+    out = []
+    for _ in range(2):
+        g = list(m.global_ranks)
+        for i in rng.sample(range(dom.size), min(2, dom.size)):
+            g[i] = rng.randint(0, bound + 1)
+        out.append(Model(dom, tuple(g), m.per_aspect))
+        if m.per_aspect:
+            per_aspect = list(m.per_aspect)
+            k = rng.randrange(len(per_aspect))
+            aspect, ranks = per_aspect[k]
+            ranks = list(ranks)
+            for i in rng.sample(range(dom.size), min(2, dom.size)):
+                ranks[i] = rng.randint(0, 2)
+            per_aspect[k] = (aspect, tuple(ranks))
+            out.append(Model(dom, m.global_ranks, tuple(per_aspect)))
+    return out
+
+
 def test_coupling_matches_pairwise_reference():
     # on every minimal model, and on seeded perturbations of its global
-    # ranks, the check over signatures agrees with the per-element one
-    # (which is quadratic in the domain, so the random KBs with more than
-    # 128 elements are left out)
+    # ranks and of its aspect ranks, the check over signatures agrees with
+    # the per-element one (which is quadratic in the domain, so the random
+    # KBs with more than 128 elements are left out)
     rng = random.Random(17)
     verdicts = set()
+    aspect_verdicts = set()
     for kb, dom in _fixpoint_cases():
         if dom.size > 128:
             continue
@@ -645,15 +682,43 @@ def test_coupling_matches_pairwise_reference():
         except RankBoundExceededError:
             continue
         assert check_coupling(m, kb) and coupling_holds_pairwise(m, kb), kb
-        for _ in range(2):
-            g = list(m.global_ranks)
-            for i in rng.sample(range(dom.size), min(2, dom.size)):
-                g[i] = rng.randint(0, bound + 1)
-            bumped = Model(dom, tuple(g), m.per_aspect)
+        for bumped in _perturbed(m, rng, bound):
             verdict = check_coupling(bumped, kb)
-            assert verdict == coupling_holds_pairwise(bumped, kb), (kb, g)
+            assert verdict == coupling_holds_pairwise(bumped, kb), (kb, bumped.global_ranks)
             verdicts.add(verdict)
-    assert verdicts == {True, False}
+            if bumped.global_ranks is m.global_ranks:
+                aspect_verdicts.add(verdict)
+    assert verdicts == aspect_verdicts == {True, False}
+
+
+def test_satisfies_kb_matches_rank_reference():
+    # the model check, which reads each model's own rank masks, agrees with
+    # the reference that scans the model's own ranks per call: on both
+    # minimal models and on seeded perturbations of their global and aspect
+    # ranks, so no model is judged on the constraint table's aspect masks
+    # unless its aspect ranks are the table's profile
+    rng = random.Random(19)
+    verdicts = set()
+    aspect_verdicts = set()
+    models = 0
+    for kb, dom in _fixpoint_cases():
+        bound = default_rank_bound(kb)
+        for search in (single_pref_model, minimal_canonical_models):
+            try:
+                m = search(kb, dom, bound)
+            except RankBoundExceededError:
+                continue
+            m = m[0] if isinstance(m, list) else m
+            models += 1
+            assert satisfies_kb(m, kb) and satisfies_kb_by_ranks(m, kb), kb
+            for bumped in _perturbed(m, rng, bound):
+                verdict = satisfies_kb(bumped, kb)
+                assert verdict == satisfies_kb_by_ranks(bumped, kb), (kb, bumped.per_aspect)
+                verdicts.add(verdict)
+                if bumped.global_ranks is m.global_ranks:
+                    aspect_verdicts.add(verdict)
+    assert models > 1000
+    assert verdicts == aspect_verdicts == {True, False}
 
 
 def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):

@@ -8,18 +8,29 @@ from typika.cli import main
 from typika.kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import (
+    Extensions,
     RankedTBox,
+    _TypeElimination,
+    bitmask,
+    elements,
     in_rational_closure,
     is_kb_consistent,
     materialization,
     satisfiable_wrt_kb,
+    select,
 )
-from typika.syntax import And, Atom, Not, Or, TOP, concept_key
+from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, concept_key
 
 from conftest import KBS
 from corpus import corpus_kbs
 from families import chain, diamond, role_kbs
-from oracles import TableauRanks, random_concept
+from oracles import (
+    TableauRanks,
+    levels_by_level_enumeration,
+    random_concept,
+    survivors_by_level_enumeration,
+)
+from test_models import random_kbs_with_domains
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -100,6 +111,68 @@ def test_ranks_match_tableau_reference():
             assert rt.rank(c) == reference.rank(c), (kb, c)
         count += len(concepts)
     assert count == 27320
+
+
+def test_levels_match_one_enumeration_per_level():
+    """Each level's survivors, codes and order, equal those of one
+    enumeration per level, `candidates(strict + level)` (the reference in
+    `oracles`), on the KB's own table and on the tables widened as a query
+    widens them, by a fresh atom and, on a KB with roles, by a fresh
+    restriction: on the corpus, `chain(1..4)`, `diamond(1..4)`, the role
+    KBs and the 500 seeded random KBs of `test_models`."""
+    kbs = corpus_kbs() + [chain(n) for n in range(1, 5)] + [diamond(n) for n in range(1, 5)]
+    kbs += list(role_kbs().values()) + [kb for kb, _ in random_kbs_with_domains()]
+    blond = Atom("Blond")
+    tables = 0
+    for kb in kbs:
+        rt = RankedTBox(kb)
+        assert rt.levels == levels_by_level_enumeration(kb), kb
+        widenings = [(), (blond,)]
+        if any(isinstance(c, (Exists, Forall)) for c in rt.closure):
+            widenings.append((Exists("r", blond),))
+        for widening in widenings:
+            table = rt.table(widening)
+            want = survivors_by_level_enumeration(kb, subconcept_closure(kb, widening), rt.levels)
+            assert [select(table.codes, alive) for alive in table._alive] == want, (kb, widening)
+            tables += 1
+    assert tables > 2 * len(kbs) + 100
+
+
+def test_totally_exceptional_defaults_prune_every_enumeration(monkeypatch):
+    # twelve defaults T(A_i) => bot stay in every level, so every
+    # enumeration, of the KB's own closure and of a widened one, prunes
+    # the A_i: 2^12 codes or more would mean an enumeration without them
+    kb = parse_kb("".join(f"T(A{i}) => bot\n" for i in range(12))
+                  + "T(B) => C\nT((B and D)) => not C\n")
+    sizes = []
+    candidates = _TypeElimination.candidates
+
+    def counted(self, axioms):
+        codes = candidates(self, axioms)
+        sizes.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(_TypeElimination, "candidates", counted)
+    rt = RankedTBox(kb)
+    assert [len(lv) for lv in rt.levels] == [14, 13, 12]
+    assert rt.rank(Atom("Blond")) == 0 and rt.rank(Atom("A0")) == math.inf
+    assert sizes and max(sizes) <= 32
+
+
+def test_bit_kernels_match_a_scan():
+    # the column kernel and the mask helpers agree with scans of every
+    # element, on codes of one byte and of several
+    rng = random.Random(5)
+    for width in (3, 17, 64, 65, 130):
+        bits = {Atom(f"X{k}"): 1 << k for k in range(width)}
+        codes = [rng.getrandbits(width) for _ in range(rng.randint(0, 300))]
+        ext = Extensions(bits, codes)
+        for b in bits.values():
+            assert ext.on(b) == sum(1 << i for i, c in enumerate(codes) if c & b)
+        mask = rng.getrandbits(len(codes))
+        assert elements(mask) == [i for i in range(len(codes)) if mask >> i & 1]
+        assert select(codes, mask) == [c for i, c in enumerate(codes) if mask >> i & 1]
+        assert bitmask(c & 1 for c in codes) == sum(1 << i for i, c in enumerate(codes) if c & 1)
 
 
 def test_set1_levels_and_ranks(kb_set1):
