@@ -38,7 +38,7 @@ from .models import (
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
 from .ranking import RankedTBox, in_rational_closure, is_kb_consistent
-from .syntax import Concept, complement, concept_to_text, subconcepts
+from .syntax import Concept, Exists, Forall, concept_to_text
 
 def _load_kb(path: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
@@ -170,12 +170,12 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
                  nodes: dict[Concept, Concept],
                  domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
     """One row of `compare`. Every row shares the KB's stratification and
-    its node table `nodes`, and queries whose concepts give the same
-    closure share the domain in `domains`, and with it the memoised minimal
-    models. `domains` is keyed on the query's subconcepts outside the KB's
-    closure, with their complements: the KB's closure is closed under
-    subconcepts and complement, so that key fixes the widened closure,
-    which is built only for a new key."""
+    its node table `nodes`, and rows share the domains in `domains`, and
+    with them the memoised minimal models. `domains` is keyed on the
+    query's restrictions outside the KB's closure: those widen the closure
+    (and the domain, built only for a new key), while a fresh atom or a
+    boolean outside the closure is answered on the KB's own domain, the
+    fresh atoms lifted (`models._holds_in`), so most rows share that one."""
     try:
         query = parse_axiom(raw, nodes)
     except KBSyntaxError as exc:
@@ -184,13 +184,11 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
     kb = ranked.kb
     try:
         row["rc"] = in_rational_closure(ranked, query)
-        fresh = {s for side in (query.lhs, query.rhs) for s in subconcepts(side)
-                 if s not in ranked.closure}
-        key = frozenset(fresh.union(map(complement, fresh)))
+        key = frozenset(s for s in ranked.outside((query.lhs, query.rhs))
+                        if isinstance(s, (Exists, Forall)))
         domain = domains.get(key)
         if domain is None:
-            closure = subconcept_closure(kb, (query.lhs, query.rhs))
-            domain = domains[key] = build_canonical_domain(ranked, closure)
+            domain = domains[key] = build_canonical_domain(ranked, subconcept_closure(kb, key))
         row["singlePref"] = single_pref_entails(kb, query, domain, bound).entailed
         row["enriched"] = enriched_entails(kb, query, domain, bound).entailed
     except (RankBoundExceededError, InconsistentKBError) as exc:
@@ -239,6 +237,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+def _rank_bound(text: str) -> int:
+    """A `--rank-bound` value: an int of 0 or more."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {bound}")
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typika",
@@ -262,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="answer one inclusion query")
     p.add_argument("--semantics", required=True,
                    choices=["rc", "single-pref", "enriched"])
-    p.add_argument("--rank-bound", type=int, default=None,
+    p.add_argument("--rank-bound", type=_rank_bound, default=None,
                    help="cap on rank values (default: defeasible axioms + 1)")
     p.add_argument("--emit-model", action="store_true",
                    help="include the witness or counterexample model")
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[common],
                        help="run all semantics over a query file")
-    p.add_argument("--rank-bound", type=int, default=None,
+    p.add_argument("--rank-bound", type=_rank_bound, default=None,
                    help="cap on rank values (default: defeasible axioms + 1)")
     p.add_argument("kb", help="knowledge base file")
     p.add_argument("queries", help="file with one query per line")

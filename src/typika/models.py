@@ -1,19 +1,23 @@
 """Preferential model semantics over a canonical type domain.
 
 The caller builds a domain from a knowledge base's stratification (its
-`ranking.RankedTBox`) and a subconcept closure (the KB's own, widened by a
-query's two sides when they fall outside it), and passes it to every model
-function here; none of them builds one. Queries whose concepts lie in one
-closure can share a domain: `compare` builds one per distinct closure. Its
-elements are the types (maximal KB-satisfiable subsets of the closure) that
-survive the stratification's type elimination, so a domain is a view of the
-`RankedTBox`'s type table for the closure and makes no tableau call. Every
-set of elements is an int bitmask, bit i for element i: concept extensions
-(`ranking.Extensions`, read off the type bits), role successors (the
-elimination's successor test), violators and least-ranked instances. Rank
-functions over the domain stand in for preference relations (lower rank =
-more typical); a `Model` is the domain with its global ranks, plus one rank
-function per aspect for an enriched model.
+`ranking.RankedTBox`) and a subconcept closure (the KB's own, or widened
+by concepts outside it), and passes it to every model function here; none
+of them builds one. A query needs a domain widened only by its
+restrictions outside the KB's closure: its booleans over the domain's
+members are evaluated structurally, and its fresh atoms, which no axiom
+mentions, are lifted (`_holds_in`). `compare` builds one domain per KB
+plus one per distinct set of such restrictions, and `query` one widened
+by the query's two sides. A domain's elements are the types (maximal
+KB-satisfiable subsets of the closure) that survive the stratification's
+type elimination, so a domain is a view of the `RankedTBox`'s type table
+for the closure and makes no tableau call. Every set of elements is an int
+bitmask, bit i for element i: concept extensions (`ranking.Extensions`,
+read off the type bits), role successors (the elimination's successor
+test), violators and least-ranked instances. Rank functions over the
+domain stand in for preference relations (lower rank = more typical); a
+`Model` is the domain with its global ranks, plus one rank function per
+aspect for an enriched model.
 
 Both semantics read a KB's defaults through one constraint table per
 domain and KB (`_Constraints`): per default its antecedent and violators,
@@ -65,13 +69,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
-from .ranking import Extensions, RankedTBox, TypeTable, bitmask, elements, is_kb_consistent
-from .syntax import TOP, Concept, Exists, Forall, Not, complement, concept_key, concept_to_text
+from .ranking import (Extensions, RankedTBox, TypeTable, bitmask, elements, is_kb_consistent,
+                      variants)
+from .syntax import (TOP, Atom, Concept, Exists, Forall, Not, complement, concept_key,
+                     concept_to_text, subconcepts)
 
 
 class InconsistentKBError(Exception):
@@ -104,7 +110,8 @@ class CanonicalDomain:
     as a view of the stratification's `TypeTable` for its closure.
 
     Element i is the table's type code `codes[i]`; the elements are in the
-    literal tree's order over the domain's own closure. `eval` gives a
+    literal tree's order over the domain's own closure (`closure`, sorted;
+    `members`, the same as a set). `eval` gives a
     concept's extension as an int bitmask over the elements (bit i set when
     element i is an instance), reading atoms and restrictions off the type
     bits. `successors[role][i]` is the bitmask of the elements element i's
@@ -118,6 +125,7 @@ class CanonicalDomain:
 
     def __init__(self, closure: tuple[Concept, ...], table: TypeTable, codes: list[int]):
         self.closure = closure
+        self.members = frozenset(closure)
         self.codes = codes
         self.eval = Extensions(table.engine.bit, codes)
         self.successors = table.engine.successors(self.eval)
@@ -620,10 +628,28 @@ class Verdict:
 
 def _holds_in(model: Model, query: Query) -> Verdict:
     """Whether the query holds in the model, and if not the first element
-    it fails on."""
+    it fails on.
+
+    A query atom the domain has no bit for (a fresh atom: no axiom reads
+    it) is lifted: the domain widened by it would hold each element once
+    per assignment of the fresh atoms, with the element's ranks, so the
+    query's sides are read once per assignment, each fresh atom replaced by
+    `top` or `bot` (`ranking.variants`). A strict query holds when no
+    variant has `lhs & ~rhs`; a defeasible one reads every variant on the
+    least global rank that meets any variant's `lhs`."""
     dom = model.domain
-    lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
-    off = lhs & ~dom.eval(query.rhs)
+    if query.lhs in dom.members and query.rhs in dom.members:
+        lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
+        off = lhs & ~dom.eval(query.rhs)
+    else:
+        fresh = {s for side in (query.lhs, query.rhs) for s in subconcepts(side)
+                 if isinstance(s, Atom) and s not in dom.eval.bit}
+        sides = [(dom.eval(lhs), dom.eval(rhs))
+                 for lhs, rhs in variants((query.lhs, query.rhs), fresh)]
+        if isinstance(query, Defeasible):
+            least = _least(model.rank_masks, reduce(operator.or_, [lhs for lhs, _ in sides]))
+            sides = [(lhs & least, rhs) for lhs, rhs in sides]
+        off = reduce(operator.or_, [lhs & ~rhs for lhs, rhs in sides])
     return Verdict(not off, model, (off & -off).bit_length() - 1 if off else None)
 
 

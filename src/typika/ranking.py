@@ -13,8 +13,14 @@ rational closure", AIJ 2015). The stratification enumerates each level's
 candidate types, pruned by its material counterparts as they are built;
 a table over a widened closure, whose levels are known, enumerates the
 last level's candidates once and filters them for each earlier level.
-Ranks are plain ints (`math.inf` for a concept exceptional at every
-level), and both defeasible and strict queries reduce to rank
+Such a table is built only for a restriction outside the KB's closure and
+for the closure of a domain a caller widens (`cli`'s `query`). A fresh
+atom, one no axiom mentions, needs none: no axiom reads its bit, so the
+table widened by it would hold each of the KB's types once per value of
+the bit, and a concept is ranked on the KB's own table as the least rank
+over its variants with each fresh atom replaced by `top` or `bot`
+(`variants`). Ranks are plain ints (`math.inf` for a concept exceptional
+at every level), and both defeasible and strict queries reduce to rank
 comparisons. The tableau makes one call per KB, a cross-check of the
 KB's consistency against the engine.
 
@@ -40,8 +46,8 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress, count, repeat
-from typing import Iterable, Optional, Sequence, Union
+from itertools import compress, count, product, repeat
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
 from .syntax import (
@@ -59,8 +65,17 @@ from .syntax import (
     concept_key,
     conjoin,
     subconcepts,
+    substitute,
 )
 from .tableau import StrictTBox, entails_strict
+
+
+def variants(concepts: Sequence[Concept], atoms: Collection[Atom]) -> list[tuple[Concept, ...]]:
+    """The concepts with each of the atoms replaced by `top` or `bot`, once
+    per assignment of the atoms: 2^k tuples for k atoms."""
+    atoms = tuple(atoms)
+    return [tuple(substitute(c, dict(zip(atoms, values))) for c in concepts)
+            for values in product((TOP, BOT), repeat=len(atoms))]
 
 
 def materialization(axioms: Iterable[Defeasible]) -> Concept:
@@ -350,8 +365,12 @@ class TypeTable:
         # per level, its survivors as a bitmask over `codes`
         self._alive = [bitmask(map(set(alive).__contains__, self.codes)) for alive in survivors]
 
-    def rank(self, concept: Concept) -> float:
-        ext = self.ext(concept)
+    def rank(self, *concepts: Concept) -> float:
+        """The least level at which a type holding one of the concepts
+        survives."""
+        ext = 0
+        for c in concepts:
+            ext |= self.ext(c)
         for i, alive in enumerate(self._alive):
             if ext & alive:
                 return i
@@ -367,14 +386,19 @@ class RankedTBox:
     the candidates of the KB's own closure (`closure`) for the strict axioms
     and the level's material counterpart, pruned while they are enumerated:
     an axiom stays when no type surviving the level holds its antecedent.
-    The survivors make the KB's `TypeTable`. A concept with an atom or
-    restriction outside the closure is ranked on a table over the closure
-    widened by those, with the same levels: the last level's candidates are
-    enumerated once and filtered for each earlier level (`holding`), which
-    every level's axioms contain. `table` builds each once and keeps it. Ranks are
-    memoised per concept node. The constructor makes exactly one tableau
-    call: the consistency of the last level's TBox, which must agree with
-    whether any type survives it.
+    The survivors make the KB's `TypeTable`. A concept whose only atoms
+    and restrictions outside the closure are fresh atoms is ranked on that
+    table, as the least rank over its `variants` with each fresh atom
+    replaced by `top` or `bot`. A concept with a restriction outside the
+    closure is ranked on a table over the closure widened by its atoms and
+    restrictions outside it, with the same levels: the last level's
+    candidates are enumerated once and filtered for each earlier level
+    (`holding`), which every level's axioms contain. `table` builds each
+    widened table once and keeps it; the model searches ask it for the
+    closure of each domain a caller builds. Ranks are memoised per concept
+    node. The constructor makes exactly one tableau call: the consistency
+    of the last level's TBox, which must agree with whether any type
+    survives it.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -401,13 +425,21 @@ class RankedTBox:
             raise AssertionError("type elimination and the tableau disagree on "
                                  "the consistency of the knowledge base")
 
+    def outside(self, concepts: Iterable[Concept]) -> frozenset[Concept]:
+        """The atoms and restrictions of `concepts` outside the KB's closure."""
+        return frozenset(s for c in concepts if c not in self.closure
+                         for s in subconcepts(c)
+                         if isinstance(s, (Atom, Exists, Forall)) and s not in self.closure)
+
     def table(self, concepts: Iterable[Concept]) -> TypeTable:
         """The table over the KB's closure widened by the atoms and
         restrictions of `concepts` it lacks (the KB's own table when there
-        are none), memoised per widening."""
-        fresh = frozenset(s for c in concepts if c not in self.closure
-                          for s in subconcepts(c)
-                          if isinstance(s, (Atom, Exists, Forall)) and s not in self.closure)
+        are none), memoised per widening. Ranks ask for one only when a
+        restriction is among those; a domain's closure asks for one
+        whenever it holds such a member, fresh atoms included."""
+        return self._table(self.outside(concepts))
+
+    def _table(self, fresh: frozenset[Concept]) -> TypeTable:
         table = self._tables.get(fresh)
         if table is None:
             engine = _TypeElimination(subconcept_closure(self.kb, fresh))
@@ -422,7 +454,14 @@ class RankedTBox:
         `math.inf` when there is none."""
         hit = self._rank_memo.get(concept)
         if hit is None:
-            hit = self._rank_memo[concept] = self.table((concept,)).rank(concept)
+            fresh = self.outside((concept,))
+            if fresh and all(isinstance(s, Atom) for s in fresh):
+                # no axiom reads a fresh atom: the widened table would hold
+                # each KB type once per assignment of the fresh atoms
+                hit = self._tables[frozenset()].rank(*(c for c, in variants((concept,), fresh)))
+            else:
+                hit = self._table(fresh).rank(concept)
+            self._rank_memo[concept] = hit
         return hit
 
 

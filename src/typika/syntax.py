@@ -20,7 +20,7 @@ interned never changes what a node compares equal to.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 _set = object.__setattr__
 
@@ -195,6 +195,24 @@ def subconcepts(c: Concept) -> Iterator[Concept]:
         yield from subconcepts(c.right)
     elif isinstance(c, (Exists, Forall)):
         yield from subconcepts(c.sub)
+
+
+def substitute(c: Concept, values: Mapping[Concept, Concept]) -> Concept:
+    """c with each subconcept that is a key of `values` replaced by its
+    value; a node with nothing replaced under it is kept, not rebuilt."""
+    hit = values.get(c)
+    if hit is not None:
+        return hit
+    if isinstance(c, Not):
+        sub = substitute(c.sub, values)
+        return c if sub is c.sub else Not(sub)
+    if isinstance(c, (And, Or)):
+        left, right = substitute(c.left, values), substitute(c.right, values)
+        return c if left is c.left and right is c.right else c.__class__(left, right)
+    if isinstance(c, (Exists, Forall)):
+        sub = substitute(c.sub, values)
+        return c if sub is c.sub else c.__class__(c.role, sub)
+    return c
 
 
 def atom_names(c: Concept) -> frozenset[str]:

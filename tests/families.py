@@ -8,15 +8,18 @@ KBs with at most three defaults, several cyclic and so needing blocking.
 
 Run as a script, it prints the wide-domain record: one Markdown table row
 per family KB, with the domain's types, the milliseconds each layer takes
-in turn (stratify, domain, constraint table, single-pref, enriched) and the
-process's peak RSS (`ru_maxrss`). Each size runs in a fresh process of its
-own, so each row's RSS is its own:
+in turn (stratify, domain, constraint table, single-pref, enriched), then
+those of two `compare` rows answered after the KB's own, a fresh-atom row
+`T((X and Blond)) => Y` and a conjunction row `T((X and Z)) => Y` for the
+first default `T(X) => Y` and the second antecedent Z, and the process's
+peak RSS (`ru_maxrss`). Each size runs in a fresh process of its own, so
+each row's RSS is its own:
 
     PYTHONPATH=src python tests/families.py diamond 4 5
 
 prints the rows of `diamond(4)` and `diamond(5)` under the header
 
-    | KB | types | stratify | domain | constraint table | single-pref | enriched | peak RSS |
+    | KB | types | stratify | domain | constraint table | single-pref | enriched | fresh row | peak RSS |
 
 An enriched search that finds no model is timed too, and marked.
 """
@@ -28,7 +31,8 @@ import subprocess
 import sys
 from time import perf_counter
 
-from typika.kb import KnowledgeBase
+from typika.cli import _compare_row
+from typika.kb import Defeasible, KnowledgeBase, serialize_axiom
 from typika.models import (
     RankBoundExceededError,
     _constraints,
@@ -38,6 +42,7 @@ from typika.models import (
 )
 from typika.parser import parse_kb
 from typika.ranking import RankedTBox
+from typika.syntax import And, Atom
 
 
 def chain_text(n: int) -> str:
@@ -86,7 +91,8 @@ def role_kbs() -> dict[str, KnowledgeBase]:
 def record_row(family: str, n: int) -> str:
     """The wide-domain record's row for `chain(n)` or `diamond(n)`, each
     layer timed in turn in this process."""
-    kb = {"chain": chain, "diamond": diamond}[family](n)
+    nodes: dict = {}
+    kb = parse_kb({"chain": chain_text, "diamond": diamond_text}[family](n), nodes)
     cells = []
 
     def timed(step):
@@ -104,6 +110,17 @@ def record_row(family: str, n: int) -> str:
     timed(lambda: _constraints(domain, kb))
     timed(lambda: single_pref_model(kb, domain))
     timed(lambda: minimal_canonical_models(kb, domain))
+    first = kb.defeasible[0]
+    antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
+    rows = [Defeasible(And(first.lhs, Atom("Blond")), first.rhs),
+            Defeasible(And(first.lhs, antes[min(1, len(antes) - 1)]), first.rhs)]
+    domains = {frozenset(): domain}  # the KB's own rows' domain
+    row_ms = []
+    for row in rows:
+        start = perf_counter()
+        _compare_row(ranked, serialize_axiom(row), None, nodes, domains)
+        row_ms.append(f"{(perf_counter() - start) * 1e3:.2f}")
+    cells.append(" / ".join(row_ms) + " ms")
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return f"| `{family}({n})` | {domain.size:,} | {' | '.join(cells)} | {rss_mb:.0f} MB |"
 

@@ -26,7 +26,10 @@ coupling rules on every pair of elements, the reference for
 least-ranked members, the reference for the per-rank masks of
 `models.Model`, and `satisfies_kb_by_ranks` checks a model against the KB
 with it, from the model's own ranks, the reference for
-`models.satisfies_kb`. Slow on purpose, trusted because it is simple.
+`models.satisfies_kb`. `widened_compare_row` answers a `compare` row on
+the KB's closure widened by the query, as the `query` command does, the
+reference for the rows `compare` answers on the KB's own domain with the
+query's fresh atoms lifted. Slow on purpose, trusted because it is simple.
 """
 
 from __future__ import annotations
@@ -36,16 +39,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from typika.kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
+from typika.kb import Defeasible, KnowledgeBase, Strict, serialize_axiom, subconcept_closure
 from typika.models import (
     CanonicalDomain,
+    InconsistentKBError,
     Model,
     Query,
+    RankBoundExceededError,
     _Constraints,
+    build_canonical_domain,
     default_rank_bound,
+    enriched_entails,
     satisfies_kb,
+    single_pref_entails,
 )
-from typika.ranking import Extensions, _TypeElimination, bitmask, elements, level_tbox
+from typika.ranking import Extensions, RankedTBox, _TypeElimination, bitmask, elements, level_tbox
 from typika.syntax import (
     BOT,
     And,
@@ -666,3 +674,32 @@ def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
     guesses = list(itertools.product(range(bound + 1), repeat=len(ref.antecedents)))
     return not any(ref.solve(kappa, pairs) is not None
                    for pairs in _counterexample_pins(domain, query) for kappa in guesses)
+
+
+def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
+                        domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
+    """One `compare --json` row answered on the KB's closure explicitly
+    widened by the query's two sides, as `query` answers it: the ranks
+    read off the widened `TypeTable`, the models built over the widened
+    domain (kept in `domains` per closure), which holds every query atom,
+    so no fresh atom is lifted. The reference for the rows `compare`
+    answers on the KB's own table and domain."""
+    closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
+    table = ranked.table(closure)
+    row: dict = {"query": serialize_axiom(query)}
+    r_off = table.rank(And(query.lhs, Not(query.rhs)))
+    if isinstance(query, Strict):
+        row["rc"] = r_off == math.inf
+    else:
+        r_lhs = table.rank(query.lhs)
+        row["rc"] = r_lhs == math.inf or r_lhs < r_off
+    try:
+        domain = domains.get(closure)
+        if domain is None:
+            domain = domains[closure] = build_canonical_domain(ranked, closure)
+        row["singlePref"] = single_pref_entails(ranked.kb, query, domain, bound).entailed
+        row["enriched"] = enriched_entails(ranked.kb, query, domain, bound).entailed
+    except (RankBoundExceededError, InconsistentKBError) as exc:
+        return {"query": row["query"], "error": str(exc)}
+    row["violation"] = bool(row["rc"] and not row["enriched"])
+    return row

@@ -12,20 +12,21 @@ import random
 import subprocess
 import sys
 
-from typika.kb import Strict
+from typika.kb import Defeasible, Strict, serialize_axiom
 from typika.models import (
     build_canonical_domain,
     min_global,
     minimal_canonical_models,
     single_pref_entails,
 )
-from typika.parser import parse_axiom, parse_concept
+from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure
+from typika.syntax import And, Atom, subconcepts
 from typika.tableau import is_satisfiable
 
-from conftest import GOLDEN, KBS, REPO
+from conftest import GOLDEN, KBS, REPO, SET1_TEXT, SET3_TEXT
 from corpus import corpus_kbs, defeasible_queries, strict_queries
-from families import chain, diamond
+from families import chain, chain_text, diamond, diamond_text
 from oracles import (
     brute_force_satisfiable,
     entails_in_all_enriched_models,
@@ -100,7 +101,7 @@ def test_criterion_1_penguin_exemplar():
 
 
 @criterion(2, "irrelevant detail does not disturb rank entailment")
-def test_criterion_2_irrelevance(kb_set1):
+def test_criterion_2_irrelevance(kb_set1, tmp_path):
     out = cli("rank", SET1)
     assert out.returncode == 0
     assert out.stdout == (GOLDEN / "set1_rank.txt").read_text()
@@ -111,6 +112,25 @@ def test_criterion_2_irrelevance(kb_set1):
         assert rt.rank(parse_concept(text)) == want, text
     assert in_rational_closure(
         rt, parse_axiom("T((Student and Blond)) => not EarnMoney"))
+    # under all three semantics, through `compare`: each default T(C) => D
+    # and T((C and Blond)) => D, with an atom no axiom mentions, get the
+    # same verdicts
+    blond = Atom("Blond")
+    kbs = {"set1": SET1_TEXT, "set3": SET3_TEXT, "chain1": chain_text(1),
+           "chain2": chain_text(2), "diamond1": diamond_text(1), "diamond2": diamond_text(2)}
+    for name, text in kbs.items():
+        kb = parse_kb(text)
+        assert all(blond not in subconcepts(side)
+                   for ax in kb.axioms for side in (ax.lhs, ax.rhs)), name
+        queries = [q for ax in kb.defeasible
+                   for q in (ax, Defeasible(And(ax.lhs, blond), ax.rhs))]
+        (tmp_path / f"{name}.kb").write_text(text)
+        (tmp_path / f"{name}.txt").write_text("".join(serialize_axiom(q) + "\n" for q in queries))
+        out = cli("compare", "--json", str(tmp_path / f"{name}.kb"), str(tmp_path / f"{name}.txt"))
+        rows = json.loads(out.stdout)["rows"]
+        assert len(rows) == len(queries) and out.stderr == "", name
+        verdicts = [(row["rc"], row["singlePref"], row["enriched"]) for row in rows]
+        assert verdicts[::2] == verdicts[1::2], name
 
 
 @criterion(3, "rank entailment matches the least single-preference model")

@@ -1,23 +1,29 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 import typika.cli
 import typika.models
 from typika.cli import main
-from typika.kb import Defeasible, KnowledgeBase, Strict, serialize_axiom
+from typika.kb import (Defeasible, KnowledgeBase, Strict, serialize_axiom, serialize_kb,
+                       subconcept_closure)
 from typika.models import CanonicalDomain, build_canonical_domain
-from typika.parser import parse_kb
+from typika.parser import parse_axiom, parse_kb
 from typika.ranking import RankedTBox
-from typika.syntax import And, Atom, complement
+from typika.syntax import And, Atom, Exists, Forall, Not, Or, complement, concept_key, subconcepts
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
+from corpus import corpus_kbs
 from families import ROLE_KBS, chain_text, diamond_text
+from oracles import widened_compare_row
+from test_models import random_kbs_with_domains
 
 SET3 = str(KBS / "set3.kb")
 SET1 = str(KBS / "set1.kb")
@@ -397,6 +403,98 @@ def test_family_compare_golden_bytes(capsys, monkeypatch, tmp_path, name, bound)
     assert out == golden.read_text(encoding="utf-8")
 
 
+BLOND, TALL = Atom("Blond"), Atom("Tall")
+
+# rows over two closure members x and y with the fresh atoms BLOND and
+# TALL conjoined, disjoined and negated on either side, one on both sides,
+# and a conjunction of members
+FRESH_SHAPES = (
+    lambda x, y: Defeasible(And(x, BLOND), y),
+    lambda x, y: Defeasible(Or(x, BLOND), y),
+    lambda x, y: Defeasible(x, Or(y, BLOND)),
+    lambda x, y: Defeasible(And(x, Not(BLOND)), And(y, TALL)),
+    lambda x, y: Strict(And(x, BLOND), Or(y, TALL)),
+    lambda x, y: Defeasible(Not(BLOND), y),
+    lambda x, y: Defeasible(And(x, BLOND), And(y, BLOND)),
+    lambda x, y: Defeasible(Or(And(x, BLOND), And(y, Not(BLOND))), x),
+    lambda x, y: Defeasible(And(x, y), Or(x, TALL)),
+)
+
+
+def fresh_rows(kb: KnowledgeBase, rng: random.Random,
+               k: int = len(FRESH_SHAPES)) -> list[Strict | Defeasible]:
+    """k seeded shapes (all by default), each over a seeded pair of the
+    KB's closure members."""
+    members = sorted(subconcept_closure(kb), key=concept_key)
+    return [shape(rng.choice(members), rng.choice(members))
+            for shape in rng.sample(FRESH_SHAPES, k)]
+
+
+def role_fresh_rows(kb: KnowledgeBase) -> list[Strict | Defeasible]:
+    """Fresh atoms under booleans, then one fresh restriction: an
+    `exists` over a fresh atom on a role of the KB."""
+    antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
+    rhss = list(dict.fromkeys(ax.rhs for ax in kb.defeasible))
+    role = min(s.role for ax in kb.axioms for side in (ax.lhs, ax.rhs)
+               for s in subconcepts(side) if isinstance(s, (Exists, Forall)))
+    return [Defeasible(And(antes[-1], BLOND), rhss[0]),
+            Defeasible(Or(antes[0], Not(BLOND)), Or(rhss[-1], TALL)),
+            Strict(And(antes[0], BLOND), And(rhss[0], BLOND)),
+            Defeasible(And(And(antes[0], BLOND), Exists(role, TALL)), rhss[-1])]
+
+
+def differential_cases():
+    """(KB text, query texts, bounds) over the corpus, `chain(1..4)`,
+    `diamond(1..3)` and the role KBs at the default bound and at 1 and 2,
+    and over the 500 seeded random KBs, three shapes and one bound each in
+    turn, to keep the test short."""
+    rng = random.Random(29)
+    bounds = (None, 1, 2)
+    cases = [(serialize_kb(kb), fresh_rows(kb, rng), bounds) for kb in corpus_kbs()]
+    for text in [chain_text(n) for n in range(1, 5)] + [diamond_text(n) for n in range(1, 4)]:
+        kb = parse_kb(text)
+        queries = [parse_axiom(q) for q in family_queries(kb)] + fresh_rows(kb, rng)
+        cases.append((text, queries, bounds))
+    for text in ROLE_KBS.values():
+        kb = parse_kb(text)
+        cases.append((text, role_fresh_rows(kb) + fresh_rows(kb, rng), bounds))
+    cases += [(serialize_kb(kb), fresh_rows(kb, rng, 3), bounds[k % 3:k % 3 + 1])
+              for k, (kb, _) in enumerate(random_kbs_with_domains())]
+    return [(text, [serialize_axiom(q) for q in queries], bounds)
+            for text, queries, bounds in cases]
+
+
+def test_compare_rows_match_the_widened_reference(capsys, monkeypatch, tmp_path):
+    # every row, fresh atoms lifted on the KB's own domain, equals the row
+    # answered on the domain widened by the query (`oracles`), error texts
+    # included: the coupling cycle an error names is read off element
+    # classes, whose ids follow element order, and the lifted and widened
+    # domains order their elements differently. Mutation check in a copy of the code: taking r* per
+    # variant instead of over all variants in `models._holds_in` fails it.
+    monkeypatch.chdir(tmp_path)
+    rows = lifted = errors = cycles = 0
+    for text, queries, bounds in differential_cases():
+        Path("kb.kb").write_text(text, encoding="utf-8")
+        Path("queries.txt").write_text("".join(q + "\n" for q in queries), encoding="utf-8")
+        nodes: dict = {}
+        ranked = RankedTBox(parse_kb(text, nodes))
+        parsed = [parse_axiom(q, nodes) for q in queries]
+        domains: dict = {}
+        for bound in bounds:
+            flags = [] if bound is None else ["--rank-bound", str(bound)]
+            _, out, _ = run(capsys, ["compare", "--json", *flags, "kb.kb", "queries.txt"])
+            want = [widened_compare_row(ranked, q, bound, domains) for q in parsed]
+            assert json.loads(out)["rows"] == want, (text, bound)
+            rows += len(want)
+            errors += sum("error" in row for row in want)
+            cycles += sum("rule (a)" in row.get("error", "") for row in want)
+            lifted += sum(any(isinstance(s, Atom) and s not in ranked.closure
+                              for side in (q.lhs, q.rhs) for s in subconcepts(side))
+                          for q in parsed)
+    # 9,465 rows, 9,087 with a fresh atom, 2,277 errors, 67 of them cycles
+    assert rows > 9000 and lifted > 8000 and errors > 2000 and cycles > 50
+
+
 def _count_domain_builds(monkeypatch):
     builds = []
 
@@ -415,29 +513,45 @@ def test_compare_shares_one_domain_per_closure(capsys, monkeypatch):
     assert len(builds) == 1
 
 
-def test_compare_fresh_atom_query_builds_its_own_domain(capsys, monkeypatch, tmp_path):
+def test_compare_fresh_atom_query_shares_the_kb_domain(capsys, monkeypatch, tmp_path):
+    # no axiom reads `Blond`, so the row is answered on the KB's own table
+    # and domain, with no widened table built for it
     qf = tmp_path / "queries.txt"
     qf.write_text((KBS / "set3_queries.txt").read_text()
                   + "T((Penguin and Blond)) => not Fly\n")
     builds = _count_domain_builds(monkeypatch)
+    stratified = []
+    init = RankedTBox.__init__
+
+    def keeping(self, kb):
+        init(self, kb)
+        stratified.append(self)
+
+    monkeypatch.setattr(RankedTBox, "__init__", keeping)
     code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
     assert code == 0
-    assert len(builds) == 2
+    assert builds == [stratified[0].closure]
+    assert list(stratified[0]._tables) == [frozenset()]
     assert doc["rows"][-1] == {"query": "T((Penguin and Blond)) => not Fly", "rc": True,
                                "singlePref": True, "enriched": True, "violation": False}
 
 
-def test_compare_keys_domains_by_the_widened_closure(capsys, monkeypatch, tmp_path):
-    # `Blond` and `not Blond` lie outside set3's closure and widen it by the
-    # same pair of members, so both rows share one domain
-    queries = ["T(Blond) => Fly", "T(not Blond) => Fly", "T(Penguin) => not Fly"]
+def test_compare_keys_domains_by_fresh_restrictions(capsys, monkeypatch, tmp_path):
+    # fresh atoms and booleans over the closure share the KB's domain; a
+    # restriction outside the closure widens it, once per distinct set of
+    # such restrictions (`exists eats. Fish` in two rows, negated in one)
+    queries = ["T(Blond) => Fly", "T(not Blond) => Fly", "T(Penguin) => not Fly",
+               "T((Penguin and Bird)) => HasNiceFeather",
+               "T((Bird and exists eats. Fish)) => Fly",
+               "T((Penguin and not exists eats. Fish)) => (not Fly or Blond)"]
     qf = tmp_path / "queries.txt"
     qf.write_text("".join(q + "\n" for q in queries))
     builds = _count_domain_builds(monkeypatch)
     code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
     assert code == 0
     assert len(builds) == 2
-    assert Atom("Blond") in builds[0] and Atom("Blond") not in builds[1]
+    assert Exists("eats", Atom("Fish")) not in builds[0]
+    assert Exists("eats", Atom("Fish")) in builds[1] and Atom("Blond") not in builds[1]
     # each row as its own call, with a domain of its own, gives the same row
     for q, row in zip(queries, doc["rows"]):
         qf.write_text(q + "\n")
@@ -445,11 +559,14 @@ def test_compare_keys_domains_by_the_widened_closure(capsys, monkeypatch, tmp_pa
 
 
 def test_compare_builds_no_literal_types(capsys, monkeypatch, tmp_path):
-    # a domain's literal sets are for printing a model; compare never reads them
+    # a domain's literal sets are for printing a model; compare never reads
+    # them. One domain per KB, plus one for the fresh restriction
+    # `exists s. C`; the fresh atom `Fresh` needs none.
     kb = tmp_path / "role.kb"
     kb.write_text(ROLE_KBS["exists-forall"])
     qf = tmp_path / "queries.txt"
-    qf.write_text("T(A) => exists r. B\nT((A and C)) => forall r. not B\nT(A) => Fresh\n")
+    qf.write_text("T(A) => exists r. B\nT((A and C)) => forall r. not B\nT(A) => Fresh\n"
+                  "T((A and exists s. C)) => exists r. B\n")
     domains = []
 
     def keeping(ranked, closure=None):
@@ -463,6 +580,21 @@ def test_compare_builds_no_literal_types(capsys, monkeypatch, tmp_path):
         assert code == 0
     assert len(domains) == 3
     assert not any("types" in vars(d) or "role_edges" in vars(d) for d in domains)
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "--semantics", "enriched", "--rank-bound", "-5", SET3, "T(Bird) => Fly"],
+    ["compare", "--rank-bound", "-1", SET3, SET3_QUERIES],
+], ids=["query", "compare"])
+def test_negative_rank_bound_is_a_usage_error(capsys, argv):
+    # a bound below 0 admits no rank at all: refused before any reasoning
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: argument --rank-bound: must be 0 or more, "
+                            f"not {argv[argv.index('--rank-bound') + 1]}\n")
 
 
 def test_compare_bad_line_is_isolated(capsys, tmp_path):
@@ -551,12 +683,13 @@ def test_compare_leaves_no_per_kb_state_alive(capsys, monkeypatch, tmp_path):
 
 
 def test_per_kb_state_needs_no_cycle_collection(capsys, monkeypatch, tmp_path):
-    # reference counting alone frees every stratification and domain
-    # (a fresh-atom row gives a second domain)
+    # reference counting alone frees every stratification and domain (a
+    # fresh-restriction row gives a second domain, a fresh-atom row none)
     abox = tmp_path / "abox.kb"
     abox.write_text(SET3_TEXT + "T(Penguin)(pingu)\nBird(tweety)\nknows(tweety, pingu)\n")
     widened = tmp_path / "widened.txt"
-    widened.write_text("T(Penguin) => not Fly\nT((Penguin and Blond)) => not Fly\n")
+    widened.write_text("T(Penguin) => not Fly\nT((Penguin and Blond)) => not Fly\n"
+                       "T((Penguin and exists eats. Fish)) => not Fly\n")
     stratified = _record_instances(monkeypatch, RankedTBox)
     domains = _record_instances(monkeypatch, CanonicalDomain)
     gc.disable()

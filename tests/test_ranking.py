@@ -156,6 +156,10 @@ def test_totally_exceptional_defaults_prune_every_enumeration(monkeypatch):
     rt = RankedTBox(kb)
     assert [len(lv) for lv in rt.levels] == [14, 13, 12]
     assert rt.rank(Atom("Blond")) == 0 and rt.rank(Atom("A0")) == math.inf
+    # a fresh atom is ranked on the KB's own table; a domain widened by it
+    # asks for the widened table
+    assert rt.table((Atom("Blond"),)).codes
+    assert len(rt._tables) == 2
     assert sizes and max(sizes) <= 32
 
 
