@@ -95,7 +95,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     consistent = is_kb_consistent(ranked)
     if consistent and kb.abox:
         m = single_pref_model(kb, build_canonical_domain(ranked))
-        consistent = find_abox_mapping(m.domain, kb, m.global_ranks) is not None
+        consistent = find_abox_mapping(m, kb) is not None
     ms = (time.perf_counter() - start) * 1000.0
     doc = {"command": "check", "kb": args.kb, "consistent": consistent,
            "timingMs": round(ms, 3)}
@@ -133,13 +133,31 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _domain(ranked: RankedTBox, query: Query,
+            domains: dict[frozenset[Concept], CanonicalDomain]) -> CanonicalDomain:
+    """The domain a query is answered on, kept in `domains` per set of the
+    query's restrictions outside the KB's closure, which widen it; a fresh
+    atom or a boolean outside the closure is answered on the KB's own
+    domain, the fresh atoms lifted (`models._holds_in`)."""
+    key = frozenset(s for s in ranked.outside((query.lhs, query.rhs))
+                    if isinstance(s, (Exists, Forall)))
+    domain = domains.get(key)
+    if domain is None:
+        domain = domains[key] = build_canonical_domain(ranked, subconcept_closure(ranked.kb, key))
+    return domain
+
+
 def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
-                   bound: Optional[int]) -> tuple[bool, Optional[Model]]:
+                   bound: Optional[int], emit_model: bool) -> tuple[bool, Optional[Model]]:
     if semantics == "rc":
         return in_rational_closure(ranked, query), None
     entails = single_pref_entails if semantics == "single-pref" else enriched_entails
-    closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
-    v = entails(ranked.kb, query, build_canonical_domain(ranked, closure), bound)
+    if emit_model:  # the printed model lists every concept of the query
+        closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
+        domain = build_canonical_domain(ranked, closure)
+    else:
+        domain = _domain(ranked, query, {})
+    v = entails(ranked.kb, query, domain, bound)
     return v.entailed, v.model
 
 
@@ -148,7 +166,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb, nodes)
     query = parse_axiom(args.query, nodes)
     start = time.perf_counter()
-    entailed, model = _query_verdict(RankedTBox(kb), query, args.semantics, args.rank_bound)
+    entailed, model = _query_verdict(RankedTBox(kb), query, args.semantics, args.rank_bound,
+                                     args.emit_model)
     ms = (time.perf_counter() - start) * 1000.0
     doc = {
         "command": "query",
@@ -170,12 +189,9 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
                  nodes: dict[Concept, Concept],
                  domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
     """One row of `compare`. Every row shares the KB's stratification and
-    its node table `nodes`, and rows share the domains in `domains`, and
-    with them the memoised minimal models. `domains` is keyed on the
-    query's restrictions outside the KB's closure: those widen the closure
-    (and the domain, built only for a new key), while a fresh atom or a
-    boolean outside the closure is answered on the KB's own domain, the
-    fresh atoms lifted (`models._holds_in`), so most rows share that one."""
+    its node table `nodes`, and rows share the domains in `domains` (see
+    `_domain`; most rows share the KB's own), and with them the memoised
+    minimal models."""
     try:
         query = parse_axiom(raw, nodes)
     except KBSyntaxError as exc:
@@ -184,11 +200,7 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
     kb = ranked.kb
     try:
         row["rc"] = in_rational_closure(ranked, query)
-        key = frozenset(s for s in ranked.outside((query.lhs, query.rhs))
-                        if isinstance(s, (Exists, Forall)))
-        domain = domains.get(key)
-        if domain is None:
-            domain = domains[key] = build_canonical_domain(ranked, subconcept_closure(kb, key))
+        domain = _domain(ranked, query, domains)
         row["singlePref"] = single_pref_entails(kb, query, domain, bound).entailed
         row["enriched"] = enriched_entails(kb, query, domain, bound).entailed
     except (RankBoundExceededError, InconsistentKBError) as exc:

@@ -7,17 +7,19 @@ of them builds one. A query needs a domain widened only by its
 restrictions outside the KB's closure: its booleans over the domain's
 members are evaluated structurally, and its fresh atoms, which no axiom
 mentions, are lifted (`_holds_in`). `compare` builds one domain per KB
-plus one per distinct set of such restrictions, and `query` one widened
-by the query's two sides. A domain's elements are the types (maximal
+plus one per distinct set of such restrictions, `query` the one its query
+needs by the same rule, and `query --emit-model` one widened by both
+sides of the query. A domain's elements are the types (maximal
 KB-satisfiable subsets of the closure) that survive the stratification's
-type elimination, so a domain is a view of the `RankedTBox`'s type table
-for the closure and makes no tableau call. Every set of elements is an int
-bitmask, bit i for element i: concept extensions (`ranking.Extensions`,
-read off the type bits), role successors (the elimination's successor
-test), violators and least-ranked instances. Rank functions over the
-domain stand in for preference relations (lower rank = more typical); a
-`Model` is the domain with its global ranks, plus one rank function per
-aspect for an enriched model.
+type elimination, so the domain is the `RankedTBox`'s table for the
+closure (`ranking.CanonicalDomain`), shared with the ranks, and makes no
+tableau call. Every set of elements is an int bitmask, bit i for element
+i: concept extensions (the domain's `eval`, read off the type bits), role
+successors (the elimination's successor test), violators and
+least-ranked instances. Rank functions over the domain stand in for
+preference relations (lower rank = more typical); a `Model` is the domain
+with its global ranks, plus one rank function per aspect for an enriched
+model.
 
 Both semantics read a KB's defaults through one constraint table per
 domain and KB (`_Constraints`): per default its antecedent and violators,
@@ -74,10 +76,8 @@ from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
-from .ranking import (Extensions, RankedTBox, TypeTable, bitmask, elements, is_kb_consistent,
-                      variants)
-from .syntax import (TOP, Atom, Concept, Exists, Forall, Not, complement, concept_key,
-                     concept_to_text, subconcepts)
+from .ranking import CanonicalDomain, RankedTBox, bitmask, elements, is_kb_consistent, variants
+from .syntax import TOP, Atom, Concept, Exists, Forall, concept_key, concept_to_text, subconcepts
 
 
 class InconsistentKBError(Exception):
@@ -105,81 +105,27 @@ def default_rank_bound(kb: KnowledgeBase) -> int:
 Query = Union[Strict, Defeasible]
 
 
-class CanonicalDomain:
-    """A fixed interpretation: one element per maximal KB-satisfiable type,
-    as a view of the stratification's `TypeTable` for its closure.
-
-    Element i is the table's type code `codes[i]`; the elements are in the
-    literal tree's order over the domain's own closure (`closure`, sorted;
-    `members`, the same as a set). `eval` gives a
-    concept's extension as an int bitmask over the elements (bit i set when
-    element i is an instance), reading atoms and restrictions off the type
-    bits. `successors[role][i]` is the bitmask of the elements element i's
-    role edges reach. The literal set of each element (`types`) and the
-    edges as (i, j) pairs (`role_edges`) are built only when read, for
-    printing a model. `_memo` holds one `_Constraints` table per KB, which
-    memoises the minimal models per rank bound, failed searches included.
-    Instances compare by identity; models built over the same instance
-    share it.
-    """
-
-    def __init__(self, closure: tuple[Concept, ...], table: TypeTable, codes: list[int]):
-        self.closure = closure
-        self.members = frozenset(closure)
-        self.codes = codes
-        self.eval = Extensions(table.engine.bit, codes)
-        self.successors = table.engine.successors(self.eval)
-        self._memo: dict[KnowledgeBase, _Constraints] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.codes)
-
-    @cached_property
-    def types(self) -> tuple[frozenset[Concept], ...]:
-        positives = [c for c in self.closure if not isinstance(c, Not)]
-        holds = [set(elements(self.eval(p))) for p in positives]
-        return tuple(frozenset(p if i in ext else complement(p) for p, ext in zip(positives, holds))
-                     for i in range(self.size))
-
-    @cached_property
-    def role_edges(self) -> dict[str, frozenset[tuple[int, int]]]:
-        return {role: frozenset((i, j) for i, targets in enumerate(succ) for j in elements(targets))
-                for role, succ in self.successors.items()}
-
-
 def build_canonical_domain(ranked: RankedTBox,
                            closure: Optional[frozenset[Concept]] = None) -> CanonicalDomain:
-    """Enumerates all maximal KB-satisfiable types over a closure.
+    """The canonical domain over a closure: its elements are all maximal
+    KB-satisfiable types over it.
 
     The closure is the KB's own (`ranked.closure`) unless the caller widens
     it, as `subconcept_closure(kb, (query.lhs, query.rhs))` does for a
     query. A type is KB-satisfiable when it has finite rank, that is when it
-    survives the last level's type elimination (the levels only shrink).
-    The types are the codes of the stratification's `TypeTable` for the
-    closure, with no second elimination, reordered by their truth rows over
-    this closure: a boolean member the table's closure lacks moves a type in
-    the literal tree's order. The role edges come from the engine's
-    successor test. The domain build makes no tableau call: raises
-    InconsistentKBError when the KB is inconsistent, and AssertionError
-    when the table holds no type for a consistent KB or a restriction's
-    bits disagree with the role edges.
+    survives the last level's type elimination (the levels only shrink), so
+    the domain is the stratification's table for the closure
+    (`RankedTBox.table`), built once per closure and shared with the ranks.
+    The role edges come from the engine's successor test. The domain build
+    makes no tableau call: raises InconsistentKBError when the KB is
+    inconsistent, and AssertionError when the table holds no type for a
+    consistent KB or a restriction's bits disagree with the role edges.
     """
     if not is_kb_consistent(ranked):
         raise InconsistentKBError("the knowledge base admits no satisfiable type")
-    if closure is None:
-        closure = ranked.closure
-    table = ranked.table(closure)
-    if not table.codes:
+    domain = ranked.table(closure or ())
+    if not domain.codes:
         raise AssertionError("type elimination left no type for a consistent KB")
-    members = tuple(sorted(closure, key=concept_key))
-    n = len(table.codes)
-    # each type's truth row over the positives, a string of 0s and 1s;
-    # descending rows are the literal tree's order over this closure
-    columns = [format(table.ext(p), f"0{n}b")[::-1] for p in members if not isinstance(p, Not)]
-    rows = ["".join(row) for row in zip(*columns)] or [""] * n
-    domain = CanonicalDomain(members, table,
-                             [code for _, code in sorted(zip(rows, table.codes), reverse=True)])
     _validate_witnesses(domain)
     return domain
 
@@ -665,14 +611,14 @@ def single_pref_entails(kb: KnowledgeBase, query: Query, domain: CanonicalDomain
     return _holds_in(single_pref_model(kb, domain, rank_bound), query)
 
 
-def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
-                      global_ranks: Sequence[int]) -> Optional[dict[str, int]]:
+def find_abox_mapping(model: Model, kb: KnowledgeBase) -> Optional[dict[str, int]]:
     """Maps each named individual to a domain type satisfying its assertions.
 
     Typical concept assertions confine the individual to the globally most
     typical instances; role assertions require a canonical edge when the
     role is constrained by the closure, and are free otherwise.
     """
+    domain = model.domain
     individuals: list[str] = []
     for a in kb.abox:
         names = [a.individual] if isinstance(a, ConceptAssertion) else [a.subject, a.target]
@@ -681,12 +627,11 @@ def find_abox_mapping(domain: CanonicalDomain, kb: KnowledgeBase,
                 individuals.append(name)
     # per individual, the bitmask of the elements it may map to
     candidates = dict.fromkeys(individuals, domain.eval(TOP))
-    masks = _rank_masks(global_ranks)
     for a in kb.abox:
         if isinstance(a, ConceptAssertion):
             ext = domain.eval(a.concept)
             if a.typical:
-                ext = _least(masks, ext)
+                ext = _least(model.rank_masks, ext)
             candidates[a.individual] &= ext
     role_pairs = [a for a in kb.abox
                   if isinstance(a, RoleAssertion) and a.role in domain.successors]

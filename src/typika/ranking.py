@@ -14,30 +14,31 @@ candidate types, pruned by its material counterparts as they are built;
 a table over a widened closure, whose levels are known, enumerates the
 last level's candidates once and filters them for each earlier level.
 Such a table is built only for a restriction outside the KB's closure and
-for the closure of a domain a caller widens (`cli`'s `query`). A fresh
-atom, one no axiom mentions, needs none: no axiom reads its bit, so the
-table widened by it would hold each of the KB's types once per value of
-the bit, and a concept is ranked on the KB's own table as the least rank
-over its variants with each fresh atom replaced by `top` or `bot`
-(`variants`). Ranks are plain ints (`math.inf` for a concept exceptional
-at every level), and both defeasible and strict queries reduce to rank
-comparisons. The tableau makes one call per KB, a cross-check of the
-KB's consistency against the engine.
+for the closure of a domain a caller widens (`cli`'s `query --emit-model`).
+A fresh atom, one no axiom mentions, needs none: no axiom reads its bit,
+so the table widened by it would hold each of the KB's types once per
+value of the bit, and a concept is ranked on the KB's own table as the
+least rank over its variants with each fresh atom replaced by `top` or
+`bot` (`variants`). Ranks are plain ints (`math.inf` for a concept
+exceptional at every level), and both defeasible and strict queries reduce
+to rank comparisons. The tableau makes one call per KB, a cross-check of
+the KB's consistency against the engine.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
 its atoms and restrictions read off the codes' bits as columns by one
 kernel in C (`_column`, which `bitmask` shares) and its connectives taken
 as mask arithmetic. Type elimination checks its axioms with it, the
-stratification its antecedents, a `TypeTable` its ranks, and
-`models.CanonicalDomain` every extension over its elements.
+stratification its antecedents, and the table of a closure, which is also
+its canonical domain (`CanonicalDomain`), its ranks and every extension
+the models read.
 
 The caller owns the stratification: it builds one `RankedTBox` per KB and
 passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
 and `models.build_canonical_domain`; the model searches of `models` take the
 domain the caller built from it and never stratify on their own. The
-`RankedTBox` keeps one `TypeTable` per closure it was asked about (which
-`models.build_canonical_domain` takes its types from) and its rank memo,
+`RankedTBox` keeps one `CanonicalDomain` per closure it was asked about
+(the domain `models.build_canonical_domain` returns) and its rank memo,
 so both live as long as the caller keeps the `RankedTBox`; this module
 keeps no state.
 """
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 from itertools import compress, count, product, repeat
 from typing import Collection, Iterable, Optional, Sequence, Union
 
@@ -62,6 +64,7 @@ from .syntax import (
     Not,
     Or,
     Top,
+    complement,
     concept_key,
     conjoin,
     subconcepts,
@@ -205,8 +208,8 @@ class _TypeElimination:
     """
 
     def __init__(self, closure: Iterable[Concept]):
-        self.positives = [c for c in sorted(closure, key=concept_key)
-                          if not isinstance(c, Not)]
+        self.closure = tuple(sorted(closure, key=concept_key))
+        self.positives = [c for c in self.closure if not isinstance(c, Not)]
         width = len(self.positives)
         self.bits = [1 << (width - 1 - k) for k in range(width)]
         self.bit = dict(zip(self.positives, self.bits))
@@ -346,35 +349,64 @@ class _TypeElimination:
         return out
 
 
-class TypeTable:
-    """The types over one closure, each with the first level it survives.
+class CanonicalDomain:
+    """The types over one closure, each with the first level it survives,
+    which is the closure's canonical domain: one element per maximal
+    KB-satisfiable type.
 
-    `survivors` holds each level's surviving codes. `codes` are the types
-    that survive the last level, in descending code order (the literal
-    tree's order), `engine` reads them and `ext` gives concept extensions
-    over them. The levels only shrink, so the survivors only grow from one
-    level to the next, and a concept's rank is the least level at which a
-    type holding it survives. A concept's atoms and restrictions must be
-    members of the closure.
+    Element i is the type code `codes[i]`, one per type surviving the last
+    level, in descending code order: the literal tree's order over
+    `closure` (sorted; `members`, the same as a set). `eval` gives concept
+    extensions as int bitmasks over the elements, for ranks and models
+    alike. The levels only shrink, so their survivors (`_alive`) only grow,
+    and a concept's rank is the least level at which a type holding it
+    survives; its atoms and restrictions must be members of the closure.
+    `successors[role][i]` is the bitmask of the elements element i's role
+    edges reach; the literal sets (`types`) and the edges as pairs
+    (`role_edges`) are built only to print a model. `_memo` holds one
+    `models._Constraints` table per KB, which memoises the minimal models
+    per rank bound. Instances compare by identity.
     """
 
     def __init__(self, engine: _TypeElimination, survivors: Sequence[list[int]]):
         self.engine = engine
+        self.closure = engine.closure
+        self.members = frozenset(self.closure)
         self.codes = survivors[-1]
-        self.ext = Extensions(engine.bit, self.codes)
-        # per level, its survivors as a bitmask over `codes`
+        self.eval = Extensions(engine.bit, self.codes)
         self._alive = [bitmask(map(set(alive).__contains__, self.codes)) for alive in survivors]
+        self._memo: dict[KnowledgeBase, object] = {}
+
+    @property
+    def size(self) -> int:
+        return len(self.codes)
 
     def rank(self, *concepts: Concept) -> float:
         """The least level at which a type holding one of the concepts
         survives."""
         ext = 0
         for c in concepts:
-            ext |= self.ext(c)
+            ext |= self.eval(c)
         for i, alive in enumerate(self._alive):
             if ext & alive:
                 return i
         return math.inf
+
+    @cached_property
+    def successors(self) -> dict[str, tuple[int, ...]]:
+        return self.engine.successors(self.eval)
+
+    @cached_property
+    def types(self) -> tuple[frozenset[Concept], ...]:
+        holds = [set(elements(self.eval(p))) for p in self.engine.positives]
+        return tuple(frozenset(p if i in ext else complement(p)
+                               for p, ext in zip(self.engine.positives, holds))
+                     for i in range(self.size))
+
+    @cached_property
+    def role_edges(self) -> dict[str, frozenset[tuple[int, int]]]:
+        return {role: frozenset((i, j) for i, targets in enumerate(succ) for j in elements(targets))
+                for role, succ in self.successors.items()}
 
 
 class RankedTBox:
@@ -386,19 +418,19 @@ class RankedTBox:
     the candidates of the KB's own closure (`closure`) for the strict axioms
     and the level's material counterpart, pruned while they are enumerated:
     an axiom stays when no type surviving the level holds its antecedent.
-    The survivors make the KB's `TypeTable`. A concept whose only atoms
-    and restrictions outside the closure are fresh atoms is ranked on that
-    table, as the least rank over its `variants` with each fresh atom
-    replaced by `top` or `bot`. A concept with a restriction outside the
-    closure is ranked on a table over the closure widened by its atoms and
-    restrictions outside it, with the same levels: the last level's
-    candidates are enumerated once and filtered for each earlier level
-    (`holding`), which every level's axioms contain. `table` builds each
-    widened table once and keeps it; the model searches ask it for the
-    closure of each domain a caller builds. Ranks are memoised per concept
-    node. The constructor makes exactly one tableau call: the consistency
-    of the last level's TBox, which must agree with whether any type
-    survives it.
+    The survivors make the KB's table, its `CanonicalDomain`. A concept
+    whose only atoms and restrictions outside the closure are fresh atoms
+    is ranked on that table, as the least rank over its `variants` with
+    each fresh atom replaced by `top` or `bot`. A concept with a
+    restriction outside the closure is ranked on a table over the closure
+    widened by its atoms and restrictions outside it, with the same levels:
+    the last level's candidates are enumerated once and filtered for each
+    earlier level (`holding`), which every level's axioms contain. `table`
+    builds each widened table once and keeps it, and it is the domain
+    `models.build_canonical_domain` returns for its closure. Ranks are
+    memoised per concept node. The constructor makes exactly one tableau
+    call: the consistency of the last level's TBox, which must agree with
+    whether any type survives it.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -418,7 +450,7 @@ class RankedTBox:
                 break
             level = nxt
             self.levels.append(level)
-        self._tables = {frozenset(): TypeTable(engine, survivors)}
+        self._tables = {frozenset(): CanonicalDomain(engine, survivors)}
         self._rank_memo: dict[Concept, float] = {}
         tbox = level_tbox(StrictTBox.from_axioms(kb.strict), level)
         if entails_strict(tbox, TOP, BOT) == bool(alive):
@@ -431,20 +463,20 @@ class RankedTBox:
                          for s in subconcepts(c)
                          if isinstance(s, (Atom, Exists, Forall)) and s not in self.closure)
 
-    def table(self, concepts: Iterable[Concept]) -> TypeTable:
-        """The table over the KB's closure widened by the atoms and
-        restrictions of `concepts` it lacks (the KB's own table when there
-        are none), memoised per widening. Ranks ask for one only when a
-        restriction is among those; a domain's closure asks for one
-        whenever it holds such a member, fresh atoms included."""
-        return self._table(self.outside(concepts))
-
-    def _table(self, fresh: frozenset[Concept]) -> TypeTable:
-        table = self._tables.get(fresh)
+    def table(self, concepts: Collection[Concept]) -> CanonicalDomain:
+        """The table over the KB's closure widened by `concepts` (the KB's
+        own when they add nothing), memoised per widening: the positive
+        members, booleans included, that `concepts` add, found without
+        building the widened closure. Ranks ask for one only when a
+        restriction is among those; a domain, for each closure it gets."""
+        key = frozenset(s for c in concepts if c not in self.closure
+                        for s in subconcepts(c)
+                        if not isinstance(s, Not) and s not in self.closure)
+        table = self._tables.get(key)
         if table is None:
-            engine = _TypeElimination(subconcept_closure(self.kb, fresh))
+            engine = _TypeElimination(subconcept_closure(self.kb, concepts))
             last = Extensions(engine.bit, engine.candidates(self.kb.strict + self.levels[-1]))
-            table = self._tables[fresh] = TypeTable(engine, [
+            table = self._tables[key] = CanonicalDomain(engine, [
                 select(last.codes, engine.eliminate(last, engine.holding(last, level)))
                 for level in self.levels])
         return table
@@ -460,7 +492,7 @@ class RankedTBox:
                 # each KB type once per assignment of the fresh atoms
                 hit = self._tables[frozenset()].rank(*(c for c, in variants((concept,), fresh)))
             else:
-                hit = self._table(fresh).rank(concept)
+                hit = self.table(fresh).rank(concept)
             self._rank_memo[concept] = hit
         return hit
 

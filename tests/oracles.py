@@ -27,7 +27,7 @@ least-ranked members, the reference for the per-rank masks of
 `models.Model`, and `satisfies_kb_by_ranks` checks a model against the KB
 with it, from the model's own ranks, the reference for
 `models.satisfies_kb`. `widened_compare_row` answers a `compare` row on
-the KB's closure widened by the query, as the `query` command does, the
+the KB's closure widened by the query, as `query --emit-model` does, the
 reference for the rows `compare` answers on the KB's own domain with the
 query's fresh atoms lifted. Slow on purpose, trusted because it is simple.
 """
@@ -679,11 +679,11 @@ def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
 def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
                         domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
     """One `compare --json` row answered on the KB's closure explicitly
-    widened by the query's two sides, as `query` answers it: the ranks
-    read off the widened `TypeTable`, the models built over the widened
-    domain (kept in `domains` per closure), which holds every query atom,
-    so no fresh atom is lifted. The reference for the rows `compare`
-    answers on the KB's own table and domain."""
+    widened by the query's two sides, as `query --emit-model` answers it:
+    the ranks and the models both read off the widened closure's table,
+    which is its domain (kept in `domains` per closure) and holds every
+    query atom, so no fresh atom is lifted. The reference for the rows
+    `compare` answers on the KB's own table."""
     closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
     table = ranked.table(closure)
     row: dict = {"query": serialize_axiom(query)}

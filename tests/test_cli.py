@@ -17,7 +17,8 @@ from typika.kb import (Defeasible, KnowledgeBase, Strict, serialize_axiom, seria
 from typika.models import CanonicalDomain, build_canonical_domain
 from typika.parser import parse_axiom, parse_kb
 from typika.ranking import RankedTBox
-from typika.syntax import And, Atom, Exists, Forall, Not, Or, complement, concept_key, subconcepts
+from typika.syntax import (And, Atom, Exists, Forall, Not, Or, complement, concept_key,
+                           concept_to_text, subconcepts)
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
 from corpus import corpus_kbs
@@ -199,8 +200,8 @@ def test_query_role_kb(capsys, tmp_path):
 
 
 # (golden name, KB file name, KB text, semantics, query, exit code); the
-# chain(2) query widens the closure by a conjunction, so its element order
-# is the truth-row order over the widened closure, not the type table's
+# chain(2) query widens the closure by a conjunction, so its model is the
+# widened closure's own table, in that table's order
 EMIT_MODEL_CASES = [
     ("set3_enriched", "set3.kb", SET3_TEXT, "enriched", "T(Penguin) => HasNiceFeather", 0),
     ("set3_single_pref", "set3.kb", SET3_TEXT, "single-pref",
@@ -506,6 +507,19 @@ def _count_domain_builds(monkeypatch):
     return builds
 
 
+def _keep_stratifications(monkeypatch):
+    """Every `RankedTBox` made from here on."""
+    stratified = []
+    init = RankedTBox.__init__
+
+    def keeping(self, kb):
+        init(self, kb)
+        stratified.append(self)
+
+    monkeypatch.setattr(RankedTBox, "__init__", keeping)
+    return stratified
+
+
 def test_compare_shares_one_domain_per_closure(capsys, monkeypatch):
     builds = _count_domain_builds(monkeypatch)
     code, doc, _ = run_json(capsys, ["compare", "--json", SET3, SET3_QUERIES])
@@ -520,14 +534,7 @@ def test_compare_fresh_atom_query_shares_the_kb_domain(capsys, monkeypatch, tmp_
     qf.write_text((KBS / "set3_queries.txt").read_text()
                   + "T((Penguin and Blond)) => not Fly\n")
     builds = _count_domain_builds(monkeypatch)
-    stratified = []
-    init = RankedTBox.__init__
-
-    def keeping(self, kb):
-        init(self, kb)
-        stratified.append(self)
-
-    monkeypatch.setattr(RankedTBox, "__init__", keeping)
+    stratified = _keep_stratifications(monkeypatch)
     code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
     assert code == 0
     assert builds == [stratified[0].closure]
@@ -556,6 +563,80 @@ def test_compare_keys_domains_by_fresh_restrictions(capsys, monkeypatch, tmp_pat
     for q, row in zip(queries, doc["rows"]):
         qf.write_text(q + "\n")
         assert run_json(capsys, ["compare", "--json", SET3, str(qf)])[1]["rows"] == [row]
+
+
+def test_the_domain_is_the_stratifications_table(capsys, monkeypatch, tmp_path):
+    # the KB's domain is its table: ranks and models read one column memo
+    rt = RankedTBox(parse_kb(SET3_TEXT))
+    dom = build_canonical_domain(rt)
+    assert dom is rt.table(()) and list(rt._tables) == [frozenset()]
+    bit = dom.engine.bit[Atom("Penguin")]
+    assert bit not in dom.eval._on
+    rt.rank(Atom("Penguin"))
+    assert bit in dom.eval._on
+    # a row whose only concept outside the closure is a fresh restriction
+    # adds one table, which its ranks and its domain share
+    qf = tmp_path / "queries.txt"
+    qf.write_text((KBS / "set3_queries.txt").read_text()
+                  + "T((Penguin and exists eats. Fish)) => not Fly\n")
+    stratified = _keep_stratifications(monkeypatch)
+    domains = []
+
+    def keeping(ranked, closure=None):
+        domains.append(build_canonical_domain(ranked, closure))
+        return domains[-1]
+
+    monkeypatch.setattr(typika.cli, "build_canonical_domain", keeping)
+    code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
+    assert code == 0 and "error" not in doc["rows"][-1]
+    fish = Exists("eats", Atom("Fish"))
+    tables = stratified[0]._tables
+    assert list(tables) == [frozenset(), frozenset({fish, Atom("Fish")})]
+    assert domains == list(tables.values())
+    assert stratified[0]._rank_memo[And(Atom("Penguin"), fish)] == 1
+
+
+def test_query_answers_on_the_compare_domain(capsys, monkeypatch, tmp_path):
+    # without --emit-model, `query` takes the domain `compare` takes for the
+    # same row, so each semantics' exit code is the row's verdict, or its
+    # error; a fresh-atom query widens no table
+    texts = {"set3": SET3_TEXT, **{f"chain{n}": chain_text(n) for n in (1, 2, 3)},
+             **{f"diamond{n}": diamond_text(n) for n in (1, 2)}, **ROLE_KBS}
+    kb_file, query_file = tmp_path / "kb.kb", tmp_path / "queries.txt"
+    fields = {"rc": "rc", "single-pref": "singlePref", "enriched": "enriched"}
+    verdicts = errors = 0
+    for text in texts.values():
+        kb = parse_kb(text)
+        x, y = (concept_to_text(c) for c in (kb.defeasible[0].lhs, kb.defeasible[0].rhs))
+        z = concept_to_text(kb.defeasible[-1].lhs)
+        queries = [f"T(({x} and Blond)) => {y}", f"T(({x} and {z})) => {y}",
+                   f"T(({x} and exists eats. Fish)) => {y}"]
+        kb_file.write_text(text)
+        query_file.write_text("".join(q + "\n" for q in queries))
+        for bound in ([], ["--rank-bound", "1"]):
+            _, doc, _ = run_json(capsys, ["compare", "--json", *bound, str(kb_file),
+                                          str(query_file)])
+            for q, row in zip(queries, doc["rows"]):
+                outcomes = {sem: run(capsys, ["query", "--semantics", sem, *bound,
+                                              str(kb_file), q])
+                            for sem in fields}
+                if "error" in row:
+                    # the first model semantics to fail gives the row's error
+                    failed = [err for code, _, err in outcomes.values() if code == 2]
+                    assert failed[0] == f"error: {row['error']}\n", (text, q)
+                    errors += 1
+                else:
+                    assert {sem: outcomes[sem][0] for sem in fields} == {
+                        sem: 0 if row[field] else 1 for sem, field in fields.items()}, (text, q)
+                    verdicts += 1
+    # 96 rows: 54 verdicts and 42 errors, most of them at bound 1
+    assert verdicts > 40 and errors > 30
+    stratified = _keep_stratifications(monkeypatch)
+    for sem in ("single-pref", "enriched"):
+        code, _, _ = run(capsys, ["query", "--semantics", sem, SET3,
+                                  "T((Penguin and Blond)) => not Fly"])
+        assert code == 0
+    assert [list(rt._tables) for rt in stratified] == [[frozenset()]] * 2
 
 
 def test_compare_builds_no_literal_types(capsys, monkeypatch, tmp_path):

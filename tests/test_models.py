@@ -858,7 +858,7 @@ def test_abox_mapping(kb_set3):
         "T(Penguin)(pingu)\n"
         "knows(tweety, pingu)\n"
     )
-    mapping = find_abox_mapping(m.domain, kb, m.global_ranks)
+    mapping = find_abox_mapping(m, kb)
     assert mapping is not None
     assert mapping["tweety"] in element_set(m.domain.eval(Atom("Bird")))
     assert mapping["pingu"] in element_set(min_global(m, Atom("Penguin")))
@@ -875,9 +875,9 @@ def test_abox_mapping_conflict(kb_set3):
         "Fly(pingu)\n"
     )
     # a typical penguin cannot fly in the least model
-    assert find_abox_mapping(m.domain, kb, m.global_ranks) is None
+    assert find_abox_mapping(m, kb) is None
 
 
 def test_abox_empty_maps_trivially(kb_set3):
     m = single_pref_model(kb_set3, domain_of(kb_set3))
-    assert find_abox_mapping(m.domain, kb_set3, m.global_ranks) == {}
+    assert find_abox_mapping(m, kb_set3) == {}

@@ -1,5 +1,6 @@
 """The package surface: what `typika` exports and what it keeps."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -108,3 +109,21 @@ def test_benchmark_tracer_finds_every_traced_name(tmp_path, capsys):
     after = bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # every name a module imports is read in it, or exported by its `__all__`
+    for path in sorted((ROOT / "src" / "typika").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - read - exported == set(), path.name
