@@ -12,6 +12,10 @@ error, reported as `internal error: ...` on stderr). `--json`
 switches to a single structured document on stdout; `timingMs` is measured
 per invocation except for `compare`, where it is pinned to 0 so repeated
 runs are byte-identical.
+
+A query is answered on the domain widened by its restrictions outside
+the KB's closure (`RankedTBox.outside`); `compare` keeps one per set of
+them. `query --emit-model` widens it by the whole query, to print it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sys
 import time
 from typing import Optional
 
-from .kb import KnowledgeBase, serialize_axiom, subconcept_closure
+from .kb import KnowledgeBase, serialize_axiom
 from .models import (
     CanonicalDomain,
     InconsistentKBError,
@@ -37,8 +41,8 @@ from .models import (
     single_pref_model,
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
-from .ranking import RankedTBox, in_rational_closure, is_kb_consistent
-from .syntax import Concept, Exists, Forall, concept_to_text
+from .ranking import RankedTBox, elements, in_rational_closure, is_kb_consistent
+from .syntax import Concept, concept_to_text
 
 def _load_kb(path: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
@@ -62,8 +66,8 @@ def _serialize_model(model: Model) -> dict:
             for i, t in enumerate(dom.types)
         ],
         "roleEdges": {
-            role: [[ids[i], ids[j]] for i, j in sorted(edges)]
-            for role, edges in dom.role_edges.items()
+            role: [[ids[i], ids[j]] for i, targets in enumerate(succ) for j in elements(targets)]
+            for role, succ in dom.successors.items()
         },
         "aspectRanks": {
             concept_to_text(a): {ids[i]: r for i, r in enumerate(ranks)}
@@ -82,8 +86,9 @@ def _model_lines(model: Model) -> list[str]:
     for a, ranks in model.per_aspect:
         cells = " ".join(f"t{i}={r}" for i, r in enumerate(ranks))
         lines.append(f"  aspect {concept_to_text(a)}: {cells}")
-    for role in sorted(dom.role_edges):
-        pairs = ", ".join(f"t{i}->t{j}" for i, j in sorted(dom.role_edges[role]))
+    for role, succ in dom.successors.items():
+        pairs = ", ".join(f"t{i}->t{j}" for i, targets in enumerate(succ)
+                          for j in elements(targets))
         lines.append(f"  role {role}: {pairs}")
     return lines
 
@@ -135,15 +140,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def _domain(ranked: RankedTBox, query: Query,
             domains: dict[frozenset[Concept], CanonicalDomain]) -> CanonicalDomain:
-    """The domain a query is answered on, kept in `domains` per set of the
-    query's restrictions outside the KB's closure, which widen it; a fresh
-    atom or a boolean outside the closure is answered on the KB's own
-    domain, the fresh atoms lifted (`models._holds_in`)."""
-    key = frozenset(s for s in ranked.outside((query.lhs, query.rhs))
-                    if isinstance(s, (Exists, Forall)))
+    """The domain a query is answered on, widened by the query's
+    restrictions outside the KB's closure (`RankedTBox.outside`) and kept
+    in `domains` per set of them."""
+    key, _ = ranked.outside((query.lhs, query.rhs))
     domain = domains.get(key)
     if domain is None:
-        domain = domains[key] = build_canonical_domain(ranked, subconcept_closure(ranked.kb, key))
+        domain = domains[key] = build_canonical_domain(ranked, key)
     return domain
 
 
@@ -153,8 +156,7 @@ def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
         return in_rational_closure(ranked, query), None
     entails = single_pref_entails if semantics == "single-pref" else enriched_entails
     if emit_model:  # the printed model lists every concept of the query
-        closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
-        domain = build_canonical_domain(ranked, closure)
+        domain = build_canonical_domain(ranked, (query.lhs, query.rhs))
     else:
         domain = _domain(ranked, query, {})
     v = entails(ranked.kb, query, domain, bound)

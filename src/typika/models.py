@@ -1,25 +1,24 @@
 """Preferential model semantics over a canonical type domain.
 
 The caller builds a domain from a knowledge base's stratification (its
-`ranking.RankedTBox`) and a subconcept closure (the KB's own, or widened
-by concepts outside it), and passes it to every model function here; none
-of them builds one. A query needs a domain widened only by its
-restrictions outside the KB's closure: its booleans over the domain's
-members are evaluated structurally, and its fresh atoms, which no axiom
-mentions, are lifted (`_holds_in`). `compare` builds one domain per KB
-plus one per distinct set of such restrictions, `query` the one its query
-needs by the same rule, and `query --emit-model` one widened by both
-sides of the query. A domain's elements are the types (maximal
-KB-satisfiable subsets of the closure) that survive the stratification's
-type elimination, so the domain is the `RankedTBox`'s table for the
-closure (`ranking.CanonicalDomain`), shared with the ranks, and makes no
-tableau call. Every set of elements is an int bitmask, bit i for element
-i: concept extensions (the domain's `eval`, read off the type bits), role
-successors (the elimination's successor test), violators and
-least-ranked instances. Rank functions over the domain stand in for
-preference relations (lower rank = more typical); a `Model` is the domain
-with its global ranks, plus one rank function per aspect for an enriched
-model.
+`ranking.RankedTBox`) and the concepts that widen the KB's closure, and
+passes it to every model function here; none of them builds one. A query
+is answered on the table `ranking` ranks it on: the closure widened by
+its restrictions outside the KB's (`RankedTBox.outside`), its atoms the
+domain has no bit for lifted (`CanonicalDomain.lift`, in `_holds_in`).
+`compare` builds one domain per KB plus one per distinct set of such
+restrictions, `query` the one its query needs by the same rule, and
+`query --emit-model` one widened by both sides of the query. A domain's
+elements are the types (maximal KB-satisfiable subsets of the closure)
+that survive the stratification's type elimination, so the domain is the
+`RankedTBox`'s table for the closure (`ranking.CanonicalDomain`), shared
+with the ranks, and makes no tableau call. Every set of elements is an
+int bitmask, bit i for element i: concept extensions (the domain's
+`eval`, read off the type bits), role successors (the elimination's
+successor test), violators and least-ranked instances. Rank functions
+over the domain stand in for preference relations (lower rank = more
+typical); a `Model` is the domain with its global ranks, plus one rank
+function per aspect for an enriched model.
 
 Both semantics read a KB's defaults through one constraint table per
 domain and KB (`_Constraints`): per default its antecedent and violators,
@@ -73,11 +72,11 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
-from .ranking import CanonicalDomain, RankedTBox, bitmask, elements, is_kb_consistent, variants
-from .syntax import TOP, Atom, Concept, Exists, Forall, concept_key, concept_to_text, subconcepts
+from .ranking import CanonicalDomain, RankedTBox, bitmask, elements, is_kb_consistent
+from .syntax import TOP, Concept, Exists, Forall, concept_key, concept_to_text
 
 
 class InconsistentKBError(Exception):
@@ -106,16 +105,14 @@ Query = Union[Strict, Defeasible]
 
 
 def build_canonical_domain(ranked: RankedTBox,
-                           closure: Optional[frozenset[Concept]] = None) -> CanonicalDomain:
-    """The canonical domain over a closure: its elements are all maximal
-    KB-satisfiable types over it.
-
-    The closure is the KB's own (`ranked.closure`) unless the caller widens
-    it, as `subconcept_closure(kb, (query.lhs, query.rhs))` does for a
-    query. A type is KB-satisfiable when it has finite rank, that is when it
-    survives the last level's type elimination (the levels only shrink), so
-    the domain is the stratification's table for the closure
-    (`RankedTBox.table`), built once per closure and shared with the ranks.
+                           closure: Optional[Collection[Concept]] = None) -> CanonicalDomain:
+    """The canonical domain over the KB's closure widened by the concepts
+    `closure` (a query's restrictions outside it, say, or a closure): its
+    elements are all maximal KB-satisfiable types over it. A type is
+    KB-satisfiable when it has finite rank, that is when it survives the
+    last level's type elimination (the levels only shrink), so the domain
+    is the stratification's table for that widening (`RankedTBox.table`),
+    built once and shared with the ranks.
     The role edges come from the engine's successor test. The domain build
     makes no tableau call: raises InconsistentKBError when the KB is
     inconsistent, and AssertionError when the table holds no type for a
@@ -576,22 +573,17 @@ def _holds_in(model: Model, query: Query) -> Verdict:
     """Whether the query holds in the model, and if not the first element
     it fails on.
 
-    A query atom the domain has no bit for (a fresh atom: no axiom reads
-    it) is lifted: the domain widened by it would hold each element once
-    per assignment of the fresh atoms, with the element's ranks, so the
-    query's sides are read once per assignment, each fresh atom replaced by
-    `top` or `bot` (`ranking.variants`). A strict query holds when no
-    variant has `lhs & ~rhs`; a defeasible one reads every variant on the
-    least global rank that meets any variant's `lhs`."""
+    Unless both sides are members of the domain, they are read once per
+    assignment to the query's atoms the domain has no bit for
+    (`CanonicalDomain.lift`). A strict query holds when no variant has
+    `lhs & ~rhs`; a defeasible one reads every variant on the least global
+    rank that meets any variant's `lhs`."""
     dom = model.domain
     if query.lhs in dom.members and query.rhs in dom.members:
         lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
         off = lhs & ~dom.eval(query.rhs)
     else:
-        fresh = {s for side in (query.lhs, query.rhs) for s in subconcepts(side)
-                 if isinstance(s, Atom) and s not in dom.eval.bit}
-        sides = [(dom.eval(lhs), dom.eval(rhs))
-                 for lhs, rhs in variants((query.lhs, query.rhs), fresh)]
+        sides = [(dom.eval(lhs), dom.eval(rhs)) for lhs, rhs in dom.lift((query.lhs, query.rhs))]
         if isinstance(query, Defeasible):
             least = _least(model.rank_masks, reduce(operator.or_, [lhs for lhs, _ in sides]))
             sides = [(lhs & least, rhs) for lhs, rhs in sides]

@@ -13,16 +13,17 @@ rational closure", AIJ 2015). The stratification enumerates each level's
 candidate types, pruned by its material counterparts as they are built;
 a table over a widened closure, whose levels are known, enumerates the
 last level's candidates once and filters them for each earlier level.
-Such a table is built only for a restriction outside the KB's closure and
-for the closure of a domain a caller widens (`cli`'s `query --emit-model`).
-A fresh atom, one no axiom mentions, needs none: no axiom reads its bit,
-so the table widened by it would hold each of the KB's types once per
-value of the bit, and a concept is ranked on the KB's own table as the
-least rank over its variants with each fresh atom replaced by `top` or
-`bot` (`variants`). Ranks are plain ints (`math.inf` for a concept
-exceptional at every level), and both defeasible and strict queries reduce
-to rank comparisons. The tableau makes one call per KB, a cross-check of
-the KB's consistency against the engine.
+One rule picks the table a concept is answered on, for ranks and models
+alike: the KB's closure widened by the concept's restrictions outside it
+(`RankedTBox.outside`). No axiom or restriction of that table reads the
+concept's atoms it has no bit for, so they are lifted
+(`CanonicalDomain.lift`): the concept is read once per assignment of
+`top` or `bot` to them. Only
+`cli`'s `query --emit-model` widens a domain by a whole query, to print
+it. Ranks are plain ints (`math.inf` for a concept exceptional at every
+level), and both defeasible and strict queries reduce to rank
+comparisons. The tableau makes one call per KB, a cross-check of the
+KB's consistency against the engine.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
@@ -37,7 +38,7 @@ The caller owns the stratification: it builds one `RankedTBox` per KB and
 passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
 and `models.build_canonical_domain`; the model searches of `models` take the
 domain the caller built from it and never stratify on their own. The
-`RankedTBox` keeps one `CanonicalDomain` per closure it was asked about
+`RankedTBox` keeps one `CanonicalDomain` per widening it was asked about
 (the domain `models.build_canonical_domain` returns) and its rank memo,
 so both live as long as the caller keeps the `RankedTBox`; this module
 keeps no state.
@@ -71,14 +72,6 @@ from .syntax import (
     substitute,
 )
 from .tableau import StrictTBox, entails_strict
-
-
-def variants(concepts: Sequence[Concept], atoms: Collection[Atom]) -> list[tuple[Concept, ...]]:
-    """The concepts with each of the atoms replaced by `top` or `bot`, once
-    per assignment of the atoms: 2^k tuples for k atoms."""
-    atoms = tuple(atoms)
-    return [tuple(substitute(c, dict(zip(atoms, values))) for c in concepts)
-            for values in product((TOP, BOT), repeat=len(atoms))]
 
 
 def materialization(axioms: Iterable[Defeasible]) -> Concept:
@@ -360,10 +353,10 @@ class CanonicalDomain:
     extensions as int bitmasks over the elements, for ranks and models
     alike. The levels only shrink, so their survivors (`_alive`) only grow,
     and a concept's rank is the least level at which a type holding it
-    survives; its atoms and restrictions must be members of the closure.
-    `successors[role][i]` is the bitmask of the elements element i's role
-    edges reach; the literal sets (`types`) and the edges as pairs
-    (`role_edges`) are built only to print a model. `_memo` holds one
+    survives; its restrictions must be members of the closure, and its
+    atoms that are not are lifted first (`lift`). `successors[role][i]` is
+    the bitmask of the elements element i's role edges reach; the literal
+    sets (`types`) are built only to print a model. `_memo` holds one
     `models._Constraints` table per KB, which memoises the minimal models
     per rank bound. Instances compare by identity.
     """
@@ -392,6 +385,21 @@ class CanonicalDomain:
                 return i
         return math.inf
 
+    def lift(self, concepts: Sequence[Concept],
+             atoms: Optional[Iterable[Concept]] = None) -> list[tuple[Concept, ...]]:
+        """The concepts once per assignment of `top` or `bot` to their atoms
+        the table has no bit for (2^k tuples for k of them), found among
+        `atoms` when given (`RankedTBox.outside`). No axiom reads those
+        atoms, so the table widened by them would hold each type once per
+        value of their bits, with the type's levels."""
+        if atoms is None:
+            atoms = (s for c in concepts for s in subconcepts(c) if isinstance(s, Atom))
+        fresh = tuple({a for a in atoms if a not in self.eval.bit})
+        if not fresh:
+            return [tuple(concepts)]
+        return [tuple(substitute(c, dict(zip(fresh, values))) for c in concepts)
+                for values in product((TOP, BOT), repeat=len(fresh))]
+
     @cached_property
     def successors(self) -> dict[str, tuple[int, ...]]:
         return self.engine.successors(self.eval)
@@ -403,11 +411,6 @@ class CanonicalDomain:
                                for p, ext in zip(self.engine.positives, holds))
                      for i in range(self.size))
 
-    @cached_property
-    def role_edges(self) -> dict[str, frozenset[tuple[int, int]]]:
-        return {role: frozenset((i, j) for i, targets in enumerate(succ) for j in elements(targets))
-                for role, succ in self.successors.items()}
-
 
 class RankedTBox:
     """The stratification of a knowledge base by exceptionality.
@@ -418,19 +421,17 @@ class RankedTBox:
     the candidates of the KB's own closure (`closure`) for the strict axioms
     and the level's material counterpart, pruned while they are enumerated:
     an axiom stays when no type surviving the level holds its antecedent.
-    The survivors make the KB's table, its `CanonicalDomain`. A concept
-    whose only atoms and restrictions outside the closure are fresh atoms
-    is ranked on that table, as the least rank over its `variants` with
-    each fresh atom replaced by `top` or `bot`. A concept with a
-    restriction outside the closure is ranked on a table over the closure
-    widened by its atoms and restrictions outside it, with the same levels:
-    the last level's candidates are enumerated once and filtered for each
-    earlier level (`holding`), which every level's axioms contain. `table`
-    builds each widened table once and keeps it, and it is the domain
-    `models.build_canonical_domain` returns for its closure. Ranks are
-    memoised per concept node. The constructor makes exactly one tableau
-    call: the consistency of the last level's TBox, which must agree with
-    whether any type survives it.
+    The survivors make the KB's table, its `CanonicalDomain`. A concept is
+    ranked on `table(R)`, R its restrictions outside the closure
+    (`outside`; the KB's own table for none), its atoms that table has no
+    bit for lifted (`CanonicalDomain.lift`). A widened table has the same
+    levels: the last level's candidates are enumerated once and filtered
+    for each earlier level (`holding`), which every level's axioms
+    contain. `table` builds each widened table once and keeps it, and it
+    is the domain `models.build_canonical_domain` returns for the same
+    widening. Ranks are memoised per concept node. The constructor makes
+    exactly one tableau call: the consistency of the last level's TBox,
+    which must agree with whether any type survives it.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -457,18 +458,21 @@ class RankedTBox:
             raise AssertionError("type elimination and the tableau disagree on "
                                  "the consistency of the knowledge base")
 
-    def outside(self, concepts: Iterable[Concept]) -> frozenset[Concept]:
-        """The atoms and restrictions of `concepts` outside the KB's closure."""
-        return frozenset(s for c in concepts if c not in self.closure
-                         for s in subconcepts(c)
-                         if isinstance(s, (Atom, Exists, Forall)) and s not in self.closure)
+    def outside(self, concepts: Iterable[Concept]) -> tuple[frozenset[Concept], frozenset[Atom]]:
+        """The restrictions and the atoms of `concepts` outside the KB's
+        closure: the concepts are answered on `table` of the restrictions,
+        with the atoms it has no bit for lifted."""
+        found = [s for c in concepts if c not in self.closure for s in subconcepts(c)
+                 if isinstance(s, (Atom, Exists, Forall)) and s not in self.closure]
+        atoms = frozenset(s for s in found if isinstance(s, Atom))
+        return frozenset(found) - atoms, atoms
 
     def table(self, concepts: Collection[Concept]) -> CanonicalDomain:
         """The table over the KB's closure widened by `concepts` (the KB's
         own when they add nothing), memoised per widening: the positive
         members, booleans included, that `concepts` add, found without
-        building the widened closure. Ranks ask for one only when a
-        restriction is among those; a domain, for each closure it gets."""
+        building the widened closure, so a closure and the concepts it
+        widens the KB's by give one table."""
         key = frozenset(s for c in concepts if c not in self.closure
                         for s in subconcepts(c)
                         if not isinstance(s, Not) and s not in self.closure)
@@ -486,14 +490,10 @@ class RankedTBox:
         `math.inf` when there is none."""
         hit = self._rank_memo.get(concept)
         if hit is None:
-            fresh = self.outside((concept,))
-            if fresh and all(isinstance(s, Atom) for s in fresh):
-                # no axiom reads a fresh atom: the widened table would hold
-                # each KB type once per assignment of the fresh atoms
-                hit = self._tables[frozenset()].rank(*(c for c, in variants((concept,), fresh)))
-            else:
-                hit = self.table(fresh).rank(concept)
-            self._rank_memo[concept] = hit
+            restrictions, atoms = self.outside((concept,))
+            table = self.table(restrictions)
+            lifted = table.lift((concept,), atoms)
+            hit = self._rank_memo[concept] = table.rank(*(c for c, in lifted))
         return hit
 
 

@@ -6,33 +6,42 @@ not P for odd i, and T(C_i) => Q_i. `diamond(n)` has n Nixon diamonds:
 T(Q_i) => P_i and T(R_i) => not P_i. `ROLE_KBS` holds ten `exists`/`forall`
 KBs with at most three defaults, several cyclic and so needing blocking.
 
+`random_kbs` draws seeded KBs, and `role_free_pools` holds the role-free
+pools the acceptance gates read.
+
 Run as a script, it prints the wide-domain record: one Markdown table row
 per family KB, with the domain's types, the milliseconds each layer takes
 in turn (stratify, domain, constraint table, single-pref, enriched), then
-those of two `compare` rows answered after the KB's own, a fresh-atom row
-`T((X and Blond)) => Y` and a conjunction row `T((X and Z)) => Y` for the
-first default `T(X) => Y` and the second antecedent Z, and the process's
-peak RSS (`ru_maxrss`). Each size runs in a fresh process of its own, so
-each row's RSS is its own:
+those of three `compare` rows answered after the KB's own, for the first
+default `T(X) => Y` and the second antecedent Z: a fresh-atom row
+`T((X and Blond)) => Y`, a conjunction row `T((X and Z)) => Y` and a
+fresh-atom-and-restriction row `T(((X and Blond) and exists eats. Fish))
+=> Y`, and the process's peak RSS (`ru_maxrss`). Each size runs in a fresh
+process of its own, so each row's RSS is its own, with the cycle
+collector off, so that no layer's cell is charged a collection another
+layer's garbage triggered:
 
     PYTHONPATH=src python tests/families.py diamond 4 5
 
 prints the rows of `diamond(4)` and `diamond(5)` under the header
 
-    | KB | types | stratify | domain | constraint table | single-pref | enriched | fresh row | peak RSS |
+    | KB | types | stratify | domain | constraint table | single-pref | enriched | fresh rows | peak RSS |
 
 An enriched search that finds no model is timed too, and marked.
 """
 
 from __future__ import annotations
 
+import gc
+import random
 import resource
 import subprocess
 import sys
 from time import perf_counter
+from typing import Sequence
 
 from typika.cli import _compare_row
-from typika.kb import Defeasible, KnowledgeBase, serialize_axiom
+from typika.kb import Defeasible, KnowledgeBase, Strict, serialize_axiom
 from typika.models import (
     RankBoundExceededError,
     _constraints,
@@ -41,8 +50,10 @@ from typika.models import (
     single_pref_model,
 )
 from typika.parser import parse_kb
-from typika.ranking import RankedTBox
-from typika.syntax import And, Atom
+from typika.ranking import RankedTBox, is_kb_consistent
+from typika.syntax import And, Atom, Exists
+
+from oracles import random_concept
 
 
 def chain_text(n: int) -> str:
@@ -88,6 +99,39 @@ def role_kbs() -> dict[str, KnowledgeBase]:
     return {name: parse_kb(text) for name, text in ROLE_KBS.items()}
 
 
+def random_kbs(seed: int, count: int, roles: Sequence[str] = (), atoms: str = "ABCD",
+               defaults: tuple[int, int] = (1, 4),
+               stricts: tuple[int, int] = (0, 0)) -> list[KnowledgeBase]:
+    """The first `count` consistent KBs drawn from `random.Random(seed)`:
+    each has a seeded number of defaults in the range `defaults`, then of
+    strict axioms in the range `stricts`, with both sides from
+    `random_concept` (depth 2, at most one quantifier on `roles`). With no
+    strict axioms asked for, none is drawn, so a pool's KBs depend only on
+    its seed and its other arguments."""
+    rng = random.Random(seed)
+    out: list[KnowledgeBase] = []
+
+    def side():
+        return random_concept(rng, atoms, roles, depth=2, role_depth=1)
+
+    while len(out) < count:
+        axioms = [Defeasible(side(), side()) for _ in range(rng.randint(*defaults))]
+        if stricts[1]:
+            axioms += [Strict(side(), side()) for _ in range(rng.randint(*stricts))]
+        kb = KnowledgeBase.build(axioms)
+        if is_kb_consistent(RankedTBox(kb)):
+            out.append(kb)
+    return out
+
+
+def role_free_pools() -> dict[str, list[KnowledgeBase]]:
+    """The seeded role-free pools: the 250 KBs of one to four defaults over
+    four atoms (seed 7), and 150 larger ones of three to six defaults and
+    up to two strict axioms over five atoms (seed 107)."""
+    return {"seed7": random_kbs(7, 250),
+            "larger": random_kbs(107, 150, atoms="ABCDE", defaults=(3, 6), stricts=(0, 2))}
+
+
 def record_row(family: str, n: int) -> str:
     """The wide-domain record's row for `chain(n)` or `diamond(n)`, each
     layer timed in turn in this process."""
@@ -112,8 +156,10 @@ def record_row(family: str, n: int) -> str:
     timed(lambda: minimal_canonical_models(kb, domain))
     first = kb.defeasible[0]
     antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
-    rows = [Defeasible(And(first.lhs, Atom("Blond")), first.rhs),
-            Defeasible(And(first.lhs, antes[min(1, len(antes) - 1)]), first.rhs)]
+    blond = And(first.lhs, Atom("Blond"))
+    rows = [Defeasible(blond, first.rhs),
+            Defeasible(And(first.lhs, antes[min(1, len(antes) - 1)]), first.rhs),
+            Defeasible(And(blond, Exists("eats", Atom("Fish"))), first.rhs)]
     domains = {frozenset(): domain}  # the KB's own rows' domain
     row_ms = []
     for row in rows:
@@ -128,6 +174,7 @@ def record_row(family: str, n: int) -> str:
 def main(argv: list[str]) -> int:
     family, sizes = argv[0], argv[1:]
     if len(sizes) == 1:
+        gc.disable()
         print(record_row(family, int(sizes[0])))
         return 0
     for n in sizes:

@@ -28,8 +28,9 @@ least-ranked members, the reference for the per-rank masks of
 with it, from the model's own ranks, the reference for
 `models.satisfies_kb`. `widened_compare_row` answers a `compare` row on
 the KB's closure widened by the query, as `query --emit-model` does, the
-reference for the rows `compare` answers on the KB's own domain with the
-query's fresh atoms lifted. Slow on purpose, trusted because it is simple.
+reference for the rows `compare` answers on the domain of the query's
+restrictions outside the closure with its fresh atoms lifted. Slow on
+purpose, trusted because it is simple.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ def element_set(mask: int) -> frozenset[int]:
 def extension(domain: CanonicalDomain, c: Concept) -> frozenset[int]:
     """The instances of a concept in a canonical domain, as a set."""
     return element_set(domain.eval(c))
+
+
+def role_edges(domain: CanonicalDomain) -> dict[str, frozenset[tuple[int, int]]]:
+    """Per role, the domain's edges as (source, target) element pairs, read
+    off its successor masks."""
+    return {role: frozenset((i, j) for i, targets in enumerate(succ) for j in element_set(targets))
+            for role, succ in domain.successors.items()}
 
 
 @dataclass(frozen=True)
@@ -683,7 +691,8 @@ def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
     the ranks and the models both read off the widened closure's table,
     which is its domain (kept in `domains` per closure) and holds every
     query atom, so no fresh atom is lifted. The reference for the rows
-    `compare` answers on the KB's own table."""
+    `compare` answers on the table of their restrictions outside the KB's
+    closure, fresh atoms lifted."""
     closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
     table = ranked.table(closure)
     row: dict = {"query": serialize_axiom(query)}

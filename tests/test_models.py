@@ -32,7 +32,7 @@ from typika.ranking import RankedTBox, in_rational_closure
 from typika.syntax import BOT, TOP, And, Atom, Exists, Forall, Not, concept_key
 
 from corpus import corpus_kbs
-from families import chain, chain_text, diamond, role_kbs
+from families import chain, chain_text, diamond, random_kbs, role_kbs
 from oracles import (
     CYCLIC,
     KAPPA_MISMATCH,
@@ -52,7 +52,7 @@ from oracles import (
     pinned_least_fixpoint,
     pointwise_minima,
     raise_groups,
-    random_concept,
+    role_edges,
     satisfies_kb_by_ranks,
     tableau_domain,
 )
@@ -106,7 +106,7 @@ def test_eval_matches_membership_with_roles():
                  "A => exists r. top\nT(A) => forall r. not not B\n"):
         kb = parse_kb(text)
         dom = domain_of(kb)
-        assert dom.role_edges.keys() == {"r"}
+        assert role_edges(dom).keys() == {"r"}
         for c in sorted(subconcept_closure(kb), key=concept_key):
             if isinstance(c, Not) and isinstance(c.sub, Not):
                 continue  # no type lists a double negation
@@ -134,7 +134,7 @@ def test_type_elimination_matches_tableau_domain():
         dom = domain_of(kb, query)
         types, edges = tableau_domain(kb, dom.closure)
         assert dom.types == types, (kb, query)
-        assert dom.role_edges == edges, (kb, query)
+        assert role_edges(dom) == edges, (kb, query)
 
 
 def widened_closures():
@@ -155,12 +155,13 @@ def test_restrictions_read_off_bits_match_the_edges():
     for kb, query in cases:
         dom = domain_of(kb, query)
         _validate_witnesses(dom)
+        edges = role_edges(dom)
         for c in dom.closure:
             if not isinstance(c, (Exists, Forall)):
                 continue
             checked += 1
             sub = element_set(dom.eval(c.sub))
-            reached = [{j for i2, j in dom.role_edges[c.role] if i2 == i}
+            reached = [{j for i2, j in edges[c.role] if i2 == i}
                        for i in range(dom.size)]
             if isinstance(c, Exists):
                 by_edges = {i for i in range(dom.size) if reached[i] & sub}
@@ -597,23 +598,11 @@ def test_chain4_counts_guesses_by_cause():
 
 @functools.lru_cache(maxsize=None)
 def random_kbs_with_domains():
-    """Seeded consistent KBs of one to four defaults over four atoms, with
-    concepts from `random_concept`: 250 role-free, 250 with one role."""
-    out = []
-    for seed, roles in ((7, ()), (8, ("r",))):
-        rng = random.Random(seed)
-        kept = 0
-        while kept < 250:
-            kb = KnowledgeBase.build(
-                Defeasible(random_concept(rng, "ABCD", roles, depth=2, role_depth=1),
-                           random_concept(rng, "ABCD", roles, depth=2, role_depth=1))
-                for _ in range(rng.randint(1, 4)))
-            try:
-                out.append((kb, domain_of(kb)))
-            except InconsistentKBError:
-                continue
-            kept += 1
-    return tuple(out)
+    """Seeded consistent KBs of one to four defaults over four atoms
+    (`families.random_kbs`), with their domains: 250 role-free (seed 7),
+    250 with one role (seed 8)."""
+    kbs = random_kbs(7, 250) + random_kbs(8, 250, roles=("r",))
+    return tuple((kb, domain_of(kb)) for kb in kbs)
 
 
 def _fixpoint_cases():
