@@ -77,18 +77,17 @@ def _serialize_model(model: Model) -> dict:
     }
 
 
-def _model_lines(model: Model) -> list[str]:
-    dom = model.domain
+def _model_lines(witness: dict) -> list[str]:
+    """The text form of a `_serialize_model` document."""
     lines = ["witness model:"]
-    for i, t in enumerate(dom.types):
-        concepts = ", ".join(sorted(concept_to_text(c) for c in t))
-        lines.append(f"  t{i} [global {model.global_ranks[i]}]: {concepts}")
-    for a, ranks in model.per_aspect:
-        cells = " ".join(f"t{i}={r}" for i, r in enumerate(ranks))
-        lines.append(f"  aspect {concept_to_text(a)}: {cells}")
-    for role, succ in dom.successors.items():
-        pairs = ", ".join(f"t{i}->t{j}" for i, targets in enumerate(succ)
-                          for j in elements(targets))
+    ranks = witness["globalRanks"]
+    for t in witness["domain"]:
+        lines.append(f"  {t['id']} [global {ranks[t['id']]}]: {', '.join(t['concepts'])}")
+    for a, ranks in witness["aspectRanks"].items():
+        cells = " ".join(f"{i}={r}" for i, r in ranks.items())
+        lines.append(f"  aspect {a}: {cells}")
+    for role, edges in witness["roleEdges"].items():
+        pairs = ", ".join(f"{i}->{j}" for i, j in edges)
         lines.append(f"  role {role}: {pairs}")
     return lines
 
@@ -182,7 +181,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     lines = ["entailed" if entailed else "not entailed"]
     if args.emit_model and model is not None:
         doc["witness"] = _serialize_model(model)
-        lines.extend(_model_lines(model))
+        lines.extend(_model_lines(doc["witness"]))
     _emit(args, doc, lines)
     return 0 if entailed else 1
 
@@ -222,6 +221,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raws = [line.strip() for line in fh]
     raws = [r for r in raws if r and not r.startswith("#")]
     ranked = RankedTBox(kb)
+    for c in ranked.closure:  # so a query's `not X` is the closure's own node
+        nodes.setdefault(c, c)
     domains: dict[frozenset[Concept], CanonicalDomain] = {}
     rows = [_compare_row(ranked, raw, args.rank_bound, nodes, domains) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}

@@ -13,6 +13,11 @@ Binary connectives are always parenthesised, so there is no precedence.
 The typicality marker T may wrap a whole axiom left-hand side or a concept
 assertion head and nothing else; in particular it cannot be nested.
 
+Each line is read as two parallel lists, its token texts and their
+columns, each ending in one end-of-line sentinel: the text `None` at the
+column one past the line. The parser reads the token at its position by
+index, and an error at the end of a line reports the sentinel's column.
+
 A parse interns its concept nodes in a table (`nodes`, a dict from each
 node to itself): its own, or the caller's when given. Texts parsed with
 one table share every equal subconcept as one object, so the memos keyed
@@ -49,78 +54,54 @@ class KBSyntaxError(Exception):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line_no: int) -> list[_Token]:
-    code = text.split("#", 1)[0]
-    tokens = []
-    for m in _TOKEN_RE.finditer(code):
-        tok = m.group(0)
-        if tok not in "().," and tok != "=>" and not tok[0].isalpha() and tok[0] != "_":
-            raise KBSyntaxError(f"unexpected character {tok!r}", line_no, m.start() + 1)
-        tokens.append(_Token(tok, line_no, m.start() + 1))
-    return tokens
-
-
 class _LineParser:
-    """Parses one line's tokens, interning every concept node in `nodes`."""
+    """Parses one line's token lists, interning every concept node in `nodes`."""
 
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int,
-                 nodes: dict[Concept, Concept]):
-        self.tokens = tokens
+    def __init__(self, raw: str, line_no: int, nodes: dict[Concept, Concept]):
+        self.texts: list[Optional[str]] = []
+        self.cols: list[int] = []
+        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+            tok = m.group(0)
+            if tok not in "().," and tok != "=>" and not tok[0].isalpha() and tok[0] != "_":
+                raise KBSyntaxError(f"unexpected character {tok!r}", line_no, m.start() + 1)
+            self.texts.append(tok)
+            self.cols.append(m.start() + 1)
+        self.texts.append(None)
+        self.cols.append(len(raw) + 1)
         self.pos = 0
         self.line_no = line_no
-        self.line_len = line_len
         self.nodes = nodes
 
-    def peek(self, ahead: int = 0) -> _Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
-
     def fail(self, message: str) -> KBSyntaxError:
-        tok = self.peek()
-        col = tok.col if tok is not None else self.line_len + 1
-        return KBSyntaxError(message, self.line_no, col)
+        return KBSyntaxError(message, self.line_no, self.cols[self.pos])
 
-    def take(self, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail(f"expected {expected!r}, found end of line" if expected
-                            else "unexpected end of line")
-        if expected is not None and tok.text != expected:
-            raise self.fail(f"expected {expected!r}, found {tok.text!r}")
+    def found(self) -> str:
+        tok = self.texts[self.pos]
+        return "end of line" if tok is None else repr(tok)
+
+    def take(self, expected: str) -> None:
+        if self.texts[self.pos] != expected:
+            raise self.fail(f"expected {expected!r}, found {self.found()}")
+        self.pos += 1
+
+    def take_ident(self, what: str) -> str:
+        tok = self.texts[self.pos]
+        if tok is None or tok in RESERVED or not _IDENT_RE.fullmatch(tok):
+            raise self.fail(f"expected {what}, found {self.found()}")
         self.pos += 1
         return tok
 
-    def take_ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail(f"expected {what}, found end of line")
-        if tok.text in RESERVED or not _IDENT_RE.fullmatch(tok.text):
-            raise self.fail(f"expected {what}, found {tok.text!r}")
-        self.pos += 1
-        return tok.text
-
     def at_typicality(self) -> bool:
-        tok, nxt = self.peek(), self.peek(1)
-        return tok is not None and tok.text == "T" and nxt is not None and nxt.text == "("
+        return self.texts[self.pos] == "T" and self.texts[self.pos + 1] == "("
 
     def concept(self) -> Concept:
         c = self._concept()
         return self.nodes.setdefault(c, c)
 
     def _concept(self) -> Concept:
-        tok = self.peek()
-        if tok is None:
+        text = self.texts[self.pos]
+        if text is None:
             raise self.fail("expected a concept, found end of line")
-        text = tok.text
         if text == "T" and self.at_typicality():
             raise self.fail("the typicality marker cannot occur inside a concept")
         if text == "top":
@@ -141,17 +122,17 @@ class _LineParser:
         if text == "(":
             self.pos += 1
             left = self.concept()
-            op = self.take()
-            if op.text not in ("and", "or"):
-                raise KBSyntaxError(f"expected 'and' or 'or', found {op.text!r}",
-                                    op.line, op.col)
+            op = self.texts[self.pos]
+            if op not in ("and", "or"):
+                raise self.fail("unexpected end of line" if op is None
+                                else f"expected 'and' or 'or', found {op!r}")
+            self.pos += 1
             right = self.concept()
             self.take(")")
-            return And(left, right) if op.text == "and" else Or(left, right)
+            return And(left, right) if op == "and" else Or(left, right)
         if text in RESERVED:
             raise self.fail(f"{text!r} cannot be used as a concept name")
-        name = self.take_ident("a concept name")
-        return Atom(name)
+        return Atom(self.take_ident("a concept name"))
 
     def typicality_head(self) -> Concept:
         self.take("T")
@@ -161,31 +142,29 @@ class _LineParser:
         return inner
 
     def axiom(self) -> Axiom:
-        if self.at_typicality():
-            lhs = self.typicality_head()
-            self.take("=>")
-            rhs = self.concept()
-            self.end()
-            return Defeasible(lhs, rhs)
-        lhs = self.concept()
+        typical = self.at_typicality()
+        lhs = self.typicality_head() if typical else self.concept()
         self.take("=>")
         rhs = self.concept()
         self.end()
-        return Strict(lhs, rhs)
+        return Defeasible(lhs, rhs) if typical else Strict(lhs, rhs)
+
+    def individual(self) -> str:
+        """The `(individual)` tail that ends a concept assertion."""
+        self.take("(")
+        ind = self.take_ident("an individual name")
+        self.take(")")
+        self.end()
+        return ind
 
     def assertion(self) -> Assertion:
         if self.at_typicality():
             c = self.typicality_head()
-            self.take("(")
-            ind = self.take_ident("an individual name")
-            self.take(")")
-            self.end()
-            return ConceptAssertion(c, ind, typical=True)
+            return ConceptAssertion(c, self.individual(), typical=True)
         # role assertion: IDENT ( IDENT , IDENT )
-        t0, t1, t2, t3 = self.peek(0), self.peek(1), self.peek(2), self.peek(3)
-        if (t0 is not None and t0.text not in RESERVED and t0.text.isidentifier()
-                and t1 is not None and t1.text == "("
-                and t2 is not None and t3 is not None and t3.text == ","):
+        t = self.texts
+        if (len(t) > 4 and t[0] not in RESERVED and t[0].isidentifier()
+                and t[1] == "(" and t[3] == ","):
             role = self.take_ident("a role name")
             self.take("(")
             subj = self.take_ident("an individual name")
@@ -195,28 +174,23 @@ class _LineParser:
             self.end()
             return RoleAssertion(role, subj, tgt)
         c = self.concept()
-        self.take("(")
-        ind = self.take_ident("an individual name")
-        self.take(")")
-        self.end()
-        return ConceptAssertion(c, ind)
+        return ConceptAssertion(c, self.individual())
 
     def statement(self) -> Axiom | Assertion:
-        if any(t.text == "=>" for t in self.tokens):
-            return self.axiom()
-        return self.assertion()
+        return self.axiom() if "=>" in self.texts else self.assertion()
 
     def end(self) -> None:
-        if self.peek() is not None:
-            raise self.fail(f"unexpected {self.peek().text!r} after a complete statement")
+        tok = self.texts[self.pos]
+        if tok is not None:
+            raise self.fail(f"unexpected {tok!r} after a complete statement")
 
 
 def _line_parsers(text: str, nodes: Optional[dict[Concept, Concept]]):
     nodes = {} if nodes is None else nodes
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, line_no)
-        if tokens:
-            yield _LineParser(tokens, line_no, len(raw), nodes)
+        lp = _LineParser(raw, line_no, nodes)
+        if len(lp.texts) > 1:
+            yield lp
 
 
 def parse_kb(text: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
@@ -242,7 +216,7 @@ def parse_axiom(text: str, nodes: Optional[dict[Concept, Concept]] = None) -> Ax
     if len(parsers) > 1:
         raise KBSyntaxError("expected a single axiom line", parsers[1].line_no, 1)
     lp = parsers[0]
-    if not any(t.text == "=>" for t in lp.tokens):
+    if "=>" not in lp.texts:
         raise lp.fail("a query must be an axiom (missing '=>')")
     return lp.axiom()
 

@@ -7,10 +7,12 @@ nothing is normalised implicitly. The typicality operator is not a concept
 constructor: it may only wrap the left-hand side of an axiom, so it lives
 in the axiom types, not here.
 
-Each node caches its hash and its `concept_key` text in slots, each the
-first time it is asked for, so both cost O(1) afterwards. The node itself
+Each node caches its hash and its rendered text in slots, each the first
+time it is asked for, so both cost O(1) afterwards. One cached text serves
+both output (`concept_to_text`, which renders a node's children through
+itself) and sort order (`concept_key`, which returns it). The node itself
 is the key of every memo in the package (concept extensions, ranks); the
-`concept_key` text serves only as a deterministic sort order. The caches
+text serves only as a deterministic sort order. The caches
 belong to the node and die with it. A parse interns its nodes into a
 table the caller owns, which dies with the call (`parser`), so equal
 concepts parsed with one table are one object and those memos hit on
@@ -20,7 +22,7 @@ interned never changes what a node compares equal to.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 _set = object.__setattr__
 
@@ -234,8 +236,8 @@ def conjoin(concepts: Iterable[Concept]) -> Concept:
     return out
 
 
-def _render(c: Concept, text: Callable[[Concept], str]) -> str:
-    """Surface syntax of one node, with `text` rendering its children."""
+def _render(c: Concept) -> str:
+    """Surface syntax of one node, its children drawn from their cached text."""
     if isinstance(c, Atom):
         return c.name
     if isinstance(c, Top):
@@ -243,33 +245,29 @@ def _render(c: Concept, text: Callable[[Concept], str]) -> str:
     if isinstance(c, Bottom):
         return "bot"
     if isinstance(c, Not):
-        return f"not {text(c.sub)}"
+        return f"not {concept_to_text(c.sub)}"
     if isinstance(c, And):
-        return f"({text(c.left)} and {text(c.right)})"
+        return f"({concept_to_text(c.left)} and {concept_to_text(c.right)})"
     if isinstance(c, Or):
-        return f"({text(c.left)} or {text(c.right)})"
+        return f"({concept_to_text(c.left)} or {concept_to_text(c.right)})"
     if isinstance(c, Exists):
-        return f"exists {c.role}. {text(c.sub)}"
+        return f"exists {c.role}. {concept_to_text(c.sub)}"
     if isinstance(c, Forall):
-        return f"forall {c.role}. {text(c.sub)}"
+        return f"forall {c.role}. {concept_to_text(c.sub)}"
     raise TypeError(f"not a concept: {c!r}")
 
 
 def concept_to_text(c: Concept) -> str:
-    """Renders a concept in the surface syntax accepted by the parser."""
-    return _render(c, concept_to_text)
+    """Renders a concept in the surface syntax accepted by the parser,
+    computed once per node and cached on it."""
+    text = c._key
+    if text is None:
+        text = _render(c)
+        _set(c, "_key", text)
+    return text
 
 
 def concept_key(c: Concept) -> str:
-    """Deterministic sort key for concepts: their rendered text, computed
-    once per node and cached on it."""
+    """Deterministic sort key for concepts: their cached rendered text."""
     key = c._key
-    return key if key is not None else _cached_text(c)
-
-
-def _cached_text(c: Concept) -> str:
-    key = c._key
-    if key is None:
-        key = _render(c, _cached_text)
-        _set(c, "_key", key)
-    return key
+    return key if key is not None else concept_to_text(c)

@@ -1,8 +1,15 @@
+import os
 import pathlib
+import sys
 
 import pytest
 
-from typika.parser import parse_kb
+# Write no bytecode next to `src/typika`, here or in the `python -m typika`
+# subprocesses the tests start, so no later run imports a stale cache.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from typika.parser import parse_kb  # noqa: E402
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 KBS = REPO / "kbs"

@@ -10,7 +10,9 @@ from typika.kb import (
     serialize_kb,
 )
 from typika.parser import KBSyntaxError, parse_axiom, parse_concept, parse_kb
-from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, subconcepts
+from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, concept_to_text, subconcepts
+
+from conftest import GOLDEN
 
 
 def test_parse_set3(kb_set3):
@@ -162,3 +164,125 @@ def test_parsing_without_a_table_gives_equal_nodes():
     assert alone.lhs is not shared.lhs and alone.lhs == kb.defeasible[0].lhs
     assert hash(alone.lhs) == hash(kb.defeasible[0].lhs)
     assert serialize_axiom(alone) == serialize_axiom(shared) == text
+
+
+# ------------------------------------------------------------------ golden
+
+# Each input goes through `parse_kb`, `parse_axiom` and `parse_concept`;
+# `golden/parser.txt` records what each gives: the serialized KB, axiom or
+# concept, or the error as `line L, column C: message`. The inputs cover
+# every statement form and every message the parser raises.
+GOLDEN_INPUTS = [
+    # well-formed lines, comments, blanks, nesting and multi-line text
+    "A => B",
+    "T(Penguin) => not Fly",
+    "Bird(tweety)",
+    "T(Penguin)(pingu)",
+    "hasFriend(tweety, pingu)",
+    "(Bird and not Fly)(pingu)",
+    "exists r. A(x)",
+    "A",
+    "top",
+    "bot",
+    "not not A",
+    "(exists r. (A and forall s. not B) or top)",
+    "((A or bot) and forall r. exists s. not top) => top",
+    "T((A and (B or not C))) => exists r. forall s. D",
+    "",
+    "# only a comment",
+    "\n\n  \n",
+    "A => B   # trailing comment",
+    "# header\n\nA => B\n\nT(A) => C  # note\nB(x)\nr(x, y)\n",
+    "A => B\nT(A) => not B\nA => B\n",
+    "_x1 => Y_2",
+    "A\t=>\tB\r\nC(x)\r\n",
+    # unexpected character
+    "A & B => C",
+    "A => B\nC $ D",
+    "T(A) => B]",
+    # a non-ASCII letter passes the tokenizer and fails at the name check
+    "é => C",
+    "B é",
+    # expected 'x', found end of line / found 'y'
+    "T(A",
+    "T(A) =>   # comment",
+    "exists r",
+    "exists r A",
+    "T(A B) => C",
+    "T(A) B",
+    "T(A)(x",
+    "r(x, y",
+    "r(x, y z",
+    "r(x y) => A",
+    "A(x",
+    "A(x y)",
+    "B => A\n(C and D",
+    # unexpected end of line
+    "(A",
+    "(A and B",
+    # role, concept and individual names
+    "exists",
+    "exists and. A",
+    "forall (. A",
+    "exists r. A => forall => B",
+    ")",
+    "=> A",
+    "A => )",
+    "Bird(",
+    "Bird(and)",
+    "T(Bird)(not)",
+    "r(a, )",
+    "r(a,",
+    "r(top, a)",
+    # expected a concept, found end of line
+    "A =>",
+    "not",
+    "exists r.",
+    "(A and",
+    # the typicality marker inside a concept
+    "T(T(Bird)) => Fly",
+    "Bird => T(Fly)",
+    "(T(Bird) and A) => Fly",
+    "not T(Bird) => Fly",
+    # expected 'and' or 'or'
+    "(A B)",
+    "(A => B)",
+    "(A not B)",
+    # reserved words as concept names
+    "and => A",
+    "T => A",
+    "A => or",
+    "exists T. A => B",
+    # after a complete statement
+    "A => B C",
+    "Bird(tweety) x",
+    "A B",
+    "T(A) => B => C",
+    "A => B\nC => D E",
+    # a query must be one axiom line; a concept one concept
+    "A => B\nC => D",
+    "Bird",
+    "(A and B)(x)",
+    "A\nB",
+    "\n\nA => B\n\n",
+]
+
+
+def parser_golden() -> str:
+    """The text of `golden/parser.txt` for the current parser."""
+    out = []
+    for text in GOLDEN_INPUTS:
+        out.append(f"input {text!r}")
+        for name, parse, show in (("kb", parse_kb, serialize_kb),
+                                  ("axiom", parse_axiom, serialize_axiom),
+                                  ("concept", parse_concept, concept_to_text)):
+            try:
+                result = show(parse(text))
+            except KBSyntaxError as exc:
+                result = f"error {exc}"
+            out.append(f"  {name}: {result!r}")
+    return "".join(line + "\n" for line in out)
+
+
+def test_parser_golden():
+    assert parser_golden() == (GOLDEN / "parser.txt").read_text(encoding="utf-8")
