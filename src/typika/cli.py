@@ -14,8 +14,15 @@ per invocation except for `compare`, where it is pinned to 0 so repeated
 runs are byte-identical.
 
 A query is answered on the domain widened by its restrictions outside
-the KB's closure (`RankedTBox.outside`); `compare` keeps one per set of
-them. `query --emit-model` widens it by the whole query, to print it.
+the KB's closure, the table `RankedTBox.place` picks. `compare` reads each
+row off the query's two masks on that table, placed once: its antecedent's
+extension and its counterexamples. Rank entailment compares their levels
+(`in_rational_closure`), and each model semantics asks whether the
+counterexamples meet the antecedent's least rank (`counterexamples`).
+Each table's two minimal models are searched once, and `compare` keeps
+their rank masks, or the error every row on the table reports, so a row
+builds no `Model`. `query --emit-model` widens the domain by the whole
+query, to print it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import json
 import math
 import sys
 import time
-from typing import Optional
+from typing import Optional, Union
 
 from .kb import KnowledgeBase, serialize_axiom
 from .models import (
@@ -35,8 +42,10 @@ from .models import (
     Query,
     RankBoundExceededError,
     build_canonical_domain,
+    counterexamples,
     enriched_entails,
     find_abox_mapping,
+    minimal_canonical_models,
     single_pref_entails,
     single_pref_model,
 )
@@ -137,16 +146,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _domain(ranked: RankedTBox, query: Query,
-            domains: dict[frozenset[Concept], CanonicalDomain]) -> CanonicalDomain:
-    """The domain a query is answered on, widened by the query's
-    restrictions outside the KB's closure (`RankedTBox.outside`) and kept
-    in `domains` per set of them."""
-    key, _ = ranked.outside((query.lhs, query.rhs))
-    domain = domains.get(key)
-    if domain is None:
-        domain = domains[key] = build_canonical_domain(ranked, key)
-    return domain
+def _domain(ranked: RankedTBox, query: Query) -> CanonicalDomain:
+    """The domain a query is answered on: the table `RankedTBox.place`
+    picks for it, widened by the query's restrictions outside the KB's
+    closure."""
+    return build_canonical_domain(ranked, ranked.place(query)[0].closure)
 
 
 def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
@@ -157,7 +161,7 @@ def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
     if emit_model:  # the printed model lists every concept of the query
         domain = build_canonical_domain(ranked, (query.lhs, query.rhs))
     else:
-        domain = _domain(ranked, query, {})
+        domain = _domain(ranked, query)
     v = entails(ranked.kb, query, domain, bound)
     return v.entailed, v.model
 
@@ -186,28 +190,47 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0 if entailed else 1
 
 
+# per table, the global rank masks of the single-preference and the
+# enriched minimal model, or the error every row on the table reports
+_ModelMasks = Union[tuple[tuple[int, ...], tuple[int, ...]], str]
+
+
+def _minimal_ranks(ranked: RankedTBox, query: Query, bound: Optional[int]) -> _ModelMasks:
+    """Both minimal models' rank masks on the domain a query is answered
+    on, or the error of the first that has none, or of an inconsistent
+    KB."""
+    kb = ranked.kb
+    try:
+        domain = _domain(ranked, query)
+        return (single_pref_model(kb, domain, bound).rank_masks,
+                minimal_canonical_models(kb, domain, bound)[0].rank_masks)
+    except (RankBoundExceededError, InconsistentKBError) as exc:
+        return str(exc)
+
+
 def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
-                 nodes: dict[Concept, Concept],
-                 domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
-    """One row of `compare`. Every row shares the KB's stratification and
-    its node table `nodes`, and rows share the domains in `domains` (see
-    `_domain`; most rows share the KB's own), and with them the memoised
-    minimal models."""
+                 nodes: dict[Concept, Concept], ranks: dict[CanonicalDomain, _ModelMasks]) -> dict:
+    """One row of `compare`, all three semantics read off the query's two
+    masks on the table `RankedTBox.place` picks: its rank entailment
+    (`in_rational_closure`), and its counterexamples in each minimal model
+    (`counterexamples`), whose rank masks `ranks` keeps per table. Every
+    row shares the KB's stratification and its node table `nodes`; most
+    rows share the KB's own table."""
     try:
         query = parse_axiom(raw, nodes)
     except KBSyntaxError as exc:
         return {"query": raw, "error": str(exc)}
-    row: dict = {"query": serialize_axiom(query)}
-    kb = ranked.kb
-    try:
-        row["rc"] = in_rational_closure(ranked, query)
-        domain = _domain(ranked, query, domains)
-        row["singlePref"] = single_pref_entails(kb, query, domain, bound).entailed
-        row["enriched"] = enriched_entails(kb, query, domain, bound).entailed
-    except (RankBoundExceededError, InconsistentKBError) as exc:
-        return {"query": row["query"], "error": str(exc)}
-    row["violation"] = bool(row["rc"] and not row["enriched"])
-    return row
+    text = serialize_axiom(query)
+    rc = in_rational_closure(ranked, query)
+    table, lhs, off = ranked.place(query)
+    found = ranks.get(table)
+    if found is None:
+        found = ranks[table] = _minimal_ranks(ranked, query, bound)
+    if isinstance(found, str):
+        return {"query": text, "error": found}
+    single, enriched = (not counterexamples(masks, query, lhs, off) for masks in found)
+    return {"query": text, "rc": rc, "singlePref": single, "enriched": enriched,
+            "violation": rc and not enriched}
 
 
 def _flag(value: bool) -> str:
@@ -223,8 +246,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ranked = RankedTBox(kb)
     for c in ranked.closure:  # so a query's `not X` is the closure's own node
         nodes.setdefault(c, c)
-    domains: dict[frozenset[Concept], CanonicalDomain] = {}
-    rows = [_compare_row(ranked, raw, args.rank_bound, nodes, domains) for raw in raws]
+    ranks: dict[CanonicalDomain, _ModelMasks] = {}
+    rows = [_compare_row(ranked, raw, args.rank_bound, nodes, ranks) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}
     lines = []
     for row in rows:

@@ -5,10 +5,16 @@ The caller builds a domain from a knowledge base's stratification (its
 passes it to every model function here; none of them builds one. A query
 is answered on the table `ranking` ranks it on: the closure widened by
 its restrictions outside the KB's (`RankedTBox.outside`), its atoms the
-domain has no bit for lifted (`CanonicalDomain.lift`, in `_holds_in`).
-`compare` builds one domain per KB plus one per distinct set of such
-restrictions, `query` the one its query needs by the same rule, and
-`query --emit-model` one widened by both sides of the query. A domain's
+domain has no bit for lifted. It is read as two masks
+(`CanonicalDomain.masks`): its antecedent's extension and its
+counterexamples, `lhs and not rhs`. A model entails it unless the
+counterexamples meet the antecedent's least-ranked instances, the first
+rank mask that meets the antecedent (a strict query, unless there are
+any): `counterexamples` reads that off the two masks and a model's rank
+masks, for `_holds_in` and `compare`'s rows alike. `compare` builds one
+domain per KB plus one per distinct set of such restrictions, `query`
+the one its query needs by the same rule, and `query --emit-model` one
+widened by both sides of the query. A domain's
 elements are the types (maximal KB-satisfiable subsets of the closure)
 that survive the stratification's type elimination, so the domain is the
 `RankedTBox`'s table for the closure (`ranking.CanonicalDomain`), shared
@@ -70,7 +76,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Collection, Optional, Sequence, Union
 
@@ -130,15 +136,21 @@ def build_canonical_domain(ranked: RankedTBox,
 def _validate_witnesses(domain: CanonicalDomain) -> None:
     """Every restriction of the closure holds, read off the type bits, on
     exactly the elements its role edges give: `exists r. C` where some
-    r-successor is in C, `forall r. C` where every r-successor is."""
+    r-successor is in C, `forall r. C` where every r-successor is. The
+    successor test hands out one int per distinct restriction bits, so each
+    distinct successor mask is tested once, keyed by its `id`: keyed by
+    value, every mask of a wide domain would be hashed."""
+    full = domain.eval.full
     for p in domain.closure:
         if isinstance(p, (Exists, Forall)):
             succ = domain.successors[p.role]
-            sub = domain.eval(p.sub)
-            if isinstance(p, Exists):
-                holds = bitmask(map(sub.__and__, succ))
-            else:
-                holds = domain.eval.full ^ bitmask(map((~sub).__and__, succ))
+            # `exists r. C` holds where a successor is in C, `forall r. C`
+            # where none is outside it
+            sub = domain.eval(p.sub) if isinstance(p, Exists) else full ^ domain.eval(p.sub)
+            meets = {k: bool(t & sub) for k, t in {id(t): t for t in succ}.items()}
+            holds = bitmask(map(meets.__getitem__, map(id, succ)))
+            if isinstance(p, Forall):
+                holds ^= full
             wrong = domain.eval(p) ^ holds
             if wrong:
                 raise AssertionError(f"{p!r} disagrees with the role edges on "
@@ -569,25 +581,21 @@ class Verdict:
     counterelement: Optional[int] = None
 
 
+def counterexamples(rank_masks: Sequence[int], query: Query, lhs: int, off: int) -> int:
+    """The elements a query fails on in a model with these rank masks, as
+    a bitmask, from the query's two masks on the model's domain: `lhs`, the
+    extension of its antecedent, and `off`, that of `lhs and not rhs`. A
+    strict query fails on every element of `off`, a defeasible one on those
+    of the least global rank that meets `lhs`."""
+    return off if isinstance(query, Strict) else off & _least(rank_masks, lhs)
+
+
 def _holds_in(model: Model, query: Query) -> Verdict:
     """Whether the query holds in the model, and if not the first element
-    it fails on.
-
-    Unless both sides are members of the domain, they are read once per
-    assignment to the query's atoms the domain has no bit for
-    (`CanonicalDomain.lift`). A strict query holds when no variant has
-    `lhs & ~rhs`; a defeasible one reads every variant on the least global
-    rank that meets any variant's `lhs`."""
-    dom = model.domain
-    if query.lhs in dom.members and query.rhs in dom.members:
-        lhs = dom.eval(query.lhs) if isinstance(query, Strict) else min_global(model, query.lhs)
-        off = lhs & ~dom.eval(query.rhs)
-    else:
-        sides = [(dom.eval(lhs), dom.eval(rhs)) for lhs, rhs in dom.lift((query.lhs, query.rhs))]
-        if isinstance(query, Defeasible):
-            least = _least(model.rank_masks, reduce(operator.or_, [lhs for lhs, _ in sides]))
-            sides = [(lhs & least, rhs) for lhs, rhs in sides]
-        off = reduce(operator.or_, [lhs & ~rhs for lhs, rhs in sides])
+    it fails on, read off the query's two masks on the model's domain
+    (`CanonicalDomain.masks`, which lifts the query's atoms the domain has
+    no bit for)."""
+    off = counterexamples(model.rank_masks, query, *model.domain.masks(query.lhs, query.rhs))
     return Verdict(not off, model, (off & -off).bit_length() - 1 if off else None)
 
 

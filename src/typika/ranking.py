@@ -15,15 +15,19 @@ a table over a widened closure, whose levels are known, enumerates the
 last level's candidates once and filters them for each earlier level.
 One rule picks the table a concept is answered on, for ranks and models
 alike: the KB's closure widened by the concept's restrictions outside it
-(`RankedTBox.outside`). No axiom or restriction of that table reads the
-concept's atoms it has no bit for, so they are lifted
-(`CanonicalDomain.lift`): the concept is read once per assignment of
-`top` or `bot` to them. Only
-`cli`'s `query --emit-model` widens a domain by a whole query, to print
-it. Ranks are plain ints (`math.inf` for a concept exceptional at every
-level), and both defeasible and strict queries reduce to rank
-comparisons. The tableau makes one call per KB, a cross-check of the
-KB's consistency against the engine.
+(`RankedTBox.outside`, a walk that stops at closure members). No axiom or
+restriction of that table reads the concept's atoms it has no bit for, so
+they are lifted (`CanonicalDomain.lift`): the concept is read once per
+assignment of `top` or `bot` to them. Only `cli`'s `query --emit-model`
+widens a domain by a whole query, to print it. Ranks are plain ints
+(`math.inf` for a concept exceptional at every level). A query `C => D`
+or `T(C) => D` is placed once (`RankedTBox.place`): one walk gives its
+table, and the table gives two masks, the extension of C and that of
+`C and not D`, each OR-ed over the lifted variants. Rank entailment
+compares their levels (`CanonicalDomain.level`, the first level whose
+survivors meet a mask), and the models of `models` read the same two
+masks. The tableau makes one call per KB, a cross-check of the KB's
+consistency against the engine.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
@@ -39,9 +43,9 @@ passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
 and `models.build_canonical_domain`; the model searches of `models` take the
 domain the caller built from it and never stratify on their own. The
 `RankedTBox` keeps one `CanonicalDomain` per widening it was asked about
-(the domain `models.build_canonical_domain` returns) and its rank memo,
-so both live as long as the caller keeps the `RankedTBox`; this module
-keeps no state.
+(the domain `models.build_canonical_domain` returns), its rank memo and
+its placed queries, so they live as long as the caller keeps the
+`RankedTBox`; this module keeps no state.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from .syntax import (
     complement,
     concept_key,
     conjoin,
-    subconcepts,
     substitute,
 )
 from .tableau import StrictTBox, entails_strict
@@ -125,6 +128,25 @@ def _pack(codes: Sequence[int], width: int) -> tuple[bytes, int]:
     per code (the stride, returned too)."""
     stride = (width + 7) // 8
     return b"".join(map(int.to_bytes, codes, repeat(stride), repeat("little"))), stride
+
+
+def _beyond(concepts: Iterable[Concept], closure: Collection[Concept]) -> list[Concept]:
+    """The subconcepts of `concepts` outside `closure`, a set closed under
+    subconcepts: every subconcept of a member is a member, so the walk
+    stops at members."""
+    out = []
+    todo = [c for c in concepts if c not in closure]
+    while todo:
+        c = todo.pop()
+        out.append(c)
+        if isinstance(c, (Not, Exists, Forall)):
+            parts: tuple[Concept, ...] = (c.sub,)
+        elif isinstance(c, (And, Or)):
+            parts = (c.left, c.right)
+        else:
+            continue
+        todo.extend(s for s in parts if s not in closure)
+    return out
 
 
 class Extensions:
@@ -353,9 +375,10 @@ class CanonicalDomain:
     extensions as int bitmasks over the elements, for ranks and models
     alike. The levels only shrink, so their survivors (`_alive`) only grow,
     and a concept's rank is the least level at which a type holding it
-    survives; its restrictions must be members of the closure, and its
-    atoms that are not are lifted first (`lift`). `successors[role][i]` is
-    the bitmask of the elements element i's role edges reach; the literal
+    survives (`level` of its extension); its restrictions must be members
+    of the closure, and its atoms that are not are lifted first (`lift`,
+    and `masks` for both sides of a query). `successors[role][i]` is the
+    bitmask of the elements element i's role edges reach; the literal
     sets (`types`) are built only to print a model. `_memo` holds one
     `models._Constraints` table per KB, which memoises the minimal models
     per rank bound. Instances compare by identity.
@@ -374,16 +397,25 @@ class CanonicalDomain:
     def size(self) -> int:
         return len(self.codes)
 
-    def rank(self, *concepts: Concept) -> float:
-        """The least level at which a type holding one of the concepts
-        survives."""
-        ext = 0
-        for c in concepts:
-            ext |= self.eval(c)
+    def level(self, mask: int) -> float:
+        """The first level whose survivors meet the mask: the rank of a
+        concept with that extension."""
         for i, alive in enumerate(self._alive):
-            if ext & alive:
+            if mask & alive:
                 return i
         return math.inf
+
+    def masks(self, lhs: Concept, rhs: Concept,
+              atoms: Optional[Iterable[Concept]] = None) -> tuple[int, int]:
+        """The extension of `lhs` and that of `lhs and not rhs` (the
+        counterexamples of `lhs => rhs`), each OR-ed over the variants
+        `lift` gives, `atoms` passed on to it."""
+        ext = off = 0
+        for left, right in self.lift((lhs, rhs), atoms):
+            mask = self.eval(left)
+            ext |= mask
+            off |= mask & ~self.eval(right)
+        return ext, off
 
     def lift(self, concepts: Sequence[Concept],
              atoms: Optional[Iterable[Concept]] = None) -> list[tuple[Concept, ...]]:
@@ -393,7 +425,7 @@ class CanonicalDomain:
         atoms, so the table widened by them would hold each type once per
         value of their bits, with the type's levels."""
         if atoms is None:
-            atoms = (s for c in concepts for s in subconcepts(c) if isinstance(s, Atom))
+            atoms = (s for s in _beyond(concepts, self.members) if isinstance(s, Atom))
         fresh = tuple({a for a in atoms if a not in self.eval.bit})
         if not fresh:
             return [tuple(concepts)]
@@ -429,7 +461,8 @@ class RankedTBox:
     for each earlier level (`holding`), which every level's axioms
     contain. `table` builds each widened table once and keeps it, and it
     is the domain `models.build_canonical_domain` returns for the same
-    widening. Ranks are memoised per concept node. The constructor makes
+    widening. Ranks are memoised per concept node, and a query's table and
+    two masks (`place`) per query. The constructor makes
     exactly one tableau call: the consistency of the last level's TBox,
     which must agree with whether any type survives it.
     """
@@ -453,6 +486,7 @@ class RankedTBox:
             self.levels.append(level)
         self._tables = {frozenset(): CanonicalDomain(engine, survivors)}
         self._rank_memo: dict[Concept, float] = {}
+        self._placed: dict[Union[Strict, Defeasible], tuple[CanonicalDomain, int, int]] = {}
         tbox = level_tbox(StrictTBox.from_axioms(kb.strict), level)
         if entails_strict(tbox, TOP, BOT) == bool(alive):
             raise AssertionError("type elimination and the tableau disagree on "
@@ -462,8 +496,8 @@ class RankedTBox:
         """The restrictions and the atoms of `concepts` outside the KB's
         closure: the concepts are answered on `table` of the restrictions,
         with the atoms it has no bit for lifted."""
-        found = [s for c in concepts if c not in self.closure for s in subconcepts(c)
-                 if isinstance(s, (Atom, Exists, Forall)) and s not in self.closure]
+        found = [s for s in _beyond(concepts, self.closure)
+                 if isinstance(s, (Atom, Exists, Forall))]
         atoms = frozenset(s for s in found if isinstance(s, Atom))
         return frozenset(found) - atoms, atoms
 
@@ -473,9 +507,7 @@ class RankedTBox:
         members, booleans included, that `concepts` add, found without
         building the widened closure, so a closure and the concepts it
         widens the KB's by give one table."""
-        key = frozenset(s for c in concepts if c not in self.closure
-                        for s in subconcepts(c)
-                        if not isinstance(s, Not) and s not in self.closure)
+        key = frozenset(s for s in _beyond(concepts, self.closure) if not isinstance(s, Not))
         table = self._tables.get(key)
         if table is None:
             engine = _TypeElimination(subconcept_closure(self.kb, concepts))
@@ -492,8 +524,20 @@ class RankedTBox:
         if hit is None:
             restrictions, atoms = self.outside((concept,))
             table = self.table(restrictions)
-            lifted = table.lift((concept,), atoms)
-            hit = self._rank_memo[concept] = table.rank(*(c for c, in lifted))
+            hit = self._rank_memo[concept] = table.level(table.masks(concept, BOT, atoms)[0])
+        return hit
+
+    def place(self, query: Union[Strict, Defeasible]) -> tuple[CanonicalDomain, int, int]:
+        """The table a query is answered on, ranks and models alike, with
+        the extension of its `lhs` and its counterexamples `lhs and not
+        rhs` over it (`CanonicalDomain.masks`): one walk of the query
+        (`outside`) gives the table and the atoms lifted. Memoised per
+        query, so its rank entailment and its model verdicts share it."""
+        hit = self._placed.get(query)
+        if hit is None:
+            restrictions, atoms = self.outside((query.lhs, query.rhs))
+            table = self.table(restrictions)
+            hit = self._placed[query] = (table, *table.masks(query.lhs, query.rhs, atoms))
         return hit
 
 
@@ -507,12 +551,14 @@ def is_kb_consistent(ranked: RankedTBox) -> bool:
 
 
 def in_rational_closure(ranked: RankedTBox, query) -> bool:
-    """Rank-based entailment of a strict or defeasible inclusion."""
+    """Rank-based entailment of a strict or defeasible inclusion, read off
+    the two masks of `RankedTBox.place`: a strict query holds when its
+    counterexamples have no rank, a defeasible one when they rank above
+    its `lhs` (or its `lhs` has no rank)."""
+    if not isinstance(query, (Strict, Defeasible)):
+        raise TypeError(f"not an inclusion query: {query!r}")
+    table, lhs, off = ranked.place(query)
     if isinstance(query, Strict):
-        return ranked.rank(And(query.lhs, Not(query.rhs))) == math.inf
-    if isinstance(query, Defeasible):
-        r_lhs = ranked.rank(query.lhs)
-        if r_lhs == math.inf:
-            return True
-        return r_lhs < ranked.rank(And(query.lhs, Not(query.rhs)))
-    raise TypeError(f"not an inclusion query: {query!r}")
+        return table.level(off) == math.inf
+    r_lhs = table.level(lhs)
+    return r_lhs == math.inf or r_lhs < table.level(off)

@@ -160,11 +160,11 @@ def record_row(family: str, n: int) -> str:
     rows = [Defeasible(blond, first.rhs),
             Defeasible(And(first.lhs, antes[min(1, len(antes) - 1)]), first.rhs),
             Defeasible(And(blond, Exists("eats", Atom("Fish"))), first.rhs)]
-    domains = {frozenset(): domain}  # the KB's own rows' domain
+    ranks: dict = {}  # per table, both minimal models' rank masks, as `compare` keeps them
     row_ms = []
     for row in rows:
         start = perf_counter()
-        _compare_row(ranked, serialize_axiom(row), None, nodes, domains)
+        _compare_row(ranked, serialize_axiom(row), None, nodes, ranks)
         row_ms.append(f"{(perf_counter() - start) * 1e3:.2f}")
     cells.append(" / ".join(row_ms) + " ms")
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -29,8 +29,13 @@ with it, from the model's own ranks, the reference for
 `models.satisfies_kb`. `widened_compare_row` answers a `compare` row on
 the KB's closure widened by the query, as `query --emit-model` does, the
 reference for the rows `compare` answers on the domain of the query's
-restrictions outside the closure with its fresh atoms lifted. Slow on
-purpose, trusted because it is simple.
+restrictions outside the closure with its fresh atoms lifted.
+`rc_by_and_node` ranks a built `lhs and not rhs` node, and
+`holds_in_by_variants` reads a model verdict per lifted variant of a
+query's sides, the references for the two masks every verdict is read
+off; `rank_on` is the rank read off a table level by level, and
+`outside_by_full_walk` the walk outside the KB's closure that goes into
+its members too. Slow on purpose, trusted because it is simple.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from typika.syntax import (
     concept_key,
     conjoin,
     role_names,
+    subconcepts,
 )
 from typika.tableau import StrictTBox, Witness, entails_strict
 
@@ -381,6 +387,61 @@ def holds_in_ranks(domain: CanonicalDomain, g: Sequence[int], query) -> bool:
         lo = min(g[i] for i in lhs)
         lhs = frozenset(i for i in lhs if g[i] == lo)
     return lhs <= extension(domain, query.rhs)
+
+
+def outside_by_full_walk(ranked: RankedTBox, concepts: Sequence[Concept],
+                         ) -> tuple[set[Concept], tuple[frozenset[Concept], frozenset[Atom]]]:
+    """Every subconcept of the concepts outside the KB's closure, walked
+    into closure members too, and `RankedTBox.outside` read off it: the
+    reference for the walk that stops at members."""
+    beyond = {s for c in concepts for s in subconcepts(c) if s not in ranked.closure}
+    found = {s for s in beyond if isinstance(s, (Atom, Exists, Forall))}
+    atoms = frozenset(s for s in found if isinstance(s, Atom))
+    return beyond, (frozenset(found) - atoms, atoms)
+
+
+def rank_on(table: CanonicalDomain, *concepts: Concept) -> float:
+    """The least level at which a type of the table holding one of the
+    concepts survives, each concept evaluated as a node of its own."""
+    ext = 0
+    for c in concepts:
+        ext |= table.eval(c)
+    return next((i for i, alive in enumerate(table._alive) if ext & alive), math.inf)
+
+
+def rc_by_and_node(ranked: RankedTBox, query: Query) -> bool:
+    """Rank entailment from the rank of the antecedent and that of a built
+    `lhs and not rhs` node, each through `RankedTBox.rank` on the table of
+    its own restrictions: the reference for `ranking.in_rational_closure`,
+    which reads both off the query's two masks on one table."""
+    r_off = ranked.rank(And(query.lhs, Not(query.rhs)))
+    if isinstance(query, Strict):
+        return r_off == math.inf
+    r_lhs = ranked.rank(query.lhs)
+    return r_lhs == math.inf or r_lhs < r_off
+
+
+def holds_in_by_variants(model: Model, query: Query) -> tuple[bool, Optional[int]]:
+    """Whether the query holds in the model, and the first element it
+    fails on: both sides evaluated per variant of `CanonicalDomain.lift`
+    (given every atom of the query, found by a walk of every subconcept),
+    a defeasible query's on the least global rank (scanned by `min_by`)
+    that meets any variant's `lhs`. The reference for `models._holds_in`
+    and the `compare` rows, which read the query's two masks, each OR-ed
+    over the variants."""
+    dom = model.domain
+    atoms = [s for side in (query.lhs, query.rhs) for s in subconcepts(side)
+             if isinstance(s, Atom)]
+    sides = [(dom.eval(lhs), dom.eval(rhs))
+             for lhs, rhs in dom.lift((query.lhs, query.rhs), atoms)]
+    if isinstance(query, Defeasible):
+        anywhere = 0
+        for lhs, _ in sides:
+            anywhere |= lhs
+        least = min_by(model.global_ranks, anywhere)
+        sides = [(lhs & least, rhs) for lhs, rhs in sides]
+    bad = [i for lhs, rhs in sides for i in elements(lhs & ~rhs)]
+    return not bad, min(bad, default=None)
 
 
 def random_concept(rng, atoms: Sequence[str], roles: Sequence[str] = (),
@@ -696,11 +757,11 @@ def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
     closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
     table = ranked.table(closure)
     row: dict = {"query": serialize_axiom(query)}
-    r_off = table.rank(And(query.lhs, Not(query.rhs)))
+    r_off = rank_on(table, And(query.lhs, Not(query.rhs)))
     if isinstance(query, Strict):
         row["rc"] = r_off == math.inf
     else:
-        r_lhs = table.rank(query.lhs)
+        r_lhs = rank_on(table, query.lhs)
         row["rc"] = r_lhs == math.inf or r_lhs < r_off
     try:
         domain = domains.get(closure)

@@ -14,16 +14,18 @@ import typika.models
 from typika.cli import main
 from typika.kb import (Defeasible, KnowledgeBase, Strict, serialize_axiom, serialize_kb,
                        subconcept_closure)
-from typika.models import CanonicalDomain, build_canonical_domain
+from typika.models import (CanonicalDomain, RankBoundExceededError, build_canonical_domain,
+                           enriched_entails, minimal_canonical_models, single_pref_entails,
+                           single_pref_model)
 from typika.parser import parse_axiom, parse_kb
-from typika.ranking import RankedTBox
-from typika.syntax import (And, Atom, Exists, Forall, Not, Or, complement, concept_key,
+from typika.ranking import RankedTBox, in_rational_closure
+from typika.syntax import (TOP, And, Atom, Exists, Forall, Not, Or, complement, concept_key,
                            concept_to_text, subconcepts)
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
 from corpus import corpus_kbs
-from families import ROLE_KBS, chain_text, diamond_text
-from oracles import widened_compare_row
+from families import ROLE_KBS, chain_text, diamond_text, role_free_pools
+from oracles import holds_in_by_variants, rc_by_and_node, widened_compare_row
 from test_models import random_kbs_with_domains
 
 SET3 = str(KBS / "set3.kb")
@@ -473,9 +475,10 @@ def test_compare_rows_match_the_widened_reference(capsys, monkeypatch, tmp_path)
     # answered on the domain widened by the query (`oracles`), error texts
     # included: the coupling cycle an error names is read off element
     # classes, whose ids follow element order, and the lifted and widened
-    # domains order their elements differently. Mutation check in a copy of the code: taking r* per
-    # variant instead of over all variants in `models._holds_in` fails it,
-    # and so does lifting `Blond` where a restriction's filler gives it a bit.
+    # domains order their elements differently. Mutation check in a copy
+    # of the code: reading only the first lifted variant in
+    # `CanonicalDomain.masks` fails it, and so does lifting `Blond` where a
+    # restriction's filler gives it a bit.
     monkeypatch.chdir(tmp_path)
     rows = lifted = errors = cycles = 0
     for text, queries, bounds in differential_cases():
@@ -498,6 +501,64 @@ def test_compare_rows_match_the_widened_reference(capsys, monkeypatch, tmp_path)
                           for q in parsed)
     # 9,495 rows, 9,117 with a fresh atom, 2,285 errors, 67 of them cycles
     assert rows > 9000 and lifted > 8000 and errors > 2000 and cycles > 50
+
+
+def test_two_mask_verdicts_match_the_references():
+    # every row is read off two masks on one table; here rc is checked
+    # against the ranks of the antecedent and of a built `lhs and not rhs`
+    # node, and both model verdicts, the first counterelement included,
+    # and the `compare` row against each lifted variant of the query's
+    # sides read on its own (`oracles`): closure, fresh-atom, conjunction
+    # and restriction rows, over the corpus, `chain(1..3)`,
+    # `diamond(1..3)`, the role KBs and the seeded role-free pools
+    rng = random.Random(41)
+    fish = Exists("eats", Atom("Fish"))
+    texts = [serialize_kb(kb) for kb in corpus_kbs()]
+    texts += [chain_text(n) for n in (1, 2, 3)] + [diamond_text(n) for n in (1, 2, 3)]
+    texts += list(ROLE_KBS.values())
+    texts += [serialize_kb(kb) for pool in role_free_pools().values() for kb in pool]
+    rows = lifted = widened = errors = 0
+    for text in texts:
+        nodes: dict = {}
+        kb = parse_kb(text, nodes)
+        ranked = RankedTBox(kb)
+        for c in ranked.closure:
+            nodes.setdefault(c, c)
+        members = sorted(ranked.closure, key=concept_key)
+        queries = [rng.choice((Defeasible, Strict))(rng.choice(members), rng.choice(members))
+                   for _ in range(6)]
+        queries += fresh_rows(kb, rng, 3)
+        queries.append(Defeasible(And(rng.choice(members), fish), rng.choice(members)))
+        if any(isinstance(c, (Exists, Forall)) for c in members):
+            queries += role_fresh_rows(kb)
+        ranks: dict = {}
+        for q in [parse_axiom(serialize_axiom(q), nodes) for q in queries]:
+            row = typika.cli._compare_row(ranked, serialize_axiom(q), None, nodes, ranks)
+            rc = rc_by_and_node(ranked, q)
+            assert in_rational_closure(ranked, q) == rc, (text, q)
+            restrictions, atoms = ranked.outside((q.lhs, q.rhs))
+            domain = build_canonical_domain(ranked, restrictions)
+            want: dict = {"query": serialize_axiom(q), "rc": rc}
+            try:
+                for field, model, entails in (
+                        ("singlePref", lambda: single_pref_model(kb, domain), single_pref_entails),
+                        ("enriched", lambda: minimal_canonical_models(kb, domain)[0],
+                         enriched_entails)):
+                    entailed, first = holds_in_by_variants(model(), q)
+                    v = entails(kb, q, domain)
+                    assert (v.entailed, v.counterelement) == (entailed, first), (text, q)
+                    want[field] = entailed
+            except RankBoundExceededError as exc:
+                want = {"query": want["query"], "error": str(exc)}
+                errors += 1
+            else:
+                want["violation"] = rc and not want["enriched"]
+            assert row == want, (text, q)
+            rows += 1
+            lifted += bool(atoms)
+            widened += bool(restrictions)
+    # 6,790 rows: 2,746 lifted, 694 widened, 30 errors
+    assert rows > 6500 and lifted > 2500 and widened > 600 and errors > 20
 
 
 def _count_domain_builds(monkeypatch):
@@ -592,39 +653,75 @@ def test_the_domain_is_the_stratifications_table(capsys, monkeypatch, tmp_path):
     rt.rank(Atom("Penguin"))
     assert bit in dom.eval._on
     # a row whose only concept outside the closure is a fresh restriction
-    # adds one table, which its ranks and its domain share; a row that adds
-    # a fresh atom to the same restriction adds none: its ranks read that
+    # adds one table, which its masks and its domain share; a row that adds
+    # a fresh atom to the same restriction adds none: its masks read that
     # table, the fresh atom lifted
+    fish_rows = ["T((Penguin and exists eats. Fish)) => not Fly",
+                 "T(((Penguin and Blond) and exists eats. Fish)) => not Fly"]
     qf = tmp_path / "queries.txt"
-    qf.write_text((KBS / "set3_queries.txt").read_text()
-                  + "T((Penguin and exists eats. Fish)) => not Fly\n"
-                  + "T(((Penguin and Blond) and exists eats. Fish)) => not Fly\n")
+    qf.write_text((KBS / "set3_queries.txt").read_text() + "".join(q + "\n" for q in fish_rows))
     stratified = _keep_stratifications(monkeypatch)
     domains = _keep_domains(monkeypatch)
-    ranked_on = []
-    rank = CanonicalDomain.rank
+    read = []
+    masks = CanonicalDomain.masks
 
-    def recording(self, *concepts):
-        ranked_on.append((self, concepts))
-        return rank(self, *concepts)
+    def recording(self, lhs, rhs, atoms=None):
+        read.append((self, lhs, len(self.lift((lhs, rhs), atoms))))
+        return masks(self, lhs, rhs, atoms)
 
-    monkeypatch.setattr(CanonicalDomain, "rank", recording)
+    monkeypatch.setattr(CanonicalDomain, "masks", recording)
     code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
     assert code == 0 and not any("error" in row for row in doc["rows"][-2:])
     fish = Exists("eats", Atom("Fish"))
-    tables = stratified[0]._tables
+    ranked = stratified[0]
+    tables = ranked._tables
     assert list(tables) == [frozenset(), frozenset({fish, Atom("Fish")})]
     assert domains == list(tables.values())
-    assert stratified[0]._rank_memo[And(Atom("Penguin"), fish)] == 1
-    lhs = And(And(Atom("Penguin"), Atom("Blond")), fish)
-    assert stratified[0]._rank_memo[lhs] == 1
-    # the rows' ranks all read the widened table; the last row's, with
-    # `Blond` lifted, read two variants of each concept
     widened = tables[frozenset({fish, Atom("Fish")})]
-    with_fish = [(table, concepts) for table, concepts in ranked_on
-                 if any(fish in subconcepts(c) for c in concepts)]
-    assert {table for table, _ in with_fish} == {widened}
-    assert sorted(len(concepts) for _, concepts in with_fish) == [1, 1, 2, 2]
+    for q in map(parse_axiom, fish_rows):
+        table, lhs, _ = ranked.place(q)
+        assert table is widened and table.level(lhs) == 1
+    # each row's masks are read once, the fish rows' on the widened table,
+    # the last with `Blond` lifted in two variants
+    rows = [(table, n) for table, lhs, n in read if lhs != TOP]
+    assert len(rows) == len(doc["rows"])
+    assert [(table, n) for table, n in rows if table is widened] == [(widened, 1), (widened, 2)]
+
+
+def test_compare_walks_each_row_once_and_searches_once_per_domain(capsys, monkeypatch,
+                                                                  tmp_path):
+    # one walk of each row's query (`RankedTBox.outside`) places it, and
+    # each domain gets both minimal models from one search each, whatever
+    # its rows: the fresh restriction adds a domain, the fresh atom none
+    queries = ["T(Penguin) => not Fly", "T(Penguin) => HasNiceFeather", "T(Bird) => Fly",
+               "T((Penguin and Blond)) => not Fly", "T((Bird and exists eats. Fish)) => Fly",
+               "T((Penguin and exists eats. Fish)) => not Fly"]
+    qf = tmp_path / "queries.txt"
+    qf.write_text("".join(q + "\n" for q in queries))
+    walked = []
+    outside = RankedTBox.outside
+
+    def walking(self, concepts):
+        walked.append(tuple(concepts))
+        return outside(self, walked[-1])
+
+    monkeypatch.setattr(RankedTBox, "outside", walking)
+    searches = []
+    for name in ("single_pref_model", "minimal_canonical_models"):
+        def searching(kb, domain, bound=None, name=name, search=getattr(typika.cli, name)):
+            searches.append((name, domain))
+            return search(kb, domain, bound)
+
+        monkeypatch.setattr(typika.cli, name, searching)
+    domains = _keep_domains(monkeypatch)
+    code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
+    assert code == 0 and len(doc["rows"]) == len(queries) == 6
+    # besides the walk of `top`, the consistency check's, once
+    assert [w for w in walked if w != (TOP,)] == [
+        (q.lhs, q.rhs) for q in map(parse_axiom, queries)]
+    assert len(domains) == 2
+    assert searches == [(name, d) for d in domains
+                        for name in ("single_pref_model", "minimal_canonical_models")]
 
 
 def test_query_answers_on_the_compare_domain(capsys, monkeypatch, tmp_path):

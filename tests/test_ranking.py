@@ -11,6 +11,7 @@ from typika.ranking import (
     Extensions,
     RankedTBox,
     _TypeElimination,
+    _beyond,
     bitmask,
     elements,
     in_rational_closure,
@@ -22,14 +23,16 @@ from typika.ranking import (
 from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, concept_key
 
 from conftest import KBS
-from corpus import corpus_kbs
-from families import chain, diamond, role_kbs
+from corpus import corpus_kbs, defeasible_queries
+from families import chain, diamond, role_free_pools, role_kbs
 from oracles import (
     TableauRanks,
     levels_by_level_enumeration,
+    outside_by_full_walk,
     random_concept,
     survivors_by_level_enumeration,
 )
+from test_cli import fresh_rows, role_fresh_rows
 from test_models import random_kbs_with_domains
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -136,6 +139,34 @@ def test_levels_match_one_enumeration_per_level():
             assert [select(table.codes, alive) for alive in table._alive] == want, (kb, widening)
             tables += 1
     assert tables > 2 * len(kbs) + 100
+
+
+def test_the_walk_outside_the_closure_stops_at_members():
+    # every subconcept of a closure member is a member, so the walk that
+    # `outside`, the table key and `lift` share stops at members and finds
+    # what a walk into them finds: on every closure query of the corpus, the
+    # families, the role KBs and the seeded pools, and on fresh-atom,
+    # conjunction and restriction rows over each
+    rng = random.Random(17)
+    kbs = corpus_kbs() + [chain(n) for n in range(1, 5)] + [diamond(n) for n in range(1, 4)]
+    kbs += list(role_kbs().values()) + [kb for pool in role_free_pools().values() for kb in pool]
+    fish = Exists("eats", Atom("Fish"))
+    walks = found = 0
+    for kb in kbs:
+        rt = RankedTBox(kb)
+        queries = defeasible_queries(kb) + fresh_rows(kb, rng)
+        queries += [Defeasible(And(q.lhs, fish), Or(q.rhs, Forall("r", q.lhs)))
+                    for q in fresh_rows(kb, rng, 3)]
+        if any(isinstance(c, (Exists, Forall)) for c in rt.closure):
+            queries += role_fresh_rows(kb)
+        for q in queries:
+            beyond, outside = outside_by_full_walk(rt, (q.lhs, q.rhs))
+            assert set(_beyond((q.lhs, q.rhs), rt.closure)) == beyond, (kb, q)
+            assert rt.outside((q.lhs, q.rhs)) == outside, (kb, q)
+            walks += 1
+            found += bool(beyond)
+    # 254,706 walks, 8,150 of them leaving the closure
+    assert walks > 250000 and found > 8000
 
 
 def test_totally_exceptional_defaults_prune_every_enumeration(monkeypatch):
