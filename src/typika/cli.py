@@ -9,16 +9,17 @@ Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict
 or flagged row, 2 any error (I/O, syntax, inconsistent KB under model
 semantics, rank bound overflow; in `compare`, any error row; an internal
 error, reported as `internal error: ...` on stderr). `--json`
-switches to a single structured document on stdout; `timingMs` is measured
-per invocation except for `compare`, where it is pinned to 0 so repeated
-runs are byte-identical.
+switches to a single structured document on stdout, written in pieces as
+it is encoded; `timingMs` is measured per invocation except for
+`compare`, where it is pinned to 0 so repeated runs are byte-identical.
 
 A query is answered on the domain widened by its restrictions outside
 the KB's closure, the table `RankedTBox.place` picks. `compare` reads each
 row off the query's two masks on that table, placed once: its antecedent's
-extension and its counterexamples. Rank entailment compares their levels
-(`in_rational_closure`), and each model semantics asks whether the
-counterexamples meet the antecedent's least rank (`counterexamples`).
+extension and its counterexamples. All three semantics ask one question
+of them, `ranking.counterexamples`: do the counterexamples meet the
+antecedent's least-ranked instances, under the table's levels
+(`in_rational_closure`) or under a minimal model's rank masks.
 Each table's two minimal models are searched once, and `compare` keeps
 their rank masks, or the error every row on the table reports, so a row
 builds no `Model`. `query --emit-model` widens the domain by the whole
@@ -32,6 +33,7 @@ import json
 import math
 import sys
 import time
+from itertools import islice
 from typing import Optional, Union
 
 from .kb import KnowledgeBase, serialize_axiom
@@ -42,7 +44,6 @@ from .models import (
     Query,
     RankBoundExceededError,
     build_canonical_domain,
-    counterexamples,
     enriched_entails,
     find_abox_mapping,
     minimal_canonical_models,
@@ -50,7 +51,7 @@ from .models import (
     single_pref_model,
 )
 from .parser import KBSyntaxError, parse_axiom, parse_kb
-from .ranking import RankedTBox, elements, in_rational_closure, is_kb_consistent
+from .ranking import RankedTBox, counterexamples, elements, in_rational_closure, is_kb_consistent
 from .syntax import Concept, concept_to_text
 
 def _load_kb(path: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
@@ -59,8 +60,13 @@ def _load_kb(path: str, nodes: Optional[dict[Concept, Concept]] = None) -> Knowl
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
+    """The document as indented, key-sorted JSON, written in batches of
+    encoded pieces so a large witness is never one string; or the lines."""
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+        while batch := "".join(islice(chunks, 1 << 16)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)
@@ -182,10 +188,13 @@ def cmd_query(args: argparse.Namespace) -> int:
         "entailed": entailed,
         "timingMs": round(ms, 3),
     }
-    lines = ["entailed" if entailed else "not entailed"]
     if args.emit_model and model is not None:
         doc["witness"] = _serialize_model(model)
-        lines.extend(_model_lines(doc["witness"]))
+    lines = []  # the text form, built only when it is printed
+    if not args.json:
+        lines.append("entailed" if entailed else "not entailed")
+        if "witness" in doc:
+            lines.extend(_model_lines(doc["witness"]))
     _emit(args, doc, lines)
     return 0 if entailed else 1
 

@@ -10,8 +10,9 @@ domain has no bit for lifted. It is read as two masks
 counterexamples, `lhs and not rhs`. A model entails it unless the
 counterexamples meet the antecedent's least-ranked instances, the first
 rank mask that meets the antecedent (a strict query, unless there are
-any): `counterexamples` reads that off the two masks and a model's rank
-masks, for `_holds_in` and `compare`'s rows alike. `compare` builds one
+any): `ranking.counterexamples` reads that off the two masks and a
+model's rank masks, as it reads rank entailment off a table's levels.
+`compare` builds one
 domain per KB plus one per distinct set of such restrictions, `query`
 the one its query needs by the same rule, and `query --emit-model` one
 widened by both sides of the query. A domain's
@@ -32,14 +33,13 @@ the least aspect profile, and the element classes, elements in the same
 antecedents and violating the same defaults. The rules below read an
 element only through its violated aspects, the antecedents it lies in and
 those of the defaults it violates, which fix its class, so the loop ranks
-classes. The model checks read the table too, and it memoises the minimal
-models per rank bound, so the queries sharing a domain search once. A
-`Model` carries its elements per global rank and per aspect rank as
-bitmasks (`_rank_masks`, one pass over the ranks in C); the models the
-table builds share the least profile's aspect masks, built once per table,
-so no check rebuilds them.
+classes. The model checks read the table too, and it memoises each
+minimal model's global ranks, or why there is none, per semantics and
+rank bound, so the queries sharing a domain search once.
 
-Both minimal models are the κ fixpoint of `_kappa_fixpoint`. A vector κ
+Both minimal models come from one search (`_minimal`), the κ fixpoint of
+`_kappa_fixpoint`; its least ranks must fit the bound and leave no rank
+empty. A vector κ
 gives each antecedent j a concept rank, and under κ an element i gets the
 static seed
 
@@ -64,8 +64,8 @@ rises, so the loop ends.
   the axiom violators), then globals subject to the coupling constraints:
   the ranks under κ are the longest path from the seeds over the two
   coupling orders, or a pair of classes the rules order both ways
-  (`_Constraints.solve`). The result must then fit the bound, leave no
-  rank gap, and pass `satisfies_kb` and `check_coupling`. That this is the
+  (`_Constraints.solve`). The result must then pass `satisfies_kb` and
+  `check_coupling`. That this is the
   unique minimal model, the frontier a sweep over every guess of κ would
   find, is checked against such a sweep in the tests, not proven: rule (b)
   regroups the classes when κ changes, so the solve is not obviously
@@ -81,7 +81,8 @@ from itertools import repeat
 from typing import Callable, Collection, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
-from .ranking import CanonicalDomain, RankedTBox, bitmask, elements, is_kb_consistent
+from .ranking import (CanonicalDomain, RankedTBox, bitmask, counterexamples, elements,
+                      is_kb_consistent, least, level)
 from .syntax import TOP, Concept, Exists, Forall, concept_key, concept_to_text
 
 
@@ -90,16 +91,12 @@ class InconsistentKBError(Exception):
 
 
 class RankBoundExceededError(Exception):
-    """No admissible rank assignment satisfies all constraints.
+    """No admissible rank assignment satisfies all constraints, for the
+    `reason` given: the rank the least ranks reach past the bound, the two
+    classes the coupling rules order both ways, or a rank left empty."""
 
-    Without a `reason` the least ranks exceed the bound. A failed enriched
-    search gives its own: the rank its least ranks reach past the bound,
-    the two classes the coupling rules order both ways (which no bound
-    admits), or the rank its least ranks leave empty.
-    """
-
-    def __init__(self, bound: int, reason: Optional[str] = None):
-        super().__init__(reason or f"no admissible rank assignment within bound {bound}")
+    def __init__(self, bound: int, reason: str):
+        super().__init__(reason)
         self.bound = bound
 
 
@@ -173,47 +170,31 @@ def _rank_masks(ranks: Sequence[int]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _least(rank_masks: Sequence[int], ext: int) -> int:
-    """The members of the bitmask `ext` with the least rank, as a bitmask:
-    those in the first rank's mask that meets it."""
-    for mask in rank_masks:
-        if mask & ext:
-            return mask & ext
-    return 0
-
-
 @dataclass(frozen=True, eq=False)
 class Model:
     """Ranks over a domain: the global rank of each element and, for an
     enriched model, one rank function per aspect (`per_aspect` is empty for
     a single-preference model). `rank_masks` holds the elements of each
-    global rank and `aspect_masks`, per aspect of `per_aspect` in order,
-    those of each aspect rank (`_rank_masks`); each is read off the ranks
-    unless given, as the constraint table gives them for the models it
-    builds."""
+    global rank and `aspect_masks`, per aspect, those of each aspect rank
+    (`_rank_masks`), each read off the ranks on first use."""
 
     domain: CanonicalDomain
     global_ranks: tuple[int, ...]
     per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
-    rank_masks: Optional[tuple[int, ...]] = None
-    aspect_masks: Optional[tuple[tuple[Concept, tuple[int, ...]], ...]] = None
 
-    def __post_init__(self) -> None:
-        if self.rank_masks is None:
-            object.__setattr__(self, "rank_masks", _rank_masks(self.global_ranks))
-        if self.aspect_masks is None:
-            object.__setattr__(self, "aspect_masks", tuple(
-                (a, _rank_masks(ranks)) for a, ranks in self.per_aspect))
+    @cached_property
+    def rank_masks(self) -> tuple[int, ...]:
+        return _rank_masks(self.global_ranks)
 
-
-# a minimal model's global ranks and their masks
-_Ranks = tuple[tuple[int, ...], tuple[int, ...]]
+    @cached_property
+    def aspect_masks(self) -> dict[Concept, tuple[int, ...]]:
+        return {a: _rank_masks(ranks) for a, ranks in self.per_aspect}
 
 
 def min_global(model: Model, concept: Concept) -> int:
     """The globally most typical instances of a concept in the model, as a
     bitmask over the domain."""
-    return _least(model.rank_masks, model.domain.eval(concept))
+    return least(model.rank_masks, model.domain.eval(concept))
 
 
 class _Constraints:
@@ -224,8 +205,7 @@ class _Constraints:
     of C outside D, a bitmask over the elements, and `ante_of` the index of
     C in `antecedents`, the bitmasks of the distinct antecedents with
     instances (-1 when C has none); κ has one entry per antecedent.
-    `profile` is the least admissible aspect profile and `profile_masks`
-    its per-aspect rank masks. Element i is in the
+    `profile` is the least admissible aspect profile. Element i is in the
     element class `class_of[i]`. A class's search key `_keys[k]` is (vid,
     ante, outdone): the id of its violated-aspect set V in `_sets`, and of
     its sets of defaults lain in and violated, whose antecedents
@@ -235,9 +215,9 @@ class _Constraints:
     rhs_d is in V. So the search, which reads nothing else, ranks classes
     and has none to merge. `seeds` is the single-preference step of the κ
     loop; `solve`, the enriched one, adds the coupling orders and builds
-    the subset tables of rule (a) on first use. `single_pref` and
-    `enriched` memoise the minimal models per rank bound, each with its
-    global ranks' per-rank masks. Nothing here refers to the domain, so its
+    the subset tables of rule (a) on first use. `minimal` memoises, per
+    (enriched, rank bound), the minimal model's global ranks or the reason
+    there is none. Nothing here refers to the domain or a `Model`, so its
     memo forms no reference cycle.
     """
 
@@ -256,7 +236,6 @@ class _Constraints:
         aspects = aspect_set(kb)
         self.profile = tuple((a, tuple(column(bad.get(a, 0)).encode().translate(zero_one)))
                              for a in aspects)
-        self.profile_masks = tuple((a, _rank_masks(ranks)) for a, ranks in self.profile)
         seen: dict[Concept, int] = {}
         self.antecedents: list[int] = []
         for ax, ext in zip(kb.defeasible, lhs):
@@ -301,8 +280,7 @@ class _Constraints:
         for k, (_, ante, _) in enumerate(self._keys):
             for j in self._inside[ante]:
                 self._classes_in[j].append(k)
-        self.single_pref: dict[int, Optional[_Ranks]] = {}
-        self.enriched: dict[int, Union[_Ranks, str]] = {}
+        self.minimal: dict[tuple[bool, int], Union[tuple[int, ...], str]] = {}
 
     @cached_property
     def _above(self) -> list[frozenset[int]]:
@@ -461,8 +439,7 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     g = m.global_ranks
     table = _constraints(m.domain, kb)
     # an antecedent's concept rank: the first global rank meeting it
-    ante_rank = [next(k for k, mask in enumerate(m.rank_masks) if mask & ext)
-                 for ext in table.antecedents]
+    ante_rank = [level(m.rank_masks, ext) for ext in table.antecedents]
     m_of = [max([ante_rank[j] for j in t], default=-1) for t in table._outdone]
     class_m = [m_of[outdone] for _, _, outdone in table._keys]
     aspect_rows = zip(*(ranks for _, ranks in m.per_aspect)) if m.per_aspect else repeat(())
@@ -487,20 +464,20 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
 def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
     """Model-of-KB check of the TBox: strict axioms extensionally, defeasible
     axioms on the global minimum and (for enriched models) the
-    right-hand-side aspect minimum, each read off the model's rank masks."""
+    right-hand-side aspect minimum: its violators give no counterexamples
+    under the model's global rank masks or its aspect's."""
     dom = m.domain
     for ax in kb.strict:
         if dom.eval(ax.lhs) & ~dom.eval(ax.rhs):
             return False
     table = _constraints(dom, kb)
-    aspect_masks = dict(m.aspect_masks)
     for ax, j, bad in zip(kb.defeasible, table.ante_of, table.violators):
         if not bad:
             continue  # a default nothing violates holds on every minimum
         ext = table.antecedents[j]
-        if _least(m.rank_masks, ext) & bad:
+        if counterexamples(m.rank_masks, ax, ext, bad):
             return False
-        if aspect_masks and _least(aspect_masks[ax.rhs], ext) & bad:
+        if m.per_aspect and counterexamples(m.aspect_masks[ax.rhs], ax, ext, bad):
             return False
     return True
 
@@ -509,31 +486,41 @@ def minimal_canonical_models(kb: KnowledgeBase, domain: CanonicalDomain,
                              rank_bound: Optional[int] = None) -> list[Model]:
     """The minimal canonical enriched model: the aspect profile fixed at
     the least admissible one, the global ranks minimised over valid
-    couplings by the κ fixpoint of `_search_frontier`. Memoised per domain,
-    KB and bound. A list of one model, as callers take its `len()`
-    (`perfbench/tracing.py` counts models with it). Raises
-    RankBoundExceededError, with the reason, when there is none: its least
-    ranks pass the bound, the coupling rules order two classes both ways,
-    or the least ranks leave a rank gap.
-    """
+    couplings (`_minimal`). A list of one model, as callers take its
+    `len()` (`perfbench/tracing.py` counts models with it)."""
+    return [_minimal(kb, domain, rank_bound, True)]
+
+
+def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
+                      rank_bound: Optional[int] = None) -> Model:
+    """The unique minimal single-preference model: the least global ranks
+    under which every defeasible axiom holds on its global minimum
+    (`_minimal`)."""
+    return _minimal(kb, domain, rank_bound, False)
+
+
+def _minimal(kb: KnowledgeBase, domain: CanonicalDomain, rank_bound: Optional[int],
+             enriched: bool) -> Model:
+    """The minimal model of one semantics, its global ranks or the reason
+    there is none (`_least_ranks`) memoised per domain, KB, semantics and
+    bound; raises RankBoundExceededError with that reason."""
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     table = _constraints(domain, kb)
-    if bound not in table.enriched:
-        table.enriched[bound] = _search_frontier(domain, kb, bound)
-    found = table.enriched[bound]
+    key = (enriched, bound)
+    if key not in table.minimal:
+        table.minimal[key] = _least_ranks(domain, kb, table, bound, enriched)
+    found = table.minimal[key]
     if isinstance(found, str):
         raise RankBoundExceededError(bound, found)
-    g, masks = found
-    return [Model(domain, g, table.profile, masks, table.profile_masks)]
+    return Model(domain, found, table.profile if enriched else ())
 
 
-def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
-                     ) -> Union[_Ranks, str]:
-    """The minimal enriched model's global ranks and their masks (its
-    aspect profile is the table's), or the reason there is none: the κ
-    fixpoint of `_Constraints.solve`."""
-    table = _constraints(domain, kb)
-    values = _kappa_fixpoint(table, table.solve, bound)
+def _least_ranks(domain: CanonicalDomain, kb: KnowledgeBase, table: _Constraints, bound: int,
+                 enriched: bool) -> Union[tuple[int, ...], str]:
+    """The minimal model's global ranks at the κ fixpoint of
+    `_Constraints.solve` (enriched) or `seeds` (single preference), or the
+    reason there is none. An enriched model must pass the model checks."""
+    values = _kappa_fixpoint(table, table.solve if enriched else table.seeds, bound)
     if isinstance(values, str):
         return values
     top = max(values)
@@ -543,31 +530,11 @@ def _search_frontier(domain: CanonicalDomain, kb: KnowledgeBase, bound: int,
     if gap is not None:
         return f"no admissible rank assignment: the least ranks leave rank {gap} empty"
     g = table.ranks(values)
-    model = Model(domain, g, table.profile, aspect_masks=table.profile_masks)
-    if not satisfies_kb(model, kb) or not check_coupling(model, kb):
-        raise AssertionError("the minimal enriched model failed validation")
-    return g, model.rank_masks
-
-
-def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
-                      rank_bound: Optional[int] = None) -> Model:
-    """The unique minimal single-preference model: the least global ranks
-    under which every defeasible axiom holds on its global minimum, the κ
-    fixpoint of `_Constraints.seeds`."""
-    bound = default_rank_bound(kb) if rank_bound is None else rank_bound
-    table = _constraints(domain, kb)
-    if bound not in table.single_pref:
-        values = _kappa_fixpoint(table, table.seeds, bound)
-        if max(values) > bound:
-            table.single_pref[bound] = None
-        else:
-            g = table.ranks(values)
-            table.single_pref[bound] = g, _rank_masks(g)
-    found = table.single_pref[bound]
-    if found is None:
-        raise RankBoundExceededError(bound)
-    g, masks = found
-    return Model(domain, g, rank_masks=masks)
+    if enriched:
+        model = Model(domain, g, table.profile)
+        if not satisfies_kb(model, kb) or not check_coupling(model, kb):
+            raise AssertionError("the minimal enriched model failed validation")
+    return g
 
 
 @dataclass(frozen=True)
@@ -579,15 +546,6 @@ class Verdict:
     entailed: bool
     model: Model
     counterelement: Optional[int] = None
-
-
-def counterexamples(rank_masks: Sequence[int], query: Query, lhs: int, off: int) -> int:
-    """The elements a query fails on in a model with these rank masks, as
-    a bitmask, from the query's two masks on the model's domain: `lhs`, the
-    extension of its antecedent, and `off`, that of `lhs and not rhs`. A
-    strict query fails on every element of `off`, a defeasible one on those
-    of the least global rank that meets `lhs`."""
-    return off if isinstance(query, Strict) else off & _least(rank_masks, lhs)
 
 
 def _holds_in(model: Model, query: Query) -> Verdict:
@@ -631,7 +589,7 @@ def find_abox_mapping(model: Model, kb: KnowledgeBase) -> Optional[dict[str, int
         if isinstance(a, ConceptAssertion):
             ext = domain.eval(a.concept)
             if a.typical:
-                ext = _least(model.rank_masks, ext)
+                ext = least(model.rank_masks, ext)
             candidates[a.individual] &= ext
     role_pairs = [a for a in kb.abox
                   if isinstance(a, RoleAssertion) and a.role in domain.successors]

@@ -23,11 +23,13 @@ widens a domain by a whole query, to print it. Ranks are plain ints
 (`math.inf` for a concept exceptional at every level). A query `C => D`
 or `T(C) => D` is placed once (`RankedTBox.place`): one walk gives its
 table, and the table gives two masks, the extension of C and that of
-`C and not D`, each OR-ed over the lifted variants. Rank entailment
-compares their levels (`CanonicalDomain.level`, the first level whose
-survivors meet a mask), and the models of `models` read the same two
-masks. The tableau makes one call per KB, a cross-check of the KB's
-consistency against the engine.
+`C and not D`, each OR-ed over the lifted variants. Ranks are read in one
+place, `level`, `least` and `counterexamples`, over a table's level
+survivors (`CanonicalDomain.levels`) and a model's rank masks alike, so
+rank entailment and both model semantics ask one question: do a query's
+counterexamples meet its antecedent's least-ranked instances? The
+tableau makes one call per KB, a cross-check of the KB's consistency
+against the engine.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
@@ -43,9 +45,9 @@ passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
 and `models.build_canonical_domain`; the model searches of `models` take the
 domain the caller built from it and never stratify on their own. The
 `RankedTBox` keeps one `CanonicalDomain` per widening it was asked about
-(the domain `models.build_canonical_domain` returns), its rank memo and
-its placed queries, so they live as long as the caller keeps the
-`RankedTBox`; this module keeps no state.
+(the domain `models.build_canonical_domain` returns) and its placed
+queries, so they live as long as the caller keeps the `RankedTBox`; this
+module keeps no state.
 """
 
 from __future__ import annotations
@@ -128,6 +130,32 @@ def _pack(codes: Sequence[int], width: int) -> tuple[bytes, int]:
     per code (the stride, returned too)."""
     stride = (width + 7) // 8
     return b"".join(map(int.to_bytes, codes, repeat(stride), repeat("little"))), stride
+
+
+def level(masks: Sequence[int], mask: int) -> float:
+    """The index of the first of the masks that meets `mask`, or
+    `math.inf`: over a table's levels, the rank of that extension."""
+    for i, m in enumerate(masks):
+        if m & mask:
+            return i
+    return math.inf
+
+
+def least(masks: Sequence[int], ext: int) -> int:
+    """The least-ranked members of `ext`: those in the first of the masks
+    that meets it (0 when none does)."""
+    for m in masks:
+        if m & ext:
+            return m & ext
+    return 0
+
+
+def counterexamples(masks: Sequence[int], query: Union[Strict, Defeasible],
+                    lhs: int, off: int) -> int:
+    """The elements a query fails on under the masks, from its two masks
+    (`RankedTBox.place`): all of `off` (`lhs and not rhs`) for a strict
+    query, those among the least-ranked members of `lhs` otherwise."""
+    return off if isinstance(query, Strict) else off & least(masks, lhs)
 
 
 def _beyond(concepts: Iterable[Concept], closure: Collection[Concept]) -> list[Concept]:
@@ -373,7 +401,7 @@ class CanonicalDomain:
     level, in descending code order: the literal tree's order over
     `closure` (sorted; `members`, the same as a set). `eval` gives concept
     extensions as int bitmasks over the elements, for ranks and models
-    alike. The levels only shrink, so their survivors (`_alive`) only grow,
+    alike. The levels only shrink, so their survivors (`levels`) only grow,
     and a concept's rank is the least level at which a type holding it
     survives (`level` of its extension); its restrictions must be members
     of the closure, and its atoms that are not are lifted first (`lift`,
@@ -390,20 +418,12 @@ class CanonicalDomain:
         self.members = frozenset(self.closure)
         self.codes = survivors[-1]
         self.eval = Extensions(engine.bit, self.codes)
-        self._alive = [bitmask(map(set(alive).__contains__, self.codes)) for alive in survivors]
+        self.levels = [bitmask(map(set(alive).__contains__, self.codes)) for alive in survivors]
         self._memo: dict[KnowledgeBase, object] = {}
 
     @property
     def size(self) -> int:
         return len(self.codes)
-
-    def level(self, mask: int) -> float:
-        """The first level whose survivors meet the mask: the rank of a
-        concept with that extension."""
-        for i, alive in enumerate(self._alive):
-            if mask & alive:
-                return i
-        return math.inf
 
     def masks(self, lhs: Concept, rhs: Concept,
               atoms: Optional[Iterable[Concept]] = None) -> tuple[int, int]:
@@ -461,8 +481,8 @@ class RankedTBox:
     for each earlier level (`holding`), which every level's axioms
     contain. `table` builds each widened table once and keeps it, and it
     is the domain `models.build_canonical_domain` returns for the same
-    widening. Ranks are memoised per concept node, and a query's table and
-    two masks (`place`) per query. The constructor makes
+    widening. A query's table and two masks (`place`) are memoised per
+    query, and a concept is ranked as the query `C => bot`. The constructor makes
     exactly one tableau call: the consistency of the last level's TBox,
     which must agree with whether any type survives it.
     """
@@ -485,7 +505,6 @@ class RankedTBox:
             level = nxt
             self.levels.append(level)
         self._tables = {frozenset(): CanonicalDomain(engine, survivors)}
-        self._rank_memo: dict[Concept, float] = {}
         self._placed: dict[Union[Strict, Defeasible], tuple[CanonicalDomain, int, int]] = {}
         tbox = level_tbox(StrictTBox.from_axioms(kb.strict), level)
         if entails_strict(tbox, TOP, BOT) == bool(alive):
@@ -520,12 +539,8 @@ class RankedTBox:
     def rank(self, concept: Concept) -> float:
         """Least level at which the concept is not exceptional: an int, or
         `math.inf` when there is none."""
-        hit = self._rank_memo.get(concept)
-        if hit is None:
-            restrictions, atoms = self.outside((concept,))
-            table = self.table(restrictions)
-            hit = self._rank_memo[concept] = table.level(table.masks(concept, BOT, atoms)[0])
-        return hit
+        table, ext, _ = self.place(Strict(concept, BOT))
+        return level(table.levels, ext)
 
     def place(self, query: Union[Strict, Defeasible]) -> tuple[CanonicalDomain, int, int]:
         """The table a query is answered on, ranks and models alike, with
@@ -551,14 +566,12 @@ def is_kb_consistent(ranked: RankedTBox) -> bool:
 
 
 def in_rational_closure(ranked: RankedTBox, query) -> bool:
-    """Rank-based entailment of a strict or defeasible inclusion, read off
-    the two masks of `RankedTBox.place`: a strict query holds when its
-    counterexamples have no rank, a defeasible one when they rank above
-    its `lhs` (or its `lhs` has no rank)."""
+    """Rank-based entailment of a strict or defeasible inclusion: the
+    query's two masks (`RankedTBox.place`) leave no counterexamples under
+    its table's levels. A strict query holds when its counterexamples have
+    no rank, a defeasible one when they rank above its `lhs` (or its `lhs`
+    has no rank)."""
     if not isinstance(query, (Strict, Defeasible)):
         raise TypeError(f"not an inclusion query: {query!r}")
     table, lhs, off = ranked.place(query)
-    if isinstance(query, Strict):
-        return table.level(off) == math.inf
-    r_lhs = table.level(lhs)
-    return r_lhs == math.inf or r_lhs < table.level(off)
+    return not counterexamples(table.levels, query, lhs, off)

@@ -406,7 +406,7 @@ def rank_on(table: CanonicalDomain, *concepts: Concept) -> float:
     ext = 0
     for c in concepts:
         ext |= table.eval(c)
-    return next((i for i, alive in enumerate(table._alive) if ext & alive), math.inf)
+    return next((i for i, alive in enumerate(table.levels) if ext & alive), math.inf)
 
 
 def rc_by_and_node(ranked: RankedTBox, query: Query) -> bool:
@@ -620,7 +620,7 @@ FAILURE_CAUSES = (CYCLIC, OVER_BOUND, KAPPA_MISMATCH, RANK_GAP)
 
 class SweepFrontier:
     """The enriched search in its sweep form, kept as the reference for the
-    κ fixpoint of `models._search_frontier`.
+    κ fixpoint of `models._minimal`.
 
     Every guess κ in [0, bound]^k of the k antecedents' concept ranks is
     solved by `_Constraints.solve`. A guess gives a candidate when the

@@ -1,0 +1,143 @@
+"""CLI parity records: what a fixed list of `typika` calls prints.
+
+    python tests/parity.py SRC OUT
+
+Imports `typika` from the directory SRC (this checkout's `src`, or that
+of another checkout, such as the parent commit's), makes every call in
+process through `typika.cli.main`, and writes OUT, one JSON record per
+call: its arguments, exit code, stdout and stderr, with `timingMs` values
+masked to 0. It prints the call count and the sha256 of OUT. Two source
+trees that answer alike write the same bytes, so a `diff` of their OUT
+files shows every change of verdict, exit code or message.
+
+The calls are `check` and `rank` (text and `--json`), `compare` (text,
+and `--json` at the default rank bound, 1 and 3), `query` under all
+three semantics at those bounds, and `query --emit-model --json` under
+both model semantics. They run over set1, set3 (also with an ABox),
+`chain(1..4)`, `diamond(1..3)`, the role KBs, 65 corpus KBs, 30 role-free
+pool KBs and 40 seed-8 role KBs. The queries per KB are its closure rows
+(each default's antecedent against each right-hand side), a fresh-atom
+row, a strict row and a fresh-restriction row.
+
+This checkout's test helpers build the KBs and write them as text files
+to a temporary directory; a child process that imports only SRC's
+`typika` makes the calls there, with relative paths, so no temporary
+path is printed. Not a test: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+BOUNDS = ([], ["--rank-bound", "1"], ["--rank-bound", "3"])
+SEMANTICS = ("rc", "single-pref", "enriched")
+# stdout past this many characters is recorded as its sha256
+LONG = 1 << 16
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    """Per KB, its text and its query rows."""
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+    from typika.kb import Defeasible, Strict, serialize_axiom, serialize_kb
+    from typika.parser import parse_kb
+    from typika.syntax import And, Atom, Exists
+
+    from corpus import corpus_kbs
+    from families import ROLE_KBS, chain_text, diamond_text, random_kbs, role_free_pools
+
+    set3 = (TESTS.parent / "kbs" / "set3.kb").read_text(encoding="utf-8")
+    texts = [(TESTS.parent / "kbs" / "set1.kb").read_text(encoding="utf-8"), set3,
+             set3 + "T(Penguin)(pingu)\nBird(tweety)\nknows(tweety, pingu)\n"]
+    texts += [chain_text(n) for n in range(1, 5)] + [diamond_text(n) for n in range(1, 4)]
+    texts += list(ROLE_KBS.values())
+    pool = role_free_pools()["larger"]
+    kbs = corpus_kbs()[::4] + pool[::5][:28] + [pool[38], pool[49]]
+    kbs += random_kbs(8, 250, roles=("r",))[::6][:40]
+    texts += [serialize_kb(kb) for kb in kbs]
+    fresh, fish = Atom("Blond"), Exists("eats", Atom("Fish"))
+    cases = []
+    for text in texts:
+        kb = parse_kb(text)
+        antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
+        rhss = list(dict.fromkeys(ax.rhs for ax in kb.defeasible))
+        rows = [Defeasible(a, r) for a in antes for r in rhss]
+        rows += [Defeasible(And(antes[0], fresh), rhss[-1]), Strict(antes[0], rhss[-1]),
+                 Defeasible(And(antes[-1], fish), rhss[0])]
+        cases.append((text, [serialize_axiom(q) for q in rows]))
+    return cases
+
+
+def _calls(cases: list[tuple[str, list[str]]]) -> list[list[str]]:
+    """The argument lists, over the files `k.kb` and `k.txt` of case k."""
+    calls = []
+    for k, (_, rows) in enumerate(cases):
+        kb, queries = f"{k}.kb", f"{k}.txt"
+        calls += [["check", kb], ["check", "--json", kb], ["rank", kb], ["rank", "--json", kb],
+                  ["compare", kb, queries]]
+        calls += [["compare", "--json", *bound, kb, queries] for bound in BOUNDS]
+        # the first closure row and the last three: fresh atom, strict, restriction
+        for row in [rows[0]] + rows[-3:]:
+            calls += [["query", "--semantics", sem, *bound, kb, row]
+                      for sem in SEMANTICS for bound in BOUNDS]
+        calls += [["query", "--semantics", sem, "--emit-model", "--json", kb, rows[0]]
+                  for sem in SEMANTICS[1:]]
+    return calls
+
+
+def _run(src: str, calls_file: str, out: str) -> None:
+    """In the child: every call of `calls_file`, one record each to `out`."""
+    import contextlib
+    import io
+
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, src)
+    from typika.cli import main
+
+    timing = re.compile(r'"timingMs": [-+.0-9eE]+')
+    with open(calls_file, encoding="utf-8") as fh:
+        calls = json.load(fh)
+    with open(out, "w", encoding="utf-8") as records:
+        for argv in calls:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            text = timing.sub('"timingMs": 0', stdout.getvalue())
+            if len(text) > LONG:
+                text = f"sha256 {hashlib.sha256(text.encode()).hexdigest()}, {len(text)} chars"
+            records.write(json.dumps({"argv": argv, "code": code, "stdout": text,
+                                      "stderr": stderr.getvalue()}) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--child":
+        _run(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    src, out = (os.path.abspath(a) for a in argv)
+    cases = _cases()
+    calls = _calls(cases)
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (text, rows) in enumerate(cases):
+            Path(tmp, f"{k}.kb").write_text(text, encoding="utf-8")
+            Path(tmp, f"{k}.txt").write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        Path(tmp, "calls.json").write_text(json.dumps(calls), encoding="utf-8")
+        subprocess.run([sys.executable, __file__, "--child", src, "calls.json", out],
+                       cwd=tmp, check=True,
+                       env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+    print(f"{len(calls)} calls, sha256 {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -18,8 +18,8 @@ from typika.models import (CanonicalDomain, RankBoundExceededError, build_canoni
                            enriched_entails, minimal_canonical_models, single_pref_entails,
                            single_pref_model)
 from typika.parser import parse_axiom, parse_kb
-from typika.ranking import RankedTBox, in_rational_closure
-from typika.syntax import (TOP, And, Atom, Exists, Forall, Not, Or, complement, concept_key,
+from typika.ranking import RankedTBox, in_rational_closure, level
+from typika.syntax import (BOT, TOP, And, Atom, Exists, Forall, Not, Or, complement, concept_key,
                            concept_to_text, subconcepts)
 
 from conftest import GOLDEN, KBS, REPO, SET3_TEXT
@@ -680,7 +680,7 @@ def test_the_domain_is_the_stratifications_table(capsys, monkeypatch, tmp_path):
     widened = tables[frozenset({fish, Atom("Fish")})]
     for q in map(parse_axiom, fish_rows):
         table, lhs, _ = ranked.place(q)
-        assert table is widened and table.level(lhs) == 1
+        assert table is widened and level(table.levels, lhs) == 1
     # each row's masks are read once, the fish rows' on the widened table,
     # the last with `Blond` lifted in two variants
     rows = [(table, n) for table, lhs, n in read if lhs != TOP]
@@ -716,8 +716,8 @@ def test_compare_walks_each_row_once_and_searches_once_per_domain(capsys, monkey
     domains = _keep_domains(monkeypatch)
     code, doc, _ = run_json(capsys, ["compare", "--json", SET3, str(qf)])
     assert code == 0 and len(doc["rows"]) == len(queries) == 6
-    # besides the walk of `top`, the consistency check's, once
-    assert [w for w in walked if w != (TOP,)] == [
+    # besides the walk of `top => bot`, the consistency check's, once
+    assert [w for w in walked if w != (TOP, BOT)] == [
         (q.lhs, q.rhs) for q in map(parse_axiom, queries)]
     assert len(domains) == 2
     assert searches == [(name, d) for d in domains

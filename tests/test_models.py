@@ -23,12 +23,11 @@ from typika.models import (
     single_pref_entails,
     single_pref_model,
     _Constraints,
-    _least,
     _rank_masks,
     _validate_witnesses,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
-from typika.ranking import RankedTBox, in_rational_closure
+from typika.ranking import RankedTBox, in_rational_closure, least
 from typika.syntax import BOT, TOP, And, Atom, Exists, Forall, Not, concept_key
 
 from corpus import corpus_kbs
@@ -294,8 +293,7 @@ def test_single_pref_matches_element_fixpoint():
 def test_least_instances_match_the_scan():
     # the first rank mask that meets an extension holds the members the
     # oracle's scan over every rank gives: globally under both semantics,
-    # from the masks memoised with each model, and per aspect; the global
-    # and aspect masks a model carries are those its own ranks give
+    # and per aspect
     families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2, 3)]
     cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
     cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
@@ -310,13 +308,11 @@ def test_least_instances_match_the_scan():
                 continue
             m = m[0] if isinstance(m, list) else m
             models += 1
-            rebuilt = Model(dom, m.global_ranks, m.per_aspect)
-            assert (m.rank_masks, m.aspect_masks) == (rebuilt.rank_masks, rebuilt.aspect_masks)
             assert [min_global(m, c) for c in concepts] \
                 == [min_by(m.global_ranks, ext) for ext in exts]
             for _, ranks in m.per_aspect:
                 masks = _rank_masks(ranks)
-                assert [_least(masks, ext) for ext in exts] \
+                assert [least(masks, ext) for ext in exts] \
                     == [min_by(ranks, ext) for ext in exts]
     assert models > 1500
 
@@ -391,13 +387,15 @@ def test_strict_queries_are_extensional(kb_set3):
 
 def test_rank_bound_overflow(kb_set3):
     dom = domain_of(kb_set3)
-    # the error says which rank the least ranks reach
+    # the error says which rank the least ranks reach, under both semantics
     with pytest.raises(RankBoundExceededError) as exc:
         minimal_canonical_models(kb_set3, dom, rank_bound=1)
-    assert str(exc.value) == \
-        "no admissible rank assignment within bound 1: the least ranks reach 4"
-    with pytest.raises(RankBoundExceededError):
+    assert (str(exc.value), exc.value.bound) == \
+        ("no admissible rank assignment within bound 1: the least ranks reach 4", 1)
+    with pytest.raises(RankBoundExceededError) as exc:
         single_pref_model(kb_set3, dom, rank_bound=1)
+    assert (str(exc.value), exc.value.bound) == \
+        ("no admissible rank assignment within bound 1: the least ranks reach 2", 1)
     # the default bound is exactly tight for this KB: the flying penguin
     # type needs rank 4
     assert minimal_canonical_models(kb_set3, dom, rank_bound=4)
@@ -420,7 +418,12 @@ def _count_calls(monkeypatch, name):
 
 
 def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
-    searches = _count_calls(monkeypatch, "_search_frontier")
+    found = _count_calls(monkeypatch, "_least_ranks")
+
+    def searches():
+        """The enriched searches so far."""
+        return [args for args in found if args[-1]]
+
     fixpoints = _count_calls(monkeypatch, "_kappa_fixpoint")
     tables = _count_calls(monkeypatch, "_Constraints")
     aspect_sets = _count_calls(monkeypatch, "aspect_set")
@@ -429,7 +432,7 @@ def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     again = minimal_canonical_models(kb_set3, domain=dom, rank_bound=4)
     assert [m.global_ranks for m in again] == [m.global_ranks for m in first]
     assert [m.per_aspect for m in again] == [m.per_aspect for m in first]
-    assert len(searches) == len(fixpoints) == 1
+    assert len(searches()) == len(fixpoints) == 1
     m = single_pref_model(kb_set3, domain=dom, rank_bound=4)
     assert single_pref_model(kb_set3, domain=dom, rank_bound=4).global_ranks \
         == m.global_ranks
@@ -438,7 +441,7 @@ def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     # another bound is another search
     minimal_canonical_models(kb_set3, domain=dom, rank_bound=5)
     single_pref_model(kb_set3, domain=dom, rank_bound=5)
-    assert len(searches) == 2 and len(fixpoints) == 4
+    assert len(searches()) == 2 and len(fixpoints) == 4
     # one constraint table, with its search, serves both semantics at both
     # bounds, and it sorts the KB's aspects once
     assert len(tables) == len(aspect_sets) == 1

@@ -136,7 +136,7 @@ def test_levels_match_one_enumeration_per_level():
         for widening in widenings:
             table = rt.table(widening)
             want = survivors_by_level_enumeration(kb, subconcept_closure(kb, widening), rt.levels)
-            assert [select(table.codes, alive) for alive in table._alive] == want, (kb, widening)
+            assert [select(table.codes, alive) for alive in table.levels] == want, (kb, widening)
             tables += 1
     assert tables > 2 * len(kbs) + 100
 
