@@ -22,8 +22,8 @@ antecedent's least-ranked instances, under the table's levels
 (`in_rational_closure`) or under a minimal model's rank masks.
 Each table's two minimal models are searched once, and `compare` keeps
 their rank masks, or the error every row on the table reports, so a row
-builds no `Model`. `query --emit-model` widens the domain by the whole
-query, to print it.
+builds no `Model` and reads no element's rank. `query --emit-model`
+widens the domain by the whole query, to print it.
 """
 
 from __future__ import annotations
@@ -258,26 +258,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ranks: dict[CanonicalDomain, _ModelMasks] = {}
     rows = [_compare_row(ranked, raw, args.rank_bound, nodes, ranks) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}
-    lines = []
-    for row in rows:
-        if "error" in row:
-            lines.append(f"[error] {row['query']}: {row['error']}")
-        else:
-            mark = "[FAILURE]" if row["violation"] else "[ok]"
-            lines.append(
-                f"{mark} {row['query']} | rc={_flag(row['rc'])}"
-                f" single-pref={_flag(row['singlePref'])}"
-                f" enriched={_flag(row['enriched'])}"
-            )
     violations = sum(1 for r in rows if r.get("violation"))
     errors = sum(1 for r in rows if "error" in r)
-    lines.append(
-        f"queries={len(rows)}"
-        f" rc={sum(1 for r in rows if r.get('rc'))}"
-        f" single-pref={sum(1 for r in rows if r.get('singlePref'))}"
-        f" enriched={sum(1 for r in rows if r.get('enriched'))}"
-        f" violations={violations} errors={errors}"
-    )
+    lines = []  # the text form, built only when it is printed
+    if not args.json:
+        for row in rows:
+            if "error" in row:
+                lines.append(f"[error] {row['query']}: {row['error']}")
+            else:
+                mark = "[FAILURE]" if row["violation"] else "[ok]"
+                lines.append(
+                    f"{mark} {row['query']} | rc={_flag(row['rc'])}"
+                    f" single-pref={_flag(row['singlePref'])}"
+                    f" enriched={_flag(row['enriched'])}"
+                )
+        lines.append(
+            f"queries={len(rows)}"
+            f" rc={sum(1 for r in rows if r.get('rc'))}"
+            f" single-pref={sum(1 for r in rows if r.get('singlePref'))}"
+            f" enriched={sum(1 for r in rows if r.get('enriched'))}"
+            f" violations={violations} errors={errors}"
+        )
     _emit(args, doc, lines)
     if errors:
         return 2

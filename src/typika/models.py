@@ -22,20 +22,20 @@ that survive the stratification's type elimination, so the domain is the
 with the ranks, and makes no tableau call. Every set of elements is an
 int bitmask, bit i for element i: concept extensions (the domain's
 `eval`, read off the type bits), role successors (the elimination's
-successor test), violators and least-ranked instances. Rank functions
-over the domain stand in for preference relations (lower rank = more
-typical); a `Model` is the domain with its global ranks, plus one rank
-function per aspect for an enriched model.
+successor test), violators, least-ranked instances and ranks. Rank
+functions over the domain stand in for preference relations (lower rank
+= more typical); a `Model` is the domain with the elements of each
+global rank, plus those of each rank per aspect for an enriched model.
+Each element's ranks are read off those masks only to print a model.
 
 Both semantics read a KB's defaults through one constraint table per
-domain and KB (`_Constraints`): per default its antecedent and violators,
-the least aspect profile, and the element classes, elements in the same
-antecedents and violating the same defaults. The rules below read an
-element only through its violated aspects, the antecedents it lies in and
-those of the defaults it violates, which fix its class, so the loop ranks
-classes. The model checks read the table too, and it memoises each
-minimal model's global ranks, or why there is none, per semantics and
-rank bound, so the queries sharing a domain search once.
+domain and KB (`_Constraints`), all of it bitmasks: per default its
+antecedent and violators, per antecedent the violators of its defaults,
+and per aspect the elements that violate a default on it (`bad`), whose
+rank masks `(not bad, bad)` are the least aspect profile. The model
+checks read the table too, and it memoises each minimal model's global
+rank masks, or why there is none, per semantics and rank bound, so the
+queries sharing a domain search once.
 
 Both minimal models come from one search (`_minimal`), the κ fixpoint of
 `_kappa_fixpoint`; its least ranks must fit the bound and leave no rank
@@ -47,10 +47,12 @@ static seed
                κ_j + 1 over defaults with antecedent j that i violates),
 
 the raise rule "a violator ranks above the least instance of the
-antecedent" with that least rank read as κ_j. From κ = 0 the loop takes
-the least ranks under κ and sets each κ_j to the least rank over
-antecedent j, until κ stops changing or passes the rank bound; κ only
-rises, so the loop ends.
+antecedent" with that least rank read as κ_j. The elements with seed r
+or more are the antecedents with κ_j >= r and the violators with
+κ_j + 1 >= r (`_layers`). From κ = 0 the loop takes the least ranks under
+κ and sets each κ_j to the first rank meeting antecedent j
+(`ranking.level`), until κ stops changing or passes the rank bound; κ
+only rises, so the loop ends.
 
 - single preference: one global rank function, minimised pointwise; the
   ranks under κ are the seeds. Any model g* with concept ranks κ* has
@@ -63,22 +65,21 @@ rises, so the loop ends.
   ranks are minimised first (the least admissible profile marks exactly
   the axiom violators), then globals subject to the coupling constraints:
   the ranks under κ are the longest path from the seeds over the two
-  coupling orders, or a pair of classes the rules order both ways
+  coupling orders, or a pair of cells the rules order both ways
   (`_Constraints.solve`). The result must then pass `satisfies_kb` and
   `check_coupling`. That this is the
   unique minimal model, the frontier a sweep over every guess of κ would
   find, is checked against such a sweep in the tests, not proven: rule (b)
-  regroups the classes when κ changes, so the solve is not obviously
+  regroups the elements when κ changes, so the solve is not obviously
   monotone in κ.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Collection, Optional, Sequence, Union
+from itertools import chain
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
 from .ranking import (CanonicalDomain, RankedTBox, bitmask, counterexamples, elements,
@@ -93,7 +94,7 @@ class InconsistentKBError(Exception):
 class RankBoundExceededError(Exception):
     """No admissible rank assignment satisfies all constraints, for the
     `reason` given: the rank the least ranks reach past the bound, the two
-    classes the coupling rules order both ways, or a rank left empty."""
+    cells the coupling rules order both ways, or a rank left empty."""
 
     def __init__(self, bound: int, reason: str):
         super().__init__(reason)
@@ -154,41 +155,71 @@ def _validate_witnesses(domain: CanonicalDomain) -> None:
                                      f"element {elements(wrong)[0]}")
 
 
-def _rank_masks(ranks: Sequence[int]) -> tuple[int, ...]:
-    """Per rank from 0 to the highest, the elements with that rank as a
-    bitmask. One pass writes the ranks as one character each; each rank's
-    mask is then that text translated to binary digits, read in C."""
-    top = max(ranks, default=-1)
-    text = (bytes(ranks).decode("latin-1") if top < 256
-            else "".join(map(chr, ranks)))[::-1]  # the last character is element 0's
-    digits = dict.fromkeys(range(top + 1), "0")
+def _layers(pairs: Iterable[tuple[int, int]], full: int) -> tuple[int, ...]:
+    """Rank masks from 0 to the highest rank given: each element of `full`
+    takes the highest value v of the (v, mask) pairs whose mask holds it,
+    and 0 when none does."""
+    at: dict[int, int] = {}
+    for v, mask in pairs:
+        if mask:
+            at[v] = at.get(v, 0) | mask
     masks = []
-    for k in range(top + 1):
-        digits[k] = "1"
-        masks.append(int(text.translate(digits), 2))
-        digits[k] = "0"
-    return tuple(masks)
+    above = 0  # the elements of the higher values
+    for v in range(max(at, default=0), 0, -1):
+        ge = above | at.get(v, 0)
+        masks.append(ge & ~above)
+        above = ge
+    masks.append(full & ~above)
+    return tuple(masks[::-1])
+
+
+def _highest(masks: Sequence[int], mask: int) -> int:
+    """The index of the last of the masks that meets `mask`, or -1."""
+    for r in range(len(masks) - 1, -1, -1):
+        if masks[r] & mask:
+            return r
+    return -1
+
+
+def _cut(full: int, aspect_masks: Iterable[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """The elements of `full` cut by each aspect's rank masks: per rank
+    vector that occurs, its elements and the vector."""
+    cells = [(full, ())]
+    for ranks in aspect_masks:
+        cells = [(part, vector + (r,)) for cell, vector in cells
+                 for r, mask in enumerate(ranks) if (part := cell & mask)]
+    return cells
+
+
+def _element_ranks(masks: Sequence[int], size: int) -> tuple[int, ...]:
+    """Each element's rank, read off the rank masks."""
+    ranks = [0] * size
+    for r, mask in enumerate(masks):
+        for i in elements(mask):
+            ranks[i] = r
+    return tuple(ranks)
 
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """Ranks over a domain: the global rank of each element and, for an
-    enriched model, one rank function per aspect (`per_aspect` is empty for
-    a single-preference model). `rank_masks` holds the elements of each
-    global rank and `aspect_masks`, per aspect, those of each aspect rank
-    (`_rank_masks`), each read off the ranks on first use."""
+    """Ranks over a domain as bitmasks: `rank_masks[r]` holds the elements
+    of global rank r and, for an enriched model, `aspect_masks` pairs each
+    aspect with its rank masks (it is empty for a single-preference model).
+    `global_ranks` and `per_aspect` give each element's ranks, read off
+    the masks on first use."""
 
     domain: CanonicalDomain
-    global_ranks: tuple[int, ...]
-    per_aspect: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
+    rank_masks: tuple[int, ...]
+    aspect_masks: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
 
     @cached_property
-    def rank_masks(self) -> tuple[int, ...]:
-        return _rank_masks(self.global_ranks)
+    def global_ranks(self) -> tuple[int, ...]:
+        return _element_ranks(self.rank_masks, self.domain.size)
 
     @cached_property
-    def aspect_masks(self) -> dict[Concept, tuple[int, ...]]:
-        return {a: _rank_masks(ranks) for a, ranks in self.per_aspect}
+    def per_aspect(self) -> tuple[tuple[Concept, tuple[int, ...]], ...]:
+        return tuple((a, _element_ranks(masks, self.domain.size))
+                     for a, masks in self.aspect_masks)
 
 
 def min_global(model: Model, concept: Concept) -> int:
@@ -198,115 +229,82 @@ def min_global(model: Model, concept: Concept) -> int:
 
 
 class _Constraints:
-    """A KB's defaults read over a domain once, for both semantics at every
-    rank bound and for the model checks.
+    """A KB's defaults read over a domain once, as bitmasks, for both
+    semantics at every rank bound and for the model checks.
 
     Per default `T(C) => D`, in KB order, `violators` holds the instances
-    of C outside D, a bitmask over the elements, and `ante_of` the index of
-    C in `antecedents`, the bitmasks of the distinct antecedents with
-    instances (-1 when C has none); κ has one entry per antecedent.
-    `profile` is the least admissible aspect profile. Element i is in the
-    element class `class_of[i]`. A class's search key `_keys[k]` is (vid,
-    ante, outdone): the id of its violated-aspect set V in `_sets`, and of
-    its sets of defaults lain in and violated, whose antecedents
-    `_inside[ante]` and `_outdone[outdone]` list. V and those antecedents
-    fix the class's default bits: it lies inside default d when d's
-    antecedent is among its antecedents, and violates d when, besides,
-    rhs_d is in V. So the search, which reads nothing else, ranks classes
-    and has none to merge. `seeds` is the single-preference step of the κ
-    loop; `solve`, the enriched one, adds the coupling orders and builds
-    the subset tables of rule (a) on first use. `minimal` memoises, per
-    (enriched, rank bound), the minimal model's global ranks or the reason
-    there is none. Nothing here refers to the domain or a `Model`, so its
-    memo forms no reference cycle.
+    of C outside D and `ante_of` the index of C in `antecedents`, the
+    bitmasks of the distinct antecedents with instances (-1 when C has
+    none); κ has one entry per antecedent, and `_outdone[j]` holds the
+    violators of the defaults on antecedent j. `bad` maps each aspect to
+    the elements that violate a default on it, and `aspect_masks` is the
+    least admissible aspect profile as rank masks. `seeds` is the
+    single-preference step of the κ loop; `solve`, the enriched one, reads
+    the V-cells (`_cells`), built on first use. `minimal` memoises, per
+    (enriched, rank bound), the minimal model's global rank masks or the
+    reason there is none. Nothing here refers to the domain or a `Model`,
+    so its memo forms no reference cycle.
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
-        n = domain.size
-        zero_one = bytes.maketrans(b"01", b"\0\1")
-
-        def column(mask: int) -> str:
-            return format(mask, f"0{n}b")[::-1]  # character i is bit i
-
+        self.full = full = domain.eval.full
         lhs = [domain.eval(ax.lhs) for ax in kb.defeasible]
         self.violators = tuple(ext & ~domain.eval(ax.rhs) for ax, ext in zip(kb.defeasible, lhs))
-        bad: dict[Concept, int] = {}
-        for ax, mask in zip(kb.defeasible, self.violators):
-            bad[ax.rhs] = bad.get(ax.rhs, 0) | mask
-        aspects = aspect_set(kb)
-        self.profile = tuple((a, tuple(column(bad.get(a, 0)).encode().translate(zero_one)))
-                             for a in aspects)
-        seen: dict[Concept, int] = {}
-        self.antecedents: list[int] = []
-        for ax, ext in zip(kb.defeasible, lhs):
-            if ext and ax.lhs not in seen:
-                seen[ax.lhs] = len(self.antecedents)
-                self.antecedents.append(ext)
-        self.ante_of = tuple(seen.get(ax.lhs, -1) for ax in kb.defeasible)
-        # each element's row: its bits of the violators, then of the
-        # antecedents, the last default first, so each half read in binary
-        # is a bitmask over the defaults
-        columns = [column(mask) for mask in self.violators[::-1] + tuple(lhs[::-1])]
-        rows = list(map("".join, zip(*columns))) or [""] * n
-        # class ids in order of first occurrence
-        ids = {row: k for k, row in enumerate(dict.fromkeys(rows))}
-        self.class_of = tuple(map(ids.__getitem__, rows))
-        # per class, the defaults it violates and those it lies in: the two
-        # halves of its row, each distinct half read once
-        d = len(kb.defeasible)
-        violated = [row[:d] for row in ids]
-        inside = [row[d:] for row in ids]
-        outdone_id = {half: k for k, half in enumerate(dict.fromkeys(violated))}
-        inside_id = {half: k for k, half in enumerate(dict.fromkeys(inside))}
-
-        def defaults(half: str) -> list[int]:
-            return elements(int(half or "0", 2))
-
-        def among(half: str) -> tuple[int, ...]:
-            return tuple(sorted({self.ante_of[e] for e in defaults(half)}))
-
-        # each tuple of antecedents is evaluated once per κ
-        self._outdone = [among(half) for half in outdone_id]
-        self._inside = [among(half) for half in inside_id]
-        aspects = [frozenset(kb.defeasible[e].rhs for e in defaults(half)) for half in outdone_id]
-        # violation-set ids ascend with set size, so a subset has the lower id
-        self._sets = sorted(dict.fromkeys(aspects), key=len)
-        vid = {v: k for k, v in enumerate(self._sets)}
-        vid_of = [vid[v] for v in aspects]
-        self._keys = tuple([(vid_of[o], inside_id[i], o)
-                            for i, o in zip(inside, map(outdone_id.__getitem__, violated))])
-        # per antecedent, the classes inside it
-        self._classes_in: list[list[int]] = [[] for _ in self.antecedents]
-        for k, (_, ante, _) in enumerate(self._keys):
-            for j in self._inside[ante]:
-                self._classes_in[j].append(k)
+        exts = {ax.lhs: ext for ax, ext in zip(kb.defeasible, lhs) if ext}
+        self.antecedents = list(exts.values())
+        index = dict(zip(exts, range(len(exts))))
+        self.ante_of = tuple(index.get(ax.lhs, -1) for ax in kb.defeasible)
+        self.bad = dict.fromkeys(aspect_set(kb), 0)
+        self._outdone = [0] * len(self.antecedents)
+        for ax, j, mask in zip(kb.defeasible, self.ante_of, self.violators):
+            self.bad[ax.rhs] |= mask
+            if mask:  # a violator lies in its default's antecedent, so j >= 0
+                self._outdone[j] |= mask
+        self.aspect_masks = tuple((a, (full & ~mask, mask)) for a, mask in self.bad.items())
         self.minimal: dict[tuple[bool, int], Union[tuple[int, ...], str]] = {}
 
     @cached_property
-    def _above(self) -> list[frozenset[int]]:
-        """Rule (a) over violation-set ids: the sets strictly above each one."""
-        return [frozenset(k for k, big in enumerate(self._sets) if small < big)
-                for small in self._sets]
+    def _cells(self) -> tuple[list[Concept], list[tuple[int, tuple[int, ...]]], list[int],
+                              list[int]]:
+        """The V-cells, the elements grouped by the aspects they violate:
+        the aspects some element violates; per cell its mask and, per such
+        aspect, 1 if it violates it; and per cell, as a bitset over the
+        ids, the cells whose sets are strict supersets of its own (rule
+        (a)'s "above") and strict subsets ("below"). Ids ascend with set
+        size, then with the cell's lowest element, so a subset has the
+        lower id, and they fix which pair a cycle message names."""
+        aspects = [(a, masks) for a, masks in self.aspect_masks if self.bad[a]]
+        cells = sorted(_cut(self.full, [masks for _, masks in aspects]),
+                       key=lambda cell: (sum(cell[1]), (cell[0] & -cell[0]).bit_length()))
+        # per aspect, the cells that violate it
+        holding = [bitmask(vector[i] for _, vector in cells) for i in range(len(aspects))]
+        every = (1 << len(cells)) - 1
+        above: list[int] = []
+        below: list[int] = []
+        for k, (_, vector) in enumerate(cells):
+            sup = sub = every ^ 1 << k  # every other cell
+            for bits, violated in zip(holding, vector):
+                if violated:
+                    sup &= bits
+                else:
+                    sub &= ~bits
+            above.append(sup)
+            below.append(sub)
+        return [a for a, _ in aspects], cells, above, below
 
-    @cached_property
-    def _below(self) -> list[tuple[int, ...]]:
-        """The sets strictly below each one."""
-        return [tuple(k for k, small in enumerate(self._sets) if small < big)
-                for big in self._sets]
+    def seeds(self, kappa: Sequence[int]) -> tuple[int, ...]:
+        """The static seeds under κ, as rank masks."""
+        return _layers(chain(zip(kappa, self.antecedents),
+                             zip([k + 1 for k in kappa], self._outdone)), self.full)
 
-    def _outdone_by(self, kappa: Sequence[int]) -> list[int]:
-        """Per `_outdone` tuple, its highest κ_j (-1 if empty)."""
-        return [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
+    def m_levels(self, kappa: Sequence[int]) -> tuple[int, ...]:
+        """Per m from -1 up, the elements whose highest κ_j over the
+        defaults they violate is m (-1 when they violate none)."""
+        return _layers(zip([k + 1 for k in kappa], self._outdone), self.full)
 
-    def seeds(self, kappa: Sequence[int]) -> list[int]:
-        """The static seed of each class under κ."""
-        floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
-        m_of = self._outdone_by(kappa)
-        return [max(floor[ante], m_of[outdone] + 1) for _, ante, outdone in self._keys]
-
-    def solve(self, kappa: Sequence[int]) -> Union[list[int], str]:
-        """The least global rank of each class under κ, with no bound, or
-        why there is none: the two classes the rules order both ways.
+    def solve(self, kappa: Sequence[int]) -> Union[tuple[int, ...], str]:
+        """The least global ranks under κ as rank masks, with no bound, or
+        why there are none: the two cells the rules order both ways.
 
         The seeds then obey the two coupling rules as strict orders:
 
@@ -315,73 +313,59 @@ class _Constraints:
         - (b) g[x] < g[y] when m(x) < m(y), where m(i) is the largest κ_j
           over the defaults i violates (-1 if none).
 
-        Both rules read a class only through its coupling class (V, m).
-        Rule (b) orders coupling classes by m, so a cycle needs a coupling
-        class (v, m) below (w, m') by rule (a), v ⊂ w, with m > m': a
-        two-class cycle, which admits no ranks. Otherwise every coupling
-        class that (w, m') is forced above has m < m', or m = m' and a
-        violation set inside w. So g is the longest path from the seeds,
-        taken level by level in m and within a level by ascending set size,
-        with no graph built.
+        Both rules read an element only through its coupling cell, its
+        V-cell AND its m-level. Rule (b) orders coupling cells by m, so a
+        cycle needs a coupling cell (v, m) below (w, m') by rule (a),
+        v ⊂ w, with m > m': a two-cell cycle, which admits no ranks.
+        Otherwise every coupling cell that (w, m') is forced above has
+        m < m', or m = m' and a violation set inside w. So g is the longest
+        path from the seeds, taken level by level in m and within a level
+        by ascending V-cell id, with no graph built. A coupling cell's
+        value is the highest seed in it, or the rank the orders force.
         """
         seeds = self.seeds(kappa)
-        m_of = self._outdone_by(kappa)
-        # coupling class (v, m) is the int m * width + v, so they sort by
-        # m, then by violation-set size
-        width = len(self._sets)
-        coupling = [m_of[outdone] * width + vid for vid, _, outdone in self._keys]
-        top: dict[int, int] = {}  # per coupling class, its highest seed
-        for s, c in zip(seeds, coupling):
-            if top.get(c, -1) < s:
-                top[c] = s
-        classes = sorted(top)
-        lo: dict[int, int] = {}  # per violation-set id, its least m
-        hi: dict[int, int] = {}  # and its greatest
-        for c in classes:
-            m, vid = divmod(c, width)
-            lo.setdefault(vid, m)
-            hi[vid] = m
+        aspects, cells, above, below = self._cells
+        coupling = []  # (m, V-cell id, mask, highest seed), ascending in m, then in id
+        hi: dict[int, int] = {}  # per V-cell id, its greatest m
+        under: dict[int, int] = {}  # per m, the V-cells met at lower m, as a bitset
+        met = 0
+        for m, level_mask in enumerate(self.m_levels(kappa), -1):
+            if not level_mask:
+                continue
+            under[m] = met
+            for vid, (cell, _) in enumerate(cells):
+                mask = cell & level_mask
+                if mask:
+                    coupling.append((m, vid, mask, _highest(seeds, mask)))
+                    hi[vid] = m
+                    met |= 1 << vid
         for vid, m in hi.items():
-            for big in self._above[vid]:
-                if lo.get(big, m) < m:
-                    small, large = (
-                        "{" + ", ".join(map(concept_to_text, sorted(self._sets[k], key=concept_key)))
-                        + "}" for k in (vid, big))
-                    return (f"no admissible rank assignment: rule (a) puts class"
-                            f" {small} (m = {m}) below class {large} (m = {lo[big]})"
-                            " and rule (b) puts it above (a class is an element's"
-                            " violated aspects, m the highest concept rank of the"
-                            " antecedents it violates)")
-        into: dict[int, int] = {}  # per coupling class, the least rank the orders force
-        best = -1  # the highest class value over the lower levels of m
-        level = None
-        level_best = -1
-        done: dict[int, int] = {}  # the values of this level's classes
-        for c in classes:
-            m, vid = divmod(c, width)
-            if m != level:
-                level, best, done = m, max(best, level_best), {}
-            reach = best + 1
-            for small in self._below[vid]:
-                value = done.get(small)
-                if value is not None and value >= reach:
+            clash = above[vid] & under[m]  # the cells above this one with a lower m
+            if clash:
+                big = (clash & -clash).bit_length() - 1  # the first, by id
+                small, large = ("{" + ", ".join(map(concept_to_text, sorted(
+                    (a for a, violated in zip(aspects, cells[k][1]) if violated),
+                    key=concept_key))) + "}" for k in (vid, big))
+                low = next(n for n, k, _, _ in coupling if k == big)  # its least m
+                return (f"no admissible rank assignment: rule (a) puts class"
+                        f" {small} (m = {m}) below class {large} (m = {low})"
+                        " and rule (b) puts it above (a class is an element's"
+                        " violated aspects, m the highest concept rank of the"
+                        " antecedents it violates)")
+        forced = []  # per coupling cell, (the least rank the orders force, its mask)
+        highest = -1  # the highest cell value so far
+        current = None
+        for m, vid, mask, top in coupling:
+            if m != current:  # a new level: it lies above every cell so far
+                current, floor, done = m, highest, {}
+            reach = floor + 1
+            for k, value in done.items():
+                if value >= reach and below[vid] >> k & 1:
                     reach = value + 1
-            into[c] = reach
-            value = top[c]
-            if value < reach:
-                value = reach
-            done[vid] = value
-            if level_best < value:
-                level_best = value
-        return [s if s > into[c] else into[c] for s, c in zip(seeds, coupling)]
-
-    def concept_ranks(self, values: Sequence[int]) -> list[int]:
-        """Per antecedent, the least of its classes' values."""
-        return [min([values[k] for k in classes]) for classes in self._classes_in]
-
-    def ranks(self, values: Sequence[int]) -> tuple[int, ...]:
-        """The rank of each element, from its class's value."""
-        return tuple([values[c] for c in self.class_of])
+            forced.append((reach, mask))
+            done[vid] = value = max(top, reach)
+            highest = max(highest, value)
+        return _layers(chain(enumerate(seeds), forced), self.full)
 
 
 def _constraints(domain: CanonicalDomain, kb: KnowledgeBase) -> _Constraints:
@@ -392,29 +376,30 @@ def _constraints(domain: CanonicalDomain, kb: KnowledgeBase) -> _Constraints:
     return table
 
 
-def _kappa_fixpoint(table: _Constraints, step: Callable[[Sequence[int]], Union[list[int], str]],
-                    bound: int) -> Union[list[int], str]:
-    """The class values `step` gives at the κ fixpoint, or past the bound,
-    or the reason `step` gives none.
+def _kappa_fixpoint(table: _Constraints,
+                    step: Callable[[Sequence[int]], Union[tuple[int, ...], str]],
+                    bound: int) -> Union[tuple[int, ...], str]:
+    """The rank masks `step` gives at the κ fixpoint, or past the bound, or
+    the reason `step` gives none.
 
-    Starting from κ = 0, take the values under κ, then set each κ_j to the
-    least value over antecedent j, until κ stops changing. Every value
-    inside antecedent j is at least κ_j, so κ never falls and, changing
-    each round, never repeats; once some κ_j passes the bound the values
-    do too, which ends the loop.
+    Starting from κ = 0, take the rank masks under κ, then set each κ_j to
+    the first rank meeting antecedent j, until κ stops changing. Every
+    rank inside antecedent j is at least κ_j, so κ never falls and,
+    changing each round, never repeats; once some κ_j passes the bound the
+    ranks do too, which ends the loop.
     """
     kappa = [0] * len(table.antecedents)
     while True:
-        values = step(kappa)
-        if isinstance(values, str):
-            return values
-        nxt = table.concept_ranks(values)
+        masks = step(kappa)
+        if isinstance(masks, str):
+            return masks
+        nxt = [level(masks, ext) for ext in table.antecedents]
         if nxt == kappa:
-            return values
+            return masks
         if any(new < old for new, old in zip(nxt, kappa)):
             raise AssertionError("a concept rank fell in the κ fixpoint")
         if max(nxt) > bound:
-            return values  # max(values) >= max(nxt), past the bound too
+            return masks  # its top rank >= max(nxt), past the bound too
         kappa = nxt
 
 
@@ -424,41 +409,49 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     Rule (a) forces x below y when some aspect prefers x and none prefers y.
     Rule (b) forces x below y when y violates an axiom and every axiom
     violated by x is outdone by one violated by y whose antecedent has a
-    strictly higher concept rank (the least global rank over its
+    strictly higher concept rank (the first global rank meeting its
     extension). An axiom of x is outdone exactly when its concept rank is
     below the highest over y's axioms, so rule (b) reads an element only
     through m, the highest concept rank of the antecedents it violates (-1
     if none): it forces x below y exactly when m(x) < m(y).
 
-    Both rules read an element only through its signature: its global
-    rank, its aspect-rank vector and m. So they hold when, for every two
-    distinct vectors v <= w, each global rank with v lies below each with w,
-    and for every m, each global rank with a lower m lies below each with
-    m: tested on the least and greatest global rank per vector and per m.
+    Rule (b) holds when the least global rank of each m-level lies above
+    the greatest over the lower levels. Rule (a) reads an element only
+    through its aspect-rank vector: the model's aspect masks cut the
+    domain into one cell per vector. It holds when, for each cell, no
+    other cell with a vector at least its own has a global rank at or
+    below the cell's greatest; those cells are bitsets over the cells, one
+    AND per aspect.
     """
-    g = m.global_ranks
     table = _constraints(m.domain, kb)
-    # an antecedent's concept rank: the first global rank meeting it
-    ante_rank = [level(m.rank_masks, ext) for ext in table.antecedents]
-    m_of = [max([ante_rank[j] for j in t], default=-1) for t in table._outdone]
-    class_m = [m_of[outdone] for _, _, outdone in table._keys]
-    aspect_rows = zip(*(ranks for _, ranks in m.per_aspect)) if m.per_aspect else repeat(())
-    by_vector: dict[tuple[int, ...], list[int]] = {}
-    by_m: dict[int, list[int]] = {}
-    for gi, rx, mx in set(zip(g, aspect_rows, map(class_m.__getitem__, table.class_of))):
-        by_vector.setdefault(rx, []).append(gi)
-        by_m.setdefault(mx, []).append(gi)
-    below = -1  # the greatest global rank over the lower m
-    for mx in sorted(by_m):
-        if min(by_m[mx]) <= below:
-            return False
-        below = max(below, *by_m[mx])
-    vectors = [(rx, min(ranks), max(ranks)) for rx, ranks in by_vector.items()]
-    for rx, _, hi in vectors:
-        for ry, lo, _ in vectors:
-            if hi >= lo and rx != ry and all(map(operator.le, rx, ry)):
+    masks = m.rank_masks
+    below = -1  # the greatest global rank over the lower levels of m
+    for level_mask in table.m_levels([level(masks, ext) for ext in table.antecedents]):
+        if level_mask:
+            if level(masks, level_mask) <= below:
                 return False
-    return True
+            below = max(below, _highest(masks, level_mask))
+    # an aspect that ranks every element alike orders no two of them
+    aspects = [ranks for _, ranks in m.aspect_masks if sum(map(bool, ranks)) > 1]
+    cells = _cut(table.full, aspects)
+    bits = [1 << k for k in range(len(cells))]  # cell k as a bitset over the cells
+    # per global rank t, the cells whose least global rank is t or less
+    upto = [0] * len(masks)
+    for bit, (cell, _) in zip(bits, cells):
+        upto[level(masks, cell)] |= bit
+    for t in range(1, len(upto)):
+        upto[t] |= upto[t - 1]
+    # per cell, the cells whose vector is at least its own
+    up = [(1 << len(cells)) - 1] * len(cells)
+    for a, ranks in enumerate(aspects):
+        atleast = [0] * (len(ranks) + 1)  # per rank t of aspect a, the cells at t or above
+        for bit, (_, vector) in zip(bits, cells):
+            atleast[vector[a]] |= bit
+        for t in range(len(ranks) - 1, -1, -1):
+            atleast[t] |= atleast[t + 1]
+        up = [u & atleast[vector[a]] for u, (_, vector) in zip(up, cells)]
+    return not any(u & ~bit & upto[_highest(masks, cell)]
+                   for u, bit, (cell, _) in zip(up, bits, cells))
 
 
 def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
@@ -471,13 +464,14 @@ def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:
         if dom.eval(ax.lhs) & ~dom.eval(ax.rhs):
             return False
     table = _constraints(dom, kb)
+    aspects = dict(m.aspect_masks)
     for ax, j, bad in zip(kb.defeasible, table.ante_of, table.violators):
         if not bad:
             continue  # a default nothing violates holds on every minimum
         ext = table.antecedents[j]
         if counterexamples(m.rank_masks, ax, ext, bad):
             return False
-        if m.per_aspect and counterexamples(m.aspect_masks[ax.rhs], ax, ext, bad):
+        if aspects and counterexamples(aspects[ax.rhs], ax, ext, bad):
             return False
     return True
 
@@ -501,9 +495,9 @@ def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
 
 def _minimal(kb: KnowledgeBase, domain: CanonicalDomain, rank_bound: Optional[int],
              enriched: bool) -> Model:
-    """The minimal model of one semantics, its global ranks or the reason
-    there is none (`_least_ranks`) memoised per domain, KB, semantics and
-    bound; raises RankBoundExceededError with that reason."""
+    """The minimal model of one semantics, its global rank masks or the
+    reason there is none (`_least_ranks`) memoised per domain, KB,
+    semantics and bound; raises RankBoundExceededError with that reason."""
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     table = _constraints(domain, kb)
     key = (enriched, bound)
@@ -512,29 +506,28 @@ def _minimal(kb: KnowledgeBase, domain: CanonicalDomain, rank_bound: Optional[in
     found = table.minimal[key]
     if isinstance(found, str):
         raise RankBoundExceededError(bound, found)
-    return Model(domain, found, table.profile if enriched else ())
+    return Model(domain, found, table.aspect_masks if enriched else ())
 
 
 def _least_ranks(domain: CanonicalDomain, kb: KnowledgeBase, table: _Constraints, bound: int,
                  enriched: bool) -> Union[tuple[int, ...], str]:
-    """The minimal model's global ranks at the κ fixpoint of
+    """The minimal model's global rank masks at the κ fixpoint of
     `_Constraints.solve` (enriched) or `seeds` (single preference), or the
     reason there is none. An enriched model must pass the model checks."""
-    values = _kappa_fixpoint(table, table.solve if enriched else table.seeds, bound)
-    if isinstance(values, str):
-        return values
-    top = max(values)
+    masks = _kappa_fixpoint(table, table.solve if enriched else table.seeds, bound)
+    if isinstance(masks, str):
+        return masks
+    top = len(masks) - 1
     if top > bound:
         return f"no admissible rank assignment within bound {bound}: the least ranks reach {top}"
-    gap = min(set(range(top + 1)).difference(values), default=None)
-    if gap is not None:
-        return f"no admissible rank assignment: the least ranks leave rank {gap} empty"
-    g = table.ranks(values)
+    if 0 in masks:
+        return ("no admissible rank assignment: the least ranks leave rank"
+                f" {masks.index(0)} empty")
     if enriched:
-        model = Model(domain, g, table.profile)
+        model = Model(domain, masks, table.aspect_masks)
         if not satisfies_kb(model, kb) or not check_coupling(model, kb):
             raise AssertionError("the minimal enriched model failed validation")
-    return g
+    return masks
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Nothing here calls the reasoner's κ fixpoint, and canonical domains come
 from the caller. Of the reasoner's private names only its constraint table
 `models._Constraints` and its type engine `ranking._TypeElimination` are
-imported: `ClassGraphSolve` takes over the table's precomputation, not its
-solve, and `SweepFrontier` calls its per-guess solve, which the other two
-references check; `levels_by_level_enumeration` and
+imported: `SweepFrontier` calls the table's per-guess solve, which the
+other two references check, and reads nothing else of it;
+`levels_by_level_enumeration` and
 `survivors_by_level_enumeration` run the engine's enumeration once per
 level, `candidates(strict + level)`, the reference for the widened tables
 of `ranking.RankedTBox`, which filter one enumeration by level. Two
@@ -15,11 +15,16 @@ of `ranking.RankedTBox`, and `tableau_domain` makes one call per node of
 the literal tree, the reference for `models.build_canonical_domain`.
 Interpretations are enumerated explicitly: concept extensions as bitmasks
 over tiny domains, rank functions as tuples over a canonical domain's
-types. Entailment over all models, which the reasoner never answers, is
-decided here by pinned least fixpoints. Two references check the
-per-guess solve of the enriched search: `PairwiseEnrichedSolve`, a
-fixpoint over element pairs, and `ClassGraphSolve`, the class graph with
-Kahn's algorithm. `SweepFrontier` tries every guess of antecedent ranks,
+types (`model_of` turns them into a `models.Model`, `element_ranks` reads
+a model's rank masks back per element, each by a scan, and
+`least_profile` gives each element's rank per aspect in the least
+aspect profile). Entailment over all models, which the reasoner never
+answers, is decided here by pinned least fixpoints. Two references check
+the per-guess solve of the enriched search, each per element:
+`PairwiseEnrichedSolve`, a fixpoint over element pairs, and
+`ClassGraphSolve`, the element classes (elements in the same antecedents
+and violating the same defaults) with Kahn's algorithm over their class
+graph. `SweepFrontier` tries every guess of antecedent ranks,
 the reference for the κ fixpoint, and `coupling_holds_pairwise` tests the
 coupling rules on every pair of elements, the reference for
 `models.check_coupling`. `min_by` scans every rank for an extension's
@@ -45,7 +50,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from typika.kb import Defeasible, KnowledgeBase, Strict, serialize_axiom, subconcept_closure
+from typika.kb import (Defeasible, KnowledgeBase, Strict, aspect_set, serialize_axiom,
+                       subconcept_closure)
 from typika.models import (
     CanonicalDomain,
     InconsistentKBError,
@@ -294,12 +300,43 @@ def _role_edge_ok(x: frozenset[Concept], y: frozenset[Concept], role: str,
     return True
 
 
+def rank_masks_by_scan(ranks: Sequence[int]) -> tuple[int, ...]:
+    """Per rank from 0 to the highest, the elements with that rank as a
+    bitmask, one scan of the ranks per rank."""
+    return tuple(bitmask(r == k for r in ranks) for k in range(max(ranks, default=-1) + 1))
+
+
+def model_of(domain: CanonicalDomain, g: Sequence[int],
+             per_aspect: Sequence[tuple[Concept, Sequence[int]]] = ()) -> Model:
+    """The model with global ranks `g` and, per aspect, the ranks
+    `per_aspect` gives it."""
+    return Model(domain, rank_masks_by_scan(g),
+                 tuple((a, rank_masks_by_scan(ranks)) for a, ranks in per_aspect))
+
+
+def element_ranks(masks: Sequence[int], size: int) -> tuple[int, ...]:
+    """Each element's rank: the first of the rank masks that holds it."""
+    return tuple(next(r for r, mask in enumerate(masks) if mask >> i & 1) for i in range(size))
+
+
+def least_profile(domain: CanonicalDomain, kb: KnowledgeBase,
+                  ) -> tuple[tuple[Concept, tuple[int, ...]], ...]:
+    """The least admissible aspect profile, per aspect in `aspect_set`
+    order: rank 1 on the elements violating a default with that
+    right-hand side, read off `extension`, and 0 elsewhere."""
+    bad: dict[Concept, set[int]] = {}
+    for ax in kb.defeasible:
+        bad.setdefault(ax.rhs, set()).update(extension(domain, ax.lhs) - extension(domain, ax.rhs))
+    return tuple((a, tuple(int(i in bad.get(a, ())) for i in range(domain.size)))
+                 for a in aspect_set(kb))
+
+
 def enumerate_single_models(domain: CanonicalDomain, kb: KnowledgeBase,
                             bound: int) -> list[tuple[int, ...]]:
     """All global rank tuples within the bound that satisfy the KB."""
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
-        if satisfies_kb(Model(domain, g), kb):
+        if satisfies_kb(model_of(domain, g), kb):
             out.append(g)
     return out
 
@@ -308,10 +345,10 @@ def enumerate_enriched_globals(domain: CanonicalDomain, kb: KnowledgeBase,
                                bound: int) -> list[tuple[int, ...]]:
     """All global rank tuples that extend the least aspect profile to an
     enriched model: KB satisfaction plus the two coupling rules."""
-    profile = _Constraints(domain, kb).profile
+    profile = least_profile(domain, kb)
     out = []
     for g in itertools.product(range(bound + 1), repeat=domain.size):
-        m = Model(domain, g, profile)
+        m = model_of(domain, g, profile)
         if satisfies_kb(m, kb) and coupling_holds_pairwise(m, kb):
             out.append(g)
     return out
@@ -490,7 +527,7 @@ class PairwiseEnrichedSolve:
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
         self.n = domain.size
         self.bound = bound
-        profile = _Constraints(domain, kb).profile
+        profile = least_profile(domain, kb)
         vio_sets = [frozenset(a for a, ranks in profile if ranks[i])
                     for i in range(self.n)]
         self.a_pairs = tuple((x, y) for x in range(self.n) for y in range(self.n)
@@ -556,44 +593,63 @@ class PairwiseEnrichedSolve:
         return tuple(g)
 
 
-class ClassGraphSolve(_Constraints):
+class ClassGraphSolve:
     """The per-guess solve of the enriched search in its class-graph form,
-    kept as a reference for `models._Constraints.solve`: the same
-    precomputation, but per guess the two coupling rules become an explicit
-    edge list over the classes (violation-set id, m), O(C²) for C classes,
-    and Kahn's algorithm finds a cycle or takes the longest path from the
-    seeds. It returns the same value per element class, or `CYCLIC` where
-    the solve names a cycle."""
+    kept as a reference for `models._Constraints.solve`, which reads
+    bitmask cells instead. Elements lying in the same antecedents and
+    violating the same defaults form one element class, read off
+    `extension` per element; the search reads an element only through
+    those, so it ranks classes. Per guess the two coupling rules become an
+    explicit edge list over the coupling classes (violated aspects, m),
+    O(C²) for C of them, and Kahn's algorithm finds a cycle or takes the
+    longest path from the seeds. It returns each element's rank, or
+    `CYCLIC` where the graph has a cycle. Antecedents are numbered as the
+    search numbers them."""
+
+    def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
+        lhs = [extension(domain, ax.lhs) for ax in kb.defeasible]
+        bad = [ext - extension(domain, ax.rhs) for ax, ext in zip(kb.defeasible, lhs)]
+        ante: dict[Concept, int] = {}
+        for ax, ext in zip(kb.defeasible, lhs):
+            if ext:
+                ante.setdefault(ax.lhs, len(ante))
+        aspect = {a: k for k, a in enumerate(dict.fromkeys(ax.rhs for ax in kb.defeasible))}
+        keys: dict[tuple[frozenset, frozenset, frozenset], int] = {}
+        self.class_of = []
+        for i in range(domain.size):
+            key = (frozenset(ante[ax.lhs] for ax, ext in zip(kb.defeasible, lhs) if i in ext),
+                   frozenset(ante[ax.lhs] for ax, b in zip(kb.defeasible, bad) if i in b),
+                   frozenset(aspect[ax.rhs] for ax, b in zip(kb.defeasible, bad) if i in b))
+            self.class_of.append(keys.setdefault(key, len(keys)))
+        # per class: the antecedents it lies in, those of the defaults it
+        # violates, and its violated aspects (numbered)
+        self.keys = list(keys)
 
     def solve(self, kappa: Sequence[int]):
-        floor = [max([kappa[j] for j in t]) if t else 0 for t in self._inside]
-        m_of = [max([kappa[j] for j in t]) if t else -1 for t in self._outdone]
         seeds: list[int] = []
-        class_of: list[int] = []
-        classes: dict[tuple[int, int], int] = {}
-        top: list[int] = []
-        for vid, ante, outdone in self._keys:
-            m = m_of[outdone]
-            s = floor[ante]
+        coupling: list[int] = []  # per class, its coupling class
+        cids: dict[tuple[frozenset, int], int] = {}
+        top: list[int] = []  # per coupling class, its highest seed
+        for inside, outdone, vio in self.keys:
+            m = max([kappa[j] for j in outdone], default=-1)
+            s = max([kappa[j] for j in inside], default=0)
             if s <= m:
                 s = m + 1
             seeds.append(s)
-            c = classes.setdefault((vid, m), len(top))
+            c = cids.setdefault((vio, m), len(top))
             if c == len(top):
                 top.append(s)
             elif top[c] < s:
                 top[c] = s
-            class_of.append(c)
-        ckeys = tuple(classes)
+            coupling.append(c)
+        ckeys = tuple(cids)
         size = len(ckeys)
         succ: list[list[int]] = [[] for _ in range(size)]
         indeg = [0] * size
         for a, (va, ma) in enumerate(ckeys):
-            above = self._above[va]
-            edges = succ[a]
             for b, (vb, mb) in enumerate(ckeys):
-                if ma < mb or vb in above:
-                    edges.append(b)
+                if ma < mb or va < vb:
+                    succ[a].append(b)
                     indeg[b] += 1
         into = [0] * size  # the least rank the edges into a class force
         order = [c for c in range(size) if not indeg[c]]
@@ -607,7 +663,8 @@ class ClassGraphSolve(_Constraints):
                     order.append(b)
         if len(order) < size:
             return CYCLIC
-        return [max(s, into[c]) for s, c in zip(seeds, class_of)]
+        values = [max(s, into[c]) for s, c in zip(seeds, coupling)]  # per class
+        return tuple(map(values.__getitem__, self.class_of))
 
 
 # How a guess of antecedent ranks can fail to give a model.
@@ -632,6 +689,7 @@ class SweepFrontier:
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase, bound: int):
         self.search = _Constraints(domain, kb)
+        self.size = domain.size
         self.bound = bound
 
     def guesses(self) -> Iterable[tuple[int, ...]]:
@@ -641,14 +699,16 @@ class SweepFrontier:
     def check(self, kappa: Sequence[int]):
         """The element ranks under the guess, or why it gives none:
         `CYCLIC`, `OVER_BOUND` or `KAPPA_MISMATCH`."""
-        values = self.search.solve(kappa)
-        if isinstance(values, str):
+        masks = self.search.solve(kappa)
+        if isinstance(masks, str):
             return CYCLIC
-        if max(values) > self.bound:
+        if max(r for r, mask in enumerate(masks) if mask) > self.bound:
             return OVER_BOUND
-        if self.search.concept_ranks(values) != list(kappa):
+        # an antecedent's least rank: the first rank mask meeting it
+        if [next(r for r, mask in enumerate(masks) if mask & ext)
+                for ext in self.search.antecedents] != list(kappa):
             return KAPPA_MISMATCH
-        return self.search.ranks(values)
+        return element_ranks(masks, self.size)
 
     def frontier(self) -> tuple[list[tuple[int, ...]], dict[str, int]]:
         """The frontier's global ranks, and the failed guesses by cause."""

@@ -406,6 +406,33 @@ def test_family_compare_golden_bytes(capsys, monkeypatch, tmp_path, name, bound)
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_compare_reads_no_element_rank(capsys, monkeypatch, tmp_path):
+    # every row is read off the minimal models' rank masks: with the
+    # per-element rank reading made to raise, `compare --json` still
+    # prints its golden bytes on set3, the chains, the diamonds and the
+    # role KBs
+    def no_ranks(masks, size):
+        raise AssertionError("a compare row read an element's rank")
+
+    monkeypatch.setattr(typika.models, "_element_ranks", no_ranks)
+    monkeypatch.chdir(REPO)
+    _, out, _ = run(capsys, ["compare", "--json", "kbs/set3.kb", "kbs/set3_queries.txt"])
+    assert out == (GOLDEN / "set3_compare.json").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for name, text in FAMILY_KBS.items():
+        (tmp_path / "kb.kb").write_text(text, encoding="utf-8")
+        (tmp_path / "queries.txt").write_text(
+            "".join(q + "\n" for q in family_queries(parse_kb(text))), encoding="utf-8")
+        _, out, _ = run(capsys, ["compare", "--json", "kb.kb", "queries.txt"])
+        assert out == (GOLDEN / "families" / f"{name}_default.json").read_text(
+            encoding="utf-8"), name
+    # the reading is patched where `Model` looks it up
+    kb = parse_kb(SET3_TEXT)
+    model = single_pref_model(kb, build_canonical_domain(RankedTBox(kb)))
+    with pytest.raises(AssertionError, match="read an element's rank"):
+        model.global_ranks
+
+
 BLOND, TALL = Atom("Blond"), Atom("Tall")
 
 # rows over two closure members x and y with the fresh atoms BLOND and

@@ -23,7 +23,7 @@ from typika.models import (
     single_pref_entails,
     single_pref_model,
     _Constraints,
-    _rank_masks,
+    _element_ranks,
     _validate_witnesses,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
@@ -47,10 +47,13 @@ from oracles import (
     enumerate_enriched_globals,
     enumerate_single_models,
     holds_in_ranks,
+    least_profile,
     min_by,
+    model_of,
     pinned_least_fixpoint,
     pointwise_minima,
     raise_groups,
+    rank_masks_by_scan,
     role_edges,
     satisfies_kb_by_ranks,
     tableau_domain,
@@ -206,7 +209,7 @@ def test_default_rank_bound(kb_set3, kb_set1):
 
 def test_set3_aspect_profile(kb_set3):
     dom = domain_of(kb_set3)
-    profile = dict(_Constraints(dom, kb_set3).profile)
+    profile = dict(minimal_canonical_models(kb_set3, dom)[0].per_aspect)
     assert set(profile) == set(aspect_set(kb_set3))
     fly = profile[Atom("Fly")]
     not_fly = profile[Not(Atom("Fly"))]
@@ -310,21 +313,22 @@ def test_least_instances_match_the_scan():
             models += 1
             assert [min_global(m, c) for c in concepts] \
                 == [min_by(m.global_ranks, ext) for ext in exts]
-            for _, ranks in m.per_aspect:
-                masks = _rank_masks(ranks)
+            for (_, masks), (_, ranks) in zip(m.aspect_masks, m.per_aspect):
                 assert [least(masks, ext) for ext in exts] \
                     == [min_by(ranks, ext) for ext in exts]
     assert models > 1500
 
 
 def test_rank_masks_match_a_scan():
-    # one mask per rank from 0 to the highest, ranks past 127 included
+    # one mask per rank from 0 to the highest, and each element's rank
+    # read back off the masks, ranks past 127 and empty ranks included
     rng = random.Random(23)
     for top in (0, 1, 5, 127, 128, 300):
         ranks = [rng.randint(0, top) for _ in range(rng.randint(0, 200))]
-        assert _rank_masks(ranks) == tuple(
-            sum(1 << i for i, r in enumerate(ranks) if r == k)
-            for k in range(max(ranks, default=-1) + 1))
+        masks = rank_masks_by_scan(ranks)
+        assert masks == tuple(sum(1 << i for i, r in enumerate(ranks) if r == k)
+                              for k in range(max(ranks, default=-1) + 1))
+        assert _element_ranks(masks, len(ranks)) == tuple(ranks)
 
 
 def test_set3_minimal_penguins(kb_set3):
@@ -447,12 +451,12 @@ def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     assert len(tables) == len(aspect_sets) == 1
     assert {table for table, _, _ in fixpoints} == {dom._memo[kb_set3]}
     # another domain reads the KB's defaults again; single preference
-    # alone builds no subset tables of rule (a)
+    # alone builds no V-cells
     other = domain_of(kb_set3)
     single_pref_model(kb_set3, domain=other, rank_bound=4)
     assert len(tables) == len(aspect_sets) == 2
-    assert "_above" in vars(dom._memo[kb_set3])
-    assert "_above" not in vars(other._memo[kb_set3])
+    assert "_cells" in vars(dom._memo[kb_set3])
+    assert "_cells" not in vars(other._memo[kb_set3])
 
 
 def test_memo_serves_no_other_bound(kb_set3):
@@ -538,8 +542,8 @@ def test_class_solve_matches_pairwise_reference():
 
 
 def test_solve_matches_class_graph_reference():
-    # every guess gets the class graph's group values, or a cycle where it
-    # finds one
+    # every guess gets the class graph's rank per element, or a cycle
+    # where it finds one
     families = [chain(n) for n in (1, 2, 3, 4)] + [diamond(n) for n in (1, 2)]
     cases = [(kb, dom) for kb, _, dom in corpus_with_domains()]
     cases += [(kb, domain_of(kb)) for kb in families + list(role_kbs().values())]
@@ -552,8 +556,8 @@ def test_solve_matches_class_graph_reference():
             for kappa in SweepFrontier(dom, kb, bound).guesses():
                 got = search.solve(kappa)
                 cyclic.add(isinstance(got, str))
-                assert (CYCLIC if isinstance(got, str) else got) == ref.solve(kappa), \
-                    (kb, bound, kappa)
+                got = CYCLIC if isinstance(got, str) else _element_ranks(got, dom.size)
+                assert got == ref.solve(kappa), (kb, bound, kappa)
                 checked += 1
     assert checked > 20000
     assert cyclic == {True, False}
@@ -644,7 +648,7 @@ def _perturbed(m, rng, bound):
         g = list(m.global_ranks)
         for i in rng.sample(range(dom.size), min(2, dom.size)):
             g[i] = rng.randint(0, bound + 1)
-        out.append(Model(dom, tuple(g), m.per_aspect))
+        out.append(model_of(dom, g, m.per_aspect))
         if m.per_aspect:
             per_aspect = list(m.per_aspect)
             k = rng.randrange(len(per_aspect))
@@ -653,7 +657,9 @@ def _perturbed(m, rng, bound):
             for i in rng.sample(range(dom.size), min(2, dom.size)):
                 ranks[i] = rng.randint(0, 2)
             per_aspect[k] = (aspect, tuple(ranks))
-            out.append(Model(dom, m.global_ranks, tuple(per_aspect)))
+            # the global masks themselves, so the caller can tell this bump
+            out.append(Model(dom, m.rank_masks,
+                             tuple((a, rank_masks_by_scan(r)) for a, r in per_aspect)))
     return out
 
 
@@ -678,7 +684,7 @@ def test_coupling_matches_pairwise_reference():
             verdict = check_coupling(bumped, kb)
             assert verdict == coupling_holds_pairwise(bumped, kb), (kb, bumped.global_ranks)
             verdicts.add(verdict)
-            if bumped.global_ranks is m.global_ranks:
+            if bumped.rank_masks is m.rank_masks:
                 aspect_verdicts.add(verdict)
     assert verdicts == aspect_verdicts == {True, False}
 
@@ -707,7 +713,7 @@ def test_satisfies_kb_matches_rank_reference():
                 verdict = satisfies_kb(bumped, kb)
                 assert verdict == satisfies_kb_by_ranks(bumped, kb), (kb, bumped.per_aspect)
                 verdicts.add(verdict)
-                if bumped.global_ranks is m.global_ranks:
+                if bumped.rank_masks is m.rank_masks:
                     aspect_verdicts.add(verdict)
     assert models > 1000
     assert verdicts == aspect_verdicts == {True, False}
@@ -729,14 +735,14 @@ def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):
 
 def test_coupling_flags_misordered_models(kb_set3):
     dom = domain_of(kb_set3)
-    profile = _Constraints(dom, kb_set3).profile
+    profile = least_profile(dom, kb_set3)
     good = minimal_canonical_models(kb_set3, domain=dom)[0]
     # raising a most-typical non-violator above a violator breaks rule (a)
     bad_ranks = list(good.global_ranks)
     full_bird = next(i for i in range(dom.size)
                      if atom_signature(dom, i) == frozenset({"Bird", "Fly", "HasNiceFeather"}))
     bad_ranks[full_bird] = 4
-    bad = Model(dom, tuple(bad_ranks), profile)
+    bad = model_of(dom, bad_ranks, profile)
     assert not check_coupling(bad, kb_set3)
 
 
@@ -753,7 +759,7 @@ def test_coupling_flags_rule_b_alone(kb_set3):
     assert good.global_ranks[flying] == 3
     ranks = list(good.global_ranks)
     ranks[flying] = 2
-    bad = Model(dom, tuple(ranks), good.per_aspect)
+    bad = model_of(dom, ranks, good.per_aspect)
     aspects = [[r[i] for _, r in bad.per_aspect] for i in range(dom.size)]
     for x, y in itertools.permutations(range(dom.size), 2):
         if aspects[x] != aspects[y] and all(a <= b for a, b in zip(aspects[x], aspects[y])):
@@ -766,9 +772,9 @@ def test_coupling_converse_flag():
     # without defeasible axioms nothing is forced, so any ranks couple
     kb = KnowledgeBase.build([Strict(A, B)])
     dom = domain_of(kb)
-    profile = _Constraints(dom, kb).profile
-    flat = Model(dom, (0,) * dom.size, profile)
-    bumpy = Model(dom, (1,) + (0,) * (dom.size - 1), profile)
+    profile = least_profile(dom, kb)
+    flat = model_of(dom, (0,) * dom.size, profile)
+    bumpy = model_of(dom, (1,) + (0,) * (dom.size - 1), profile)
     assert check_coupling(flat, kb)
     assert check_coupling(bumpy, kb)
 
