@@ -50,11 +50,11 @@ from .models import (
     single_pref_entails,
     single_pref_model,
 )
-from .parser import KBSyntaxError, parse_axiom, parse_kb
+from .parser import KBSyntaxError, intern, parse_axiom, parse_kb
 from .ranking import RankedTBox, counterexamples, elements, in_rational_closure, is_kb_consistent
 from .syntax import Concept, concept_to_text
 
-def _load_kb(path: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
+def _load_kb(path: str, nodes: Optional[dict[str, Concept]] = None) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_kb(fh.read(), nodes)
 
@@ -173,7 +173,7 @@ def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    nodes: dict[Concept, Concept] = {}  # one node table for the KB and the query
+    nodes: dict[str, Concept] = {}  # one node table for the KB and the query
     kb = _load_kb(args.kb, nodes)
     query = parse_axiom(args.query, nodes)
     start = time.perf_counter()
@@ -218,7 +218,7 @@ def _minimal_ranks(ranked: RankedTBox, query: Query, bound: Optional[int]) -> _M
 
 
 def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
-                 nodes: dict[Concept, Concept], ranks: dict[CanonicalDomain, _ModelMasks]) -> dict:
+                 nodes: dict[str, Concept], ranks: dict[CanonicalDomain, _ModelMasks]) -> dict:
     """One row of `compare`, all three semantics read off the query's two
     masks on the table `RankedTBox.place` picks: its rank entailment
     (`in_rational_closure`), and its counterexamples in each minimal model
@@ -247,14 +247,13 @@ def _flag(value: bool) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    nodes: dict[Concept, Concept] = {}  # one node table for the KB and every query
+    nodes: dict[str, Concept] = {}  # one node table for the KB and every query
     kb = _load_kb(args.kb, nodes)
     with open(args.queries, "r", encoding="utf-8") as fh:
         raws = [line.strip() for line in fh]
     raws = [r for r in raws if r and not r.startswith("#")]
     ranked = RankedTBox(kb)
-    for c in ranked.closure:  # so a query's `not X` is the closure's own node
-        nodes.setdefault(c, c)
+    intern(nodes, ranked.closure)  # so a query's `not X` is the closure's own node
     ranks: dict[CanonicalDomain, _ModelMasks] = {}
     rows = [_compare_row(ranked, raw, args.rank_bound, nodes, ranks) for raw in raws]
     doc = {"command": "compare", "kb": args.kb, "rows": rows, "timingMs": 0}

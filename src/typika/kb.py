@@ -95,17 +95,10 @@ class KnowledgeBase:
 
     @staticmethod
     def build(axioms: Iterable[Axiom] = (), abox: Iterable[Assertion] = ()) -> "KnowledgeBase":
-        strict: list[Strict] = []
-        defeasible: list[Defeasible] = []
-        assertions: list[Assertion] = []
-        for ax in axioms:
-            bucket = strict if isinstance(ax, Strict) else defeasible
-            if ax not in bucket:
-                bucket.append(ax)
-        for a in abox:
-            if a not in assertions:
-                assertions.append(a)
-        return KnowledgeBase(tuple(strict), tuple(defeasible), tuple(assertions))
+        axioms = list(axioms)
+        strict = tuple(dict.fromkeys(ax for ax in axioms if isinstance(ax, Strict)))
+        defeasible = tuple(dict.fromkeys(ax for ax in axioms if not isinstance(ax, Strict)))
+        return KnowledgeBase(strict, defeasible, tuple(dict.fromkeys(abox)))
 
 
 def aspect_set(kb: KnowledgeBase) -> tuple[Concept, ...]:
@@ -129,19 +122,10 @@ def subconcept_closure(kb: KnowledgeBase, extra: Iterable[Concept] = ()) -> froz
     (a double negation is stripped rather than stacked), so members pair up.
     The result is monotone in `extra` and closed under taking subconcepts.
     """
-    base: set[Concept] = set()
-    for ax in kb.axioms:
-        base.update(subconcepts(ax.lhs))
-        base.update(subconcepts(ax.rhs))
-    for a in kb.abox:
-        if isinstance(a, ConceptAssertion):
-            base.update(subconcepts(a.concept))
-    for c in extra:
-        base.update(subconcepts(c))
-    closed = set(base)
-    for c in base:
-        closed.add(complement(c))
-    return frozenset(closed)
+    roots = [side for ax in kb.axioms for side in (ax.lhs, ax.rhs)]
+    roots += [a.concept for a in kb.abox if isinstance(a, ConceptAssertion)] + list(extra)
+    base = {s for c in roots for s in subconcepts(c)}
+    return frozenset(base | {complement(c) for c in base})
 
 
 def serialize_axiom(ax: Axiom) -> str:

@@ -13,22 +13,24 @@ Binary connectives are always parenthesised, so there is no precedence.
 The typicality marker T may wrap a whole axiom left-hand side or a concept
 assertion head and nothing else; in particular it cannot be nested.
 
-Each line is read as two parallel lists, its token texts and their
-columns, each ending in one end-of-line sentinel: the text `None` at the
-column one past the line. The parser reads the token at its position by
-index, and an error at the end of a line reports the sentinel's column.
+Each line is read as a list of its token texts, ending in one end-of-line
+sentinel, `None`. The parser reads the token at its position by index; an
+error finds the tokens' columns, the sentinel's one past the line.
 
 A parse interns its concept nodes in a table (`nodes`, a dict from each
-node to itself): its own, or the caller's when given. Texts parsed with
-one table share every equal subconcept as one object, so the memos keyed
-on concept nodes hit on identity before comparing structure. The table
-belongs to the caller and dies with it; no module keeps one.
+concept's canonical text to its node): its own, or the caller's. The text
+is built from the parts' cached texts, and a node only when the table
+lacks it, caching the text as its rendering, so no parsed node is
+rendered, hashed or compared to find its twin; `intern` adds a KB's
+closure by the same key. Texts parsed with one table share every equal
+subconcept as one object, whatever their spacing, so the memos keyed on
+concept nodes hit on identity. The table dies with its caller.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Iterable, Optional
 
 from .kb import (
     Assertion,
@@ -39,7 +41,7 @@ from .kb import (
     RoleAssertion,
     Strict,
 )
-from .syntax import BOT, TOP, Atom, Concept, Exists, Forall, And, Not, Or
+from .syntax import BOT, TOP, Atom, Concept, Exists, Forall, And, Not, Or, concept_to_text
 
 RESERVED = {"top", "bot", "not", "and", "or", "exists", "forall", "T"}
 
@@ -55,25 +57,27 @@ class KBSyntaxError(Exception):
 
 
 class _LineParser:
-    """Parses one line's token lists, interning every concept node in `nodes`."""
+    """Parses one line's token list, interning every concept node in `nodes`."""
 
-    def __init__(self, raw: str, line_no: int, nodes: dict[Concept, Concept]):
-        self.texts: list[Optional[str]] = []
-        self.cols: list[int] = []
-        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
-            tok = m.group(0)
-            if tok not in "().," and tok != "=>" and not tok[0].isalpha() and tok[0] != "_":
-                raise KBSyntaxError(f"unexpected character {tok!r}", line_no, m.start() + 1)
-            self.texts.append(tok)
-            self.cols.append(m.start() + 1)
-        self.texts.append(None)
-        self.cols.append(len(raw) + 1)
+    def __init__(self, raw: str, line_no: int, nodes: dict[str, Concept]):
+        self.code = raw.split("#", 1)[0]
+        self.end_col = len(raw) + 1
+        self.texts: list[Optional[str]] = _TOKEN_RE.findall(self.code)
         self.pos = 0
         self.line_no = line_no
+        odd = [tok for tok in set(self.texts)  # characters no token starts with
+               if tok not in ("(", ")", ",", ".", "=>") and not tok[0].isalpha() and tok[0] != "_"]
+        if odd:
+            self.pos = min(map(self.texts.index, odd))
+            raise self.fail(f"unexpected character {self.texts[self.pos]!r}")
+        self.texts.append(None)
         self.nodes = nodes
 
     def fail(self, message: str) -> KBSyntaxError:
-        return KBSyntaxError(message, self.line_no, self.cols[self.pos])
+        """The error at the current token; only an error needs columns, so
+        they come from tokenizing the line again."""
+        cols = [m.start() + 1 for m in _TOKEN_RE.finditer(self.code)] + [self.end_col]
+        return KBSyntaxError(message, self.line_no, cols[self.pos])
 
     def found(self) -> str:
         tok = self.texts[self.pos]
@@ -95,30 +99,27 @@ class _LineParser:
         return self.texts[self.pos] == "T" and self.texts[self.pos + 1] == "("
 
     def concept(self) -> Concept:
-        c = self._concept()
-        return self.nodes.setdefault(c, c)
-
-    def _concept(self) -> Concept:
+        """The next concept's node, found in the table by its canonical
+        text, which is built from its parts' cached texts."""
         text = self.texts[self.pos]
         if text is None:
             raise self.fail("expected a concept, found end of line")
         if text == "T" and self.at_typicality():
             raise self.fail("the typicality marker cannot occur inside a concept")
-        if text == "top":
+        if text in ("top", "bot"):
             self.pos += 1
-            return TOP
-        if text == "bot":
-            self.pos += 1
-            return BOT
+            return TOP if text == "top" else BOT
         if text == "not":
             self.pos += 1
-            return Not(self.concept())
+            sub = self.concept()
+            return self.node(f"not {concept_to_text(sub)}", Not, sub)
         if text in ("exists", "forall"):
             self.pos += 1
             role = self.take_ident("a role name")
             self.take(".")
             sub = self.concept()
-            return Exists(role, sub) if text == "exists" else Forall(role, sub)
+            return self.node(f"{text} {role}. {concept_to_text(sub)}",
+                             Exists if text == "exists" else Forall, role, sub)
         if text == "(":
             self.pos += 1
             left = self.concept()
@@ -129,10 +130,20 @@ class _LineParser:
             self.pos += 1
             right = self.concept()
             self.take(")")
-            return And(left, right) if op == "and" else Or(left, right)
+            return self.node(f"({concept_to_text(left)} {op} {concept_to_text(right)})",
+                             And if op == "and" else Or, left, right)
         if text in RESERVED:
             raise self.fail(f"{text!r} cannot be used as a concept name")
-        return Atom(self.take_ident("a concept name"))
+        name = self.take_ident("a concept name")
+        return self.node(name, Atom, name)
+
+    def node(self, key: str, kind: type, *parts) -> Concept:
+        """The table's node for the canonical text `key`, built on a miss."""
+        c = self.nodes.get(key)
+        if c is None:
+            c = self.nodes[key] = kind(*parts)
+            object.__setattr__(c, "_key", key)
+        return c
 
     def typicality_head(self) -> Concept:
         self.take("T")
@@ -185,7 +196,7 @@ class _LineParser:
             raise self.fail(f"unexpected {tok!r} after a complete statement")
 
 
-def _line_parsers(text: str, nodes: Optional[dict[Concept, Concept]]):
+def _line_parsers(text: str, nodes: Optional[dict[str, Concept]]):
     nodes = {} if nodes is None else nodes
     for line_no, raw in enumerate(text.splitlines(), start=1):
         lp = _LineParser(raw, line_no, nodes)
@@ -193,21 +204,15 @@ def _line_parsers(text: str, nodes: Optional[dict[Concept, Concept]]):
             yield lp
 
 
-def parse_kb(text: str, nodes: Optional[dict[Concept, Concept]] = None) -> KnowledgeBase:
+def parse_kb(text: str, nodes: Optional[dict[str, Concept]] = None) -> KnowledgeBase:
     """Parses KB source text, interning its concepts in `nodes` when
     given. Raises KBSyntaxError with line and column on errors."""
-    axioms: list[Axiom] = []
-    abox: list[Assertion] = []
-    for lp in _line_parsers(text, nodes):
-        stmt = lp.statement()
-        if isinstance(stmt, (Strict, Defeasible)):
-            axioms.append(stmt)
-        else:
-            abox.append(stmt)
-    return KnowledgeBase.build(axioms, abox)
+    stmts = [lp.statement() for lp in _line_parsers(text, nodes)]
+    return KnowledgeBase.build([s for s in stmts if isinstance(s, (Strict, Defeasible))],
+                               [s for s in stmts if not isinstance(s, (Strict, Defeasible))])
 
 
-def parse_axiom(text: str, nodes: Optional[dict[Concept, Concept]] = None) -> Axiom:
+def parse_axiom(text: str, nodes: Optional[dict[str, Concept]] = None) -> Axiom:
     """Parses a single axiom line (the query format), interning its
     concepts in `nodes` when given."""
     parsers = list(_line_parsers(text, nodes))
@@ -219,6 +224,13 @@ def parse_axiom(text: str, nodes: Optional[dict[Concept, Concept]] = None) -> Ax
     if "=>" not in lp.texts:
         raise lp.fail("a query must be an axiom (missing '=>')")
     return lp.axiom()
+
+
+def intern(nodes: dict[str, Concept], concepts: Iterable[Concept]) -> None:
+    """Adds each concept to a node table under its canonical text, the key
+    a parse looks up, unless the table holds that text already."""
+    for c in concepts:
+        nodes.setdefault(concept_to_text(c), c)
 
 
 def parse_concept(text: str) -> Concept:

@@ -1,53 +1,46 @@
 """Rank-based entailment over defeasible knowledge bases.
 
-A knowledge base is split into strict inclusions and defeasible ones. The
-defeasible part is stratified by repeated exceptionality checks: a concept
-is exceptional at a level when the level's material counterpart classically
-forces it empty. Both the stratification and the ranks come from type
-elimination (Pratt 1979) over a subconcept closure: level i keeps the types
-that some model of the strict axioms and the material counterparts of
-`levels[i]` realises, an antecedent is exceptional at level i when it holds
-in none of them, and the rank of a concept is the least level at which a
-type holding it survives (Giordano et al., "Semantic characterization of
-rational closure", AIJ 2015). The stratification enumerates each level's
-candidate types, pruned by its material counterparts as they are built;
-a table over a widened closure, whose levels are known, enumerates the
-last level's candidates once and filters them for each earlier level.
+The defeasible axioms are stratified by repeated exceptionality checks: a
+concept is exceptional at a level when the strict axioms and the level's
+material counterparts classically force it empty. The stratification and
+the ranks come from type elimination (Pratt 1979) over a subconcept
+closure: level i keeps the types that some model of the strict axioms and
+the material counterparts of `levels[i]` realises, an antecedent is
+exceptional at level i when it holds in none of them, and a concept's
+rank is the least level at which a type holding it survives (Giordano et
+al., "Semantic characterization of rational closure", AIJ 2015). Each
+table enumerates its candidate types once, pruned as they are built by
+axioms every level holds, and filters that list for each level: the
+stratification by the defaults every level keeps (`_kept`), a table over
+a widened closure, whose levels are known, by the last level.
 One rule picks the table a concept is answered on, for ranks and models
 alike: the KB's closure widened by the concept's restrictions outside it
-(`RankedTBox.outside`, a walk that stops at closure members). No axiom or
-restriction of that table reads the concept's atoms it has no bit for, so
-they are lifted (`CanonicalDomain.lift`): the concept is read once per
-assignment of `top` or `bot` to them. Only `cli`'s `query --emit-model`
-widens a domain by a whole query, to print it. Ranks are plain ints
-(`math.inf` for a concept exceptional at every level). A query `C => D`
-or `T(C) => D` is placed once (`RankedTBox.place`): one walk gives its
-table, and the table gives two masks, the extension of C and that of
-`C and not D`, each OR-ed over the lifted variants. Ranks are read in one
-place, `level`, `least` and `counterexamples`, over a table's level
-survivors (`CanonicalDomain.levels`) and a model's rank masks alike, so
-rank entailment and both model semantics ask one question: do a query's
-counterexamples meet its antecedent's least-ranked instances? The
-tableau makes one call per KB, a cross-check of the KB's consistency
-against the engine.
+(`RankedTBox.outside`, a walk that stops at closure members). No axiom
+reads the concept's atoms that table has no bit for, so they are lifted
+(`CanonicalDomain.lift`): the concept is read once per assignment of
+`top` or `bot` to them. A query `C => D` or `T(C) => D` is placed once
+(`RankedTBox.place`): one walk gives its table, and the table gives two
+masks, the extension of C and that of `C and not D`, each OR-ed over the
+lifted variants. Ranks are plain ints (`math.inf` for a concept
+exceptional at every level), read in one place, `level`, `least` and
+`counterexamples`, over a table's level survivors and a model's rank
+masks alike, so rank entailment and both model semantics ask one
+question: do a query's counterexamples meet its antecedent's
+least-ranked instances? The tableau makes one call per KB, a cross-check
+of the KB's consistency against the engine.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
 its atoms and restrictions read off the codes' bits as columns by one
 kernel in C (`_column`, which `bitmask` shares) and its connectives taken
-as mask arithmetic. Type elimination checks its axioms with it, the
-stratification its antecedents, and the table of a closure, which is also
-its canonical domain (`CanonicalDomain`), its ranks and every extension
-the models read.
+as mask arithmetic. A table's enumeration, when every code it lists
+survives, is its canonical domain's (`CanonicalDomain`) evaluator, so the
+columns the levels read serve the ranks and the models too.
 
 The caller owns the stratification: it builds one `RankedTBox` per KB and
-passes it to `in_rational_closure`, `satisfiable_wrt_kb`, `is_kb_consistent`
-and `models.build_canonical_domain`; the model searches of `models` take the
-domain the caller built from it and never stratify on their own. The
-`RankedTBox` keeps one `CanonicalDomain` per widening it was asked about
-(the domain `models.build_canonical_domain` returns) and its placed
-queries, so they live as long as the caller keeps the `RankedTBox`; this
-module keeps no state.
+passes it on; the model searches of `models` take the domain the caller
+built from it. The `RankedTBox` keeps its tables and placed queries, so
+they live as long as the caller keeps it; this module keeps no state.
 """
 
 from __future__ import annotations
@@ -320,15 +313,16 @@ class _TypeElimination:
 
     @staticmethod
     def holding(ext: Extensions, axioms: Iterable[Union[Strict, Defeasible]]) -> int:
-        """The codes of `ext` that satisfy each axiom as a classical
-        inclusion. Over `candidates(strict + base)` these are, in the same
-        order, `candidates(strict + axioms)` whenever `axioms` holds every
-        axiom of `base`: each level holds the last, so the last level's
-        candidates, filtered, give every level's."""
+        """The codes of `ext` that satisfy each axiom as a classical inclusion."""
         bad = 0
         for ax in axioms:
             bad |= ext(ax.lhs) & ~ext(ax.rhs)
         return ext.full ^ bad
+
+    def surviving(self, ext: Extensions, level: Iterable[Defeasible]) -> int:
+        """The codes of `ext` that survive a level, `holding` it then `eliminate`:
+        over `candidates(strict + base)`, its survivors if it holds `base`."""
+        return self.eliminate(ext, self.holding(ext, level))
 
     def successor_masks(self, code: int, role: str) -> tuple[int, int]:
         """The bits a role successor of the type must have set and clear: it
@@ -412,13 +406,14 @@ class CanonicalDomain:
     per rank bound. Instances compare by identity.
     """
 
-    def __init__(self, engine: _TypeElimination, survivors: Sequence[list[int]]):
+    def __init__(self, engine: _TypeElimination, ext: Extensions, alive: Sequence[int]):
         self.engine = engine
         self.closure = engine.closure
         self.members = frozenset(self.closure)
-        self.codes = survivors[-1]
-        self.eval = Extensions(engine.bit, self.codes)
-        self.levels = [bitmask(map(set(alive).__contains__, self.codes)) for alive in survivors]
+        last = alive[-1]  # when every code survives, the enumeration's own evaluator
+        self.eval = ext if last == ext.full else Extensions(engine.bit, select(ext.codes, last))
+        self.codes = self.eval.codes
+        self.levels = [bitmask(compress(_flags(a), _flags(last))) for a in alive]
         self._memo: dict[KnowledgeBase, object] = {}
 
     @property
@@ -464,50 +459,61 @@ class CanonicalDomain:
                      for i in range(self.size))
 
 
+def _kept(defaults: Sequence[Defeasible]) -> tuple[Defeasible, ...]:
+    """The defaults every level keeps: those whose antecedent C cannot hold
+    with all of C's consequents, one of them `bot` or a concept and its
+    complement. A level holding them forces C empty, so from the first
+    level, which holds every default, each level keeps them."""
+    groups: dict[Concept, set[Concept]] = {}
+    for ax in defaults:
+        groups.setdefault(ax.lhs, {ax.lhs}).add(ax.rhs)
+    empty = {c for c, group in groups.items()
+             if BOT in group or any(isinstance(d, Not) and d.sub in group for d in group)}
+    return tuple(ax for ax in defaults if ax.lhs in empty)
+
+
 class RankedTBox:
     """The stratification of a knowledge base by exceptionality.
 
     `levels[i]` holds the defeasible axioms still exceptional after i
-    rounds; the sequence is computed to a fixpoint, so the last level
-    repeats under one more round. Each round runs type elimination once over
-    the candidates of the KB's own closure (`closure`) for the strict axioms
-    and the level's material counterpart, pruned while they are enumerated:
-    an axiom stays when no type surviving the level holds its antecedent.
-    The survivors make the KB's table, its `CanonicalDomain`. A concept is
-    ranked on `table(R)`, R its restrictions outside the closure
-    (`outside`; the KB's own table for none), its atoms that table has no
-    bit for lifted (`CanonicalDomain.lift`). A widened table has the same
-    levels: the last level's candidates are enumerated once and filtered
-    for each earlier level (`holding`), which every level's axioms
-    contain. `table` builds each widened table once and keeps it, and it
-    is the domain `models.build_canonical_domain` returns for the same
-    widening. A query's table and two masks (`place`) are memoised per
-    query, and a concept is ranked as the query `C => bot`. The constructor makes
-    exactly one tableau call: the consistency of the last level's TBox,
-    which must agree with whether any type survives it.
+    rounds, to a fixpoint, so the last level repeats under one more round.
+    The candidates of the KB's own closure (`closure`) are enumerated once,
+    for the strict axioms and the defaults every level keeps (`_kept`),
+    and each round filters them by the level's material counterparts
+    (`surviving`): an axiom stays when no type surviving the level holds
+    its antecedent. The last level's survivors make the KB's table, its
+    `CanonicalDomain`. A concept is ranked on `table(R)`, R its
+    restrictions outside the closure (`outside`; the KB's own table for
+    none), its atoms that table has no bit for lifted. A widened table has
+    the same levels, each a filter of the last level's candidates;
+    `table` builds it once and keeps it, the domain
+    `models.build_canonical_domain` returns for that widening. A query's
+    table and two masks (`place`) are memoised per query, and a concept is
+    ranked as the query `C => bot`. The constructor makes exactly one
+    tableau call: the consistency of the last level's TBox, which must
+    agree with whether any type survives it.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.closure = subconcept_closure(kb)
         engine = _TypeElimination(self.closure)
+        base = Extensions(engine.bit, engine.candidates(kb.strict + _kept(kb.defeasible)))
         level = tuple(kb.defeasible)
         self.levels: list[tuple[Defeasible, ...]] = [level]
-        survivors = []
+        alive = []
         while True:
-            ext = Extensions(engine.bit, engine.candidates(kb.strict + level))
-            alive = engine.eliminate(ext, ext.full)
-            survivors.append(select(ext.codes, alive))
+            alive.append(engine.surviving(base, level))
             # an axiom stays when the level forces its antecedent empty
-            nxt = tuple(ax for ax in level if not ext(ax.lhs) & alive)
+            nxt = tuple(ax for ax in level if not base(ax.lhs) & alive[-1])
             if nxt == level:
                 break
             level = nxt
             self.levels.append(level)
-        self._tables = {frozenset(): CanonicalDomain(engine, survivors)}
+        self._tables = {frozenset(): CanonicalDomain(engine, base, alive)}
         self._placed: dict[Union[Strict, Defeasible], tuple[CanonicalDomain, int, int]] = {}
         tbox = level_tbox(StrictTBox.from_axioms(kb.strict), level)
-        if entails_strict(tbox, TOP, BOT) == bool(alive):
+        if entails_strict(tbox, TOP, BOT) == bool(alive[-1]):
             raise AssertionError("type elimination and the tableau disagree on "
                                  "the consistency of the knowledge base")
 
@@ -531,9 +537,8 @@ class RankedTBox:
         if table is None:
             engine = _TypeElimination(subconcept_closure(self.kb, concepts))
             last = Extensions(engine.bit, engine.candidates(self.kb.strict + self.levels[-1]))
-            table = self._tables[key] = CanonicalDomain(engine, [
-                select(last.codes, engine.eliminate(last, engine.holding(last, level)))
-                for level in self.levels])
+            table = self._tables[key] = CanonicalDomain(
+                engine, last, [engine.surviving(last, level) for level in self.levels])
         return table
 
     def rank(self, concept: Concept) -> float:

@@ -14,10 +14,11 @@ itself) and sort order (`concept_key`, which returns it). The node itself
 is the key of every memo in the package (concept extensions, ranks); the
 text serves only as a deterministic sort order. The caches
 belong to the node and die with it. A parse interns its nodes into a
-table the caller owns, which dies with the call (`parser`), so equal
-concepts parsed with one table are one object and those memos hit on
-identity; no module keeps a table. Whether a cache is filled or a node
-interned never changes what a node compares equal to.
+table the caller owns, keyed by that text, which the parse stores as the
+node's cached text (`parser`), so equal concepts parsed with one table
+are one object and those memos hit on identity; no module keeps a table.
+Whether a cache is filled or a node interned never changes what a node
+compares equal to.
 """
 
 from __future__ import annotations
@@ -154,18 +155,17 @@ def complement(c: Concept) -> Concept:
 def to_nnf(c: Concept) -> Concept:
     """Negation normal form: negation pushed onto atoms, constants resolved.
 
-    Idempotent, and preserves the set of atom names.
+    Idempotent, and preserves the set of atom names. A node whose children
+    it leaves unchanged is kept, not rebuilt, as `substitute` does.
     """
     if isinstance(c, (Atom, Top, Bottom)):
         return c
-    if isinstance(c, And):
-        return And(to_nnf(c.left), to_nnf(c.right))
-    if isinstance(c, Or):
-        return Or(to_nnf(c.left), to_nnf(c.right))
-    if isinstance(c, Exists):
-        return Exists(c.role, to_nnf(c.sub))
-    if isinstance(c, Forall):
-        return Forall(c.role, to_nnf(c.sub))
+    if isinstance(c, (And, Or)):
+        left, right = to_nnf(c.left), to_nnf(c.right)
+        return c if left is c.left and right is c.right else c.__class__(left, right)
+    if isinstance(c, (Exists, Forall)):
+        sub = to_nnf(c.sub)
+        return c if sub is c.sub else c.__class__(c.role, sub)
     if isinstance(c, Not):
         s = c.sub
         if isinstance(s, Atom):

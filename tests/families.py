@@ -5,12 +5,15 @@ small role-bearing KBs, as KB text.
 not P for odd i, and T(C_i) => Q_i. `diamond(n)` has n Nixon diamonds:
 T(Q_i) => P_i and T(R_i) => not P_i. `ROLE_KBS` holds ten `exists`/`forall`
 KBs with at most three defaults, several cyclic and so needing blocking.
+`RANK_INFINITY` holds two KBs whose defaults are all exceptional at
+every level.
 
 `random_kbs` draws seeded KBs, and `role_free_pools` holds the role-free
 pools the acceptance gates read.
 
 Run as a script, it prints the wide-domain record: one Markdown table row
-per family KB, with the domain's types, the milliseconds each layer takes
+per family KB, with the domain's types, the codes its stratification
+enumerated (`_TypeElimination.candidates`), the milliseconds each layer takes
 in turn (stratify, domain, constraint table, single-pref, enriched), then
 those of three `compare` rows answered after the KB's own, for the first
 default `T(X) => Y` and the second antecedent Z: a fresh-atom row
@@ -25,7 +28,7 @@ layer's garbage triggered:
 
 prints the rows of `diamond(4)` and `diamond(5)` under the header
 
-    | KB | types | stratify | domain | constraint table | single-pref | enriched | fresh rows | peak RSS |
+    | KB | types | enumerated | stratify | domain | constraint table | single-pref | enriched | fresh rows | peak RSS |
 
 An enriched search that finds no model is timed too, and marked.
 """
@@ -50,7 +53,7 @@ from typika.models import (
     single_pref_model,
 )
 from typika.parser import parse_kb
-from typika.ranking import RankedTBox, is_kb_consistent
+from typika.ranking import RankedTBox, _TypeElimination, is_kb_consistent
 from typika.syntax import And, Atom, Exists
 
 from oracles import random_concept
@@ -92,6 +95,15 @@ ROLE_KBS = {
     "forall-disjunction": ("A => forall r. (B or C)\nT(A) => exists r. not B\n"
                            "T(B) => D\n"),
     "successor-exception": "A => exists r. B\nB => forall r. A\nT(A) => C\nT(B) => not C\n",
+}
+
+
+# defaults exceptional at every level, each antecedent's consequents
+# contradictory: twelve `T(A_i) => bot`, and eight pairs `T(A_i) => B_i`,
+# `T(A_i) => not B_i`
+RANK_INFINITY = {
+    "bot": "".join(f"T(A{i}) => bot\n" for i in range(12)),
+    "pairs": "".join(f"T(A{i}) => B{i}\nT(A{i}) => not B{i}\n" for i in range(8)),
 }
 
 
@@ -149,7 +161,19 @@ def record_row(family: str, n: int) -> str:
         cells.append(f"{(perf_counter() - start) * 1e3:.2f} ms{note}")
         return out
 
-    ranked = timed(lambda: RankedTBox(kb))
+    listed = []  # the length of each candidate list the stratification enumerates
+    candidates = _TypeElimination.candidates
+
+    def counted(engine, axioms):
+        codes = candidates(engine, axioms)
+        listed.append(len(codes))
+        return codes
+
+    _TypeElimination.candidates = counted
+    try:
+        ranked = timed(lambda: RankedTBox(kb))
+    finally:
+        _TypeElimination.candidates = candidates
     domain = timed(lambda: build_canonical_domain(ranked))
     timed(lambda: _constraints(domain, kb))
     timed(lambda: single_pref_model(kb, domain))
@@ -168,7 +192,8 @@ def record_row(family: str, n: int) -> str:
         row_ms.append(f"{(perf_counter() - start) * 1e3:.2f}")
     cells.append(" / ".join(row_ms) + " ms")
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return f"| `{family}({n})` | {domain.size:,} | {' | '.join(cells)} | {rss_mb:.0f} MB |"
+    return (f"| `{family}({n})` | {domain.size:,} | {sum(listed):,} | {' | '.join(cells)}"
+            f" | {rss_mb:.0f} MB |")
 
 
 def main(argv: list[str]) -> int:

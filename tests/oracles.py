@@ -7,8 +7,9 @@ imported: `SweepFrontier` calls the table's per-guess solve, which the
 other two references check, and reads nothing else of it;
 `levels_by_level_enumeration` and
 `survivors_by_level_enumeration` run the engine's enumeration once per
-level, `candidates(strict + level)`, the reference for the widened tables
-of `ranking.RankedTBox`, which filter one enumeration by level. Two
+level, `candidates(strict + level)`, the reference for the stratification
+and the widened tables of `ranking.RankedTBox`, which filter one
+enumeration per table by level. Two
 oracles call the tableau: `TableauRanks` stratifies a KB and ranks
 concepts with one call per level, the reference for the type elimination
 of `ranking.RankedTBox`, and `tableau_domain` makes one call per node of

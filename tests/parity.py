@@ -14,10 +14,12 @@ The calls are `check` and `rank` (text and `--json`), `compare` (text,
 and `--json` at the default rank bound, 1 and 3), `query` under all
 three semantics at those bounds, and `query --emit-model --json` under
 both model semantics. They run over set1, set3 (also with an ABox),
-`chain(1..4)`, `diamond(1..3)`, the role KBs, 65 corpus KBs, 30 role-free
-pool KBs and 40 seed-8 role KBs. The queries per KB are its closure rows
-(each default's antecedent against each right-hand side), a fresh-atom
-row, a strict row and a fresh-restriction row.
+`chain(1..4)`, `diamond(1..3)`, the role KBs, the two KBs of
+`RANK_INFINITY`, 65 corpus KBs, 30 role-free pool KBs and 40 seed-8 role
+KBs. The queries per KB are its closure rows (each default's antecedent
+against each right-hand side), the first of them with extra spaces, a
+`not not` row, a fresh-atom row, a strict row and a fresh-restriction
+row.
 
 This checkout's test helpers build the KBs and write them as text files
 to a temporary directory; a child process that imports only SRC's
@@ -48,16 +50,17 @@ def _cases() -> list[tuple[str, list[str]]]:
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     from typika.kb import Defeasible, Strict, serialize_axiom, serialize_kb
     from typika.parser import parse_kb
-    from typika.syntax import And, Atom, Exists
+    from typika.syntax import And, Atom, Exists, Not
 
     from corpus import corpus_kbs
-    from families import ROLE_KBS, chain_text, diamond_text, random_kbs, role_free_pools
+    from families import (RANK_INFINITY, ROLE_KBS, chain_text, diamond_text, random_kbs,
+                          role_free_pools)
 
     set3 = (TESTS.parent / "kbs" / "set3.kb").read_text(encoding="utf-8")
     texts = [(TESTS.parent / "kbs" / "set1.kb").read_text(encoding="utf-8"), set3,
              set3 + "T(Penguin)(pingu)\nBird(tweety)\nknows(tweety, pingu)\n"]
     texts += [chain_text(n) for n in range(1, 5)] + [diamond_text(n) for n in range(1, 4)]
-    texts += list(ROLE_KBS.values())
+    texts += list(ROLE_KBS.values()) + list(RANK_INFINITY.values())
     pool = role_free_pools()["larger"]
     kbs = corpus_kbs()[::4] + pool[::5][:28] + [pool[38], pool[49]]
     kbs += random_kbs(8, 250, roles=("r",))[::6][:40]
@@ -68,10 +71,13 @@ def _cases() -> list[tuple[str, list[str]]]:
         kb = parse_kb(text)
         antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
         rhss = list(dict.fromkeys(ax.rhs for ax in kb.defeasible))
-        rows = [Defeasible(a, r) for a in antes for r in rhss]
-        rows += [Defeasible(And(antes[0], fresh), rhss[-1]), Strict(antes[0], rhss[-1]),
-                 Defeasible(And(antes[-1], fish), rhss[0])]
-        cases.append((text, [serialize_axiom(q) for q in rows]))
+        rows = [serialize_axiom(Defeasible(a, r)) for a in antes for r in rhss]
+        rows.append(rows[0].replace(" ", "  ").replace("(", "( "))
+        rows += [serialize_axiom(q) for q in (
+            Defeasible(Not(Not(antes[0])), Not(Not(rhss[-1]))),
+            Defeasible(And(antes[0], fresh), rhss[-1]), Strict(antes[0], rhss[-1]),
+            Defeasible(And(antes[-1], fish), rhss[0]))]
+        cases.append((text, rows))
     return cases
 
 
@@ -83,8 +89,9 @@ def _calls(cases: list[tuple[str, list[str]]]) -> list[list[str]]:
         calls += [["check", kb], ["check", "--json", kb], ["rank", kb], ["rank", "--json", kb],
                   ["compare", kb, queries]]
         calls += [["compare", "--json", *bound, kb, queries] for bound in BOUNDS]
-        # the first closure row and the last three: fresh atom, strict, restriction
-        for row in [rows[0]] + rows[-3:]:
+        # the first closure row, spaced and as it is, and the last four:
+        # `not not`, fresh atom, strict, restriction
+        for row in [rows[0], rows[-5]] + rows[-4:]:
             calls += [["query", "--semantics", sem, *bound, kb, row]
                       for sem in SEMANTICS for bound in BOUNDS]
         calls += [["query", "--semantics", sem, "--emit-model", "--json", kb, rows[0]]

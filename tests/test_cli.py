@@ -17,7 +17,7 @@ from typika.kb import (Defeasible, KnowledgeBase, Strict, serialize_axiom, seria
 from typika.models import (CanonicalDomain, RankBoundExceededError, build_canonical_domain,
                            enriched_entails, minimal_canonical_models, single_pref_entails,
                            single_pref_model)
-from typika.parser import parse_axiom, parse_kb
+from typika.parser import intern, parse_axiom, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure, level
 from typika.syntax import (BOT, TOP, And, Atom, Exists, Forall, Not, Or, complement, concept_key,
                            concept_to_text, subconcepts)
@@ -549,8 +549,7 @@ def test_two_mask_verdicts_match_the_references():
         nodes: dict = {}
         kb = parse_kb(text, nodes)
         ranked = RankedTBox(kb)
-        for c in ranked.closure:
-            nodes.setdefault(c, c)
+        intern(nodes, ranked.closure)
         members = sorted(ranked.closure, key=concept_key)
         queries = [rng.choice((Defeasible, Strict))(rng.choice(members), rng.choice(members))
                    for _ in range(6)]
@@ -671,12 +670,15 @@ def test_compare_keys_domains_by_fresh_restrictions(capsys, monkeypatch, tmp_pat
 
 
 def test_the_domain_is_the_stratifications_table(capsys, monkeypatch, tmp_path):
-    # the KB's domain is its table: ranks and models read one column memo
+    # the KB's domain is its table: the stratification, ranks and models
+    # read one column memo, which the stratification's enumeration filled
+    # when every code it listed survives the last level
     rt = RankedTBox(parse_kb(SET3_TEXT))
     dom = build_canonical_domain(rt)
     assert dom is rt.table(()) and list(rt._tables) == [frozenset()]
     bit = dom.engine.bit[Atom("Penguin")]
-    assert bit not in dom.eval._on
+    assert bit in dom.eval._on
+    dom.eval._on.clear()
     rt.rank(Atom("Penguin"))
     assert bit in dom.eval._on
     # a row whose only concept outside the closure is a fresh restriction

@@ -9,10 +9,23 @@ from typika.kb import (
     serialize_axiom,
     serialize_kb,
 )
-from typika.parser import KBSyntaxError, parse_axiom, parse_concept, parse_kb
-from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, concept_to_text, subconcepts
+from typika.kb import subconcept_closure
+from typika.parser import KBSyntaxError, intern, parse_axiom, parse_concept, parse_kb
+from typika.syntax import (
+    TOP,
+    And,
+    Atom,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    _render,
+    concept_to_text,
+    subconcepts,
+)
 
 from conftest import GOLDEN
+from corpus import corpus_kbs
 
 
 def test_parse_set3(kb_set3):
@@ -149,9 +162,32 @@ def test_a_query_parsed_with_the_kbs_table_shares_its_nodes():
     assert query.lhs is kb.defeasible[0].lhs
     assert query.rhs.left is kb.strict[0].rhs
     assert query.rhs.right.sub is kb.defeasible[1].rhs.sub
-    # a table holds each distinct node once, mapped to itself
-    assert all(key is value for key, value in nodes.items())
-    assert query.rhs in nodes
+    # a table holds each distinct node once, under its canonical text,
+    # which the node caches as its rendering
+    assert all(key == _render(value) == value._key for key, value in nodes.items())
+    assert nodes[concept_to_text(query.rhs)] is query.rhs
+    assert len({id(value) for value in nodes.values()}) == len(nodes)
+
+
+def test_table_keys_are_the_canonical_text():
+    # every key equals a fresh rendering of its node, over every corpus KB
+    # and its closure interned as `compare` interns it; a text with
+    # non-canonical spacing finds the nodes of the canonical one
+    for kb in corpus_kbs():
+        nodes = {}
+        parsed = parse_kb(serialize_kb(kb), nodes)
+        intern(nodes, subconcept_closure(parsed))
+        assert all(key == _render(value) for key, value in nodes.items()), kb
+    nodes = {}
+    canonical = parse_axiom("T((A and B)) => not C", nodes)
+    spaced = parse_axiom("T( (A  and B) ) =>  not C", nodes)
+    assert spaced.lhs is canonical.lhs and spaced.rhs is canonical.rhs
+    assert spaced.lhs.left is canonical.lhs.left
+    assert spaced == canonical and serialize_axiom(spaced) == "T((A and B)) => not C"
+    # interning keeps a node the table already holds under the same text
+    intern(nodes, [Not(Atom("C")), Not(Atom("D"))])
+    assert nodes["not C"] is canonical.rhs and nodes["not D"] == Not(Atom("D"))
+    assert parse_axiom("D => not D", nodes).rhs is nodes["not D"]
 
 
 def test_parsing_without_a_table_gives_equal_nodes():

@@ -24,7 +24,7 @@ from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, concept_key
 
 from conftest import KBS
 from corpus import corpus_kbs, defeasible_queries
-from families import chain, diamond, role_free_pools, role_kbs
+from families import RANK_INFINITY, chain, diamond, role_free_pools, role_kbs
 from oracles import (
     TableauRanks,
     levels_by_level_enumeration,
@@ -117,14 +117,21 @@ def test_ranks_match_tableau_reference():
 
 
 def test_levels_match_one_enumeration_per_level():
-    """Each level's survivors, codes and order, equal those of one
-    enumeration per level, `candidates(strict + level)` (the reference in
-    `oracles`), on the KB's own table and on the tables widened as a query
+    """The levels, and each level's survivors, codes and order, equal
+    those of one enumeration per level, `candidates(strict + level)` (the
+    references in `oracles`), on the KB's own table, which filters one
+    enumeration for every level, and on the tables widened as a query
     widens them, by a fresh atom and, on a KB with roles, by a fresh
-    restriction: on the corpus, `chain(1..4)`, `diamond(1..4)`, the role
-    KBs and the 500 seeded random KBs of `test_models`."""
-    kbs = corpus_kbs() + [chain(n) for n in range(1, 5)] + [diamond(n) for n in range(1, 5)]
+    restriction: on the corpus, `chain(1..6)`, `diamond(1..5)`, the role
+    KBs, the 500 seeded random KBs of `test_models` (seeds 7 and 8), the
+    larger role-free pool and the two KBs of `RANK_INFINITY`.
+
+    Mutation check in a copy of the code: keeping a default group whose
+    consequents are consistent (`_kept` without its test) fails on the
+    corpus."""
+    kbs = corpus_kbs() + [chain(n) for n in range(1, 7)] + [diamond(n) for n in range(1, 6)]
     kbs += list(role_kbs().values()) + [kb for kb, _ in random_kbs_with_domains()]
+    kbs += role_free_pools()["larger"] + [parse_kb(text) for text in RANK_INFINITY.values()]
     blond = Atom("Blond")
     tables = 0
     for kb in kbs:
@@ -172,7 +179,12 @@ def test_the_walk_outside_the_closure_stops_at_members():
 def test_totally_exceptional_defaults_prune_every_enumeration(monkeypatch):
     # twelve defaults T(A_i) => bot stay in every level, so every
     # enumeration, of the KB's own closure and of a widened one, prunes
-    # the A_i: 2^12 codes or more would mean an enumeration without them
+    # the A_i: 2^12 codes or more would mean an enumeration without them.
+    # The defaults of the `RANK_INFINITY` KBs stay in every level too, and
+    # each antecedent's consequents are contradictory, so the
+    # stratification's one enumeration prunes them (`ranking._kept`): it
+    # lists no more codes than the reference's last-level enumeration,
+    # where the strict axioms alone would give 2^12 and 2^16
     kb = parse_kb("".join(f"T(A{i}) => bot\n" for i in range(12))
                   + "T(B) => C\nT((B and D)) => not C\n")
     sizes = []
@@ -192,6 +204,14 @@ def test_totally_exceptional_defaults_prune_every_enumeration(monkeypatch):
     assert rt.table((Atom("Blond"),)).codes
     assert len(rt._tables) == 2
     assert sizes and max(sizes) <= 32
+    for text in RANK_INFINITY.values():
+        kb = parse_kb(text)
+        levels = levels_by_level_enumeration(kb)
+        last = len(_TypeElimination(subconcept_closure(kb)).candidates(kb.strict + levels[-1]))
+        sizes.clear()
+        rt = RankedTBox(kb)
+        assert rt.levels == levels == [kb.defeasible] and rt.rank(Atom("A0")) == math.inf
+        assert sizes == [last] and last <= 256
 
 
 def test_bit_kernels_match_a_scan():

@@ -67,6 +67,19 @@ def test_nnf_fixpoint():
         assert to_nnf(n) == n
 
 
+def test_nnf_keeps_the_nodes_it_does_not_change():
+    # a subtree already in NNF comes back as the same object, as
+    # `substitute` keeps the nodes it replaces nothing under
+    rng = random.Random(10)
+    for _ in range(200):
+        n = to_nnf(random_concept(rng, "ABC", "rs", depth=4))
+        assert to_nnf(n) is n
+        c = And(n, Not(Or(A, n)))
+        out = to_nnf(c)
+        assert out.left is n and out.right.left.sub is A
+        assert out.right.right == to_nnf(Not(n))
+
+
 def test_complement_pairs():
     assert complement(A) == Not(A)
     assert complement(Not(A)) == A
