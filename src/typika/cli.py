@@ -9,9 +9,12 @@ Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict
 or flagged row, 2 any error (I/O, syntax, inconsistent KB under model
 semantics, rank bound overflow; in `compare`, any error row; an internal
 error, reported as `internal error: ...` on stderr). `--json`
-switches to a single structured document on stdout, written in pieces as
-it is encoded; `timingMs` is measured per invocation except for
-`compare`, where it is pinned to 0 so repeated runs are byte-identical.
+switches to a single structured document on stdout, the bytes of
+`json.dumps(doc, indent=2, sort_keys=True)`, joined per container with
+C-encoded strings, a container of over `_WIDE` members one member at a
+time; `timingMs` is measured per invocation except for `compare`, where
+it is pinned to 0 so repeated runs are byte-identical. The named
+subcommand's own parser reads the arguments.
 
 A query is answered on the domain widened by its restrictions outside
 the KB's closure, the table `RankedTBox.place` picks. `compare` reads each
@@ -34,7 +37,8 @@ import math
 import sys
 import time
 from itertools import islice
-from typing import Optional, Union
+from json.encoder import encode_basestring_ascii as _string
+from typing import Iterator, Optional, Union
 
 from .kb import KnowledgeBase, serialize_axiom
 from .models import (
@@ -59,12 +63,59 @@ def _load_kb(path: str, nodes: Optional[dict[str, Concept]] = None) -> Knowledge
         return parse_kb(fh.read(), nodes)
 
 
+_WIDE = 256  # a container of more members is written one member at a time
+
+
+class _Large(Exception):
+    """A container of more than `_WIDE` members."""
+
+
+def _json(value: object, pad: str) -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
+    nested at `pad` (a newline and the indent), as one string; raises
+    `_Large` on a container of more than `_WIDE` members."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, (dict, list, tuple)):
+        if len(value) > _WIDE:
+            raise _Large
+        inner = pad + "  "
+        if isinstance(value, dict):
+            ends, out = "{}", [f"{_string(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        else:
+            ends, out = "[]", [_json(v, inner) for v in value]
+        return ends[0] + inner + f",{inner}".join(out) + pad + ends[1] if out else ends
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
+def _pieces(value: Union[dict, list], pad: str) -> Iterator[str]:
+    """The text of `_json` for a non-empty dict or list, a piece per
+    member; a member of more than `_WIDE` members, or holding one, is
+    written in pieces too."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", ((f"{_string(k)}: ", v) for k, v in sorted(value.items()))
+    else:
+        ends, items = "[]", (("", v) for v in value)
+    sep = ends[0] + inner
+    for key, member in items:
+        try:
+            yield sep + key + _json(member, inner)
+        except _Large:
+            yield sep + key
+            yield from _pieces(member, inner)
+        sep = "," + inner
+    yield pad + ends[1]
+
+
 def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
-    """The document as indented, key-sorted JSON, written in batches of
-    encoded pieces so a large witness is never one string; or the lines."""
+    """The document as indented, key-sorted JSON, written in pieces so a
+    large witness is never one string; or the lines."""
     if args.json:
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-        while batch := "".join(islice(chunks, 1 << 16)):
+        pieces = _pieces(doc, "\n")
+        while batch := "".join(islice(pieces, 1 << 12)):
             sys.stdout.write(batch)
         sys.stdout.write("\n")
     else:
@@ -295,7 +346,8 @@ def _rank_bound(text: str) -> int:
     return bound
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="typika",
         description="Defeasible description-logic reasoner with typicality.",
@@ -333,15 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kb", help="knowledge base file")
     p.add_argument("queries", help="file with one query per line")
     p.set_defaults(func=cmd_compare)
-    return parser
+    return parser, sub.choices
 
 
-# argparse keeps no state between parses, so one parser serves every call
-PARSER = build_parser()
+# argparse keeps no state between parses, so one set of parsers serves every call
+PARSER, COMMANDS = build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one or a top-level option
+        args = PARSER.parse_args(argv)
+    else:  # the top-level parser would hand these on, and report any left over
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except KBSyntaxError as exc:

@@ -418,10 +418,13 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
     Rule (b) holds when the least global rank of each m-level lies above
     the greatest over the lower levels. Rule (a) reads an element only
     through its aspect-rank vector: the model's aspect masks cut the
-    domain into one cell per vector. It holds when, for each cell, no
-    other cell with a vector at least its own has a global rank at or
-    below the cell's greatest; those cells are bitsets over the cells, one
-    AND per aspect.
+    domain into one cell per vector. For the enriched search's own model
+    those are the V-cells it already cut (`_Constraints._cells`), whose
+    vectors also hold an aspect every element violates, a coordinate equal
+    in every cell, which changes no comparison. Rule (a) holds when, for
+    each cell, no other cell with a vector at least its own has a global
+    rank at or below the cell's greatest; those cells are bitsets over the
+    cells, one AND per aspect.
     """
     table = _constraints(m.domain, kb)
     masks = m.rank_masks
@@ -431,9 +434,12 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
             if level(masks, level_mask) <= below:
                 return False
             below = max(below, _highest(masks, level_mask))
-    # an aspect that ranks every element alike orders no two of them
-    aspects = [ranks for _, ranks in m.aspect_masks if sum(map(bool, ranks)) > 1]
-    cells = _cut(table.full, aspects)
+    if m.aspect_masks is table.aspect_masks:  # the enriched search's model: its V-cells
+        aspects = [ranks for a, ranks in m.aspect_masks if table.bad[a]]
+        cells = table._cells[1]
+    else:  # an aspect that ranks every element alike orders no two of them
+        aspects = [ranks for _, ranks in m.aspect_masks if sum(map(bool, ranks)) > 1]
+        cells = _cut(table.full, aspects)
     bits = [1 << k for k in range(len(cells))]  # cell k as a bitset over the cells
     # per global rank t, the cells whose least global rank is t or less
     upto = [0] * len(masks)

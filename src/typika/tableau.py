@@ -3,11 +3,15 @@
 The decision procedure is a labelled-tree tableau. The TBox is internalised:
 the conjunction of `not lhs or rhs` over all axioms is added to every node
 label, and subset blocking against ancestors guarantees termination.
-Disjunctions branch left-first, and the branching and successor rules are
-chosen in a fixed scan order, so runs are deterministic; the non-branching
-rules are monotone and reach the same fixpoint in any order. The search is
-a loop with an explicit stack of the untried right disjuncts, so neither
-branching nor successors are bounded by Python's recursion limit.
+The `and` and `forall` rules are applied as a concept enters a label (a
+new successor takes its parent's `forall`s), and a clash is noted then;
+these rules are monotone, so the labels are those full saturation would
+reach. The first node with a pending `or` branches, left-first, on its
+`concept_key`-least one, and `exists` is expanded likewise, so runs are
+deterministic; both scans skip the nodes that cannot change before the
+search backtracks. The search is a loop with an explicit stack of the
+untried right disjuncts, so neither branching nor successors are
+bounded by Python's recursion limit.
 
 Each `StrictTBox` computes its internalised concept once, on first use, and
 keeps it, so the cache lives exactly as long as the TBox does. The reasoner
@@ -24,9 +28,9 @@ from typing import Iterable, Optional
 
 from .kb import Strict
 from .syntax import (
-    BOT,
     And,
     Atom,
+    Bottom,
     Concept,
     Exists,
     Forall,
@@ -88,33 +92,54 @@ class _Tableau:
         self.labels: list[set[Concept]] = []
         self.parent: list[Optional[int]] = []
         self.children: list[list[tuple[str, int]]] = []
+        self.clash = False
+        # the first nodes that may have a pending `or` and `exists`: no
+        # earlier node has one, nor gains one before the next restore
+        self.or_from = self.exists_from = 0
 
     def new_node(self, seed: Iterable[Concept], parent: Optional[int], role: str = "") -> int:
-        label = set(seed)
-        if self.meta is not None:
-            label.add(self.meta)
-        self.labels.append(label)
+        n = len(self.labels)
+        self.labels.append(set())
         self.parent.append(parent)
         self.children.append([])
+        todo = list(seed) if self.meta is None else [*seed, self.meta]
         if parent is not None:
-            self.children[parent].append((role, len(self.labels) - 1))
-        return len(self.labels) - 1
+            self.children[parent].append((role, n))
+            todo += [c.sub for c in self.labels[parent] if isinstance(c, Forall) and c.role == role]
+        self.add(n, todo)
+        return n
+
+    def add(self, n: int, concepts: Iterable[Concept]) -> None:
+        """Adds the concepts to node n's label, applying the `and` and
+        `forall` rules as each concept enters a label, and records a
+        clash: `bot`, or an atom and its negation (in NNF only atoms are
+        negated). It stops at the first clash, as the branch is dropped."""
+        labels, children = self.labels, self.children
+        todo = [(n, c) for c in concepts]
+        while todo:
+            n, c = todo.pop()
+            label = labels[n]
+            if c in label:
+                continue
+            label.add(c)
+            if isinstance(c, And):
+                todo += ((n, c.right), (n, c.left))
+            elif isinstance(c, Forall):
+                todo += [(m, c.sub) for role, m in children[n] if role == c.role]
+            elif (isinstance(c, Atom) and Not(c) in label
+                  or isinstance(c, Not) and c.sub in label or isinstance(c, Bottom)):
+                self.clash = True
+                return
 
     def snapshot(self):
         return ([set(l) for l in self.labels], list(self.parent),
-                [list(c) for c in self.children])
+                [list(c) for c in self.children], self.or_from, self.exists_from)
 
     def restore(self, snap) -> None:
-        labels, parent, children = snap
-        self.labels = [set(l) for l in labels]
-        self.parent = list(parent)
-        self.children = [list(c) for c in children]
-
-    def has_clash(self, n: int) -> bool:
-        label = self.labels[n]
-        if BOT in label:
-            return True
-        return any(isinstance(c, Not) and c.sub in label for c in label)
+        """Goes back to a snapshot, taken on a clash-free branch; each
+        snapshot is restored at most once, so it is not copied."""
+        self.labels, self.parent, self.children, self.or_from, self.exists_from = snap
+        self.clash = False
 
     def blocker(self, n: int) -> Optional[int]:
         """Root-most strict ancestor whose label includes this node's label."""
@@ -126,64 +151,41 @@ class _Tableau:
             a = self.parent[a]
         return found
 
-    def saturate(self) -> bool:
-        """Applies non-branching rules to a fixpoint; False on clash."""
-        changed = True
-        while changed:
-            changed = False
-            for n in range(len(self.labels)):
-                if self.has_clash(n):
-                    return False
-                for c in tuple(self.labels[n]):
-                    if isinstance(c, And):
-                        missing = {c.left, c.right} - self.labels[n]
-                        if missing:
-                            self.labels[n].update(missing)
-                            changed = True
-                    elif isinstance(c, Forall):
-                        for role, m in self.children[n]:
-                            if role == c.role and c.sub not in self.labels[m]:
-                                self.labels[m].add(c.sub)
-                                changed = True
-        return not any(self.has_clash(n) for n in range(len(self.labels)))
-
     def pending_or(self) -> Optional[tuple[int, Or]]:
-        for n in range(len(self.labels)):
-            for c in sorted(self.labels[n], key=concept_key):
-                if isinstance(c, Or) and c.left not in self.labels[n] \
-                        and c.right not in self.labels[n]:
-                    return n, c
+        for n in range(self.or_from, len(self.labels)):
+            label = self.labels[n]
+            todo = [c for c in label if isinstance(c, Or) and c.left not in label
+                    and c.right not in label]
+            if todo:
+                self.or_from = n
+                return n, min(todo, key=concept_key)
+        # only a new node, past these, gains concepts before the next restore
+        self.or_from = len(self.labels)
         return None
 
     def pending_exists(self) -> Optional[tuple[int, Exists]]:
-        for n in range(len(self.labels)):
-            label = self.labels[n]
-            todo = sorted((c for c in label if isinstance(c, Exists)), key=concept_key)
-            if not todo:
-                continue
-            if self.blocker(n) is not None:
-                continue
-            for c in todo:
-                if not any(role == c.role and c.sub in self.labels[m]
-                           for role, m in self.children[n]):
-                    return n, c
+        for n in range(self.exists_from, len(self.labels)):
+            todo = [c for c in self.labels[n] if isinstance(c, Exists) and not any(
+                role == c.role and c.sub in self.labels[m] for role, m in self.children[n])]
+            if todo and self.blocker(n) is None:
+                self.exists_from = n
+                return n, min(todo, key=concept_key)
         return None
 
     def run(self) -> bool:
-        """Saturates, then takes the first pending `or` left-first or the
-        first pending `exists`, until a clash-free branch has nothing left
-        to do. On a clash the search goes back to the latest `or` whose
-        right disjunct is untried, from the snapshot taken before its
-        left one; an explicit stack holds those, so deep searches need no
-        recursion."""
+        """Takes the first pending `or` left-first or the first pending
+        `exists`, until a clash-free branch has nothing left to do. On a
+        clash the search goes back to the latest `or` whose right disjunct
+        is untried, from the snapshot taken before its left one; an
+        explicit stack holds those, so deep searches need no recursion."""
         untried: list[tuple[tuple, int, Concept]] = []
         while True:
-            if self.saturate():
+            if not self.clash:
                 branch = self.pending_or()
                 if branch is not None:
                     n, c = branch
                     untried.append((self.snapshot(), n, c.right))
-                    self.labels[n].add(c.left)
+                    self.add(n, [c.left])
                     continue
                 ex = self.pending_exists()
                 if ex is None:
@@ -195,7 +197,7 @@ class _Tableau:
                 return False
             snap, n, disjunct = untried.pop()
             self.restore(snap)
-            self.labels[n].add(disjunct)
+            self.add(n, [disjunct])
 
     def extract_witness(self, root: int) -> Witness:
         redirect = {}

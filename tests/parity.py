@@ -19,7 +19,11 @@ both model semantics. They run over set1, set3 (also with an ABox),
 KBs. The queries per KB are its closure rows (each default's antecedent
 against each right-hand side), the first of them with extra spaces, a
 `not not` row, a fresh-atom row, a strict row and a fresh-restriction
-row.
+row. Usage errors and help requests on the first KB follow: no arguments,
+`--help`, an unknown subcommand or option, a subcommand's `--help`, a
+missing or an extra argument, and bad `--semantics` and `--rank-bound`
+values; each records the code of its `SystemExit` as the exit code, and
+the child runs with `COLUMNS=80`, so help text wraps alike everywhere.
 
 This checkout's test helpers build the KBs and write them as text files
 to a temporary directory; a child process that imports only SRC's
@@ -96,6 +100,19 @@ def _calls(cases: list[tuple[str, list[str]]]) -> list[list[str]]:
                       for sem in SEMANTICS for bound in BOUNDS]
         calls += [["query", "--semantics", sem, "--emit-model", "--json", kb, rows[0]]
                   for sem in SEMANTICS[1:]]
+    row = cases[0][1][0]
+    calls += [[], ["--help"], ["-h"], ["bogus"], ["bogus", "0.kb"], ["--json", "check", "0.kb"],
+              ["check"], ["check", "--", "0.kb"], ["check", "0.kb", "--json"],
+              ["check", "--help"], ["rank", "-h"], ["compare", "--help"], ["query", "--help"],
+              ["check", "0.kb", "extra"], ["check", "--bogus", "0.kb"],
+              ["compare", "0.kb"], ["compare", "--json", "0.kb", "0.txt", "extra"],
+              ["query", "0.kb", row], ["query", "--semantics", "rc", "0.kb"],
+              ["query", "--semantics", "bogus", "0.kb", row],
+              ["query", "--sem", "rc", "0.kb", row],
+              ["query", "--semantics", "rc", "--rank-bound", "-1", "0.kb", row],
+              ["compare", "--rank-bound", "-1", "0.kb", "0.txt"],
+              ["compare", "--rank-bound", "x", "0.kb", "0.txt"],
+              ["compare", "--rank-bound", "0.kb", "0.txt"]]
     return calls
 
 
@@ -115,7 +132,10 @@ def _run(src: str, calls_file: str, out: str) -> None:
         for argv in calls:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
             text = timing.sub('"timingMs": 0', stdout.getvalue())
             if len(text) > LONG:
                 text = f"sha256 {hashlib.sha256(text.encode()).hexdigest()}, {len(text)} chars"
@@ -140,7 +160,7 @@ def main(argv: list[str]) -> int:
         Path(tmp, "calls.json").write_text(json.dumps(calls), encoding="utf-8")
         subprocess.run([sys.executable, __file__, "--child", src, "calls.json", out],
                        cwd=tmp, check=True,
-                       env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+                       env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"})
     digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
     print(f"{len(calls)} calls, sha256 {digest}")
     return 0

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -27,6 +28,7 @@ from corpus import corpus_kbs
 from families import ROLE_KBS, chain_text, diamond_text, role_free_pools
 from oracles import holds_in_by_variants, rc_by_and_node, widened_compare_row
 from test_models import random_kbs_with_domains
+from test_tableau import DEEP_KB
 
 SET3 = str(KBS / "set3.kb")
 SET1 = str(KBS / "set1.kb")
@@ -64,10 +66,7 @@ def test_deep_tableau_search_needs_no_recursion(capsys, tmp_path):
     # the tableau's consistency cross-check on this KB branches and adds
     # successors deeper than Python's recursion limit
     kb = tmp_path / "deep.kb"
-    kb.write_text("T((not D or forall r. A)) => (D and bot)\n"
-                  "T(forall r. (D or A)) => not (C or bot)\n"
-                  "T((forall r. B or forall r. C)) => bot\n"
-                  "T(forall r. (bot and C)) => top\n")
+    kb.write_text(DEEP_KB)
     code, out, err = run(capsys, ["check", str(kb)])
     assert (code, out, err) == (0, "consistent\n", "")
 
@@ -308,6 +307,63 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", SET3])
     assert exc.value.code == 2
+
+
+def test_extra_argument_is_reported_by_the_top_level_parser(capsys):
+    # the subcommand's own parser takes the arguments, and what it leaves
+    # is reported as the top-level parse of the whole line reports it
+    with pytest.raises(SystemExit) as exc:
+        main(["check", SET3, "extra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: typika [-h] {check,rank,query,compare} ...\n")
+    assert err.endswith("typika: error: unrecognized arguments: extra\n")
+
+
+# a string of every escape class: non-ASCII, controls, quotes, backslashes
+_ESCAPES = 'é ☃ \U0001f427 "q" \\ / \x00\x1f\x7f\n\t\r\u2028'
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], "", _ESCAPES, 0, -7, 10 ** 30, 1.5, 1e-300, float("nan"), float("-inf"), True,
+    False, None,
+    {"a": {}, "b": [], "c": [[], {}, [[]]], _ESCAPES: _ESCAPES},
+    {"n": None, "t": True, "f": False, "i": 3, "x": -0.0, "s": ["é", 2.5, None]},
+    list(range(257)),
+    {"wide": [{str(k): [k, "é"] * 150 for k in range(300)}, [[]] * 257, {}],
+     "deep": {"w": {f"k{k}": {"v": [k] * 258} for k in range(260)}}},
+], ids=lambda value: type(value).__name__)
+def test_emit_writes_what_json_dumps_writes(capsys, value):
+    doc = {"command": "check", "value": value}  # every document is a dict with a command
+    typika.cli._emit(argparse.Namespace(json=True), doc, [])
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_writes_a_large_container_one_member_at_a_time():
+    # a witness-sized document under small containers is never one string
+    doc = {"command": "query", "witness": {"domain": [{"id": f"t{i}", "concepts": ["A", "B"]}
+                                                      for i in range(5000)]}}
+    pieces = list(typika.cli._pieces(doc, "\n"))
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True)
+    assert len(pieces) > 5000 and max(map(len, pieces)) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--json", SET3, SET3_QUERIES],
+    ["query", "--json", "--emit-model", "--semantics", "enriched", SET3, "T(Penguin) => not Fly"],
+], ids=["compare", "query-emit-model"])
+def test_json_call_leaves_no_reference_cycle(capsys, argv):
+    # the dispatch and the emitter make no closures, so reference counting
+    # alone frees everything a call makes
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0 and capsys.readouterr().out.startswith("{\n")
+    assert found == 0
 
 
 # ----------------------------------------------------------- compare

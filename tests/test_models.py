@@ -667,10 +667,13 @@ def test_coupling_matches_pairwise_reference():
     # on every minimal model, and on seeded perturbations of its global
     # ranks and of its aspect ranks, the check over signatures agrees with
     # the per-element one (which is quadratic in the domain, so the random
-    # KBs with more than 128 elements are left out)
+    # KBs with more than 128 elements are left out); a global bump is
+    # checked again with the search's own aspect masks, which reads the
+    # V-cells the search cut instead of cutting the domain anew
     rng = random.Random(17)
     verdicts = set()
     aspect_verdicts = set()
+    cell_verdicts = set()
     for kb, dom in _fixpoint_cases():
         if dom.size > 128:
             continue
@@ -686,7 +689,11 @@ def test_coupling_matches_pairwise_reference():
             verdicts.add(verdict)
             if bumped.rank_masks is m.rank_masks:
                 aspect_verdicts.add(verdict)
-    assert verdicts == aspect_verdicts == {True, False}
+            elif m.aspect_masks:
+                own = Model(dom, bumped.rank_masks, m.aspect_masks)
+                assert check_coupling(own, kb) == verdict, (kb, bumped.global_ranks)
+                cell_verdicts.add(verdict)
+    assert verdicts == aspect_verdicts == cell_verdicts == {True, False}
 
 
 def test_satisfies_kb_matches_rank_reference():

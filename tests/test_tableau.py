@@ -1,10 +1,12 @@
 import random
 
 from typika.kb import Strict
-from typika.parser import parse_concept
+from typika.parser import parse_concept, parse_kb
+from typika.ranking import RankedTBox, level_tbox
 from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, BOT
 from typika.tableau import StrictTBox, entails_strict, is_satisfiable
 
+from conftest import GOLDEN
 from oracles import brute_force_satisfiable, random_concept, witness_checks_out
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -110,3 +112,51 @@ def test_entailment_transitive_chain():
     assert entails_strict(tb, A, C)
     assert entails_strict(tb, Exists("r", A), Exists("r", C))
     assert entails_strict(tb, Forall("r", A), Forall("r", C))
+
+
+# ------------------------------------------------------------------ golden
+
+# A KB whose consistency cross-check branches and adds successors deeper
+# than Python's recursion limit.
+DEEP_KB = ("T((not D or forall r. A)) => (D and bot)\n"
+           "T(forall r. (D or A)) => not (C or bot)\n"
+           "T((forall r. B or forall r. C)) => bot\n"
+           "T(forall r. (bot and C)) => top\n")
+
+
+def _result_text(res) -> str:
+    """A satisfiability result as one line: `unsat`, or the witness."""
+    if not res.satisfiable:
+        return "unsat"
+    w = res.witness
+    atoms = " ".join(f"{a}={','.join(map(str, sorted(s)))}" for a, s in w.atom_ext)
+    roles = " ".join(f"{r}={','.join(f'{i}>{j}' for i, j in sorted(s))}" for r, s in w.role_ext)
+    return f"sat size={w.size} root={w.root} atoms {atoms} roles {roles}"
+
+
+def tableau_golden(seed: int = 26, cases: int = 1500) -> str:
+    """The text of `golden/tableau.txt` for the current tableau: per
+    seeded case of the gate-6 generators over roles `r` and `s`, a concept
+    and a TBox of up to two axioms, the result with its witness; then that
+    of `DEEP_KB`'s consistency cross-check, the last level's TBox against
+    `top`. The witnesses pin the order in which the search branches. The
+    file was recorded with the tableau that saturated every label by full
+    passes before each step, so it pins that applying the rules as
+    concepts enter a label changes no result and no witness."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(cases):
+        atoms = "ABCD" if k % 2 else "AB"
+        c = random_concept(rng, atoms, roles="rs", depth=4, role_depth=2)
+        tb = StrictTBox(tuple((random_concept(rng, atoms, "rs", 2, 1),
+                               random_concept(rng, atoms, "rs", 2, 1))
+                              for _ in range(rng.randrange(3))))
+        out.append(f"{k}: {_result_text(is_satisfiable(c, tb, want_witness=True))}")
+    kb = parse_kb(DEEP_KB)
+    tb = level_tbox(StrictTBox.from_axioms(kb.strict), RankedTBox(kb).levels[-1])
+    out.append(f"deep: {_result_text(is_satisfiable(And(TOP, Not(BOT)), tb, want_witness=True))}")
+    return "".join(line + "\n" for line in out)
+
+
+def test_tableau_golden():
+    assert tableau_golden() == (GOLDEN / "tableau.txt").read_text(encoding="utf-8")
