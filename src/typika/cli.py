@@ -6,9 +6,10 @@ and `compare` (all semantics side by side over a query file, flagging rows
 where rank-based entailment is not contained in enriched entailment).
 
 Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict
-or flagged row, 2 any error (I/O, syntax, inconsistent KB under model
-semantics, rank bound overflow; in `compare`, any error row; an internal
-error, reported as `internal error: ...` on stderr). `--json`
+or flagged row, 2 any error (I/O or a file not in UTF-8, syntax,
+inconsistent KB under model semantics, rank bound overflow; in `compare`,
+any error row; an internal error, any other exception, reported as
+`internal error: ...` on stderr). `--json`
 switches to a single structured document on stdout, the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)`, joined per container with
 C-encoded strings, a container of over `_WIDE` members one member at a
@@ -406,14 +407,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except KBSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one not in UTF-8
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     except InconsistentKBError as exc:
         print(f"error: {exc} (model-based semantics need a consistent KB)",
               file=sys.stderr)
         return 2
-    except (RankBoundExceededError, ValueError) as exc:
+    except RankBoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not a verdict: never exit 0 or 1

@@ -35,7 +35,9 @@ and per aspect the elements that violate a default on it (`bad`), whose
 rank masks `(not bad, bad)` are the least aspect profile. The model
 checks read the table too, and it memoises each minimal model's global
 rank masks, or why there is none, per semantics and rank bound, so the
-queries sharing a domain search once.
+queries sharing a domain search once. Rule (a)'s order, dominance of
+aspect-rank vectors of any number of ranks, is built in one place
+(`_order`): the enriched solve and `check_coupling` read the same cells.
 
 Both minimal models come from one search (`_minimal`), the κ fixpoint of
 `_kappa_fixpoint`; its least ranks must fit the bound and leave no rank
@@ -77,13 +79,14 @@ only rises, so the loop ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, reduce
+from itertools import accumulate, chain
+from operator import and_, getitem, or_
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
 from .ranking import (CanonicalDomain, RankedTBox, bitmask, counterexamples, elements,
-                      is_kb_consistent, least, level)
+                      highest, is_kb_consistent, least, level)
 from .syntax import TOP, Concept, Exists, Forall, concept_key, concept_to_text
 
 
@@ -173,22 +176,33 @@ def _layers(pairs: Iterable[tuple[int, int]], full: int) -> tuple[int, ...]:
     return tuple(masks[::-1])
 
 
-def _highest(masks: Sequence[int], mask: int) -> int:
-    """The index of the last of the masks that meets `mask`, or -1."""
-    for r in range(len(masks) - 1, -1, -1):
-        if masks[r] & mask:
-            return r
-    return -1
-
-
-def _cut(full: int, aspect_masks: Iterable[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
-    """The elements of `full` cut by each aspect's rank masks: per rank
-    vector that occurs, its elements and the vector."""
+def _order(full: int, aspect_masks: Iterable[Sequence[int]]
+           ) -> tuple[list[tuple[int, tuple[int, ...]]], list[int], list[int]]:
+    """Rule (a)'s order: the elements of `full` cut by each aspect's rank
+    masks, per rank vector that occurs its elements and the vector, and
+    per such cell, as bitsets over the other cells' ids, those whose
+    vector is at least its own in every aspect (`above`) and at most
+    (`below`). Ids ascend with the vector's sum, then with the cell's
+    lowest element, so a dominated cell has the lower id."""
     cells = [(full, ())]
     for ranks in aspect_masks:
         cells = [(part, vector + (r,)) for cell, vector in cells
                  for r, mask in enumerate(ranks) if (part := cell & mask)]
-    return cells
+    cells.sort(key=lambda cell: (sum(cell[1]), (cell[0] & -cell[0]).bit_length()))
+    vectors = [vector for _, vector in cells]
+    atleast, atmost = [], []  # per aspect, per rank t, the cells at t or above, at t or below
+    for column in zip(*vectors):
+        at = [0] * (max(column) + 1)
+        for k, r in enumerate(column):
+            at[r] |= 1 << k
+        atmost.append(list(accumulate(at, or_)))
+        atleast.append(list(accumulate(at[::-1], or_))[::-1])
+    every = (1 << len(cells)) - 1
+    above = [reduce(and_, map(getitem, atleast, vector), every ^ 1 << k)
+             for k, vector in enumerate(vectors)]
+    below = [reduce(and_, map(getitem, atmost, vector), every ^ 1 << k)
+             for k, vector in enumerate(vectors)]
+    return cells, above, below
 
 
 def _element_ranks(masks: Sequence[int], size: int) -> tuple[int, ...]:
@@ -240,10 +254,11 @@ class _Constraints:
     the elements that violate a default on it, and `aspect_masks` is the
     least admissible aspect profile as rank masks. `seeds` is the
     single-preference step of the κ loop; `solve`, the enriched one, reads
-    the V-cells (`_cells`), built on first use. `minimal` memoises, per
-    (enriched, rank bound), the minimal model's global rank masks or the
-    reason there is none. Nothing here refers to the domain or a `Model`,
-    so its memo forms no reference cycle.
+    the V-cells and their order (`_cells`), built on first use and read
+    again by `check_coupling` for the search's own model. `minimal`
+    memoises, per (enriched, rank bound), the minimal model's global rank
+    masks or the reason there is none. Nothing here refers to the domain
+    or a `Model`, so its memo forms no reference cycle.
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
@@ -267,30 +282,11 @@ class _Constraints:
     def _cells(self) -> tuple[list[Concept], list[tuple[int, tuple[int, ...]]], list[int],
                               list[int]]:
         """The V-cells, the elements grouped by the aspects they violate:
-        the aspects some element violates; per cell its mask and, per such
-        aspect, 1 if it violates it; and per cell, as a bitset over the
-        ids, the cells whose sets are strict supersets of its own (rule
-        (a)'s "above") and strict subsets ("below"). Ids ascend with set
-        size, then with the cell's lowest element, so a subset has the
-        lower id, and they fix which pair a cycle message names."""
+        the aspects some element violates, and `_order` over their rank
+        masks, a violated aspect at rank 1. Ids fix which pair a cycle
+        message names."""
         aspects = [(a, masks) for a, masks in self.aspect_masks if self.bad[a]]
-        cells = sorted(_cut(self.full, [masks for _, masks in aspects]),
-                       key=lambda cell: (sum(cell[1]), (cell[0] & -cell[0]).bit_length()))
-        # per aspect, the cells that violate it
-        holding = [bitmask(vector[i] for _, vector in cells) for i in range(len(aspects))]
-        every = (1 << len(cells)) - 1
-        above: list[int] = []
-        below: list[int] = []
-        for k, (_, vector) in enumerate(cells):
-            sup = sub = every ^ 1 << k  # every other cell
-            for bits, violated in zip(holding, vector):
-                if violated:
-                    sup &= bits
-                else:
-                    sub &= ~bits
-            above.append(sup)
-            below.append(sub)
-        return [a for a, _ in aspects], cells, above, below
+        return [a for a, _ in aspects], *_order(self.full, [masks for _, masks in aspects])
 
     def seeds(self, kappa: Sequence[int]) -> tuple[int, ...]:
         """The static seeds under κ, as rank masks."""
@@ -308,19 +304,20 @@ class _Constraints:
 
         The seeds then obey the two coupling rules as strict orders:
 
-        - (a) g[x] < g[y] when vio(x) ⊂ vio(y), the aspects each element
-          violates in the fixed aspect profile;
+        - (a) g[x] < g[y] when x's aspect-rank vector in the fixed aspect
+          profile is below y's: at most y's in every aspect, and unequal;
         - (b) g[x] < g[y] when m(x) < m(y), where m(i) is the largest κ_j
           over the defaults i violates (-1 if none).
 
         Both rules read an element only through its coupling cell, its
         V-cell AND its m-level. Rule (b) orders coupling cells by m, so a
         cycle needs a coupling cell (v, m) below (w, m') by rule (a),
-        v ⊂ w, with m > m': a two-cell cycle, which admits no ranks.
-        Otherwise every coupling cell that (w, m') is forced above has
-        m < m', or m = m' and a violation set inside w. So g is the longest
-        path from the seeds, taken level by level in m and within a level
-        by ascending V-cell id, with no graph built. A coupling cell's
+        v's vector below w's, with m > m': a two-cell cycle, which admits
+        no ranks. Otherwise every coupling cell that (w, m') is forced above
+        has m < m', or m = m' and a vector below w's, so a lower V-cell id
+        (`_order`). So g is the longest path from the seeds, taken level by
+        level in m and within a level by ascending V-cell id, with no graph
+        built. A coupling cell's
         value is the highest seed in it, or the rank the orders force.
         """
         seeds = self.seeds(kappa)
@@ -336,7 +333,7 @@ class _Constraints:
             for vid, (cell, _) in enumerate(cells):
                 mask = cell & level_mask
                 if mask:
-                    coupling.append((m, vid, mask, _highest(seeds, mask)))
+                    coupling.append((m, vid, mask, highest(seeds, mask)))
                     hi[vid] = m
                     met |= 1 << vid
         for vid, m in hi.items():
@@ -353,18 +350,18 @@ class _Constraints:
                         " violated aspects, m the highest concept rank of the"
                         " antecedents it violates)")
         forced = []  # per coupling cell, (the least rank the orders force, its mask)
-        highest = -1  # the highest cell value so far
+        peak = -1  # the highest cell value so far
         current = None
         for m, vid, mask, top in coupling:
             if m != current:  # a new level: it lies above every cell so far
-                current, floor, done = m, highest, {}
+                current, floor, done = m, peak, {}
             reach = floor + 1
             for k, value in done.items():
                 if value >= reach and below[vid] >> k & 1:
                     reach = value + 1
             forced.append((reach, mask))
             done[vid] = value = max(top, reach)
-            highest = max(highest, value)
+            peak = max(peak, value)
         return _layers(chain(enumerate(seeds), forced), self.full)
 
 
@@ -417,14 +414,15 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
 
     Rule (b) holds when the least global rank of each m-level lies above
     the greatest over the lower levels. Rule (a) reads an element only
-    through its aspect-rank vector: the model's aspect masks cut the
-    domain into one cell per vector. For the enriched search's own model
-    those are the V-cells it already cut (`_Constraints._cells`), whose
+    through its aspect-rank vector, so it reads `_order`: the cells of
+    equal vectors and, per cell, the other cells whose vector is at least
+    its own (`above`). For the enriched search's own model those are the
+    V-cells and the order the solve built (`_Constraints._cells`), whose
     vectors also hold an aspect every element violates, a coordinate equal
-    in every cell, which changes no comparison. Rule (a) holds when, for
-    each cell, no other cell with a vector at least its own has a global
-    rank at or below the cell's greatest; those cells are bitsets over the
-    cells, one AND per aspect.
+    in every cell, which changes no comparison; any other model's aspects
+    that rank its elements apart are ordered anew, for any number of ranks.
+    Rule (a) holds when no cell above a cell has a global rank at or below
+    the cell's greatest.
     """
     table = _constraints(m.domain, kb)
     masks = m.rank_masks
@@ -433,31 +431,19 @@ def check_coupling(m: Model, kb: KnowledgeBase) -> bool:
         if level_mask:
             if level(masks, level_mask) <= below:
                 return False
-            below = max(below, _highest(masks, level_mask))
+            below = max(below, highest(masks, level_mask))
     if m.aspect_masks is table.aspect_masks:  # the enriched search's model: its V-cells
-        aspects = [ranks for a, ranks in m.aspect_masks if table.bad[a]]
-        cells = table._cells[1]
+        _, cells, above, _ = table._cells
     else:  # an aspect that ranks every element alike orders no two of them
-        aspects = [ranks for _, ranks in m.aspect_masks if sum(map(bool, ranks)) > 1]
-        cells = _cut(table.full, aspects)
-    bits = [1 << k for k in range(len(cells))]  # cell k as a bitset over the cells
+        cells, above, _ = _order(table.full, [ranks for _, ranks in m.aspect_masks
+                                              if sum(map(bool, ranks)) > 1])
     # per global rank t, the cells whose least global rank is t or less
     upto = [0] * len(masks)
-    for bit, (cell, _) in zip(bits, cells):
-        upto[level(masks, cell)] |= bit
+    for k, (cell, _) in enumerate(cells):
+        upto[level(masks, cell)] |= 1 << k
     for t in range(1, len(upto)):
         upto[t] |= upto[t - 1]
-    # per cell, the cells whose vector is at least its own
-    up = [(1 << len(cells)) - 1] * len(cells)
-    for a, ranks in enumerate(aspects):
-        atleast = [0] * (len(ranks) + 1)  # per rank t of aspect a, the cells at t or above
-        for bit, (_, vector) in zip(bits, cells):
-            atleast[vector[a]] |= bit
-        for t in range(len(ranks) - 1, -1, -1):
-            atleast[t] |= atleast[t + 1]
-        up = [u & atleast[vector[a]] for u, (_, vector) in zip(up, cells)]
-    return not any(u & ~bit & upto[_highest(masks, cell)]
-                   for u, bit, (cell, _) in zip(up, bits, cells))
+    return not any(up & upto[highest(masks, cell)] for up, (cell, _) in zip(above, cells))
 
 
 def satisfies_kb(m: Model, kb: KnowledgeBase) -> bool:

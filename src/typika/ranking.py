@@ -22,10 +22,10 @@ reads the concept's atoms that table has no bit for, so they are lifted
 (`RankedTBox.place`): one walk gives its table, and the table gives two
 masks, the extension of C and that of `C and not D`, each OR-ed over the
 lifted variants. Ranks are plain ints (`math.inf` for a concept
-exceptional at every level), read in one place, `level`, `least` and
-`counterexamples`, over a table's level survivors and a model's rank
-masks alike, so rank entailment and both model semantics ask one
-question: do a query's counterexamples meet its antecedent's
+exceptional at every level), read in one place, `level`, `highest`,
+`least` and `counterexamples`, over a table's level survivors and a
+model's rank masks alike, so rank entailment and both model semantics
+ask one question: do a query's counterexamples meet its antecedent's
 least-ranked instances? The tableau makes one call per KB, a cross-check
 of the KB's consistency against the engine.
 
@@ -132,6 +132,15 @@ def level(masks: Sequence[int], mask: int) -> float:
         if m & mask:
             return i
     return math.inf
+
+
+def highest(masks: Sequence[int], mask: int) -> int:
+    """The index of the last of the masks that meets `mask`, or -1: over a
+    model's rank masks, the greatest rank in that mask."""
+    for r in range(len(masks) - 1, -1, -1):
+        if masks[r] & mask:
+            return r
+    return -1
 
 
 def least(masks: Sequence[int], ext: int) -> int:

@@ -238,6 +238,33 @@ def test_missing_file_is_an_error(capsys):
     assert code == 2 and out == "" and "cannot read input" in err
 
 
+def test_file_not_in_utf8_is_an_input_error(capsys, tmp_path):
+    # a KB or query file that does not decode as UTF-8 is bad input, reported
+    # as a file that cannot be read, never as an internal error
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("T(Café) => Open\n".encode("latin-1"))
+    message = ("cannot read input: 'utf-8' codec can't decode byte 0xe9 in position 5:"
+               " invalid continuation byte\n")
+    for argv in (["check", str(latin1)], ["query", "--semantics", "rc", str(latin1), "A => B"],
+                 ["compare", "--json", SET3, str(latin1)]):
+        assert run(capsys, argv) == (2, "", message), argv
+
+
+def test_value_error_of_the_program_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # a ValueError the program raises is a fault of the program, not a user
+    # error: `internal error` on stderr and exit 2, on the `compare` path too
+    def place(ranked, query):
+        raise ValueError("max() arg is an empty sequence")
+
+    monkeypatch.setattr(typika.cli.RankedTBox, "place", place)
+    message = "internal error: ValueError: max() arg is an empty sequence\n"
+    queries = tmp_path / "queries.txt"
+    queries.write_text("T(Penguin) => not Fly\n")
+    for argv in (["compare", SET3, str(queries)], ["compare", "--json", SET3, str(queries)],
+                 ["query", "--semantics", "enriched", SET3, "T(Bird) => Fly"]):
+        assert run(capsys, argv) == (2, "", message), argv
+
+
 def test_syntax_error_in_query(capsys):
     code, _, err = run(
         capsys, ["query", "--semantics", "rc", SET3, "T(T(Bird)) => Fly"])

@@ -7,7 +7,8 @@ import pytest
 
 import typika.models
 from typika.cli import main
-from typika.kb import Defeasible, KnowledgeBase, Strict, aspect_set, subconcept_closure
+from typika.kb import (Defeasible, KnowledgeBase, Strict, aspect_set, serialize_axiom,
+                       subconcept_closure)
 from typika.models import (
     InconsistentKBError,
     Model,
@@ -24,14 +25,16 @@ from typika.models import (
     single_pref_model,
     _Constraints,
     _element_ranks,
+    _order,
     _validate_witnesses,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
-from typika.ranking import RankedTBox, in_rational_closure, least
+from typika.ranking import RankedTBox, elements, in_rational_closure, least
 from typika.syntax import BOT, TOP, And, Atom, Exists, Forall, Not, concept_key
 
+from conftest import SET3_TEXT
 from corpus import corpus_kbs
-from families import chain, chain_text, diamond, random_kbs, role_kbs
+from families import chain, chain_text, diamond, diamond_text, random_kbs, role_kbs
 from oracles import (
     CYCLIC,
     KAPPA_MISMATCH,
@@ -459,6 +462,32 @@ def test_frontier_is_memoised_per_domain(kb_set3, monkeypatch):
     assert "_cells" not in vars(other._memo[kb_set3])
 
 
+def test_order_is_built_once_per_table(monkeypatch, tmp_path, capsys):
+    # `compare` cuts rule (a)'s order once per table its enriched search runs
+    # on: checking the search's own model reads the V-cells the solve cut
+    orders = _count_calls(monkeypatch, "_order")
+    searches = _count_calls(monkeypatch, "_least_ranks")
+    texts = [SET3_TEXT] + [chain_text(n) for n in (1, 2)] + [diamond_text(n) for n in (1, 2)]
+    for k, text in enumerate(texts):
+        kb = parse_kb(text)
+        antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
+        rhss = list(dict.fromkeys(ax.rhs for ax in kb.defeasible))
+        rows = [Defeasible(a, r) for a in antes for r in rhss]
+        # a restriction outside the closure: the row's own widened table
+        rows.append(Defeasible(And(antes[0], Exists("eats", Atom("Fish"))), rhss[0]))
+        kb_file, queries = tmp_path / f"{k}.kb", tmp_path / f"{k}.txt"
+        kb_file.write_text(text)
+        queries.write_text("".join(serialize_axiom(q) + "\n" for q in rows))
+        before = len(searches)
+        assert main(["compare", "--json", str(kb_file), str(queries)]) in (0, 1)
+        assert len(searches) - before == 4  # both semantics on the KB's table and the widened one
+        capsys.readouterr()
+    enriched = [args for args in searches if args[4]]
+    assert len(orders) == len(enriched) == 2 * len(texts)
+    # each call cut one table's V-cells
+    assert [args[0] for args in orders] == [table.full for _, _, table, _, _ in enriched]
+
+
 def test_memo_serves_no_other_bound(kb_set3):
     dom = domain_of(kb_set3)
     # a tight bound fails; a wider one must not be served that failure
@@ -738,6 +767,38 @@ def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):
 
 
 # ------------------------------------------------- coupling and orders
+
+
+def test_order_matches_pairwise_dominance_on_graded_ranks():
+    # seeded aspect ranks 0..2 over 1..4 aspects, some rank left empty: the
+    # cells partition the domain, each cell holds exactly the elements of
+    # its rank vector, and `above` (`below`) holds the other cells whose
+    # vectors are at least (at most) its own in every aspect, ids in order
+    # of vector sum, then lowest element
+    rng = random.Random(29)
+    graded = 0
+    for _ in range(400):
+        size = rng.randint(1, 40)
+        full = (1 << size) - 1
+        ranks = [[rng.randrange(rng.randint(1, 3)) for _ in range(size)]
+                 for _ in range(rng.randint(1, 4))]
+        masks = [[sum(1 << i for i, r in enumerate(column) if r == t)
+                  for t in range(max(column) + 1)] for column in ranks]
+        cells, above, below = _order(full, masks)
+        assert sum(cell for cell, _ in cells) == full and all(cell for cell, _ in cells)
+        for cell, vector in cells:
+            assert {tuple(column[i] for column in ranks) for i in elements(cell)} == {vector}
+        keys = [(sum(vector), elements(cell)[0]) for cell, vector in cells]
+        assert keys == sorted(keys)
+        vectors = [vector for _, vector in cells]
+        for k, mine in enumerate(vectors):
+            others = [(j, v) for j, v in enumerate(vectors) if j != k]
+            assert above[k] == sum(1 << j for j, v in others
+                                   if all(a >= b for a, b in zip(v, mine)))
+            assert below[k] == sum(1 << j for j, v in others
+                                   if all(a <= b for a, b in zip(v, mine)))
+        graded += any(2 in vector for vector in vectors) and any(below)
+    assert graded > 100
 
 
 def test_coupling_flags_misordered_models(kb_set3):
