@@ -10,10 +10,8 @@ The public names are those of `__all__`; the submodules are not among them.
 from .kb import (ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict,
                  aspect_set, serialize_axiom, serialize_kb, subconcept_closure)
 from .models import (CanonicalDomain, InconsistentKBError, Model, RankBoundExceededError,
-                     Verdict,
                      build_canonical_domain, check_coupling, default_rank_bound,
-                     enriched_entails, minimal_canonical_models, satisfies_kb,
-                     single_pref_entails, single_pref_model)
+                     minimal_canonical_models, satisfies_kb, single_pref_model)
 from .parser import KBSyntaxError, parse_axiom, parse_concept, parse_kb
 from .ranking import RankedTBox, in_rational_closure, is_kb_consistent, satisfiable_wrt_kb
 from .syntax import (BOT, TOP, And, Atom, Bottom, Concept, Exists, Forall, Not, Or, Top,
@@ -25,10 +23,9 @@ __all__ = [
     "ConceptAssertion", "Defeasible", "KnowledgeBase", "RoleAssertion", "Strict",
     "aspect_set", "serialize_axiom", "serialize_kb", "subconcept_closure",
     # models
-    "CanonicalDomain", "InconsistentKBError", "Model", "RankBoundExceededError", "Verdict",
+    "CanonicalDomain", "InconsistentKBError", "Model", "RankBoundExceededError",
     "build_canonical_domain", "check_coupling", "default_rank_bound",
-    "enriched_entails", "minimal_canonical_models", "satisfies_kb",
-    "single_pref_entails", "single_pref_model",
+    "minimal_canonical_models", "satisfies_kb", "single_pref_model",
     # parser
     "KBSyntaxError", "parse_axiom", "parse_concept", "parse_kb",
     # ranking

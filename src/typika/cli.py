@@ -17,17 +17,18 @@ time; `timingMs` is measured per invocation except for `compare`, where
 it is pinned to 0 so repeated runs are byte-identical. The named
 subcommand's own parser reads the arguments.
 
-A query is answered on the domain widened by its restrictions outside
-the KB's closure, the table `RankedTBox.place` picks. `compare` reads each
-row off the query's two masks on that table, placed once: its antecedent's
-extension and its counterexamples. All three semantics ask one question
-of them, `ranking.counterexamples`: do the counterexamples meet the
-antecedent's least-ranked instances, under the table's levels
-(`in_rational_closure`) or under a minimal model's rank masks.
-Each table's two minimal models are searched once, and `compare` keeps
-their rank masks, or the error every row on the table reports, so a row
-builds no `Model` and reads no element's rank. `query --emit-model`
-widens the domain by the whole query, to print it.
+A query is answered on the table `RankedTBox.place` picks, the domain
+widened by its restrictions outside the KB's closure: `query` and each
+`compare` row read the verdict off the query's two masks there, placed
+once, its antecedent's extension and its counterexamples. All three
+semantics ask one question of them, `ranking.counterexamples`: do the
+counterexamples meet the antecedent's least-ranked instances, under the
+table's levels (`in_rational_closure`) or under the rank masks of the
+table's minimal model (`_minimal_models`). `compare` searches each
+table's two minimal models once and keeps their rank masks, or the error
+every row on the table reports, so a row builds no `Model` and reads no
+element's rank. `query --emit-model` builds the domain widened by the
+whole query, and its model, only to print them.
 """
 
 from __future__ import annotations
@@ -39,20 +40,17 @@ import sys
 import time
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
-from typing import Iterator, Optional, Union
+from typing import Collection, Iterator, Optional, Sequence, Union
 
 from .kb import KnowledgeBase, serialize_axiom
 from .models import (
     CanonicalDomain,
     InconsistentKBError,
     Model,
-    Query,
     RankBoundExceededError,
     build_canonical_domain,
-    enriched_entails,
     find_abox_mapping,
     minimal_canonical_models,
-    single_pref_entails,
     single_pref_model,
 )
 from .parser import KBSyntaxError, intern, parse_axiom, parse_kb
@@ -204,24 +202,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _domain(ranked: RankedTBox, query: Query) -> CanonicalDomain:
-    """The domain a query is answered on: the table `RankedTBox.place`
-    picks for it, widened by the query's restrictions outside the KB's
-    closure."""
-    return build_canonical_domain(ranked, ranked.place(query)[0].closure)
-
-
-def _query_verdict(ranked: RankedTBox, query: Query, semantics: str,
-                   bound: Optional[int], emit_model: bool) -> tuple[bool, Optional[Model]]:
-    if semantics == "rc":
-        return in_rational_closure(ranked, query), None
-    entails = single_pref_entails if semantics == "single-pref" else enriched_entails
-    if emit_model:  # the printed model lists every concept of the query
-        domain = build_canonical_domain(ranked, (query.lhs, query.rhs))
-    else:
-        domain = _domain(ranked, query)
-    v = entails(ranked.kb, query, domain, bound)
-    return v.entailed, v.model
+def _minimal_models(ranked: RankedTBox, closure: Collection[Concept], semantics: Sequence[str],
+                    bound: Optional[int]) -> list[Model]:
+    """The minimal model of each model semantics named, on one domain: the
+    KB's closure widened by `closure`."""
+    kb = ranked.kb
+    domain = build_canonical_domain(ranked, closure)
+    return [single_pref_model(kb, domain, bound) if name == "single-pref"
+            else minimal_canonical_models(kb, domain, bound)[0] for name in semantics]
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -229,8 +217,17 @@ def cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb, nodes)
     query = parse_axiom(args.query, nodes)
     start = time.perf_counter()
-    entailed, model = _query_verdict(RankedTBox(kb), query, args.semantics, args.rank_bound,
-                                     args.emit_model)
+    ranked = RankedTBox(kb)
+    model = None
+    if args.semantics == "rc":
+        entailed = in_rational_closure(ranked, query)
+    else:  # read off the placed query's masks, as a `compare` row is
+        table, lhs, off = ranked.place(query)
+        [model] = _minimal_models(ranked, table.closure, [args.semantics], args.rank_bound)
+        entailed = not counterexamples(model.rank_masks, query, lhs, off)
+        if args.emit_model:  # the printed model lists every concept of the query
+            [model] = _minimal_models(ranked, (query.lhs, query.rhs), [args.semantics],
+                                      args.rank_bound)
     ms = (time.perf_counter() - start) * 1000.0
     doc = {
         "command": "query",
@@ -256,15 +253,14 @@ def cmd_query(args: argparse.Namespace) -> int:
 _ModelMasks = Union[tuple[tuple[int, ...], tuple[int, ...]], str]
 
 
-def _minimal_ranks(ranked: RankedTBox, query: Query, bound: Optional[int]) -> _ModelMasks:
-    """Both minimal models' rank masks on the domain a query is answered
-    on, or the error of the first that has none, or of an inconsistent
-    KB."""
-    kb = ranked.kb
+def _minimal_ranks(ranked: RankedTBox, table: CanonicalDomain,
+                   bound: Optional[int]) -> _ModelMasks:
+    """Both minimal models' rank masks on a table, or the error of the
+    first that has none, or of an inconsistent KB."""
     try:
-        domain = _domain(ranked, query)
-        return (single_pref_model(kb, domain, bound).rank_masks,
-                minimal_canonical_models(kb, domain, bound)[0].rank_masks)
+        single, enriched = _minimal_models(ranked, table.closure, ["single-pref", "enriched"],
+                                           bound)
+        return single.rank_masks, enriched.rank_masks
     except (RankBoundExceededError, InconsistentKBError) as exc:
         return str(exc)
 
@@ -286,7 +282,7 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
     table, lhs, off = ranked.place(query)
     found = ranks.get(table)
     if found is None:
-        found = ranks[table] = _minimal_ranks(ranked, query, bound)
+        found = ranks[table] = _minimal_ranks(ranked, table, bound)
     if isinstance(found, str):
         return {"query": text, "error": found}
     single, enriched = (not counterexamples(masks, query, lhs, off) for masks in found)

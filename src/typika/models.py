@@ -6,16 +6,16 @@ passes it to every model function here; none of them builds one. A query
 is answered on the table `ranking` ranks it on: the closure widened by
 its restrictions outside the KB's (`RankedTBox.outside`), its atoms the
 domain has no bit for lifted. It is read as two masks
-(`CanonicalDomain.masks`): its antecedent's extension and its
+(`RankedTBox.place`): its antecedent's extension and its
 counterexamples, `lhs and not rhs`. A model entails it unless the
 counterexamples meet the antecedent's least-ranked instances, the first
 rank mask that meets the antecedent (a strict query, unless there are
-any): `ranking.counterexamples` reads that off the two masks and a
-model's rank masks, as it reads rank entailment off a table's levels.
-`compare` builds one
+any): the caller reads that off the two masks and a minimal model's rank
+masks with `ranking.counterexamples`, as it reads rank entailment off a
+table's levels; nothing here answers a query. `compare` builds one
 domain per KB plus one per distinct set of such restrictions, `query`
 the one its query needs by the same rule, and `query --emit-model` one
-widened by both sides of the query. A domain's
+widened by both sides of the query too, to print. A domain's
 elements are the types (maximal KB-satisfiable subsets of the closure)
 that survive the stratification's type elimination, so the domain is the
 `RankedTBox`'s table for the closure (`ranking.CanonicalDomain`), shared
@@ -84,7 +84,7 @@ from itertools import accumulate, chain
 from operator import and_, getitem, or_
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
-from .kb import ConceptAssertion, Defeasible, KnowledgeBase, RoleAssertion, Strict, aspect_set
+from .kb import ConceptAssertion, KnowledgeBase, RoleAssertion, aspect_set
 from .ranking import (CanonicalDomain, RankedTBox, bitmask, counterexamples, elements,
                       highest, is_kb_consistent, least, level)
 from .syntax import TOP, Concept, Exists, Forall, concept_key, concept_to_text
@@ -106,9 +106,6 @@ class RankBoundExceededError(Exception):
 
 def default_rank_bound(kb: KnowledgeBase) -> int:
     return len(kb.defeasible) + 1
-
-
-Query = Union[Strict, Defeasible]
 
 
 def build_canonical_domain(ranked: RankedTBox,
@@ -234,12 +231,6 @@ class Model:
     def per_aspect(self) -> tuple[tuple[Concept, tuple[int, ...]], ...]:
         return tuple((a, _element_ranks(masks, self.domain.size))
                      for a, masks in self.aspect_masks)
-
-
-def min_global(model: Model, concept: Concept) -> int:
-    """The globally most typical instances of a concept in the model, as a
-    bitmask over the domain."""
-    return least(model.rank_masks, model.domain.eval(concept))
 
 
 class _Constraints:
@@ -520,38 +511,6 @@ def _least_ranks(domain: CanonicalDomain, kb: KnowledgeBase, table: _Constraints
         if not satisfies_kb(model, kb) or not check_coupling(model, kb):
             raise AssertionError("the minimal enriched model failed validation")
     return masks
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Per-query result under one semantics. `model` is a witness when the
-    query is entailed and a countermodel, with `counterelement` the element
-    it fails on, when not."""
-
-    entailed: bool
-    model: Model
-    counterelement: Optional[int] = None
-
-
-def _holds_in(model: Model, query: Query) -> Verdict:
-    """Whether the query holds in the model, and if not the first element
-    it fails on, read off the query's two masks on the model's domain
-    (`CanonicalDomain.masks`, which lifts the query's atoms the domain has
-    no bit for)."""
-    off = counterexamples(model.rank_masks, query, *model.domain.masks(query.lhs, query.rhs))
-    return Verdict(not off, model, (off & -off).bit_length() - 1 if off else None)
-
-
-def enriched_entails(kb: KnowledgeBase, query: Query, domain: CanonicalDomain,
-                     rank_bound: Optional[int] = None) -> Verdict:
-    """Entailment over the minimal canonical enriched model."""
-    return _holds_in(minimal_canonical_models(kb, domain, rank_bound)[0], query)
-
-
-def single_pref_entails(kb: KnowledgeBase, query: Query, domain: CanonicalDomain,
-                        rank_bound: Optional[int] = None) -> Verdict:
-    """Entailment over the minimal canonical single-preference model."""
-    return _holds_in(single_pref_model(kb, domain, rank_bound), query)
 
 
 def find_abox_mapping(model: Model, kb: KnowledgeBase) -> Optional[dict[str, int]]:

@@ -17,17 +17,17 @@ One rule picks the table a concept is answered on, for ranks and models
 alike: the KB's closure widened by the concept's restrictions outside it
 (`RankedTBox.outside`, a walk that stops at closure members). No axiom
 reads the concept's atoms that table has no bit for, so they are lifted
-(`CanonicalDomain.lift`): the concept is read once per assignment of
-`top` or `bot` to them. A query `C => D` or `T(C) => D` is placed once
-(`RankedTBox.place`): one walk gives its table, and the table gives two
-masks, the extension of C and that of `C and not D`, each OR-ed over the
-lifted variants. Ranks are plain ints (`math.inf` for a concept
-exceptional at every level), read in one place, `level`, `highest`,
-`least` and `counterexamples`, over a table's level survivors and a
-model's rank masks alike, so rank entailment and both model semantics
-ask one question: do a query's counterexamples meet its antecedent's
-least-ranked instances? The tableau makes one call per KB, a cross-check
-of the KB's consistency against the engine.
+(`CanonicalDomain.lift`, handed them by that walk): the concept is read
+once per assignment of `top` or `bot` to them. A query `C => D` or
+`T(C) => D` is placed once (`RankedTBox.place`): one walk gives its
+table, and the table gives two masks, the extension of C and that of
+`C and not D`, each OR-ed over the lifted variants. Ranks are plain
+ints (`math.inf` for a concept exceptional at every level), read in one
+place, `level`, `highest`, `least` and `counterexamples`, over a table's
+level survivors and a model's rank masks alike, so rank entailment and
+both model semantics ask one question: do a query's counterexamples meet
+its antecedent's least-ranked instances? The tableau makes one call per
+KB, a cross-check of the KB's consistency against the engine.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
@@ -402,13 +402,13 @@ class CanonicalDomain:
 
     Element i is the type code `codes[i]`, one per type surviving the last
     level, in descending code order: the literal tree's order over
-    `closure` (sorted; `members`, the same as a set). `eval` gives concept
-    extensions as int bitmasks over the elements, for ranks and models
-    alike. The levels only shrink, so their survivors (`levels`) only grow,
-    and a concept's rank is the least level at which a type holding it
-    survives (`level` of its extension); its restrictions must be members
-    of the closure, and its atoms that are not are lifted first (`lift`,
-    and `masks` for both sides of a query). `successors[role][i]` is the
+    `closure` (sorted). `eval` gives concept extensions as int bitmasks
+    over the elements, for ranks and models alike. The levels only
+    shrink, so their survivors (`levels`) only grow, and a concept's rank
+    is the least level at which a type holding it survives (`level` of
+    its extension); its restrictions must be members of the closure, and
+    its atoms that are not are lifted first (`lift`, and `masks` for both
+    sides of a query). `successors[role][i]` is the
     bitmask of the elements element i's role edges reach; the literal
     sets (`types`) are built only to print a model. `_memo` holds one
     `models._Constraints` table per KB, which memoises the minimal models
@@ -418,7 +418,6 @@ class CanonicalDomain:
     def __init__(self, engine: _TypeElimination, ext: Extensions, alive: Sequence[int]):
         self.engine = engine
         self.closure = engine.closure
-        self.members = frozenset(self.closure)
         last = alive[-1]  # when every code survives, the enumeration's own evaluator
         self.eval = ext if last == ext.full else Extensions(engine.bit, select(ext.codes, last))
         self.codes = self.eval.codes
@@ -429,8 +428,7 @@ class CanonicalDomain:
     def size(self) -> int:
         return len(self.codes)
 
-    def masks(self, lhs: Concept, rhs: Concept,
-              atoms: Optional[Iterable[Concept]] = None) -> tuple[int, int]:
+    def masks(self, lhs: Concept, rhs: Concept, atoms: Iterable[Concept]) -> tuple[int, int]:
         """The extension of `lhs` and that of `lhs and not rhs` (the
         counterexamples of `lhs => rhs`), each OR-ed over the variants
         `lift` gives, `atoms` passed on to it."""
@@ -442,14 +440,12 @@ class CanonicalDomain:
         return ext, off
 
     def lift(self, concepts: Sequence[Concept],
-             atoms: Optional[Iterable[Concept]] = None) -> list[tuple[Concept, ...]]:
+             atoms: Iterable[Concept]) -> list[tuple[Concept, ...]]:
         """The concepts once per assignment of `top` or `bot` to their atoms
         the table has no bit for (2^k tuples for k of them), found among
-        `atoms` when given (`RankedTBox.outside`). No axiom reads those
-        atoms, so the table widened by them would hold each type once per
-        value of their bits, with the type's levels."""
-        if atoms is None:
-            atoms = (s for s in _beyond(concepts, self.members) if isinstance(s, Atom))
+        `atoms` (`RankedTBox.outside`). No axiom reads those atoms, so the
+        table widened by them would hold each type once per value of their
+        bits, with the type's levels."""
         fresh = tuple({a for a in atoms if a not in self.eval.bit})
         if not fresh:
             return [tuple(concepts)]

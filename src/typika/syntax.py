@@ -217,14 +217,6 @@ def substitute(c: Concept, values: Mapping[Concept, Concept]) -> Concept:
     return c
 
 
-def atom_names(c: Concept) -> frozenset[str]:
-    return frozenset(s.name for s in subconcepts(c) if isinstance(s, Atom))
-
-
-def role_names(c: Concept) -> frozenset[str]:
-    return frozenset(s.role for s in subconcepts(c) if isinstance(s, (Exists, Forall)))
-
-
 def conjoin(concepts: Iterable[Concept]) -> Concept:
     """Right-folded conjunction of the given concepts; top for the empty list."""
     items = list(concepts)

@@ -33,15 +33,17 @@ least-ranked members, the reference for the per-rank masks of
 `models.Model`, and `satisfies_kb_by_ranks` checks a model against the KB
 with it, from the model's own ranks, the reference for
 `models.satisfies_kb`. `widened_compare_row` answers a `compare` row on
-the KB's closure widened by the query, as `query --emit-model` does, the
-reference for the rows `compare` answers on the domain of the query's
+the KB's closure widened by the query, the domain `query --emit-model`
+prints, the reference for the rows `compare` answers on the domain of the query's
 restrictions outside the closure with its fresh atoms lifted.
 `rc_by_and_node` ranks a built `lhs and not rhs` node, and
 `holds_in_by_variants` reads a model verdict per lifted variant of a
 query's sides, the references for the two masks every verdict is read
 off; `rank_on` is the rank read off a table level by level, and
 `outside_by_full_walk` the walk outside the KB's closure that goes into
-its members too. Slow on purpose, trusted because it is simple.
+its members too. `atom_names` and `role_names` collect the names a
+brute-force search enumerates. Slow on purpose, trusted because it is
+simple.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from typika.kb import (Defeasible, KnowledgeBase, Strict, aspect_set, serialize_axiom,
                        subconcept_closure)
@@ -57,14 +59,13 @@ from typika.models import (
     CanonicalDomain,
     InconsistentKBError,
     Model,
-    Query,
     RankBoundExceededError,
     _Constraints,
     build_canonical_domain,
     default_rank_bound,
-    enriched_entails,
+    minimal_canonical_models,
     satisfies_kb,
-    single_pref_entails,
+    single_pref_model,
 )
 from typika.ranking import Extensions, RankedTBox, _TypeElimination, bitmask, elements, level_tbox
 from typika.syntax import (
@@ -78,14 +79,25 @@ from typika.syntax import (
     Not,
     Or,
     Top,
-    atom_names,
     complement,
     concept_key,
     conjoin,
-    role_names,
     subconcepts,
 )
 from typika.tableau import StrictTBox, Witness, entails_strict
+
+
+Query = Union[Strict, Defeasible]
+
+
+def atom_names(c: Concept) -> frozenset[str]:
+    """The names of the atoms in a concept."""
+    return frozenset(s.name for s in subconcepts(c) if isinstance(s, Atom))
+
+
+def role_names(c: Concept) -> frozenset[str]:
+    """The names of the roles a concept restricts."""
+    return frozenset(s.role for s in subconcepts(c) if isinstance(s, (Exists, Forall)))
 
 
 def element_set(mask: int) -> frozenset[int]:
@@ -464,9 +476,9 @@ def holds_in_by_variants(model: Model, query: Query) -> tuple[bool, Optional[int
     fails on: both sides evaluated per variant of `CanonicalDomain.lift`
     (given every atom of the query, found by a walk of every subconcept),
     a defeasible query's on the least global rank (scanned by `min_by`)
-    that meets any variant's `lhs`. The reference for `models._holds_in`
-    and the `compare` rows, which read the query's two masks, each OR-ed
-    over the variants."""
+    that meets any variant's `lhs`. The reference for the model verdicts
+    of `query` and the `compare` rows, which read the query's two masks,
+    each OR-ed over the variants."""
     dom = model.domain
     atoms = [s for side in (query.lhs, query.rhs) for s in subconcepts(side)
              if isinstance(s, Atom)]
@@ -809,10 +821,11 @@ def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
 def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
                         domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
     """One `compare --json` row answered on the KB's closure explicitly
-    widened by the query's two sides, as `query --emit-model` answers it:
-    the ranks and the models both read off the widened closure's table,
-    which is its domain (kept in `domains` per closure) and holds every
-    query atom, so no fresh atom is lifted. The reference for the rows
+    widened by the query's two sides, the domain `query --emit-model`
+    prints: the ranks and the models both read off the widened closure's
+    table, which is its domain (kept in `domains` per closure) and holds
+    every query atom, so no fresh atom is lifted; each model verdict is
+    `holds_in_by_variants`'s. The reference for the rows
     `compare` answers on the table of their restrictions outside the KB's
     closure, fresh atoms lifted."""
     closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
@@ -828,8 +841,10 @@ def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
         domain = domains.get(closure)
         if domain is None:
             domain = domains[closure] = build_canonical_domain(ranked, closure)
-        row["singlePref"] = single_pref_entails(ranked.kb, query, domain, bound).entailed
-        row["enriched"] = enriched_entails(ranked.kb, query, domain, bound).entailed
+        single = single_pref_model(ranked.kb, domain, bound)
+        row["singlePref"] = holds_in_by_variants(single, query)[0]
+        enriched = minimal_canonical_models(ranked.kb, domain, bound)[0]
+        row["enriched"] = holds_in_by_variants(enriched, query)[0]
     except (RankBoundExceededError, InconsistentKBError) as exc:
         return {"query": row["query"], "error": str(exc)}
     row["violation"] = bool(row["rc"] and not row["enriched"])

@@ -16,17 +16,16 @@ from typika.cli import main
 from typika.kb import (Defeasible, KnowledgeBase, Strict, serialize_axiom, serialize_kb,
                        subconcept_closure)
 from typika.models import (CanonicalDomain, RankBoundExceededError, build_canonical_domain,
-                           enriched_entails, minimal_canonical_models, single_pref_entails,
-                           single_pref_model)
+                           minimal_canonical_models, single_pref_model)
 from typika.parser import intern, parse_axiom, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure, level
 from typika.syntax import (BOT, TOP, And, Atom, Exists, Forall, Not, Or, complement, concept_key,
                            concept_to_text, subconcepts)
 
-from conftest import GOLDEN, KBS, REPO, SET3_TEXT
+from conftest import GOLDEN, KBS, REPO, SET1_TEXT, SET3_TEXT
 from corpus import corpus_kbs
 from families import ROLE_KBS, chain_text, diamond_text, role_free_pools
-from oracles import holds_in_by_variants, rc_by_and_node, widened_compare_row
+from oracles import holds_in_by_variants, model_of, rc_by_and_node, widened_compare_row
 from test_models import random_kbs_with_domains
 from test_tableau import DEEP_KB
 
@@ -616,11 +615,11 @@ def test_compare_rows_match_the_widened_reference(capsys, monkeypatch, tmp_path)
 def test_two_mask_verdicts_match_the_references():
     # every row is read off two masks on one table; here rc is checked
     # against the ranks of the antecedent and of a built `lhs and not rhs`
-    # node, and both model verdicts, the first counterelement included,
-    # and the `compare` row against each lifted variant of the query's
-    # sides read on its own (`oracles`): closure, fresh-atom, conjunction
-    # and restriction rows, over the corpus, `chain(1..3)`,
-    # `diamond(1..3)`, the role KBs and the seeded role-free pools
+    # node, and both model verdicts of the `compare` row against each
+    # lifted variant of the query's sides read on its own (`oracles`):
+    # closure, fresh-atom, conjunction and restriction rows, over the
+    # corpus, `chain(1..3)`, `diamond(1..3)`, the role KBs and the seeded
+    # role-free pools
     rng = random.Random(41)
     fish = Exists("eats", Atom("Fish"))
     texts = [serialize_kb(kb) for kb in corpus_kbs()]
@@ -649,14 +648,10 @@ def test_two_mask_verdicts_match_the_references():
             domain = build_canonical_domain(ranked, restrictions)
             want: dict = {"query": serialize_axiom(q), "rc": rc}
             try:
-                for field, model, entails in (
-                        ("singlePref", lambda: single_pref_model(kb, domain), single_pref_entails),
-                        ("enriched", lambda: minimal_canonical_models(kb, domain)[0],
-                         enriched_entails)):
-                    entailed, first = holds_in_by_variants(model(), q)
-                    v = entails(kb, q, domain)
-                    assert (v.entailed, v.counterelement) == (entailed, first), (text, q)
-                    want[field] = entailed
+                for field, model in (
+                        ("singlePref", lambda: single_pref_model(kb, domain)),
+                        ("enriched", lambda: minimal_canonical_models(kb, domain)[0])):
+                    want[field] = holds_in_by_variants(model(), q)[0]
             except RankBoundExceededError as exc:
                 want = {"query": want["query"], "error": str(exc)}
                 errors += 1
@@ -777,7 +772,7 @@ def test_the_domain_is_the_stratifications_table(capsys, monkeypatch, tmp_path):
     read = []
     masks = CanonicalDomain.masks
 
-    def recording(self, lhs, rhs, atoms=None):
+    def recording(self, lhs, rhs, atoms):
         read.append((self, lhs, len(self.lift((lhs, rhs), atoms))))
         return masks(self, lhs, rhs, atoms)
 
@@ -836,41 +831,72 @@ def test_compare_walks_each_row_once_and_searches_once_per_domain(capsys, monkey
                         for name in ("single_pref_model", "minimal_canonical_models")]
 
 
-def test_query_answers_on_the_compare_domain(capsys, monkeypatch, tmp_path):
-    # without --emit-model, `query` takes the domain `compare` takes for the
-    # same row, so each semantics' exit code is the row's verdict, or its
-    # error; a fresh-atom query widens no table
-    texts = {"set3": SET3_TEXT, **{f"chain{n}": chain_text(n) for n in (1, 2, 3)},
-             **{f"diamond{n}": diamond_text(n) for n in (1, 2)}, **ROLE_KBS}
+def test_query_agrees_with_compare_row_by_row(capsys, monkeypatch, tmp_path):
+    # `query` reads its verdict off the placed query's two masks, as a
+    # `compare` row does: per semantics, its exit code and text are the
+    # row's flag, and on an error row the first model semantics to fail
+    # exits 2 with the row's error (chain(3)'s coupling cycles among them).
+    # `--emit-model --json` prints the model of the domain widened by the
+    # whole query, and its verdict is that model's own reading of the query
+    # (`holds_in_by_variants`). Closure, fresh-atom, conjunction and
+    # fresh-restriction rows, at the default bound and at 1; a fresh-atom
+    # query widens no table
+    texts = {"set1": SET1_TEXT, "set3": SET3_TEXT, **FAMILY_KBS}
     kb_file, query_file = tmp_path / "kb.kb", tmp_path / "queries.txt"
-    fields = {"rc": "rc", "single-pref": "singlePref", "enriched": "enriched"}
-    verdicts = errors = 0
-    for text in texts.values():
-        kb = parse_kb(text)
-        x, y = (concept_to_text(c) for c in (kb.defeasible[0].lhs, kb.defeasible[0].rhs))
-        z = concept_to_text(kb.defeasible[-1].lhs)
-        queries = [f"T(({x} and Blond)) => {y}", f"T(({x} and {z})) => {y}",
-                   f"T(({x} and exists eats. Fish)) => {y}"]
+    fields = {"single-pref": "singlePref", "enriched": "enriched"}
+    verdicts = errors = cycles = witnesses = 0
+    for name, text in texts.items():
+        nodes: dict = {}
+        kb = parse_kb(text, nodes)
+        ranked = RankedTBox(kb)
+        antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
+        rhss = list(dict.fromkeys(ax.rhs for ax in kb.defeasible))
+        queries = list(dict.fromkeys(family_queries(kb) + [
+            serialize_axiom(Defeasible(And(antes[0], side), rhss[0]))
+            for side in (Atom("Blond"), Exists("eats", Atom("Fish")))]))
         kb_file.write_text(text)
         query_file.write_text("".join(q + "\n" for q in queries))
         for bound in ([], ["--rank-bound", "1"]):
             _, doc, _ = run_json(capsys, ["compare", "--json", *bound, str(kb_file),
                                           str(query_file)])
-            for q, row in zip(queries, doc["rows"]):
+            assert [row["query"] for row in doc["rows"]] == queries, name
+            for raw, row in zip(queries, doc["rows"]):
+                q = parse_axiom(raw, nodes)
+                rc = in_rational_closure(ranked, q)
+                assert rc == row.get("rc", rc), (name, raw)
                 outcomes = {sem: run(capsys, ["query", "--semantics", sem, *bound,
-                                              str(kb_file), q])
-                            for sem in fields}
+                                              str(kb_file), raw])
+                            for sem in ("rc", *fields)}
+                assert outcomes["rc"] == (0 if rc else 1, "entailed\n" if rc
+                                          else "not entailed\n", ""), (name, raw)
                 if "error" in row:
-                    # the first model semantics to fail gives the row's error
-                    failed = [err for code, _, err in outcomes.values() if code == 2]
-                    assert failed[0] == f"error: {row['error']}\n", (text, q)
+                    failed = [sem for sem in fields if outcomes[sem][0] == 2]
+                    assert failed and outcomes[failed[0]] == (
+                        2, "", f"error: {row['error']}\n"), (name, raw)
                     errors += 1
-                else:
-                    assert {sem: outcomes[sem][0] for sem in fields} == {
-                        sem: 0 if row[field] else 1 for sem, field in fields.items()}, (text, q)
-                    verdicts += 1
-    # 96 rows: 54 verdicts and 42 errors, most of them at bound 1
-    assert verdicts > 40 and errors > 30
+                    cycles += "rule (a)" in row["error"]
+                    continue
+                for sem, field in fields.items():
+                    flag = row[field]
+                    assert outcomes[sem] == (0 if flag else 1, "entailed\n" if flag
+                                             else "not entailed\n", ""), (name, raw, sem)
+                    code, shown, _ = run_json(capsys, ["query", "--json", "--emit-model",
+                                                       "--semantics", sem, *bound,
+                                                       str(kb_file), raw])
+                    domain = build_canonical_domain(ranked, (q.lhs, q.rhs))
+                    witness = shown["witness"]
+                    assert [t["concepts"] for t in witness["domain"]] == [
+                        sorted(map(concept_to_text, t)) for t in domain.types], (name, raw)
+                    model = model_of(domain, [witness["globalRanks"][f"t{i}"]
+                                              for i in range(domain.size)])
+                    assert (code, shown["entailed"]) == (
+                        0 if flag else 1, flag), (name, raw, sem)
+                    assert holds_in_by_variants(model, q)[0] == flag, (name, raw, sem)
+                    witnesses += 1
+                verdicts += 1
+    # 432 rows: 227 verdicts with 454 witnesses, and 205 errors, most of
+    # them at bound 1, 22 of them cycles
+    assert verdicts > 200 and witnesses > 400 and errors > 150 and cycles > 15
     stratified = _keep_stratifications(monkeypatch)
     for sem in ("single-pref", "enriched"):
         code, _, _ = run(capsys, ["query", "--semantics", sem, SET3,

@@ -16,12 +16,9 @@ from typika.models import (
     build_canonical_domain,
     check_coupling,
     default_rank_bound,
-    enriched_entails,
     find_abox_mapping,
-    min_global,
     minimal_canonical_models,
     satisfies_kb,
-    single_pref_entails,
     single_pref_model,
     _Constraints,
     _element_ranks,
@@ -29,7 +26,7 @@ from typika.models import (
     _validate_witnesses,
 )
 from typika.parser import parse_axiom, parse_concept, parse_kb
-from typika.ranking import RankedTBox, elements, in_rational_closure, least
+from typika.ranking import RankedTBox, counterexamples, elements, in_rational_closure, least
 from typika.syntax import BOT, TOP, And, Atom, Exists, Forall, Not, concept_key
 
 from conftest import SET3_TEXT
@@ -48,6 +45,7 @@ from oracles import (
     entails_in_all_enriched_models,
     entails_in_all_single_models,
     enumerate_enriched_globals,
+    holds_in_by_variants,
     enumerate_single_models,
     holds_in_ranks,
     least_profile,
@@ -61,7 +59,7 @@ from oracles import (
     satisfies_kb_by_ranks,
     tableau_domain,
 )
-from test_acceptance import corpus_with_domains
+from test_acceptance import corpus_with_domains, placed_verdict
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -314,7 +312,7 @@ def test_least_instances_match_the_scan():
                 continue
             m = m[0] if isinstance(m, list) else m
             models += 1
-            assert [min_global(m, c) for c in concepts] \
+            assert [least(m.rank_masks, ext) for ext in exts] \
                 == [min_by(m.global_ranks, ext) for ext in exts]
             for (_, masks), (_, ranks) in zip(m.aspect_masks, m.per_aspect):
                 assert [least(masks, ext) for ext in exts] \
@@ -339,9 +337,10 @@ def test_set3_minimal_penguins(kb_set3):
     dom = domain_of(kb_set3)
     enriched = minimal_canonical_models(kb_set3, dom)[0]
     single = single_pref_model(kb_set3, dom)
-    assert {atom_signature(enriched.domain, i) for i in element_set(min_global(enriched, peng))} \
+    penguins = dom.eval(peng)
+    assert {atom_signature(dom, i) for i in element_set(least(enriched.rank_masks, penguins))} \
         == {frozenset({"Bird", "HasNiceFeather", "Penguin"})}
-    assert {atom_signature(single.domain, i) for i in element_set(min_global(single, peng))} \
+    assert {atom_signature(dom, i) for i in element_set(least(single.rank_masks, penguins))} \
         == {frozenset({"Bird", "HasNiceFeather", "Penguin"}),
             frozenset({"Bird", "Penguin"})}
 
@@ -365,31 +364,44 @@ def test_set1_enriched_strata(kb_set1):
         assert m.global_ranks[i] == expect, sig
 
 
+def set3_models(kb_set3):
+    """set3's stratification and its minimal single-preference and
+    enriched models on the KB's own table."""
+    ranked = RankedTBox(kb_set3)
+    dom = build_canonical_domain(ranked)
+    return ranked, single_pref_model(kb_set3, dom), minimal_canonical_models(kb_set3, dom)[0]
+
+
 def test_entailment_verdicts(kb_set3):
     hnf = parse_axiom("T(Penguin) => HasNiceFeather")
     nofly = parse_axiom("T(Penguin) => not Fly")
-    dom = domain_of(kb_set3)
-    assert not single_pref_entails(kb_set3, hnf, dom).entailed
-    assert enriched_entails(kb_set3, hnf, dom).entailed
-    assert single_pref_entails(kb_set3, nofly, dom).entailed
-    assert enriched_entails(kb_set3, nofly, dom).entailed
-    # a negative verdict's model is the countermodel
-    v = single_pref_entails(kb_set3, hnf, dom)
-    assert v.counterelement in element_set(v.model.domain.eval(Atom("Penguin")))
-    assert v.counterelement not in element_set(v.model.domain.eval(Atom("HasNiceFeather")))
-    assert v.counterelement in element_set(min_global(v.model, Atom("Penguin")))
+    ranked, single, enriched = set3_models(kb_set3)
+    assert not placed_verdict(ranked, single, hnf)
+    assert placed_verdict(ranked, enriched, hnf)
+    assert placed_verdict(ranked, single, nofly)
+    assert placed_verdict(ranked, enriched, nofly)
+    # a negative verdict's countermodel element, the lowest counterexample,
+    # is a least-ranked penguin without nice feathers
+    dom = single.domain
+    entailed, first = holds_in_by_variants(single, hnf)
+    off = counterexamples(single.rank_masks, hnf, *ranked.place(hnf)[1:])
+    assert not entailed and first == (off & -off).bit_length() - 1
+    assert first in element_set(dom.eval(Atom("Penguin")))
+    assert first not in element_set(dom.eval(Atom("HasNiceFeather")))
+    assert first in element_set(least(single.rank_masks, dom.eval(Atom("Penguin"))))
 
 
 def test_strict_queries_are_extensional(kb_set3):
     q = parse_axiom("Penguin => Bird")
-    dom = domain_of(kb_set3)
-    assert single_pref_entails(kb_set3, q, dom).entailed
-    assert enriched_entails(kb_set3, q, dom).entailed
+    ranked, single, enriched = set3_models(kb_set3)
+    dom = single.domain
+    assert placed_verdict(ranked, single, q)
+    assert placed_verdict(ranked, enriched, q)
     assert entails_in_all_single_models(kb_set3, q, dom)
     assert entails_in_all_enriched_models(kb_set3, q, dom)
     q2 = parse_axiom("Bird => Penguin")
-    assert not single_pref_entails(kb_set3, q2, dom).entailed
-    assert not enriched_entails(kb_set3, q2, dom).entailed
+    assert not placed_verdict(ranked, single, q2)
+    assert not placed_verdict(ranked, enriched, q2)
 
 
 def test_rank_bound_overflow(kb_set3):
@@ -902,12 +914,11 @@ def test_all_model_entailment_matches_enumeration():
 def test_minimal_entailment_agrees_with_rc_on_micro_kbs():
     for kb in MICRO_KBS:
         ranked = RankedTBox(kb)
-        dom = build_canonical_domain(ranked)
+        model = single_pref_model(kb, build_canonical_domain(ranked))
         members = sorted(subconcept_closure(kb), key=concept_key)
         for x, y in itertools.product(members, members):
             q = Defeasible(x, y)
-            assert in_rational_closure(ranked, q) \
-                == single_pref_entails(kb, q, domain=dom).entailed, q
+            assert in_rational_closure(ranked, q) == placed_verdict(ranked, model, q), q
 
 
 # ------------------------------------------------------------- ABox
@@ -927,7 +938,7 @@ def test_abox_mapping(kb_set3):
     mapping = find_abox_mapping(m, kb)
     assert mapping is not None
     assert mapping["tweety"] in element_set(m.domain.eval(Atom("Bird")))
-    assert mapping["pingu"] in element_set(min_global(m, Atom("Penguin")))
+    assert mapping["pingu"] in element_set(least(m.rank_masks, m.domain.eval(Atom("Penguin"))))
 
 
 def test_abox_mapping_conflict(kb_set3):

@@ -13,12 +13,10 @@ from typika.syntax import (
     Or,
     TOP,
     Top,
-    atom_names,
     complement,
     concept_key,
     concept_to_text,
     conjoin,
-    role_names,
     subconcepts,
     to_nnf,
 )
@@ -27,7 +25,7 @@ from typika.parser import parse_axiom, parse_concept, parse_kb
 
 from conftest import KBS
 from corpus import corpus_kbs
-from oracles import random_concept, random_interp
+from oracles import atom_names, random_concept, random_interp, role_names
 
 A, B = Atom("A"), Atom("B")
 
