@@ -15,7 +15,10 @@ switches to a single structured document on stdout, the bytes of
 C-encoded strings, a container of over `_WIDE` members one member at a
 time; `timingMs` is measured per invocation except for `compare`, where
 it is pinned to 0 so repeated runs are byte-identical. The named
-subcommand's own parser reads the arguments.
+subcommand's own parser reads the arguments. The KB and query files are
+read as bytes and decoded once, so a byte that is not UTF-8 is reported at
+its offset in the file; query lines end at `\n`, `\r\n` and `\r`, as in
+a file read in text mode.
 
 A query is answered on the table `RankedTBox.place` picks, the domain
 widened by its restrictions outside the KB's closure: `query` and each
@@ -57,9 +60,23 @@ from .parser import KBSyntaxError, intern, parse_axiom, parse_kb
 from .ranking import RankedTBox, counterexamples, elements, in_rational_closure, is_kb_consistent
 from .syntax import Concept, concept_to_text
 
+def _read(path: str) -> str:
+    """A file's text: its bytes, read in one call, decoded once. A byte
+    that is not UTF-8 is reported at its offset in the file."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read().decode("utf-8")
+
+
 def _load_kb(path: str, nodes: Optional[dict[str, Concept]] = None) -> KnowledgeBase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kb(fh.read(), nodes)
+    return parse_kb(_read(path), nodes)
+
+
+def _query_lines(path: str) -> list[str]:
+    """The stripped lines of a query file that are neither blank nor a
+    comment. Lines end at `\n`, `\r\n` and `\r`, as when a file opened in
+    text mode is iterated; any other line break stays inside its line."""
+    lines = _read(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [r for r in map(str.strip, lines) if r and r[0] != "#"]
 
 
 _WIDE = 256  # a container of more members is written one member at a time
@@ -73,6 +90,8 @@ def _json(value: object, pad: str) -> str:
     """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
     nested at `pad` (a newline and the indent), as one string; raises
     `_Large` on a container of more than `_WIDE` members."""
+    if value is True or value is False or value is None:
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, str):
         return _string(value)
     if isinstance(value, (dict, list, tuple)):
@@ -84,8 +103,6 @@ def _json(value: object, pad: str) -> str:
         else:
             ends, out = "[]", [_json(v, inner) for v in value]
         return ends[0] + inner + f",{inner}".join(out) + pad + ends[1] if out else ends
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
     return repr(value) if type(value) is int else json.dumps(value)
 
 
@@ -285,9 +302,10 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
         found = ranks[table] = _minimal_ranks(ranked, table, bound)
     if isinstance(found, str):
         return {"query": text, "error": found}
-    single, enriched = (not counterexamples(masks, query, lhs, off) for masks in found)
-    return {"query": text, "rc": rc, "singlePref": single, "enriched": enriched,
-            "violation": rc and not enriched}
+    single, enriched = found
+    entailed = not counterexamples(enriched, query, lhs, off)
+    return {"query": text, "rc": rc, "singlePref": not counterexamples(single, query, lhs, off),
+            "enriched": entailed, "violation": rc and not entailed}
 
 
 def _flag(value: bool) -> str:
@@ -297,9 +315,7 @@ def _flag(value: bool) -> str:
 def cmd_compare(args: argparse.Namespace) -> int:
     nodes: dict[str, Concept] = {}  # one node table for the KB and every query
     kb = _load_kb(args.kb, nodes)
-    with open(args.queries, "r", encoding="utf-8") as fh:
-        raws = [line.strip() for line in fh]
-    raws = [r for r in raws if r and not r.startswith("#")]
+    raws = _query_lines(args.queries)
     ranked = RankedTBox(kb)
     intern(nodes, ranked.closure)  # so a query's `not X` is the closure's own node
     ranks: dict[CanonicalDomain, _ModelMasks] = {}

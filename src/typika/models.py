@@ -78,16 +78,18 @@ only rises, so the loop ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate, chain
 from operator import and_, getitem, or_
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
-from .kb import ConceptAssertion, KnowledgeBase, RoleAssertion, aspect_set
+from .kb import ConceptAssertion, Frozen, KnowledgeBase, RoleAssertion, aspect_set, cached
 from .ranking import (CanonicalDomain, RankedTBox, bitmask, counterexamples, elements,
                       highest, is_kb_consistent, least, level)
 from .syntax import TOP, Concept, Exists, Forall, concept_key, concept_to_text
+
+
+_set = object.__setattr__
 
 
 class InconsistentKBError(Exception):
@@ -163,6 +165,8 @@ def _layers(pairs: Iterable[tuple[int, int]], full: int) -> tuple[int, ...]:
     for v, mask in pairs:
         if mask:
             at[v] = at.get(v, 0) | mask
+    if not any(at):  # nothing ranks above 0
+        return (full,)
     masks = []
     above = 0  # the elements of the higher values
     for v in range(max(at, default=0), 0, -1):
@@ -211,23 +215,28 @@ def _element_ranks(masks: Sequence[int], size: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-@dataclass(frozen=True, eq=False)
-class Model:
+class Model(Frozen):
     """Ranks over a domain as bitmasks: `rank_masks[r]` holds the elements
     of global rank r and, for an enriched model, `aspect_masks` pairs each
     aspect with its rank masks (it is empty for a single-preference model).
     `global_ranks` and `per_aspect` give each element's ranks, read off
-    the masks on first use."""
+    the masks on first use. Models compare by identity."""
 
-    domain: CanonicalDomain
-    rank_masks: tuple[int, ...]
-    aspect_masks: tuple[tuple[Concept, tuple[int, ...]], ...] = ()
+    _fields = ("domain", "rank_masks", "aspect_masks")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    @cached_property
+    def __init__(self, domain: CanonicalDomain, rank_masks: tuple[int, ...],
+                 aspect_masks: tuple[tuple[Concept, tuple[int, ...]], ...] = ()) -> None:
+        _set(self, "domain", domain)
+        _set(self, "rank_masks", rank_masks)
+        _set(self, "aspect_masks", aspect_masks)
+
+    @cached
     def global_ranks(self) -> tuple[int, ...]:
         return _element_ranks(self.rank_masks, self.domain.size)
 
-    @cached_property
+    @cached
     def per_aspect(self) -> tuple[tuple[Concept, tuple[int, ...]], ...]:
         return tuple((a, _element_ranks(masks, self.domain.size))
                      for a, masks in self.aspect_masks)
@@ -269,7 +278,7 @@ class _Constraints:
         self.aspect_masks = tuple((a, (full & ~mask, mask)) for a, mask in self.bad.items())
         self.minimal: dict[tuple[bool, int], Union[tuple[int, ...], str]] = {}
 
-    @cached_property
+    @cached
     def _cells(self) -> tuple[list[Concept], list[tuple[int, tuple[int, ...]]], list[int],
                               list[int]]:
         """The V-cells, the elements grouped by the aspects they violate:

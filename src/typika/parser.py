@@ -15,7 +15,10 @@ assertion head and nothing else; in particular it cannot be nested.
 
 Each line is read as a list of its token texts, ending in one end-of-line
 sentinel, `None`. The parser reads the token at its position by index; an
-error finds the tokens' columns, the sentinel's one past the line.
+error finds the tokens' columns, the sentinel's one past the line. A
+stray character, a token that no name or mark starts with, is reported
+before any other error of its line; no parse accepts one, so it is looked
+for only in a line that fails to parse.
 
 A parse interns its concept nodes in a table (`nodes`, a dict from each
 concept's canonical text to its node): its own, or the caller's. The text
@@ -30,7 +33,8 @@ concept nodes hit on identity. The table dies with its caller.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from itertools import count, repeat
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .kb import (
     Assertion,
@@ -45,8 +49,10 @@ from .syntax import BOT, TOP, Atom, Concept, Exists, Forall, And, Not, Or, conce
 
 RESERVED = {"top", "bot", "not", "and", "or", "exists", "forall", "T"}
 
-_TOKEN_RE = re.compile(r"=>|[(),.]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),.]|=>|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_set = object.__setattr__
+_T = TypeVar("_T")
 
 
 class KBSyntaxError(Exception):
@@ -59,19 +65,36 @@ class KBSyntaxError(Exception):
 class _LineParser:
     """Parses one line's token list, interning every concept node in `nodes`."""
 
+    __slots__ = ("code", "end_col", "texts", "pos", "line_no", "nodes")
+
     def __init__(self, raw: str, line_no: int, nodes: dict[str, Concept]):
-        self.code = raw.split("#", 1)[0]
+        self.code = raw.partition("#")[0]
         self.end_col = len(raw) + 1
         self.texts: list[Optional[str]] = _TOKEN_RE.findall(self.code)
+        self.texts.append(None)
         self.pos = 0
         self.line_no = line_no
-        odd = [tok for tok in set(self.texts)  # characters no token starts with
-               if tok not in ("(", ")", ",", ".", "=>") and not tok[0].isalpha() and tok[0] != "_"]
+        self.nodes = nodes
+
+    def read(self, parse: Callable[[], _T]) -> _T:
+        """What `parse` reads off the line. Its error gives way to that of
+        the line's first stray character: a token that no name or mark
+        starts with, which no parse accepts, so the characters are checked
+        only when the line fails to parse."""
+        try:
+            return parse()
+        except KBSyntaxError:
+            self.check_characters()
+            raise
+
+    def check_characters(self) -> None:
+        """Raises the error of the line's first stray character, if any."""
+        odd = [tok for tok in set(self.texts) if tok is not None
+               and tok not in ("(", ")", ",", ".", "=>") and not tok[0].isalpha()
+               and tok[0] != "_"]
         if odd:
             self.pos = min(map(self.texts.index, odd))
             raise self.fail(f"unexpected character {self.texts[self.pos]!r}")
-        self.texts.append(None)
-        self.nodes = nodes
 
     def fail(self, message: str) -> KBSyntaxError:
         """The error at the current token; only an error needs columns, so
@@ -83,9 +106,13 @@ class _LineParser:
         tok = self.texts[self.pos]
         return "end of line" if tok is None else repr(tok)
 
+    def expected(self, mark: str) -> KBSyntaxError:
+        """The error of a token other than `mark` at the current one."""
+        return self.fail(f"expected {mark!r}, found {self.found()}")
+
     def take(self, expected: str) -> None:
         if self.texts[self.pos] != expected:
-            raise self.fail(f"expected {expected!r}, found {self.found()}")
+            raise self.expected(expected)
         self.pos += 1
 
     def take_ident(self, what: str) -> str:
@@ -99,50 +126,66 @@ class _LineParser:
         return self.texts[self.pos] == "T" and self.texts[self.pos + 1] == "("
 
     def concept(self) -> Concept:
-        """The next concept's node, found in the table by its canonical
-        text, which is built from its parts' cached texts."""
-        text = self.texts[self.pos]
-        if text is None:
-            raise self.fail("expected a concept, found end of line")
-        if text == "T" and self.at_typicality():
-            raise self.fail("the typicality marker cannot occur inside a concept")
-        if text in ("top", "bot"):
-            self.pos += 1
-            return TOP if text == "top" else BOT
-        if text == "not":
-            self.pos += 1
-            sub = self.concept()
-            return self.node(f"not {concept_to_text(sub)}", Not, sub)
-        if text in ("exists", "forall"):
-            self.pos += 1
-            role = self.take_ident("a role name")
-            self.take(".")
-            sub = self.concept()
-            return self.node(f"{text} {role}. {concept_to_text(sub)}",
-                             Exists if text == "exists" else Forall, role, sub)
+        """The next concept's node. A name is one lookup in the table; a
+        compound's key, its canonical text, is built from its parts' cached
+        texts (`concept_to_text` renders only `top` and `bot`), and its
+        node is built only when the table lacks the key."""
+        texts, nodes = self.texts, self.nodes
+        pos = self.pos
+        text = texts[pos]
+        c = nodes.get(text)
+        if c is not None:  # a name the table holds
+            self.pos = pos + 1
+            return c
         if text == "(":
-            self.pos += 1
+            self.pos = pos + 1
             left = self.concept()
-            op = self.texts[self.pos]
-            if op not in ("and", "or"):
+            op = texts[self.pos]
+            if op != "and" and op != "or":
                 raise self.fail("unexpected end of line" if op is None
                                 else f"expected 'and' or 'or', found {op!r}")
             self.pos += 1
             right = self.concept()
-            self.take(")")
-            return self.node(f"({concept_to_text(left)} {op} {concept_to_text(right)})",
-                             And if op == "and" else Or, left, right)
-        if text in RESERVED:
+            if texts[self.pos] != ")":
+                raise self.expected(")")
+            self.pos += 1
+            key = (f"({left._key or concept_to_text(left)} {op}"
+                   f" {right._key or concept_to_text(right)})")
+            kind, parts = And if op == "and" else Or, (left, right)
+        elif text == "not":
+            self.pos = pos + 1
+            sub = self.concept()
+            key, kind, parts = f"not {sub._key or concept_to_text(sub)}", Not, (sub,)
+        elif text == "exists" or text == "forall":
+            self.pos = pos + 1  # at the role name, then at the dot, for an error
+            role = texts[pos + 1]
+            if role is None or role in RESERVED or not _IDENT_RE.fullmatch(role):
+                raise self.fail(f"expected a role name, found {self.found()}")
+            self.pos = pos + 2
+            if texts[pos + 2] != ".":
+                raise self.expected(".")
+            self.pos = pos + 3
+            sub = self.concept()
+            key = f"{text} {role}. {sub._key or concept_to_text(sub)}"
+            kind, parts = Exists if text == "exists" else Forall, (role, sub)
+        elif text is not None and text not in RESERVED and _IDENT_RE.fullmatch(text):
+            self.pos = pos + 1
+            key, kind, parts = text, Atom, (text,)
+        elif text == "top" or text == "bot":
+            self.pos = pos + 1
+            return TOP if text == "top" else BOT
+        elif text is None:
+            raise self.fail("expected a concept, found end of line")
+        elif text == "T" and texts[pos + 1] == "(":
+            raise self.fail("the typicality marker cannot occur inside a concept")
+        elif text in RESERVED:
             raise self.fail(f"{text!r} cannot be used as a concept name")
-        name = self.take_ident("a concept name")
-        return self.node(name, Atom, name)
-
-    def node(self, key: str, kind: type, *parts) -> Concept:
-        """The table's node for the canonical text `key`, built on a miss."""
-        c = self.nodes.get(key)
+        else:
+            raise self.fail(f"expected a concept name, found {text!r}")
+        c = nodes.get(key)
         if c is None:
-            c = self.nodes[key] = kind(*parts)
-            object.__setattr__(c, "_key", key)
+            c = nodes[key] = kind(*parts)
+            _set(c, "_key", key)
         return c
 
     def typicality_head(self) -> Concept:
@@ -153,9 +196,18 @@ class _LineParser:
         return inner
 
     def axiom(self) -> Axiom:
+        texts = self.texts
         typical = self.at_typicality()
-        lhs = self.typicality_head() if typical else self.concept()
-        self.take("=>")
+        if typical:
+            self.pos += 2
+        lhs = self.concept()
+        if typical:
+            if texts[self.pos] != ")":
+                raise self.expected(")")
+            self.pos += 1
+        if texts[self.pos] != "=>":
+            raise self.expected("=>")
+        self.pos += 1
         rhs = self.concept()
         self.end()
         return Defeasible(lhs, rhs) if typical else Strict(lhs, rhs)
@@ -190,24 +242,32 @@ class _LineParser:
     def statement(self) -> Axiom | Assertion:
         return self.axiom() if "=>" in self.texts else self.assertion()
 
+    def query(self) -> Axiom:
+        if "=>" not in self.texts:
+            raise self.fail("a query must be an axiom (missing '=>')")
+        return self.axiom()
+
+    def lone_concept(self) -> Concept:
+        c = self.concept()
+        self.end()
+        return c
+
     def end(self) -> None:
         tok = self.texts[self.pos]
         if tok is not None:
             raise self.fail(f"unexpected {tok!r} after a complete statement")
 
 
-def _line_parsers(text: str, nodes: Optional[dict[str, Concept]]):
-    nodes = {} if nodes is None else nodes
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        lp = _LineParser(raw, line_no, nodes)
-        if len(lp.texts) > 1:
-            yield lp
+def _lines(text: str, nodes: Optional[dict[str, Concept]]) -> Iterator[_LineParser]:
+    """A parser per line of `text`, each made as it is reached, so a line's
+    characters are checked only once the lines above it are parsed."""
+    return map(_LineParser, text.splitlines(), count(1), repeat({} if nodes is None else nodes))
 
 
 def parse_kb(text: str, nodes: Optional[dict[str, Concept]] = None) -> KnowledgeBase:
     """Parses KB source text, interning its concepts in `nodes` when
     given. Raises KBSyntaxError with line and column on errors."""
-    stmts = [lp.statement() for lp in _line_parsers(text, nodes)]
+    stmts = [lp.read(lp.statement) for lp in _lines(text, nodes) if len(lp.texts) > 1]
     return KnowledgeBase.build([s for s in stmts if isinstance(s, (Strict, Defeasible))],
                                [s for s in stmts if not isinstance(s, (Strict, Defeasible))])
 
@@ -215,15 +275,14 @@ def parse_kb(text: str, nodes: Optional[dict[str, Concept]] = None) -> Knowledge
 def parse_axiom(text: str, nodes: Optional[dict[str, Concept]] = None) -> Axiom:
     """Parses a single axiom line (the query format), interning its
     concepts in `nodes` when given."""
-    parsers = list(_line_parsers(text, nodes))
+    parsers = [lp for lp in _lines(text, nodes) if len(lp.texts) > 1]
     if not parsers:
         raise KBSyntaxError("expected an axiom", 1, 1)
     if len(parsers) > 1:
+        for lp in parsers:
+            lp.check_characters()
         raise KBSyntaxError("expected a single axiom line", parsers[1].line_no, 1)
-    lp = parsers[0]
-    if "=>" not in lp.texts:
-        raise lp.fail("a query must be an axiom (missing '=>')")
-    return lp.axiom()
+    return parsers[0].read(parsers[0].query)
 
 
 def intern(nodes: dict[str, Concept], concepts: Iterable[Concept]) -> None:
@@ -235,9 +294,9 @@ def intern(nodes: dict[str, Concept], concepts: Iterable[Concept]) -> None:
 
 def parse_concept(text: str) -> Concept:
     """Parses a single concept; used by tests and interactive callers."""
-    parsers = list(_line_parsers(text, None))
+    parsers = [lp for lp in _lines(text, None) if len(lp.texts) > 1]
     if len(parsers) != 1:
+        for lp in parsers:
+            lp.check_characters()
         raise KBSyntaxError("expected a single concept", 1, 1)
-    c = parsers[0].concept()
-    parsers[0].end()
-    return c
+    return parsers[0].read(parsers[0].lone_concept)

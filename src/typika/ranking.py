@@ -11,7 +11,7 @@ rank is the least level at which a type holding it survives (Giordano et
 al., "Semantic characterization of rational closure", AIJ 2015). Each
 table enumerates its candidate types once, pruned as they are built by
 axioms every level holds, and filters that list for each level: the
-stratification by the defaults every level keeps (`_kept`), a table over
+stratification by the antecedents every level empties (`_kept`), a table over
 a widened closure, whose levels are known, by the last level.
 One rule picks the table a concept is answered on, for ranks and models
 alike: the KB's closure widened by the concept's restrictions outside it
@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
 from itertools import compress, count, product, repeat
 from typing import Collection, Iterable, Optional, Sequence, Union
 
-from .kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
+from .kb import Defeasible, KnowledgeBase, Strict, cached, subconcept_closure
 from .syntax import (
     BOT,
     TOP,
@@ -68,6 +67,7 @@ from .syntax import (
     concept_key,
     conjoin,
     substitute,
+    to_nnf,
 )
 from .tableau import StrictTBox, entails_strict
 
@@ -223,17 +223,18 @@ class Extensions:
         return mask
 
     def __call__(self, c: Concept) -> int:
-        if isinstance(c, (Atom, Exists, Forall)):
+        kind = c.__class__  # no concept class is subclassed
+        if kind is Atom or kind is Exists or kind is Forall:
             return self.on(self.bit[c])
-        if isinstance(c, Not):
+        if kind is Not:
             return self.full ^ self(c.sub)
-        if isinstance(c, And):
+        if kind is And:
             return self(c.left) & self(c.right)
-        if isinstance(c, Or):
+        if kind is Or:
             return self(c.left) | self(c.right)
-        if isinstance(c, Top):
+        if kind is Top:
             return self.full
-        if isinstance(c, Bottom):
+        if kind is Bottom:
             return 0
         raise TypeError(f"not a concept: {c!r}")
 
@@ -452,11 +453,11 @@ class CanonicalDomain:
         return [tuple(substitute(c, dict(zip(fresh, values))) for c in concepts)
                 for values in product((TOP, BOT), repeat=len(fresh))]
 
-    @cached_property
+    @cached
     def successors(self) -> dict[str, tuple[int, ...]]:
         return self.engine.successors(self.eval)
 
-    @cached_property
+    @cached
     def types(self) -> tuple[frozenset[Concept], ...]:
         holds = [set(elements(self.eval(p))) for p in self.engine.positives]
         return tuple(frozenset(p if i in ext else complement(p)
@@ -464,17 +465,35 @@ class CanonicalDomain:
                      for i in range(self.size))
 
 
-def _kept(defaults: Sequence[Defeasible]) -> tuple[Defeasible, ...]:
-    """The defaults every level keeps: those whose antecedent C cannot hold
-    with all of C's consequents, one of them `bot` or a concept and its
-    complement. A level holding them forces C empty, so from the first
-    level, which holds every default, each level keeps them."""
+def _folds_to_bot(c: Concept) -> bool:
+    """Whether a concept in NNF is `bot` once its constants are folded:
+    `bot`, a conjunction with such a part, a disjunction of two, or an
+    `exists` with such a filler."""
+    kind = c.__class__
+    if kind is And:
+        return _folds_to_bot(c.left) or _folds_to_bot(c.right)
+    if kind is Or:
+        return _folds_to_bot(c.left) and _folds_to_bot(c.right)
+    if kind is Exists:
+        return _folds_to_bot(c.sub)
+    return kind is Bottom
+
+
+def _kept(defaults: Sequence[Defeasible]) -> tuple[Strict, ...]:
+    """`C => bot` for each antecedent C whose defaults every level keeps:
+    C cannot hold with all of its consequents, one of them `bot` in NNF
+    with its constants folded (`not top`, `(X and bot)`, say) or a concept
+    and its complement. A level holding the defaults forces C empty, so
+    from the first level, which holds every default, each level keeps
+    them, and a type survives a level only without C. As an inclusion,
+    `C => bot` reads C's bits alone, so the enumeration drops those types
+    as soon as C's bits are set."""
     groups: dict[Concept, set[Concept]] = {}
     for ax in defaults:
         groups.setdefault(ax.lhs, {ax.lhs}).add(ax.rhs)
-    empty = {c for c, group in groups.items()
-             if BOT in group or any(isinstance(d, Not) and d.sub in group for d in group)}
-    return tuple(ax for ax in defaults if ax.lhs in empty)
+    return tuple(Strict(c, BOT) for c, group in groups.items()
+                 if any(_folds_to_bot(to_nnf(d)) or isinstance(d, Not) and d.sub in group
+                        for d in group))
 
 
 class RankedTBox:
@@ -483,7 +502,8 @@ class RankedTBox:
     `levels[i]` holds the defeasible axioms still exceptional after i
     rounds, to a fixpoint, so the last level repeats under one more round.
     The candidates of the KB's own closure (`closure`) are enumerated once,
-    for the strict axioms and the defaults every level keeps (`_kept`),
+    for the strict axioms and the antecedents the defaults every level
+    keeps make empty (`_kept`),
     and each round filters them by the level's material counterparts
     (`surviving`): an axiom stays when no type surviving the level holds
     its antecedent. The last level's survivors make the KB's table, its

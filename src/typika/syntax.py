@@ -23,7 +23,7 @@ compares equal to.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 _set = object.__setattr__
 
@@ -187,16 +187,19 @@ def to_nnf(c: Concept) -> Concept:
     raise TypeError(f"not a concept: {c!r}")
 
 
-def subconcepts(c: Concept) -> Iterator[Concept]:
-    """Yields c and every subexpression of c, outermost first."""
-    yield c
-    if isinstance(c, Not):
-        yield from subconcepts(c.sub)
-    elif isinstance(c, (And, Or)):
-        yield from subconcepts(c.left)
-        yield from subconcepts(c.right)
-    elif isinstance(c, (Exists, Forall)):
-        yield from subconcepts(c.sub)
+def subconcepts(c: Concept) -> list[Concept]:
+    """c and every subexpression of c, outermost first, left before right."""
+    out = []
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        out.append(c)
+        kind = c.__class__
+        if kind is Not or kind is Exists or kind is Forall:
+            todo.append(c.sub)
+        elif kind is And or kind is Or:
+            todo += (c.right, c.left)
+    return out
 
 
 def substitute(c: Concept, values: Mapping[Concept, Concept]) -> Concept:

@@ -13,20 +13,20 @@ search backtracks. The search is a loop with an explicit stack of the
 untried right disjuncts, so neither branching nor successors are
 bounded by Python's recursion limit.
 
+`StrictTBox`, `Witness` and `SatResult` are value types on `kb.Frozen`.
 Each `StrictTBox` computes its internalised concept once, on first use, and
-keeps it, so the cache lives exactly as long as the TBox does. The reasoner
-calls the tableau once per knowledge base: `ranking.RankedTBox` checks the
-consistency of its last level's TBox against type elimination, which gives
-the stratification, the ranks and the canonical domain.
+keeps it (`kb.cached`), so the cache lives exactly as long as the TBox
+does. The reasoner calls the tableau once per knowledge base:
+`ranking.RankedTBox` checks the consistency of its last level's TBox
+against type elimination, which gives the stratification, the ranks and
+the canonical domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
-from .kb import Strict
+from .kb import Frozen, Strict, cached
 from .syntax import (
     And,
     Atom,
@@ -42,11 +42,16 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class StrictTBox:
+_set = object.__setattr__
+
+
+class StrictTBox(Frozen):
     """A purely classical TBox: ordered strict inclusions."""
 
-    axioms: tuple[tuple[Concept, Concept], ...] = ()
+    _fields = ("axioms",)
+
+    def __init__(self, axioms: tuple[tuple[Concept, Concept], ...] = ()) -> None:
+        _set(self, "axioms", axioms)
 
     @staticmethod
     def from_axioms(axioms: Iterable[Strict]) -> "StrictTBox":
@@ -55,7 +60,7 @@ class StrictTBox:
     def extended(self, lhs: Concept, rhs: Concept) -> "StrictTBox":
         return StrictTBox(self.axioms + ((lhs, rhs),))
 
-    @cached_property
+    @cached
     def internalized(self) -> Optional[Concept]:
         """The NNF of the conjunction of `not lhs or rhs` over the axioms."""
         if not self.axioms:
@@ -63,24 +68,29 @@ class StrictTBox:
         return to_nnf(conjoin(Or(Not(lhs), rhs) for lhs, rhs in self.axioms))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """A finite model extracted from an open tableau branch.
 
     `atom_ext` maps atom names to element sets, `role_ext` maps role names
     to edge sets; elements are 0..size-1 and `root` satisfies the input.
     """
 
-    size: int
-    atom_ext: tuple[tuple[str, frozenset[int]], ...]
-    role_ext: tuple[tuple[str, frozenset[tuple[int, int]]], ...]
-    root: int
+    _fields = ("size", "atom_ext", "role_ext", "root")
+
+    def __init__(self, size: int, atom_ext: tuple[tuple[str, frozenset[int]], ...],
+                 role_ext: tuple[tuple[str, frozenset[tuple[int, int]]], ...], root: int) -> None:
+        _set(self, "size", size)
+        _set(self, "atom_ext", atom_ext)
+        _set(self, "role_ext", role_ext)
+        _set(self, "root", root)
 
 
-@dataclass(frozen=True)
-class SatResult:
-    satisfiable: bool
-    witness: Optional[Witness] = None
+class SatResult(Frozen):
+    _fields = ("satisfiable", "witness")
+
+    def __init__(self, satisfiable: bool, witness: Optional[Witness] = None) -> None:
+        _set(self, "satisfiable", satisfiable)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.satisfiable

@@ -17,7 +17,7 @@ from typika.kb import (Defeasible, KnowledgeBase, Strict, serialize_axiom, seria
                        subconcept_closure)
 from typika.models import (CanonicalDomain, RankBoundExceededError, build_canonical_domain,
                            minimal_canonical_models, single_pref_model)
-from typika.parser import intern, parse_axiom, parse_kb
+from typika.parser import KBSyntaxError, intern, parse_axiom, parse_kb
 from typika.ranking import RankedTBox, in_rational_closure, level
 from typika.syntax import (BOT, TOP, And, Atom, Exists, Forall, Not, Or, complement, concept_key,
                            concept_to_text, subconcepts)
@@ -239,14 +239,63 @@ def test_missing_file_is_an_error(capsys):
 
 def test_file_not_in_utf8_is_an_input_error(capsys, tmp_path):
     # a KB or query file that does not decode as UTF-8 is bad input, reported
-    # as a file that cannot be read, never as an internal error
+    # as a file that cannot be read, never as an internal error, with the
+    # bad byte's offset in the file, also past the first 8 KiB
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("T(Café) => Open\n".encode("latin-1"))
-    message = ("cannot read input: 'utf-8' codec can't decode byte 0xe9 in position 5:"
+    late = tmp_path / "late.txt"
+    late.write_bytes(b"# " + b"x" * 9992 + b"\nT(Caf\xe9) => Open\n")  # 0xe9 at 10000
+    message = ("cannot read input: 'utf-8' codec can't decode byte 0xe9 in position {}:"
                " invalid continuation byte\n")
-    for argv in (["check", str(latin1)], ["query", "--semantics", "rc", str(latin1), "A => B"],
-                 ["compare", "--json", SET3, str(latin1)]):
-        assert run(capsys, argv) == (2, "", message), argv
+    for argv, offset in [(["check", str(latin1)], 5),
+                         (["query", "--semantics", "rc", str(latin1), "A => B"], 5),
+                         (["compare", "--json", SET3, str(latin1)], 5),
+                         (["compare", "--json", SET3, str(late)], 10000)]:
+        assert run(capsys, argv) == (2, "", message.format(offset)), argv
+
+
+# Query and KB files with the line breaks text mode reads and those it
+# leaves inside a line, a byte order mark, and blank and comment lines
+READER_CASES = {
+    "crlf": b"T(Penguin) => not Fly\r\nT(Bird) => Fly\r\n",
+    "lone-cr": b"T(Penguin) => not Fly\rT(Bird) => Fly\r\rT(Bird) => Fly",
+    "bom": "\ufeffT(Penguin) => not Fly\nT(Bird) => Fly\n".encode("utf-8"),
+    "form-feed": b"T(Penguin) =>\x0cnot Fly\nT(Bird) => Fly\x0c\n",
+    "nel": "T(Penguin)\x85=> not Fly\nT(Bird) => Fly\n".encode("utf-8"),
+    "line-separator": "T(Penguin) => not Fly\u2028T(Bird) => Fly\n".encode("utf-8"),
+    "blank-and-comment": b"\n  \n# a comment\n  # indented\r\n\tT(Bird) => Fly  \n\n",
+}
+
+
+def text_mode_rows(path: Path) -> list[str]:
+    """The query rows as a file opened in text mode and iterated gives them."""
+    with open(path, encoding="utf-8") as fh:
+        return [r for r in (line.strip() for line in fh) if r and not r.startswith("#")]
+
+
+def parsed_or_error(parse, *args):
+    try:
+        return parse(*args)
+    except KBSyntaxError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_inputs_read_as_bytes_give_what_text_mode_gives(capsys, tmp_path, name):
+    # the files are read as bytes and decoded once; the query lines end at
+    # `\n`, `\r\n` and `\r` only, so each file gives the KB and the rows
+    # that reading it in text mode gives, a syntax error included
+    queries, plain, kb = tmp_path / "queries.txt", tmp_path / "plain.txt", tmp_path / "kb.kb"
+    queries.write_bytes(READER_CASES[name])
+    rows = text_mode_rows(queries)
+    assert typika.cli._query_lines(str(queries)) == rows
+    plain.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    assert (run(capsys, ["compare", "--json", SET3, str(queries)])
+            == run(capsys, ["compare", "--json", SET3, str(plain)]))
+    kb.write_bytes(READER_CASES[name] + SET3_TEXT.replace("\n", "\r\n").encode("utf-8"))
+    with open(kb, encoding="utf-8") as fh:
+        want = parsed_or_error(parse_kb, fh.read())
+    assert parsed_or_error(typika.cli._load_kb, str(kb)) == want
 
 
 def test_value_error_of_the_program_is_an_internal_error(capsys, monkeypatch, tmp_path):

@@ -1,12 +1,19 @@
 """The package surface: what `typika` exports and what it keeps."""
 
 import ast
+import copy
 import importlib
 import importlib.util
 import inspect
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import typika
 from typika import cli, models
@@ -127,3 +134,104 @@ def test_no_module_imports_a_name_it_does_not_use():
                 exported.update(ast.literal_eval(node.value))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported - read - exported == set(), path.name
+
+
+# ------------------------------------------------------------ value types
+
+
+# each value type's fields, in constructor order
+FIELDS = {
+    "Strict": ("lhs", "rhs"), "Defeasible": ("lhs", "rhs"),
+    "ConceptAssertion": ("concept", "individual", "typical"),
+    "RoleAssertion": ("role", "subject", "target"),
+    "KnowledgeBase": ("strict", "defeasible", "abox"), "StrictTBox": ("axioms",),
+    "Witness": ("size", "atom_ext", "role_ext", "root"), "SatResult": ("satisfiable", "witness"),
+    "Model": ("domain", "rank_masks", "aspect_masks"),
+}
+
+
+def values():
+    """One value of each of the package's value types but `Model`, with its
+    repr."""
+    from typika import (Atom, ConceptAssertion, Defeasible, RoleAssertion, Strict, StrictTBox,
+                        is_satisfiable, parse_kb)
+    from typika.syntax import And, Exists
+
+    a, b = Atom("A"), Atom("B")
+    kb = parse_kb("A => B\nT(A) => not B\nT(B)(y)\nr(x, y)\n")
+    sat = is_satisfiable(And(a, Exists("r", b)), want_witness=True)
+    witness = ("Witness(size=2, atom_ext=(('A', frozenset({0})), ('B', frozenset({1}))),"
+               " role_ext=(('r', frozenset({(0, 1)})),), root=0)")
+    return [
+        (Strict(a, b), "A => B"),
+        (Defeasible(a, b), "T(A) => B"),
+        (ConceptAssertion(a, "x"), "ConceptAssertion(concept=A, individual='x', typical=False)"),
+        (RoleAssertion("r", "x", "y"), "RoleAssertion(role='r', subject='x', target='y')"),
+        (kb, "KnowledgeBase(strict=(A => B,), defeasible=(T(A) => not B,), abox=("
+             "ConceptAssertion(concept=B, individual='y', typical=True),"
+             " RoleAssertion(role='r', subject='x', target='y')))"),
+        (StrictTBox.from_axioms(kb.strict), "StrictTBox(axioms=((A, B),))"),
+        (sat.witness, witness),
+        (sat, f"SatResult(satisfiable=True, witness={witness})"),
+    ]
+
+
+def fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in FIELDS[type(value).__name__])
+
+
+def set3_model():
+    from conftest import SET3_TEXT
+    from typika import RankedTBox, parse_kb
+
+    kb = parse_kb(SET3_TEXT)
+    return models.minimal_canonical_models(kb, models.build_canonical_domain(RankedTBox(kb)))[0]
+
+
+def test_value_types_compare_hash_and_print_by_their_fields():
+    from typika import Atom, Defeasible, Strict
+
+    a, b = Atom("A"), Atom("B")
+    assert Strict(a, b) != Defeasible(a, b) and Defeasible(a, b) != Strict(a, b)
+    assert Strict(a, b) == Strict(Atom("A"), Atom("B")) != Strict(b, a)
+    assert {type(v).__name__ for v, _ in values()} | {"Model"} == set(FIELDS)
+    for value, text in values():
+        twin = type(value)(*fields(value))
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert repr(value) == text
+    # a model compares by identity
+    model = set3_model()
+    twin = models.Model(*fields(model))
+    assert model == model and twin != model and hash(twin) != hash(model)
+
+
+def test_value_types_are_frozen():
+    for value in [v for v, _ in values()] + [set3_model()]:
+        for name in FIELDS[type(value).__name__]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+def test_value_types_pickle_and_copy_by_their_fields():
+    for value, _ in values():
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin is not value and type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    model = set3_model()
+    for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert twin is not model and twin.domain is not model.domain
+        assert twin.domain.codes == model.domain.codes
+        assert fields(twin)[1:] == fields(model)[1:] and twin.global_ranks == model.global_ranks
+
+
+def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+    # the value types are plain classes, so neither module is loaded
+    code = ("import sys; import typika.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert out.stdout == "[]\n"

@@ -236,6 +236,15 @@ GOLDEN_INPUTS = [
     "A & B => C",
     "A => B\nC $ D",
     "T(A) => B]",
+    # a digit that starts a token, an `=` or `>` outside `=>`, and
+    # characters outside ASCII: the lines a stray character can hide in
+    "A1 => B_2\n2A => B",
+    "A = B",
+    "A > B",
+    "A ==> B",
+    "A =>> B",
+    "A => B ≠ C",
+    "A\u00a0=>\u2003B",
     # a non-ASCII letter passes the tokenizer and fails at the name check
     "é => C",
     "B é",

@@ -148,6 +148,33 @@ def test_levels_match_one_enumeration_per_level():
     assert tables > 2 * len(kbs) + 100
 
 
+def test_defaults_whose_consequent_folds_to_bot_prune_as_bot_does(monkeypatch):
+    # a consequent that is `bot` once in NNF with its constants folded
+    # (`not top`, `(bot or bot)`, `((B or D) and bot)`) keeps its default
+    # in every level, as `bot` does, so the one enumeration prunes the A_i:
+    # the levels of the per-level reference, and as many codes as the
+    # `bot` KB lists, times the 2^2 values of B and D where the consequent
+    # adds them to the closure (it listed 2^12 or 2^14 without the folding)
+    sizes = []
+    candidates = _TypeElimination.candidates
+
+    def counted(self, axioms):
+        codes = candidates(self, axioms)
+        sizes.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(_TypeElimination, "candidates", counted)
+    listed = {}
+    for rhs in ("bot", "not top", "(bot or bot)", "((B or D) and bot)"):
+        kb = parse_kb("".join(f"T(A{i}) => {rhs}\n" for i in range(12)))
+        want = levels_by_level_enumeration(kb)
+        sizes.clear()
+        assert RankedTBox(kb).levels == want == [kb.defeasible], rhs
+        listed[rhs] = sizes[:]
+    assert listed == {"bot": [1], "not top": [1], "(bot or bot)": [1],
+                      "((B or D) and bot)": [4]}
+
+
 def test_the_walk_outside_the_closure_stops_at_members():
     # every subconcept of a closure member is a member, so the walk that
     # `outside`, the table key and `lift` share stops at members and finds
