@@ -27,7 +27,10 @@ place, `level`, `highest`, `least` and `counterexamples`, over a table's
 level survivors and a model's rank masks alike, so rank entailment and
 both model semantics ask one question: do a query's counterexamples meet
 its antecedent's least-ranked instances? The tableau makes one call per
-KB, a cross-check of the KB's consistency against the engine.
+KB, a cross-check of the KB's consistency against the engine: it is
+handed the strict axioms and the last level's defaults as one list of
+inclusions, each default read as its material counterpart, as the
+levels read it.
 
 Concepts are evaluated structurally in one place, `Extensions`: a
 concept's extension is an int bitmask over an ordered list of type codes,
@@ -65,24 +68,10 @@ from .syntax import (
     Top,
     complement,
     concept_key,
-    conjoin,
     substitute,
     to_nnf,
 )
 from .tableau import StrictTBox, entails_strict
-
-
-def materialization(axioms: Iterable[Defeasible]) -> Concept:
-    """The conjunction of material counterparts, in knowledge base order."""
-    return conjoin(Or(Not(ax.lhs), ax.rhs) for ax in axioms)
-
-
-def level_tbox(strict_core: StrictTBox, level: Iterable[Defeasible]) -> StrictTBox:
-    """Strict core plus a level's material counterpart asserted globally."""
-    level = tuple(level)
-    if not level:
-        return strict_core
-    return strict_core.extended(TOP, materialization(level))
 
 
 # per bit k of a byte, each byte value's digit: "1" when bit k is set
@@ -515,8 +504,10 @@ class RankedTBox:
     `models.build_canonical_domain` returns for that widening. A query's
     table and two masks (`place`) are memoised per query, and a concept is
     ranked as the query `C => bot`. The constructor makes exactly one
-    tableau call: the consistency of the last level's TBox, which must
-    agree with whether any type survives it.
+    tableau call: the consistency of the strict axioms plus the last
+    level's defaults, each `T(C) => D` read as `C => D`
+    (`StrictTBox.from_axioms`), which must agree with whether any type
+    survives the last level.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -537,8 +528,7 @@ class RankedTBox:
             self.levels.append(level)
         self._tables = {frozenset(): CanonicalDomain(engine, base, alive)}
         self._placed: dict[Union[Strict, Defeasible], tuple[CanonicalDomain, int, int]] = {}
-        tbox = level_tbox(StrictTBox.from_axioms(kb.strict), level)
-        if entails_strict(tbox, TOP, BOT) == bool(alive[-1]):
+        if entails_strict(StrictTBox.from_axioms(kb.strict + level), TOP, BOT) == bool(alive[-1]):
             raise AssertionError("type elimination and the tableau disagree on "
                                  "the consistency of the knowledge base")
 

@@ -17,7 +17,8 @@ bounded by Python's recursion limit.
 Each `StrictTBox` computes its internalised concept once, on first use, and
 keeps it (`kb.cached`), so the cache lives exactly as long as the TBox
 does. The reasoner calls the tableau once per knowledge base:
-`ranking.RankedTBox` checks the consistency of its last level's TBox
+`ranking.RankedTBox` checks the consistency of the strict axioms plus
+its last level's defaults, each read as its material counterpart,
 against type elimination, which gives the stratification, the ranks and
 the canonical domain.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .kb import Frozen, Strict, cached
+from .kb import Axiom, Frozen, cached
 from .syntax import (
     And,
     Atom,
@@ -54,11 +55,10 @@ class StrictTBox(Frozen):
         _set(self, "axioms", axioms)
 
     @staticmethod
-    def from_axioms(axioms: Iterable[Strict]) -> "StrictTBox":
+    def from_axioms(axioms: Iterable[Axiom]) -> "StrictTBox":
+        """The inclusions in order, strict or defeasible: a default
+        `T(C) => D` enters as its material counterpart `C => D`."""
         return StrictTBox(tuple((ax.lhs, ax.rhs) for ax in axioms))
-
-    def extended(self, lhs: Concept, rhs: Concept) -> "StrictTBox":
-        return StrictTBox(self.axioms + ((lhs, rhs),))
 
     @cached
     def internalized(self) -> Optional[Concept]:

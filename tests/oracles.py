@@ -67,7 +67,7 @@ from typika.models import (
     satisfies_kb,
     single_pref_model,
 )
-from typika.ranking import Extensions, RankedTBox, _TypeElimination, bitmask, elements, level_tbox
+from typika.ranking import Extensions, RankedTBox, _TypeElimination, bitmask, elements
 from typika.syntax import (
     BOT,
     And,
@@ -202,23 +202,23 @@ class TableauRanks:
 
     `levels[i]` holds the defeasible axioms still exceptional after i
     rounds, to a fixpoint; an axiom stays when the strict axioms plus the
-    level's material counterparts, asserted globally (`tboxes[i]`), force
-    its antecedent empty. A concept's rank is the least level whose TBox
-    does not force it empty, one `entails_strict` call per level tried.
+    level's material counterparts, each default `T(C) => D` an inclusion
+    `C => D` of the TBox (`tboxes[i]`), force its antecedent empty. A
+    concept's rank is the least level whose TBox does not force it empty,
+    one `entails_strict` call per level tried.
     """
 
     def __init__(self, kb: KnowledgeBase):
-        core = StrictTBox.from_axioms(kb.strict)
         level = tuple(kb.defeasible)
         self.levels: list[tuple[Defeasible, ...]] = [level]
-        self.tboxes = [level_tbox(core, level)]
+        self.tboxes = [StrictTBox.from_axioms(kb.strict + level)]
         while True:
             nxt = tuple(ax for ax in level if entails_strict(self.tboxes[-1], ax.lhs, BOT))
             if nxt == level:
                 break
             level = nxt
             self.levels.append(level)
-            self.tboxes.append(level_tbox(core, level))
+            self.tboxes.append(StrictTBox.from_axioms(kb.strict + level))
 
     def rank(self, concept: Concept) -> float:
         for i, tbox in enumerate(self.tboxes):

@@ -70,6 +70,30 @@ def test_deep_tableau_search_needs_no_recursion(capsys, tmp_path):
     assert (code, out, err) == (0, "consistent\n", "")
 
 
+# An inconsistent role KB on which the tableau's consistency cross-check
+# does not finish (type elimination decides it in milliseconds).
+HANGING_KB = ("exists r. (D and top) => (exists r. bot or D)\n"
+              "A => bot\n"
+              "T(forall r. not A) => E\n"
+              "T(forall r. (bot and top)) => not (bot and C)\n"
+              "T(not C) => ((C and E) and not A)\n"
+              "T(forall r. (B or top)) => exists r. (top and B)\n"
+              "T((C or (C and bot))) => exists r. not C\n"
+              "T(exists r. A) => exists r. (E and D)\n")
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="the tableau does not terminate on this KB")
+def test_check_answers_the_hanging_kb_fast(tmp_path):
+    kb = tmp_path / "hanging.kb"
+    kb.write_text(HANGING_KB)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    # run() kills the child when the timeout expires
+    proc = subprocess.run([sys.executable, "-m", "typika", "check", str(kb)],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "inconsistent\n")
+
+
 def test_check_json_keys(capsys):
     code, doc, _ = run_json(capsys, ["check", "--json", SET3])
     assert code == 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import typika.ranking
 import typika.tableau
 from typika.cli import main
 from typika.kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
@@ -16,11 +17,11 @@ from typika.ranking import (
     elements,
     in_rational_closure,
     is_kb_consistent,
-    materialization,
     satisfiable_wrt_kb,
     select,
 )
 from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, concept_key
+from typika.tableau import StrictTBox
 
 from conftest import KBS
 from corpus import corpus_kbs, defeasible_queries
@@ -36,14 +37,6 @@ from test_cli import fresh_rows, role_fresh_rows
 from test_models import random_kbs_with_domains
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
-
-
-def test_materialization_shape(kb_set3):
-    mat = materialization(kb_set3.defeasible)
-    bird, fly, hnf, peng = (Atom(n) for n in
-                            ("Bird", "Fly", "HasNiceFeather", "Penguin"))
-    assert mat == And(Or(Not(bird), hnf),
-                      And(Or(Not(bird), fly), Or(Not(peng), Not(fly))))
 
 
 def test_set3_levels_and_ranks(kb_set3):
@@ -62,18 +55,25 @@ def test_set3_levels_and_ranks(kb_set3):
 
 def test_one_tableau_call_per_kb(kb_set3, monkeypatch, capsys):
     """Stratifying a KB makes exactly one tableau call, the consistency
-    cross-check; ranks, fresh-atom ones included, and rational-closure
+    cross-check, on the strict axioms plus the last level's defaults as
+    inclusions; ranks, fresh-atom ones included, and rational-closure
     verdicts make none, and neither does `compare`'s domain build."""
     calls = []
     original = typika.tableau.is_satisfiable
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(typika.tableau, "is_satisfiable", counting)
+    # set3's last level is empty; every default of this KB stays to the last
+    kb = parse_kb(RANK_INFINITY["pairs"])
+    rt = RankedTBox(kb)
+    assert rt.levels[-1] == kb.defeasible
+    assert [args[1] for args in calls] == [StrictTBox.from_axioms(kb.defeasible)]
+    calls.clear()
     rt = RankedTBox(kb_set3)
-    assert len(calls) == 1
+    assert [args[1] for args in calls] == [StrictTBox.from_axioms(kb_set3.strict + rt.levels[-1])]
     for text in ("Bird", "Penguin", "(Penguin and Fly)", "(Penguin and not Bird)",
                  "(Penguin and Blond)"):
         rt.rank(parse_concept(text))
@@ -86,6 +86,22 @@ def test_one_tableau_call_per_kb(kb_set3, monkeypatch, capsys):
                  str(KBS / "set3_queries.txt")]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_cross_check_disagreement_is_an_internal_error(kb_set3, monkeypatch, capsys):
+    """A tableau verdict that contradicts type elimination on the KB's
+    consistency raises, and `compare` reports it as an internal error:
+    exit 2, the message on stderr and nothing on stdout."""
+    original = typika.ranking.entails_strict
+    monkeypatch.setattr(typika.ranking, "entails_strict",
+                        lambda *args: not original(*args))
+    with pytest.raises(AssertionError, match="type elimination and the tableau disagree"):
+        RankedTBox(kb_set3)
+    code = main(["compare", "--json", str(KBS / "set3.kb"), str(KBS / "set3_queries.txt")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == ("internal error: AssertionError: type elimination and the tableau "
+                       "disagree on the consistency of the knowledge base\n")
 
 
 def test_ranks_match_tableau_reference():

@@ -2,7 +2,7 @@ import random
 
 from typika.kb import Strict
 from typika.parser import parse_concept, parse_kb
-from typika.ranking import RankedTBox, level_tbox
+from typika.ranking import RankedTBox
 from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, BOT
 from typika.tableau import StrictTBox, entails_strict, is_satisfiable
 
@@ -114,6 +114,14 @@ def test_entailment_transitive_chain():
     assert entails_strict(tb, Forall("r", A), Forall("r", C))
 
 
+def test_defaults_enter_as_material_counterparts(kb_set3):
+    # each default `T(C) => D` is the inclusion `C => D`, in KB order
+    bird, fly, hnf, peng = (Atom(n) for n in
+                            ("Bird", "Fly", "HasNiceFeather", "Penguin"))
+    assert StrictTBox.from_axioms(kb_set3.defeasible).internalized == And(
+        Or(Not(bird), hnf), And(Or(Not(bird), fly), Or(Not(peng), Not(fly))))
+
+
 # ------------------------------------------------------------------ golden
 
 # A KB whose consistency cross-check branches and adds successors deeper
@@ -138,11 +146,14 @@ def tableau_golden(seed: int = 26, cases: int = 1500) -> str:
     """The text of `golden/tableau.txt` for the current tableau: per
     seeded case of the gate-6 generators over roles `r` and `s`, a concept
     and a TBox of up to two axioms, the result with its witness; then that
-    of `DEEP_KB`'s consistency cross-check, the last level's TBox against
-    `top`. The witnesses pin the order in which the search branches. The
-    file was recorded with the tableau that saturated every label by full
-    passes before each step, so it pins that applying the rules as
-    concepts enter a label changes no result and no witness."""
+    of `DEEP_KB`'s consistency cross-check, `top` against the strict
+    axioms plus the last level's defaults, each a TBox inclusion. The
+    witnesses pin the order in which the search branches. The file was
+    recorded with the tableau that saturated every label by full passes
+    before each step, its deep line with the level as the one axiom
+    `top => M`, so it pins that applying the rules as concepts enter a
+    label, and handing the level as inclusions, change no result and no
+    witness."""
     rng = random.Random(seed)
     out = []
     for k in range(cases):
@@ -153,7 +164,7 @@ def tableau_golden(seed: int = 26, cases: int = 1500) -> str:
                               for _ in range(rng.randrange(3))))
         out.append(f"{k}: {_result_text(is_satisfiable(c, tb, want_witness=True))}")
     kb = parse_kb(DEEP_KB)
-    tb = level_tbox(StrictTBox.from_axioms(kb.strict), RankedTBox(kb).levels[-1])
+    tb = StrictTBox.from_axioms(kb.strict + RankedTBox(kb).levels[-1])
     out.append(f"deep: {_result_text(is_satisfiable(And(TOP, Not(BOT)), tb, want_witness=True))}")
     return "".join(line + "\n" for line in out)
 
