@@ -14,8 +14,11 @@ switches to a single structured document on stdout, the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)`, joined per container with
 C-encoded strings, a container of over `_WIDE` members one member at a
 time; `timingMs` is measured per invocation except for `compare`, where
-it is pinned to 0 so repeated runs are byte-identical. The named
-subcommand's own parser reads the arguments. The KB and query files are
+it is pinned to 0 so repeated runs are byte-identical. The arguments
+spelled as `--help` prints them are read without argparse, over the one
+declaration of each subcommand's options (`_read_args`); argparse, built
+from that declaration only then, reads every other argv and prints all
+help and usage errors (`build_parser`). The KB and query files are
 read as bytes and decoded once, so a byte that is not UTF-8 is reported at
 its offset in the file; query lines end at `\n`, `\r\n` and `\r`, as in
 a file read in text mode.
@@ -36,14 +39,14 @@ whole query, and its model, only to print them.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
-from typing import Collection, Iterator, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence, Union
 
 from .kb import KnowledgeBase, serialize_axiom
 from .models import (
@@ -59,6 +62,10 @@ from .models import (
 from .parser import KBSyntaxError, intern, parse_axiom, parse_kb
 from .ranking import RankedTBox, counterexamples, elements, in_rational_closure, is_kb_consistent
 from .syntax import Concept, concept_to_text
+
+if TYPE_CHECKING:
+    import argparse
+
 
 def _read(path: str) -> str:
     """A file's text: its bytes, read in one call, decoded once. A byte
@@ -126,7 +133,7 @@ def _pieces(value: Union[dict, list], pad: str) -> Iterator[str]:
     yield pad + ends[1]
 
 
-def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
+def _emit(args: SimpleNamespace, doc: dict, lines: list[str]) -> None:
     """The document as indented, key-sorted JSON, written in pieces so a
     large witness is never one string; or the lines."""
     if args.json:
@@ -174,7 +181,7 @@ def _model_lines(witness: dict) -> list[str]:
     return lines
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
     ranked = RankedTBox(kb)
@@ -189,7 +196,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if consistent else 1
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: SimpleNamespace) -> int:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
     rt = RankedTBox(kb)
@@ -229,7 +236,7 @@ def _minimal_models(ranked: RankedTBox, closure: Collection[Concept], semantics:
             else minimal_canonical_models(kb, domain, bound)[0] for name in semantics]
 
 
-def cmd_query(args: argparse.Namespace) -> int:
+def cmd_query(args: SimpleNamespace) -> int:
     nodes: dict[str, Concept] = {}  # one node table for the KB and the query
     kb = _load_kb(args.kb, nodes)
     query = parse_axiom(args.query, nodes)
@@ -312,7 +319,7 @@ def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> int:
     nodes: dict[str, Concept] = {}  # one node table for the KB and every query
     kb = _load_kb(args.kb, nodes)
     raws = _query_lines(args.queries)
@@ -349,71 +356,123 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _rank_bound(text: str) -> int:
-    """A `--rank-bound` value: an int of 0 or more."""
+    """A `--rank-bound` value: an int of 0 or more; otherwise ValueError
+    with the message argparse prints."""
     try:
         bound = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if bound < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, not {bound}")
+        raise ValueError(f"must be 0 or more, not {bound}")
     return bound
 
 
+# Each subcommand's handler, help, options and positionals, read by
+# `_read_args` and declared to argparse by `build_parser`. An option is its
+# full spelling and its `add_argument` keywords: a flag stores True, any
+# other option takes the next word, one of its `choices` or read by its
+# `type`, which raises ValueError with the message argparse prints.
+_JSON = ("--json", {"action": "store_true", "help": "emit one structured JSON document"})
+_RANK_BOUND = ("--rank-bound", {"type": _rank_bound,
+                                "help": "cap on rank values (default: defeasible axioms + 1)"})
+_KB = ("kb", "knowledge base file")
+_SUBCOMMANDS = {
+    "check": (cmd_check, "report KB consistency", (_JSON,), (_KB,)),
+    "rank": (cmd_rank, "print exceptionality levels and antecedent ranks", (_JSON,), (_KB,)),
+    "query": (cmd_query, "answer one inclusion query",
+              (_JSON,
+               ("--semantics", {"required": True, "choices": ("rc", "single-pref", "enriched")}),
+               _RANK_BOUND,
+               ("--emit-model", {"action": "store_true",
+                                 "help": "include the witness or counterexample model"})),
+              (_KB, ("query", "inclusion, e.g. 'T(Bird) => Fly'"))),
+    "compare": (cmd_compare, "run all semantics over a query file", (_JSON, _RANK_BOUND),
+                (_KB, ("queries", "file with one query per line"))),
+}
+
+
+def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """`argv` as `--help` spells it, read without argparse: a subcommand,
+    then its options in full, each value the next word, and exactly its
+    positionals; no other word starts with `-`, every value meets its
+    `choices` or `type` and every required option is given. Any other
+    argv gives None, for `build_parser`'s parsers; this prints nothing."""
+    declared = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if declared is None:
+        return None
+    handler, _, options, positionals = declared
+    keywords = dict(options)
+    args = {name[2:].replace("-", "_"): False if "action" in kw else None for name, kw in options}
+    missing = {name for name, kw in options if kw.get("required")}
+    words = []
+    rest = iter(argv[1:])
+    for word in rest:
+        kw = keywords.get(word)
+        if kw is None:
+            if word[:1] == "-":
+                return None
+            words.append(word)
+            continue
+        value = True
+        if "action" not in kw:
+            value = next(rest, "-")
+            if value[:1] == "-" or value not in kw.get("choices", (value,)):
+                return None
+            if "type" in kw:
+                try:
+                    value = kw["type"](value)
+                except ValueError:
+                    return None
+        args[word[2:].replace("-", "_")] = value
+        missing.discard(word)
+    if missing or len(words) != len(positionals):
+        return None
+    args.update(zip([name for name, _ in positionals], words), func=handler)
+    return SimpleNamespace(**args)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's own parser by name."""
+    """The top-level parser, and each subcommand's own parser by name,
+    declared from `_SUBCOMMANDS`. They read every argv `_read_args` leaves:
+    they print help and usage errors, and read the other spellings, such
+    as `--sem`, `--rank-bound=1`, `--` and a path starting with `-`."""
+    import argparse
+
+    def typed(read):  # argparse prints an ArgumentTypeError's message as it is
+        def value(text: str):
+            try:
+                return read(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
     parser = argparse.ArgumentParser(
         prog="typika",
         description="Defeasible description-logic reasoner with typicality.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit one structured JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common], help="report KB consistency")
-    p.add_argument("kb", help="knowledge base file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("rank", parents=[common],
-                       help="print exceptionality levels and antecedent ranks")
-    p.add_argument("kb", help="knowledge base file")
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("query", parents=[common],
-                       help="answer one inclusion query")
-    p.add_argument("--semantics", required=True,
-                   choices=["rc", "single-pref", "enriched"])
-    p.add_argument("--rank-bound", type=_rank_bound, default=None,
-                   help="cap on rank values (default: defeasible axioms + 1)")
-    p.add_argument("--emit-model", action="store_true",
-                   help="include the witness or counterexample model")
-    p.add_argument("kb", help="knowledge base file")
-    p.add_argument("query", help="inclusion, e.g. 'T(Bird) => Fly'")
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="run all semantics over a query file")
-    p.add_argument("--rank-bound", type=_rank_bound, default=None,
-                   help="cap on rank values (default: defeasible axioms + 1)")
-    p.add_argument("kb", help="knowledge base file")
-    p.add_argument("queries", help="file with one query per line")
-    p.set_defaults(func=cmd_compare)
+    for command, (handler, summary, options, positionals) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, kw in options:
+            p.add_argument(name, **({**kw, "type": typed(kw["type"])} if "type" in kw else kw))
+        for name, text in positionals:
+            p.add_argument(name, help=text)
+        p.set_defaults(func=handler)
     return parser, sub.choices
-
-
-# argparse keeps no state between parses, so one set of parsers serves every call
-PARSER, COMMANDS = build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is None:  # no command, an unknown one or a top-level option
-        args = PARSER.parse_args(argv)
-    else:  # the top-level parser would hand these on, and report any left over
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _read_args(argv)
+    if args is None:  # help, a usage error or a spelling only argparse reads
+        parser, commands = build_parser()
+        command = commands.get(argv[0]) if argv else None
+        if command is None:  # no command, an unknown one or a top-level option
+            args = parser.parse_args(argv)
+        else:  # the top-level parser would hand these on, and report any left over
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except KBSyntaxError as exc:

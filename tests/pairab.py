@@ -13,11 +13,12 @@ ROUNDS (default 1) repeats the workload's KB list with fresh names.
 
 It prints the median over the calls of B's time over A's, how many calls
 B took less time on, and whether the two trees printed the same bytes and
-exit codes on every call. A ratio per pair of calls on one file, taken
-seconds apart, cancels the changes of machine speed that spread one
-benchmark run by about 10%, so it resolves per-call changes near 1%.
-Nothing under `perfbench/` is changed. Not a test: pytest does not collect
-it.
+exit codes on every call; it exits 1 when they did not, so a script
+that reads only the exit code sees a change of verdict. A ratio per pair
+of calls on one file, taken seconds apart, cancels the changes of machine
+speed that spread one benchmark run by about 10%, so it resolves
+per-call changes near 1%. Nothing under `perfbench/` is changed. Not a
+test: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def main(argv: list[str]) -> int:
     wins = sum(r < 1 for r in ratios)
     print(f"calls={len(ratios)} median_b_over_a={statistics.median(ratios):.4f} "
           f"b_faster={wins}/{len(ratios)} identical_output={same}")
-    return 0
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

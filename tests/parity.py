@@ -24,6 +24,10 @@ row. Usage errors and help requests on the first KB follow: no arguments,
 missing or an extra argument, and bad `--semantics` and `--rank-bound`
 values; each records the code of its `SystemExit` as the exit code, and
 the child runs with `COLUMNS=80`, so help text wraps alike everywhere.
+Last come the spellings only argparse reads, or at the edge of the
+cli's own reader: `--rank-bound=1`, `--semantics=rc`, `--js` for
+`--json`, an option after the positionals, a repeated `--rank-bound`,
+`-h` after the positionals and a KB path of `-1`.
 
 This checkout's test helpers build the KBs and write them as text files
 to a temporary directory; a child process that imports only SRC's
@@ -113,6 +117,14 @@ def _calls(cases: list[tuple[str, list[str]]]) -> list[list[str]]:
               ["compare", "--rank-bound", "-1", "0.kb", "0.txt"],
               ["compare", "--rank-bound", "x", "0.kb", "0.txt"],
               ["compare", "--rank-bound", "0.kb", "0.txt"]]
+    # spellings only argparse reads, and those at the edge of `cli`'s own reader
+    calls += [["compare", "--rank-bound=1", "0.kb", "0.txt"],
+              ["query", "--semantics=rc", "0.kb", row], ["compare", "--js", "0.kb", "0.txt"],
+              ["compare", "0.kb", "0.txt", "--json"],
+              ["query", "0.kb", row, "--semantics", "enriched"],
+              ["compare", "--json", "--rank-bound", "1", "--rank-bound", "3", "0.kb", "0.txt"],
+              ["query", "--semantics", "rc", "0.kb", row, "-h"],
+              ["check", "-1"], ["compare", "-1", "0.txt"]]
     return calls
 
 

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -417,6 +419,52 @@ def test_extra_argument_is_reported_by_the_top_level_parser(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: typika [-h] {check,rank,query,compare} ...\n")
     assert err.endswith("typika: error: unrecognized arguments: extra\n")
+
+
+def _argparse_args(commands, argv):
+    """`vars()` of the namespace `main` gets from argparse for `argv`, or
+    None where argparse prints help or a usage error."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    except SystemExit:
+        return None
+    return None if extra else vars(args)
+
+
+# every option in full, abbreviated and with `=`, the values of `--semantics`
+# and `--rank-bound` good and bad, and words argparse reads apart
+_TOKENS = ["--json", "--semantics", "--rank-bound", "--emit-model",
+           "--js", "--sem", "--rank", "--e",
+           "--json=1", "--semantics=rc", "--rank-bound=3", "--emit-model=x",
+           "rc", "single-pref", "enriched", "bogus", "0", "3", " 3", "-1", "x",
+           "a.kb", "q.txt", "", "-", "-1.5", "-x", "a b", "--", "-h", "--help"]
+
+
+def test_argv_reader_agrees_with_argparse():
+    # wherever the reader takes an argv, argparse reads the same arguments;
+    # the reader leaves everything else to argparse, help and errors too
+    _, commands = typika.cli.build_parser()
+    rng = random.Random(31)
+    taken = 0
+    for _ in range(20000):
+        argv = [rng.choice(list(commands))]
+        argv += rng.choices(_TOKENS, k=rng.randint(0, 6))
+        args = typika.cli._read_args(argv)
+        if args is not None:
+            taken += 1
+            assert vars(args) == _argparse_args(commands, argv), argv
+    assert taken > 200
+    # the benchmark's call, the README's examples and every option of `query`
+    for argv in [["compare", "--json", SET3, SET3_QUERIES],
+                 ["check", SET3], ["rank", SET1], ["compare", SET3, SET3_QUERIES],
+                 ["query", "--semantics", "rc", SET3, "T(Penguin) => HasNiceFeather"],
+                 ["query", "--semantics", "enriched", SET3, "T(Penguin) => HasNiceFeather"],
+                 ["query", "--json", "--semantics", "single-pref", "--rank-bound", "3",
+                  "--emit-model", SET3, "T(Bird) => Fly"]]:
+        args = typika.cli._read_args(argv)
+        assert args is not None and vars(args) == _argparse_args(commands, argv), argv
 
 
 # a string of every escape class: non-ASCII, controls, quotes, backslashes

@@ -228,10 +228,29 @@ def test_value_types_pickle_and_copy_by_their_fields():
         assert fields(twin)[1:] == fields(model)[1:] and twin.global_ranks == model.global_ranks
 
 
-def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
-    # the value types are plain classes, so neither module is loaded
-    code = ("import sys; import typika.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def _loaded_after(code):
+    """What `code`, run in a fresh `python -S`, prints after the sorted
+    names of `dataclasses`, `inspect`, `argparse` and `gettext` it left
+    loaded."""
+    code += ("; print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'}"
+             " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    assert out.stdout == "[]\n"
+    return out.stdout
+
+
+def test_importing_the_cli_imports_no_dataclasses_inspect_argparse_or_gettext():
+    # the value types are plain classes, and argparse is built only for the
+    # argvs the cli's own reader leaves
+    assert _loaded_after("import sys; import typika.cli") == "[]\n"
+
+
+def test_a_canonical_call_loads_no_argparse():
+    # `--js` is read by argparse alone, and answers as `--json` does
+    kb, queries = str(ROOT / "kbs" / "set3.kb"), str(ROOT / "kbs" / "set3_queries.txt")
+    canonical, abbreviated = (
+        _loaded_after("import sys; from typika.cli import main; "
+                      f"main(['compare', {flag!r}, {kb!r}, {queries!r}])")
+        for flag in ("--json", "--js"))
+    assert canonical.endswith("}\n[]\n")
+    assert abbreviated == canonical[:-3] + "['argparse', 'gettext']\n"
