@@ -3,13 +3,17 @@
 Four subcommands: `check` (KB consistency), `rank` (exceptionality levels
 and antecedent ranks), `query` (entailment under one of three semantics),
 and `compare` (all semantics side by side over a query file, flagging rows
-where rank-based entailment is not contained in enriched entailment).
+where rank-based entailment differs from single-preference entailment
+or is not contained in enriched entailment).
 
 Exit codes: 0 entailed / consistent / no flagged rows, 1 negative verdict
 or flagged row, 2 any error (I/O or a file not in UTF-8, syntax,
 inconsistent KB under model semantics, rank bound overflow; in `compare`,
 any error row; an internal error, any other exception, reported as
-`internal error: ...` on stderr). `--json`
+`internal error: ...` on stderr). A subcommand reads its input and
+returns its exit code, document and text lines; `main` writes them and
+flushes stdout, so a write it refuses is reported as `cannot write
+output: ...` with exit 2. `--json`
 switches to a single structured document on stdout, the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)`, joined per container with
 C-encoded strings, a container of over `_WIDE` members one member at a
@@ -33,14 +37,15 @@ table's levels (`in_rational_closure`) or under the rank masks of the
 table's minimal model (`_minimal_models`). `compare` searches each
 table's two minimal models once and keeps their rank masks, or the error
 every row on the table reports, so a row builds no `Model` and reads no
-element's rank. `query --emit-model` builds the domain widened by the
-whole query, and its model, only to print them.
+element's rank. `query --emit-model` prints the model its verdict is
+read off, with the query's atoms that table lifts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from itertools import islice
@@ -146,17 +151,20 @@ def _emit(args: SimpleNamespace, doc: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _serialize_model(model: Model) -> dict:
+def _serialize_model(model: Model, lifted: Collection[Concept]) -> dict:
+    """A model as `--json` prints it, per role its distinct successor sets
+    and each element's index into them; `lifted`, the atoms its table has
+    no bit for, is listed when there are any."""
     dom = model.domain
     ids = [f"t{i}" for i in range(dom.size)]
-    return {
+    witness = {
         "domain": [
             {"id": ids[i], "concepts": sorted(concept_to_text(c) for c in t)}
             for i, t in enumerate(dom.types)
         ],
         "roleEdges": {
-            role: [[ids[i], ids[j]] for i, targets in enumerate(succ) for j in elements(targets)]
-            for role, succ in dom.successors.items()
+            role: {"of": dict(zip(ids, of)), "sets": [[ids[j] for j in elements(t)] for t in sets]}
+            for role, (sets, of) in dom.successors.items()
         },
         "aspectRanks": {
             concept_to_text(a): {ids[i]: r for i, r in enumerate(ranks)}
@@ -164,11 +172,16 @@ def _serialize_model(model: Model) -> dict:
         },
         "globalRanks": {ids[i]: r for i, r in enumerate(model.global_ranks)},
     }
+    if lifted:
+        witness["lifted"] = sorted(map(concept_to_text, lifted))
+    return witness
 
 
 def _model_lines(witness: dict) -> list[str]:
     """The text form of a `_serialize_model` document."""
     lines = ["witness model:"]
+    if "lifted" in witness:
+        lines.append(f"  lifted: {', '.join(witness['lifted'])}")
     ranks = witness["globalRanks"]
     for t in witness["domain"]:
         lines.append(f"  {t['id']} [global {ranks[t['id']]}]: {', '.join(t['concepts'])}")
@@ -176,12 +189,13 @@ def _model_lines(witness: dict) -> list[str]:
         cells = " ".join(f"{i}={r}" for i, r in ranks.items())
         lines.append(f"  aspect {a}: {cells}")
     for role, edges in witness["roleEdges"].items():
-        pairs = ", ".join(f"{i}->{j}" for i, j in edges)
-        lines.append(f"  role {role}: {pairs}")
+        lines.extend(f"  role {role} s{k}:" + "".join(f" {i}" for i in members)
+                     for k, members in enumerate(edges["sets"]))
+        lines.append(f"  role {role}: " + " ".join(f"{i}->s{k}" for i, k in edges["of"].items()))
     return lines
 
 
-def cmd_check(args: SimpleNamespace) -> int:
+def cmd_check(args: SimpleNamespace) -> tuple[int, dict, list[str]]:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
     ranked = RankedTBox(kb)
@@ -192,11 +206,10 @@ def cmd_check(args: SimpleNamespace) -> int:
     ms = (time.perf_counter() - start) * 1000.0
     doc = {"command": "check", "kb": args.kb, "consistent": consistent,
            "timingMs": round(ms, 3)}
-    _emit(args, doc, ["consistent" if consistent else "inconsistent"])
-    return 0 if consistent else 1
+    return (0 if consistent else 1), doc, ["consistent" if consistent else "inconsistent"]
 
 
-def cmd_rank(args: SimpleNamespace) -> int:
+def cmd_rank(args: SimpleNamespace) -> tuple[int, dict, list[str]]:
     kb = _load_kb(args.kb)
     start = time.perf_counter()
     rt = RankedTBox(kb)
@@ -222,8 +235,7 @@ def cmd_rank(args: SimpleNamespace) -> int:
             lines.append("  (empty)")
     ordered = sorted((r, text) for text, r in values.items())
     lines.extend(f"rank {r}: {text}" for r, text in ordered)
-    _emit(args, doc, lines)
-    return 0
+    return 0, doc, lines
 
 
 def _minimal_models(ranked: RankedTBox, closure: Collection[Concept], semantics: Sequence[str],
@@ -236,7 +248,7 @@ def _minimal_models(ranked: RankedTBox, closure: Collection[Concept], semantics:
             else minimal_canonical_models(kb, domain, bound)[0] for name in semantics]
 
 
-def cmd_query(args: SimpleNamespace) -> int:
+def cmd_query(args: SimpleNamespace) -> tuple[int, dict, list[str]]:
     nodes: dict[str, Concept] = {}  # one node table for the KB and the query
     kb = _load_kb(args.kb, nodes)
     query = parse_axiom(args.query, nodes)
@@ -246,12 +258,9 @@ def cmd_query(args: SimpleNamespace) -> int:
     if args.semantics == "rc":
         entailed = in_rational_closure(ranked, query)
     else:  # read off the placed query's masks, as a `compare` row is
-        table, lhs, off = ranked.place(query)
+        table, lhs, off, atoms = ranked.place(query)
         [model] = _minimal_models(ranked, table.closure, [args.semantics], args.rank_bound)
         entailed = not counterexamples(model.rank_masks, query, lhs, off)
-        if args.emit_model:  # the printed model lists every concept of the query
-            [model] = _minimal_models(ranked, (query.lhs, query.rhs), [args.semantics],
-                                      args.rank_bound)
     ms = (time.perf_counter() - start) * 1000.0
     doc = {
         "command": "query",
@@ -261,15 +270,14 @@ def cmd_query(args: SimpleNamespace) -> int:
         "entailed": entailed,
         "timingMs": round(ms, 3),
     }
-    if args.emit_model and model is not None:
-        doc["witness"] = _serialize_model(model)
+    if args.emit_model and model is not None:  # the model the verdict is read off
+        doc["witness"] = _serialize_model(model, table.lifted(atoms))
     lines = []  # the text form, built only when it is printed
     if not args.json:
         lines.append("entailed" if entailed else "not entailed")
         if "witness" in doc:
             lines.extend(_model_lines(doc["witness"]))
-    _emit(args, doc, lines)
-    return 0 if entailed else 1
+    return (0 if entailed else 1), doc, lines
 
 
 # per table, the global rank masks of the single-preference and the
@@ -303,23 +311,22 @@ def _compare_row(ranked: RankedTBox, raw: str, bound: Optional[int],
         return {"query": raw, "error": str(exc)}
     text = serialize_axiom(query)
     rc = in_rational_closure(ranked, query)
-    table, lhs, off = ranked.place(query)
+    table, lhs, off, _ = ranked.place(query)
     found = ranks.get(table)
     if found is None:
         found = ranks[table] = _minimal_ranks(ranked, table, bound)
     if isinstance(found, str):
         return {"query": text, "error": found}
-    single, enriched = found
-    entailed = not counterexamples(enriched, query, lhs, off)
-    return {"query": text, "rc": rc, "singlePref": not counterexamples(single, query, lhs, off),
-            "enriched": entailed, "violation": rc and not entailed}
+    single, enriched = (not counterexamples(masks, query, lhs, off) for masks in found)
+    return {"query": text, "rc": rc, "singlePref": single, "enriched": enriched,
+            "violation": rc != single or (rc and not enriched)}
 
 
 def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def cmd_compare(args: SimpleNamespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> tuple[int, dict, list[str]]:
     nodes: dict[str, Concept] = {}  # one node table for the KB and every query
     kb = _load_kb(args.kb, nodes)
     raws = _query_lines(args.queries)
@@ -349,10 +356,7 @@ def cmd_compare(args: SimpleNamespace) -> int:
             f" enriched={sum(1 for r in rows if r.get('enriched'))}"
             f" violations={violations} errors={errors}"
         )
-    _emit(args, doc, lines)
-    if errors:
-        return 2
-    return 1 if violations else 0
+    return (2 if errors else 1 if violations else 0), doc, lines
 
 
 def _rank_bound(text: str) -> int:
@@ -474,7 +478,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        try:  # flushed here, so a write stdout refuses fails here and not at exit
+            _emit(args, doc, lines)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed stdout, say
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            null = os.open(os.devnull, os.O_WRONLY)  # where the flush at exit writes what is left
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            return 2
+        return code
     except KBSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

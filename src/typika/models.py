@@ -13,31 +13,32 @@ rank mask that meets the antecedent (a strict query, unless there are
 any): the caller reads that off the two masks and a minimal model's rank
 masks with `ranking.counterexamples`, as it reads rank entailment off a
 table's levels; nothing here answers a query. `compare` builds one
-domain per KB plus one per distinct set of such restrictions, `query`
-the one its query needs by the same rule, and `query --emit-model` one
-widened by both sides of the query too, to print. A domain's
-elements are the types (maximal KB-satisfiable subsets of the closure)
-that survive the stratification's type elimination, so the domain is the
-`RankedTBox`'s table for the closure (`ranking.CanonicalDomain`), shared
-with the ranks, and makes no tableau call. Every set of elements is an
-int bitmask, bit i for element i: concept extensions (the domain's
-`eval`, read off the type bits), role successors (the elimination's
-successor test), violators, least-ranked instances and ranks. Rank
-functions over the domain stand in for preference relations (lower rank
-= more typical); a `Model` is the domain with the elements of each
-global rank, plus those of each rank per aspect for an enriched model.
-Each element's ranks are read off those masks only to print a model.
+domain per KB plus one per distinct set of such restrictions, and
+`query` the one its query needs by the same rule, the domain whose model
+`query --emit-model` prints. A domain's elements are the types (maximal
+KB-satisfiable subsets of the closure) that survive the stratification's
+type elimination, so the domain is the `RankedTBox`'s table for the
+closure (`ranking.CanonicalDomain`), shared with the ranks, and makes no
+tableau call. Every set of elements is an int bitmask, bit i for element
+i: concept extensions (the domain's `eval`, read off the type bits), the
+distinct role successor sets (the elimination's successor test; each
+element holds an index into them), violators, least-ranked instances
+and ranks. Rank functions over the domain stand in for preference
+relations (lower rank = more typical); a `Model` is the domain with the
+elements of each global rank, plus those of each rank per aspect for an
+enriched model. Each element's ranks are read off those masks only to
+print a model.
 
 Both semantics read a KB's defaults through one constraint table per
 domain and KB (`_Constraints`), all of it bitmasks: per default its
 antecedent and violators, per antecedent the violators of its defaults,
 and per aspect the elements that violate a default on it (`bad`), whose
 rank masks `(not bad, bad)` are the least aspect profile. The model
-checks read the table too, and it memoises each minimal model's global
-rank masks, or why there is none, per semantics and rank bound, so the
-queries sharing a domain search once. Rule (a)'s order, dominance of
-aspect-rank vectors of any number of ranks, is built in one place
-(`_order`): the enriched solve and `check_coupling` read the same cells.
+checks read the table too. Each model function searches anew; `compare`
+keeps each table's minimal rank masks, so the rows sharing a domain
+search once. Rule (a)'s order, dominance of aspect-rank vectors of any
+number of ranks, is built in one place (`_order`): the enriched solve
+and `check_coupling` read the same cells.
 
 Both minimal models come from one search (`_minimal`), the κ fixpoint of
 `_kappa_fixpoint`; its least ranks must fit the bound and leave no rank
@@ -136,19 +137,18 @@ def build_canonical_domain(ranked: RankedTBox,
 def _validate_witnesses(domain: CanonicalDomain) -> None:
     """Every restriction of the closure holds, read off the type bits, on
     exactly the elements its role edges give: `exists r. C` where some
-    r-successor is in C, `forall r. C` where every r-successor is. The
-    successor test hands out one int per distinct restriction bits, so each
-    distinct successor mask is tested once, keyed by its `id`: keyed by
-    value, every mask of a wide domain would be hashed."""
+    r-successor is in C, `forall r. C` where every r-successor is. Each
+    distinct successor set is tested once, and each element reads its
+    set's answer by its index."""
     full = domain.eval.full
     for p in domain.closure:
         if isinstance(p, (Exists, Forall)):
-            succ = domain.successors[p.role]
+            sets, of = domain.successors[p.role]
             # `exists r. C` holds where a successor is in C, `forall r. C`
             # where none is outside it
             sub = domain.eval(p.sub) if isinstance(p, Exists) else full ^ domain.eval(p.sub)
-            meets = {k: bool(t & sub) for k, t in {id(t): t for t in succ}.items()}
-            holds = bitmask(map(meets.__getitem__, map(id, succ)))
+            meets = [bool(t & sub) for t in sets]
+            holds = bitmask(map(meets.__getitem__, of))
             if isinstance(p, Forall):
                 holds ^= full
             wrong = domain.eval(p) ^ holds
@@ -255,10 +255,9 @@ class _Constraints:
     least admissible aspect profile as rank masks. `seeds` is the
     single-preference step of the κ loop; `solve`, the enriched one, reads
     the V-cells and their order (`_cells`), built on first use and read
-    again by `check_coupling` for the search's own model. `minimal`
-    memoises, per (enriched, rank bound), the minimal model's global rank
-    masks or the reason there is none. Nothing here refers to the domain
-    or a `Model`, so its memo forms no reference cycle.
+    again by `check_coupling` for the search's own model. Nothing here
+    refers to the domain or a `Model`, so the table forms no reference
+    cycle.
     """
 
     def __init__(self, domain: CanonicalDomain, kb: KnowledgeBase):
@@ -276,7 +275,6 @@ class _Constraints:
             if mask:  # a violator lies in its default's antecedent, so j >= 0
                 self._outdone[j] |= mask
         self.aspect_masks = tuple((a, (full & ~mask, mask)) for a, mask in self.bad.items())
-        self.minimal: dict[tuple[bool, int], Union[tuple[int, ...], str]] = {}
 
     @cached
     def _cells(self) -> tuple[list[Concept], list[tuple[int, tuple[int, ...]]], list[int],
@@ -487,39 +485,26 @@ def single_pref_model(kb: KnowledgeBase, domain: CanonicalDomain,
 
 def _minimal(kb: KnowledgeBase, domain: CanonicalDomain, rank_bound: Optional[int],
              enriched: bool) -> Model:
-    """The minimal model of one semantics, its global rank masks or the
-    reason there is none (`_least_ranks`) memoised per domain, KB,
-    semantics and bound; raises RankBoundExceededError with that reason."""
+    """The minimal model of one semantics, its global rank masks at the κ
+    fixpoint of `_Constraints.solve` (enriched) or `seeds` (single
+    preference); an enriched model must pass the model checks. Raises
+    RankBoundExceededError with the reason there is none."""
     bound = default_rank_bound(kb) if rank_bound is None else rank_bound
     table = _constraints(domain, kb)
-    key = (enriched, bound)
-    if key not in table.minimal:
-        table.minimal[key] = _least_ranks(domain, kb, table, bound, enriched)
-    found = table.minimal[key]
-    if isinstance(found, str):
-        raise RankBoundExceededError(bound, found)
-    return Model(domain, found, table.aspect_masks if enriched else ())
-
-
-def _least_ranks(domain: CanonicalDomain, kb: KnowledgeBase, table: _Constraints, bound: int,
-                 enriched: bool) -> Union[tuple[int, ...], str]:
-    """The minimal model's global rank masks at the κ fixpoint of
-    `_Constraints.solve` (enriched) or `seeds` (single preference), or the
-    reason there is none. An enriched model must pass the model checks."""
     masks = _kappa_fixpoint(table, table.solve if enriched else table.seeds, bound)
     if isinstance(masks, str):
-        return masks
+        raise RankBoundExceededError(bound, masks)
     top = len(masks) - 1
     if top > bound:
-        return f"no admissible rank assignment within bound {bound}: the least ranks reach {top}"
+        raise RankBoundExceededError(bound, f"no admissible rank assignment within bound"
+                                     f" {bound}: the least ranks reach {top}")
     if 0 in masks:
-        return ("no admissible rank assignment: the least ranks leave rank"
-                f" {masks.index(0)} empty")
-    if enriched:
-        model = Model(domain, masks, table.aspect_masks)
-        if not satisfies_kb(model, kb) or not check_coupling(model, kb):
-            raise AssertionError("the minimal enriched model failed validation")
-    return masks
+        raise RankBoundExceededError(bound, "no admissible rank assignment: the least ranks"
+                                     f" leave rank {masks.index(0)} empty")
+    model = Model(domain, masks, table.aspect_masks if enriched else ())
+    if enriched and not (satisfies_kb(model, kb) and check_coupling(model, kb)):
+        raise AssertionError("the minimal enriched model failed validation")
+    return model
 
 
 def find_abox_mapping(model: Model, kb: KnowledgeBase) -> Optional[dict[str, int]]:
@@ -544,13 +529,13 @@ def find_abox_mapping(model: Model, kb: KnowledgeBase) -> Optional[dict[str, int
             if a.typical:
                 ext = least(model.rank_masks, ext)
             candidates[a.individual] &= ext
-    role_pairs = [a for a in kb.abox
+    role_pairs = [(a.subject, a.target, *domain.successors[a.role]) for a in kb.abox
                   if isinstance(a, RoleAssertion) and a.role in domain.successors]
-    return _assign(domain, individuals, candidates, role_pairs, {})
+    return _assign(individuals, candidates, role_pairs, {})
 
 
-def _assign(domain: CanonicalDomain, individuals: Sequence[str],
-            candidates: dict[str, int], role_pairs: Sequence[RoleAssertion],
+def _assign(individuals: Sequence[str], candidates: dict[str, int],
+            role_pairs: Sequence[tuple[str, str, tuple[int, ...], tuple[int, ...]]],
             chosen: dict[str, int]) -> Optional[dict[str, int]]:
     """Extends `chosen`, which maps the first individuals, to all of them so
     that every role pair between chosen individuals is a canonical edge."""
@@ -559,9 +544,9 @@ def _assign(domain: CanonicalDomain, individuals: Sequence[str],
     name = individuals[len(chosen)]
     for t in elements(candidates[name]):
         chosen[name] = t
-        if all(domain.successors[a.role][chosen[a.subject]] >> chosen[a.target] & 1
-               for a in role_pairs if a.subject in chosen and a.target in chosen):
-            out = _assign(domain, individuals, candidates, role_pairs, chosen)
+        if all(sets[of[chosen[a]]] >> chosen[b] & 1
+               for a, b, sets, of in role_pairs if a in chosen and b in chosen):
+            out = _assign(individuals, candidates, role_pairs, chosen)
             if out is not None:
                 return out
         del chosen[name]

@@ -373,15 +373,17 @@ class _TypeElimination:
             keys = list(compress(keys, kept))
             demands = {k: demands[k] for k in set(keys)}
 
-    def successors(self, ext: Extensions) -> dict[str, tuple[int, ...]]:
-        """Per role and type of `ext.codes`, as a bitmask over them, the
-        types that pass the successor test, taken once per distinct bits of
-        the role's restrictions."""
+    def successors(self, ext: Extensions) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per role, the successor sets over `ext.codes`, each a bitmask of
+        the types that pass the successor test, one per distinct bits of the
+        role's restrictions in order of first use, and each type's index
+        into them."""
         out = {}
         for role, bits in self.role_bits.items():
             keys = list(map(bits.__and__, ext.codes))
-            targets = {k: ext.matching(*self.successor_masks(k, role)) for k in set(keys)}
-            out[role] = tuple(map(targets.__getitem__, keys))
+            index = {k: n for n, k in enumerate(dict.fromkeys(keys))}
+            out[role] = (tuple(ext.matching(*self.successor_masks(k, role)) for k in index),
+                         tuple(map(index.__getitem__, keys)))
         return out
 
 
@@ -398,11 +400,11 @@ class CanonicalDomain:
     is the least level at which a type holding it survives (`level` of
     its extension); its restrictions must be members of the closure, and
     its atoms that are not are lifted first (`lift`, and `masks` for both
-    sides of a query). `successors[role][i]` is the
-    bitmask of the elements element i's role edges reach; the literal
-    sets (`types`) are built only to print a model. `_memo` holds one
-    `models._Constraints` table per KB, which memoises the minimal models
-    per rank bound. Instances compare by identity.
+    sides of a query). `successors[role]` is `(sets, of)`: the distinct
+    successor sets, as bitmasks of the elements role edges reach, and
+    each element's index into them; the literal sets (`types`) are built
+    only to print a model. `_memo` holds one `models._Constraints` table
+    per KB. Instances compare by identity.
     """
 
     def __init__(self, engine: _TypeElimination, ext: Extensions, alive: Sequence[int]):
@@ -429,21 +431,23 @@ class CanonicalDomain:
             off |= mask & ~self.eval(right)
         return ext, off
 
+    def lifted(self, atoms: Iterable[Concept]) -> frozenset[Concept]:
+        """The atoms among `atoms` (`RankedTBox.outside`) the table has no
+        bit for: no axiom reads them, so each type stands for one per assignment."""
+        return frozenset(a for a in atoms if a not in self.eval.bit)
+
     def lift(self, concepts: Sequence[Concept],
              atoms: Iterable[Concept]) -> list[tuple[Concept, ...]]:
-        """The concepts once per assignment of `top` or `bot` to their atoms
-        the table has no bit for (2^k tuples for k of them), found among
-        `atoms` (`RankedTBox.outside`). No axiom reads those atoms, so the
-        table widened by them would hold each type once per value of their
-        bits, with the type's levels."""
-        fresh = tuple({a for a in atoms if a not in self.eval.bit})
+        """The concepts once per assignment of `top` or `bot` to the atoms
+        `lifted` finds among `atoms`: 2^k tuples for k of them."""
+        fresh = tuple(self.lifted(atoms))
         if not fresh:
             return [tuple(concepts)]
         return [tuple(substitute(c, dict(zip(fresh, values))) for c in concepts)
                 for values in product((TOP, BOT), repeat=len(fresh))]
 
     @cached
-    def successors(self) -> dict[str, tuple[int, ...]]:
+    def successors(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
         return self.engine.successors(self.eval)
 
     @cached
@@ -483,6 +487,10 @@ def _kept(defaults: Sequence[Defeasible]) -> tuple[Strict, ...]:
     return tuple(Strict(c, BOT) for c, group in groups.items()
                  if any(_folds_to_bot(to_nnf(d)) or isinstance(d, Not) and d.sub in group
                         for d in group))
+
+
+# a placed query: its table, its two masks and its atoms outside the closure
+_Placed = tuple[CanonicalDomain, int, int, frozenset[Atom]]
 
 
 class RankedTBox:
@@ -527,7 +535,7 @@ class RankedTBox:
             level = nxt
             self.levels.append(level)
         self._tables = {frozenset(): CanonicalDomain(engine, base, alive)}
-        self._placed: dict[Union[Strict, Defeasible], tuple[CanonicalDomain, int, int]] = {}
+        self._placed: dict[Union[Strict, Defeasible], _Placed] = {}
         if entails_strict(StrictTBox.from_axioms(kb.strict + level), TOP, BOT) == bool(alive[-1]):
             raise AssertionError("type elimination and the tableau disagree on "
                                  "the consistency of the knowledge base")
@@ -559,20 +567,20 @@ class RankedTBox:
     def rank(self, concept: Concept) -> float:
         """Least level at which the concept is not exceptional: an int, or
         `math.inf` when there is none."""
-        table, ext, _ = self.place(Strict(concept, BOT))
+        table, ext, _, _ = self.place(Strict(concept, BOT))
         return level(table.levels, ext)
 
-    def place(self, query: Union[Strict, Defeasible]) -> tuple[CanonicalDomain, int, int]:
-        """The table a query is answered on, ranks and models alike, with
-        the extension of its `lhs` and its counterexamples `lhs and not
-        rhs` over it (`CanonicalDomain.masks`): one walk of the query
-        (`outside`) gives the table and the atoms lifted. Memoised per
-        query, so its rank entailment and its model verdicts share it."""
+    def place(self, query: Union[Strict, Defeasible]) -> _Placed:
+        """The table a query is answered on, ranks and models alike, its
+        `lhs` extension and counterexamples `lhs and not rhs` over it
+        (`CanonicalDomain.masks`) and its atoms outside the KB's closure,
+        from one walk of the query (`outside`). Memoised per query, so its
+        rank entailment, model verdicts and printed model share it."""
         hit = self._placed.get(query)
         if hit is None:
             restrictions, atoms = self.outside((query.lhs, query.rhs))
             table = self.table(restrictions)
-            hit = self._placed[query] = (table, *table.masks(query.lhs, query.rhs, atoms))
+            hit = self._placed[query] = (table, *table.masks(query.lhs, query.rhs, atoms), atoms)
         return hit
 
 
@@ -593,5 +601,5 @@ def in_rational_closure(ranked: RankedTBox, query) -> bool:
     has no rank)."""
     if not isinstance(query, (Strict, Defeasible)):
         raise TypeError(f"not an inclusion query: {query!r}")
-    table, lhs, off = ranked.place(query)
+    table, lhs, off, _ = ranked.place(query)
     return not counterexamples(table.levels, query, lhs, off)

@@ -19,8 +19,10 @@ those of three `compare` rows answered after the KB's own, for the first
 default `T(X) => Y` and the second antecedent Z: a fresh-atom row
 `T((X and Blond)) => Y`, a conjunction row `T((X and Z)) => Y` and a
 fresh-atom-and-restriction row `T(((X and Blond) and exists eats. Fish))
-=> Y`, and the process's peak RSS (`ru_maxrss`). Each size runs in a fresh
-process of its own, so each row's RSS is its own, with the cycle
+=> Y`, the process's peak RSS (`ru_maxrss`), and the time and peak RSS of
+`query --semantics enriched --emit-model --json` on that last row, in a
+fresh process of its own writing to the null device. Each size runs in a
+fresh process of its own, so each row's RSS is its own, with the cycle
 collector off, so that no layer's cell is charged a collection another
 layer's garbage triggered:
 
@@ -28,18 +30,22 @@ layer's garbage triggered:
 
 prints the rows of `diamond(4)` and `diamond(5)` under the header
 
-    | KB | types | enumerated | stratify | domain | constraint table | single-pref | enriched | fresh rows | peak RSS |
+    | KB | types | enumerated | stratify | domain | constraint table | single-pref | enriched | fresh rows | peak RSS | emit-model |
 
-An enriched search that finds no model is timed too, and marked.
+An enriched search that finds no model is timed too, and marked, as is
+an `--emit-model` call that exits with an error.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import random
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from time import perf_counter
 from typing import Sequence
 
@@ -146,9 +152,11 @@ def role_free_pools() -> dict[str, list[KnowledgeBase]]:
 
 def record_row(family: str, n: int) -> str:
     """The wide-domain record's row for `chain(n)` or `diamond(n)`, each
-    layer timed in turn in this process."""
+    layer timed in turn in this process, the `--emit-model` call in a
+    fresh one."""
     nodes: dict = {}
-    kb = parse_kb({"chain": chain_text, "diamond": diamond_text}[family](n), nodes)
+    text = {"chain": chain_text, "diamond": diamond_text}[family](n)
+    kb = parse_kb(text, nodes)
     cells = []
 
     def timed(step):
@@ -191,9 +199,19 @@ def record_row(family: str, n: int) -> str:
         _compare_row(ranked, serialize_axiom(row), None, nodes, ranks)
         row_ms.append(f"{(perf_counter() - start) * 1e3:.2f}")
     cells.append(" / ".join(row_ms) + " ms")
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return (f"| `{family}({n})` | {domain.size:,} | {sum(listed):,} | {' | '.join(cells)}"
-            f" | {rss_mb:.0f} MB |")
+    cells.append(f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "kb.kb")
+        path.write_text(text)
+        start = perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "typika", "query", "--semantics",
+                                  "enriched", "--emit-model", "--json", str(path),
+                                  serialize_axiom(rows[-1])], stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    cells.append(f"{(perf_counter() - start) * 1e3:.0f} ms, {usage.ru_maxrss / 1024:.0f} MB"
+                 + (f" (exit {code})" if code else ""))
+    return f"| `{family}({n})` | {domain.size:,} | {sum(listed):,} | {' | '.join(cells)} |"
 
 
 def main(argv: list[str]) -> int:

@@ -33,9 +33,10 @@ least-ranked members, the reference for the per-rank masks of
 `models.Model`, and `satisfies_kb_by_ranks` checks a model against the KB
 with it, from the model's own ranks, the reference for
 `models.satisfies_kb`. `widened_compare_row` answers a `compare` row on
-the KB's closure widened by the query, the domain `query --emit-model`
-prints, the reference for the rows `compare` answers on the domain of the query's
-restrictions outside the closure with its fresh atoms lifted.
+the KB's closure widened by the query, the reference for the rows
+`compare` answers on the domain of the query's restrictions outside the
+closure with its fresh atoms lifted. `role_edges` reads a domain's
+edges as element pairs off each element's successor set.
 `rc_by_and_node` ranks a built `lhs and not rhs` node, and
 `holds_in_by_variants` reads a model verdict per lifted variant of a
 query's sides, the references for the two masks every verdict is read
@@ -112,9 +113,9 @@ def extension(domain: CanonicalDomain, c: Concept) -> frozenset[int]:
 
 def role_edges(domain: CanonicalDomain) -> dict[str, frozenset[tuple[int, int]]]:
     """Per role, the domain's edges as (source, target) element pairs, read
-    off its successor masks."""
-    return {role: frozenset((i, j) for i, targets in enumerate(succ) for j in element_set(targets))
-            for role, succ in domain.successors.items()}
+    off each element's successor set."""
+    return {role: frozenset((i, j) for i, k in enumerate(of) for j in element_set(sets[k]))
+            for role, (sets, of) in domain.successors.items()}
 
 
 @dataclass(frozen=True)
@@ -821,13 +822,13 @@ def entails_in_all_enriched_models(kb: KnowledgeBase, query: Query,
 def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
                         domains: dict[frozenset[Concept], CanonicalDomain]) -> dict:
     """One `compare --json` row answered on the KB's closure explicitly
-    widened by the query's two sides, the domain `query --emit-model`
-    prints: the ranks and the models both read off the widened closure's
-    table, which is its domain (kept in `domains` per closure) and holds
-    every query atom, so no fresh atom is lifted; each model verdict is
-    `holds_in_by_variants`'s. The reference for the rows
-    `compare` answers on the table of their restrictions outside the KB's
-    closure, fresh atoms lifted."""
+    widened by the query's two sides: the ranks and the models both read
+    off the widened closure's table, which is its domain (kept in
+    `domains` per closure) and holds every query atom, so no fresh atom is
+    lifted; each model verdict is `holds_in_by_variants`'s, and a row is a
+    violation when rc and single-pref differ or rc is not contained in
+    enriched. The reference for the rows `compare` answers on the table of
+    their restrictions outside the KB's closure, fresh atoms lifted."""
     closure = subconcept_closure(ranked.kb, (query.lhs, query.rhs))
     table = ranked.table(closure)
     row: dict = {"query": serialize_axiom(query)}
@@ -847,5 +848,5 @@ def widened_compare_row(ranked: RankedTBox, query: Query, bound: Optional[int],
         row["enriched"] = holds_in_by_variants(enriched, query)[0]
     except (RankBoundExceededError, InconsistentKBError) as exc:
         return {"query": row["query"], "error": str(exc)}
-    row["violation"] = bool(row["rc"] and not row["enriched"])
+    row["violation"] = row["rc"] != row["singlePref"] or bool(row["rc"] and not row["enriched"])
     return row

@@ -27,7 +27,11 @@ the child runs with `COLUMNS=80`, so help text wraps alike everywhere.
 Last come the spellings only argparse reads, or at the edge of the
 cli's own reader: `--rank-bound=1`, `--semantics=rc`, `--js` for
 `--json`, an option after the positionals, a repeated `--rank-bound`,
-`-h` after the positionals and a KB path of `-1`.
+`-h` after the positionals and a KB path of `-1`. Then `query
+--emit-model`, text and `--json`, under both model semantics, on the
+fresh-atom and fresh-restriction rows of set3, `chain(2)`, `diamond(2)`
+and the role KBs: witnesses with lifted atoms and with role successor
+sets.
 
 This checkout's test helpers build the KBs and write them as text files
 to a temporary directory; a child process that imports only SRC's
@@ -53,8 +57,9 @@ SEMANTICS = ("rc", "single-pref", "enriched")
 LONG = 1 << 16
 
 
-def _cases() -> list[tuple[str, list[str]]]:
-    """Per KB, its text and its query rows."""
+def _cases() -> list[tuple[str, list[str], bool]]:
+    """Per KB, its text, its query rows and whether its fresh rows print
+    witnesses."""
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     from typika.kb import Defeasible, Strict, serialize_axiom, serialize_kb
     from typika.parser import parse_kb
@@ -74,6 +79,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     kbs += random_kbs(8, 250, roles=("r",))[::6][:40]
     texts += [serialize_kb(kb) for kb in kbs]
     fresh, fish = Atom("Blond"), Exists("eats", Atom("Fish"))
+    witnessed = {set3, chain_text(2), diamond_text(2), *ROLE_KBS.values()}
     cases = []
     for text in texts:
         kb = parse_kb(text)
@@ -85,14 +91,14 @@ def _cases() -> list[tuple[str, list[str]]]:
             Defeasible(Not(Not(antes[0])), Not(Not(rhss[-1]))),
             Defeasible(And(antes[0], fresh), rhss[-1]), Strict(antes[0], rhss[-1]),
             Defeasible(And(antes[-1], fish), rhss[0]))]
-        cases.append((text, rows))
+        cases.append((text, rows, text in witnessed))
     return cases
 
 
-def _calls(cases: list[tuple[str, list[str]]]) -> list[list[str]]:
+def _calls(cases: list[tuple[str, list[str], bool]]) -> list[list[str]]:
     """The argument lists, over the files `k.kb` and `k.txt` of case k."""
     calls = []
-    for k, (_, rows) in enumerate(cases):
+    for k, (_, rows, _) in enumerate(cases):
         kb, queries = f"{k}.kb", f"{k}.txt"
         calls += [["check", kb], ["check", "--json", kb], ["rank", kb], ["rank", "--json", kb],
                   ["compare", kb, queries]]
@@ -125,6 +131,12 @@ def _calls(cases: list[tuple[str, list[str]]]) -> list[list[str]]:
               ["compare", "--json", "--rank-bound", "1", "--rank-bound", "3", "0.kb", "0.txt"],
               ["query", "--semantics", "rc", "0.kb", row, "-h"],
               ["check", "-1"], ["compare", "-1", "0.txt"]]
+    # witnesses of the fresh-atom and fresh-restriction rows
+    for k, (_, rows, witnessed) in enumerate(cases):
+        if witnessed:
+            calls += [["query", "--semantics", sem, "--emit-model", *form, f"{k}.kb", row]
+                      for row in (rows[-3], rows[-1]) for sem in SEMANTICS[1:]
+                      for form in ([], ["--json"])]
     return calls
 
 
@@ -166,7 +178,7 @@ def main(argv: list[str]) -> int:
     cases = _cases()
     calls = _calls(cases)
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (text, rows) in enumerate(cases):
+        for k, (text, rows, _) in enumerate(cases):
             Path(tmp, f"{k}.kb").write_text(text, encoding="utf-8")
             Path(tmp, f"{k}.txt").write_text("".join(r + "\n" for r in rows), encoding="utf-8")
         Path(tmp, "calls.json").write_text(json.dumps(calls), encoding="utf-8")

@@ -75,7 +75,7 @@ def placed_verdict(ranked, model, query):
     """A model verdict as the CLI reads it: the query's two masks on the
     table it is placed on, the model's domain, meet no counterexample
     under the model's rank masks."""
-    table, lhs, off = ranked.place(query)
+    table, lhs, off, _ = ranked.place(query)
     assert table is model.domain, serialize_axiom(query)
     return not counterexamples(model.rank_masks, query, lhs, off)
 

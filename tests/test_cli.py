@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -20,13 +21,13 @@ from typika.kb import (Defeasible, KnowledgeBase, Strict, serialize_axiom, seria
 from typika.models import (CanonicalDomain, RankBoundExceededError, build_canonical_domain,
                            minimal_canonical_models, single_pref_model)
 from typika.parser import KBSyntaxError, intern, parse_axiom, parse_kb
-from typika.ranking import RankedTBox, in_rational_closure, level
+from typika.ranking import RankedTBox, elements, in_rational_closure, level
 from typika.syntax import (BOT, TOP, And, Atom, Exists, Forall, Not, Or, complement, concept_key,
                            concept_to_text, subconcepts)
 
 from conftest import GOLDEN, KBS, REPO, SET1_TEXT, SET3_TEXT
 from corpus import corpus_kbs
-from families import ROLE_KBS, chain_text, diamond_text, role_free_pools
+from families import ROLE_KBS, chain_text, diamond_text, random_kbs, role_free_pools
 from oracles import holds_in_by_variants, model_of, rc_by_and_node, widened_compare_row
 from test_models import random_kbs_with_domains
 from test_tableau import DEEP_KB
@@ -117,6 +118,12 @@ def test_check_abox(capsys, tmp_path):
     roles_only = tmp_path / "roles_only.kb"
     roles_only.write_text("r(a, b)\n")
     assert run(capsys, ["check", str(roles_only)])[:2] == (0, "consistent\n")
+    # a role the closure restricts maps a pair onto an element's successor
+    # set: a B element has no r-successor
+    edges = tmp_path / "edges.kb"
+    for pair, verdict in (("r(a, b)", "consistent\n"), ("r(b, a)", "inconsistent\n")):
+        edges.write_text(f"A => exists r. B\nB => forall r. bot\nA(a)\nB(b)\n{pair}\n")
+        assert run(capsys, ["check", str(edges)])[1] == verdict, pair
 
 
 # -------------------------------------------------------------- rank
@@ -222,12 +229,15 @@ def test_query_role_kb(capsys, tmp_path):
          str(kb), "T(A) => exists r. B"])
     assert code == 0
     assert doc["witness"]["roleEdges"].keys() == {"r"}
-    assert doc["witness"]["roleEdges"]["r"], "at least one r edge"
+    edges = doc["witness"]["roleEdges"]["r"]
+    assert edges["of"].keys() == {t["id"] for t in doc["witness"]["domain"]}
+    assert any(edges["sets"][k] for k in edges["of"].values()), "at least one r edge"
 
 
-# (golden name, KB file name, KB text, semantics, query, exit code); the
-# chain(2) query widens the closure by a conjunction, so its model is the
-# widened closure's own table, in that table's order
+# (golden name, KB file name, KB text, semantics, query, exit code); each
+# prints the model of the table its query is placed on: the chain(2)
+# conjunction is read on the KB's own table, and the diamond(2) row on
+# the table widened by its restriction, with `Blond` lifted
 EMIT_MODEL_CASES = [
     ("set3_enriched", "set3.kb", SET3_TEXT, "enriched", "T(Penguin) => HasNiceFeather", 0),
     ("set3_single_pref", "set3.kb", SET3_TEXT, "single-pref",
@@ -236,6 +246,8 @@ EMIT_MODEL_CASES = [
      "T(A) => exists r. B", 0),
     ("chain2_conjunction", "chain2.kb", chain_text(2), "enriched",
      "T((C1 and Q1)) => P", 1),
+    ("diamond2_restriction", "diamond2.kb", diamond_text(2), "enriched",
+     "T(((Q1 and Blond) and exists eats. Fish)) => P1", 0),
 ]
 
 
@@ -261,6 +273,47 @@ def test_emit_model_golden_bytes(capsys, monkeypatch, tmp_path, case, json_flag)
 def test_missing_file_is_an_error(capsys):
     code, out, err = run(capsys, ["check", "no_such.kb"])
     assert code == 2 and out == "" and "cannot read input" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", SET3], "cannot write output: [Errno 32] Broken pipe"),
+    (["compare", "--json", SET3, SET3_QUERIES], "cannot write output: [Errno 32] Broken pipe"),
+    (["query", "--semantics", "enriched", "--emit-model", "--json", SET3,
+      "T(Penguin) => not Fly"], "cannot write output: [Errno 32] Broken pipe"),
+    (["check", "no_such.kb"],
+     "cannot read input: [Errno 2] No such file or directory: 'no_such.kb'"),
+], ids=["check", "compare", "query-emit-model", "missing-file"])
+def test_closed_stdout_is_an_output_error(argv, message):
+    # with stdout's read end closed, the flush in `main` fails and is
+    # reported as one line, exit 2, and the flush at exit adds nothing; a
+    # file that cannot be read is still an input error. Stdout is buffered,
+    # as it is by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "typika", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, message + "\n")
+
+
+def test_compare_flags_rc_differing_from_single_pref(capsys, tmp_path):
+    # rank entailment is the least single-preference model's (gate 3), so a
+    # row where the two differ is a failure, also when only single-pref
+    # entails it: on this role KB, `T(B) => D`
+    kb = tmp_path / "kb.kb"
+    kb.write_text(serialize_kb(random_kbs(8, 250, roles=("r",))[29]))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("T(B) => D\n")
+    code, out, _ = run(capsys, ["compare", str(kb), str(queries)])
+    assert (code, out.splitlines()[0]) == (
+        1, "[FAILURE] T(B) => D | rc=no single-pref=yes enriched=yes")
+    code, doc, _ = run_json(capsys, ["compare", "--json", str(kb), str(queries)])
+    assert code == 1 and doc["rows"] == [{"query": "T(B) => D", "rc": False, "singlePref": True,
+                                          "enriched": True, "violation": True}]
 
 
 def test_file_not_in_utf8_is_an_input_error(capsys, tmp_path):
@@ -777,7 +830,7 @@ def test_two_mask_verdicts_match_the_references():
                 want = {"query": want["query"], "error": str(exc)}
                 errors += 1
             else:
-                want["violation"] = rc and not want["enriched"]
+                want["violation"] = rc != want["singlePref"] or (rc and not want["enriched"])
             assert row == want, (text, q)
             rows += 1
             lifted += bool(atoms)
@@ -907,7 +960,7 @@ def test_the_domain_is_the_stratifications_table(capsys, monkeypatch, tmp_path):
     assert domains == list(tables.values())
     widened = tables[frozenset({fish, Atom("Fish")})]
     for q in map(parse_axiom, fish_rows):
-        table, lhs, _ = ranked.place(q)
+        table, lhs, _, _ = ranked.place(q)
         assert table is widened and level(table.levels, lhs) == 1
     # each row's masks are read once, the fish rows' on the widened table,
     # the last with `Blond` lifted in two variants
@@ -957,9 +1010,9 @@ def test_query_agrees_with_compare_row_by_row(capsys, monkeypatch, tmp_path):
     # `compare` row does: per semantics, its exit code and text are the
     # row's flag, and on an error row the first model semantics to fail
     # exits 2 with the row's error (chain(3)'s coupling cycles among them).
-    # `--emit-model --json` prints the model of the domain widened by the
-    # whole query, and its verdict is that model's own reading of the query
-    # (`holds_in_by_variants`). Closure, fresh-atom, conjunction and
+    # `--emit-model --json` prints the model of the placed table, which the
+    # verdict is read off, and its verdict is that model's own reading of
+    # the query (`holds_in_by_variants`). Closure, fresh-atom, conjunction and
     # fresh-restriction rows, at the default bound and at 1; a fresh-atom
     # query widens no table
     texts = {"set1": SET1_TEXT, "set3": SET3_TEXT, **FAMILY_KBS}
@@ -1004,12 +1057,12 @@ def test_query_agrees_with_compare_row_by_row(capsys, monkeypatch, tmp_path):
                     code, shown, _ = run_json(capsys, ["query", "--json", "--emit-model",
                                                        "--semantics", sem, *bound,
                                                        str(kb_file), raw])
-                    domain = build_canonical_domain(ranked, (q.lhs, q.rhs))
+                    table, _, _, _ = ranked.place(q)
                     witness = shown["witness"]
                     assert [t["concepts"] for t in witness["domain"]] == [
-                        sorted(map(concept_to_text, t)) for t in domain.types], (name, raw)
-                    model = model_of(domain, [witness["globalRanks"][f"t{i}"]
-                                              for i in range(domain.size)])
+                        sorted(map(concept_to_text, t)) for t in table.types], (name, raw)
+                    model = model_of(table, [witness["globalRanks"][f"t{i}"]
+                                             for i in range(table.size)])
                     assert (code, shown["entailed"]) == (
                         0 if flag else 1, flag), (name, raw, sem)
                     assert holds_in_by_variants(model, q)[0] == flag, (name, raw, sem)
@@ -1024,6 +1077,76 @@ def test_query_agrees_with_compare_row_by_row(capsys, monkeypatch, tmp_path):
                                   "T((Penguin and Blond)) => not Fly"])
         assert code == 0
     assert [list(rt._tables) for rt in stratified] == [[frozenset()]] * 2
+
+
+def test_printed_model_expands_to_the_widened_model(capsys, tmp_path):
+    # `query --emit-model` prints the model of the placed table, with the
+    # query's atoms that table lifts under `lifted`. Each printed element,
+    # once per assignment of those atoms, is an element of the minimal
+    # model on the domain widened by both sides of the query, with the
+    # same global and aspect ranks and the same successors; no other
+    # element is. Closure, fresh-atom and fresh-restriction rows
+    texts = {"set1": SET1_TEXT, "set3": SET3_TEXT, **FAMILY_KBS}
+    kb_file = tmp_path / "kb.kb"
+    searches = {"single-pref": single_pref_model,
+                "enriched": lambda kb, domain: minimal_canonical_models(kb, domain)[0]}
+    pairs = lifted = widened = errors = 0
+    for name, text in texts.items():
+        kb_file.write_text(text)
+        nodes: dict = {}
+        kb = parse_kb(text, nodes)
+        ranked = RankedTBox(kb)
+        antes = list(dict.fromkeys(ax.lhs for ax in kb.defeasible))
+        rhss = list(dict.fromkeys(ax.rhs for ax in kb.defeasible))
+        fish = Exists("eats", Atom("Fish"))
+        queries = family_queries(kb) + [serialize_axiom(Defeasible(lhs, rhss[0])) for lhs in (
+            And(antes[-1], fish), And(And(antes[0], Atom("Blond")), fish))]
+        for raw in queries:
+            q = parse_axiom(raw, nodes)
+            wide = build_canonical_domain(ranked, (q.lhs, q.rhs))
+            for sem, search in searches.items():
+                code, out, err = run(capsys, ["query", "--json", "--emit-model",
+                                              "--semantics", sem, str(kb_file), raw])
+                try:
+                    model = search(kb, wide)
+                except RankBoundExceededError as exc:
+                    assert (code, out, err) == (2, "", f"error: {exc}\n"), (name, raw, sem)
+                    errors += 1
+                    continue
+                witness = json.loads(out)["witness"]
+                assert witness.get("lifted") != [], (name, raw)  # left out when none is
+                atoms = witness.get("lifted", [])
+                ids = [t["id"] for t in witness["domain"]]
+                position = dict(zip(ids, range(len(ids))))
+                literals = [frozenset(t["concepts"]) for t in witness["domain"]]
+                vocabulary = frozenset().union(*literals)
+                printed = dict(zip(literals, range(len(ids))))
+                # per widened element, the printed element and the lifted atoms' values
+                copies = []
+                for t in wide.types:
+                    held = frozenset(map(concept_to_text, t))
+                    copies.append((printed[held & vocabulary], tuple(a in held for a in atoms)))
+                values = list(itertools.product((True, False), repeat=len(atoms)))
+                assert sorted(copies) == sorted((k, v) for k in range(len(ids)) for v in values)
+                assert [witness["globalRanks"][ids[k]] for k, _ in copies] == list(
+                    model.global_ranks), (name, raw, sem)
+                assert {concept_to_text(a): list(ranks) for a, ranks in model.per_aspect} == {
+                    a: [ranks[ids[k]] for k, _ in copies]
+                    for a, ranks in witness["aspectRanks"].items()}, (name, raw, sem)
+                assert wide.successors.keys() == witness["roleEdges"].keys(), (name, raw)
+                for role, (sets, of) in wide.successors.items():
+                    shown = witness["roleEdges"][role]
+                    reached = [{copies[j] for j in elements(t)} for t in sets]
+                    want = [{(position[t], v) for t in members for v in values}
+                            for members in shown["sets"]]
+                    assert [reached[n] for n in of] == [
+                        want[shown["of"][ids[k]]] for k, _ in copies], (name, raw, role)
+                pairs += 1
+                lifted += bool(atoms)
+                widened += ranked.place(q)[0] is not ranked.table(())
+    # 410 (query, semantics) pairs with a model, 99 of them with lifted
+    # atoms and 66 on widened tables, and 22 without one
+    assert pairs > 400 and lifted > 90 and widened > 60 and errors > 20
 
 
 def test_compare_builds_no_literal_types(capsys, monkeypatch, tmp_path):
