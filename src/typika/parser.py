@@ -28,6 +28,10 @@ rendered, hashed or compared to find its twin; `intern` adds a KB's
 closure by the same key. Texts parsed with one table share every equal
 subconcept as one object, whatever their spacing, so the memos keyed on
 concept nodes hit on identity. The table dies with its caller.
+
+A query line whose sides are both keys of the table, as the canonical
+text of a query over the KB's closure is once `intern` has added it, is
+read by looking its sides up (`parse_axiom`); no line is tokenized for it.
 """
 
 from __future__ import annotations
@@ -274,7 +278,19 @@ def parse_kb(text: str, nodes: Optional[dict[str, Concept]] = None) -> Knowledge
 
 def parse_axiom(text: str, nodes: Optional[dict[str, Concept]] = None) -> Axiom:
     """Parses a single axiom line (the query format), interning its
-    concepts in `nodes` when given."""
+    concepts in `nodes` when given.
+
+    A line in canonical form, `L => R` or `T(L) => R` with L and R keys
+    of the table, is read by two lookups: a key is the text whose parse
+    gives its node, so the line's parse gives those nodes. Every other
+    spelling misses the table (its sides, split at the first `" => "`,
+    are no keys) and is parsed, with its errors and their columns."""
+    if nodes:
+        lhs, _, rhs = text.partition(" => ")
+        typical = lhs[:2] == "T(" and lhs[-1:] == ")"
+        left, right = nodes.get(lhs[2:-1] if typical else lhs), nodes.get(rhs)
+        if left is not None and right is not None:
+            return Defeasible(left, right) if typical else Strict(left, right)
     parsers = [lp for lp in _lines(text, nodes) if len(lp.texts) > 1]
     if not parsers:
         raise KBSyntaxError("expected an axiom", 1, 1)

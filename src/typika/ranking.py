@@ -21,12 +21,14 @@ reads the concept's atoms that table has no bit for, so they are lifted
 once per assignment of `top` or `bot` to them. A query `C => D` or
 `T(C) => D` is placed once (`RankedTBox.place`): one walk gives its
 table, and the table gives two masks, the extension of C and that of
-`C and not D`, each OR-ed over the lifted variants. Ranks are plain
-ints (`math.inf` for a concept exceptional at every level), read in one
-place, `level`, `highest`, `least` and `counterexamples`, over a table's
-level survivors and a model's rank masks alike, so rank entailment and
-both model semantics ask one question: do a query's counterexamples meet
-its antecedent's least-ranked instances? The tableau makes one call per
+`C and not D`, each OR-ed over the lifted variants; a query with
+nothing outside the closure reads them off the KB's own table as they
+are. Ranks are plain ints (`math.inf` for a concept exceptional at
+every level), read in one place, `level`, `highest`, `least` and
+`counterexamples`, over a table's level survivors and a model's rank
+masks alike, so rank entailment and both model semantics ask one
+question: do a query's counterexamples meet its antecedent's
+least-ranked instances? The tableau makes one call per
 KB, a cross-check of the KB's consistency against the engine: it is
 handed the strict axioms and the last level's defaults as one list of
 inclusions, each default read as its material counterpart, as the
@@ -420,10 +422,14 @@ class CanonicalDomain:
     def size(self) -> int:
         return len(self.codes)
 
-    def masks(self, lhs: Concept, rhs: Concept, atoms: Iterable[Concept]) -> tuple[int, int]:
+    def masks(self, lhs: Concept, rhs: Concept, atoms: Collection[Concept]) -> tuple[int, int]:
         """The extension of `lhs` and that of `lhs and not rhs` (the
         counterexamples of `lhs => rhs`), each OR-ed over the variants
-        `lift` gives, `atoms` passed on to it."""
+        `lift` gives, `atoms` passed on to it; with no atoms, read off
+        `eval` as they are."""
+        if not atoms:
+            ext = self.eval(lhs)
+            return ext, ext & ~self.eval(rhs)
         ext = off = 0
         for left, right in self.lift((lhs, rhs), atoms):
             mask = self.eval(left)
@@ -491,6 +497,8 @@ def _kept(defaults: Sequence[Defeasible]) -> tuple[Strict, ...]:
 
 # a placed query: its table, its two masks and its atoms outside the closure
 _Placed = tuple[CanonicalDomain, int, int, frozenset[Atom]]
+# what `outside` finds for concepts in the closure: no restriction, no atom
+_INSIDE: tuple[frozenset, frozenset] = (frozenset(), frozenset())
 
 
 class RankedTBox:
@@ -543,9 +551,13 @@ class RankedTBox:
     def outside(self, concepts: Iterable[Concept]) -> tuple[frozenset[Concept], frozenset[Atom]]:
         """The restrictions and the atoms of `concepts` outside the KB's
         closure: the concepts are answered on `table` of the restrictions,
-        with the atoms it has no bit for lifted."""
+        with the atoms it has no bit for lifted. Concepts with no atom or
+        restriction outside the closure all get one shared pair of empty
+        sets."""
         found = [s for s in _beyond(concepts, self.closure)
                  if isinstance(s, (Atom, Exists, Forall))]
+        if not found:
+            return _INSIDE
         atoms = frozenset(s for s in found if isinstance(s, Atom))
         return frozenset(found) - atoms, atoms
 
@@ -574,12 +586,15 @@ class RankedTBox:
         """The table a query is answered on, ranks and models alike, its
         `lhs` extension and counterexamples `lhs and not rhs` over it
         (`CanonicalDomain.masks`) and its atoms outside the KB's closure,
-        from one walk of the query (`outside`). Memoised per query, so its
-        rank entailment, model verdicts and printed model share it."""
+        from one walk of the query (`outside`). A query with no
+        restriction outside the closure takes the KB's own table, with no
+        second walk (`table`), and one with nothing outside it has its
+        masks read with no lifting. Memoised per query, so its rank
+        entailment, model verdicts and printed model share it."""
         hit = self._placed.get(query)
         if hit is None:
             restrictions, atoms = self.outside((query.lhs, query.rhs))
-            table = self.table(restrictions)
+            table = self.table(restrictions) if restrictions else self._tables[frozenset()]
             hit = self._placed[query] = (table, *table.masks(query.lhs, query.rhs, atoms), atoms)
         return hit
 

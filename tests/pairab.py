@@ -1,15 +1,17 @@
 """Paired per-call timing of two source trees on one benchmark workload.
 
-    python tests/pairab.py SRC_A SRC_B WORKLOAD [ROUNDS]
+    python tests/pairab.py SRC_A SRC_B WORKLOAD [ROUNDS [SEED]]
 
 Imports `typika` from the directories SRC_A and SRC_B under two package
 names, `typika_a` and `typika_b`, in one process, and calls each tree's
 `cli.main(["compare", "--json", KB, QUERIES])` on the same files, written
-from the benchmark's generator (`perfbench/workloads.py`, seed 1). The two
-calls on a file alternate which goes first, and each follows a call of the
+from the benchmark's generator (`perfbench/workloads.py`). The two calls
+on a file alternate which goes first, and each follows a call of the
 benchmark's reference program (`perfbench/run.py`'s `Reference`, pinned
 with this process to one CPU), as every timed call of the benchmark does.
-ROUNDS (default 1) repeats the workload's KB list with fresh names.
+ROUNDS (default 1) repeats the workload's KB list with fresh names. SEED
+(default 1) seeds the generator, so a claim can be checked again on a
+seed that was not used while the change was written.
 
 It prints the median over the calls of B's time over A's, how many calls
 B took less time on, and whether the two trees printed the same bytes and
@@ -60,7 +62,7 @@ def _call(cli, kb: str, queries: str) -> tuple[float, int, str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (3, 4) or argv[2:3] == ["--help"]:
+    if len(argv) not in (3, 4, 5) or argv[2:3] == ["--help"]:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     sys.dont_write_bytecode = True
@@ -69,8 +71,8 @@ def main(argv: list[str]) -> int:
     from run import Reference, write_job
 
     clis = _load(argv[0], "typika_a"), _load(argv[1], "typika_b")
-    plan = workloads.Plan(argv[2], 1)
-    rounds = int(argv[3]) if len(argv) == 4 else 1
+    rounds, seed = (list(map(int, argv[3:])) + [1, 1])[:2]
+    plan = workloads.Plan(argv[2], seed)
     ratios, same = [], True
     reference = Reference()
     try:

@@ -19,16 +19,24 @@ both model semantics. They run over set1, set3 (also with an ABox),
 KBs. The queries per KB are its closure rows (each default's antecedent
 against each right-hand side), the first of them with extra spaces, a
 `not not` row, a fresh-atom row, a strict row and a fresh-restriction
-row. Usage errors and help requests on the first KB follow: no arguments,
-`--help`, an unknown subcommand or option, a subcommand's `--help`, a
-missing or an extra argument, and bad `--semantics` and `--rank-bound`
-values; each records the code of its `SystemExit` as the exit code, and
-the child runs with `COLUMNS=80`, so help text wraps alike everywhere.
+row. Each KB also gets a second query file, `compare`d (text and
+`--json`) and `query`d line by line under all three semantics, with
+two lines the node-table lookup of `parse_axiom` misses, so they take
+the token parse: the first closure row with a trailing comment, and the
+first antecedent against `top` (a key only where `top` is in the KB's
+closure). Usage errors and help requests on the first KB follow: no
+arguments, `--help`, an unknown subcommand or option, a subcommand's
+`--help`, a missing or an extra argument, and bad `--semantics` and
+`--rank-bound` values; each records the code of its `SystemExit` as the
+exit code, and the child runs with `COLUMNS=80`, so help text wraps
+alike everywhere.
 Last come the spellings only argparse reads, or at the edge of the
 cli's own reader: `--rank-bound=1`, `--semantics=rc`, `--js` for
 `--json`, an option after the positionals, a repeated `--rank-bound`,
-`-h` after the positionals and a KB path of `-1`. Then `query
---emit-model`, text and `--json`, under both model semantics, on the
+`-h` after the positionals and a KB path of `-1`, then `compare` (text
+and `--json`) of the first KB over a query file whose second line is
+malformed, and `query` of that line. Then `query --emit-model`, text
+and `--json`, under both model semantics, on the
 fresh-atom and fresh-restriction rows of set3, `chain(2)`, `diamond(2)`
 and the role KBs: witnesses with lifted atoms and with role successor
 sets.
@@ -55,15 +63,17 @@ BOUNDS = ([], ["--rank-bound", "1"], ["--rank-bound", "3"])
 SEMANTICS = ("rc", "single-pref", "enriched")
 # stdout past this many characters is recorded as its sha256
 LONG = 1 << 16
+# a malformed query line: its typicality marker is not closed
+BAD = "T(Bird => Fly"
 
 
-def _cases() -> list[tuple[str, list[str], bool]]:
-    """Per KB, its text, its query rows and whether its fresh rows print
-    witnesses."""
+def _cases() -> list[tuple[str, list[str], list[str], bool]]:
+    """Per KB, its text, its query rows, its rows spelled off the
+    canonical form and whether its fresh rows print witnesses."""
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     from typika.kb import Defeasible, Strict, serialize_axiom, serialize_kb
     from typika.parser import parse_kb
-    from typika.syntax import And, Atom, Exists, Not
+    from typika.syntax import TOP, And, Atom, Exists, Not
 
     from corpus import corpus_kbs
     from families import (RANK_INFINITY, ROLE_KBS, chain_text, diamond_text, random_kbs,
@@ -91,14 +101,16 @@ def _cases() -> list[tuple[str, list[str], bool]]:
             Defeasible(Not(Not(antes[0])), Not(Not(rhss[-1]))),
             Defeasible(And(antes[0], fresh), rhss[-1]), Strict(antes[0], rhss[-1]),
             Defeasible(And(antes[-1], fish), rhss[0]))]
-        cases.append((text, rows, text in witnessed))
+        odd = [rows[0] + "  # a comment", serialize_axiom(Defeasible(antes[0], TOP))]
+        cases.append((text, rows, odd, text in witnessed))
     return cases
 
 
-def _calls(cases: list[tuple[str, list[str], bool]]) -> list[list[str]]:
-    """The argument lists, over the files `k.kb` and `k.txt` of case k."""
+def _calls(cases: list[tuple[str, list[str], list[str], bool]]) -> list[list[str]]:
+    """The argument lists, over the files `k.kb`, `k.txt` and `k.odd.txt`
+    of case k, and `bad.txt`."""
     calls = []
-    for k, (_, rows, _) in enumerate(cases):
+    for k, (_, rows, odd, _) in enumerate(cases):
         kb, queries = f"{k}.kb", f"{k}.txt"
         calls += [["check", kb], ["check", "--json", kb], ["rank", kb], ["rank", "--json", kb],
                   ["compare", kb, queries]]
@@ -110,6 +122,8 @@ def _calls(cases: list[tuple[str, list[str], bool]]) -> list[list[str]]:
                       for sem in SEMANTICS for bound in BOUNDS]
         calls += [["query", "--semantics", sem, "--emit-model", "--json", kb, rows[0]]
                   for sem in SEMANTICS[1:]]
+        calls += [["compare", *form, kb, f"{k}.odd.txt"] for form in ([], ["--json"])]
+        calls += [["query", "--semantics", sem, kb, row] for row in odd for sem in SEMANTICS]
     row = cases[0][1][0]
     calls += [[], ["--help"], ["-h"], ["bogus"], ["bogus", "0.kb"], ["--json", "check", "0.kb"],
               ["check"], ["check", "--", "0.kb"], ["check", "0.kb", "--json"],
@@ -131,8 +145,11 @@ def _calls(cases: list[tuple[str, list[str], bool]]) -> list[list[str]]:
               ["compare", "--json", "--rank-bound", "1", "--rank-bound", "3", "0.kb", "0.txt"],
               ["query", "--semantics", "rc", "0.kb", row, "-h"],
               ["check", "-1"], ["compare", "-1", "0.txt"]]
+    # a malformed query line, in a file and as the argument
+    calls += [["compare", "0.kb", "bad.txt"], ["compare", "--json", "0.kb", "bad.txt"],
+              ["query", "--semantics", "rc", "0.kb", BAD]]
     # witnesses of the fresh-atom and fresh-restriction rows
-    for k, (_, rows, witnessed) in enumerate(cases):
+    for k, (_, rows, _, witnessed) in enumerate(cases):
         if witnessed:
             calls += [["query", "--semantics", sem, "--emit-model", *form, f"{k}.kb", row]
                       for row in (rows[-3], rows[-1]) for sem in SEMANTICS[1:]
@@ -178,9 +195,12 @@ def main(argv: list[str]) -> int:
     cases = _cases()
     calls = _calls(cases)
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (text, rows, _) in enumerate(cases):
+        for k, (text, rows, odd, _) in enumerate(cases):
             Path(tmp, f"{k}.kb").write_text(text, encoding="utf-8")
             Path(tmp, f"{k}.txt").write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+            Path(tmp, f"{k}.odd.txt").write_text("".join(r + "\n" for r in odd),
+                                                 encoding="utf-8")
+        Path(tmp, "bad.txt").write_text(f"{cases[0][1][0]}\n{BAD}\n", encoding="utf-8")
         Path(tmp, "calls.json").write_text(json.dumps(calls), encoding="utf-8")
         subprocess.run([sys.executable, __file__, "--child", src, "calls.json", out],
                        cwd=tmp, check=True,

@@ -10,6 +10,7 @@ from typika.kb import (
     serialize_kb,
 )
 from typika.kb import subconcept_closure
+from typika import parser
 from typika.parser import KBSyntaxError, intern, parse_axiom, parse_concept, parse_kb
 from typika.syntax import (
     TOP,
@@ -26,6 +27,7 @@ from typika.syntax import (
 
 from conftest import GOLDEN
 from corpus import corpus_kbs
+from families import ROLE_KBS
 
 
 def test_parse_set3(kb_set3):
@@ -200,6 +202,94 @@ def test_parsing_without_a_table_gives_equal_nodes():
     assert alone.lhs is not shared.lhs and alone.lhs == kb.defeasible[0].lhs
     assert hash(alone.lhs) == hash(kb.defeasible[0].lhs)
     assert serialize_axiom(alone) == serialize_axiom(shared) == text
+
+
+def _closure_lines() -> list[tuple[dict, list[str]]]:
+    """Per corpus KB and role KB, its node table as `compare` fills it (the
+    KB's parse, then its closure interned) and the canonical text of each
+    query, strict and defeasible, between two closure members."""
+    out = []
+    for text in [serialize_kb(kb) for kb in corpus_kbs()] + list(ROLE_KBS.values()):
+        nodes = {}
+        kb = parse_kb(text, nodes)
+        intern(nodes, subconcept_closure(kb))
+        members = sorted(subconcept_closure(kb), key=concept_to_text)
+        out.append((nodes, [serialize_axiom(kind(x, y)) for x in members for y in members
+                            for kind in (Strict, Defeasible)]))
+    return out
+
+
+def test_a_canonical_closure_query_is_read_by_lookup(monkeypatch):
+    # both sides of a canonical closure query are keys of the table, so
+    # `parse_axiom` looks them up and builds no line parser; it gives the
+    # very nodes a token parse of the line with that table gives
+    cases = _closure_lines()
+    built = []
+
+    class Counting(parser._LineParser):
+        __slots__ = ()
+
+        def __init__(self, raw, line_no, nodes):
+            built.append(raw)
+            super().__init__(raw, line_no, nodes)
+
+    monkeypatch.setattr(parser, "_LineParser", Counting)
+    read = [[parse_axiom(text, nodes) for text in texts] for nodes, texts in cases]
+    assert built == []
+    # a spelling off the canonical form is tokenized, as before
+    nodes, texts = cases[0]
+    parse_axiom(texts[0] + "  # note", nodes)
+    assert built == [texts[0] + "  # note"]
+    monkeypatch.undo()
+    lines = 0
+    for (nodes, texts), axioms in zip(cases, read):
+        for text, axiom in zip(texts, axioms):
+            lp = parser._LineParser(text, 1, nodes)
+            parsed = lp.read(lp.query)
+            assert type(axiom) is type(parsed), text
+            assert axiom.lhs is parsed.lhs and axiom.rhs is parsed.rhs, text
+            lines += 1
+    # 41,664 lines
+    assert lines > 40000
+
+
+# spellings off the canonical form of closure queries over INTERNED_KB:
+# each misses the node table and is parsed as with no table
+OFF_CANONICAL = [
+    "T(Penguin)  => not Fly", "T(Penguin) =>  not Fly", "T(Penguin) => not  Fly",
+    "Penguin  =>  (Bird and not Fly)", " T(Penguin) => not Fly", "T(Penguin) => not Fly ",
+    "T( Penguin ) => not Fly", "T(( Bird and not Fly)) => Penguin",
+    "T((Bird and not Fly) ) => Penguin", "( Bird and not Fly) => Penguin",
+    "T(Penguin) => not Fly  # a comment", "T(Penguin) => not Fly#c", "Penguin => Bird # c",
+    "T(Penguin) => top", "T(top) => not Fly", "bot => Penguin", "Penguin => bot",
+    "Penguin => not Fly => Penguin", "T(Penguin) => not Fly => Bird",
+    "T(Penguin)) => not Fly", "T(Penguin => not Fly", "T(Penguin) => not Fly)",
+    "and => Penguin", "T(Penguin) => or", "T => not Fly", "T(not) => Fly", "Penguin => exists",
+    "T(Penguin) => not Fly\nPenguin => Bird", "Penguin => Bird\n", "\nPenguin => Bird",
+    "T(Penguin) => not Fly\r\nBird => Fly", "Penguin\t=> Bird", "Penguin =>",
+    "T(Penguin) not Fly", "T() => Penguin", "T(Penguin)",
+]
+
+
+def _outcome(text, nodes):
+    """The axiom a line gives, serialized, or its error's text and column."""
+    try:
+        return serialize_axiom(parse_axiom(text, nodes))
+    except KBSyntaxError as exc:
+        return str(exc), exc.col
+
+
+def test_off_canonical_spellings_parse_as_with_no_table():
+    nodes = {}
+    kb = parse_kb(INTERNED_KB, nodes)
+    intern(nodes, subconcept_closure(kb))
+    assert {"Penguin", "Bird", "not Fly", "(Bird and not Fly)"} <= set(nodes)
+    for text in OFF_CANONICAL:
+        assert _outcome(text, nodes) == _outcome(text, {}), text
+    # the canonical lines these respell give one axiom by lookup and by parse
+    for text in ("T(Penguin) => not Fly", "Penguin => (Bird and not Fly)",
+                 "T((Bird and not Fly)) => Penguin", "Penguin => Bird"):
+        assert _outcome(text, nodes) == _outcome(text, {}) == text
 
 
 # ------------------------------------------------------------------ golden

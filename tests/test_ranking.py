@@ -9,6 +9,7 @@ from typika.cli import main
 from typika.kb import Defeasible, KnowledgeBase, Strict, subconcept_closure
 from typika.parser import parse_axiom, parse_concept, parse_kb
 from typika.ranking import (
+    CanonicalDomain,
     Extensions,
     RankedTBox,
     _TypeElimination,
@@ -217,6 +218,48 @@ def test_the_walk_outside_the_closure_stops_at_members():
             found += bool(beyond)
     # 254,706 walks, 8,150 of them leaving the closure
     assert walks > 250000 and found > 8000
+
+
+def _placed_by_the_general_path(rt, q):
+    """A query's table, masks and atoms as the general path finds them,
+    for any query: the table of its restrictions outside the closure, and
+    its masks OR-ed over the variants that lifting its atoms gives."""
+    restrictions, atoms = rt.outside((q.lhs, q.rhs))
+    table = rt.table(restrictions)
+    lhs = off = 0
+    for left, right in table.lift((q.lhs, q.rhs), atoms):
+        ext = table.eval(left)
+        lhs, off = lhs | ext, off | ext & ~table.eval(right)
+    return table, lhs, off, atoms
+
+
+def test_a_closure_query_is_placed_without_widening_or_lifting(monkeypatch):
+    # a query with nothing outside the closure takes the KB's own table
+    # from one walk (`outside`), with no second walk (`table`) and its
+    # masks read with no lifting (`lift`); what it is placed on and its
+    # masks are those of the general path
+    kbs = corpus_kbs() + [chain(n) for n in range(1, 5)] + [diamond(n) for n in range(1, 4)]
+    kbs += list(role_kbs().values())
+    calls = {"outside": 0, "table": 0, "lift": 0}
+    for owner, name in ((RankedTBox, "outside"), (RankedTBox, "table"),
+                        (CanonicalDomain, "lift")):
+        def counting(self, *args, name=name, call=getattr(owner, name)):
+            calls[name] += 1
+            return call(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+    placed = 0
+    for kb in kbs:
+        rt = RankedTBox(kb)
+        for q in defeasible_queries(kb):
+            before = dict(calls)
+            hit = rt.place(q)
+            assert calls == {**before, "outside": before["outside"] + 1}, (kb, q)
+            assert hit[0] is rt.table(()) and hit[3] == frozenset()
+            assert hit == _placed_by_the_general_path(rt, q), (kb, q)
+            placed += 1
+    # 21,992 queries
+    assert placed > 20000
 
 
 def test_totally_exceptional_defaults_prune_every_enumeration(monkeypatch):
