@@ -404,9 +404,10 @@ class CanonicalDomain:
     its atoms that are not are lifted first (`lift`, and `masks` for both
     sides of a query). `successors[role]` is `(sets, of)`: the distinct
     successor sets, as bitmasks of the elements role edges reach, and
-    each element's index into them; the literal sets (`types`) are built
-    only to print a model. `_memo` holds one `models._Constraints` table
-    per KB. Instances compare by identity.
+    each element's index into them. The literal sets (`types`), built only
+    to print a model, read each positive's bit: the positive or its one
+    shared `not` node. `_memo` holds one `models._Constraints` table per KB.
+    Instances compare by identity.
     """
 
     def __init__(self, engine: _TypeElimination, ext: Extensions, alive: Sequence[int]):
@@ -458,10 +459,9 @@ class CanonicalDomain:
 
     @cached
     def types(self) -> tuple[frozenset[Concept], ...]:
-        holds = [set(elements(self.eval(p))) for p in self.engine.positives]
-        return tuple(frozenset(p if i in ext else complement(p)
-                               for p, ext in zip(self.engine.positives, holds))
-                     for i in range(self.size))
+        literals = [(b, p, complement(p)) for p, b in zip(self.engine.positives, self.engine.bits)]
+        return tuple(frozenset(p if code & b else neg for b, p, neg in literals)
+                     for code in self.codes)
 
 
 def _folds_to_bot(c: Concept) -> bool:

@@ -249,7 +249,7 @@ def _render(c: Concept) -> str:
         return f"exists {c.role}. {concept_to_text(c.sub)}"
     if isinstance(c, Forall):
         return f"forall {c.role}. {concept_to_text(c.sub)}"
-    raise TypeError(f"not a concept: {c!r}")
+    raise TypeError(f"not a concept: {c.__class__.__name__}")  # not its repr: that renders it
 
 
 def concept_to_text(c: Concept) -> str:

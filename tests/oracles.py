@@ -38,9 +38,10 @@ the KB's closure widened by the query, the reference for the rows
 closure with its fresh atoms lifted. `role_edges` reads a domain's
 edges as element pairs off each element's successor set.
 `rc_by_and_node` ranks a built `lhs and not rhs` node, and
-`holds_in_by_variants` reads a model verdict per lifted variant of a
-query's sides, the references for the two masks every verdict is read
-off; `rank_on` is the rank read off a table level by level, and
+`holds_in_by_variants` reads a model verdict per assignment of `top` or
+`bot` to a query's atoms the table lacks, substituted without
+`CanonicalDomain.lift`, the references for the two masks every verdict
+is read off; `rank_on` is the rank read off a table level by level, and
 `outside_by_full_walk` the walk outside the KB's closure that goes into
 its members too. `atom_names` and `role_names` collect the names a
 brute-force search enumerates. Slow on purpose, trusted because it is
@@ -71,6 +72,7 @@ from typika.models import (
 from typika.ranking import Extensions, RankedTBox, _TypeElimination, bitmask, elements
 from typika.syntax import (
     BOT,
+    TOP,
     And,
     Atom,
     Bottom,
@@ -472,19 +474,37 @@ def rc_by_and_node(ranked: RankedTBox, query: Query) -> bool:
     return r_lhs == math.inf or r_lhs < r_off
 
 
+def _assigned(c: Concept, values: dict[Concept, Concept]) -> Concept:
+    """c with each atom that is a key of `values` replaced by its value,
+    every node above it rebuilt."""
+    if isinstance(c, Atom):
+        return values.get(c, c)
+    if isinstance(c, Not):
+        return Not(_assigned(c.sub, values))
+    if isinstance(c, (And, Or)):
+        return c.__class__(_assigned(c.left, values), _assigned(c.right, values))
+    if isinstance(c, (Exists, Forall)):
+        return c.__class__(c.role, _assigned(c.sub, values))
+    return c
+
+
 def holds_in_by_variants(model: Model, query: Query) -> tuple[bool, Optional[int]]:
     """Whether the query holds in the model, and the first element it
-    fails on: both sides evaluated per variant of `CanonicalDomain.lift`
-    (given every atom of the query, found by a walk of every subconcept),
+    fails on: both sides evaluated once per assignment of `top` or `bot`
+    to the query's atoms the table has no bit for (found by a walk of
+    every subconcept and substituted here, not by `CanonicalDomain.lift`),
     a defeasible query's on the least global rank (scanned by `min_by`)
     that meets any variant's `lhs`. The reference for the model verdicts
     of `query` and the `compare` rows, which read the query's two masks,
-    each OR-ed over the variants."""
+    each OR-ed over the variants `lift` gives."""
     dom = model.domain
-    atoms = [s for side in (query.lhs, query.rhs) for s in subconcepts(side)
-             if isinstance(s, Atom)]
-    sides = [(dom.eval(lhs), dom.eval(rhs))
-             for lhs, rhs in dom.lift((query.lhs, query.rhs), atoms)]
+    fresh = sorted({s for side in (query.lhs, query.rhs) for s in subconcepts(side)
+                    if isinstance(s, Atom) and s not in dom.eval.bit}, key=concept_key)
+    sides = []
+    for values in itertools.product((TOP, BOT), repeat=len(fresh)):
+        assigned = dict(zip(fresh, values))
+        sides.append((dom.eval(_assigned(query.lhs, assigned)),
+                      dom.eval(_assigned(query.rhs, assigned))))
     if isinstance(query, Defeasible):
         anywhere = 0
         for lhs, _ in sides:

@@ -213,6 +213,17 @@ def test_query_emit_countermodel(capsys):
     assert offenders
 
 
+def test_query_rc_emit_model_prints_the_verdict_alone(capsys):
+    # rank entailment is read off no model, so under rc `--emit-model`
+    # prints no witness, in text or `--json`, and the exit code follows the
+    # verdict
+    for query, code in (("T(Penguin) => not Fly", 0), ("T(Penguin) => HasNiceFeather", 1)):
+        argv = ["query", "--semantics", "rc", "--emit-model", SET3, query]
+        assert run(capsys, argv) == (code, ("entailed\n", "not entailed\n")[code], "")
+        got, doc, err = run_json(capsys, ["query", "--json", *argv[1:]])
+        assert (got, doc["entailed"], err) == (code, not code, "") and "witness" not in doc
+
+
 def test_query_human_never_prints_timing(capsys):
     _, out, _ = run(capsys, ["query", "--semantics", "enriched", "--emit-model",
                              SET3, "T(Penguin) => not Fly"])

@@ -128,6 +128,9 @@ def test_type_elimination_matches_tableau_domain():
     the corpus, but `exists-forall`, `forall-exists` and
     `forall-disjunction` then keep 24, 24 and 48 types where the tableau
     gives 16, 20 and 40.
+
+    The types share their literals: one node per positive and one `not`
+    node per positive, however many elements there are.
     """
     cases = [(kb, None) for kb in corpus_kbs()]
     cases += [(chain(n), None) for n in range(1, 6)]
@@ -137,6 +140,8 @@ def test_type_elimination_matches_tableau_domain():
         dom = domain_of(kb, query)
         types, edges = tableau_domain(kb, dom.closure)
         assert dom.types == types, (kb, query)
+        nodes = {id(c) for t in dom.types for c in t}
+        assert len(nodes) <= 2 * len(dom.engine.positives), (kb, query)
         assert role_edges(dom) == edges, (kb, query)
 
 
@@ -757,6 +762,13 @@ def test_satisfies_kb_matches_rank_reference():
                     aspect_verdicts.add(verdict)
     assert models > 1000
     assert verdicts == aspect_verdicts == {True, False}
+    # a model of `T(A) => C`, `T(B) => C` has elements with B and not A, so
+    # it is no model of the same KB with `B => A`
+    kb = parse_kb("T(A) => C\nT(B) => C\n")
+    m = single_pref_model(kb, domain_of(kb))
+    strict = parse_kb("B => A\nT(A) => C\nT(B) => C\n")
+    assert satisfies_kb(m, kb) and not satisfies_kb(m, strict)
+    assert not satisfies_kb_by_ranks(m, strict)
 
 
 def test_shared_failure_gives_every_row_its_error(tmp_path, capsys):

@@ -189,10 +189,14 @@ def set3_model():
 
 
 def test_value_types_compare_hash_and_print_by_their_fields():
-    from typika import Atom, Defeasible, Strict
+    from typika import Atom, ConceptAssertion, Defeasible, RoleAssertion, Strict
+    from typika.kb import cached
 
     a, b = Atom("A"), Atom("B")
     assert Strict(a, b) != Defeasible(a, b) and Defeasible(a, b) != Strict(a, b)
+    # values of two classes compare by identity, as each leaves it to the other
+    fact, edge = ConceptAssertion(a, "x"), RoleAssertion("r", "x", "x")
+    assert fact.__eq__(edge) is NotImplemented and fact != edge
     assert Strict(a, b) == Strict(Atom("A"), Atom("B")) != Strict(b, a)
     assert {type(v).__name__ for v, _ in values()} | {"Model"} == set(FIELDS)
     for value, text in values():
@@ -203,6 +207,8 @@ def test_value_types_compare_hash_and_print_by_their_fields():
     model = set3_model()
     twin = models.Model(*fields(model))
     assert model == model and twin != model and hash(twin) != hash(model)
+    # a cached field read on its class is its descriptor
+    assert isinstance(models.Model.global_ranks, cached)
 
 
 def test_value_types_are_frozen():

@@ -16,12 +16,14 @@ from typika.ranking import (
     _beyond,
     bitmask,
     elements,
+    highest,
     in_rational_closure,
     is_kb_consistent,
     satisfiable_wrt_kb,
     select,
 )
-from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, concept_key
+from typika.syntax import (TOP, And, Atom, Concept, Exists, Forall, Not, Or, concept_key,
+                           concept_to_text, to_nnf)
 from typika.tableau import StrictTBox
 
 from conftest import KBS
@@ -314,6 +316,10 @@ def test_bit_kernels_match_a_scan():
         assert elements(mask) == [i for i in range(len(codes)) if mask >> i & 1]
         assert select(codes, mask) == [c for i, c in enumerate(codes) if mask >> i & 1]
         assert bitmask(c & 1 for c in codes) == sum(1 << i for i, c in enumerate(codes) if c & 1)
+        masks = [rng.getrandbits(len(codes)) & rng.getrandbits(len(codes)) for _ in range(4)]
+        assert highest(masks, mask) == max((r for r, m in enumerate(masks) if m & mask),
+                                           default=-1)
+    assert highest([1, 2], 4) == -1
 
 
 def test_set1_levels_and_ranks(kb_set1):
@@ -403,6 +409,10 @@ def test_rc_irrelevance(kb_set1):
 def test_rc_rejects_non_axiom():
     with pytest.raises(TypeError):
         in_rational_closure(RankedTBox(KnowledgeBase.build([])), Atom("A"))
+    # nor is a bare `Concept` evaluated, normalised or printed
+    for read in (Extensions({}, [0]), to_nnf, concept_to_text):
+        with pytest.raises(TypeError, match="not a concept"):
+            read(Concept())
 
 
 def test_rc_over_fresh_kbs():

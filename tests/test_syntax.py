@@ -215,4 +215,6 @@ def test_nodes_are_immutable():
     for field in ("left", "_key", "_hash"):
         with pytest.raises(AttributeError):
             setattr(c, field, B)
+        with pytest.raises(AttributeError):
+            delattr(c, field)
     assert (concept_key(c), hash(c), c.left) == (key, h, A)
