@@ -227,7 +227,7 @@ class Extensions:
             return self.full
         if kind is Bottom:
             return 0
-        raise TypeError(f"not a concept: {c!r}")
+        raise TypeError(f"not a concept: {c.__class__.__name__}")
 
 
 class _TypeElimination:

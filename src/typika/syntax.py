@@ -184,7 +184,7 @@ def to_nnf(c: Concept) -> Concept:
             return Forall(s.role, to_nnf(Not(s.sub)))
         if isinstance(s, Forall):
             return Exists(s.role, to_nnf(Not(s.sub)))
-    raise TypeError(f"not a concept: {c!r}")
+    raise TypeError(f"not a concept: {c.__class__.__name__}")
 
 
 def subconcepts(c: Concept) -> list[Concept]:

@@ -1,14 +1,13 @@
 """Statements of `src/typika` that no tier-1 test executes.
 
-    python tests/linecov.py [PYTEST_ARGS...]
+    python tests/linecov.py
 
-Runs tier-1 (`pytest -q` over this directory, or over PYTEST_ARGS when
-given) in this process under a `sys.settrace` line tracer that traces
-only frames of code in `src/typika`, then prints each statement that no
-traced frame executed, as `file:line: text`, and their count. A
-statement is a line that the compiled module's code objects map an
-instruction to, outside an `if TYPE_CHECKING:` block. The exit code is
-pytest's.
+Runs tier-1 (`pytest -q` over this directory) in this process under a
+`sys.settrace` line tracer that traces only frames of code in
+`src/typika`, then prints each statement that no traced frame executed,
+as `file:line: text`, and their count. A statement is a line that the
+compiled module's code objects map an instruction to, outside an
+`if TYPE_CHECKING:` block. The exit code is pytest's.
 
 Only this process is traced. A statement that only the tests' `python
 -m typika` subprocesses run is listed although those tests pass: for
@@ -47,7 +46,7 @@ def statements(path: Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     sys.path[:0] = [str(PACKAGE.parent), str(TESTS)]
     import pytest
 
@@ -68,7 +67,7 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(trace)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(TESTS)])])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(TESTS)])
     finally:
         sys.settrace(None)
     missed = 0
@@ -82,4 +81,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -86,6 +86,7 @@ from typika.syntax import (
     concept_key,
     conjoin,
     subconcepts,
+    substitute,
 )
 from typika.tableau import StrictTBox, Witness, entails_strict
 
@@ -151,7 +152,7 @@ class Interp:
             return sum(1 << i for i in range(self.size) if rows[i] & sub)
         if isinstance(c, Forall):
             return sum(1 << i for i in range(self.size) if not rows[i] & ~sub)
-        raise TypeError(f"not a concept: {c!r}")
+        raise TypeError(f"not a concept: {c.__class__.__name__}")
 
     def satisfies_tbox(self, pairs: Iterable[tuple[Concept, Concept]]) -> bool:
         return all(not self.eval(lhs) & ~self.eval(rhs) for lhs, rhs in pairs)
@@ -474,25 +475,11 @@ def rc_by_and_node(ranked: RankedTBox, query: Query) -> bool:
     return r_lhs == math.inf or r_lhs < r_off
 
 
-def _assigned(c: Concept, values: dict[Concept, Concept]) -> Concept:
-    """c with each atom that is a key of `values` replaced by its value,
-    every node above it rebuilt."""
-    if isinstance(c, Atom):
-        return values.get(c, c)
-    if isinstance(c, Not):
-        return Not(_assigned(c.sub, values))
-    if isinstance(c, (And, Or)):
-        return c.__class__(_assigned(c.left, values), _assigned(c.right, values))
-    if isinstance(c, (Exists, Forall)):
-        return c.__class__(c.role, _assigned(c.sub, values))
-    return c
-
-
 def holds_in_by_variants(model: Model, query: Query) -> tuple[bool, Optional[int]]:
     """Whether the query holds in the model, and the first element it
     fails on: both sides evaluated once per assignment of `top` or `bot`
     to the query's atoms the table has no bit for (found by a walk of
-    every subconcept and substituted here, not by `CanonicalDomain.lift`),
+    every subconcept and put in by `substitute`, not by `CanonicalDomain.lift`),
     a defeasible query's on the least global rank (scanned by `min_by`)
     that meets any variant's `lhs`. The reference for the model verdicts
     of `query` and the `compare` rows, which read the query's two masks,
@@ -503,8 +490,8 @@ def holds_in_by_variants(model: Model, query: Query) -> tuple[bool, Optional[int
     sides = []
     for values in itertools.product((TOP, BOT), repeat=len(fresh)):
         assigned = dict(zip(fresh, values))
-        sides.append((dom.eval(_assigned(query.lhs, assigned)),
-                      dom.eval(_assigned(query.rhs, assigned))))
+        sides.append((dom.eval(substitute(query.lhs, assigned)),
+                      dom.eval(substitute(query.rhs, assigned))))
     if isinstance(query, Defeasible):
         anywhere = 0
         for lhs, _ in sides:

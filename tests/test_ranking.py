@@ -409,10 +409,13 @@ def test_rc_irrelevance(kb_set1):
 def test_rc_rejects_non_axiom():
     with pytest.raises(TypeError):
         in_rational_closure(RankedTBox(KnowledgeBase.build([])), Atom("A"))
-    # nor is a bare `Concept` evaluated, normalised or printed
-    for read in (Extensions({}, [0]), to_nnf, concept_to_text):
-        with pytest.raises(TypeError, match="not a concept"):
+    # nor is a bare `Concept` evaluated, normalised or printed, each
+    # refused where it is read, not by a `repr` building the message
+    for read, where in ((Extensions({}, [0]), "__call__"), (to_nnf, "to_nnf"),
+                        (concept_to_text, "_render")):
+        with pytest.raises(TypeError, match="^not a concept: Concept$") as raised:
             read(Concept())
+        assert raised.traceback[-1].name == where
 
 
 def test_rc_over_fresh_kbs():
