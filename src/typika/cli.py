@@ -15,14 +15,15 @@ returns its exit code, document and text lines; `main` writes them and
 flushes stdout, so a write it refuses is reported as `cannot write
 output: ...` with exit 2. `--json`
 switches to a single structured document on stdout, the bytes of
-`json.dumps(doc, indent=2, sort_keys=True)`, joined per container with
-C-encoded strings, a container of over `_WIDE` members one member at a
-time; `timingMs` is measured per invocation except for `compare`, where
-it is pinned to 0 so repeated runs are byte-identical. The arguments
-spelled as `--help` prints them are read without argparse, over the one
-declaration of each subcommand's options (`_read_args`); argparse, built
-from that declaration only then, reads every other argv and prints all
-help and usage errors (`build_parser`). The KB and query files are
+`json.dumps(doc, indent=2, sort_keys=True)`, built in pieces with
+C-encoded strings and written whenever a container closes with over
+`_FLUSH` pieces held; `timingMs` is measured per invocation except for
+`compare`, where it is pinned to 0 so repeated runs are byte-identical.
+The arguments spelled as `--help` prints them are read without argparse,
+over the one declaration of each subcommand's options (`_read_args`);
+argparse, built from that declaration only then, reads every other argv
+in one top-level parse and prints all help and usage errors
+(`build_parser`). The KB and query files are
 read as bytes and decoded once, so a byte that is not UTF-8 is reported at
 its offset in the file; query lines end at `\n`, `\r\n` and `\r`, as in
 a file read in text mode.
@@ -48,10 +49,9 @@ import math
 import os
 import sys
 import time
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence, Union
 
 from .kb import KnowledgeBase, serialize_axiom
 from .models import (
@@ -91,61 +91,48 @@ def _query_lines(path: str) -> list[str]:
     return [r for r in map(str.strip, lines) if r and r[0] != "#"]
 
 
-_WIDE = 256  # a container of more members is written one member at a time
+_FLUSH = 1 << 12  # pieces a container may leave held when it closes
 
 
-class _Large(Exception):
-    """A container of more than `_WIDE` members."""
-
-
-def _json(value: object, pad: str) -> str:
-    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
-    nested at `pad` (a newline and the indent), as one string; raises
-    `_Large` on a container of more than `_WIDE` members."""
+def _json(value: object, pad: str, out: list[str], write: Callable[[str], object]) -> None:
+    """Append the text `json.dumps(value, indent=2, sort_keys=True)` writes
+    for `value`, nested at `pad` (a newline and the indent), to `out` piece
+    by piece. A container that closes with more than `_FLUSH` pieces held
+    writes them with `write` and clears `out`, so a large witness is never
+    one string."""
     if value is True or value is False or value is None:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, str):
-        return _string(value)
-    if isinstance(value, (dict, list, tuple)):
-        if len(value) > _WIDE:
-            raise _Large
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, str):
+        out.append(_string(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(repr(value) if type(value) is int else json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
         inner = pad + "  "
         if isinstance(value, dict):
-            ends, out = "{}", [f"{_string(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+            ends, items = "{}", ((f"{_string(k)}: ", v) for k, v in sorted(value.items()))
         else:
-            ends, out = "[]", [_json(v, inner) for v in value]
-        return ends[0] + inner + f",{inner}".join(out) + pad + ends[1] if out else ends
-    return repr(value) if type(value) is int else json.dumps(value)
-
-
-def _pieces(value: Union[dict, list], pad: str) -> Iterator[str]:
-    """The text of `_json` for a non-empty dict or list, a piece per
-    member; a member of more than `_WIDE` members, or holding one, is
-    written in pieces too."""
-    inner = pad + "  "
-    if isinstance(value, dict):
-        ends, items = "{}", ((f"{_string(k)}: ", v) for k, v in sorted(value.items()))
-    else:
-        ends, items = "[]", (("", v) for v in value)
-    sep = ends[0] + inner
-    for key, member in items:
-        try:
-            yield sep + key + _json(member, inner)
-        except _Large:
-            yield sep + key
-            yield from _pieces(member, inner)
-        sep = "," + inner
-    yield pad + ends[1]
+            ends, items = "[]", (("", v) for v in value)
+        sep = ends[0] + inner
+        for key, member in items:
+            out.append(sep + key)
+            _json(member, inner, out, write)
+            sep = "," + inner
+        out.append(pad + ends[1])
+        if len(out) > _FLUSH:
+            write("".join(out))
+            out.clear()
 
 
 def _emit(args: SimpleNamespace, doc: dict, lines: list[str]) -> None:
-    """The document as indented, key-sorted JSON, written in pieces so a
-    large witness is never one string; or the lines."""
+    """The document as indented, key-sorted JSON, written by `_json`; or
+    the lines."""
     if args.json:
-        pieces = _pieces(doc, "\n")
-        while batch := "".join(islice(pieces, 1 << 12)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
+        out: list[str] = []
+        _json(doc, "\n", out, sys.stdout.write)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         for line in lines:
             print(line)
@@ -400,7 +387,7 @@ def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     then its options in full, each value the next word, and exactly its
     positionals; no other word starts with `-`, every value meets its
     `choices` or `type` and every required option is given. Any other
-    argv gives None, for `build_parser`'s parsers; this prints nothing."""
+    argv gives None, for `build_parser`'s parser; this prints nothing."""
     declared = _SUBCOMMANDS.get(argv[0]) if argv else None
     if declared is None:
         return None
@@ -435,11 +422,11 @@ def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**args)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's own parser by name,
-    declared from `_SUBCOMMANDS`. They read every argv `_read_args` leaves:
-    they print help and usage errors, and read the other spellings, such
-    as `--sem`, `--rank-bound=1`, `--` and a path starting with `-`."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser per subcommand, declared from
+    `_SUBCOMMANDS`. It reads every argv `_read_args` leaves: it prints help
+    and usage errors, and reads the other spellings, such as `--sem`,
+    `--rank-bound=1`, `--` and a path starting with `-`."""
     import argparse
 
     def typed(read):  # argparse prints an ArgumentTypeError's message as it is
@@ -462,21 +449,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         for name, text in positionals:
             p.add_argument(name, help=text)
         p.set_defaults(func=handler)
-    return parser, sub.choices
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv)
     if args is None:  # help, a usage error or a spelling only argparse reads
-        parser, commands = build_parser()
-        command = commands.get(argv[0]) if argv else None
-        if command is None:  # no command, an unknown one or a top-level option
-            args = parser.parse_args(argv)
-        else:  # the top-level parser would hand these on, and report any left over
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
     try:
         code, doc, lines = args.func(args)
         try:  # flushed here, so a write stdout refuses fails here and not at exit
