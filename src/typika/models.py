@@ -82,7 +82,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import accumulate, chain
 from operator import and_, getitem, or_
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from .kb import ConceptAssertion, Frozen, KnowledgeBase, RoleAssertion, aspect_set, cached
 from .ranking import (CanonicalDomain, RankedTBox, bitmask, counterexamples, elements,
@@ -531,23 +531,34 @@ def find_abox_mapping(model: Model, kb: KnowledgeBase) -> Optional[dict[str, int
             candidates[a.individual] &= ext
     role_pairs = [(a.subject, a.target, *domain.successors[a.role]) for a in kb.abox
                   if isinstance(a, RoleAssertion) and a.role in domain.successors]
-    return _assign(individuals, candidates, role_pairs, {})
+    return _assign(individuals, candidates, role_pairs)
 
 
 def _assign(individuals: Sequence[str], candidates: dict[str, int],
-            role_pairs: Sequence[tuple[str, str, tuple[int, ...], tuple[int, ...]]],
-            chosen: dict[str, int]) -> Optional[dict[str, int]]:
-    """Extends `chosen`, which maps the first individuals, to all of them so
-    that every role pair between chosen individuals is a canonical edge."""
-    if len(chosen) == len(individuals):
-        return dict(chosen)
-    name = individuals[len(chosen)]
-    for t in elements(candidates[name]):
-        chosen[name] = t
-        if all(sets[of[chosen[a]]] >> chosen[b] & 1
-               for a, b, sets, of in role_pairs if a in chosen and b in chosen):
-            out = _assign(individuals, candidates, role_pairs, chosen)
-            if out is not None:
-                return out
-        del chosen[name]
-    return None
+            role_pairs: Sequence[tuple[str, str, tuple[int, ...], tuple[int, ...]]]
+            ) -> Optional[dict[str, int]]:
+    """Maps every individual to one of its candidate elements so that every
+    role pair between them is a canonical edge, or gives None. A
+    depth-first search takes the individuals in order and each one's
+    candidates in ascending order, so the first mapping found is the
+    least in that order. An explicit stack holds each individual's
+    untried candidates, so the number of individuals is not bounded by
+    Python's recursion limit."""
+    chosen: dict[str, int] = {}
+    untried: list[Iterator[int]] = []  # of each chosen individual and the next
+    while len(chosen) < len(individuals):
+        name = individuals[len(chosen)]
+        if len(untried) == len(chosen):
+            untried.append(iter(elements(candidates[name])))
+        for t in untried[-1]:
+            chosen[name] = t
+            if all(sets[of[chosen[a]]] >> chosen[b] & 1
+                   for a, b, sets, of in role_pairs if a in chosen and b in chosen):
+                break
+            del chosen[name]
+        else:  # none left: try the previous individual's next candidate
+            untried.pop()
+            if not chosen:
+                return None
+            chosen.popitem()
+    return chosen

@@ -7,18 +7,20 @@ nothing is normalised implicitly. The typicality operator is not a concept
 constructor: it may only wrap the left-hand side of an axiom, so it lives
 in the axiom types, not here.
 
-Each node caches its hash and its rendered text in slots, each the first
-time it is asked for, so both cost O(1) afterwards. One cached text serves
-both output (`concept_to_text`, which renders a node's children through
+Each node stores its hash in a slot as it is built, computed from its
+parts, whose hashes are stored by then, so hashing a node is one slot
+read and no walk, however deep the tree. Its rendered text is cached in
+a slot the first time it is asked for. One cached text serves both
+output (`concept_to_text`, which renders a node's children through
 itself) and sort order (`concept_key`, which returns it). The node itself
 is the key of every memo in the package (concept extensions, ranks); the
-text serves only as a deterministic sort order. The caches
-belong to the node and die with it. A parse interns its nodes into a
-table the caller owns, keyed by that text, which the parse stores as the
-node's cached text (`parser`), so equal concepts parsed with one table
-are one object and those memos hit on identity; no module keeps a table.
-Whether a cache is filled or a node interned never changes what a node
-compares equal to.
+text serves only as a deterministic sort order. The text belongs to the
+node and dies with it. A parse interns its nodes into a table the caller
+owns, keyed by that text, which the parse stores as the node's cached
+text (`parser`), so equal concepts parsed with one table are one object
+and those memos hit on identity; no module keeps a table. Whether the
+text is cached or a node interned never changes what a node compares
+equal to.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ _set = object.__setattr__
 
 
 class Concept:
-    """Base class for concept expressions."""
+    """Base class for concept expressions. Each constructor stores the
+    node's hash, that of the tuple of its parts, and an empty text cache;
+    equality compares the stored hashes before the parts."""
 
     __slots__ = ("_key", "_hash")
 
     def __init__(self) -> None:
         _set(self, "_key", None)
-        _set(self, "_hash", None)
+        _set(self, "_hash", hash(()))
 
     def _parts(self) -> tuple:
         return ()
@@ -45,14 +49,10 @@ class Concept:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return hash(self) == hash(other) and self._parts() == other._parts()
+        return self._hash == other._hash and self._parts() == other._parts()
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._parts())
-            _set(self, "_hash", h)
-        return h
+        return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"concepts are immutable: cannot assign {name!r}")
@@ -73,7 +73,7 @@ class Atom(Concept):
     def __init__(self, name: str) -> None:
         _set(self, "name", name)
         _set(self, "_key", None)
-        _set(self, "_hash", None)
+        _set(self, "_hash", hash((name,)))
 
     def _parts(self) -> tuple:
         return (self.name,)
@@ -93,7 +93,7 @@ class Not(Concept):
     def __init__(self, sub: Concept) -> None:
         _set(self, "sub", sub)
         _set(self, "_key", None)
-        _set(self, "_hash", None)
+        _set(self, "_hash", hash((sub,)))
 
     def _parts(self) -> tuple:
         return (self.sub,)
@@ -106,7 +106,7 @@ class _Binary(Concept):
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "_key", None)
-        _set(self, "_hash", None)
+        _set(self, "_hash", hash((left, right)))
 
     def _parts(self) -> tuple:
         return (self.left, self.right)
@@ -127,7 +127,7 @@ class _Restriction(Concept):
         _set(self, "role", role)
         _set(self, "sub", sub)
         _set(self, "_key", None)
-        _set(self, "_hash", None)
+        _set(self, "_hash", hash((role, sub)))
 
     def _parts(self) -> tuple:
         return (self.role, self.sub)

@@ -1,8 +1,11 @@
 """Concept satisfiability for ALC with a general TBox.
 
 The decision procedure is a labelled-tree tableau. The TBox is internalised:
-the conjunction of `not lhs or rhs` over all axioms is added to every node
-label, and subset blocking against ancestors guarantees termination.
+the conjunction of `not lhs or rhs` over all axioms, each put in NNF on
+its own, is added to every node label, and subset blocking against
+ancestors guarantees termination. Building that conjunction walks each
+inclusion, never the conjunction's length, so the number of axioms is
+not bounded by Python's recursion limit.
 The `and` and `forall` rules are applied as a concept enters a label (a
 new successor takes its parent's `forall`s), and a clash is noted then;
 these rules are monotone, so the labels are those full saturation would
@@ -62,10 +65,12 @@ class StrictTBox(Frozen):
 
     @cached
     def internalized(self) -> Optional[Concept]:
-        """The NNF of the conjunction of `not lhs or rhs` over the axioms."""
+        """The conjunction of `not lhs or rhs` over the axioms, each put in
+        NNF on its own: equal to the NNF of the whole conjunction, with no
+        walk along the conjunction's length."""
         if not self.axioms:
             return None
-        return to_nnf(conjoin(Or(Not(lhs), rhs) for lhs, rhs in self.axioms))
+        return conjoin(to_nnf(Or(Not(lhs), rhs)) for lhs, rhs in self.axioms)
 
 
 class Witness(Frozen):

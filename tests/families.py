@@ -3,8 +3,13 @@ small role-bearing KBs, as KB text.
 
 `chain(n)` has n levels: C_i => C_{i-1}, T(C_i) => P for even i and
 not P for odd i, and T(C_i) => Q_i. `diamond(n)` has n Nixon diamonds:
-T(Q_i) => P_i and T(R_i) => not P_i. `ROLE_KBS` holds ten `exists`/`forall`
-KBs with at most three defaults, several cyclic and so needing blocking.
+T(Q_i) => P_i and T(R_i) => not P_i. `axioms(n)` has n distinct strict
+inclusions over the atoms A0 to A11, drawn from `random.Random(n)`, each
+(X and Y) => (Z or X) or X => (Y or Z), and the two defaults
+T(A0) => not A1 and T(A2) => A3: the families grow in width with
+`chain` and `diamond`, and in the number of axioms with `axioms`.
+`ROLE_KBS` holds ten `exists`/`forall` KBs with at most three defaults,
+several cyclic and so needing blocking.
 `RANK_INFINITY` holds two KBs whose defaults are all exceptional at
 every level.
 
@@ -12,10 +17,10 @@ every level.
 pools the acceptance gates read.
 
 Run as a script, it prints the wide-domain record: one Markdown table row
-per family KB, with the domain's types, the codes its stratification
-enumerated (`_TypeElimination.candidates`), the milliseconds each layer takes
-in turn (stratify, domain, constraint table, single-pref, enriched), then
-those of three `compare` rows answered after the KB's own, for the first
+per family KB (`chain`, `diamond` or `axioms`), with the domain's types,
+the codes its stratification enumerated (`_TypeElimination.candidates`),
+the milliseconds each layer takes in turn (stratify, domain, constraint
+table, single-pref, enriched), then those of three `compare` rows answered after the KB's own, for the first
 default `T(X) => Y` and the second antecedent Z: a fresh-atom row
 `T((X and Blond)) => Y`, a conjunction row `T((X and Z)) => Y` and a
 fresh-atom-and-restriction row `T(((X and Blond) and exists eats. Fish))
@@ -80,12 +85,29 @@ def diamond_text(n: int) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def axioms_text(n: int) -> str:
+    if n > 2 * 12 * 11 * 10:
+        raise ValueError(f"axioms({n}): there are only 2,640 such inclusions")
+    names = [f"A{i}" for i in range(12)]
+    rng = random.Random(n)
+    lines: dict[str, None] = {}  # the inclusions drawn so far, in order
+    while len(lines) < n:
+        x, y, z = rng.sample(names, 3)
+        lines[f"({x} and {y}) => ({z} or {x})" if rng.random() < 0.5
+              else f"{x} => ({y} or {z})"] = None
+    return "".join(line + "\n" for line in [*lines, "T(A0) => not A1", "T(A2) => A3"])
+
+
 def chain(n: int) -> KnowledgeBase:
     return parse_kb(chain_text(n))
 
 
 def diamond(n: int) -> KnowledgeBase:
     return parse_kb(diamond_text(n))
+
+
+def axioms(n: int) -> KnowledgeBase:
+    return parse_kb(axioms_text(n))
 
 
 ROLE_KBS = {
@@ -151,11 +173,11 @@ def role_free_pools() -> dict[str, list[KnowledgeBase]]:
 
 
 def record_row(family: str, n: int) -> str:
-    """The wide-domain record's row for `chain(n)` or `diamond(n)`, each
-    layer timed in turn in this process, the `--emit-model` call in a
-    fresh one."""
+    """The wide-domain record's row for `chain(n)`, `diamond(n)` or
+    `axioms(n)`, each layer timed in turn in this process, the
+    `--emit-model` call in a fresh one."""
     nodes: dict = {}
-    text = {"chain": chain_text, "diamond": diamond_text}[family](n)
+    text = {"chain": chain_text, "diamond": diamond_text, "axioms": axioms_text}[family](n)
     kb = parse_kb(text, nodes)
     cells = []
 

@@ -27,7 +27,7 @@ from typika.syntax import (BOT, TOP, And, Atom, Exists, Forall, Not, Or, complem
 
 from conftest import GOLDEN, KBS, REPO, SET1_TEXT, SET3_TEXT
 from corpus import corpus_kbs
-from families import ROLE_KBS, chain_text, diamond_text, random_kbs, role_free_pools
+from families import ROLE_KBS, axioms_text, chain_text, diamond_text, random_kbs, role_free_pools
 from oracles import holds_in_by_variants, model_of, rc_by_and_node, widened_compare_row
 from test_models import random_kbs_with_domains
 from test_tableau import DEEP_KB
@@ -1230,6 +1230,24 @@ def test_module_entry_point():
         [sys.executable, "-m", "typika", "check", SET3],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "consistent\n"
+
+
+def test_kbs_of_many_axioms_or_individuals_answer(tmp_path):
+    # 1,200 inclusions, and 1,500 individuals, each far more than the
+    # default recursion limit of the child's interpreter
+    (tmp_path / "axioms.kb").write_text(axioms_text(1200))
+    (tmp_path / "queries.txt").write_text(
+        "T(A0) => not A1\nT(A2) => A3\nT((A0 and A2)) => A3\n"
+        "T((A0 and Blond)) => not A1\nA0 => (A1 or A2)\n")
+    (tmp_path / "abox.kb").write_text(SET3_TEXT + "".join(f"Bird(b{i})\n" for i in range(1500)))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for argv in (["check", "axioms.kb"], ["rank", "--json", "axioms.kb"],
+                 ["compare", "--json", "axioms.kb", "queries.txt"], ["check", "abox.kb"]):
+        proc = subprocess.run([sys.executable, "-m", "typika", *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert "internal error" not in proc.stdout + proc.stderr, argv
+        assert proc.returncode in (0, 1), argv
+    assert (proc.returncode, proc.stdout) == (0, "consistent\n")
 
 
 def test_console_script(tmp_path):

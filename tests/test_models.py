@@ -7,8 +7,8 @@ import pytest
 
 import typika.models
 from typika.cli import main
-from typika.kb import (Defeasible, KnowledgeBase, Strict, aspect_set, serialize_axiom,
-                       subconcept_closure)
+from typika.kb import (ConceptAssertion, Defeasible, KnowledgeBase, Strict, aspect_set,
+                       serialize_axiom, subconcept_closure)
 from typika.models import (
     InconsistentKBError,
     Model,
@@ -943,6 +943,47 @@ def test_abox_mapping(kb_set3):
     assert mapping is not None
     assert mapping["tweety"] in element_set(m.domain.eval(Atom("Bird")))
     assert mapping["pingu"] in element_set(least(m.rank_masks, m.domain.eval(Atom("Penguin"))))
+    # 1,500 individuals, far more than Python's recursion limit: each maps
+    # to the least bird, the search's first candidate
+    many = parse_kb(SET3_TEXT + "".join(f"Bird(b{i})\n" for i in range(1500)))
+    first_bird = min(element_set(m.domain.eval(Atom("Bird"))))
+    assert find_abox_mapping(m, many) == {f"b{i}": first_bird for i in range(1500)}
+
+
+def test_abox_mapping_is_the_first_in_search_order():
+    # the search takes the individuals in order of first assertion and
+    # each one's candidates ascending, so the mapping it finds is the
+    # lexicographically least that fits. An A's r-successors are B and a
+    # non-A's are not: the first two ABoxes make it go back to `a`'s next
+    # candidate, and the last two have no mapping
+    tbox = "A => forall r. B\nnot A => forall r. not B\nB => exists r. A\n"
+    for abox in ("r(a, b)\nnot B(b)\n", "r(a, b)\nr(b, c)\nnot B(c)\n",
+                 "r(a, b)\nr(b, a)\nnot B(a)\n", "T(A)(c)\nr(a, b)\nr(b, c)\nr(c, d)\n",
+                 "r(a, b)\nr(b, c)\nB(c)\nnot A(b)\n", "r(a, b)\nr(a, c)\nB(b)\nnot B(c)\n"):
+        kb = parse_kb(tbox + abox)
+        m = single_pref_model(kb, domain_of(kb))
+        names = list(dict.fromkeys(
+            name for a in kb.abox for name in ((a.individual,) if isinstance(a, ConceptAssertion)
+                                               else (a.subject, a.target))))
+
+        def fits(mapping):
+            for a in kb.abox:
+                if isinstance(a, ConceptAssertion):
+                    ext = m.domain.eval(a.concept)
+                    if a.typical:
+                        ext = least(m.rank_masks, ext)
+                    if not ext >> mapping[a.individual] & 1:
+                        return False
+                elif a.role in m.domain.successors:
+                    sets, of = m.domain.successors[a.role]
+                    if not sets[of[mapping[a.subject]]] >> mapping[a.target] & 1:
+                        return False
+            return True
+
+        expect = next((mapping for mapping in (
+            dict(zip(names, picks)) for picks in itertools.product(
+                range(m.domain.size), repeat=len(names))) if fits(mapping)), None)
+        assert find_abox_mapping(m, kb) == expect, abox
 
 
 def test_abox_mapping_conflict(kb_set3):

@@ -209,6 +209,18 @@ def test_caching_never_changes_equality():
             assert (rebuild(c) == y) is expect and (x == rebuild(d)) is expect
 
 
+def test_deep_nodes_hash_without_recursion():
+    # each node's hash is stored as it is built, bottom-up, so hashing a
+    # node 100,000 deep reads one slot and walks nothing
+    deep_not, deep_and = A, B
+    for _ in range(100_000):
+        deep_not, deep_and = Not(deep_not), And(A, deep_and)
+    for c in (deep_not, deep_and):
+        assert hash(c) == hash(c._parts())
+        assert c in {c, A}
+    assert len({deep_not, deep_and, deep_not.sub, deep_and.right}) == 4
+
+
 def test_nodes_are_immutable():
     c = And(A, Not(B))
     key, h = concept_key(c), hash(c)

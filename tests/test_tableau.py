@@ -3,7 +3,7 @@ import random
 from typika.kb import Strict
 from typika.parser import parse_concept, parse_kb
 from typika.ranking import RankedTBox
-from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, BOT
+from typika.syntax import And, Atom, Exists, Forall, Not, Or, TOP, BOT, conjoin, to_nnf
 from typika.tableau import StrictTBox, entails_strict, is_satisfiable
 
 from conftest import GOLDEN
@@ -120,6 +120,34 @@ def test_defaults_enter_as_material_counterparts(kb_set3):
                             ("Bird", "Fly", "HasNiceFeather", "Penguin"))
     assert StrictTBox.from_axioms(kb_set3.defeasible).internalized == And(
         Or(Not(bird), hnf), And(Or(Not(bird), fly), Or(Not(peng), Not(fly))))
+
+
+def test_internalized_is_the_nnf_of_the_conjunction(kb_set3):
+    # each inclusion is put in NNF on its own; the conjunction equals the
+    # NNF of the conjunction of `not lhs or rhs`, on every small TBox here
+    rng = random.Random(25)
+    tboxes = [tbox(*((parse_concept(l), parse_concept(r)) for l, r in pairs))
+              for _, pairs in UNSAT_CASES if pairs]
+    tboxes += [tbox((A, Exists("r", B)), (B, Or(A, C))), tbox((A, B), (B, C)),
+               StrictTBox.from_axioms(kb_set3.strict + kb_set3.defeasible)]
+    tboxes += [StrictTBox(tuple((random_concept(rng, "ABCD", "rs", 3, 2),
+                                 random_concept(rng, "ABCD", "rs", 3, 2))
+                                for _ in range(rng.randrange(1, 5)))) for _ in range(200)]
+    for tb in tboxes:
+        assert tb.internalized == to_nnf(conjoin(Or(Not(l), r) for l, r in tb.axioms))
+    assert StrictTBox().internalized is None
+
+
+def test_long_tbox_needs_no_recursion():
+    # 5,000 inclusions, far more than Python's recursion limit: building
+    # the internalised conjunction walks no axiom list recursively
+    a = [Atom(f"A{i}") for i in range(6)]
+    cycle = [(a[i], Or(a[(i + 1) % 6], a[(i + 2) % 6])) for i in range(6)]
+    cycle.append((And(a[0], a[1]), BOT))
+    tb = StrictTBox(tuple(cycle[k % len(cycle)] for k in range(5000)))
+    assert entails_strict(tb, And(a[0], a[1]), BOT)
+    assert not entails_strict(tb, TOP, BOT)
+    assert entails_strict(tb, a[0], Or(a[1], a[2]))
 
 
 # ------------------------------------------------------------------ golden
